@@ -30,6 +30,7 @@ module State = Zebra_chain.State
 
 let rng = Zebra_rng.Chacha20.create ~seed:"zebralancer-bench"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
+let src = Zebra_rng.Source.of_chacha rng
 
 (* --- timing helpers --- *)
 
@@ -61,9 +62,9 @@ let bench_tree_depth = 16 (* RA capacity 65536, as a deployment would use *)
 
 let cpla_fixture =
   lazy
-    (let params = Cpla.setup ~random_bytes ~depth:bench_tree_depth () in
+    (let params = Cpla.setup_rng ~rng:src ~depth:bench_tree_depth () in
      let ra = Ra.create ~depth:bench_tree_depth () in
-     let key = Cpla.keygen ~random_bytes () in
+     let key = Cpla.keygen_rng ~rng:src () in
      let index = Ra.register ra key.Cpla.pk in
      (params, ra, key, index))
 
@@ -71,7 +72,7 @@ let make_attestation () =
   let params, ra, key, index = Lazy.force cpla_fixture in
   let prefix = Fp.random random_bytes and message = Fp.random random_bytes in
   let att =
-    Cpla.auth ~random_bytes params ~prefix ~message ~key ~index ~path:(Ra.path ra index)
+    Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index ~path:(Ra.path ra index)
       ~root:(Ra.root ra)
   in
   (params, prefix, message, Ra.root ra, att)
@@ -173,16 +174,16 @@ let fig4 () =
     "the paper contrasts two CPUs (3.1 vs 3.6 GHz); we contrast two RA tree\n\
      depths (8 vs 16), the knob that scales our Auth circuit the same way.\n\n";
   let bench_depth depth =
-    let params = Cpla.setup ~random_bytes ~depth () in
+    let params = Cpla.setup_rng ~rng:src ~depth () in
     let ra = Ra.create ~depth () in
-    let key = Cpla.keygen ~random_bytes () in
+    let key = Cpla.keygen_rng ~rng:src () in
     let index = Ra.register ra key.Cpla.pk in
     let times =
       List.init 12 (fun i ->
           let prefix = Fp.of_int (1000 + i) and message = Fp.random random_bytes in
           let _, dt =
             wall (fun () ->
-                Cpla.auth ~random_bytes params ~prefix ~message ~key ~index
+                Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index
                   ~path:(Ra.path ra index) ~root:(Ra.root ra))
           in
           dt)
@@ -264,18 +265,19 @@ let endtoend () =
   List.iter
     (fun n ->
       let answers = List.init n (fun i -> if i mod 4 = 3 then 2 else 1) in
-      let requester = Protocol.enroll sys in
-      let workers = List.map (fun a -> (Protocol.enroll sys, a)) answers in
+      let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+      let workers = List.map (fun a -> (Protocol.get_ok (Protocol.enroll_r sys), a)) answers in
       let h0 = List.length (Network.blocks sys.Protocol.net) in
       let task, t_pub =
         wall (fun () ->
-            Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n
-              ~budget:(30 * n) ())
+            Protocol.get_ok (Protocol.publish_task_r sys ~requester
+                ~policy:(Policy.Majority { choices = 4 }) ~n ~budget:(30 * n) ()))
       in
       let _, t_col =
-        wall (fun () -> Protocol.submit_answers sys ~task:task.Requester.contract ~workers)
+        wall (fun () ->
+            Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract ~workers))
       in
-      let _, t_rew = wall (fun () -> Protocol.reward sys task) in
+      let _, t_rew = wall (fun () -> Protocol.get_ok (Protocol.reward_r sys task)) in
       let new_blocks = List.filteri (fun i _ -> i >= h0) (Network.blocks sys.Protocol.net) in
       let bytes =
         List.fold_left
@@ -313,13 +315,15 @@ let ablation_fft () =
       let b = Array.init d (fun _ -> Fp.random random_bytes) in
       (* FFT path: evaluate a*b on a coset, divide by Z there, interpolate. *)
       let fft_once () =
-        let ea = Array.copy a and eb = Array.copy b in
-        Zebra_field.Fft.coset_fft dom ea;
-        Zebra_field.Fft.coset_fft dom eb;
+        let ea = Fp.Vec.of_array a and eb = Fp.Vec.of_array b in
+        Zebra_field.Fft.coset_fft_vec dom ea;
+        Zebra_field.Fft.coset_fft_vec dom eb;
         let zinv = Fp.inv (Zebra_field.Fft.vanishing_on_coset dom) in
-        let h = Array.init d (fun i -> Fp.mul (Fp.mul ea.(i) eb.(i)) zinv) in
-        Zebra_field.Fft.coset_ifft dom h;
-        h
+        for i = 0 to d - 1 do
+          Fp.Vec.set ea i (Fp.mul (Fp.mul (Fp.Vec.get ea i) (Fp.Vec.get eb i)) zinv)
+        done;
+        Zebra_field.Fft.coset_ifft_vec dom ea;
+        ea
       in
       (* Naive path: schoolbook product then polynomial long division. *)
       let naive_once () =
@@ -368,8 +372,8 @@ let ablation_hash () =
   in
   let profile composition =
     let cs = build composition in
-    let kp = Snark.setup ~random_bytes cs in
-    let _, t_prove = wall (fun () -> Snark.prove ~random_bytes kp.Snark.pk cs) in
+    let kp = Snark.setup_rng ~rng:src cs in
+    let _, t_prove = wall (fun () -> Snark.prove_rng ~rng:src kp.Snark.pk cs) in
     Printf.printf "  %-9s: %6d constraints, proving %6.2fs\n%!"
       (Hc.to_string composition) (Cs.num_constraints cs) t_prove;
     (Cs.num_constraints cs, t_prove)
@@ -398,7 +402,7 @@ let nonanon () =
   let prefix = Fp.random random_bytes and message = Fp.random random_bytes in
   let att, t_auth =
     wall (fun () ->
-        Cpla.auth ~random_bytes params ~prefix ~message ~key ~index ~path:(Ra.path ra index)
+        Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index ~path:(Ra.path ra index)
           ~root:(Ra.root ra))
   in
   let vkb = Cpla.vk_to_bytes params in
@@ -461,14 +465,12 @@ let parallel () =
     ignore (merkle_root cs ~leaf:(v leaf) ~path_bits:bits ~siblings);
     cs
   in
-  let kp = Snark.setup ~random_bytes cs in
+  let kp = Snark.setup_rng ~rng:src cs in
   let domain_counts = [ 1; 2; 4 ] in
   let prove_at nd =
     Parallel.set_default_domains nd;
-    let r = Zebra_rng.Chacha20.create ~seed:"bench-parallel-prove" in
-    let proof, dt =
-      wall (fun () -> Snark.prove ~random_bytes:(Zebra_rng.Chacha20.bytes r) kp.Snark.pk cs)
-    in
+    let rng = Zebra_rng.Source.of_seed "bench-parallel-prove" in
+    let proof, dt = wall (fun () -> Snark.prove_rng ~rng kp.Snark.pk cs) in
     (Snark.proof_to_bytes proof, dt)
   in
   let prove_runs = List.map (fun nd -> (nd, prove_at nd)) domain_counts in
@@ -489,13 +491,13 @@ let parallel () =
   let a0 = Array.init d (fun _ -> Fp.random random_bytes) in
   let fft_at nd =
     Parallel.set_default_domains nd;
-    let a = Array.copy a0 in
+    let a = Fp.Vec.of_array a0 in
     let _, dt =
       wall (fun () ->
-          Zebra_field.Fft.coset_fft dom a;
-          Zebra_field.Fft.coset_ifft dom a)
+          Zebra_field.Fft.coset_fft_vec dom a;
+          Zebra_field.Fft.coset_ifft_vec dom a)
     in
-    assert (Array.for_all2 Fp.equal a a0);
+    assert (Array.for_all2 Fp.equal (Fp.Vec.to_array a) a0);
     dt
   in
   let fft_runs = List.map (fun nd -> (nd, fft_at nd)) domain_counts in
@@ -654,7 +656,7 @@ let snark () =
     (cached_ns /. 1e3);
   (* Batched audit: 8 attestations under the contract's one CPLA key.
      Sequential = the stateless pre-batching path (decode + verify per
-     proof); batched = one decode plus one RLC check, the audit_task path. *)
+     proof); batched = one decode plus one RLC check, the audit_task_report path. *)
   let atts = Array.init 8 (fun _ -> make_attestation ()) in
   let params, _, _, _, _ = atts.(0) in
   let auth_vk = Cpla.vk_to_bytes params in
@@ -676,7 +678,7 @@ let snark () =
     bechamel_ns "audit-batched" (fun () ->
         let vk = Snark.vk_of_bytes_cached auth_vk in
         (* Fiat–Shamir challenge derivation included: it is part of the
-           audit_task path being modelled. *)
+           audit_task_report path being modelled. *)
         let rng = Source.of_seed (Snark.batch_seed ~tag:"bench-snark-audit#0" items) in
         assert (Snark.batch_verify ~rng vk items))
   in
@@ -854,24 +856,16 @@ let field () =
   let pow_ns = bechamel_ns "pow-254bit" (fun () -> ignore (Fp.pow a e)) in
   let pow_b = bytes_per_op ~iters:2_000 (fun () -> ignore (Fp.pow a e)) in
   Printf.printf "pow (254-bit exponent, 4-bit window): %.0f ns, %.0f B/op\n%!" pow_ns pow_b;
-  (* FFT: boxed-array API (converts through a Vec) vs operating on a
-     flat Vec directly. *)
+  (* FFT: in place on a flat Vec. *)
   let fft_rows =
     List.map
       (fun lg ->
         let d = Fft.domain (1 lsl lg) in
-        let n = Fft.size d in
-        let arr = Array.init n (fun _ -> fresh ()) in
-        let v = Fp.Vec.of_array arr in
-        let arr_ns = bechamel_ns (Printf.sprintf "fft-array-2^%d" lg) (fun () -> Fft.fft d arr) in
+        let v = Fp.Vec.of_array (Array.init (Fft.size d) (fun _ -> fresh ())) in
         let vec_ns = bechamel_ns (Printf.sprintf "fft-vec-2^%d" lg) (fun () -> Fft.fft_vec d v) in
-        let arr_b = bytes_per_op ~iters:50 (fun () -> Fft.fft d arr) in
         let vec_b = bytes_per_op ~iters:50 (fun () -> Fft.fft_vec d v) in
-        Printf.printf
-          "fft 2^%-2d: array %8.1f us / %9.0f B, vec %8.1f us / %9.0f B (%.1fx less alloc)\n%!"
-          lg (arr_ns /. 1e3) arr_b (vec_ns /. 1e3) vec_b
-          (arr_b /. Float.max 1. vec_b);
-        (lg, arr_ns, vec_ns, arr_b, vec_b))
+        Printf.printf "fft 2^%-2d: %8.1f us / %9.0f B\n%!" lg (vec_ns /. 1e3) vec_b;
+        (lg, vec_ns, vec_b))
       [ 10; 12; 14 ]
   in
   (* Whole-prove allocation, normalised per constraint.  Calling-domain
@@ -932,13 +926,11 @@ let field () =
            ( "fft",
              Json.List
                (List.map
-                  (fun (lg, arr_ns, vec_ns, arr_b, vec_b) ->
+                  (fun (lg, vec_ns, vec_b) ->
                     Json.Obj
                       [
                         ("log2_size", Json.Num (float_of_int lg));
-                        ("array_ns", Json.Num arr_ns);
                         ("vec_ns", Json.Num vec_ns);
-                        ("array_bytes_per_op", Json.Num arr_b);
                         ("vec_bytes_per_op", Json.Num vec_b);
                       ])
                   fft_rows) );
@@ -1158,9 +1150,9 @@ let chaos () =
 
    N requesters x M workers drive >= 100 CPLA tasks end-to-end through
    the fee-ordered mempool and the sharded parallel executor.  Reported
-   tasks/sec and txs/sec are wall-clock; settle latency percentiles come
-   from the [load.settle] observability histogram.  The run must complete
-   every task with the invariants intact to count at all. *)
+   tasks/sec and txs/sec are wall-clock; settle latency percentiles are
+   nearest-rank over the run's exact settle latencies.  The run must
+   complete every task with the invariants intact to count at all. *)
 
 let load_bench () =
   header "load: N x M marketplace throughput (>= 100 tasks)";

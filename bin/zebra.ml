@@ -589,7 +589,9 @@ let inspect_cmd =
       Zebra_poseidon.Poseidon.partial_rounds;
     log "  MiMC               : exponent %d, %d rounds" Zebra_mimc.Mimc.exponent
       Zebra_mimc.Mimc.rounds;
-    let cpla = Zebra_anonauth.Cpla.setup ~random_bytes:rb ~depth () in
+    let cpla =
+      Zebra_anonauth.Cpla.setup_rng ~rng:(Zebra_rng.Source.of_chacha rng) ~depth ()
+    in
     log "  CPLA (depth %d, %s): %d constraints, vk %d bytes" depth
       (Zebra_hashcomp.Hash_composition.to_string (Zebra_anonauth.Cpla.composition cpla))
       (Zebra_anonauth.Cpla.circuit_size cpla)

@@ -10,24 +10,24 @@
 open Zebra_field
 open Zebralancer
 open Zebra_chain
-module Ra = Zebra_anonauth.Ra
 
 let hex8 b = String.sub (Zebra_hashing.Sha256.to_hex b) 0 16
 
 let () =
   Printf.printf "=== Anonymity under the microscope ===\n%!";
   let sys = Protocol.create_system ~seed:"anonymity-demo" () in
-  let requester = Protocol.enroll sys in
-  let worker = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let worker = Protocol.get_ok (Protocol.enroll_r sys) in
   Printf.printf "one worker identity, registered once at the RA (leaf %d)\n%!"
     worker.Protocol.cert_index;
 
   let run_one label =
     let task =
-      Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:1
-        ~budget:30 ()
+      Protocol.get_ok (Protocol.publish_task_r sys ~requester
+          ~policy:(Policy.Majority { choices = 4 }) ~n:1 ~budget:30 ())
     in
-    let wallets = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (worker, 1) ] in
+    let wallets = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+        ~workers:[ (worker, 1) ]) in
     let storage = Protocol.task_storage sys task.Requester.contract in
     let s = List.hd storage.Task_contract.submissions in
     Printf.printf "\ntask %s (contract %s):\n" label (Address.to_hex task.Requester.contract);
@@ -35,7 +35,7 @@ let () =
     Printf.printf "  ciphertext (c1)    : %s...\n"
       (hex8 (Fp.to_bytes_be s.Task_contract.ciphertext.Zebra_elgamal.Elgamal.c1));
     Printf.printf "  link tag t1        : %s...\n" (hex8 (Fp.to_bytes_be s.Task_contract.tag));
-    ignore (Protocol.reward sys task);
+    ignore (Protocol.get_ok (Protocol.reward_r sys task));
     (List.hd wallets, s.Task_contract.worker, s.Task_contract.tag)
   in
   let _, addr_a, tag_a = run_one "A" in
@@ -51,20 +51,16 @@ let () =
 
   (* Contrast: the SAME task would link. *)
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:30 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:30 ())
   in
-  let _ = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (worker, 1) ] in
+  let _ = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (worker, 1) ]) in
   let storage = Protocol.task_storage sys task.Requester.contract in
   let tag_c = (List.hd storage.Task_contract.submissions).Task_contract.tag in
-  let wallet2 = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let wallet2 = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let tx =
-    Worker.submit_tx
-      ~random_bytes:(Protocol.random_bytes sys)
-      ~cpla:sys.Protocol.cpla ~storage ~contract:task.Requester.contract ~wallet:wallet2
-      ~key:worker.Protocol.key ~cert_index:worker.Protocol.cert_index
-      ~ra_path:(Ra.path sys.Protocol.ra worker.Protocol.cert_index)
-      ~answer:2 ~nonce:0
+    Protocol.answer_tx sys ~storage ~task:task.Requester.contract ~wallet:wallet2 worker ~answer:2
   in
   Printf.printf "\nbut within ONE task, a second submission by the same identity:\n";
   Printf.printf "  new tag would be %s... (same as stored %s...)\n"

@@ -36,33 +36,33 @@ let () =
   Printf.printf "=== ZebraLancer attack gallery ===\n%!";
 
   scenario "free-rider: submit the same answer twice for double pay" (fun sys ->
-      let requester = Protocol.enroll sys in
-      let cheater = Protocol.enroll sys in
+      let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+      let cheater = Protocol.get_ok (Protocol.enroll_r sys) in
       let task =
-        Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-          ~budget:90 ()
+        Protocol.get_ok (Protocol.publish_task_r sys ~requester
+            ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ())
       in
       Printf.printf "cheater submits from fresh address #1:\n";
       submit_and_mine sys
         (worker_tx sys ~task:task.Requester.contract
-           ~wallet:(Protocol.fresh_funded_wallet sys ~amount:10)
+           ~wallet:(Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10))
            ~identity:cheater ~answer:1);
       Printf.printf "cheater submits AGAIN from fresh address #2 (anonymity abuse):\n";
       submit_and_mine sys
         (worker_tx sys ~task:task.Requester.contract
-           ~wallet:(Protocol.fresh_funded_wallet sys ~amount:10)
+           ~wallet:(Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10))
            ~identity:cheater ~answer:1);
       Printf.printf "  the common-prefix tag t1 = H(task, sk) linked the two submissions.\n%!");
 
   scenario "free-rider: copy a pending ciphertext from the mempool" (fun sys ->
-      let requester = Protocol.enroll sys in
-      let honest = Protocol.enroll sys in
+      let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+      let honest = Protocol.get_ok (Protocol.enroll_r sys) in
       let task =
-        Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-          ~budget:90 ()
+        Protocol.get_ok (Protocol.publish_task_r sys ~requester
+            ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ())
       in
-      let honest_wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
-      let thief_wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+      let honest_wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
+      let thief_wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
       let honest_tx =
         worker_tx sys ~task:task.Requester.contract ~wallet:honest_wallet ~identity:honest
           ~answer:1
@@ -74,14 +74,16 @@ let () =
       Printf.printf "  the attestation binds alpha_i || C_i; a copied payload fails for the thief.\n%!");
 
   scenario "false-reporter: requester claims nobody answered correctly" (fun sys ->
-      let requester = Protocol.enroll sys in
-      let w1 = Protocol.enroll sys and w2 = Protocol.enroll sys in
+      let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+      let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
       let task =
-        Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-          ~budget:100 ~answer_window:10 ~instruct_window:10 ()
+        Protocol.get_ok (Protocol.publish_task_r sys ~requester
+            ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:100 ~answer_window:10
+            ~instruct_window:10 ())
       in
       let wallets =
-        Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (w1, 1); (w2, 1) ]
+        Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+            ~workers:[ (w1, 1); (w2, 1) ])
       in
       let storage = Protocol.task_storage sys task.Requester.contract in
       Printf.printf "requester instructs rewards [0; 0] with an honest proof attempt:\n";
@@ -92,7 +94,7 @@ let () =
       in
       submit_and_mine sys lying;
       Printf.printf "deadline passes; anyone finalises; budget split evenly:\n";
-      Protocol.finalize sys task;
+      Protocol.get_ok (Protocol.finalize_r sys task);
       List.iter
         (fun w ->
           Printf.printf "  worker balance: %d\n" (Network.balance sys.Protocol.net (Wallet.address w)))
@@ -100,29 +102,29 @@ let () =
       Printf.printf "  lying about rewards only cost the requester her whole budget.\n%!");
 
   scenario "requester submits to her own task to downgrade workers" (fun sys ->
-      let requester = Protocol.enroll sys in
+      let requester = Protocol.get_ok (Protocol.enroll_r sys) in
       let task =
-        Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-          ~budget:90 ()
+        Protocol.get_ok (Protocol.publish_task_r sys ~requester
+            ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 ())
       in
       Printf.printf "requester submits an answer using her own credential:\n";
       submit_and_mine sys
         (worker_tx sys ~task:task.Requester.contract
-           ~wallet:(Protocol.fresh_funded_wallet sys ~amount:10)
+           ~wallet:(Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10))
            ~identity:requester ~answer:0);
       Printf.printf "  pi_R shares the task prefix: her submission links to the publication.\n%!");
 
   scenario "sybil: an unregistered key forges a certificate" (fun sys ->
-      let requester = Protocol.enroll sys in
+      let requester = Protocol.get_ok (Protocol.enroll_r sys) in
       let task =
-        Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-          ~budget:90 ()
+        Protocol.get_ok (Protocol.publish_task_r sys ~requester
+            ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 ())
       in
       let mallory = { Protocol.key = Cpla.keygen_rng ~rng:sys.Protocol.rng (); cert_index = 0 } in
       Printf.printf "mallory authenticates with a stolen leaf index:\n";
       submit_and_mine sys
         (worker_tx sys ~task:task.Requester.contract
-           ~wallet:(Protocol.fresh_funded_wallet sys ~amount:10)
+           ~wallet:(Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10))
            ~identity:mallory ~answer:1);
       Printf.printf "  her pk is not under the RA root: the SNARK cannot be satisfied.\n%!");
 
@@ -140,11 +142,11 @@ let () =
       | Error e -> Printf.printf "  -> unexpected error: %s\n%!" (Protocol.error_to_string e));
 
   scenario "flooding: more submissions than the task pays for" (fun sys ->
-      let requester = Protocol.enroll sys in
-      let w1 = Protocol.enroll sys and w2 = Protocol.enroll sys in
+      let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+      let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
       let task =
-        Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:1
-          ~budget:30 ()
+        Protocol.get_ok (Protocol.publish_task_r sys ~requester
+            ~policy:(Policy.Majority { choices = 4 }) ~n:1 ~budget:30 ())
       in
       Printf.printf "two workers race into a 1-answer task:\n";
       match

@@ -25,16 +25,18 @@ let run_one sys ~n =
   let choices = 4 and truth = 2 in
   let budget = 30 * n in
   let answers = synthetic_answers ~n ~choices ~truth ~noise_every:4 in
-  let requester = Protocol.enroll sys in
-  let workers = List.map (fun a -> (Protocol.enroll sys, a)) answers in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let workers = List.map (fun a -> (Protocol.get_ok (Protocol.enroll_r sys), a)) answers in
   let task, t_publish =
     time (fun () ->
-        Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices }) ~n ~budget ())
+        Protocol.get_ok (Protocol.publish_task_r sys ~requester
+            ~policy:(Policy.Majority { choices }) ~n ~budget ()))
   in
   let _, t_collect =
-    time (fun () -> Protocol.submit_answers sys ~task:task.Requester.contract ~workers)
+    time (fun () ->
+        Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract ~workers))
   in
-  let rewards, t_reward = time (fun () -> Protocol.reward sys task) in
+  let rewards, t_reward = time (fun () -> Protocol.get_ok (Protocol.reward_r sys task)) in
   let correct = List.length (List.filter (fun a -> a = truth) answers) in
   let paid = Array.fold_left ( + ) 0 rewards in
   Printf.printf "  n=%2d  publish %6.2fs   collect %6.2fs   reward %6.2fs   %d/%d correct, paid %d/%d\n%!"

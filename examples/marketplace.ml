@@ -12,8 +12,8 @@ let () =
   let sys = Protocol.create_system ~seed:"marketplace" () in
 
   (* Three requesters, five workers; everyone registers once. *)
-  let requesters = List.init 3 (fun _ -> Protocol.enroll sys) in
-  let workers = Array.init 5 (fun _ -> Protocol.enroll sys) in
+  let requesters = List.init 3 (fun _ -> Protocol.get_ok (Protocol.enroll_r sys)) in
+  let workers = Array.init 5 (fun _ -> Protocol.get_ok (Protocol.enroll_r sys)) in
   Printf.printf "registered 3 requesters and 5 workers\n%!";
 
   let jobs =
@@ -42,7 +42,7 @@ let () =
     List.map
       (fun (name, requester, policy, budget, assignment) ->
         let n = List.length assignment in
-        let task = Protocol.publish_task sys ~requester ~policy ~n ~budget () in
+        let task = Protocol.get_ok (Protocol.publish_task_r sys ~requester ~policy ~n ~budget ()) in
         Printf.printf "published %-32s -> %s\n%!" name
           (Address.to_hex task.Requester.contract);
         (name, task, assignment))
@@ -51,12 +51,13 @@ let () =
   List.iter
     (fun (name, task, assignment) ->
       let pairs = List.map (fun (w, a) -> (workers.(w), a)) assignment in
-      let _ = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:pairs in
+      let _ = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+          ~workers:pairs) in
       Printf.printf "collected %d answers for %s\n%!" (List.length pairs) name)
     published;
   List.iter
     (fun (name, task, assignment) ->
-      let rewards = Protocol.reward sys task in
+      let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
       Printf.printf "%-32s rewards: %s (workers %s)\n%!" name
         (String.concat "," (List.map string_of_int (Array.to_list rewards)))
         (String.concat "," (List.map (fun (w, _) -> string_of_int (w + 1)) assignment)))

@@ -25,11 +25,11 @@ let () =
     (String.sub (Sha256.to_hex digest) 0 16);
 
   (* Publish with the digest anchored in the contract parameters. *)
-  let requester = Protocol.enroll sys in
-  let workers = List.map (fun _ -> Protocol.enroll sys) [ 1; 2; 3 ] in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let workers = List.map (fun _ -> Protocol.get_ok (Protocol.enroll_r sys)) [ 1; 2; 3 ] in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-      ~budget:90 ~data_digest:digest ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ~data_digest:digest ())
   in
   let storage = Protocol.task_storage sys task.Requester.contract in
   Printf.printf "contract anchors digest %s... (%d bytes on-chain, not %d)\n%!"
@@ -53,11 +53,11 @@ let () =
 
   (* Run the task as usual. *)
   let wallets =
-    Protocol.submit_answers sys ~task:task.Requester.contract
-      ~workers:(List.map2 (fun w a -> (w, a)) workers [ 1; 1; 2 ])
+    Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:(List.map2 (fun w a -> (w, a)) workers [ 1; 1; 2 ]))
   in
   ignore wallets;
-  let rewards = Protocol.reward sys task in
+  let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
   Printf.printf "task settled; rewards %s.\n%!"
     (String.concat "," (List.map string_of_int (Array.to_list rewards)));
 

@@ -20,15 +20,15 @@ let () =
     (Zebra_anonauth.Cpla.circuit_size sys.Protocol.cpla);
 
   (* Register phase: identities obtain certificates at the RA, once. *)
-  let requester = Protocol.enroll sys in
-  let workers = List.map (fun _ -> Protocol.enroll sys) [ 1; 2; 3 ] in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let workers = List.map (fun _ -> Protocol.get_ok (Protocol.enroll_r sys)) [ 1; 2; 3 ] in
   Printf.printf "registered 1 requester + %d workers at the RA\n%!" (List.length workers);
 
   (* TaskPublish: the task contract goes on-chain with the budget.  The
      label space has 4 choices; majority voting decides correctness. *)
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ())
   in
   Printf.printf "task contract at %s holding %d tokens\n%!"
     (Address.to_hex task.Requester.contract)
@@ -38,14 +38,14 @@ let () =
      says 'C' (=2); each submits encrypted, anonymously authenticated. *)
   let answers = [ 1; 1; 2 ] in
   let wallets =
-    Protocol.submit_answers sys ~task:task.Requester.contract
-      ~workers:(List.map2 (fun w a -> (w, a)) workers answers)
+    Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:(List.map2 (fun w a -> (w, a)) workers answers))
   in
   Printf.printf "3 encrypted submissions collected (chain sees only ciphertexts)\n%!";
 
   (* Reward: the requester decrypts off-chain, computes the policy rewards,
      and convinces the contract with a zk-SNARK. *)
-  let rewards = Protocol.reward sys task in
+  let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
   Printf.printf "reward instruction verified on-chain\n%!";
   List.iteri
     (fun i w ->

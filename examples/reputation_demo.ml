@@ -23,11 +23,11 @@ let () =
   let rep_params = Reputation.setup ~random_bytes:rb () in
   Printf.printf "link circuit: %d constraints\n%!" (Reputation.circuit_size rep_params);
 
-  let requester = Protocol.enroll sys in
-  let worker = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let worker = Protocol.get_ok (Protocol.enroll_r sys) in
 
   (* The requester operates a reputation board. *)
-  let op = Protocol.fresh_funded_wallet sys ~amount:100 in
+  let op = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:100) in
   let deploy =
     Tx.make ~wallet:op ~nonce:0
       ~dst:
@@ -58,11 +58,12 @@ let () =
   (* Two tasks; the worker answers with the majority both times. *)
   let run_task () =
     let task =
-      Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:1
-        ~budget:30 ()
+      Protocol.get_ok (Protocol.publish_task_r sys ~requester
+          ~policy:(Policy.Majority { choices = 4 }) ~n:1 ~budget:30 ())
     in
-    let _ = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (worker, 1) ] in
-    ignore (Protocol.reward sys task);
+    let _ = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+        ~workers:[ (worker, 1) ]) in
+    ignore (Protocol.get_ok (Protocol.reward_r sys task));
     let storage = Protocol.task_storage sys task.Requester.contract in
     let s = List.hd storage.Task_contract.submissions in
     (Address.to_field task.Requester.contract, s.Task_contract.tag)

@@ -21,13 +21,14 @@ let () =
   Printf.printf "6 workers bid (privately): %s\n%!"
     (String.concat ", " (List.map string_of_int bids));
 
-  let requester = Protocol.enroll sys in
-  let workers = List.map (fun b -> (Protocol.enroll sys, b)) bids in
-  let task = Protocol.publish_task sys ~requester ~policy ~n ~budget:60 () in
-  let wallets = Protocol.submit_answers sys ~task:task.Requester.contract ~workers in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let workers = List.map (fun b -> (Protocol.get_ok (Protocol.enroll_r sys), b)) bids in
+  let task = Protocol.get_ok (Protocol.publish_task_r sys ~requester ~policy ~n ~budget:60 ()) in
+  let wallets = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers) in
   Printf.printf "bids are on-chain only as ElGamal ciphertexts; nobody can undercut.\n%!";
 
-  let rewards = Protocol.reward sys task in
+  let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
   Printf.printf "auction cleared (proved in zero knowledge):\n";
   List.iteri
     (fun i w ->

@@ -49,12 +49,12 @@ let constraint_system ?(composition = Hash_composition.default) ~depth () =
   synthesize ~composition ~depth ~prefix:z ~message:z ~root:z ~t1:z ~t2:z ~sk:z ~index:0
     ~path:(Array.make depth z)
 
-let setup ?(composition = Hash_composition.default) ~random_bytes ~depth () =
+let setup_rng ?(composition = Hash_composition.default) ~rng ~depth () =
   let cs = constraint_system ~composition ~depth () in
   {
     depth;
     composition;
-    keys = Snark.setup ~random_bytes cs;
+    keys = Snark.setup_rng ~rng cs;
     n_constraints = Cs.num_constraints cs;
   }
 
@@ -75,19 +75,19 @@ let depth p = p.depth
 let composition p = p.composition
 let circuit_size p = p.n_constraints
 
-let keygen ?(composition = Hash_composition.default) ~random_bytes () =
-  let sk = Fp.random random_bytes in
+let keygen_rng ?(composition = Hash_composition.default) ~rng () =
+  let sk = Fp.random (Zebra_rng.Source.fn rng) in
   { sk; pk = Hash_composition.hash_list composition [ sk ] }
 
-let auth ~random_bytes p ~prefix ~message ~key ~index ~path ~root =
-  if Array.length path <> p.depth then invalid_arg "Cpla.auth: wrong path depth";
+let auth_rng ~rng p ~prefix ~message ~key ~index ~path ~root =
+  if Array.length path <> p.depth then invalid_arg "Cpla.auth_rng: wrong path depth";
   let t1 = Hash_composition.hash_list p.composition [ prefix; key.sk ] in
   let t2 = Hash_composition.hash_list p.composition [ prefix; message; key.sk ] in
   let cs =
     synthesize ~composition:p.composition ~depth:p.depth ~prefix ~message ~root ~t1 ~t2
       ~sk:key.sk ~index ~path
   in
-  { t1; t2; proof = Snark.prove ~random_bytes p.keys.Snark.pk cs }
+  { t1; t2; proof = Snark.prove_rng ~rng p.keys.Snark.pk cs }
 
 let public_inputs ~prefix ~message ~root att = [| prefix; message; root; att.t1; att.t2 |]
 
@@ -122,15 +122,3 @@ let verify_with_vk ~vk_bytes ~prefix ~message ~root att =
   match Snark.vk_of_bytes_cached vk_bytes with
   | vk -> Snark.verify vk ~public_inputs:(public_inputs ~prefix ~message ~root att) att.proof
   | exception Codec.Decode_error _ -> false
-
-(* Source-based entry points; the ~random_bytes forms above are kept as
-   aliases for one release. *)
-
-let setup_rng ?composition ~rng ~depth () =
-  setup ?composition ~random_bytes:(Zebra_rng.Source.fn rng) ~depth ()
-
-let keygen_rng ?composition ~rng () =
-  keygen ?composition ~random_bytes:(Zebra_rng.Source.fn rng) ()
-
-let auth_rng ~rng p ~prefix ~message ~key ~index ~path ~root =
-  auth ~random_bytes:(Zebra_rng.Source.fn rng) p ~prefix ~message ~key ~index ~path ~root

@@ -23,7 +23,7 @@
     whole circuit ~2.6x (5 381 vs 13 867 constraints at depth 16; see
     [BENCH_lint.json]) — with MiMC selectable as the
     ablation arm.  Keys, tags, RA tree and proofs of the two arms are
-    mutually incompatible by construction; {!keygen} and {!Ra.create}
+    mutually incompatible by construction; {!keygen_rng} and {!Ra.create}
     must be given the same composition as the params.
 
     Two valid attestations {!link} iff their [t1] tags are equal, i.e. iff
@@ -46,20 +46,9 @@ val key_canary : user_key -> bytes
 
 type attestation = { t1 : Fp.t; t2 : Fp.t; proof : Zebra_snark.Snark.proof }
 
-(** [setup ~random_bytes ~depth ()] runs the zk-SNARK trusted setup for
+(** [setup_rng ~rng ~depth ()] runs the zk-SNARK trusted setup for
     the authentication circuit over an RA tree of the given depth, under
-    the given hash composition (default Poseidon).
-
-    {b Deprecated alias}: new code should pass a {!Zebra_rng.Source.t} via
-    {!setup_rng}; the bare-closure form remains for one release. *)
-val setup :
-  ?composition:Zebra_hashcomp.Hash_composition.t ->
-  random_bytes:(int -> bytes) ->
-  depth:int ->
-  unit ->
-  params
-
-(** {!setup} taking a first-class randomness source. *)
+    the given hash composition (default Poseidon). *)
 val setup_rng :
   ?composition:Zebra_hashcomp.Hash_composition.t ->
   rng:Zebra_rng.Source.t ->
@@ -67,7 +56,7 @@ val setup_rng :
   unit ->
   params
 
-(** [setup_cached cache ~seed ~depth ()] — {!setup} through a keypair
+(** [setup_cached cache ~seed ~depth ()] — {!setup_rng} through a keypair
     cache, id [cpla/depth=<depth>/h=<composition>] (the composition is in
     the id, so the two arms' keypairs can never be served for each other).
     On a hit both circuit synthesis and the trusted setup are skipped;
@@ -82,7 +71,7 @@ val setup_cached :
   params
 
 (** The Auth circuit synthesised at the setup's dummy assignment — the
-    structure {!setup} compiles, exposed for static analysis
+    structure {!setup_rng} compiles, exposed for static analysis
     ([Zebra_lint]) and introspection.  No keys are generated.  Constraint
     budget by composition: the three tag/pk hashes plus [depth] Merkle
     levels — roughly [245*depth + 6*243] for Poseidon (5 381 measured at
@@ -98,42 +87,20 @@ val composition : params -> Zebra_hashcomp.Hash_composition.t
 (** Number of R1CS constraints of the Auth circuit (reporting). *)
 val circuit_size : params -> int
 
-(** [keygen ~random_bytes ()]: [pk = H(sk)] under [?composition] — must
-    match the {!params} the key will authenticate under.
-
-    {b Deprecated alias}: prefer {!keygen_rng}. *)
-val keygen :
-  ?composition:Zebra_hashcomp.Hash_composition.t ->
-  random_bytes:(int -> bytes) ->
-  unit ->
-  user_key
-
+(** [keygen_rng ~rng ()]: [pk = H(sk)] under [?composition] — must
+    match the {!params} the key will authenticate under. *)
 val keygen_rng :
   ?composition:Zebra_hashcomp.Hash_composition.t ->
   rng:Zebra_rng.Source.t ->
   unit ->
   user_key
 
-(** [auth params ~prefix ~message ~key ~index ~path ~root] produces an
+(** [auth_rng ~rng params ~prefix ~message ~key ~index ~path ~root] produces an
     attestation (tags and proof under the params' composition).
     [index]/[path] are the user's certificate under [root] (refresh with
     {!Ra.path}; the tree's {!Ra.hash_composition} must match).  Soundness
     of the whole scheme relies on the path actually matching [root]; an
-    inconsistent witness yields an attestation that {!verify} rejects.
-
-    {b Deprecated alias}: prefer {!auth_rng}. *)
-val auth :
-  random_bytes:(int -> bytes) ->
-  params ->
-  prefix:Fp.t ->
-  message:Fp.t ->
-  key:user_key ->
-  index:int ->
-  path:Fp.t array ->
-  root:Fp.t ->
-  attestation
-
-(** {!auth} taking a first-class randomness source. *)
+    inconsistent witness yields an attestation that {!verify} rejects. *)
 val auth_rng :
   rng:Zebra_rng.Source.t ->
   params ->

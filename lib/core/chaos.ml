@@ -3,7 +3,6 @@ module Wallet = Zebra_chain.Wallet
 module Address = Zebra_chain.Address
 module Tx = Zebra_chain.Tx
 module State = Zebra_chain.State
-module Ra = Zebra_anonauth.Ra
 module Sha256 = Zebra_hashing.Sha256
 module Faults = Zebra_faults.Faults
 module Store = Zebra_store.Store
@@ -142,17 +141,11 @@ let run ?(n = 3) ?(budget = 60) ?(answer_window = 20) ?(instruct_window = 12)
        victim's client): their one-task wallet is registered with the
        fault controller first, so the adversary holds every transaction
        from that sender for the whole window. *)
-    let submit_eclipsed (i, (id : Protocol.identity), answer) =
+    let submit_eclipsed (i, id, answer) =
       let storage = Protocol.task_storage sys task.Requester.contract in
-      let wallet = Wallet.generate ~random_bytes:(Protocol.random_bytes sys) () in
+      let wallet = Protocol.fresh_wallet sys in
       Faults.set_eclipsed faults ~victim:i ~sender_hex:(Address.to_hex (Wallet.address wallet));
-      let tx =
-        Worker.submit_tx ~random_bytes:(Protocol.random_bytes sys) ~cpla:sys.Protocol.cpla
-          ~storage ~contract:task.Requester.contract ~wallet ~key:id.Protocol.key
-          ~cert_index:id.Protocol.cert_index
-          ~ra_path:(Ra.path sys.Protocol.ra id.Protocol.cert_index)
-          ~answer ~nonce:0
-      in
+      let tx = Protocol.answer_tx sys ~storage ~task:task.Requester.contract ~wallet id ~answer in
       match Network.submit_r sys.Protocol.net tx with
       | Ok () -> Ok (i, tx)
       | Error e ->

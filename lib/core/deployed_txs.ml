@@ -56,7 +56,6 @@ let build_scenario () =
   let { Scenario.sys; requester; w1; w2; task_a; task_b; board; rep = _ } =
     Scenario.build ~seed:scenario_seed ()
   in
-  let rb = Protocol.random_bytes sys in
   (* --- harvest: serial replay from genesis, tracing every tx against
      exactly the state it executed on --- *)
   let blocks = Network.blocks sys.Protocol.net in
@@ -139,7 +138,7 @@ let build_scenario () =
     let cs = Cs.create () in
     let x = Cs.alloc_input cs ~label:"x" (Fp.of_int 3) in
     let _y = Gadgets.square cs (Gadgets.v x) in
-    let kp = Snark.setup ~random_bytes:rb cs in
+    let kp = Snark.setup_rng ~rng:sys.Protocol.rng cs in
     let bytes = Snark.vk_to_bytes kp.Snark.vk in
     let store = Store.create () in
     let h = Store.put store bytes in

@@ -4,8 +4,6 @@ module Address = Zebra_chain.Address
 module Tx = Zebra_chain.Tx
 module State = Zebra_chain.State
 module Block = Zebra_chain.Block
-module Cpla = Zebra_anonauth.Cpla
-module Ra = Zebra_anonauth.Ra
 module Sha256 = Zebra_hashing.Sha256
 module Obs = Zebra_obs.Obs
 
@@ -98,43 +96,16 @@ let run ?(config = default_config) () =
   if cfg.inflight < 1 then invalid_arg "Load.run: inflight must be >= 1";
   let sys = Protocol.create_system ~num_nodes:cfg.num_nodes ~seed:cfg.seed () in
   let net = sys.Protocol.net in
-  let rb = Protocol.random_bytes sys in
   let supply0 = Network.total_supply net in
   let policy = Policy.Majority { choices = 4 } in
   let n = cfg.workers_per_task in
   (* Register the whole population first, then post the RA root once —
      one tree update instead of one per enrollment.  Certificate paths
      are taken after the last registration, against the final root. *)
-  let enroll_many k =
-    Array.init k (fun _ ->
-        let key =
-          Cpla.keygen_rng
-            ~composition:(Cpla.composition sys.Protocol.cpla)
-            ~rng:sys.Protocol.rng ()
-        in
-        let cert_index = Ra.register sys.Protocol.ra key.Cpla.pk in
-        { Protocol.key; cert_index })
-  in
-  let requester_ids = enroll_many cfg.requesters in
-  let worker_ids = enroll_many cfg.workers in
-  let faucet_addr = Wallet.address sys.Protocol.faucet in
-  let root_tx =
-    Tx.make ~wallet:sys.Protocol.faucet
-      ~nonce:(Network.nonce net faucet_addr)
-      ~dst:(Tx.Call sys.Protocol.ra_contract) ~value:0
-      ~payload:(Ra_contract.set_root_msg (Ra.root sys.Protocol.ra))
-  in
-  (match Network.submit_r net root_tx with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Load.run: " ^ Network.submit_error_to_string e));
-  ignore (Network.mine net);
-  (match Network.receipt net (Tx.hash root_tx) with
-  | Some { State.status = State.Ok _; _ } -> ()
-  | _ -> failwith "Load.run: RA root update failed");
-  let circuit =
-    Reward_circuit.setup_cached sys.Protocol.keycache
-      ~seed:(sys.Protocol.setup_seed ^ "/reward-circuit") ~policy ~n
-  in
+  let requester_ids = Array.init cfg.requesters (fun _ -> Protocol.register sys) in
+  let worker_ids = Array.init cfg.workers (fun _ -> Protocol.register sys) in
+  Protocol.get_ok (Protocol.post_root_r sys);
+  let circuit = Protocol.reward_circuit sys ~policy ~n in
   let states =
     Array.init cfg.tasks (fun index ->
         {
@@ -145,7 +116,7 @@ let run ?(config = default_config) () =
           attempts = 0;
         })
   in
-  let faucet_nonce = ref (Network.nonce net faucet_addr) in
+  let faucet_nonce = ref (Network.nonce net (Wallet.address sys.Protocol.faucet)) in
   let conflict_retries = ref 0 in
   let submit tx =
     match Network.submit_r net tx with
@@ -179,12 +150,10 @@ let run ?(config = default_config) () =
       states
   in
   let start_task st =
-    let wallet = Wallet.generate ~random_bytes:rb () in
+    let wallet = Protocol.fresh_wallet sys in
     let tx =
-      Tx.make_ext ~wallet:sys.Protocol.faucet ~fee:fee_funding ~footprint:[]
-        ~nonce:!faucet_nonce
-        ~dst:(Tx.Call (Wallet.address wallet))
-        ~value:(cfg.budget + 1) ~payload:Bytes.empty
+      Protocol.funding_tx ~fee:fee_funding ~nonce:!faucet_nonce sys wallet
+        ~amount:(cfg.budget + 1)
     in
     incr faucet_nonce;
     submit tx;
@@ -193,38 +162,26 @@ let run ?(config = default_config) () =
     st.stage <- Wait_fund (wallet, tx)
   in
   let publish st wallet =
-    let id = st.requester in
-    let height = Network.height net in
     let task, tx =
-      Requester.create_task ~circuit ~fee:fee_publish ~random_bytes:rb ~cpla:sys.Protocol.cpla
-        ~key:id.Protocol.key ~cert_index:id.Protocol.cert_index
-        ~ra_path:(Ra.path sys.Protocol.ra id.Protocol.cert_index)
-        ~ra_root:(Ra.root sys.Protocol.ra) ~wallet ~nonce:0 ~policy ~n ~budget:cfg.budget
-        ~answer_deadline:(height + 20)
-        ~instruct_deadline:(height + 60)
-        ()
+      Protocol.publish_tx sys ~requester:st.requester ~wallet ~policy ~n ~budget:cfg.budget
+        ~circuit ~fee:fee_publish ()
     in
     submit tx;
     st.attempts <- 0;
     st.stage <- Wait_publish (task, tx)
   in
+  (* Load's workers answer from unfunded one-task wallets: submissions
+     carry no value and ride at fee 0. *)
   let answer_txs st (task : Requester.task) =
     let storage = Protocol.task_storage sys task.Requester.contract in
     List.init n (fun j ->
-        let id = worker_ids.(((st.index * n) + j) mod cfg.workers) in
-        let wallet = Wallet.generate ~random_bytes:rb () in
-        Worker.submit_tx ~random_bytes:rb ~cpla:sys.Protocol.cpla ~storage
-          ~contract:task.Requester.contract ~wallet ~key:id.Protocol.key
-          ~cert_index:id.Protocol.cert_index
-          ~ra_path:(Ra.path sys.Protocol.ra id.Protocol.cert_index)
-          ~answer:(st.index mod 4) ~nonce:0)
+        let wallet = Protocol.fresh_wallet sys in
+        Protocol.answer_tx sys ~storage ~task:task.Requester.contract ~wallet
+          worker_ids.(((st.index * n) + j) mod cfg.workers)
+          ~answer:(st.index mod 4))
   in
-  let instruct st (task : Requester.task) =
-    let storage = Protocol.task_storage sys task.Requester.contract in
-    let _rewards, tx =
-      Requester.instruct ~fee:fee_instruct ~random_bytes:rb task ~storage
-        ~nonce:(Network.nonce net (Wallet.address task.Requester.wallet))
-    in
+  let instruct st task =
+    let _rewards, tx = Protocol.instruct_tx ~fee:fee_instruct sys task in
     submit tx;
     st.attempts <- 0;
     st.stage <- Wait_instruct (task, tx)
@@ -324,16 +281,15 @@ let run ?(config = default_config) () =
     ignore (Zebra_index.Indexer.sync idx net);
     Zebra_index.Indexer.agrees idx net
   in
+  (* Nearest-rank percentiles over the exact settle latencies: the
+     log-2 [load.settle] histogram is too coarse to report them. *)
   let pctile q =
-    if Obs.enabled () then Obs.Histogram.percentile h_settle q
-    else
-      (* Exact fallback when observability is off. *)
-      match List.sort compare latencies with
-      | [] -> nan
-      | sorted ->
-        let arr = Array.of_list sorted in
-        let rank = int_of_float (Float.ceil (q *. float_of_int (Array.length arr))) in
-        arr.(max 0 (min (Array.length arr - 1) (rank - 1)))
+    match List.sort compare latencies with
+    | [] -> nan
+    | sorted ->
+      let arr = Array.of_list sorted in
+      let rank = int_of_float (Float.ceil (q *. float_of_int (Array.length arr))) in
+      arr.(max 0 (min (Array.length arr - 1) (rank - 1)))
   in
   {
     tasks_completed = completed;

@@ -44,6 +44,8 @@ let error_to_string = function
     Printf.sprintf "%s timed out: transaction not mined after %d broadcast(s)" phase attempts
   | Node_down reason -> "replica failure: " ^ reason
 
+let get_ok = function Ok v -> v | Error e -> failwith ("Protocol: " ^ error_to_string e)
+
 let random_bytes sys n = Source.bytes sys.rng n
 
 (* Phase metrics (inert until [Obs.set_enabled true]). *)
@@ -190,14 +192,18 @@ let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?(wallet_bits = 512) ?rng
   | None -> failwith "Protocol: RA deployment returned no address");
   sys
 
+let faucet_nonce sys = Network.nonce sys.net (Wallet.address sys.faucet)
+
+let register sys =
+  let key = Cpla.keygen_rng ~composition:(Cpla.composition sys.cpla) ~rng:sys.rng () in
+  { key; cert_index = Ra.register sys.ra key.Cpla.pk }
+
 (* The RA operator (we reuse the faucet wallet as the operator) posts the
-   new root after each registration. *)
+   new root after registrations. *)
 let post_root_r sys =
   let tx =
-    Tx.make ~wallet:sys.faucet
-      ~nonce:(Network.nonce sys.net (Wallet.address sys.faucet))
-      ~dst:(Tx.Call sys.ra_contract) ~value:0
-      ~payload:(Ra_contract.set_root_msg (Ra.root sys.ra))
+    Tx.make ~wallet:sys.faucet ~nonce:(faucet_nonce sys) ~dst:(Tx.Call sys.ra_contract)
+      ~value:0 ~payload:(Ra_contract.set_root_msg (Ra.root sys.ra))
   in
   match submit_confirm_r sys ~phase:"ra_root_update" tx with
   | Error err -> Error err
@@ -207,18 +213,12 @@ let post_root_r sys =
 
 let enroll_r sys =
   Obs.with_span "protocol.register" @@ fun () ->
-  let key = Cpla.keygen_rng ~composition:(Cpla.composition sys.cpla) ~rng:sys.rng () in
-  let cert_index = Ra.register sys.ra key.Cpla.pk in
+  let id = register sys in
   match post_root_r sys with
   | Error err -> Error err
   | Ok () ->
     Obs.Counter.incr m_enrolled;
-    Ok { key; cert_index }
-
-let enroll sys =
-  match enroll_r sys with
-  | Ok id -> id
-  | Error e -> failwith ("Protocol: " ^ error_to_string e)
+    Ok id
 
 let enroll_plain sys =
   Obs.with_span "protocol.register" @@ fun () ->
@@ -229,62 +229,76 @@ let enroll_plain sys =
 
 let ra_rsa_pub_bytes sys = Zebra_rsa.Rsa.public_key_to_bytes sys.ra_rsa.Zebra_rsa.Rsa.pub
 
-let fresh_funded_wallet_r sys ~phase ~amount =
-  let wallet = Wallet.generate ~random_bytes:(random_bytes sys) () in
-  let tx =
-    Tx.make ~wallet:sys.faucet
-      ~nonce:(Network.nonce sys.net (Wallet.address sys.faucet))
-      ~dst:(Tx.Call (Wallet.address wallet))
-      ~value:amount ~payload:Bytes.empty
-  in
-  match submit_confirm_r sys ~phase tx with
+let fresh_wallet sys = Wallet.generate ~random_bytes:(random_bytes sys) ()
+
+let funding_tx ?(fee = 0) ?nonce sys wallet ~amount =
+  let nonce = match nonce with Some k -> k | None -> faucet_nonce sys in
+  Tx.make_ext ~wallet:sys.faucet ~fee ~footprint:[] ~nonce
+    ~dst:(Tx.Call (Wallet.address wallet))
+    ~value:amount ~payload:Bytes.empty
+
+let fresh_funded_wallet_r ?(phase = "faucet_funding") sys ~amount =
+  let wallet = fresh_wallet sys in
+  match submit_confirm_r sys ~phase (funding_tx sys wallet ~amount) with
   | Error err -> Error err
   | Ok { State.status = State.Ok _; _ } -> Ok wallet
   | Ok { State.status = State.Failed e; _ } ->
     failwith (Printf.sprintf "Protocol: faucet funding failed: %s" e)
-
-let fresh_funded_wallet sys ~amount =
-  match fresh_funded_wallet_r sys ~phase:"faucet_funding" ~amount with
-  | Ok wallet -> wallet
-  | Error e -> failwith ("Protocol: " ^ error_to_string e)
 
 let task_storage sys contract =
   match Network.contract_storage sys.net contract with
   | Some bytes -> Task_contract.storage_of_bytes bytes
   | None -> failwith "Protocol: no such task contract"
 
+(* --- Task transactions: the one place a publish, answer or instruct
+   transaction is built, shared by the phase drivers below and by the
+   pipelined [Load] scheduler and the [Chaos] eclipse path. --- *)
+
+(* Setup randomness derives from the system seed (not the shared
+   [sys.rng] stream), so the keys are the same whether or not the system
+   keycache retains anything: repeat publications of one (policy, n)
+   shape skip the trusted setup entirely. *)
+let reward_circuit sys ~policy ~n =
+  Reward_circuit.setup_cached ~composition:(Cpla.composition sys.cpla) sys.keycache
+    ~seed:(sys.setup_seed ^ "/reward-circuit") ~policy ~n
+
+let publish_tx sys ~requester ~wallet ~policy ~n ~budget ?(answer_window = 20)
+    ?(instruct_window = 40) ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit ?fee () =
+  let circuit =
+    match circuit with Some c -> c | None -> reward_circuit sys ~policy ~n
+  in
+  let height = Network.height sys.net in
+  Requester.create_task ~circuit ?max_per_worker ?ra_rsa_pub ?data_digest ?fee
+    ~random_bytes:(random_bytes sys) ~cpla:sys.cpla ~key:requester.key
+    ~cert_index:requester.cert_index
+    ~ra_path:(Ra.path sys.ra requester.cert_index)
+    ~ra_root:(Ra.root sys.ra) ~wallet ~nonce:0 ~policy ~n ~budget
+    ~answer_deadline:(height + answer_window)
+    ~instruct_deadline:(height + answer_window + instruct_window)
+    ()
+
+let answer_tx sys ~storage ~task ~wallet worker ~answer =
+  Worker.submit_tx ~random_bytes:(random_bytes sys) ~cpla:sys.cpla ~storage ~contract:task
+    ~wallet ~key:worker.key ~cert_index:worker.cert_index
+    ~ra_path:(Ra.path sys.ra worker.cert_index)
+    ~answer ~nonce:0
+
+let instruct_tx ?fee sys (task : Requester.task) =
+  Requester.instruct ?fee ~random_bytes:(random_bytes sys) task
+    ~storage:(task_storage sys task.Requester.contract)
+    ~nonce:(Network.nonce sys.net (Wallet.address task.Requester.wallet))
+
 (* --- TaskPublish --- *)
 
-let publish_task_r sys ~requester ~policy ~n ~budget ?(answer_window = 20)
-    ?(instruct_window = 40) ?(max_per_worker = 1) ?(ra_rsa_pub = Bytes.empty)
-    ?(data_digest = Bytes.empty) ?circuit () =
+let publish_task_r sys ~requester ~policy ~n ~budget ?answer_window ?instruct_window
+    ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit () =
   Obs.with_span "protocol.task_publish" @@ fun () ->
   match fresh_funded_wallet_r sys ~phase:"task_publish" ~amount:(budget + 1) with
   | Error err -> Error err
   | Ok wallet -> (
-    (* When the caller supplies no circuit, go through the system keypair
-       cache: repeat publications of the same (policy, n) shape skip the
-       trusted setup entirely.  Setup randomness derives from the system
-       seed (not the shared [sys.rng] stream), so the keys are the same
-       whether or not the cache retains anything. *)
-    let circuit =
-      match circuit with
-      | Some _ -> circuit
-      | None ->
-        Some
-          (Reward_circuit.setup_cached ~composition:(Cpla.composition sys.cpla) sys.keycache
-             ~seed:(sys.setup_seed ^ "/reward-circuit") ~policy ~n)
-    in
-    let height = Network.height sys.net in
     let task, tx =
-      Requester.create_task ?circuit ~max_per_worker ~ra_rsa_pub ~data_digest
-        ~random_bytes:(random_bytes sys) ~cpla:sys.cpla
-        ~key:requester.key ~cert_index:requester.cert_index
-        ~ra_path:(Ra.path sys.ra requester.cert_index)
-        ~ra_root:(Ra.root sys.ra) ~wallet ~nonce:0 ~policy ~n ~budget
-        ~answer_deadline:(height + answer_window)
-        ~instruct_deadline:(height + answer_window + instruct_window)
-        ()
+      publish_tx sys ~requester ~wallet ~policy ~n ~budget ?answer_window ?instruct_window
+        ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit ()
     in
     match submit_confirm_r sys ~phase:"task_publish" tx with
     | Error err -> Error err
@@ -297,15 +311,6 @@ let publish_task_r sys ~requester ~policy ~n ~budget ?(answer_window = 20)
     | Ok { State.status = State.Ok None; _ } ->
       Error (Deploy_rejected "deployment returned no address")
     | Ok { State.status = State.Failed e; _ } -> Error (Deploy_rejected e))
-
-let publish_task sys ~requester ~policy ~n ~budget ?answer_window ?instruct_window
-    ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit () =
-  match
-    publish_task_r sys ~requester ~policy ~n ~budget ?answer_window ?instruct_window
-      ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit ()
-  with
-  | Ok task -> task
-  | Error e -> failwith ("Protocol: " ^ error_to_string e)
 
 (* --- AnswerCollection --- *)
 
@@ -332,12 +337,7 @@ let submit_answers_r sys ~task ~workers =
                  reason = "task validation failed: " ^ Worker.validation_error_to_string e;
                })
         | Ok () ->
-          let tx =
-            Worker.submit_tx ~random_bytes:(random_bytes sys) ~cpla:sys.cpla ~storage
-              ~contract:task ~wallet ~key:identity.key ~cert_index:identity.cert_index
-              ~ra_path:(Ra.path sys.ra identity.cert_index)
-              ~answer ~nonce:0
-          in
+          let tx = answer_tx sys ~storage ~task ~wallet identity ~answer in
           Network.submit sys.net tx;
           prepare (i + 1) ((i, tx, wallet) :: acc) rest))
   in
@@ -393,29 +393,15 @@ let submit_answers_r sys ~task ~workers =
     in
     settle 1
 
-let submit_answers sys ~task ~workers =
-  match submit_answers_r sys ~task ~workers with
-  | Ok wallets -> wallets
-  | Error e -> failwith ("Protocol: " ^ error_to_string e)
-
 (* --- Reward --- *)
 
-let reward_r sys (task : Requester.task) =
+let reward_r sys task =
   Obs.with_span "protocol.reward" @@ fun () ->
-  let storage = task_storage sys task.Requester.contract in
-  let rewards, tx =
-    Requester.instruct ~random_bytes:(random_bytes sys) task ~storage
-      ~nonce:(Network.nonce sys.net (Wallet.address task.Requester.wallet))
-  in
+  let rewards, tx = instruct_tx sys task in
   match submit_confirm_r sys ~phase:"reward" tx with
   | Error err -> Error err
   | Ok { State.status = State.Ok _; _ } -> Ok rewards
   | Ok { State.status = State.Failed e; _ } -> Error (Instruction_rejected e)
-
-let reward sys task =
-  match reward_r sys task with
-  | Ok rewards -> rewards
-  | Error e -> failwith ("Protocol: " ^ error_to_string e)
 
 (* Result-aware [Network.mine_until]: the block clock may trip a scheduled
    crash window, so each tick can surface a replica failure. *)
@@ -447,11 +433,6 @@ let finalize_r sys (task : Requester.task) =
       | Error err -> Error err
       | Ok { State.status = State.Ok _; _ } -> Ok ()
       | Ok { State.status = State.Failed e; _ } -> Error (Instruction_rejected e)))
-
-let finalize sys task =
-  match finalize_r sys task with
-  | Ok () -> ()
-  | Error e -> failwith ("Protocol: " ^ error_to_string e)
 
 (* --- Audit --- *)
 
@@ -596,10 +577,6 @@ let audit_task_report ?(batch_size = 32) ?seed sys ~task =
     offenders;
   }
 
-let audit_task sys ~task =
-  let report = audit_task_report sys ~task in
-  (report.all_valid, report.checked)
-
 let run_batch sys ~policy ~budget_per_task ~answer_sets =
   (match answer_sets with
   | [] -> invalid_arg "Protocol.run_batch: empty batch"
@@ -612,21 +589,22 @@ let run_batch sys ~policy ~budget_per_task ~answer_sets =
     Reward_circuit.setup ~composition:(Cpla.composition sys.cpla)
       ~random_bytes:(random_bytes sys) ~policy ~n ()
   in
-  let requester = enroll sys in
-  let workers = List.init n (fun _ -> enroll sys) in
+  let requester = get_ok (enroll_r sys) in
+  let workers = List.init n (fun _ -> get_ok (enroll_r sys)) in
   List.map
     (fun answers ->
-      let task = publish_task sys ~requester ~policy ~n ~budget:budget_per_task ~circuit () in
+      let task =
+        get_ok (publish_task_r sys ~requester ~policy ~n ~budget:budget_per_task ~circuit ())
+      in
       let pairs = List.map2 (fun w a -> (w, a)) workers answers in
-      let _ = submit_answers sys ~task:task.Requester.contract ~workers:pairs in
-      reward sys task)
+      ignore (get_ok (submit_answers_r sys ~task:task.Requester.contract ~workers:pairs));
+      get_ok (reward_r sys task))
     answer_sets
 
 let run_task sys ~policy ~budget ~answers =
-  let requester = enroll sys in
-  let workers = List.map (fun a -> (enroll sys, a)) answers in
+  let requester = get_ok (enroll_r sys) in
+  let workers = List.map (fun a -> (get_ok (enroll_r sys), a)) answers in
   let n = List.length answers in
-  let task = publish_task sys ~requester ~policy ~n ~budget () in
-  let wallets = submit_answers sys ~task:task.Requester.contract ~workers in
-  let rewards = reward sys task in
-  (task, wallets, rewards)
+  let task = get_ok (publish_task_r sys ~requester ~policy ~n ~budget ()) in
+  let wallets = get_ok (submit_answers_r sys ~task:task.Requester.contract ~workers) in
+  (task, wallets, get_ok (reward_r sys task))

@@ -6,11 +6,16 @@
     drive.  Lower-level steps are exposed so adversarial scenarios can
     deviate at any point.
 
-    {b Error handling}: every phase driver comes in two forms.  The
-    [_r]-suffixed functions return [('a, error) result] with a typed
-    {!error} describing which on-chain step rejected and why; the historic
-    functions are thin wrappers that [failwith] on [Error] and remain
-    source-compatible.
+    {b Error handling}: the [_r]-suffixed phase drivers return
+    [('a, error) result] with a typed {!error} describing which on-chain
+    step rejected and why.  Callers that treat a rejection as fatal unwrap
+    with {!get_ok}.
+
+    {b One builder per transaction}: a task's publish, answer and instruct
+    transactions are built only by {!publish_tx}, {!answer_tx} and
+    {!instruct_tx} (faucet transfers by {!funding_tx}).  The phase drivers
+    use them, and so do the pipelined [Load] scheduler and the [Chaos]
+    eclipse path, which sequence the same transactions differently.
 
     {b Fault tolerance}: the [_r] drivers ride out transient network
     faults (see [Zebra_faults]).  Each broadcast is confirmed by receipt;
@@ -51,7 +56,7 @@ type system = {
       (** the [~seed] passed to {!create_system} — trusted-setup randomness
           for cached circuits derives from it, never from [rng] *)
   keycache : Zebra_snark.Snark.Keycache.t;
-      (** keypair cache behind {!publish_task}; capacity from
+      (** keypair cache behind {!reward_circuit}; capacity from
           [ZEBRA_KEYCACHE] *)
   mutable retry : retry_policy;
 }
@@ -75,6 +80,10 @@ type error =
           re-sync diverged, or live replicas disagreeing) *)
 
 val error_to_string : error -> string
+
+(** [get_ok r] unwraps a phase result.
+    @raise Failure ["Protocol: " ^ error_to_string e] on [Error e]. *)
+val get_ok : ('a, error) result -> 'a
 
 (** Replace the retry policy (default {!default_retry}).
     @raise Invalid_argument if [max_attempts < 1] or [backoff_blocks < 0]. *)
@@ -101,12 +110,17 @@ val create_system :
 
 val random_bytes : system -> int -> bytes
 
-(** Register phase: one-off identity creation at the RA (off-chain), with
-    the new tree root posted to the RA contract. *)
-val enroll_r : system -> (identity, error) result
+(** Register phase, off-chain half: a fresh CPLA identity whose public key
+    the RA appends to its tree.  The RA contract keeps the old root until
+    {!post_root_r}, so a batch of registrations can share one root post. *)
+val register : system -> identity
 
-(** Raising wrapper around {!enroll_r}. *)
-val enroll : system -> identity
+(** Register phase, on-chain half: the RA operator posts the tree's current
+    root to the RA contract (one block on the happy path). *)
+val post_root_r : system -> (unit, error) result
+
+(** Register phase: {!register} then {!post_root_r}. *)
+val enroll_r : system -> (identity, error) result
 
 (** Register for the non-anonymous mode: an RSA keypair plus the RA's
     classical certificate over it. *)
@@ -115,20 +129,78 @@ val enroll_plain : system -> Zebra_rsa.Rsa.private_key * Plain_auth.cert
 (** Serialised RA key to put in task params to enable plain submissions. *)
 val ra_rsa_pub_bytes : system -> bytes
 
-(** [fresh_funded_wallet sys ~amount] — a new one-task-only address funded
-    from the faucet (one block is mined). *)
-val fresh_funded_wallet : system -> amount:int -> Zebra_chain.Wallet.t
+(** A new, unfunded one-task-only wallet drawn from the system stream. *)
+val fresh_wallet : system -> Zebra_chain.Wallet.t
 
-(** Like {!fresh_funded_wallet} but fault-tolerant; [phase] labels a
-    [Timed_out]. *)
+(** [funding_tx sys wallet ~amount] — the faucet's transfer of [amount] to
+    [wallet], at the faucet's on-chain nonce unless [?nonce] is given (a
+    caller with several transfers pending counts nonces itself).  [?fee]
+    defaults to 0. *)
+val funding_tx :
+  ?fee:int -> ?nonce:int -> system -> Zebra_chain.Wallet.t -> amount:int -> Zebra_chain.Tx.t
+
+(** [fresh_funded_wallet_r sys ~amount] — a {!fresh_wallet} funded from
+    the faucet (one block is mined on the happy path); [phase] (default
+    ["faucet_funding"]) labels a [Timed_out]. *)
 val fresh_funded_wallet_r :
-  system -> phase:string -> amount:int -> (Zebra_chain.Wallet.t, error) result
+  ?phase:string -> system -> amount:int -> (Zebra_chain.Wallet.t, error) result
 
 (** Read and decode a task contract's storage from the chain. *)
 val task_storage : system -> Zebra_chain.Address.t -> Task_contract.storage
 
-(** TaskPublish: returns the requester's task handle after the deployment
-    transaction is mined.  Deadlines are windows in blocks from now. *)
+(** {2 Task transactions} *)
+
+(** The reward circuit for [(policy, n)] through the system keycache, with
+    setup randomness derived from the system seed — hit or miss, the same
+    keys.  {!publish_tx} uses it when given no [?circuit]. *)
+val reward_circuit : system -> policy:Policy.t -> n:int -> Reward_circuit.t
+
+(** [publish_tx sys ~requester ~wallet ...] builds the task deployment
+    from the funded one-task [wallet] (nonce 0): a fresh task key, the
+    requester's attestation under the RA's current root, an answer
+    deadline [answer_window] (default 20) blocks after the current height
+    and an instruct deadline [instruct_window] (default 40) blocks after
+    that.  [?fee] defaults to 0. *)
+val publish_tx :
+  system ->
+  requester:identity ->
+  wallet:Zebra_chain.Wallet.t ->
+  policy:Policy.t ->
+  n:int ->
+  budget:int ->
+  ?answer_window:int ->
+  ?instruct_window:int ->
+  ?max_per_worker:int ->
+  ?ra_rsa_pub:bytes ->
+  ?data_digest:bytes ->
+  ?circuit:Reward_circuit.t ->
+  ?fee:int ->
+  unit ->
+  Requester.task * Zebra_chain.Tx.t
+
+(** [answer_tx sys ~storage ~task ~wallet worker ~answer] — [worker]'s
+    encrypted, anonymously attested answer to the task contract [task]
+    (whose decoded storage is [storage]), signed by the one-task [wallet]
+    at nonce 0. *)
+val answer_tx :
+  system ->
+  storage:Task_contract.storage ->
+  task:Zebra_chain.Address.t ->
+  wallet:Zebra_chain.Wallet.t ->
+  identity ->
+  answer:int ->
+  Zebra_chain.Tx.t
+
+(** [instruct_tx sys task] — the requester's proved reward instruction
+    over the task's current on-chain submissions, with the reward vector
+    it pays.  [?fee] defaults to 0. *)
+val instruct_tx : ?fee:int -> system -> Requester.task -> int array * Zebra_chain.Tx.t
+
+(** {2 Phase drivers} *)
+
+(** TaskPublish: funds a fresh one-task wallet with [budget + 1], then
+    mines the {!publish_tx} deployment and returns the requester's task
+    handle.  Deadlines are windows in blocks from now. *)
 val publish_task_r :
   system ->
   requester:identity ->
@@ -144,23 +216,6 @@ val publish_task_r :
   unit ->
   (Requester.task, error) result
 
-(** Raising wrapper around {!publish_task_r}.
-    @raise Failure if deployment fails. *)
-val publish_task :
-  system ->
-  requester:identity ->
-  policy:Policy.t ->
-  n:int ->
-  budget:int ->
-  ?answer_window:int ->
-  ?instruct_window:int ->
-  ?max_per_worker:int ->
-  ?ra_rsa_pub:bytes ->
-  ?data_digest:bytes ->
-  ?circuit:Reward_circuit.t ->
-  unit ->
-  Requester.task
-
 (** AnswerCollection: each worker validates the task and submits one
     encrypted answer from a fresh address; everything is mined into the
     next block(s).  Returns each worker's one-task wallet (to observe the
@@ -172,21 +227,9 @@ val submit_answers_r :
   workers:(identity * int) list ->
   (Zebra_chain.Wallet.t list, error) result
 
-(** Raising wrapper around {!submit_answers_r}.
-    @raise Failure if a submission is rejected. *)
-val submit_answers :
-  system ->
-  task:Zebra_chain.Address.t ->
-  workers:(identity * int) list ->
-  Zebra_chain.Wallet.t list
-
 (** Reward: the requester decrypts, computes rewards, proves and instructs;
     mined immediately.  Returns the reward vector. *)
 val reward_r : system -> Requester.task -> (int array, error) result
-
-(** Raising wrapper around {!reward_r}.
-    @raise Failure if the contract rejects the instruction. *)
-val reward : system -> Requester.task -> int array
 
 (** [mine_to_r sys ~height] mines (possibly empty) blocks up to [height].
     Unlike [Network.mine_until] it surfaces a replica failure tripped by
@@ -199,9 +242,6 @@ val mine_to_r : system -> height:int -> (unit, error) result
     flat fallback to each submitted worker (the paper's timeout path when
     the requester never instructs). *)
 val finalize_r : system -> Requester.task -> (unit, error) result
-
-(** Raising wrapper around {!finalize_r}. *)
-val finalize : system -> Requester.task -> unit
 
 (** What an audit found.  [offenders] are indices into the chain-ordered
     submission list (the order {!audit_task_report} scanned the blocks in),
@@ -239,10 +279,6 @@ type audit_report = {
     @raise Invalid_argument when [batch_size < 1]. *)
 val audit_task_report :
   ?batch_size:int -> ?seed:string -> system -> task:Zebra_chain.Address.t -> audit_report
-
-(** [audit_task sys ~task] is {!audit_task_report} reduced to
-    [(all_valid, attestations_checked)] (the pre-batching interface). *)
-val audit_task : system -> task:Zebra_chain.Address.t -> bool * int
 
 (** Batch driver for same-shape tasks: one requester, one worker pool, one
     reward-circuit setup shared across the whole batch (the amortisation a

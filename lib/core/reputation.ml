@@ -31,7 +31,8 @@ let constraint_system ?(composition = Hash_composition.default) () =
 
 let setup ?(composition = Hash_composition.default) ~random_bytes () =
   let cs = constraint_system ~composition () in
-  { composition; keys = Snark.setup ~random_bytes cs; n_constraints = Cs.num_constraints cs }
+  let keys = Snark.setup_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) cs in
+  { composition; keys; n_constraints = Cs.num_constraints cs }
 
 (* The link circuit has a single fixed structure per composition, so the
    composition-suffixed id keys it (arms never share keypairs). *)
@@ -67,7 +68,7 @@ let prove_link ~random_bytes p ~key ~task_prefix ~epoch =
       ~pseudonym:(epoch_pseudonym ~composition key ~epoch)
       ~task_prefix ~epoch:(epoch_field epoch) ~sk:key.Cpla.sk
   in
-  Snark.prove ~random_bytes p.keys.Snark.pk cs
+  Snark.prove_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) p.keys.Snark.pk cs
 
 let verify_link ~vk_bytes ~task_tag ~pseudonym ~task_prefix ~epoch proof =
   match Snark.vk_of_bytes_cached vk_bytes with

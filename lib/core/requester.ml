@@ -15,24 +15,18 @@ type task = {
 
 let esk_canary task = Secret.use task.esk Elgamal.secret_canary
 
-let create_task ?circuit ?(max_per_worker = 1) ?(ra_rsa_pub = Bytes.empty)
+let create_task ~circuit ?(max_per_worker = 1) ?(ra_rsa_pub = Bytes.empty)
     ?(data_digest = Bytes.empty) ?(fee = 0) ~random_bytes ~cpla ~key ~cert_index ~ra_path
     ~ra_root ~wallet ~nonce ~policy ~n ~budget ~answer_deadline ~instruct_deadline () =
+  if not (Policy.equal (Reward_circuit.policy circuit) policy) || Reward_circuit.n circuit <> n
+  then invalid_arg "Requester.create_task: circuit does not match policy/arity";
   let esk, epk = Elgamal.generate ~random_bytes in
   let esk = Secret.make ~label:"requester.task.esk" esk in
-  let circuit =
-    match circuit with
-    | None -> Reward_circuit.setup ~random_bytes ~policy ~n ()
-    | Some c ->
-      if not (Policy.equal (Reward_circuit.policy c) policy) || Reward_circuit.n c <> n then
-        invalid_arg "Requester.create_task: circuit does not match policy/arity";
-      c
-  in
   (* Footnote 10: alpha_C is predictable before deployment, so pi_R can be
      computed off-line and shipped inside the contract parameters. *)
   let contract = Address.of_creator (Wallet.address wallet) nonce in
   let attestation =
-    Cpla.auth ~random_bytes cpla
+    Cpla.auth_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) cpla
       ~prefix:(Address.to_field contract)
       ~message:(Address.to_field (Wallet.address wallet))
       ~key ~index:cert_index ~path:ra_path ~root:ra_root

@@ -18,20 +18,21 @@ type task = {
     {!Zebra_elgamal.Elgamal.secret_canary}). *)
 val esk_canary : task -> bytes
 
-(** [create_task ~random_bytes ~cpla ~key ~cert_index ~ra_path ~ra_root
-     ~wallet ~policy ~n ~budget ~answer_deadline ~instruct_deadline]
+(** [create_task ~circuit ~random_bytes ~cpla ~key ~cert_index ~ra_path
+     ~ra_root ~wallet ~policy ~n ~budget ~answer_deadline ~instruct_deadline]
     prepares everything TaskPublish needs: a fresh ElGamal task key, the
-    reward-circuit setup, the predicted contract address (from the wallet's
-    current nonce, which the caller supplies as [nonce]), the anonymous
-    attestation pi_R over [alpha_C || alpha_R], and the signed deployment
-    transaction carrying the budget.
+    predicted contract address (from the wallet's current nonce, which the
+    caller supplies as [nonce]), the anonymous attestation pi_R over
+    [alpha_C || alpha_R], and the signed deployment transaction carrying
+    the budget.
 
-    [?circuit] reuses an existing reward-circuit setup — a requester running
-    a batch of same-shape tasks (the paper's ImageNet-scale open question)
-    pays the trusted setup once.  @raise Invalid_argument if its policy or
-    arity does not match. *)
+    [circuit] is the reward-circuit setup for [(policy, n)] — typically
+    {!Reward_circuit.setup_cached}, so a requester running a batch of
+    same-shape tasks (the paper's ImageNet-scale open question) pays the
+    trusted setup once.  @raise Invalid_argument if its policy or arity
+    does not match. *)
 val create_task :
-  ?circuit:Reward_circuit.t ->
+  circuit:Reward_circuit.t ->
   ?max_per_worker:int ->
   ?ra_rsa_pub:bytes ->
   ?data_digest:bytes ->

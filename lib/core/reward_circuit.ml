@@ -203,7 +203,7 @@ let setup ?(composition = Hash_composition.default) ~random_bytes ~policy ~n () 
     policy;
     n;
     composition;
-    keys = Snark.setup ~random_bytes cs;
+    keys = Snark.setup_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) cs;
     n_constraints = Cs.num_constraints cs;
   }
 
@@ -264,7 +264,7 @@ let prove ~random_bytes t ~esk ~rho ~cts ~rewards =
   let cs =
     synthesize ~policy:t.policy ~n:t.n ~epk ~rho ~cts ~rewards ~esk_bits:bits ~plaintexts
   in
-  Snark.prove ~random_bytes t.keys.Snark.pk cs
+  Snark.prove_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) t.keys.Snark.pk cs
 
 let verify ~vk_bytes ~epk ~rho ~cts ~rewards proof =
   match Snark.vk_of_bytes_cached vk_bytes with

@@ -29,30 +29,32 @@ let build ?(seed = default_seed) () =
   let sys = Protocol.create_system ~seed () in
   Reputation_contract.register ();
   let rb = Protocol.random_bytes sys in
-  let requester = Protocol.enroll sys in
-  let w1 = Protocol.enroll sys in
-  let w2 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w2 = Protocol.get_ok (Protocol.enroll_r sys) in
   let policy = Policy.Majority { choices = 4 } in
   (* Task A settles by Instruct.  budget = 61 with n = 2 makes rho = 30:
      both workers get a nonzero reward and 1 unit refunds to the
      requester, so every settlement branch (worker payment, refund) is an
      actually-covered path for the minimality check. *)
-  let task_a = Protocol.publish_task sys ~requester ~policy ~n:2 ~budget:61 () in
+  let task_a = Protocol.get_ok (Protocol.publish_task_r sys ~requester ~policy ~n:2 ~budget:61 ()) in
   let _ =
-    Protocol.submit_answers sys ~task:task_a.Requester.contract ~workers:[ (w1, 1); (w2, 1) ]
+    Protocol.get_ok (Protocol.submit_answers_r sys ~task:task_a.Requester.contract
+        ~workers:[ (w1, 1); (w2, 1) ])
   in
-  let _ = Protocol.reward sys task_a in
+  let _ = Protocol.get_ok (Protocol.reward_r sys task_a) in
   (* Task B settles by the third-party Finalize fallback: 2 of 3 slots
      submitted, budget 61 -> share 30 each, refund 1 to the requester. *)
-  let task_b = Protocol.publish_task sys ~requester ~policy ~n:3 ~budget:61 () in
+  let task_b = Protocol.get_ok (Protocol.publish_task_r sys ~requester ~policy ~n:3 ~budget:61 ()) in
   let _ =
-    Protocol.submit_answers sys ~task:task_b.Requester.contract ~workers:[ (w1, 2); (w2, 2) ]
+    Protocol.get_ok (Protocol.submit_answers_r sys ~task:task_b.Requester.contract
+        ~workers:[ (w1, 2); (w2, 2) ])
   in
-  Protocol.finalize sys task_b;
+  Protocol.get_ok (Protocol.finalize_r sys task_b);
   (* Reputation: board deploy, credit of task A's first tag, the worker's
      link-proof claim onto an epoch pseudonym, and an epoch advance. *)
   let rep = Reputation.setup_cached sys.Protocol.keycache ~seed in
-  let op = Protocol.fresh_funded_wallet sys ~amount:100 in
+  let op = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:100) in
   let deploy =
     Tx.make ~wallet:op ~nonce:0
       ~dst:

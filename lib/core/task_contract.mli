@@ -78,7 +78,7 @@ val params_of_bytes : bytes -> params
 val message_to_bytes : message -> bytes
 
 (** Inverse of {!message_to_bytes} — used by off-chain auditors replaying
-    mined submissions ({!Protocol.audit_task}).
+    mined submissions ({!Protocol.audit_task_report}).
     @raise Zebra_codec.Codec.Decode_error on malformed input. *)
 val message_of_bytes : bytes -> message
 

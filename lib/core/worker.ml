@@ -54,7 +54,7 @@ let submit_tx ~random_bytes ~cpla ~storage ~contract ~wallet ~key ~cert_index ~r
   let ct_bytes = Elgamal.ciphertext_to_bytes ct in
   let digest = Task_contract.submission_digest (Wallet.address wallet) ct_bytes in
   let attestation =
-    Cpla.auth ~random_bytes cpla
+    Cpla.auth_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) cpla
       ~prefix:(Address.to_field contract)
       ~message:digest ~key ~index:cert_index ~path:ra_path
       ~root:p.Task_contract.ra_root

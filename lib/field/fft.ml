@@ -80,8 +80,8 @@ let element d i = Fp.pow_int d.omega i
    per-chunk scratch elements, zero allocation per butterfly.  Scratch
    buffers are created inside each parallel chunk body, so they are
    per-OCaml-domain by construction; Montgomery arithmetic is exact and
-   canonical, so every result limb is identical to the old boxed-element
-   path at any ZEBRA_DOMAINS (DESIGN.md, "Field kernel discipline"). *)
+   canonical, so every result limb is the same at any ZEBRA_DOMAINS
+   (DESIGN.md, "Field kernel discipline"). *)
 
 let bit_reverse_permute_vec v =
   let n = Fp.Vec.length v in
@@ -186,25 +186,6 @@ let coset_ifft_vec d v =
   (* One pass applies both the inverse-NTT 1/n factor and the coset
      unshift g^-i (folded table — see [coset_unscale]). *)
   scale_by_table_vec v d.coset_unscale
-
-(* Boxed-array entry points, kept for callers outside the prover hot
-   path: convert once, transform flat, write fresh elements back (the
-   caller's existing elements are replaced, never mutated — they may be
-   shared, e.g. [Fp.zero] padding). *)
-
-let check_len d a =
-  if Array.length a <> d.size then invalid_arg "Fft: array length must equal domain size"
-
-let on_vec d transform a =
-  check_len d a;
-  let v = Fp.Vec.of_array a in
-  transform d v;
-  Fp.Vec.write_array v a
-
-let fft d a = on_vec d fft_vec a
-let ifft d a = on_vec d ifft_vec a
-let coset_fft d a = on_vec d coset_fft_vec a
-let coset_ifft d a = on_vec d coset_ifft_vec a
 
 let vanishing_on_coset d = Fp.sub (Fp.pow_int coset_shift d.size) Fp.one
 let vanishing_at d x = Fp.sub (Fp.pow_int x d.size) Fp.one

@@ -29,35 +29,26 @@ val omega : domain -> Fp.t
 (** [element d i] is omega^i. *)
 val element : domain -> int -> Fp.t
 
-(** {2 Flat-vector transforms}
+(** {2 Transforms}
 
-    The native implementations: in-place over one contiguous
-    {!Fp.Vec.t} limb buffer, zero allocation per butterfly (per-chunk
-    scratch elements only).  The boxed-array entry points below are
-    thin wrappers that convert once and write fresh elements back.
-    Vector length must equal [size d]. *)
+    In place over one contiguous {!Fp.Vec.t} limb buffer, zero allocation
+    per butterfly (per-chunk scratch elements only).  Vector length must
+    equal [size d]. *)
 
+(** Forward FFT: coefficients -> evaluations on the domain. *)
 val fft_vec : domain -> Fp.Vec.t -> unit
+
+(** Inverse FFT: evaluations -> coefficients. *)
 val ifft_vec : domain -> Fp.Vec.t -> unit
-val coset_fft_vec : domain -> Fp.Vec.t -> unit
-val coset_ifft_vec : domain -> Fp.Vec.t -> unit
-
-(** In-place forward FFT: coefficients -> evaluations on the domain.
-    The array length must equal [size d].  Elements of the array are
-    replaced with fresh values, never mutated (they may be shared). *)
-val fft : domain -> Fp.t array -> unit
-
-(** In-place inverse FFT: evaluations -> coefficients. *)
-val ifft : domain -> Fp.t array -> unit
 
 (** Coset transforms over the shifted domain [g * <omega>] where [g] is the
     field's multiplicative generator; the vanishing polynomial
     [Z(x) = x^size - 1] is the nonzero constant [g^size - 1] there, which is
     how the QAP prover divides by [Z] exactly. *)
-val coset_fft : domain -> Fp.t array -> unit
+val coset_fft_vec : domain -> Fp.Vec.t -> unit
 
-(** Inverse of {!coset_fft}: evaluations on the coset -> coefficients. *)
-val coset_ifft : domain -> Fp.t array -> unit
+(** Inverse of {!coset_fft_vec}: evaluations on the coset -> coefficients. *)
+val coset_ifft_vec : domain -> Fp.Vec.t -> unit
 
 (** [vanishing_on_coset d] is [g^size - 1]. *)
 val vanishing_on_coset : domain -> Fp.t

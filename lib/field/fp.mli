@@ -165,7 +165,7 @@ val is_minus_one : t -> bool
     [Vec.t] stores n field elements in one contiguous [int array] of
     n·limbs — one allocation for a whole polynomial instead of one per
     element, with indexed in-place slot operations for the FFT and
-    prover hot loops.  Also exposed as the {!Fvec} module alias.
+    prover hot loops.
 
     Slot semantics: [op d k a i b j] computes [d.(k) <- a.(i) op b.(j)].
     Destination slots may coincide with source slots for additive ops;
@@ -202,11 +202,6 @@ module Vec : sig
 
   (** [to_array v] is the vector as an array of fresh elements. *)
   val to_array : t -> elt array
-
-  (** [write_array v a] stores fresh elements of [v] into the slots of
-      [a] (existing elements of [a] are replaced, never mutated).
-      @raise Invalid_argument on length mismatch. *)
-  val write_array : t -> elt array -> unit
 
   val swap : t -> int -> int -> unit
   val is_zero : t -> int -> bool

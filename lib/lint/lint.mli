@@ -99,7 +99,7 @@ val make_finding :
 val observe_findings : finding list -> unit
 
 (** [analyze ?name cs] runs every rule.  Read-only; safe to call on a board
-    that will subsequently be handed to [Snark.setup]/[prove]. *)
+    that will subsequently be handed to [Snark.setup_rng]/[prove_rng]. *)
 val analyze : ?name:string -> Zebra_r1cs.Cs.t -> report
 
 val errors : report -> int

@@ -1,11 +1,6 @@
 type t = { bytes : int -> bytes }
 
-module type S = sig
-  val bytes : int -> bytes
-end
-
 let of_fn f = { bytes = f }
-let of_module (module M : S) = { bytes = M.bytes }
 let of_chacha rng = { bytes = Chacha20.bytes rng }
 let of_seed seed = of_chacha (Chacha20.create ~seed)
 let bytes t n = t.bytes n

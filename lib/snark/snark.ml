@@ -181,8 +181,9 @@ let sample_secret_point ~random_bytes domain =
   in
   go ()
 
-let setup ~random_bytes cs =
+let setup_rng ~rng cs =
   Obs.with_span "snark.setup" @@ fun () ->
+  let random_bytes = Source.fn rng in
   let n_constraints = Cs.num_constraints cs in
   let n_vars = Cs.num_vars cs in
   let n_inputs = Cs.num_inputs cs in
@@ -298,13 +299,14 @@ let setup ~random_bytes cs =
   in
   { pk; vk; trapdoor = { t_s = box_t_s s; t_vk = vk } }
 
-let prove ~random_bytes pk cs =
+let prove_rng ~rng pk cs =
   if
     Cs.num_vars cs <> pk.p_num_vars
     || Cs.num_inputs cs <> pk.p_num_inputs
     || Cs.num_constraints cs <> pk.p_num_constraints
-  then invalid_arg "Snark.prove: circuit shape mismatch with proving key";
+  then invalid_arg "Snark.prove_rng: circuit shape mismatch with proving key";
   Obs.with_span "snark.prove" @@ fun () ->
+  let random_bytes = Source.fn rng in
   let w = Cs.assignment cs in
   let d = Fft.size pk.p_domain in
   let delta1 = Fp.random random_bytes in
@@ -496,7 +498,8 @@ let batch_verify ~rng vk items =
     Fp.is_zero !acc
   end
 
-let simulate ~random_bytes trapdoor ~public_inputs =
+let simulate_rng ~rng trapdoor ~public_inputs =
+  let random_bytes = Source.fn rng in
   let vk = trapdoor.t_vk in
   let pi_a = Fp.random random_bytes in
   let pi_b = Fp.random random_bytes in
@@ -747,14 +750,6 @@ let equal_proof p q =
   Fp.equal p.pi_a q.pi_a && Fp.equal p.pi_a' q.pi_a' && Fp.equal p.pi_b q.pi_b
   && Fp.equal p.pi_b' q.pi_b' && Fp.equal p.pi_c q.pi_c && Fp.equal p.pi_c' q.pi_c'
   && Fp.equal p.pi_k q.pi_k && Fp.equal p.pi_h q.pi_h
-
-(* Source-based entry points; the ~random_bytes forms above are kept as
-   aliases for one release. *)
-
-let setup_rng ~rng cs = setup ~random_bytes:(Source.fn rng) cs
-let prove_rng ~rng pk cs = prove ~random_bytes:(Source.fn rng) pk cs
-let simulate_rng ~rng trapdoor ~public_inputs =
-  simulate ~random_bytes:(Source.fn rng) trapdoor ~public_inputs
 
 (* --- content-addressed keypair cache --- *)
 

@@ -17,10 +17,10 @@
     designated-verifier analogue.  Proof size, completeness, verifier cost
     (O(|public inputs|)) and rejection of bad witnesses are all real; only
     the computational hardness of extracting s from the proving key is
-    assumed.  The {!simulate} function demonstrates the zero-knowledge
+    assumed.  The {!simulate_rng} function demonstrates the zero-knowledge
     trapdoor property exactly as in the original scheme.
 
-    {b Parallelism}: [setup] and [prove] fan their table constructions,
+    {b Parallelism}: [setup_rng] and [prove_rng] fan their table constructions,
     inner products and FFT passes out over {!Zebra_parallel.Parallel}.
     Proofs are bit-identical at every [ZEBRA_DOMAINS] setting: all
     randomness is drawn on the calling domain before fan-out and chunk
@@ -33,7 +33,7 @@ type proving_key
 (** Verifier material; fixes the public-input count. *)
 type verifying_key
 
-(** The setup secrets, exposed deliberately for {!simulate}. *)
+(** The setup secrets, exposed deliberately for {!simulate_rng}. *)
 type trapdoor
 
 (** A constant-size proof: 8 field elements. *)
@@ -49,29 +49,18 @@ type keypair = { pk : proving_key; vk : verifying_key; trapdoor : trapdoor }
     matches. *)
 val trapdoor_canary : keypair -> bytes
 
-(** [setup ~random_bytes cs] runs the trusted setup for the {e structure} of
+(** [setup_rng ~rng cs] runs the trusted setup for the {e structure} of
     [cs] (witness values on the board are ignored).  The returned keys fix
-    the number of public inputs of [cs].
-
-    {b Deprecated alias}: new code should pass a {!Zebra_rng.Source.t} via
-    {!setup_rng}; the bare-closure form remains for one release. *)
-val setup : random_bytes:(int -> bytes) -> Cs.t -> keypair
-
-(** {!setup} taking a first-class randomness source. *)
+    the number of public inputs of [cs]. *)
 val setup_rng : rng:Zebra_rng.Source.t -> Cs.t -> keypair
 
-(** [prove ~random_bytes pk cs] where [cs] is the same circuit synthesised
+(** [prove_rng ~rng pk cs] where [cs] is the same circuit synthesised
     with a full witness.  The proof attests that the public inputs of [cs]
     extend to a satisfying assignment.
     @raise Invalid_argument if the shape of [cs] does not match [pk].
 
     An unsatisfied board produces a proof that verification rejects (the
-    behaviour a cheating prover would face).
-
-    {b Deprecated alias}: prefer {!prove_rng}. *)
-val prove : random_bytes:(int -> bytes) -> proving_key -> Cs.t -> proof
-
-(** {!prove} taking a first-class randomness source. *)
+    behaviour a cheating prover would face). *)
 val prove_rng : rng:Zebra_rng.Source.t -> proving_key -> Cs.t -> proof
 
 (** [verify vk ~public_inputs proof]: O(|public_inputs|) field operations. *)
@@ -108,15 +97,10 @@ val batch_verify :
     deterministic and replayable from the same inputs. *)
 val batch_seed : tag:string -> (Fp.t array * proof) array -> string
 
-(** [simulate ~random_bytes trapdoor ~public_inputs] forges a verifying
+(** [simulate_rng ~rng trapdoor ~public_inputs] forges a verifying
     proof {e without any witness}, using the setup trapdoor — the standard
     zero-knowledge simulator, used by tests to establish that proofs leak
-    nothing beyond validity.
-
-    {b Deprecated alias}: prefer {!simulate_rng}. *)
-val simulate : random_bytes:(int -> bytes) -> trapdoor -> public_inputs:Fp.t array -> proof
-
-(** {!simulate} taking a first-class randomness source. *)
+    nothing beyond validity. *)
 val simulate_rng : rng:Zebra_rng.Source.t -> trapdoor -> public_inputs:Fp.t array -> proof
 
 (** {1 Introspection & serialisation} *)
@@ -158,7 +142,7 @@ val keypair_to_bytes : keypair -> bytes
 
 (** Inverse of {!keypair_to_bytes}.  The decoded keypair proves and
     verifies identically to the original; its trapdoor carries a zero
-    placeholder for the setup secret (the encoding omits it — {!simulate}
+    placeholder for the setup secret (the encoding omits it — {!simulate_rng}
     needs only the verification-key half, and {!Keycache} re-derives the
     secret from the setup seed when serving a store hit).
     @raise Zebra_codec.Codec.Decode_error on malformed input. *)

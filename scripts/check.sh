@@ -1,10 +1,11 @@
 #!/bin/sh
 # Local CI gate: build everything, lint every deployed circuit, run the
 # whole test suite twice -- once sequential, once over a 4-domain pool --
-# then replay the chaos suite at fixed seeds across both pool sizes.
-# Results must agree: the parallel primitives guarantee bit-identical
-# output at any ZEBRA_DOMAINS (see DESIGN.md), the fault schedule is keyed
-# by the seed alone, and this is where both contracts are enforced.
+# then replay the chaos suite at fixed seeds across both pool sizes and
+# against the committed outputs in scripts/golden/.  Results must agree:
+# the parallel primitives guarantee bit-identical output at any
+# ZEBRA_DOMAINS (see DESIGN.md), the fault schedule is keyed by the seed
+# alone, and this is where both contracts are enforced.
 set -eu
 cd "$(dirname "$0")/.."
 dune build @check
@@ -86,14 +87,28 @@ echo "cpla-mimc ablation arm proves, digest $dm"
 echo "== field kernel gate (in-place kernels stay allocation-free) =="
 ZEBRA_DOMAINS=1 "$BENCH" field
 
+# The chaos, byzantine, index and load-smoke gates below compare each run
+# twice: ZEBRA_DOMAINS=1 against =4 (no pool-size dependence), and
+# ZEBRA_DOMAINS=1 against the committed output in scripts/golden/ (no
+# change that moves both runs the same way).  A change that means to move
+# a trace regenerates its golden file and says why.
+ZEBRA="./_build/default/bin/zebra.exe"
+golden="scripts/golden"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+# same GATE EXPECTED ACTUAL: fail GATE unless the two files are identical.
+same() {
+  if ! diff -u "$2" "$3"; then
+    echo "$1 FAILED: $3 differs from $2" >&2
+    exit 1
+  fi
+}
+
 # Chaos gate: each (seed, plan) pair must print the identical fault trace
 # and settlement at ZEBRA_DOMAINS=1 and =4 -- the fault schedule may not
 # leak pool-size dependence -- and the run itself must keep the chaos
 # invariants (the CLI exits non-zero on a violation).
 echo "== chaos gate (fixed seeds, pool-size-invariant traces) =="
-ZEBRA="./_build/default/bin/zebra.exe"
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 i=0
 for spec in \
   "ci-1|drop=0.15,delay=0.15:2,dup=0.1" \
@@ -104,11 +119,9 @@ for spec in \
   i=$((i + 1))
   ZEBRA_DOMAINS=1 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/d1-$i.txt"
   ZEBRA_DOMAINS=4 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/d4-$i.txt"
-  if ! diff -u "$tmp/d1-$i.txt" "$tmp/d4-$i.txt"; then
-    echo "chaos gate FAILED: seed=$seed plan=$plan differs across pool sizes" >&2
-    exit 1
-  fi
-  echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains"
+  same "chaos gate (seed=$seed plan=$plan)" "$tmp/d1-$i.txt" "$tmp/d4-$i.txt"
+  same "chaos gate (seed=$seed plan=$plan)" "$golden/chaos-$i.txt" "$tmp/d1-$i.txt"
+  echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains and to $golden/chaos-$i.txt"
 done
 
 # Byzantine gate: the adversary corpus -- network partitions with
@@ -142,11 +155,9 @@ for spec in \
   i=$((i + 1))
   ZEBRA_DOMAINS=1 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/byz-d1-$i.txt"
   ZEBRA_DOMAINS=4 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/byz-d4-$i.txt"
-  if ! diff -u "$tmp/byz-d1-$i.txt" "$tmp/byz-d4-$i.txt"; then
-    echo "byzantine gate FAILED: seed=$seed plan=$plan differs across pool sizes" >&2
-    exit 1
-  fi
-  echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains"
+  same "byzantine gate (seed=$seed plan=$plan)" "$tmp/byz-d1-$i.txt" "$tmp/byz-d4-$i.txt"
+  same "byzantine gate (seed=$seed plan=$plan)" "$golden/byz-$i.txt" "$tmp/byz-d1-$i.txt"
+  echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains and to $golden/byz-$i.txt"
 done
 
 # Index gate: the off-chain event-sourced mirror must rebuild the
@@ -156,11 +167,9 @@ done
 echo "== index gate (event-sourced mirror, 1 vs 4 domains) =="
 ZEBRA_DOMAINS=1 "$ZEBRA" index --events >"$tmp/idx-d1.txt"
 ZEBRA_DOMAINS=4 "$ZEBRA" index --events >"$tmp/idx-d4.txt"
-if ! diff -u "$tmp/idx-d1.txt" "$tmp/idx-d4.txt"; then
-  echo "index gate FAILED: output differs across pool sizes" >&2
-  exit 1
-fi
-echo "zebra index: mirror agrees, identical at 1 and 4 domains"
+same "index gate" "$tmp/idx-d1.txt" "$tmp/idx-d4.txt"
+same "index gate" "$golden/index.txt" "$tmp/idx-d1.txt"
+echo "zebra index: mirror agrees, identical at 1 and 4 domains and to $golden/index.txt"
 
 # Load-smoke gate: a small N x M marketplace run must complete every task
 # with zero invariant violations (the CLI exits non-zero otherwise), its
@@ -173,9 +182,7 @@ ZEBRA_DOMAINS=1 "$ZEBRA" load --tasks 4 --requesters 2 --workers 4 --inflight 4 
   --seed ci-load --verify-replay -q >"$tmp/load-d1.txt"
 ZEBRA_DOMAINS=4 "$ZEBRA" load --tasks 4 --requesters 2 --workers 4 --inflight 4 \
   --seed ci-load --verify-replay -q >"$tmp/load-d4.txt"
-if ! diff -u "$tmp/load-d1.txt" "$tmp/load-d4.txt"; then
-  echo "load gate FAILED: output differs across pool sizes" >&2
-  exit 1
-fi
+same "load gate" "$tmp/load-d1.txt" "$tmp/load-d4.txt"
+same "load gate" "$golden/load.txt" "$tmp/load-d1.txt"
 cat "$tmp/load-d1.txt"
-echo "load smoke: identical at 1 and 4 domains, all invariants held"
+echo "load smoke: identical at 1 and 4 domains and to $golden/load.txt, all invariants held"

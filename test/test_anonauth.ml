@@ -13,6 +13,7 @@ let qtest name ~count gen f =
 
 let rng = Zebra_rng.Chacha20.create ~seed:"test_anonauth"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
+let src = Zebra_rng.Source.of_chacha rng
 let fresh_fp () = Fp.random random_bytes
 
 let fp = Alcotest.testable Fp.pp Fp.equal
@@ -22,16 +23,16 @@ let depth = 4 (* small tree keeps proving fast in tests *)
 (* Shared fixture: params, RA, two registered users. *)
 let fixture =
   lazy
-    (let params = Cpla.setup ~random_bytes ~depth () in
+    (let params = Cpla.setup_rng ~rng:src ~depth () in
      let ra = Ra.create ~depth () in
-     let alice = Cpla.keygen ~random_bytes () in
-     let bob = Cpla.keygen ~random_bytes () in
+     let alice = Cpla.keygen_rng ~rng:src () in
+     let bob = Cpla.keygen_rng ~rng:src () in
      let ia = Ra.register ra alice.Cpla.pk in
      let ib = Ra.register ra bob.Cpla.pk in
      (params, ra, (alice, ia), (bob, ib)))
 
 let auth_as params ra (key, index) ~prefix ~message =
-  Cpla.auth ~random_bytes params ~prefix ~message ~key ~index ~path:(Ra.path ra index)
+  Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index ~path:(Ra.path ra index)
     ~root:(Ra.root ra)
 
 (* --- RA tree --- *)
@@ -113,10 +114,10 @@ let test_unregistered_cannot_authenticate () =
   (* Mallory holds a key the RA never registered; her path cannot match the
      root, so her attestation must be rejected (unforgeability). *)
   let params, ra, _, _ = Lazy.force fixture in
-  let mallory = Cpla.keygen ~random_bytes () in
+  let mallory = Cpla.keygen_rng ~rng:src () in
   let prefix = fresh_fp () and message = fresh_fp () in
   let att =
-    Cpla.auth ~random_bytes params ~prefix ~message ~key:mallory ~index:3
+    Cpla.auth_rng ~rng:src params ~prefix ~message ~key:mallory ~index:3
       ~path:(Ra.path ra 3) ~root:(Ra.root ra)
   in
   Alcotest.(check bool) "forged certificate rejected" false
@@ -195,17 +196,17 @@ let test_registration_after_auth_breaks_old_root () =
   (* Paths are valid per root snapshot: after another registration the old
      attestation stays valid under the old root but not under the new one,
      so verifiers must pin the root (task contracts snapshot it). *)
-  let params = Cpla.setup ~random_bytes ~depth () in
+  let params = Cpla.setup_rng ~rng:src ~depth () in
   let ra = Ra.create ~depth () in
-  let key = Cpla.keygen ~random_bytes () in
+  let key = Cpla.keygen_rng ~rng:src () in
   let i = Ra.register ra key.Cpla.pk in
   let old_root = Ra.root ra in
   let prefix = fresh_fp () and message = fresh_fp () in
   let att =
-    Cpla.auth ~random_bytes params ~prefix ~message ~key ~index:i ~path:(Ra.path ra i)
+    Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index:i ~path:(Ra.path ra i)
       ~root:old_root
   in
-  let _ = Ra.register ra (Cpla.keygen ~random_bytes ()).Cpla.pk in
+  let _ = Ra.register ra (Cpla.keygen_rng ~rng:src ()).Cpla.pk in
   Alcotest.(check bool) "valid under old root" true
     (Cpla.verify params ~prefix ~message ~root:old_root att);
   Alcotest.(check bool) "invalid under new root" false
@@ -252,7 +253,7 @@ let arm_fixture =
   lazy
     (List.map
        (fun composition ->
-         (composition, Cpla.setup ~composition ~random_bytes ~depth:arm_depth ()))
+         (composition, Cpla.setup_rng ~composition ~rng:src ~depth:arm_depth ()))
        Hc.all)
 
 let test_composition_accessors () =
@@ -287,21 +288,22 @@ let prop_both_arms_verify_and_reject_tamper =
         (fun (composition, params) ->
           let r = Zebra_rng.Chacha20.create ~seed:(Printf.sprintf "arm-%d" seed) in
           let rb n = Zebra_rng.Chacha20.bytes r n in
+          let src = Zebra_rng.Source.of_chacha r in
           let ra = Ra.create ~hash:composition ~depth:arm_depth () in
-          let key = Cpla.keygen ~composition ~random_bytes:rb () in
+          let key = Cpla.keygen_rng ~composition ~rng:src () in
           let index = Ra.register ra key.Cpla.pk in
           let prefix = Fp.random rb and message = Fp.random rb in
           let path = Ra.path ra index in
           let root = Ra.root ra in
           let att =
-            Cpla.auth ~random_bytes:rb params ~prefix ~message ~key ~index ~path ~root
+            Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index ~path ~root
           in
           let ok = Cpla.verify params ~prefix ~message ~root att in
           let bad_path = Array.copy path in
           let j = seed mod Array.length bad_path in
           bad_path.(j) <- Fp.add bad_path.(j) Fp.one;
           let att' =
-            Cpla.auth ~random_bytes:rb params ~prefix ~message ~key ~index ~path:bad_path
+            Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index ~path:bad_path
               ~root
           in
           ok && not (Cpla.verify params ~prefix ~message ~root att'))

@@ -197,8 +197,6 @@ let test_vec_roundtrip () =
   Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "get %d" i) x (Fp.Vec.get v i)) a;
   let b = Fp.Vec.to_array v in
   Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "to_array %d" i) x b.(i)) a;
-  (* Fvec is the same type as Fp.Vec — the alias module interoperates. *)
-  Alcotest.(check int) "Fvec alias" 10 (Fvec.length v);
   Fp.Vec.swap v 0 9;
   Alcotest.check fp "swap" a.(9) (Fp.Vec.get v 0);
   (* [set] copies the value in: mutating vector slots afterwards must
@@ -241,71 +239,48 @@ let test_vec_slot_ops () =
   Fp.Vec.sub_slot_elt v 0 c;
   Alcotest.check fp "sub_slot_elt" x (Fp.Vec.get v 0)
 
-let test_fft_vec_matches_array () =
-  let d = Fft.domain 16 in
-  let a = Array.init 16 (fun _ -> fresh_fp ()) in
-  (* Array entry points and the native vector transforms must agree
-     slot for slot, for every transform variant. *)
-  List.iter
-    (fun (name, arr_t, vec_t) ->
-      let b = Array.copy a in
-      arr_t d b;
-      let v = Fp.Vec.of_array a in
-      vec_t d v;
-      Array.iteri
-        (fun i x -> Alcotest.check fp (Printf.sprintf "%s %d" name i) x (Fp.Vec.get v i))
-        b)
-    [
-      ("fft", Fft.fft, Fft.fft_vec);
-      ("ifft", Fft.ifft, Fft.ifft_vec);
-      ("coset_fft", Fft.coset_fft, Fft.coset_fft_vec);
-      ("coset_ifft", Fft.coset_ifft, Fft.coset_ifft_vec);
-    ]
-
 (* --- FFT --- *)
 
 let rand_poly n = Array.init n (fun _ -> fresh_fp ())
 
-let test_fft_roundtrip () =
-  List.iter
-    (fun n ->
-      let d = Fft.domain n in
-      let a = rand_poly (Fft.size d) in
-      let b = Array.copy a in
-      Fft.fft d b;
-      Fft.ifft d b;
-      Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "n=%d i=%d" n i) a.(i) x) b)
-    [ 1; 2; 4; 8; 64; 256 ]
+(* [transform d] applied to a flat copy of [a], read back as an array. *)
+let on_vec transform d a =
+  let v = Fp.Vec.of_array a in
+  transform d v;
+  Fp.Vec.to_array v
+
+(* Round trips run up to 2^13, where the butterfly stages and pointwise
+   passes fan out over the pool. *)
+let roundtrip_sizes = [ 1; 2; 4; 8; 64; 256; 1 lsl 13 ]
+
+let check_roundtrip forward inverse n =
+  let d = Fft.domain n in
+  let a = rand_poly (Fft.size d) in
+  let b = on_vec inverse d (on_vec forward d a) in
+  Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "n=%d i=%d" n i) a.(i) x) b
+
+(* Evaluations at [point d i] must match Horner on the coefficients. *)
+let check_matches_eval transform ~point n =
+  let d = Fft.domain n in
+  let coeffs = rand_poly n in
+  let p = Poly.of_coeffs (Array.copy coeffs) in
+  Array.iteri
+    (fun i y ->
+      Alcotest.check fp (Printf.sprintf "n=%d eval %d" n i) (Poly.eval p (point d i)) y)
+    (on_vec transform d coeffs)
+
+let test_fft_roundtrip () = List.iter (check_roundtrip Fft.fft_vec Fft.ifft_vec) roundtrip_sizes
 
 let test_fft_matches_eval () =
-  let d = Fft.domain 8 in
-  let coeffs = rand_poly 8 in
-  let p = Poly.of_coeffs (Array.copy coeffs) in
-  let evals = Array.copy coeffs in
-  Fft.fft d evals;
-  for i = 0 to 7 do
-    Alcotest.check fp (Printf.sprintf "eval at w^%d" i) (Poly.eval p (Fft.element d i)) evals.(i)
-  done
+  List.iter (check_matches_eval Fft.fft_vec ~point:Fft.element) [ 2; 8; 64 ]
 
 let test_coset_fft_matches_eval () =
-  let d = Fft.domain 8 in
-  let coeffs = rand_poly 8 in
-  let p = Poly.of_coeffs (Array.copy coeffs) in
-  let evals = Array.copy coeffs in
-  Fft.coset_fft d evals;
-  let g = Fp.generator in
-  for i = 0 to 7 do
-    let x = Fp.mul g (Fft.element d i) in
-    Alcotest.check fp (Printf.sprintf "coset eval %d" i) (Poly.eval p x) evals.(i)
-  done
+  List.iter
+    (check_matches_eval Fft.coset_fft_vec ~point:(fun d i -> Fp.mul Fp.generator (Fft.element d i)))
+    [ 2; 8; 64 ]
 
 let test_coset_roundtrip () =
-  let d = Fft.domain 16 in
-  let a = rand_poly 16 in
-  let b = Array.copy a in
-  Fft.coset_fft d b;
-  Fft.coset_ifft d b;
-  Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "i=%d" i) a.(i) x) b
+  List.iter (check_roundtrip Fft.coset_fft_vec Fft.coset_ifft_vec) roundtrip_sizes
 
 let test_vanishing () =
   let d = Fft.domain 8 in
@@ -374,7 +349,6 @@ let () =
           Alcotest.test_case "mul_into alias rejected" `Quick test_mul_into_alias_rejected;
           Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
           Alcotest.test_case "vec slot ops" `Quick test_vec_slot_ops;
-          Alcotest.test_case "fft vec = array" `Quick test_fft_vec_matches_array;
           prop_into_kernels; prop_pow_window; prop_bucket_dot;
         ] );
       ( "fft",

@@ -250,9 +250,9 @@ let prop_lint_preserves_proofs =
         let cs = clean_circuit x in
         if lint_first then ignore (Lint.analyze cs : Lint.report);
         let r = Zebra_rng.Chacha20.create ~seed:(Printf.sprintf "lint-pure-%d" seed) in
-        let rb n = Zebra_rng.Chacha20.bytes r n in
-        let { Snark.pk; vk; _ } = Snark.setup ~random_bytes:rb cs in
-        let proof = Snark.prove ~random_bytes:rb pk cs in
+        let src = Zebra_rng.Source.of_chacha r in
+        let { Snark.pk; vk; _ } = Snark.setup_rng ~rng:src cs in
+        let proof = Snark.prove_rng ~rng:src pk cs in
         assert (Snark.verify vk ~public_inputs:(Cs.public_inputs cs) proof);
         Snark.proof_to_bytes proof
       in

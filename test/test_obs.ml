@@ -208,20 +208,20 @@ let test_protocol_deploy_rejected () =
     Alcotest.(check string) "contract names the check" "requester not identified" reason
   | Ok _ -> Alcotest.fail "forged requester must not deploy"
   | Error e -> Alcotest.fail ("wrong error: " ^ Protocol.error_to_string e));
-  (* The raising wrapper reports the same failure. *)
+  (* [Protocol.get_ok] raises the same failure as a message. *)
   match
-    Protocol.publish_task sys ~requester:forged ~policy:(Policy.Majority { choices = 4 }) ~n:1
-      ~budget:30 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester:forged
+        ~policy:(Policy.Majority { choices = 4 }) ~n:1 ~budget:30 ())
   with
   | exception Failure m ->
-    Alcotest.(check string) "wrapper message"
+    Alcotest.(check string) "get_ok message"
       "Protocol: task deployment rejected: requester not identified" m
-  | _ -> Alcotest.fail "wrapper must raise"
+  | _ -> Alcotest.fail "get_ok must raise"
 
 let test_protocol_submission_rejected () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let w0 = Protocol.enroll sys and w1 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w0 = Protocol.get_ok (Protocol.enroll_r sys) and w1 = Protocol.get_ok (Protocol.enroll_r sys) in
   match
     Protocol.publish_task_r sys ~requester ~policy:(Policy.Majority { choices = 2 }) ~n:1
       ~budget:30 ()

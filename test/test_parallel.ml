@@ -143,11 +143,14 @@ let test_exception_propagation () =
 
 (* --- determinism: bit-identical results at any domain count --- *)
 
+(* 2^10 runs every stage on the calling domain; 2^14 fans the butterfly
+   stages and pointwise passes out over the pool. *)
 let fp_array_gen =
   QCheck.Gen.(
+    oneofl [ 10; 14 ] >>= fun lg ->
     map
       (fun seeds -> Array.of_list (List.map Fp.of_int seeds))
-      (list_size (return (1 lsl 10)) (int_bound max_int)))
+      (list_size (return (1 lsl lg)) (int_bound max_int)))
 
 let test_fft_determinism =
   QCheck.Test.make ~count:10 ~name:"fft identical at 1 vs 4 domains"
@@ -157,23 +160,29 @@ let test_fft_determinism =
         ~finally:(fun () -> Parallel.set_default_domains saved)
         (fun () ->
           let dom = Fft.domain (Array.length a) in
+          (* Each transform pair's forward output and round trip. *)
           let run nd =
             Parallel.set_default_domains nd;
-            let x = Array.copy a in
-            Fft.coset_fft dom x;
-            Fft.coset_ifft dom x;
-            x
+            List.map
+              (fun (forward, inverse) ->
+                let v = Fp.Vec.of_array a in
+                forward dom v;
+                let evals = Fp.Vec.to_array v in
+                inverse dom v;
+                (evals, Fp.Vec.to_array v))
+              [ (Fft.fft_vec, Fft.ifft_vec); (Fft.coset_fft_vec, Fft.coset_ifft_vec) ]
           in
+          let same = Array.for_all2 Fp.equal in
           let seq = run 1 in
           let par = run 4 in
-          Array.for_all2 Fp.equal seq par && Array.for_all2 Fp.equal seq a))
+          List.for_all2
+            (fun (e1, r1) (e4, r4) -> same e1 e4 && same r1 r4 && same r1 a)
+            seq par))
 
 let test_prove_determinism () =
   (* Same circuit, same RNG seed, different domain counts: the proofs must
      be byte-identical — randomness is all drawn on the calling domain and
      chunk grids are pool-independent. *)
-  let rng = Zebra_rng.Chacha20.create ~seed:"test-parallel-setup" in
-  let random_bytes n = Zebra_rng.Chacha20.bytes rng n in
   let cs =
     let cs = Cs.create () in
     let secret = Fp.of_int 1234567 in
@@ -185,15 +194,14 @@ let test_prove_determinism () =
     enforce_eq cs ~label:"digest" h (v pub);
     cs
   in
-  let kp = Snark.setup ~random_bytes cs in
+  let kp = Snark.setup_rng ~rng:(Zebra_rng.Source.of_seed "test-parallel-setup") cs in
   let saved = Parallel.default_domains () in
   Fun.protect
     ~finally:(fun () -> Parallel.set_default_domains saved)
     (fun () ->
       let prove_at nd =
         Parallel.set_default_domains nd;
-        let r = Zebra_rng.Chacha20.create ~seed:"test-parallel-prove" in
-        Snark.prove ~random_bytes:(Zebra_rng.Chacha20.bytes r) kp.Snark.pk cs
+        Snark.prove_rng ~rng:(Zebra_rng.Source.of_seed "test-parallel-prove") kp.Snark.pk cs
       in
       let p1 = prove_at 1 in
       let p4 = prove_at 4 in

@@ -46,43 +46,48 @@ let test_partial_submissions_reward () =
   (* Task wants 3 answers, only 2 arrive before the deadline; the requester
      instructs over the partial set (missing slot = bottom). *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let w1 = Protocol.enroll sys and w2 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-      ~budget:90 ~answer_window:5 ~instruct_window:40 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ~answer_window:5
+        ~instruct_window:40 ())
   in
-  let _ = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (w1, 2); (w2, 2) ] in
+  let _ = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (w1, 2); (w2, 2) ]) in
   (* pass the answer deadline without a third answer *)
   Network.mine_until sys.Protocol.net
     ~height:(task.Requester.params.Task_contract.answer_deadline + 1);
-  let rewards = Protocol.reward sys task in
+  let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
   Alcotest.(check (array int)) "partial rewards" [| 30; 30; 0 |] rewards
 
 let test_fallback_even_split () =
   (* Requester vanishes after collection: after T_I anyone finalises and
      the budget is split evenly (Algorithm 1 lines 18-20). *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let w1 = Protocol.enroll sys and w2 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:100 ~answer_window:10 ~instruct_window:10 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:100 ~answer_window:10
+        ~instruct_window:10 ())
   in
-  let wallets = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (w1, 0); (w2, 1) ] in
-  Protocol.finalize sys task;
+  let wallets = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (w1, 0); (w2, 1) ]) in
+  Protocol.get_ok (Protocol.finalize_r sys task);
   List.iter (fun w -> check_paid ~msg:"even split" sys.Protocol.net w (10 + 50)) wallets;
   Alcotest.(check int) "contract drained" 0
     (Network.balance sys.Protocol.net task.Requester.contract)
 
 let test_fallback_no_submissions_refund () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:100 ~answer_window:3 ~instruct_window:3 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:100 ~answer_window:3
+        ~instruct_window:3 ())
   in
-  Protocol.finalize sys task;
+  Protocol.get_ok (Protocol.finalize_r sys task);
   check_paid ~msg:"full refund" sys.Protocol.net task.Requester.wallet 101
 
 (* --- attacks: malicious workers --- *)
@@ -105,14 +110,14 @@ let test_double_submission_linked () =
   (* The same identity submits twice from two fresh addresses: the second
      is linked via t1 and dropped. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let cheater = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let cheater = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ())
   in
-  let w1 = Protocol.fresh_funded_wallet sys ~amount:10 in
-  let w2 = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let w1 = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
+  let w2 = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   (match submit_raw sys ~task:task.Requester.contract ~wallet:w1 ~identity:cheater ~answer:1 with
   | { State.status = State.Ok _; _ } -> ()
   | _ -> Alcotest.fail "first submission should pass");
@@ -125,15 +130,15 @@ let test_same_identity_two_tasks_unlinkable () =
   (* The same identity joins two different tasks: accepted in both, and the
      stored tags differ (cross-task unlinkability). *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let honest = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let honest = Protocol.get_ok (Protocol.enroll_r sys) in
   let mk_task () =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 ())
   in
   let t1 = mk_task () and t2 = mk_task () in
-  let w1 = Protocol.fresh_funded_wallet sys ~amount:10 in
-  let w2 = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let w1 = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
+  let w2 = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   (match submit_raw sys ~task:t1.Requester.contract ~wallet:w1 ~identity:honest ~answer:1 with
   | { State.status = State.Ok _; _ } -> ()
   | _ -> Alcotest.fail "task-1 submission failed");
@@ -152,21 +157,18 @@ let test_free_riding_copy_rejected () =
      attestation, re-send from another address.  The contract recomputes the
      authenticated digest from the actual sender, so it fails. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let honest = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let honest = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ())
   in
   let storage = Protocol.task_storage sys task.Requester.contract in
-  let honest_wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
-  let thief_wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let honest_wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
+  let thief_wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let honest_tx =
-    Worker.submit_tx ~random_bytes:(rb sys) ~cpla:sys.Protocol.cpla ~storage
-      ~contract:task.Requester.contract ~wallet:honest_wallet ~key:honest.Protocol.key
-      ~cert_index:honest.Protocol.cert_index
-      ~ra_path:(Ra.path sys.Protocol.ra honest.Protocol.cert_index)
-      ~answer:1 ~nonce:0
+    Protocol.answer_tx sys ~storage ~task:task.Requester.contract ~wallet:honest_wallet honest
+      ~answer:1
   in
   (* The thief sees honest_tx in the mempool and replays its payload. *)
   let thief_tx = Tx.resend_as ~wallet:thief_wallet ~nonce:0 honest_tx in
@@ -193,14 +195,14 @@ let test_free_riding_copy_rejected () =
 
 let test_unregistered_worker_rejected () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 ())
   in
   (* Mallory never registered: she forges a certificate for leaf 0. *)
-  let mallory = { Protocol.key = Cpla.keygen ~random_bytes:(rb sys) (); cert_index = 0 } in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let mallory = { Protocol.key = Cpla.keygen_rng ~rng:sys.Protocol.rng (); cert_index = 0 } in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   match submit_raw sys ~task:task.Requester.contract ~wallet ~identity:mallory ~answer:1 with
   | { State.status = State.Failed "invalid attestation"; _ } -> ()
   | { State.status = State.Failed m; _ } -> Alcotest.failf "unexpected: %s" m
@@ -208,14 +210,15 @@ let test_unregistered_worker_rejected () =
 
 let test_submission_after_quota_rejected () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let w1 = Protocol.enroll sys and w2 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:1
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:1 ~budget:90 ())
   in
-  let _ = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (w1, 1) ] in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let _ = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (w1, 1) ]) in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   match submit_raw sys ~task:task.Requester.contract ~wallet ~identity:w2 ~answer:1 with
   | { State.status = State.Failed "enough answers collected"; _ } -> ()
   | { State.status = State.Failed m; _ } -> Alcotest.failf "unexpected: %s" m
@@ -227,12 +230,12 @@ let test_requester_self_submission_linked () =
   (* The requester tries to submit an answer to her own task to downgrade
      workers: her t1 equals the stored requester tag -> linked. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 ())
   in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   match submit_raw sys ~task:task.Requester.contract ~wallet ~identity:requester ~answer:0 with
   | { State.status = State.Failed "linked: requester self-submission"; _ } -> ()
   | { State.status = State.Failed m; _ } -> Alcotest.failf "unexpected: %s" m
@@ -243,13 +246,15 @@ let test_false_instruction_dropped_then_fallback () =
      cannot verify, the contract drops it, and after T_I the fallback pays
      workers evenly — the requester gains nothing by cheating. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let w1 = Protocol.enroll sys and w2 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:100 ~answer_window:10 ~instruct_window:10 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:100 ~answer_window:10
+        ~instruct_window:10 ())
   in
-  let wallets = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (w1, 1); (w2, 1) ] in
+  let wallets = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (w1, 1); (w2, 1) ]) in
   let storage = Protocol.task_storage sys task.Requester.contract in
   let _, lying_tx =
     Requester.instruct_with_rewards ~random_bytes:(rb sys) task ~storage
@@ -262,21 +267,22 @@ let test_false_instruction_dropped_then_fallback () =
   | Some { State.status = State.Failed "invalid reward proof"; _ } -> ()
   | Some { State.status = State.Failed m; _ } -> Alcotest.failf "unexpected: %s" m
   | _ -> Alcotest.fail "lying instruction accepted!");
-  Protocol.finalize sys task;
+  Protocol.get_ok (Protocol.finalize_r sys task);
   List.iter (fun w -> check_paid ~msg:"fallback pay" sys.Protocol.net w (10 + 50)) wallets
 
 let test_budget_not_deposited () =
   (* Deploying with value < budget must abort creation (line 3). *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:50 in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:50) in
   let height = Network.height sys.Protocol.net in
+  let policy = Policy.Majority { choices = 4 } in
   let _task, tx =
-    Requester.create_task ~random_bytes:(rb sys) ~cpla:sys.Protocol.cpla
+    Requester.create_task ~circuit:(Protocol.reward_circuit sys ~policy ~n:2)
+      ~random_bytes:(rb sys) ~cpla:sys.Protocol.cpla
       ~key:requester.Protocol.key ~cert_index:requester.Protocol.cert_index
       ~ra_path:(Ra.path sys.Protocol.ra requester.Protocol.cert_index)
-      ~ra_root:(Ra.root sys.Protocol.ra) ~wallet ~nonce:0
-      ~policy:(Policy.Majority { choices = 4 })
+      ~ra_root:(Ra.root sys.Protocol.ra) ~wallet ~nonce:0 ~policy
       ~n:2 ~budget:1000 ~answer_deadline:(height + 10) ~instruct_deadline:(height + 20) ()
   in
   (* budget 1000 > wallet balance: the deploy carries value 1000 and fails
@@ -294,7 +300,7 @@ let test_budget_not_deposited () =
            ra_root = Ra.root sys.Protocol.ra;
            auth_vk = Cpla.vk_to_bytes sys.Protocol.cpla;
            reward_vk = Bytes.empty;
-           policy = Policy.Majority { choices = 4 };
+           policy;
            requester_attestation = Bytes.empty;
            max_per_worker = 1;
            ra_rsa_pub = Bytes.empty;
@@ -320,9 +326,10 @@ let test_copied_task_attestation_rejected () =
      own contract (footnote 9, requester side): prefix alpha_C differs, so
      verification fails and the contract is not created. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let legit = Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 () in
-  let thief_wallet = Protocol.fresh_funded_wallet sys ~amount:200 in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let legit = Protocol.get_ok (Protocol.publish_task_r sys ~requester
+      ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 ()) in
+  let thief_wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:200) in
   let stolen = legit.Requester.params in
   let tx =
     Tx.make ~wallet:thief_wallet ~nonce:0
@@ -344,15 +351,15 @@ let test_k_submissions_per_worker () =
   (* Footnote 11: the contract can allow k answers per identity by counting
      linked submissions instead of rejecting the first link. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let prolific = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let prolific = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-      ~budget:90 ~max_per_worker:2 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90 ~max_per_worker:2 ())
   in
   let submit answer =
     submit_raw sys ~task:task.Requester.contract
-      ~wallet:(Protocol.fresh_funded_wallet sys ~amount:10)
+      ~wallet:(Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10))
       ~identity:prolific ~answer
   in
   (match submit 1 with
@@ -369,15 +376,17 @@ let test_plain_mode_end_to_end () =
   (* Section VI non-anonymous mode: a worker who waives anonymity submits
      with a classical certificate + signature, mixed with anonymous ones. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let anon = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let anon = Protocol.get_ok (Protocol.enroll_r sys) in
   let priv, cert = Protocol.enroll_plain sys in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:60 ~ra_rsa_pub:(Protocol.ra_rsa_pub_bytes sys) ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:60
+        ~ra_rsa_pub:(Protocol.ra_rsa_pub_bytes sys) ())
   in
-  let _ = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (anon, 1) ] in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let _ = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (anon, 1) ]) in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let storage = Protocol.task_storage sys task.Requester.contract in
   let tx =
     Worker.submit_plain_tx ~random_bytes:(rb sys) ~storage ~contract:task.Requester.contract
@@ -389,21 +398,22 @@ let test_plain_mode_end_to_end () =
   | Some { State.status = State.Ok _; _ } -> ()
   | Some { State.status = State.Failed m; _ } -> Alcotest.failf "plain rejected: %s" m
   | None -> Alcotest.fail "not mined");
-  let rewards = Protocol.reward sys task in
+  let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
   Alcotest.(check (array int)) "both modes rewarded" [| 30; 30 |] rewards;
   Alcotest.(check int) "plain worker paid" 40
     (Network.balance sys.Protocol.net (Wallet.address wallet))
 
 let test_plain_mode_double_submission_linked () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   let priv, cert = Protocol.enroll_plain sys in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:3
-      ~budget:90 ~ra_rsa_pub:(Protocol.ra_rsa_pub_bytes sys) ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:3 ~budget:90
+        ~ra_rsa_pub:(Protocol.ra_rsa_pub_bytes sys) ())
   in
   let submit () =
-    let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+    let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
     let storage = Protocol.task_storage sys task.Requester.contract in
     let tx =
       Worker.submit_plain_tx ~random_bytes:(rb sys) ~storage
@@ -422,13 +432,13 @@ let test_plain_mode_double_submission_linked () =
 
 let test_plain_mode_disabled_by_default () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   let priv, cert = Protocol.enroll_plain sys in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:60 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:60 ())
   in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let storage = Protocol.task_storage sys task.Requester.contract in
   let tx =
     Worker.submit_plain_tx ~random_bytes:(rb sys) ~storage ~contract:task.Requester.contract
@@ -442,15 +452,16 @@ let test_plain_mode_disabled_by_default () =
 
 let test_plain_mode_forged_cert_rejected () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:60 ~ra_rsa_pub:(Protocol.ra_rsa_pub_bytes sys) ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:60
+        ~ra_rsa_pub:(Protocol.ra_rsa_pub_bytes sys) ())
   in
   (* self-signed certificate: not issued by the RA *)
   let priv = Zebra_rsa.Rsa.generate ~bits:512 ~random_bytes:(rb sys) in
   let cert = Zebralancer.Plain_auth.issue ~ra_priv:priv priv.Zebra_rsa.Rsa.pub in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let storage = Protocol.task_storage sys task.Requester.contract in
   let tx =
     Worker.submit_plain_tx ~random_bytes:(rb sys) ~storage ~contract:task.Requester.contract
@@ -466,14 +477,14 @@ let test_worker_rejects_invalid_answer_client_side () =
   (* The client refuses to encrypt an out-of-space answer before anything
      touches the chain. *)
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
-  let w = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:1
-      ~budget:30 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:1 ~budget:30 ())
   in
   let storage = Protocol.task_storage sys task.Requester.contract in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   Alcotest.check_raises "client-side range check"
     (Invalid_argument "Worker.submit_tx: answer outside the task's answer space") (fun () ->
       ignore
@@ -487,10 +498,10 @@ let test_worker_rejects_invalid_answer_client_side () =
 
 let test_worker_validates_task () =
   let sys = Lazy.force sys in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:90 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:90 ())
   in
   let storage = Protocol.task_storage sys task.Requester.contract in
   let balance = Network.balance sys.Protocol.net task.Requester.contract in
@@ -511,13 +522,13 @@ let test_worker_validates_task () =
 
 (* --- audit --- *)
 
-let test_audit_task () =
+let test_audit_task_report () =
   let sys = Lazy.force sys in
   let policy = Policy.Majority { choices = 4 } in
   let task, _wallets, _rewards = Protocol.run_task sys ~policy ~budget:90 ~answers:[ 1; 2; 1 ] in
-  let ok, checked = Protocol.audit_task sys ~task:task.Requester.contract in
-  Alcotest.(check bool) "all attestations re-verify" true ok;
-  Alcotest.(check int) "one per submission" 3 checked
+  let report = Protocol.audit_task_report sys ~task:task.Requester.contract in
+  Alcotest.(check bool) "all attestations re-verify" true report.Protocol.all_valid;
+  Alcotest.(check int) "one per submission" 3 report.Protocol.checked
 
 let test_audit_report_batched () =
   let sys = Lazy.force sys in
@@ -531,12 +542,11 @@ let test_audit_report_batched () =
   Alcotest.(check (list int)) "no offenders" [] report.Protocol.offenders;
   Alcotest.(check int) "single RLC batch" 1 report.Protocol.batches;
   Alcotest.(check int) "no fallbacks" 0 report.Protocol.fallbacks;
-  (* Batch size must not change the verdict, and the wrapper agrees. *)
+  (* Batch size must not change the verdict. *)
   let small = Protocol.audit_task_report ~batch_size:1 sys ~task:task.Requester.contract in
   Alcotest.(check bool) "batch_size-independent" true small.Protocol.all_valid;
   Alcotest.(check int) "one batch per submission" 3 small.Protocol.batches;
-  let ok, checked = Protocol.audit_task sys ~task:task.Requester.contract in
-  Alcotest.(check bool) "wrapper agrees" true (ok && checked = 3)
+  Alcotest.(check int) "same attestations checked" 3 small.Protocol.checked
 
 let () =
   Alcotest.run "protocol"
@@ -576,7 +586,7 @@ let () =
           Alcotest.test_case "plain double submission" `Quick test_plain_mode_double_submission_linked;
           Alcotest.test_case "plain disabled by default" `Quick test_plain_mode_disabled_by_default;
           Alcotest.test_case "forged plain certificate" `Quick test_plain_mode_forged_cert_rejected;
-          Alcotest.test_case "batch audit of mined submissions" `Quick test_audit_task;
+          Alcotest.test_case "batch audit of mined submissions" `Quick test_audit_task_report;
           Alcotest.test_case "audit report: RLC batches" `Quick test_audit_report_batched;
         ] );
     ]

@@ -8,12 +8,13 @@ module Cpla = Zebra_anonauth.Cpla
 
 let rng = Zebra_rng.Chacha20.create ~seed:"test_reputation"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
+let src = Zebra_rng.Source.of_chacha rng
 let fresh_fp () = Fp.random random_bytes
 
 let params = lazy (Reputation.setup ~random_bytes ())
 let vk = lazy (Reputation.vk_bytes (Lazy.force params))
 
-let worker = lazy (Cpla.keygen ~random_bytes ())
+let worker = lazy (Cpla.keygen_rng ~rng:src ())
 
 (* --- link circuit --- *)
 
@@ -32,12 +33,12 @@ let test_task_tag_matches_cpla_t1 () =
      in the task contract's storage. *)
   let key = Lazy.force worker in
   let depth = 3 in
-  let cpla = Cpla.setup ~random_bytes ~depth () in
+  let cpla = Cpla.setup_rng ~rng:src ~depth () in
   let ra = Zebra_anonauth.Ra.create ~depth () in
   let i = Zebra_anonauth.Ra.register ra key.Cpla.pk in
   let task_prefix = fresh_fp () in
   let att =
-    Cpla.auth ~random_bytes cpla ~prefix:task_prefix ~message:(fresh_fp ()) ~key ~index:i
+    Cpla.auth_rng ~rng:src cpla ~prefix:task_prefix ~message:(fresh_fp ()) ~key ~index:i
       ~path:(Zebra_anonauth.Ra.path ra i) ~root:(Zebra_anonauth.Ra.root ra)
   in
   Alcotest.(check bool) "tags agree" true
@@ -47,7 +48,7 @@ let test_wrong_pseudonym_rejected () =
   (* Claiming onto someone else's pseudonym fails: same sk must underlie
      both tags. *)
   let p = Lazy.force params and key = Lazy.force worker in
-  let other = Cpla.keygen ~random_bytes () in
+  let other = Cpla.keygen_rng ~rng:src () in
   let task_prefix = fresh_fp () in
   let proof = Reputation.prove_link ~random_bytes p ~key ~task_prefix ~epoch:1 in
   Alcotest.(check bool) "stolen pseudonym rejected" false
@@ -195,7 +196,7 @@ let test_mimc_arm_roundtrip () =
   let p = Reputation.setup ~composition ~random_bytes () in
   Alcotest.(check string) "params record the arm" "mimc"
     (Zebra_hashcomp.Hash_composition.to_string (Reputation.composition p));
-  let key = Cpla.keygen ~composition ~random_bytes () in
+  let key = Cpla.keygen_rng ~composition ~rng:src () in
   let task_prefix = fresh_fp () in
   let proof = Reputation.prove_link ~random_bytes p ~key ~task_prefix ~epoch:2 in
   Alcotest.(check bool) "mimc link proof verifies" true

@@ -7,6 +7,7 @@ module Snark = Zebra_snark.Snark
 
 let rng = Zebra_rng.Chacha20.create ~seed:"test_snark"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
+let src = Zebra_rng.Source.of_chacha rng
 let fresh_fp () = Fp.random random_bytes
 
 (* Demo circuit: prove knowledge of x with  x^3 + x + 5 = y  (public y). *)
@@ -36,14 +37,14 @@ let mixed_circuit secret =
   enforce_eq cs ~label:"const bits" (pack_bits bits) (ci 9);
   cs
 
-let keys_of circuit = Snark.setup ~random_bytes circuit
+let keys_of circuit = Snark.setup_rng ~rng:src circuit
 
 let test_completeness () =
   let x = fresh_fp () in
   let cs = cubic_circuit x in
   Alcotest.(check bool) "witness satisfies" true (Cs.is_satisfied cs);
   let { Snark.pk; vk; _ } = keys_of cs in
-  let proof = Snark.prove ~random_bytes pk cs in
+  let proof = Snark.prove_rng ~rng:src pk cs in
   Alcotest.(check bool) "verifies" true
     (Snark.verify vk ~public_inputs:(Cs.public_inputs cs) proof)
 
@@ -55,7 +56,7 @@ let test_proof_reusable_across_witnesses () =
     (fun _ ->
       let x = fresh_fp () in
       let cs = cubic_circuit x in
-      let proof = Snark.prove ~random_bytes pk cs in
+      let proof = Snark.prove_rng ~rng:src pk cs in
       Alcotest.(check bool) "verifies" true
         (Snark.verify vk ~public_inputs:(Cs.public_inputs cs) proof))
     [ (); (); () ]
@@ -64,7 +65,7 @@ let test_wrong_public_input_rejected () =
   let x = fresh_fp () in
   let cs = cubic_circuit x in
   let { Snark.pk; vk; _ } = keys_of cs in
-  let proof = Snark.prove ~random_bytes pk cs in
+  let proof = Snark.prove_rng ~rng:src pk cs in
   let wrong = [| Fp.add (Cs.public_inputs cs).(0) Fp.one |] in
   Alcotest.(check bool) "rejected" false (Snark.verify vk ~public_inputs:wrong proof)
 
@@ -77,14 +78,14 @@ let test_bad_witness_rejected () =
   let claimed = Fp.add (Cs.public_inputs cs).(0) Fp.one in
   Cs.set_value cs (Cs.var_of_int 1) claimed;
   Alcotest.(check bool) "board unsatisfied" false (Cs.is_satisfied cs);
-  let proof = Snark.prove ~random_bytes pk cs in
+  let proof = Snark.prove_rng ~rng:src pk cs in
   Alcotest.(check bool) "rejected" false (Snark.verify vk ~public_inputs:[| claimed |] proof)
 
 let test_tampered_proof_rejected () =
   let x = fresh_fp () in
   let cs = cubic_circuit x in
   let { Snark.pk; vk; _ } = keys_of cs in
-  let proof = Snark.prove ~random_bytes pk cs in
+  let proof = Snark.prove_rng ~rng:src pk cs in
   let b = Snark.proof_to_bytes proof in
   (* Flip one byte inside the first field element. *)
   Bytes.set b 10 (Char.chr (Char.code (Bytes.get b 10) lxor 1));
@@ -98,7 +99,7 @@ let test_proof_constant_size () =
       (fun x ->
         let cs = mixed_circuit x in
         let { Snark.pk; _ } = keys_of cs in
-        let proof = Snark.prove ~random_bytes pk cs in
+        let proof = Snark.prove_rng ~rng:src pk cs in
         Snark.proof_size_bytes proof)
       [ fresh_fp (); fresh_fp () ]
   in
@@ -106,7 +107,7 @@ let test_proof_constant_size () =
     let x = fresh_fp () in
     let cs = cubic_circuit x in
     let { Snark.pk; _ } = keys_of cs in
-    Snark.proof_size_bytes (Snark.prove ~random_bytes pk cs)
+    Snark.proof_size_bytes (Snark.prove_rng ~rng:src pk cs)
   in
   List.iter (fun s -> Alcotest.(check int) "constant size" cubic s) sizes
 
@@ -115,8 +116,8 @@ let test_zk_blinding () =
   let x = fresh_fp () in
   let cs = cubic_circuit x in
   let { Snark.pk; vk; _ } = keys_of cs in
-  let p1 = Snark.prove ~random_bytes pk cs in
-  let p2 = Snark.prove ~random_bytes pk cs in
+  let p1 = Snark.prove_rng ~rng:src pk cs in
+  let p2 = Snark.prove_rng ~rng:src pk cs in
   Alcotest.(check bool) "distinct proofs" false (Snark.equal_proof p1 p2);
   Alcotest.(check bool) "both verify" true
     (Snark.verify vk ~public_inputs:(Cs.public_inputs cs) p1
@@ -129,12 +130,12 @@ let test_simulator () =
   let cs = cubic_circuit x in
   let { Snark.vk; trapdoor; _ } = keys_of cs in
   let inputs = Cs.public_inputs cs in
-  let forged = Snark.simulate ~random_bytes trapdoor ~public_inputs:inputs in
+  let forged = Snark.simulate_rng ~rng:src trapdoor ~public_inputs:inputs in
   Alcotest.(check bool) "simulated proof verifies" true
     (Snark.verify vk ~public_inputs:inputs forged);
   (* Even for a *false* statement: simulation is statement-independent. *)
   let bogus = [| fresh_fp () |] in
-  let forged2 = Snark.simulate ~random_bytes trapdoor ~public_inputs:bogus in
+  let forged2 = Snark.simulate_rng ~rng:src trapdoor ~public_inputs:bogus in
   Alcotest.(check bool) "simulates any statement" true
     (Snark.verify vk ~public_inputs:bogus forged2)
 
@@ -142,7 +143,7 @@ let test_serialization_roundtrip () =
   let x = fresh_fp () in
   let cs = cubic_circuit x in
   let { Snark.pk; vk; _ } = keys_of cs in
-  let proof = Snark.prove ~random_bytes pk cs in
+  let proof = Snark.prove_rng ~rng:src pk cs in
   let proof' = Snark.proof_of_bytes (Snark.proof_to_bytes proof) in
   Alcotest.(check bool) "proof roundtrip" true (Snark.equal_proof proof proof');
   let vk' = Snark.vk_of_bytes (Snark.vk_to_bytes vk) in
@@ -153,22 +154,22 @@ let test_shape_mismatch () =
   let { Snark.pk; _ } = keys_of (cubic_circuit (fresh_fp ())) in
   let other = mixed_circuit (fresh_fp ()) in
   Alcotest.check_raises "shape mismatch"
-    (Invalid_argument "Snark.prove: circuit shape mismatch with proving key") (fun () ->
-      ignore (Snark.prove ~random_bytes pk other))
+    (Invalid_argument "Snark.prove_rng: circuit shape mismatch with proving key") (fun () ->
+      ignore (Snark.prove_rng ~rng:src pk other))
 
 let test_mixed_circuit_end_to_end () =
   let secret = fresh_fp () in
   let cs = mixed_circuit secret in
   Alcotest.(check bool) "satisfied" true (Cs.is_satisfied cs);
   let { Snark.pk; vk; _ } = keys_of cs in
-  let proof = Snark.prove ~random_bytes pk cs in
+  let proof = Snark.prove_rng ~rng:src pk cs in
   Alcotest.(check bool) "verifies" true
     (Snark.verify vk ~public_inputs:(Cs.public_inputs cs) proof)
 
 let test_wrong_input_count () =
   let cs = cubic_circuit (fresh_fp ()) in
   let { Snark.pk; vk; _ } = keys_of cs in
-  let proof = Snark.prove ~random_bytes pk cs in
+  let proof = Snark.prove_rng ~rng:src pk cs in
   Alcotest.(check bool) "too many inputs rejected" false
     (Snark.verify vk ~public_inputs:[| Fp.one; Fp.one |] proof)
 
@@ -183,7 +184,7 @@ let batch_fixture =
     (let kp = keys_of (cubic_circuit (fresh_fp ())) in
      let item () =
        let cs = cubic_circuit (fresh_fp ()) in
-       (Cs.public_inputs cs, Snark.prove ~random_bytes kp.Snark.pk cs)
+       (Cs.public_inputs cs, Snark.prove_rng ~rng:src kp.Snark.pk cs)
      in
      (kp, item))
 

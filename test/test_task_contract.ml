@@ -13,10 +13,11 @@ let rb sys n = Protocol.random_bytes sys n
 let shared =
   lazy
     (let sys = Lazy.force sys in
-     let requester = Protocol.enroll sys in
+     let requester = Protocol.get_ok (Protocol.enroll_r sys) in
      let task =
-       Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-         ~budget:100 ~answer_window:1000 ~instruct_window:1000 ()
+       Protocol.get_ok (Protocol.publish_task_r sys ~requester
+           ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:100 ~answer_window:1000
+           ~instruct_window:1000 ())
      in
      (sys, requester, task))
 
@@ -36,7 +37,7 @@ let expect_failure ~msg receipt =
 
 let test_garbage_payload () =
   let sys, _, task = Lazy.force shared in
-  let w = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let w = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let r = call sys ~wallet:w task.Requester.contract (Bytes.of_string "\xffgarbage") in
   match r.State.status with
   | State.Failed m ->
@@ -45,7 +46,7 @@ let test_garbage_payload () =
 
 let test_instruct_from_stranger () =
   let sys, _, task = Lazy.force shared in
-  let stranger = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let stranger = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let payload =
     Task_contract.message_to_bytes
       (Task_contract.Instruct { rewards = [ 0; 0 ]; proof = Bytes.empty })
@@ -65,14 +66,14 @@ let test_instruct_too_early () =
 
 let test_finalize_too_early () =
   let sys, _, task = Lazy.force shared in
-  let w = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let w = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   expect_failure ~msg:"instruction deadline not reached"
     (call sys ~wallet:w task.Requester.contract
        (Task_contract.message_to_bytes Task_contract.Finalize))
 
 let test_submit_sentinel_ciphertext () =
   let sys, _, task = Lazy.force shared in
-  let w = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let w = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let payload =
     Task_contract.message_to_bytes
       (Task_contract.Submit
@@ -86,7 +87,7 @@ let test_submit_sentinel_ciphertext () =
 
 let test_submit_malformed_attestation () =
   let sys, _, task = Lazy.force shared in
-  let w = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let w = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let _, epk = Zebra_elgamal.Elgamal.generate ~random_bytes:(rb sys) in
   let ct =
     Zebra_elgamal.Elgamal.encrypt ~random_bytes:(rb sys) epk
@@ -119,11 +120,12 @@ let test_instruct_wrong_arity () =
 
 let test_bad_deadline_params_rejected () =
   let sys, _, _ = Lazy.force shared in
-  let requester = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
   (* instruct_deadline before answer_deadline -> init must revert *)
   match
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:50 ~answer_window:10 ~instruct_window:(-5) ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:50 ~answer_window:10
+        ~instruct_window:(-5) ())
   with
   | _ -> Alcotest.fail "inverted deadlines accepted"
   | exception Failure m ->
@@ -135,33 +137,29 @@ let test_full_lifecycle_rewards_and_deadlines () =
      submission rejected -> instruct over partial set -> double instruct
      rejected -> finalize-after-finish rejected. *)
   let sys, _, _ = Lazy.force shared in
-  let requester = Protocol.enroll sys in
-  let w1 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:100 ~answer_window:6 ~instruct_window:40 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:100 ~answer_window:6
+        ~instruct_window:40 ())
   in
-  let _ = Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (w1, 3) ] in
+  let _ = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (w1, 3) ]) in
   Network.mine_until sys.Protocol.net
     ~height:(task.Requester.params.Task_contract.answer_deadline + 1);
   (* late submission *)
-  let late = Protocol.enroll sys in
-  let wallet = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let late = Protocol.get_ok (Protocol.enroll_r sys) in
+  let wallet = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   let storage = Protocol.task_storage sys task.Requester.contract in
-  let tx =
-    Worker.submit_tx ~random_bytes:(rb sys) ~cpla:sys.Protocol.cpla ~storage
-      ~contract:task.Requester.contract ~wallet ~key:late.Protocol.key
-      ~cert_index:late.Protocol.cert_index
-      ~ra_path:(Zebra_anonauth.Ra.path sys.Protocol.ra late.Protocol.cert_index)
-      ~answer:3 ~nonce:0
-  in
+  let tx = Protocol.answer_tx sys ~storage ~task:task.Requester.contract ~wallet late ~answer:3 in
   Network.submit sys.Protocol.net tx;
   ignore (Network.mine sys.Protocol.net);
   (match Network.receipt sys.Protocol.net (Tx.hash tx) with
   | Some { State.status = State.Failed "answer deadline passed"; _ } -> ()
   | _ -> Alcotest.fail "late submission accepted");
   (* instruct over the partial set *)
-  let rewards = Protocol.reward sys task in
+  let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
   Alcotest.(check (array int)) "partial" [| 50; 0 |] rewards;
   (* second instruct after finish *)
   let payload =
@@ -173,21 +171,22 @@ let test_full_lifecycle_rewards_and_deadlines () =
   (* finalize after finish *)
   Network.mine_until sys.Protocol.net
     ~height:(task.Requester.params.Task_contract.instruct_deadline + 1);
-  let w = Protocol.fresh_funded_wallet sys ~amount:10 in
+  let w = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:10) in
   expect_failure ~msg:"task finished"
     (call sys ~wallet:w task.Requester.contract
        (Task_contract.message_to_bytes Task_contract.Finalize))
 
 let test_rewards_exceeding_budget_rejected () =
   let sys, _, _ = Lazy.force shared in
-  let requester = Protocol.enroll sys in
-  let w1 = Protocol.enroll sys and w2 = Protocol.enroll sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
   let task =
-    Protocol.publish_task sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
-      ~budget:100 ()
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:100 ())
   in
   let _ =
-    Protocol.submit_answers sys ~task:task.Requester.contract ~workers:[ (w1, 1); (w2, 1) ]
+    Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+        ~workers:[ (w1, 1); (w2, 1) ])
   in
   let payload =
     Task_contract.message_to_bytes
