@@ -800,11 +800,13 @@ let snark () =
 
 (* X12: the zero-allocation kernel work.  ns/op and allocated-bytes/op
    for the pure vs destructive field kernels, the sliding-window
-   exponentiation, an FFT size sweep over the array vs flat-vector
-   paths, and whole-prove allocation per constraint.  Self-asserting:
-   every in-place kernel must cut allocation per op by at least
-   [field_alloc_floor]x against its pure counterpart or the bench exits
-   non-zero (this is what the check.sh field gate runs). *)
+   exponentiation, the numeric substrate under wallet keygen and
+   signature checks, an FFT size sweep over the flat-vector path, and
+   whole-prove allocation per constraint.  Self-asserting (this is what
+   the check.sh field gate runs): the bench exits non-zero unless every
+   in-place kernel cuts allocation per op by at least [field_alloc_floor]x
+   against its pure counterpart, and unless [mont_pow] allocates the same
+   bytes per call for a 64-bit as for a full-width exponent. *)
 
 let field_alloc_floor = 10.
 
@@ -856,6 +858,40 @@ let field () =
   let pow_ns = bechamel_ns "pow-254bit" (fun () -> ignore (Fp.pow a e)) in
   let pow_b = bytes_per_op ~iters:2_000 (fun () -> ignore (Fp.pow a e)) in
   Printf.printf "pow (254-bit exponent, 4-bit window): %.0f ns, %.0f B/op\n%!" pow_ns pow_b;
+  let e64 = Nat.of_hex "c3a5c85c97cb3127" in
+  let pow64_b = bytes_per_op ~iters:2_000 (fun () -> ignore (Fp.pow a e64)) in
+  Printf.printf "pow (64-bit exponent): %.0f B/op\n%!" pow64_b;
+  (* The numeric substrate under one-task wallet keygen and every
+     transaction's signature check, on fixed seeds. *)
+  let module Rsa = Zebra_rsa.Rsa in
+  let module Chacha20 = Zebra_rng.Chacha20 in
+  let keygen () =
+    Rsa.generate ~bits:512 ~random_bytes:(Source.fn (Source.of_seed "bench-field/keygen"))
+  in
+  let key = keygen () in
+  let stream = Chacha20.create ~seed:"bench-field/chacha20" in
+  let block = Chacha20.bytes stream 64 in
+  let msg = Bytes.of_string "bench field" in
+  let signature = Zebra_rsa.Pkcs1.sign key msg in
+  let substrate_rows =
+    List.map
+      (fun (name, iters, fn) ->
+        let ns =
+          if iters > 1 then bechamel_ns name fn else 1e9 *. snd (wall fn)
+        in
+        let b = bytes_per_op ~iters fn in
+        Printf.printf "%-28s %12.0f ns %12.0f B/op\n%!" name ns b;
+        (name, ns, b))
+      [
+        ("Chacha20.bytes 64 B", 20_000, fun () -> ignore (Chacha20.bytes stream 64));
+        ("Nat.of_bytes_be 64 B", 20_000, fun () -> ignore (Nat.of_bytes_be block));
+        ("Modular.create 512-bit", 2_000, fun () -> ignore (Modular.create key.Rsa.pub.Rsa.n));
+        ( "Pkcs1.verify 512-bit",
+          500,
+          fun () -> assert (Zebra_rsa.Pkcs1.verify key.Rsa.pub ~msg ~signature) );
+        ("Rsa.generate 512-bit", 1, fun () -> ignore (keygen ()));
+      ]
+  in
   (* FFT: in place on a flat Vec. *)
   let fft_rows =
     List.map
@@ -901,6 +937,12 @@ let field () =
   end;
   Printf.printf "allocation reduction floor: worst kernel %.0fx >= %.0fx required\n%!" worst
     field_alloc_floor;
+  if pow64_b <> pow_b then begin
+    Printf.eprintf "FATAL: mont_pow allocates %.0f B/op at 64 exponent bits but %.0f at 254\n%!"
+      pow64_b pow_b;
+    exit 1
+  end;
+  Printf.printf "mont_pow allocation is independent of the exponent width\n%!";
   let json =
     Json.to_string
       (Json.Obj
@@ -923,6 +965,14 @@ let field () =
                   rows) );
            ( "pow_254bit",
              Json.Obj [ ("ns", Json.Num pow_ns); ("bytes_per_op", Json.Num pow_b) ] );
+           ("pow_64bit", Json.Obj [ ("bytes_per_op", Json.Num pow64_b) ]);
+           ( "substrate",
+             Json.List
+               (List.map
+                  (fun (name, ns, b) ->
+                    Json.Obj
+                      [ ("op", Json.Str name); ("ns", Json.Num ns); ("bytes_per_op", Json.Num b) ])
+                  substrate_rows) );
            ( "fft",
              Json.List
                (List.map

@@ -329,59 +329,76 @@ let to_mont ctx x =
 
 let of_mont ctx a = Nat.of_limbs (mont_mul ctx a (fixed_width ctx.n [| 1 |]))
 
-(* 4-bit sliding-window exponentiation.  An 8-entry table of odd powers
-   b^1, b^3, ..., b^15 turns runs of exponent bits into one table
-   multiplication each, cutting the expected multiplication count from
-   ~nb/2 (square-and-multiply) to ~nb/5 for the same square count.
-   Field arithmetic is exact and the representation canonical, so the
-   result limbs are identical to the binary method's. *)
+(* 4-bit sliding-window exponentiation.  A table of odd powers b^1, b^3,
+   ..., b^15 turns runs of exponent bits into one table multiplication
+   each, cutting the expected multiplication count from ~nb/2
+   (square-and-multiply) to ~nb/5 for the same square count; exponents of
+   at most 4 bits use window width 1, which is square-and-multiply.  The
+   table is one flat array of n-limb regions (odd powers in regions 0-7,
+   b^2 in region 8), filled only as far as the windows met so far need,
+   so a sparse exponent such as 65537 builds none of it.  The accumulator
+   ping-pongs between two buffers through [mul_off], so a call allocates
+   the same three arrays whatever the exponent.  Field arithmetic is exact
+   and the representation canonical, so the result limbs are identical to
+   the binary method's. *)
 let mont_pow ctx b e =
+  let n = ctx.n in
   let nb = Nat.num_bits e in
   if nb = 0 then mont_one ctx
-  else if nb <= 4 then begin
-    let acc = ref (Array.copy b) in
-    for i = nb - 2 downto 0 do
-      acc := mont_sqr ctx !acc;
-      if Nat.testbit e i then acc := mont_mul ctx !acc b
-    done;
-    !acc
-  end
   else begin
-    let b2 = mont_sqr ctx b in
-    let tbl = Array.make 8 b in
-    for k = 1 to 7 do
-      tbl.(k) <- mont_mul ctx tbl.(k - 1) b2
-    done;
-    let acc = ref None in
+    let w = if nb > 4 then 4 else 1 in
+    let tbl = Array.make (if w > 1 then 9 * n else n) 0 in
+    Array.blit b 0 tbl 0 n;
+    let built = ref 1 in
+    let acc = ref (Array.make n 0) and spare = ref (Array.make n 0) in
+    let started = ref false in
     let i = ref (nb - 1) in
     while !i >= 0 do
       if not (Nat.testbit e !i) then begin
-        (match !acc with Some a -> acc := Some (mont_sqr ctx a) | None -> ());
+        if !started then begin
+          mul_off ctx !spare 0 !acc 0 !acc 0;
+          let t = !acc in
+          acc := !spare;
+          spare := t
+        end;
         decr i
       end
       else begin
-        (* widest window [j, i] of <= 4 bits whose low bit is set *)
-        let j = ref (max 0 (!i - 3)) in
+        (* widest window [j, i] of <= w bits whose low bit is set *)
+        let j = ref (max 0 (!i - w + 1)) in
         while not (Nat.testbit e !j) do
           incr j
         done;
-        let w = ref 0 in
+        let v = ref 0 in
         for k = !i downto !j do
-          w := (!w lsl 1) lor (if Nat.testbit e k then 1 else 0)
+          v := (!v lsl 1) lor if Nat.testbit e k then 1 else 0
         done;
-        let entry = tbl.((!w - 1) / 2) in
-        (match !acc with
-        | None -> acc := Some (Array.copy entry)
-        | Some a ->
-            let a = ref a in
-            for _ = 1 to !i - !j + 1 do
-              a := mont_sqr ctx !a
-            done;
-            acc := Some (mont_mul ctx !a entry));
+        let k = (!v - 1) / 2 in
+        if k >= !built && !built = 1 then mul_off ctx tbl (8 * n) b 0 b 0;
+        while k >= !built do
+          mul_off ctx tbl (!built * n) tbl ((!built - 1) * n) tbl (8 * n);
+          incr built
+        done;
+        if !started then begin
+          for _ = !j to !i do
+            mul_off ctx !spare 0 !acc 0 !acc 0;
+            let t = !acc in
+            acc := !spare;
+            spare := t
+          done;
+          mul_off ctx !spare 0 !acc 0 tbl (k * n);
+          let t = !acc in
+          acc := !spare;
+          spare := t
+        end
+        else begin
+          Array.blit tbl (k * n) !acc 0 n;
+          started := true
+        end;
         i := !j - 1
       end
     done;
-    match !acc with Some a -> a | None -> assert false
+    !acc
   end
 
 (* Binary inverse for odd modulus (HAC 14.61 specialisation). *)

@@ -41,7 +41,9 @@ val mont_sqr : ctx -> mont -> mont
     Uses a 4-bit sliding window over an 8-entry odd-power table for
     exponents wider than 4 bits (~nb/5 multiplications instead of the
     binary method's ~nb/2); result limbs are identical to
-    square-and-multiply because field arithmetic is exact. *)
+    square-and-multiply because field arithmetic is exact.  A call
+    allocates one flat table and two accumulator buffers, the same bytes
+    for every exponent wider than 4 bits. *)
 val mont_pow : ctx -> mont -> Nat.t -> mont
 
 (** {1 In-place kernels}

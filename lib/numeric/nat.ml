@@ -265,8 +265,91 @@ let shift_right a k =
     end
   end
 
-(* Shift-and-subtract long division.  O(bits(a) * limbs(a)); adequate for the
-   few full-width divisions we perform (Montgomery setup, conversions). *)
+let rem_small a d =
+  if d <= 0 || d >= base then invalid_arg "Nat.rem_small";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor a.(i)) mod d
+  done;
+  !r
+
+(* Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) in base 2^31.  After
+   normalisation the divisor's top limb is at least 2^30, so each trial
+   quotient [qhat] is at most 2 too large and every intermediate product
+   fits in a 63-bit native int: a two-limb numerator is below 2^62, and so
+   is [qhat * v.(lb - 2)], which is only formed once [qhat < base]. *)
+let divmod_knuth a b =
+  let la = Array.length a and lb = Array.length b in
+  let s =
+    let rec lead k top = if top land (base lsr 1) <> 0 then k else lead (k + 1) (top lsl 1) in
+    lead 0 b.(lb - 1)
+  in
+  (* u <- a * 2^s with one extra top limb; v <- b * 2^s. *)
+  let u = Array.make (la + 1) 0 and v = Array.make lb 0 in
+  let carry = ref 0 in
+  for i = 0 to la - 1 do
+    let x = (a.(i) lsl s) lor !carry in
+    u.(i) <- x land mask;
+    carry := x lsr limb_bits
+  done;
+  u.(la) <- !carry;
+  carry := 0;
+  for i = 0 to lb - 1 do
+    let x = (b.(i) lsl s) lor !carry in
+    v.(i) <- x land mask;
+    carry := x lsr limb_bits
+  done;
+  let vtop = v.(lb - 1) and vnext = v.(lb - 2) in
+  let q = Array.make (la - lb + 1) 0 in
+  for j = la - lb downto 0 do
+    let num = (u.(j + lb) lsl limb_bits) lor u.(j + lb - 1) in
+    let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+    while
+      !rhat < base
+      && (!qhat >= base || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + lb - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* u[j .. j+lb] -= qhat * v *)
+    let mul_carry = ref 0 and borrow = ref 0 in
+    for i = 0 to lb - 1 do
+      let p = (!qhat * v.(i)) + !mul_carry in
+      mul_carry := p lsr limb_bits;
+      let d = u.(i + j) - (p land mask) - !borrow in
+      if d < 0 then begin
+        u.(i + j) <- d + base;
+        borrow := 1
+      end
+      else begin
+        u.(i + j) <- d;
+        borrow := 0
+      end
+    done;
+    let top = u.(j + lb) - !mul_carry - !borrow in
+    if top >= 0 then u.(j + lb) <- top
+    else begin
+      (* qhat was one too large: add v back; the carry out of the top
+         limb cancels the borrow. *)
+      decr qhat;
+      let c = ref 0 in
+      for i = 0 to lb - 1 do
+        let x = u.(i + j) + v.(i) + !c in
+        u.(i + j) <- x land mask;
+        c := x lsr limb_bits
+      done;
+      u.(j + lb) <- (top + base + !c) land mask
+    end;
+    q.(j) <- !qhat
+  done;
+  (* remainder = u[0 .. lb-1] / 2^s *)
+  let r = Array.make lb 0 in
+  for i = 0 to lb - 1 do
+    let hi = if i + 1 < lb then (u.(i + 1) lsl (limb_bits - s)) land mask else 0 in
+    r.(i) <- (u.(i) lsr s) lor hi
+  done;
+  (trim q, trim r)
+
 let divmod a b =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
@@ -274,20 +357,7 @@ let divmod a b =
     let q, r = divmod_small a b.(0) in
     (q, of_int r)
   end
-  else begin
-    let shift = num_bits a - num_bits b in
-    let q = Array.make (shift / limb_bits + 1) 0 in
-    let r = ref a in
-    let d = ref (shift_left b shift) in
-    for i = shift downto 0 do
-      if compare !r !d >= 0 then begin
-        r := sub !r !d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end;
-      d := shift_right !d 1
-    done;
-    (trim q, !r)
-  end
+  else divmod_knuth a b
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
@@ -305,13 +375,24 @@ let pow b e =
   in
   go one b e
 
+(* One pass from the least significant byte, packing bytes into 31-bit
+   limbs through a bit accumulator. *)
 let of_bytes_be s =
   let n = Bytes.length s in
-  let r = ref zero in
-  for i = 0 to n - 1 do
-    r := add_small (shift_left !r 8) (Char.code (Bytes.get s i))
+  let r = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nacc = ref 0 and k = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (Char.code (Bytes.get s i) lsl !nacc);
+    nacc := !nacc + 8;
+    if !nacc >= limb_bits then begin
+      r.(!k) <- !acc land mask;
+      acc := !acc lsr limb_bits;
+      nacc := !nacc - limb_bits;
+      incr k
+    end
   done;
-  !r
+  if !nacc > 0 then r.(!k) <- !acc;
+  trim r
 
 let to_bytes_be ?len n =
   let nbytes = (num_bits n + 7) / 8 in

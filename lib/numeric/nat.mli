@@ -53,7 +53,8 @@ val sub : t -> t -> t
 (** Schoolbook below ~1000 bits, Karatsuba above. *)
 val mul : t -> t -> t
 
-(** [divmod a b] is [(a / b, a mod b)].  @raise Division_by_zero. *)
+(** [divmod a b] is [(a / b, a mod b)] by Knuth's Algorithm D.
+    @raise Division_by_zero. *)
 val divmod : t -> t -> t * t
 
 val div : t -> t -> t
@@ -66,6 +67,10 @@ val mul_small : t -> int -> t
 
 (** [divmod_small a d] for [0 < d < 2^31]. *)
 val divmod_small : t -> int -> t * int
+
+(** [rem_small a d] is [snd (divmod_small a d)] without building the
+    quotient. *)
+val rem_small : t -> int -> int
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t

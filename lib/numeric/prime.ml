@@ -92,7 +92,7 @@ let is_prime ?(rounds = 32) ~random_bytes n =
     else begin
       let divisible =
         Array.exists
-          (fun p -> p > 2 && snd (Nat.divmod_small n p) = 0)
+          (fun p -> p > 2 && Nat.rem_small n p = 0)
           small_primes
       in
       (not divisible) && miller_rabin ~rounds ~random_bytes n

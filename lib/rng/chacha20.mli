@@ -5,9 +5,12 @@
 
 type t
 
-(** [create ~seed] builds a generator keyed by [SHA-like expansion] of the
-    seed string (the seed is truncated/zero-padded to the 32-byte key; the
-    nonce is fixed).  Distinct seeds give independent streams. *)
+(** [create ~seed] builds a generator keyed by xor-folding the seed into
+    an all-zero 32-byte key: seed byte [i] is XORed, together with
+    [i land 0xff], into key byte [i mod 32], so a seed longer than 32
+    bytes wraps around rather than being truncated.  The nonce is all
+    zero and the block counter starts at 0.  The seed is a label, not
+    secret material; distinct seeds give distinct streams. *)
 val create : seed:string -> t
 
 (** [bytes t n] returns the next [n] bytes of the keystream. *)

@@ -4,5 +4,7 @@
 val sign : Rsa.private_key -> bytes -> bytes
 
 (** [verify pub ~msg ~signature] — false on any malformed input (never
-    raises). *)
+    raises).  Keys are checked before any arithmetic: false for a modulus
+    under 62 bytes (too short for the SHA-256 encoding) or over 4096 bits,
+    and for an exponent that is even, below 3 or at least 2^32. *)
 val verify : Rsa.public_key -> msg:bytes -> signature:bytes -> bool

@@ -485,6 +485,40 @@ let test_submit_r_typed_rejection () =
     | Error Network.Invalid_signature -> ()
     | Ok () -> Alcotest.fail "tampered tx accepted")
 
+(* A peer controls every byte of a transaction, the sender key included.
+   Re-key a valid transaction to a 256-bit sender (too short for
+   EMSA-PKCS1-v1_5 with SHA-256) with a matching address and a
+   key-length signature below the modulus: admission must refuse it as a
+   bad signature, not raise.  The splice relies only on the sender
+   address and key leading the encoding and the signature ending it. *)
+let test_short_sender_key_rejected () =
+  let module Rsa = Zebra_rsa.Rsa in
+  let short =
+    Rsa.generate ~bits:256
+      ~random_bytes:(Zebra_rng.Chacha20.bytes (Zebra_rng.Chacha20.create ~seed:"short-key"))
+  in
+  let pk = short.Rsa.pub in
+  let tx =
+    Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:1
+      ~payload:Bytes.empty
+  in
+  let b = Tx.to_bytes tx in
+  let head = 4 + 20 + 4 + Bytes.length (Rsa.public_key_to_bytes tx.Tx.sender_pk) in
+  let tail = 4 + Bytes.length tx.Tx.signature in
+  let body = Bytes.sub b head (Bytes.length b - head - tail) in
+  let signature = Bytes.make (Rsa.key_bytes pk) '\000' in
+  Bytes.set signature (Bytes.length signature - 1) '\002';
+  let w = Codec.writer () in
+  Codec.bytes w (Address.to_bytes (Address.of_public_key pk));
+  Codec.bytes w (Rsa.public_key_to_bytes pk);
+  let wire = Bytes.concat Bytes.empty [ Codec.to_bytes w; body; Codec.encode Codec.bytes signature ] in
+  let forged = Tx.of_bytes wire in
+  Alcotest.(check bool) "decoded with the short key" true (Rsa.equal_public_key pk forged.Tx.sender_pk);
+  Alcotest.(check bool) "validate is false" false (Tx.validate forged);
+  match Network.submit_r (fresh_net ()) forged with
+  | Error Network.Invalid_signature -> ()
+  | Ok () -> Alcotest.fail "short-key tx admitted"
+
 let test_mine_ext_rejected_classification () =
   (* An invalidly-signed candidate smuggled in by the adversary shows up as
      [Rejected] in the typed outcomes, in candidate order, and never
@@ -743,6 +777,7 @@ let () =
           Alcotest.test_case "fee ordering keeps nonce lanes" `Quick
             test_fee_ordering_keeps_nonce_lanes;
           Alcotest.test_case "submit_r typed rejection" `Quick test_submit_r_typed_rejection;
+          Alcotest.test_case "short sender key rejected" `Quick test_short_sender_key_rejected;
           Alcotest.test_case "mine_ext rejected classification" `Quick
             test_mine_ext_rejected_classification;
           Alcotest.test_case "conflict retry classification" `Quick

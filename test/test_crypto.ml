@@ -49,6 +49,32 @@ let test_pubkey_serialization () =
   let pk' = Rsa.public_key_of_bytes (Rsa.public_key_to_bytes k.Rsa.pub) in
   Alcotest.(check bool) "roundtrip" true (Rsa.equal_public_key k.Rsa.pub pk')
 
+(* Byte-identity KATs for key generation.  Each seed's stream generates
+   once, then yields 32 more bytes into the digest, so a change in how
+   many bytes generation consumes fails too, not only a changed key. *)
+let keygen_digest seeds gen =
+  let h = Sha256.init () in
+  List.iter
+    (fun seed ->
+      let random_bytes = Zebra_rng.Chacha20.bytes (Zebra_rng.Chacha20.create ~seed) in
+      List.iter (fun x -> Sha256.update h (Nat.to_bytes_be x)) (gen random_bytes);
+      Sha256.update h (random_bytes 32))
+    seeds;
+  Sha256.to_hex (Sha256.finalize h)
+
+let test_prime_generate_kat () =
+  Alcotest.(check string) "Prime.generate ~bits:256 digest"
+    "157fe4a6709d3c089c90ab229d6010c92d815680f6e8567eda4ef15be8497bb4"
+    (keygen_digest [ "kat-prime-1"; "kat-prime-2" ] (fun random_bytes ->
+         [ Prime.generate ~bits:256 ~random_bytes ]))
+
+let test_rsa_generate_kat () =
+  Alcotest.(check string) "Rsa.generate ~bits:512 (n, d) digest"
+    "e092ae6535c6689a7a5caa54f2294674fda707f82860d85e3ca9e79473920ee0"
+    (keygen_digest [ "kat-rsa-1"; "kat-rsa-2" ] (fun random_bytes ->
+         let k = Rsa.generate ~bits:512 ~random_bytes in
+         [ k.Rsa.pub.Rsa.n; k.Rsa.d ]))
+
 (* --- PKCS1 signatures --- *)
 
 let test_sign_verify () =
@@ -86,6 +112,29 @@ let test_sign_garbage () =
   Alcotest.(check bool) "all-ff sig" false
     (Pkcs1.verify k.Rsa.pub ~msg:(Bytes.of_string "x")
        ~signature:(Bytes.make (Rsa.key_bytes k.Rsa.pub) '\xff'))
+
+(* The verifier bounds the public exponent, which the sender picks: a
+   genuine signature under e >= 2^32 is refused without exponentiating. *)
+let test_verify_rejects_huge_exponent () =
+  let k = Lazy.force key in
+  let p1 = Nat.sub k.Rsa.p Nat.one and q1 = Nat.sub k.Rsa.q Nat.one in
+  let lambda = Nat.div (Nat.mul p1 q1) (Nat.gcd p1 q1) in
+  let rec pick e =
+    match Modular.inverse e lambda with
+    | d -> (e, d)
+    | exception Division_by_zero -> pick (Nat.add e Nat.two)
+  in
+  let e, d = pick (Nat.add (Nat.shift_left Nat.one 32) Nat.one) in
+  let priv =
+    { k with Rsa.pub = { k.Rsa.pub with Rsa.e }; d; dp = Nat.rem d p1; dq = Nat.rem d q1 }
+  in
+  let msg = Bytes.of_string "huge exponent" in
+  let signature = Pkcs1.sign priv msg in
+  let em = Nat.to_bytes_be ~len:64 (Rsa.raw_public priv.Rsa.pub (Nat.of_bytes_be signature)) in
+  Alcotest.(check bytes) "s^e opens to the EMSA header" (Bytes.of_string "\x00\x01\xff")
+    (Bytes.sub em 0 3);
+  Alcotest.(check bytes) "s^e opens to the message hash" (Sha256.digest msg) (Bytes.sub em 32 32);
+  Alcotest.(check bool) "e >= 2^32 rejected" false (Pkcs1.verify priv.Rsa.pub ~msg ~signature)
 
 (* --- OAEP --- *)
 
@@ -197,6 +246,8 @@ let () =
           Alcotest.test_case "raw roundtrip" `Quick test_raw_roundtrip;
           Alcotest.test_case "CRT matches direct" `Quick test_crt_matches_direct;
           Alcotest.test_case "pubkey serialisation" `Quick test_pubkey_serialization;
+          Alcotest.test_case "Prime.generate KAT" `Quick test_prime_generate_kat;
+          Alcotest.test_case "Rsa.generate KAT" `Quick test_rsa_generate_kat;
         ] );
       ( "pkcs1",
         [
@@ -205,6 +256,7 @@ let () =
           Alcotest.test_case "tampered signature" `Quick test_sign_tamper_sig;
           Alcotest.test_case "wrong key" `Quick test_sign_wrong_key;
           Alcotest.test_case "garbage signatures" `Quick test_sign_garbage;
+          Alcotest.test_case "exponent >= 2^32 rejected" `Quick test_verify_rejects_huge_exponent;
         ] );
       ( "oaep",
         [

@@ -86,6 +86,16 @@ let test_chacha20_copy () =
   Alcotest.(check bytes) "copied stream continues identically"
     (Zebra_rng.Chacha20.bytes t 50) (Zebra_rng.Chacha20.bytes t2 50)
 
+(* Byte-identity KAT: one stream read in chunks that start and end inside
+   blocks and cross block boundaries (1+31+64+65+200 = 361 bytes). *)
+let test_chacha20_stream_kat () =
+  let t = Zebra_rng.Chacha20.create ~seed:"kat-chacha20" in
+  let h = Sha256.init () in
+  List.iter (fun n -> Sha256.update h (Zebra_rng.Chacha20.bytes t n)) [ 1; 31; 64; 65; 200 ];
+  Alcotest.(check string) "chunked keystream digest"
+    "8fbffc15dd180148e57a8796451246b6f09e9769099c4f499ee08e6cb0a132de"
+    (Sha256.to_hex (Sha256.finalize h))
+
 (* --- Merkle --- *)
 
 let leaves_of n = List.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" i))
@@ -149,6 +159,7 @@ let () =
           Alcotest.test_case "RFC 8439 block" `Quick test_chacha20_block;
           Alcotest.test_case "determinism" `Quick test_chacha20_determinism;
           Alcotest.test_case "copy" `Quick test_chacha20_copy;
+          Alcotest.test_case "stream KAT (chunked reads)" `Quick test_chacha20_stream_kat;
         ] );
       ( "merkle",
         [

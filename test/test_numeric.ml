@@ -137,6 +137,99 @@ let prop_gcd =
         && Nat.is_zero (Nat.rem b g)
       end)
 
+(* --- Division (Knuth's Algorithm D) --- *)
+
+(* Bitwise restoring division: the reference [Nat.divmod] is checked
+   against.  Slow, but it shares no code with the limb-wise algorithm. *)
+let ref_divmod a b =
+  let q = ref Nat.zero and r = ref Nat.zero in
+  for i = Nat.num_bits a - 1 downto 0 do
+    r := Nat.shift_left !r 1;
+    if Nat.testbit a i then r := Nat.add !r Nat.one;
+    q := Nat.shift_left !q 1;
+    if Nat.compare !r b >= 0 then begin
+      r := Nat.sub !r b;
+      q := Nat.add !q Nat.one
+    end
+  done;
+  (!q, !r)
+
+let lm = (1 lsl 31) - 1 (* the largest limb *)
+let lh = 1 lsl 30 (* the smallest normalised top limb *)
+
+(* Random operands reach the trial-quotient correction and the add-back
+   step about twice in 2^31 quotient limbs.  Each case below reaches the
+   named steps (checked with a temporary counter when the cases were
+   written): a divisor whose top limb is 2^30 or 2^31-1, and a dividend
+   with runs of 2^31-1 limbs. *)
+let division_cases =
+  [
+    ("top 2^30, one correction", [| lm; lm; lm |], [| lh + 1; lh |]);
+    ("top 2^30, two corrections", [| lm; lm; lm |], [| lm - 1; lh |]);
+    ("top 2^30, qhat >= base", [| 0; 0; lh |], [| lm - 1; lh |]);
+    ("top 2^30, add-back", [| lm - 1; lm - 1; lh + 1; lm |], [| lm; lh + 1; lh |]);
+    ("top 2^30, correction and add-back", [| lm; lm; lh + 1; lm |], [| lm; lh + 1; lh |]);
+    ("top 2^31-1, two corrections", [| lm; 2; lm |], [| lm; lm |]);
+    ("top 2^31-1, add-back", [| 1; lh; lm; lh |], [| lh - 1; lm; lm |]);
+    ("top 2^31-1, corrections and add-back", [| 1; lh + 1; lm; lm |], [| lm - 1; lm; lm |]);
+  ]
+
+let test_division_edge_cases () =
+  List.iter
+    (fun (name, a, b) ->
+      let a = Nat.of_limbs a and b = Nat.of_limbs b in
+      let q, r = Nat.divmod a b in
+      let q', r' = ref_divmod a b in
+      Alcotest.check nat (name ^ ": quotient") q' q;
+      Alcotest.check nat (name ^ ": remainder") r' r)
+    division_cases
+
+(* Limbs drawn half the time from the values that drive Algorithm D's
+   rare steps, half the time uniformly. *)
+let gen_limbs max_len =
+  let open QCheck2.Gen in
+  let special = oneofl [ 0; 1; 2; lh - 1; lh; lh + 1; lm - 1; lm ] in
+  let limb = frequency [ (1, special); (1, int_bound lm) ] in
+  map (fun l -> Nat.of_limbs (Array.of_list l)) (list_size (int_range 0 max_len) limb)
+
+let prop_divmod_reference =
+  qtest "divmod matches bitwise reference (edge-biased limbs)" ~count:1000
+    (pair (gen_limbs 6))
+    (fun (a, b) ->
+      if Nat.is_zero b then true
+      else begin
+        let q, r = Nat.divmod a b and q', r' = ref_divmod a b in
+        Nat.equal q q' && Nat.equal r r'
+      end)
+
+let prop_rem_small =
+  qtest "rem_small = snd divmod_small"
+    (QCheck2.Gen.pair (gen_limbs 8)
+       QCheck2.Gen.(frequency [ (1, oneofl [ 1; 2; 3; 997; lh; lm ]); (1, int_range 1 lm) ]))
+    (fun (a, d) -> Nat.rem_small a d = snd (Nat.divmod_small a d))
+
+(* Every length from 0 to 70 bytes, with 0, 1 and 3 leading zero bytes,
+   against [to_bytes_be] and a byte-at-a-time reference decode. *)
+let test_of_bytes_be_lengths () =
+  let ref_of_bytes b =
+    Bytes.fold_left (fun acc c -> Nat.add (Nat.shift_left acc 8) (Nat.of_int (Char.code c))) Nat.zero b
+  in
+  let rng = Zebra_rng.Chacha20.create ~seed:"of_bytes_be" in
+  for len = 0 to 70 do
+    List.iter
+      (fun zeros ->
+        let b = Zebra_rng.Chacha20.bytes rng len in
+        Bytes.fill b 0 (min zeros len) '\000';
+        let x = Nat.of_bytes_be b in
+        let name = Printf.sprintf "len %d, %d leading zeros" len zeros in
+        Alcotest.check nat name (ref_of_bytes b) x;
+        Alcotest.(check bytes) (name ^ ": roundtrip") b (Nat.to_bytes_be ~len x);
+        Alcotest.(check bool) (name ^ ": canonical") true
+          (Nat.equal x (Nat.of_limbs (Nat.limbs x))
+          && Array.length (Nat.limbs x) = (Nat.num_bits x + 30) / 31))
+      [ 0; 1; 3 ]
+  done
+
 (* --- Modular --- *)
 
 let p256 =
@@ -305,6 +398,13 @@ let () =
           prop_karatsuba_matches_schoolbook;
           prop_add_sub; prop_divmod; prop_bytes_roundtrip; prop_decimal_roundtrip;
           prop_shift; prop_gcd;
+        ] );
+      ( "division",
+        [
+          Alcotest.test_case "Algorithm D rare steps" `Quick test_division_edge_cases;
+          prop_divmod_reference;
+          prop_rem_small;
+          Alcotest.test_case "of_bytes_be lengths 0-70" `Quick test_of_bytes_be_lengths;
         ] );
       ( "modular",
         [
