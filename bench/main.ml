@@ -548,7 +548,7 @@ let parallel () =
 
    Guards the PR-5 optimisation triple: sparse prover kernels + twiddle
    tables (>= 1.5x prove on the largest deployed reward circuit), the
-   content-addressed keypair cache (hit >= 100x cheaper than a setup miss),
+   named keypair memo (hit >= 100x cheaper than a setup miss),
    and RLC-batched audit verification (>= 2x over stateless per-proof
    verification at 8 submissions).  The baseline block is the pre-PR
    measurement this tree is compared against; the proof digest must not
@@ -575,7 +575,7 @@ let snark_prove_digest () =
 (* CPLA arm digests: one full attestation per hash composition at the
    smaller deployed depth, all randomness seed-derived, so the proof bytes
    are a deterministic function of the tree alone.  check.sh diffs the
-   poseidon digest across ZEBRA_DOMAINS x ZEBRA_KEYCACHE settings. *)
+   poseidon digest across ZEBRA_DOMAINS settings. *)
 let snark_cpla_depth = 8
 
 let snark_cpla_expected = function
@@ -632,7 +632,7 @@ let snark () =
     (snark_baseline_min /. prove_min)
     (String.sub !digest 0 16);
   (* Keypair cache: a named hit skips synthesis and setup entirely. *)
-  let cache = Snark.Keycache.create ~capacity:4 () in
+  let cache = Snark.Keycache.create () in
   let _ =
     Snark.Keycache.setup_named cache ~circuit_id:"bench/reward-n5" ~seed:snark_setup_seed
       snark_reward_circuit
@@ -1290,8 +1290,8 @@ let () =
   | "snark" -> snark ()
   | "snark-digest" -> (
     (* Fast path for the check.sh determinism gate: print only a proof
-       digest, so runs under different ZEBRA_DOMAINS / ZEBRA_KEYCACHE
-       settings can be diffed.  An optional argument picks the circuit:
+       digest, so runs under different ZEBRA_DOMAINS settings can be
+       diffed.  An optional argument picks the circuit:
        reward (default), cpla-poseidon, or cpla-mimc. *)
     match if Array.length Sys.argv > 2 then Sys.argv.(2) else "reward" with
     | "reward" -> print_endline (snark_prove_digest ())

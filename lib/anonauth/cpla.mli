@@ -56,12 +56,13 @@ val setup_rng :
   unit ->
   params
 
-(** [setup_cached cache ~seed ~depth ()] — {!setup_rng} through a keypair
-    cache, id [cpla/depth=<depth>/h=<composition>] (the composition is in
-    the id, so the two arms' keypairs can never be served for each other).
-    On a hit both circuit synthesis and the trusted setup are skipped;
-    setup randomness comes from [seed] alone, so hit and miss produce
-    byte-identical keys (see {!Zebra_snark.Snark.Keycache}).
+(** [setup_cached cache ~seed ~depth] — {!setup_rng} through a system's
+    keypair memo ({!Zebra_snark.Snark.Keycache}), id
+    [cpla/depth=<depth>/h=<composition>] (the composition is in the id, so
+    the two arms' keypairs can never be served for each other).  On a hit
+    both circuit synthesis and the trusted setup are skipped; setup
+    randomness comes from [seed] alone, so hit and miss produce
+    byte-identical keys.
     @raise Invalid_argument when [depth < 1]. *)
 val setup_cached :
   ?composition:Zebra_hashcomp.Hash_composition.t ->

@@ -47,7 +47,14 @@ val read_bytes : reader -> bytes
 val read_string : reader -> string
 val read_bool : reader -> bool
 val read_option : reader -> (reader -> 'a) -> 'a option
+
+(** [read_list r f] reads a u32 count, then that many elements with [f],
+    which must consume at least one byte each.
+    @raise Decode_error if the count exceeds the bytes left, before
+    allocating anything for the elements. *)
 val read_list : reader -> (reader -> 'a) -> 'a list
+
+(** As {!read_list}. *)
 val read_array : reader -> (reader -> 'a) -> 'a array
 
 (** [encode f x] / [decode f b] one-shot helpers; [decode] checks that the

@@ -59,7 +59,8 @@ val outcome_to_string : outcome -> string
     ~seed]), attaches the fault plan to its network and to a
     content-addressed store holding the task's data blob, and drives one
     round with [n] workers.  [retry] tunes the protocol's synchrony bound
-    (default {!Protocol.default_retry}).  If the plan says
+    (default {!Protocol.default_retry}); [create_system] rejects an invalid
+    one with [Invalid_argument] before the run starts.  If the plan says
     [withhold_worker], the last enrolled worker never submits; if
     [no_instruction], the requester never instructs and the round settles
     through Finalize; [collude=K] makes the last K answering workers

@@ -23,7 +23,7 @@ type system = {
   rng : Source.t;
   setup_seed : string;
   keycache : Zebra_snark.Snark.Keycache.t;
-  mutable retry : retry_policy;
+  retry : retry_policy;
 }
 
 type identity = { key : Cpla.user_key; cert_index : int }
@@ -59,11 +59,6 @@ let m_timeouts = Obs.Counter.make "protocol.retry.timeouts"
 let m_node_down = Obs.Counter.make "protocol.retry.node_down"
 
 let faucet_supply = 1_000_000_000
-
-let set_retry sys retry =
-  if retry.max_attempts < 1 then invalid_arg "Protocol.set_retry: max_attempts must be >= 1";
-  if retry.backoff_blocks < 0 then invalid_arg "Protocol.set_retry: backoff_blocks must be >= 0";
-  sys.retry <- retry
 
 (* Mines the pending block and returns the receipt of [tx]. *)
 let mine_for sys tx =
@@ -136,31 +131,24 @@ let submit_confirm_r sys ~phase tx =
   in
   attempt 1
 
-let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?(wallet_bits = 512) ?rng
-    ?(retry = default_retry) ?composition ~seed () =
+let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ?(retry = default_retry) ~seed () =
+  if retry.max_attempts < 1 then invalid_arg "Protocol.create_system: max_attempts must be >= 1";
+  if retry.backoff_blocks < 0 then
+    invalid_arg "Protocol.create_system: backoff_blocks must be >= 0";
   Task_contract.register ();
   Ra_contract.register ();
-  let composition =
-    match composition with
-    | Some c -> c
-    | None -> Zebra_hashcomp.Hash_composition.default
-  in
   let rng = match rng with Some s -> s | None -> Source.of_seed seed in
   let rb = Source.fn rng in
-  let faucet = Wallet.generate ~bits:wallet_bits ~random_bytes:rb () in
+  let faucet = Wallet.generate ~random_bytes:rb () in
   let net =
     Network.create ~num_nodes ~genesis:[ (Wallet.address faucet, faucet_supply) ] ()
   in
-  (* The system keycache serves the CPLA setup too: a process that boots
-     several systems at the same (composition, depth) — or republishes the
-     same reward shape — pays for one trusted setup.  Setup randomness
-     derives from [seed], not the shared [rng] stream, so hit and miss
-     yield the same keys. *)
+  (* The system memo serves the CPLA setup too.  Setup randomness derives
+     from [seed], not the shared [rng] stream, so hit and miss yield the
+     same keys. *)
   let keycache = Zebra_snark.Snark.Keycache.create () in
-  let cpla =
-    Cpla.setup_cached ~composition keycache ~seed:(seed ^ "/cpla-auth") ~depth:tree_depth
-  in
-  let ra = Ra.create ~hash:composition ~depth:tree_depth () in
+  let cpla = Cpla.setup_cached keycache ~seed:(seed ^ "/cpla-auth") ~depth:tree_depth in
+  let ra = Ra.create ~depth:tree_depth () in
   let deploy =
     Tx.make ~wallet:faucet ~nonce:0
       ~dst:
@@ -172,7 +160,7 @@ let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?(wallet_bits = 512) ?rng
       ~value:0 ~payload:Bytes.empty
   in
   Network.submit net deploy;
-  let ra_rsa = Zebra_rsa.Rsa.generate ~bits:wallet_bits ~random_bytes:rb in
+  let ra_rsa = Zebra_rsa.Rsa.generate ~bits:512 ~random_bytes:rb in
   let sys =
     {
       net;
@@ -255,9 +243,8 @@ let task_storage sys contract =
    pipelined [Load] scheduler and the [Chaos] eclipse path. --- *)
 
 (* Setup randomness derives from the system seed (not the shared
-   [sys.rng] stream), so the keys are the same whether or not the system
-   keycache retains anything: repeat publications of one (policy, n)
-   shape skip the trusted setup entirely. *)
+   [sys.rng] stream), so a memo hit returns the keys a fresh setup would:
+   repeat publications of one (policy, n) shape skip the trusted setup. *)
 let reward_circuit sys ~policy ~n =
   Reward_circuit.setup_cached ~composition:(Cpla.composition sys.cpla) sys.keycache
     ~seed:(sys.setup_seed ^ "/reward-circuit") ~policy ~n

@@ -56,9 +56,9 @@ type system = {
       (** the [~seed] passed to {!create_system} — trusted-setup randomness
           for cached circuits derives from it, never from [rng] *)
   keycache : Zebra_snark.Snark.Keycache.t;
-      (** keypair cache behind {!reward_circuit}; capacity from
-          [ZEBRA_KEYCACHE] *)
-  mutable retry : retry_policy;
+      (** the system's keypair memo: one trusted setup per circuit shape,
+          behind the CPLA setup and {!reward_circuit} *)
+  retry : retry_policy;
 }
 
 (** A registered participant: long-term CPLA identity plus certificate. *)
@@ -85,25 +85,21 @@ val error_to_string : error -> string
     @raise Failure ["Protocol: " ^ error_to_string e] on [Error e]. *)
 val get_ok : ('a, error) result -> 'a
 
-(** Replace the retry policy (default {!default_retry}).
-    @raise Invalid_argument if [max_attempts < 1] or [backoff_blocks < 0]. *)
-val set_retry : system -> retry_policy -> unit
-
 (** [create_system ~seed ()] boots a fresh chain (default 3 nodes), runs the
     CPLA trusted setup (default RA tree depth 6) through the system
-    keycache, deploys the RA interface contract, and funds a faucet.
-    [?rng] overrides the randomness source (default: a deterministic
-    ChaCha20 stream keyed by [seed]).  [?composition] selects the hash
-    composition of the whole system — CPLA circuit, RA tree, reward and
-    reputation keygen all follow it (default
-    {!Zebra_hashcomp.Hash_composition.default}, i.e. Poseidon). *)
+    keypair memo, deploys the RA interface contract, and funds a faucet.
+    Every circuit and the RA tree use
+    {!Zebra_hashcomp.Hash_composition.default} (Poseidon).  [?rng]
+    overrides the randomness source (default: a deterministic ChaCha20
+    stream keyed by [seed]).  [?retry] sets the phase drivers' retry
+    policy for the system's lifetime (default {!default_retry}).
+    @raise Invalid_argument if [retry.max_attempts < 1] or
+    [retry.backoff_blocks < 0], before any key generation. *)
 val create_system :
   ?num_nodes:int ->
   ?tree_depth:int ->
-  ?wallet_bits:int ->
   ?rng:Zebra_rng.Source.t ->
   ?retry:retry_policy ->
-  ?composition:Zebra_hashcomp.Hash_composition.t ->
   seed:string ->
   unit ->
   system
@@ -150,9 +146,10 @@ val task_storage : system -> Zebra_chain.Address.t -> Task_contract.storage
 
 (** {2 Task transactions} *)
 
-(** The reward circuit for [(policy, n)] through the system keycache, with
-    setup randomness derived from the system seed — hit or miss, the same
-    keys.  {!publish_tx} uses it when given no [?circuit]. *)
+(** The reward circuit for [(policy, n)] through the system keypair memo,
+    with setup randomness derived from [setup_seed ^ "/reward-circuit"] —
+    hit or miss, the same keys.  {!publish_tx} uses it when given no
+    [?circuit]. *)
 val reward_circuit : system -> policy:Policy.t -> n:int -> Reward_circuit.t
 
 (** [publish_tx sys ~requester ~wallet ...] builds the task deployment

@@ -39,10 +39,11 @@ val setup :
   unit ->
   params
 
-(** {!setup} through a keypair cache under the id
+(** {!setup} through a system's keypair memo
+    ({!Zebra_snark.Snark.Keycache}) under the id
     [reputation/link/h=<composition>] (one entry per arm); randomness
     derives from [seed] alone, so results are byte-identical to a fresh
-    seeded setup (see {!Zebra_snark.Snark.Keycache}). *)
+    seeded setup. *)
 val setup_cached :
   ?composition:Zebra_hashcomp.Hash_composition.t ->
   Zebra_snark.Snark.Keycache.t ->

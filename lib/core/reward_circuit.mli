@@ -45,13 +45,12 @@ val setup :
   unit ->
   t
 
-(** [setup_cached cache ~seed ~policy ~n] — {!setup} through a keypair
-    cache.  The cache key is derived from the policy encoding, [n], the
-    hash composition and [seed] (id shape
-    [reward/<policy-sha256>/n=<n>/h=<composition>]); on a hit, both
+(** [setup_cached cache ~seed ~policy ~n] — {!setup} through a system's
+    keypair memo ({!Zebra_snark.Snark.Keycache}), keyed by [seed] and the
+    id [reward/<policy-sha256>/n=<n>/h=<composition>]; on a hit, both
     circuit synthesis and the trusted setup are skipped.  Setup randomness
-    comes from [seed] alone, so hit and miss produce byte-identical keys
-    (see {!Zebra_snark.Snark.Keycache}).
+    comes from [seed] alone, so hit and miss produce byte-identical keys.
+    [Protocol.reward_circuit] calls it with the system's memo and seed.
     @raise Invalid_argument when [n <= 0]. *)
 val setup_cached :
   ?composition:Zebra_hashcomp.Hash_composition.t ->

@@ -13,14 +13,15 @@
     authentication path that dominates the CPLA circuit (3920 vs 11680 at
     depth 16 — see [BENCH_lint.json]).  {!Mimc} is kept as the ablation
     arm: every deployed circuit is registered, lint-gated and benchmarked
-    under {e both} compositions (see [Zebralancer.Deployed]), and key
-    caches scope their circuit ids by the composition so keypairs of one
-    arm can never be served to the other (see
-    [Zebra_snark.Snark.Keycache] users such as
-    [Zebra_anonauth.Cpla.setup_cached]).
+    under {e both} compositions (see [Zebralancer.Deployed]).  A running
+    [Protocol.system] always uses {!default}; the MiMC arm is reached
+    through the [?composition] arguments of the setup functions.  The
+    keypair memo ([Zebra_snark.Snark.Keycache], used by e.g.
+    [Zebra_anonauth.Cpla.setup_cached]) scopes circuit ids by the
+    composition, so keypairs of one arm can never be served to the other.
 
-    Registry and cache id convention: circuit names carry the composition
-    as a [-poseidon] / [-mimc] suffix ({!to_string}), cache ids as an
+    Registry and memo id convention: circuit names carry the composition
+    as a [-poseidon] / [-mimc] suffix ({!to_string}), memo ids as an
     [h=poseidon] / [h=mimc] segment. *)
 
 type t = Poseidon | Mimc

@@ -121,27 +121,6 @@ module Histogram = struct
   let min_value h = h.h_min
   let max_value h = h.h_max
   let buckets = hist_buckets
-
-  let percentile h q =
-    if h.h_count = 0 then nan
-    else begin
-      let q = if q < 0. then 0. else if q > 1. then 1. else q in
-      (* Rank in [1 .. count]; walk the cumulative bucket counts and
-         report the bucket's upper bound, clamped into the observed
-         [min, max] range so tails stay honest despite the log-2 bucket
-         granularity. *)
-      let rank = Float.to_int (Float.ceil (q *. Float.of_int h.h_count)) in
-      let rank = if rank < 1 then 1 else rank in
-      let rec walk i seen =
-        if i >= num_buckets then h.h_max
-        else begin
-          let seen = seen + h.h_buckets.(i) in
-          if seen >= rank then bucket_upper i else walk (i + 1) seen
-        end
-      in
-      let v = walk 0 0 in
-      if v < h.h_min then h.h_min else if v > h.h_max then h.h_max else v
-    end
 end
 
 (* --- spans --- *)

@@ -68,12 +68,6 @@ module Histogram : sig
 
   (** Non-empty buckets only, as [(upper_bound, count)], ascending. *)
   val buckets : t -> (float * int) list
-
-  (** [percentile h q] for [q] in [0, 1] (e.g. [0.5], [0.99]):
-      upper bound of the bucket holding the rank-[ceil (q * count)]
-      observation, clamped to the observed [min, max].  Resolution is the
-      power-of-two bucket width.  [nan] while empty. *)
-  val percentile : t -> float -> float
 end
 
 (** {1 Phase spans}

@@ -3,7 +3,6 @@ module Obs = Zebra_obs.Obs
 module Source = Zebra_rng.Source
 module Parallel = Zebra_parallel.Parallel
 module Sha256 = Zebra_hashing.Sha256
-module Store = Zebra_store.Store
 module Secret = Zebra_secret.Secret
 
 (* Field multiplications per chunk below which fanning out is a loss. *)
@@ -34,7 +33,7 @@ type sparse_vec = { sv_idx : int array; sv_val : Fp.t array }
 (* [coef_cls] classifies each coefficient (+1 / -1 / generic, see
    {!Fp.classify_coefs}) so the prover's row dot products can bucket
    the dominant +-1 terms into pure limb additions.  It is derived from
-   [coefs] — never serialised, recomputed on decode. *)
+   [coefs] at setup. *)
 type csr = { row_ptr : int array; col_idx : int array; coefs : Fp.t array; coef_cls : Bytes.t }
 
 type proving_key = {
@@ -77,8 +76,6 @@ type verifying_key = {
    for its canary bytes (the PR 5 leak regression lock). *)
 type trapdoor = { t_s : Fp.t Secret.t; t_vk : verifying_key }
 
-let box_t_s s = Secret.make ~label:"snark.trapdoor.t_s" s
-
 type proof = {
   pi_a : Fp.t;
   pi_a' : Fp.t;
@@ -93,15 +90,12 @@ type proof = {
 type keypair = { pk : proving_key; vk : verifying_key; trapdoor : trapdoor }
 
 (* Canary projection for the ZL2xx secret-flow lint: the boxed t_s as
-   canonical bytes.  If these 32 bytes ever show up in a persisted keypair
+   minimal big-endian bytes (leading zero bytes stripped, so a leak through
+   a minimal-length encoding matches too).  If they ever show up in a vk
    encoding, a store entry, an obs export or a log line, the trapdoor
    leaked (exactly the PR 5 incident). *)
 let trapdoor_canary kp =
   Secret.use kp.trapdoor.t_s (fun s ->
-      (* Minimal big-endian: leading zero bytes stripped, so the zero
-         placeholder of a decoded keypair yields an empty (never-matching)
-         canary instead of a 32-zero-byte needle that would false-positive
-         against ordinary padding. *)
       let b = Fp.to_bytes_be s in
       let n = Bytes.length b in
       let i = ref 0 in
@@ -171,9 +165,7 @@ let scale_vec factor v =
 
 (* The secret point is the first field element drawn from the setup
    randomness that lies outside the domain (so the Lagrange evaluation is
-   well defined).  Kept as a standalone function because [Keycache]
-   re-derives it from the setup seed when a keypair comes back from the
-   store — the persisted encoding deliberately omits the trapdoor. *)
+   well defined). *)
 let sample_secret_point ~random_bytes domain =
   let rec go () =
     let s = Fp.random random_bytes in
@@ -297,7 +289,7 @@ let setup_rng ~rng cs =
       io_c = slice c_s;
     }
   in
-  { pk; vk; trapdoor = { t_s = box_t_s s; t_vk = vk } }
+  { pk; vk; trapdoor = { t_s = Secret.make ~label:"snark.trapdoor.t_s" s; t_vk = vk } }
 
 let prove_rng ~rng pk cs =
   if
@@ -635,114 +627,6 @@ let vk_of_bytes_cached b =
     Mutex.unlock vk_cache_mutex;
     vk
 
-(* --- keypair (de)serialisation, for the Store-backed keypair cache --- *)
-
-let write_ints w a = Codec.array w (fun w i -> Codec.u32 w i) a
-let read_ints r = Codec.read_array r Codec.read_u32
-
-let write_sparse w v =
-  write_ints w v.sv_idx;
-  Codec.array w write_fp v.sv_val
-
-let read_sparse r =
-  let sv_idx = read_ints r in
-  let sv_val = Codec.read_array r read_fp in
-  if Array.length sv_idx <> Array.length sv_val then
-    raise (Codec.Decode_error "keypair: sparse vector length mismatch");
-  { sv_idx; sv_val }
-
-let write_csr w m =
-  write_ints w m.row_ptr;
-  write_ints w m.col_idx;
-  Codec.array w write_fp m.coefs
-
-let read_csr r =
-  let row_ptr = read_ints r in
-  let col_idx = read_ints r in
-  let coefs = Codec.read_array r read_fp in
-  if Array.length col_idx <> Array.length coefs then
-    raise (Codec.Decode_error "keypair: csr length mismatch");
-  (* The bucket classification is derived data: recomputed here so the
-     keypair wire format is unchanged from previous releases. *)
-  { row_ptr; col_idx; coefs; coef_cls = Fp.classify_coefs coefs }
-
-let keypair_to_bytes kp =
-  Codec.encode
-    (fun w kp ->
-      let pk = kp.pk in
-      Codec.u32 w (Fft.size pk.p_domain);
-      Codec.u32 w pk.p_num_inputs;
-      Codec.u32 w pk.p_num_vars;
-      Codec.u32 w pk.p_num_constraints;
-      List.iter (write_sparse w)
-        [ pk.aux_a; pk.aux_b; pk.aux_c; pk.aux_a_alpha; pk.aux_b_alpha; pk.aux_c_alpha; pk.aux_k ];
-      List.iter (write_csr w) [ pk.mat_a; pk.mat_b; pk.mat_c ];
-      Codec.array w write_fp pk.powers;
-      List.iter (write_fp w) [ pk.z_s; pk.z_alpha_a; pk.z_alpha_b; pk.z_alpha_c; pk.z_beta ];
-      (* The trapdoor secret t_s is deliberately NOT serialized: these
-         bytes go to content-addressed stores (backups, shared caches) and
-         must never widen the trapdoor's exposure beyond process memory.
-         [Keycache] re-derives t_s from the setup seed on a store hit. *)
-      write_vk w kp.vk)
-    kp
-
-let keypair_of_bytes b =
-  Codec.decode
-    (fun r ->
-      let size = Codec.read_u32 r in
-      let p_num_inputs = Codec.read_u32 r in
-      let p_num_vars = Codec.read_u32 r in
-      let p_num_constraints = Codec.read_u32 r in
-      let p_domain = Fft.domain size in
-      if Fft.size p_domain <> size then raise (Codec.Decode_error "keypair: bad domain size");
-      let aux_a = read_sparse r in
-      let aux_b = read_sparse r in
-      let aux_c = read_sparse r in
-      let aux_a_alpha = read_sparse r in
-      let aux_b_alpha = read_sparse r in
-      let aux_c_alpha = read_sparse r in
-      let aux_k = read_sparse r in
-      let mat_a = read_csr r in
-      let mat_b = read_csr r in
-      let mat_c = read_csr r in
-      let powers = Codec.read_array r read_fp in
-      let z_s = read_fp r in
-      let z_alpha_a = read_fp r in
-      let z_alpha_b = read_fp r in
-      let z_alpha_c = read_fp r in
-      let z_beta = read_fp r in
-      let vk = read_vk r in
-      let pk =
-        {
-          p_domain;
-          p_num_inputs;
-          p_num_vars;
-          p_num_constraints;
-          aux_a;
-          aux_b;
-          aux_c;
-          aux_a_alpha;
-          aux_b_alpha;
-          aux_c_alpha;
-          aux_k;
-          mat_a;
-          mat_b;
-          mat_c;
-          powers;
-          z_s;
-          z_alpha_a;
-          z_alpha_b;
-          z_alpha_c;
-          z_beta;
-        }
-      in
-      (* The encoding carries no trapdoor secret; t_s is a placeholder
-         zero here.  [simulate] only needs the verification-key half, and
-         [Keycache] replaces the placeholder with the seed-derived value
-         when serving a store hit. *)
-      { pk; vk; trapdoor = { t_s = box_t_s Fp.zero; t_vk = vk } })
-    b
-
 let proof_size_bytes p = Bytes.length (proof_to_bytes p)
 let vk_size_bytes vk = Bytes.length (vk_to_bytes vk)
 
@@ -751,230 +635,36 @@ let equal_proof p q =
   && Fp.equal p.pi_b' q.pi_b' && Fp.equal p.pi_c q.pi_c && Fp.equal p.pi_c' q.pi_c'
   && Fp.equal p.pi_k q.pi_k && Fp.equal p.pi_h q.pi_h
 
-(* --- content-addressed keypair cache --- *)
+(* --- named keypair memo --- *)
 
 module Keycache = struct
-  type shape = { constraints : int; vars : int; inputs : int }
+  type shape = { constraints : int }
 
-  type stats = { hits : int; misses : int; store_hits : int }
-
-  type entry = { e_kp : keypair; e_shape : shape; mutable tick : int }
-
-  type t = {
-    capacity : int;
-    table : (string, entry) Hashtbl.t;
-    persisted : (string, Store.hash) Hashtbl.t;
-    store : Store.t option;
-    mutex : Mutex.t;
-    mutable clock : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable store_hits : int;
-  }
+  type t = { table : (string * string, keypair * shape) Hashtbl.t; mutex : Mutex.t }
 
   let m_hits = Obs.Counter.make "snark.cache.hits"
   let m_misses = Obs.Counter.make "snark.cache.misses"
-  let m_store_hits = Obs.Counter.make "snark.cache.store_hits"
 
-  (* ZEBRA_KEYCACHE: unset/"on" -> capacity 16; "off"/"0" -> disabled
-     (every setup is a miss and nothing is retained — results are still
-     byte-identical, a cached setup replays the same seeded randomness);
-     a positive integer -> that capacity. *)
-  let env_capacity () =
-    match Sys.getenv_opt "ZEBRA_KEYCACHE" with
-    | None | Some "" | Some "on" -> 16
-    | Some "off" | Some "0" -> 0
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 16)
+  let create () = { table = Hashtbl.create 8; mutex = Mutex.create () }
 
-  let create ?capacity ?store () =
-    let capacity = match capacity with Some c -> max 0 c | None -> env_capacity () in
-    {
-      capacity;
-      table = Hashtbl.create 16;
-      persisted = Hashtbl.create 16;
-      store;
-      mutex = Mutex.create ();
-      clock = 0;
-      hits = 0;
-      misses = 0;
-      store_hits = 0;
-    }
-
-  let enabled c = c.capacity > 0
-
-  let stats c =
+  (* The setup runs on randomness derived from [seed] alone, so a hit
+     returns exactly the keypair a fresh setup would have produced.  Two
+     racing misses both run the setup and store the same keypair. *)
+  let setup_named c ~circuit_id ~seed synth =
+    let key = (circuit_id, seed) in
     Mutex.lock c.mutex;
-    let s = { hits = c.hits; misses = c.misses; store_hits = c.store_hits } in
-    Mutex.unlock c.mutex;
-    s
-
-  let clear c =
-    Mutex.lock c.mutex;
-    Hashtbl.reset c.table;
-    Hashtbl.reset c.persisted;
-    c.hits <- 0;
-    c.misses <- 0;
-    c.store_hits <- 0;
-    Mutex.unlock c.mutex
-
-  let shape_of_kp kp =
-    {
-      constraints = kp.pk.p_num_constraints;
-      vars = kp.pk.p_num_vars;
-      inputs = kp.pk.p_num_inputs;
-    }
-
-  (* SHA-256 of the canonical constraint-system encoding plus the setup
-     seed: structure only (labels and witness values excluded), streamed
-     straight into the hash context. *)
-  let cs_key ~seed cs =
-    let ctx = Sha256.init () in
-    let buf = Bytes.create 4 in
-    let u32 n =
-      Bytes.set_uint8 buf 0 (n land 0xff);
-      Bytes.set_uint8 buf 1 ((n lsr 8) land 0xff);
-      Bytes.set_uint8 buf 2 ((n lsr 16) land 0xff);
-      Bytes.set_uint8 buf 3 ((n lsr 24) land 0xff);
-      Sha256.update ctx buf
-    in
-    Sha256.update_string ctx "zebra-cs-v1";
-    u32 (Cs.num_vars cs);
-    u32 (Cs.num_inputs cs);
-    u32 (Cs.num_constraints cs);
-    let lc l =
-      u32 (List.length l);
-      List.iter
-        (fun (coeff, var) ->
-          u32 (Cs.int_of_var var);
-          Sha256.update ctx (Fp.to_bytes_be coeff))
-        l
-    in
-    Cs.iter_constraints cs (fun ~index:_ ~label:_ a b c ->
-        lc a;
-        lc b;
-        lc c);
-    Sha256.update_string ctx "seed:";
-    Sha256.update_string ctx seed;
-    Sha256.to_hex (Sha256.finalize ctx)
-
-  let named_key ~circuit_id ~seed =
-    Sha256.hex_digest_string (Printf.sprintf "zebra-circuit-id-v1\x00%s\x00%s" circuit_id seed)
-
-  let evict_lru c =
-    if Hashtbl.length c.table > c.capacity then begin
-      let victim = ref None in
-      Hashtbl.iter
-        (fun k e ->
-          match !victim with
-          | Some (_, t) when t <= e.tick -> ()
-          | _ -> victim := Some (k, e.tick))
-        c.table;
-      match !victim with Some (k, _) -> Hashtbl.remove c.table k | None -> ()
-    end
-
-  let insert c key kp shape =
-    (match c.store with
-    | Some store ->
-      let hash = Store.put store (keypair_to_bytes kp) in
-      Mutex.lock c.mutex;
-      Hashtbl.replace c.persisted key hash;
-      Mutex.unlock c.mutex
-    | None -> ());
-    Mutex.lock c.mutex;
-    c.clock <- c.clock + 1;
-    Hashtbl.replace c.table key { e_kp = kp; e_shape = shape; tick = c.clock };
-    evict_lru c;
-    Mutex.unlock c.mutex
-
-  (* In-memory lookup + LRU touch.  The store fallback decodes, restores
-     the trapdoor secret from [seed] (the persisted encoding omits it —
-     see [keypair_to_bytes]) and re-inserts into the in-memory table so
-     the next lookup is a plain hit rather than another decode. *)
-  let lookup c ~seed key =
-    Mutex.lock c.mutex;
-    let found =
-      match Hashtbl.find_opt c.table key with
-      | Some e ->
-        c.clock <- c.clock + 1;
-        e.tick <- c.clock;
-        c.hits <- c.hits + 1;
-        Some (e.e_kp, e.e_shape)
-      | None -> None
-    in
-    let persisted = if found = None then Hashtbl.find_opt c.persisted key else None in
+    let found = Hashtbl.find_opt c.table key in
     Mutex.unlock c.mutex;
     match found with
-    | Some _ ->
+    | Some entry ->
       Obs.Counter.incr m_hits;
-      found
-    | None -> (
-      match (persisted, c.store) with
-      | Some hash, Some store -> (
-        match Store.get store hash with
-        | Some bytes -> (
-          match keypair_of_bytes bytes with
-          | kp ->
-            (* Setup draws s first from the seeded stream, so replaying
-               the stream head reproduces the trapdoor exactly. *)
-            let t_s =
-              box_t_s
-                (sample_secret_point
-                   ~random_bytes:(Source.fn (Source.of_seed seed))
-                   kp.pk.p_domain)
-            in
-            let kp = { kp with trapdoor = { kp.trapdoor with t_s } } in
-            let shape = shape_of_kp kp in
-            Mutex.lock c.mutex;
-            c.store_hits <- c.store_hits + 1;
-            c.clock <- c.clock + 1;
-            Hashtbl.replace c.table key { e_kp = kp; e_shape = shape; tick = c.clock };
-            evict_lru c;
-            Mutex.unlock c.mutex;
-            Obs.Counter.incr m_store_hits;
-            Some (kp, shape)
-          | exception _ -> None)
-        | None -> None)
-      | _ -> None)
-
-  let miss c =
-    Mutex.lock c.mutex;
-    c.misses <- c.misses + 1;
-    Mutex.unlock c.mutex;
-    Obs.Counter.incr m_misses
-
-  (* Both entry points run the trusted setup with randomness derived from
-     [seed] alone, so a hit and a miss produce byte-identical keypairs —
-     caching (or disabling it with ZEBRA_KEYCACHE=off) never changes any
-     proof byte. *)
-
-  let setup c ~seed cs =
-    if not (enabled c) then setup_rng ~rng:(Source.of_seed seed) cs
-    else begin
-      let key = cs_key ~seed cs in
-      match lookup c ~seed key with
-      | Some (kp, _) -> kp
-      | None ->
-        miss c;
-        let kp = setup_rng ~rng:(Source.of_seed seed) cs in
-        insert c key kp (shape_of_kp kp);
-        kp
-    end
-
-  let setup_named c ~circuit_id ~seed synth =
-    let run () =
-      let cs = synth () in
-      let kp = setup_rng ~rng:(Source.of_seed seed) cs in
-      (kp, shape_of_kp kp)
-    in
-    if not (enabled c) then run ()
-    else begin
-      let key = named_key ~circuit_id ~seed in
-      match lookup c ~seed key with
-      | Some (kp, shape) -> (kp, shape)
-      | None ->
-        miss c;
-        let kp, shape = run () in
-        insert c key kp shape;
-        (kp, shape)
-    end
+      entry
+    | None ->
+      Obs.Counter.incr m_misses;
+      let kp = setup_rng ~rng:(Source.of_seed seed) (synth ()) in
+      let entry = (kp, { constraints = kp.pk.p_num_constraints }) in
+      Mutex.lock c.mutex;
+      Hashtbl.replace c.table key entry;
+      Mutex.unlock c.mutex;
+      entry
 end

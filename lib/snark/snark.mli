@@ -43,10 +43,9 @@ type proof
 type keypair = { pk : proving_key; vk : verifying_key; trapdoor : trapdoor }
 
 (** Canary bytes of the boxed trapdoor secret [t_s] (minimal big-endian
-    field encoding), for the ZL2xx secret-flow lint: {!keypair_to_bytes}
-    and every other sink must never contain them.  A keypair decoded from
-    bytes carries a zero placeholder, whose canary is empty and never
-    matches. *)
+    field encoding), for the ZL2xx secret-flow lint: {!vk_to_bytes} and
+    every other persisted sink must never contain them.  No keypair
+    encoding exists; the trapdoor lives only in process memory. *)
 val trapdoor_canary : keypair -> bytes
 
 (** [setup_rng ~rng cs] runs the trusted setup for the {e structure} of
@@ -133,21 +132,6 @@ val vk_size_bytes : verifying_key -> int
 (** Field-wise equality of the 8 proof elements. *)
 val equal_proof : proof -> proof -> bool
 
-(** Canonical encoding of a keypair (proving and verification keys), used
-    by {!Keycache} for {!Zebra_store.Store} persistence.  The trusted-setup
-    trapdoor secret is {e deliberately excluded}: persisted bytes may land
-    in backups or shared stores, which must never widen the trapdoor's
-    exposure beyond process memory. *)
-val keypair_to_bytes : keypair -> bytes
-
-(** Inverse of {!keypair_to_bytes}.  The decoded keypair proves and
-    verifies identically to the original; its trapdoor carries a zero
-    placeholder for the setup secret (the encoding omits it — {!simulate_rng}
-    needs only the verification-key half, and {!Keycache} re-derives the
-    secret from the setup seed when serving a store hit).
-    @raise Zebra_codec.Codec.Decode_error on malformed input. *)
-val keypair_of_bytes : bytes -> keypair
-
 (** {1 Decoded-VK cache}
 
     Contracts hold verification keys as canonical bytes; decoding one costs
@@ -167,54 +151,34 @@ val vk_cache_stats : unit -> int * int
 (** Drop all memoised keys and zero the stats (tests). *)
 val vk_cache_clear : unit -> unit
 
-(** {1 Content-addressed keypair cache}
+(** {1 Named keypair memo}
 
-    Trusted setup dominates task publication, yet tasks overwhelmingly
-    reuse a handful of circuit shapes.  A [Keycache.t] memoises keypairs
-    under a SHA-256 content key — canonical constraint-system encoding
-    (structure only, no witness) plus the setup seed — with LRU eviction
-    and optional {!Zebra_store.Store} persistence for evicted entries.
+    A system needs one trusted setup per circuit shape: each task contract
+    carries its reward circuit's verifying key (Algorithm 1), and tasks
+    reuse a handful of (policy, n) shapes.  A [Keycache.t] memoises
+    keypairs under a caller-chosen circuit id plus the setup seed, so a
+    hit skips both circuit synthesis and setup.  One memo lives in each
+    [Protocol.system]; it holds one entry per distinct shape and is never
+    evicted.
 
-    Caching is invisible in every output byte: entry points derive all
-    setup randomness from the seed alone, so a cache hit returns exactly
-    the keypair a fresh setup would have produced.  The [ZEBRA_KEYCACHE]
-    environment variable sets the default capacity ([off]/[0] disables,
-    a positive integer sets it, unset means 16). *)
+    Caching is invisible in every output byte: the setup draws all its
+    randomness from the seed, so a hit returns exactly the keypair a fresh
+    setup would have produced.  Hits and misses count into the
+    [snark.cache.hits] / [snark.cache.misses] obs counters. *)
 module Keycache : sig
   type t
 
   (** Circuit dimensions, available even on a hit (no synthesis ran). *)
-  type shape = { constraints : int; vars : int; inputs : int }
+  type shape = { constraints : int }
 
-  type stats = { hits : int; misses : int; store_hits : int }
+  val create : unit -> t
 
-  (** [create ?capacity ?store ()].  [capacity] defaults to the
-      [ZEBRA_KEYCACHE] setting; [0] disables caching (setups still run,
-      byte-identically).  With [store], inserted keypairs are also
-      persisted content-addressed, surviving LRU eviction. *)
-  val create : ?capacity:int -> ?store:Zebra_store.Store.t -> unit -> t
-
-  (** Whether this cache retains anything (capacity > 0). *)
-  val enabled : t -> bool
-
-  (** [setup c ~seed cs] — content-addressed path: hashes the canonical
-      encoding of [cs] (plus [seed]) and returns the cached keypair or runs
-      [setup_rng ~rng:(Source.of_seed seed)].  Hashing walks every
-      constraint, so a hit still costs O(|cs|); prefer {!setup_named} when
-      a stable circuit identifier exists. *)
-  val setup : t -> seed:string -> Cs.t -> keypair
-
-  (** [setup_named c ~circuit_id ~seed synth] — named path: the key is
-      SHA-256 of [(circuit_id, seed)], so a hit skips {e both} synthesis
-      and setup ([synth] is only called on a miss).  The caller owns the
+  (** [setup_named c ~circuit_id ~seed synth] returns the memoised
+      keypair for [(circuit_id, seed)], or runs
+      [setup_rng ~rng:(Source.of_seed seed) (synth ())] and memoises it
+      ([synth] is only called on a miss).  The caller owns the
       [circuit_id] namespace: it must determine the circuit structure
-      (e.g. ["reward/" ^ policy-digest ^ "/n=" ^ n]).  Returns the keypair
-      with its shape. *)
+      (e.g. ["reward/" ^ policy-digest ^ "/n=" ^ n]). *)
   val setup_named :
     t -> circuit_id:string -> seed:string -> (unit -> Cs.t) -> keypair * shape
-
-  val stats : t -> stats
-
-  (** Drop every entry (memory and persistence index) and zero the stats. *)
-  val clear : t -> unit
 end

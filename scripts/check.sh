@@ -22,53 +22,42 @@ ZEBRA_DOMAINS=1 dune runtest --force
 echo "== tests, ZEBRA_DOMAINS=4 =="
 ZEBRA_DOMAINS=4 dune runtest --force
 
-# Snark cache gate: the keypair cache must be behaviour-invisible.  The
-# snark suite has to pass with the cache disabled and enabled, and the
-# canonical reward-circuit proof digest (bench snark-digest) must be one
-# and the same bytes across ZEBRA_KEYCACHE on/off and ZEBRA_DOMAINS 1/4 --
-# cache hits, cache misses and pool size may not change a single proof
-# byte (see DESIGN.md).
-echo "== snark cache gate (keycache off/on, digest x domains) =="
-TEST_SNARK="./_build/default/test/test_snark.exe"
-ZEBRA_KEYCACHE=off "$TEST_SNARK" >/dev/null
-ZEBRA_KEYCACHE=on "$TEST_SNARK" >/dev/null
-echo "test_snark passes with ZEBRA_KEYCACHE=off and =on"
+# Snark digest gate: the canonical reward-circuit proof digest (bench
+# snark-digest) must be one and the same bytes at ZEBRA_DOMAINS 1 and 4 --
+# pool size may not change a single proof byte (see DESIGN.md).
+echo "== snark digest gate (reward digest x domains) =="
 BENCH="./_build/default/bench/main.exe"
 dune build bench/main.exe
 digest_ref=""
 for domains in 1 4; do
-  for cache in off on; do
-    d="$(ZEBRA_DOMAINS=$domains ZEBRA_KEYCACHE=$cache "$BENCH" snark-digest)"
-    if [ -z "$digest_ref" ]; then
-      digest_ref="$d"
-    elif [ "$d" != "$digest_ref" ]; then
-      echo "snark gate FAILED: digest differs at ZEBRA_DOMAINS=$domains ZEBRA_KEYCACHE=$cache" >&2
-      echo "  expected $digest_ref" >&2
-      echo "  got      $d" >&2
-      exit 1
-    fi
-    echo "ZEBRA_DOMAINS=$domains ZEBRA_KEYCACHE=$cache: digest $d"
-  done
+  d="$(ZEBRA_DOMAINS=$domains "$BENCH" snark-digest)"
+  if [ -z "$digest_ref" ]; then
+    digest_ref="$d"
+  elif [ "$d" != "$digest_ref" ]; then
+    echo "snark gate FAILED: digest differs at ZEBRA_DOMAINS=$domains" >&2
+    echo "  expected $digest_ref" >&2
+    echo "  got      $d" >&2
+    exit 1
+  fi
+  echo "ZEBRA_DOMAINS=$domains: digest $d"
 done
 
 # Hash composition gate: the deployed default is Poseidon; its CPLA
 # attestation digest is pinned in bench/main.ml and must be the same
-# bytes across ZEBRA_DOMAINS x ZEBRA_KEYCACHE.  The MiMC ablation arm is
-# checked once -- it must still prove and must NOT produce the Poseidon
-# digest (the arms really are different circuits).
-echo "== hash composition gate (cpla poseidon digest x domains x keycache) =="
+# bytes at ZEBRA_DOMAINS 1 and 4.  The MiMC ablation arm is checked once
+# -- it must still prove and must NOT produce the Poseidon digest (the
+# arms really are different circuits).
+echo "== hash composition gate (cpla poseidon digest x domains) =="
 cpla_ref="5a4895c25784fefa60837b1c2732e9e40b23d01aefad767c78bea9d6ce3259c7"
 for domains in 1 4; do
-  for cache in off on; do
-    d="$(ZEBRA_DOMAINS=$domains ZEBRA_KEYCACHE=$cache "$BENCH" snark-digest cpla-poseidon)"
-    if [ "$d" != "$cpla_ref" ]; then
-      echo "composition gate FAILED: cpla-poseidon digest moved at ZEBRA_DOMAINS=$domains ZEBRA_KEYCACHE=$cache" >&2
-      echo "  expected $cpla_ref" >&2
-      echo "  got      $d" >&2
-      exit 1
-    fi
-    echo "ZEBRA_DOMAINS=$domains ZEBRA_KEYCACHE=$cache: cpla-poseidon digest $d"
-  done
+  d="$(ZEBRA_DOMAINS=$domains "$BENCH" snark-digest cpla-poseidon)"
+  if [ "$d" != "$cpla_ref" ]; then
+    echo "composition gate FAILED: cpla-poseidon digest moved at ZEBRA_DOMAINS=$domains" >&2
+    echo "  expected $cpla_ref" >&2
+    echo "  got      $d" >&2
+    exit 1
+  fi
+  echo "ZEBRA_DOMAINS=$domains: cpla-poseidon digest $d"
 done
 dm="$("$BENCH" snark-digest cpla-mimc)"
 if [ "$dm" = "$cpla_ref" ]; then
@@ -82,8 +71,8 @@ echo "cpla-mimc ablation arm proves, digest $dm"
 # the committed allocation-reduction floor against its pure counterpart
 # (bench/main.ml, field_alloc_floor).  Run under ZEBRA_DOMAINS=1 so
 # Gc.allocated_bytes attributes the whole prove to one domain.  The
-# digest x domains x keycache gates above already pin the kernels'
-# bit-identity; this one pins their allocation profile.
+# digest x domains gates above already pin the kernels' bit-identity;
+# this one pins their allocation profile.
 echo "== field kernel gate (in-place kernels stay allocation-free) =="
 ZEBRA_DOMAINS=1 "$BENCH" field
 

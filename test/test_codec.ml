@@ -55,6 +55,27 @@ let test_range_checks () =
   Alcotest.check_raises "u32 range" (Invalid_argument "Codec.u32") (fun () ->
       Codec.u32 w (-1))
 
+(* Eight bytes claiming 2^24 u32 elements: the count is checked against
+   the input left before anything is allocated for the elements. *)
+let test_count_prefix_bounded () =
+  let b = Bytes.of_string "\x01\x00\x00\x00\x00\x00\x00\x07" in
+  let decodes_to_error read =
+    match Codec.decode read b with
+    | _ -> false
+    | exception Codec.Decode_error _ -> true
+  in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let array_rejected = decodes_to_error (fun r -> Codec.read_array r Codec.read_u32) in
+  let list_rejected = decodes_to_error (fun r -> Codec.read_list r Codec.read_u32) in
+  Gc.minor ();
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "array count rejected" true array_rejected;
+  Alcotest.(check bool) "list count rejected" true list_rejected;
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f B, under 1 MiB" allocated)
+    true (allocated < 1048576.)
+
 (* --- fuzzing every decoder in the system --- *)
 
 (* A decoder survives a buffer if it returns or raises a *declared* failure
@@ -127,6 +148,7 @@ let () =
           Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_rejected;
           Alcotest.test_case "truncated" `Quick test_truncated_rejected;
           Alcotest.test_case "range checks" `Quick test_range_checks;
+          Alcotest.test_case "count prefix bounded" `Quick test_count_prefix_bounded;
         ] );
       ( "fuzz",
         [

@@ -548,6 +548,45 @@ let test_audit_report_batched () =
   Alcotest.(check int) "one batch per submission" 3 small.Protocol.batches;
   Alcotest.(check int) "same attestations checked" 3 small.Protocol.checked
 
+(* --- system setup --- *)
+
+(* An invalid retry policy is refused at the door, before any key
+   generation: a negative backoff would otherwise mine forever once a
+   broadcast is lost. *)
+let test_create_system_rejects_bad_retry () =
+  List.iter
+    (fun (what, retry) ->
+      match Protocol.create_system ~retry ~seed:"test_protocol-retry" () with
+      | _ -> Alcotest.failf "create_system accepted %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("max_attempts = 0", { Protocol.max_attempts = 0; backoff_blocks = 2 });
+      ("backoff_blocks = -1", { Protocol.max_attempts = 3; backoff_blocks = -1 });
+    ]
+
+(* One trusted setup per (policy, n): the second request is a memo hit,
+   and both return the keys of a fresh setup seeded from the system seed. *)
+let test_reward_circuit_memo () =
+  let module Obs = Zebra_obs.Obs in
+  let module Snark = Zebra_snark.Snark in
+  let sys = Lazy.force sys in
+  let policy = Policy.Majority { choices = 3 } and n = 2 in
+  let expected =
+    let rng = Zebra_rng.Source.of_seed (sys.Protocol.setup_seed ^ "/reward-circuit") in
+    Snark.vk_to_bytes (Snark.setup_rng ~rng (Reward_circuit.constraint_system ~policy ~n)).Snark.vk
+  in
+  let hits = Obs.Counter.make "snark.cache.hits" in
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  let first = Protocol.reward_circuit sys ~policy ~n in
+  let hits0 = Obs.Counter.value hits in
+  let second = Protocol.reward_circuit sys ~policy ~n in
+  let hits1 = Obs.Counter.value hits in
+  Obs.set_enabled was_enabled;
+  Alcotest.(check int) "second call is a hit" 1 (hits1 - hits0);
+  Alcotest.(check bool) "first call: fresh-setup vk" true (Reward_circuit.vk_bytes first = expected);
+  Alcotest.(check bool) "second call: fresh-setup vk" true (Reward_circuit.vk_bytes second = expected)
+
 let () =
   Alcotest.run "protocol"
     [
@@ -588,5 +627,10 @@ let () =
           Alcotest.test_case "forged plain certificate" `Quick test_plain_mode_forged_cert_rejected;
           Alcotest.test_case "batch audit of mined submissions" `Quick test_audit_task_report;
           Alcotest.test_case "audit report: RLC batches" `Quick test_audit_report_batched;
+        ] );
+      ( "system",
+        [
+          Alcotest.test_case "invalid retry rejected" `Quick test_create_system_rejects_bad_retry;
+          Alcotest.test_case "reward circuit memo" `Quick test_reward_circuit_memo;
         ] );
     ]

@@ -294,34 +294,38 @@ let test_vk_decode_cache () =
   Alcotest.(check int) "distinct bytes decode separately" 2 decodes;
   Snark.vk_cache_clear ()
 
-(* --- keypair cache + codec --- *)
+(* A vk whose io_a count claims 2^24 elements must fail as a typed decode
+   error, before allocating for the claimed elements: peers supply vk
+   bytes in task, RA and reputation contract payloads. *)
+let test_forged_vk_count () =
+  let { Snark.vk; _ } = keys_of (cubic_circuit (fresh_fp ())) in
+  let b = Snark.vk_to_bytes vk in
+  (* u32 input count, then five length-prefixed field elements *)
+  let off = 4 + (5 * (4 + Bytes.length (Fp.to_bytes_be Fp.one))) in
+  Alcotest.(check int) "io_a count located" (Snark.num_public_inputs vk + 1)
+    (Int32.to_int (Bytes.get_int32_be b off));
+  Bytes.set_int32_be b off (Int32.shift_left 1l 24);
+  let raised = ref false in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  (match Snark.vk_of_bytes b with
+  | _ -> ()
+  | exception Zebra_codec.Codec.Decode_error _ -> raised := true);
+  Gc.minor ();
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "Decode_error" true !raised;
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f B, under 1 MiB" allocated)
+    true (allocated < 1048576.)
+
+(* --- named keypair memo --- *)
 
 let prove_bytes pk cs =
   Snark.proof_to_bytes
     (Snark.prove_rng ~rng:(Zebra_rng.Source.of_seed "kc-prove") pk cs)
 
-let test_keycache_content_path () =
-  let cache = Snark.Keycache.create ~capacity:4 () in
-  let cs = cubic_circuit (fresh_fp ()) in
-  let kp1 = Snark.Keycache.setup cache ~seed:"kc-seed" cs in
-  let kp2 = Snark.Keycache.setup cache ~seed:"kc-seed" cs in
-  let stats = Snark.Keycache.stats cache in
-  Alcotest.(check int) "one miss" 1 stats.Snark.Keycache.misses;
-  Alcotest.(check int) "one hit" 1 stats.Snark.Keycache.hits;
-  (* The cached keypair is byte-identical to a fresh seeded setup — and so
-     are the proofs it produces. *)
-  let fresh = Snark.setup_rng ~rng:(Zebra_rng.Source.of_seed "kc-seed") cs in
-  Alcotest.(check bool) "hit equals fresh setup" true
-    (Snark.keypair_to_bytes kp2 = Snark.keypair_to_bytes fresh);
-  Alcotest.(check bool) "proofs byte-identical" true
-    (prove_bytes kp1.Snark.pk cs = prove_bytes fresh.Snark.pk cs);
-  (* A different seed is a different key. *)
-  let kp3 = Snark.Keycache.setup cache ~seed:"kc-other" cs in
-  Alcotest.(check bool) "seed is part of the key" false
-    (Snark.keypair_to_bytes kp1 = Snark.keypair_to_bytes kp3)
-
 let test_keycache_named_path () =
-  let cache = Snark.Keycache.create ~capacity:4 () in
+  let cache = Snark.Keycache.create () in
   let synth_calls = ref 0 in
   let cs0 = cubic_circuit (fresh_fp ()) in
   let synth () =
@@ -333,44 +337,19 @@ let test_keycache_named_path () =
   Alcotest.(check int) "synthesis only on miss" 1 !synth_calls;
   Alcotest.(check int) "shape reports constraints" (Cs.num_constraints cs0)
     shape.Snark.Keycache.constraints;
-  Alcotest.(check bool) "hit returns the same key" true
-    (Snark.keypair_to_bytes kp1 = Snark.keypair_to_bytes kp2);
-  (* Disabled cache: same bytes, nothing retained. *)
-  let off = Snark.Keycache.create ~capacity:0 () in
-  Alcotest.(check bool) "capacity 0 disables" false (Snark.Keycache.enabled off);
-  let kp3, _ = Snark.Keycache.setup_named off ~circuit_id:"test/cubic" ~seed:"s" synth in
-  Alcotest.(check bool) "disabled cache is byte-identical" true
-    (Snark.keypair_to_bytes kp1 = Snark.keypair_to_bytes kp3)
-
-let test_keycache_store_persistence () =
-  (* Capacity 1 with a store behind it: the evicted entry comes back from
-     the store (exercising the keypair codec round-trip on the way). *)
-  let store = Zebra_store.Store.create () in
-  let cache = Snark.Keycache.create ~capacity:1 ~store () in
-  let cs_a = cubic_circuit (fresh_fp ()) in
-  let cs_b = mixed_circuit (fresh_fp ()) in
-  let kp_a = Snark.Keycache.setup cache ~seed:"s" cs_a in
-  let _kp_b = Snark.Keycache.setup cache ~seed:"s" cs_b in
-  (* cs_a was evicted from memory; the store must serve it. *)
-  let kp_a' = Snark.Keycache.setup cache ~seed:"s" cs_a in
-  let stats = Snark.Keycache.stats cache in
-  Alcotest.(check int) "served from store" 1 stats.Snark.Keycache.store_hits;
-  Alcotest.(check bool) "store round-trip is exact" true
-    (Snark.keypair_to_bytes kp_a = Snark.keypair_to_bytes kp_a');
-  Alcotest.(check bool) "decoded key proves identically" true
-    (prove_bytes kp_a.Snark.pk cs_a = prove_bytes kp_a'.Snark.pk cs_a)
-
-let test_keypair_codec_roundtrip () =
-  let cs = mixed_circuit (fresh_fp ()) in
-  let kp = keys_of cs in
-  let kp' = Snark.keypair_of_bytes (Snark.keypair_to_bytes kp) in
-  Alcotest.(check bool) "re-encodes identically" true
-    (Snark.keypair_to_bytes kp = Snark.keypair_to_bytes kp');
-  Alcotest.(check bool) "decoded pk proves byte-identically" true
-    (prove_bytes kp.Snark.pk cs = prove_bytes kp'.Snark.pk cs);
-  let proof = Snark.prove_rng ~rng:(Zebra_rng.Source.of_seed "kc-prove") kp'.Snark.pk cs in
-  Alcotest.(check bool) "decoded vk verifies" true
-    (Snark.verify kp'.Snark.vk ~public_inputs:(Cs.public_inputs cs) proof)
+  Alcotest.(check bool) "hit returns the memoised keypair" true (kp1 == kp2);
+  (* The memoised keypair is the one a fresh seeded setup produces, and
+     so are the proofs it makes. *)
+  let fresh = Snark.setup_rng ~rng:(Zebra_rng.Source.of_seed "s") cs0 in
+  Alcotest.(check bool) "vk equals fresh setup" true
+    (Snark.vk_to_bytes kp1.Snark.vk = Snark.vk_to_bytes fresh.Snark.vk);
+  Alcotest.(check bool) "proofs byte-identical" true
+    (prove_bytes kp1.Snark.pk cs0 = prove_bytes fresh.Snark.pk cs0);
+  (* The seed is part of the key. *)
+  let kp3, _ = Snark.Keycache.setup_named cache ~circuit_id:"test/cubic" ~seed:"t" synth in
+  Alcotest.(check int) "new seed misses" 2 !synth_calls;
+  Alcotest.(check bool) "new seed, new keys" false
+    (Snark.vk_to_bytes kp1.Snark.vk = Snark.vk_to_bytes kp3.Snark.vk)
 
 let () =
   Alcotest.run "snark"
@@ -389,6 +368,7 @@ let () =
           Alcotest.test_case "shape mismatch" `Quick test_shape_mismatch;
           Alcotest.test_case "mixed circuit" `Quick test_mixed_circuit_end_to_end;
           Alcotest.test_case "wrong input count" `Quick test_wrong_input_count;
+          Alcotest.test_case "forged vk count" `Quick test_forged_vk_count;
         ] );
       ( "batch",
         [
@@ -401,9 +381,6 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "vk decode once" `Quick test_vk_decode_cache;
-          Alcotest.test_case "content path" `Quick test_keycache_content_path;
           Alcotest.test_case "named path" `Quick test_keycache_named_path;
-          Alcotest.test_case "store persistence" `Quick test_keycache_store_persistence;
-          Alcotest.test_case "keypair codec" `Quick test_keypair_codec_roundtrip;
         ] );
     ]
