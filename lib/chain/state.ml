@@ -4,6 +4,7 @@ module Obs = Zebra_obs.Obs
 
 let m_reverts = Obs.Counter.make "chain.state.reverts"
 let m_escapes = Obs.Counter.make "chain.state.escapes"
+let m_shards_hashed = Obs.Counter.make "chain.state.root.shards_hashed"
 
 type account = { balance : int; nonce : int }
 
@@ -16,9 +17,13 @@ type contract_info = { behavior : string; storage : bytes }
    OCaml int. *)
 let num_shards = 32
 
+(* [sub_root] caches the shard's digest for [root].  Only the domain that
+   owns a shard in a wave writes that shard, and [root] runs on the
+   caller after the wave barrier, so the cache needs no lock. *)
 type shard = {
   accounts : (string, account) Hashtbl.t; (* key: address hex *)
   contracts : (string, contract_info) Hashtbl.t;
+  mutable sub_root : bytes option; (* None: written since the last root *)
 }
 
 type t = { shards : shard array }
@@ -53,7 +58,7 @@ let create ~genesis =
     {
       shards =
         Array.init num_shards (fun _ ->
-            { accounts = Hashtbl.create 8; contracts = Hashtbl.create 4 });
+            { accounts = Hashtbl.create 8; contracts = Hashtbl.create 4; sub_root = None });
     }
   in
   List.iter
@@ -133,6 +138,7 @@ let t_set_account txn addr a =
   let key = Address.to_hex addr in
   let shard = txn_shard txn key in
   txn.undos <- U_account (key, Hashtbl.find_opt shard.accounts key) :: txn.undos;
+  shard.sub_root <- None;
   Hashtbl.replace shard.accounts key a
 
 let t_contract txn addr =
@@ -143,17 +149,20 @@ let t_set_contract txn addr c =
   let key = Address.to_hex addr in
   let shard = txn_shard txn key in
   txn.undos <- U_contract (key, Hashtbl.find_opt shard.contracts key) :: txn.undos;
+  shard.sub_root <- None;
   Hashtbl.replace shard.contracts key c
 
 let apply_undo t u =
   match u with
   | U_account (key, prev) -> (
     let shard = t.shards.(shard_of_key key) in
+    shard.sub_root <- None;
     match prev with
     | Some a -> Hashtbl.replace shard.accounts key a
     | None -> Hashtbl.remove shard.accounts key)
   | U_contract (key, prev) -> (
     let shard = t.shards.(shard_of_key key) in
+    shard.sub_root <- None;
     match prev with
     | Some c -> Hashtbl.replace shard.contracts key c
     | None -> Hashtbl.remove shard.contracts key)
@@ -329,27 +338,47 @@ let apply_tx_traced t ~height tx =
     (receipt, List.rev !acc)
   | Result.Error _ -> assert false (* unguarded execution cannot escape *)
 
-let root t =
-  let w = Codec.writer () in
-  let collect sel =
-    Array.fold_left
-      (fun acc shard -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) (sel shard) acc)
-      [] t.shards
-    |> List.sort compare
+(* A shard's sub-root: SHA-256 of its accounts, then its contracts, each
+   section sorted by key and count-prefixed so the encoding is
+   prefix-free. *)
+let shard_digest shard =
+  let sorted tbl =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  List.iter
-    (fun (k, (a : account)) ->
+  let w = Codec.writer () in
+  Codec.list w
+    (fun w (k, (a : account)) ->
       Codec.string w k;
       Codec.u64 w a.balance;
       Codec.u64 w a.nonce)
-    (collect (fun s -> s.accounts));
-  List.iter
-    (fun (k, (c : contract_info)) ->
+    (sorted shard.accounts);
+  Codec.list w
+    (fun w (k, (c : contract_info)) ->
       Codec.string w k;
       Codec.string w c.behavior;
       Codec.bytes w c.storage)
-    (collect (fun s -> s.contracts));
+    (sorted shard.contracts);
   Sha256.digest (Codec.to_bytes w)
+
+let root t =
+  let h = Sha256.init () in
+  let hashed = ref 0 in
+  Array.iter
+    (fun shard ->
+      let d =
+        match shard.sub_root with
+        | Some d -> d
+        | None ->
+          let d = shard_digest shard in
+          shard.sub_root <- Some d;
+          incr hashed;
+          d
+      in
+      Sha256.update h d)
+    t.shards;
+  Obs.Counter.add m_shards_hashed !hashed;
+  Sha256.finalize h
 
 let total_supply t =
   Array.fold_left

@@ -93,9 +93,14 @@ val apply_tx : t -> height:int -> Tx.t -> receipt
     footprint's shard mask. *)
 val apply_tx_traced : t -> height:int -> Tx.t -> receipt * string list
 
-(** Canonical state root (SHA-256 over the sorted serialised state);
-    compared across nodes after every block.  Independent of sharding
-    layout — byte-identical to the pre-sharding serialisation. *)
+(** Canonical state root, compared across nodes after every block.  A
+    two-level commitment: each shard's sub-root is SHA-256 of its
+    accounts sorted by key, then its contracts sorted by key, each section
+    prefixed by its entry count; the root is SHA-256 of the {!num_shards}
+    sub-roots in shard order.  It therefore depends on {!num_shards} and
+    {!shard_of_key}.  Sub-roots are cached and only the shards written
+    since the previous call (by a transaction, an {!undo} or genesis) are
+    rehashed; each one counts once into [chain.state.root.shards_hashed]. *)
 val root : t -> bytes
 
 (** Total of all balances (conservation-of-money invariant in tests). *)

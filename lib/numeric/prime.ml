@@ -102,8 +102,9 @@ let generate ~bits ~random_bytes =
   if bits < 8 then invalid_arg "Prime.generate: need at least 8 bits";
   let rec go () =
     let c = random_bits ~random_bytes (bits - 2) in
-    (* force top bit and oddness *)
-    let c = Nat.add (Nat.shift_left Nat.one (bits - 1)) c in
+    (* Force the top two bits, so the product of two such primes has
+       exactly twice their width, and oddness. *)
+    let c = Nat.add (Nat.shift_left (Nat.of_int 3) (bits - 2)) c in
     let c = if Nat.is_even c then Nat.add c Nat.one else c in
     if is_prime ~random_bytes c then c else go ()
   in

@@ -16,5 +16,6 @@ val random_below : random_bytes:(int -> bytes) -> Nat.t -> Nat.t
 val random_bits : random_bytes:(int -> bytes) -> int -> Nat.t
 
 (** [generate ~bits ~random_bytes] returns an odd prime of exactly [bits]
-    bits (top bit set). *)
+    bits with the top two bits set, so p >= 1.5 * 2^(bits-1) and the
+    product of two [bits]-bit primes always has [2 * bits] bits. *)
 val generate : bits:int -> random_bytes:(int -> bytes) -> Nat.t

@@ -120,10 +120,12 @@ done
 # settle with ALL chaos invariants intact (the CLI now exits non-zero if
 # any of replica agreement, supply conservation, store recovery or
 # indexer agreement fails) and print the identical trace at
-# ZEBRA_DOMAINS=1 and =4.  The seeds are chosen so both fork-choice
-# branches are exercised: part-1 keeps the canonical chain, part-2 adopts
-# the minority branch (a 4-block reorg the indexer must survive), and
-# byz-20 adopts a byzantine sibling block.
+# ZEBRA_DOMAINS=1 and =4.  Fork choice breaks ties on the tip hash, so
+# which branch a seed takes moves whenever root or key bytes do; today
+# part-1, part-2 and part-7 adopt the minority branch (a 4-block reorg the
+# indexer must survive), part-4 keeps the canonical chain, and byz-20
+# adopts a byzantine sibling block.  The check after the loop fails if
+# the corpus stops covering all three outcomes.
 echo "== byzantine gate (adversary corpus, pool-size-invariant traces) =="
 i=0
 for spec in \
@@ -138,7 +140,8 @@ for spec in \
   "ec-3@eclipse=1:6-9,drop=0.1" \
   "col-1@collude=1" \
   "col-2@collude=2" \
-  "col-3@collude=1,withhold"; do
+  "col-3@collude=1,withhold" \
+  "part-4@partition=2|1:6-9"; do
   seed="${spec%%@*}"
   plan="${spec#*@}"
   i=$((i + 1))
@@ -148,6 +151,14 @@ for spec in \
   same "byzantine gate (seed=$seed plan=$plan)" "$golden/byz-$i.txt" "$tmp/byz-d1-$i.txt"
   echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains and to $golden/byz-$i.txt"
 done
+for outcome in "partition.heal canonical chain kept" "partition.heal fork adopted" \
+  "sibling adopted"; do
+  if ! grep -q "$outcome" "$tmp"/byz-d1-*.txt; then
+    echo "byzantine gate FAILED: no trace in the corpus shows '$outcome'" >&2
+    exit 1
+  fi
+done
+echo "byzantine corpus covers a kept heal, an adopted heal and an adopted sibling"
 
 # Index gate: the off-chain event-sourced mirror must rebuild the
 # canonical scenario's task/reputation state byte-identically to contract

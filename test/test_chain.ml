@@ -591,7 +591,9 @@ let test_conflict_retry_classification () =
 (* The determinism property behind the whole executor: for any mix of
    transfers and contract calls — declared or undeclared footprints, any
    fee schedule — the sharded parallel root equals the serial replay root,
-   and is byte-identical at 1 and 4 domains. *)
+   and is byte-identical at 1 and 4 domains.  Every block is checked, not
+   only the last: a missed sub-root invalidation can be hidden by a later
+   write to the same shard. *)
 let gen_ops =
   QCheck2.Gen.(
     list_size (int_range 1 8)
@@ -604,11 +606,26 @@ let gen_ops =
 
 let run_sharded_scenario ops =
   let net = fresh_net () in
+  let roots_ok = ref true in
+  let mine_checked () =
+    let results = Network.mine_ext net in
+    let replay = Network.replay net in
+    let tip = List.hd (List.rev (Network.blocks net)) in
+    roots_ok :=
+      !roots_ok
+      && Bytes.equal (Network.state_root net) replay
+      && Bytes.equal tip.Block.header.Block.state_root replay;
+    results
+  in
   Network.submit net
     (Tx.make ~wallet:(wallet 0) ~nonce:0
        ~dst:(Tx.Create { behavior = "test-escrow"; args = Bytes.empty })
        ~value:500 ~payload:Bytes.empty);
-  let escrow = created (List.hd (Network.mine net)) in
+  let escrow =
+    match mine_checked () with
+    | [ Network.Applied r ] -> created r
+    | _ -> Alcotest.fail "escrow deployment not applied"
+  in
   let nonces = Array.make 3 0 in
   nonces.(0) <- 1;
   List.iteri
@@ -629,17 +646,78 @@ let run_sharded_scenario ops =
           (Tx.make_ext ~wallet:(wallet s) ~fee ~footprint ~nonce:nonces.(s)
              ~dst:(Tx.Call escrow) ~value:1 ~payload:(Address.to_bytes payee)));
       nonces.(sender) <- nonces.(sender) + 1;
-      if i mod 3 = 2 then ignore (Network.mine_ext net))
+      if i mod 3 = 2 then ignore (mine_checked ()))
     ops;
-  ignore (Network.mine_ext net);
-  (Network.state_root net, Network.replay net)
+  ignore (mine_checked ());
+  (!roots_ok, Network.state_root net, Network.replay net)
 
 let prop_parallel_equals_serial =
   qtest "sharded parallel root == serial root at 1 and 4 domains" ~count:5 gen_ops
     (fun ops ->
-      let root1, replay1 = with_domains 1 (fun () -> run_sharded_scenario ops) in
-      let root4, replay4 = with_domains 4 (fun () -> run_sharded_scenario ops) in
-      Bytes.equal root1 replay1 && Bytes.equal root4 replay4 && Bytes.equal root1 root4)
+      let ok1, root1, replay1 = with_domains 1 (fun () -> run_sharded_scenario ops) in
+      let ok4, root4, replay4 = with_domains 4 (fun () -> run_sharded_scenario ops) in
+      ok1 && ok4 && Bytes.equal root1 replay1 && Bytes.equal root4 replay4
+      && Bytes.equal root1 root4)
+
+(* The sub-root cache follows undos too: a transaction undone after a
+   root was taken leaves the root it had before. *)
+let test_undo_after_root () =
+  let st = State.create ~genesis:[ (Wallet.address (wallet 0), 1_000) ] in
+  let before = State.root st in
+  let tx =
+    Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:5
+      ~payload:Bytes.empty
+  in
+  match State.apply_tx_logged st ~height:1 tx with
+  | Error _ -> Alcotest.fail "unguarded execution escaped"
+  | Ok (_, log) ->
+    Alcotest.(check bool) "transfer moves the root" false (Bytes.equal before (State.root st));
+    State.undo st log;
+    Alcotest.(check bytes) "undo restores the root" before (State.root st)
+
+(* Root cost follows the block, not the ledger: once a warm-up block has
+   hashed every shard, a block carrying one transfer rehashes exactly the
+   shards it wrote, once per replica, whether genesis funds 10 or 1 000
+   accounts, and an empty block rehashes none. *)
+let test_root_rehashes_written_shards () =
+  let module Obs = Zebra_obs.Obs in
+  let shards_hashed = Obs.Counter.make "chain.state.root.shards_hashed" in
+  let sender = Wallet.address (wallet 0) and payee = Wallet.address (wallet 1) in
+  let written =
+    List.length
+      (List.sort_uniq compare [ State.shard_of_address sender; State.shard_of_address payee ])
+  in
+  let hashed_by f =
+    let before = Obs.Counter.value shards_hashed in
+    f ();
+    Obs.Counter.value shards_hashed - before
+  in
+  let blocks_with accounts =
+    let filler =
+      List.init (accounts - 1) (fun i ->
+          let d = Zebra_hashing.Sha256.digest_string (Printf.sprintf "filler-%d" i) in
+          (Address.of_bytes (Bytes.sub d 0 20), 1))
+    in
+    let net = Network.create ~num_nodes:3 ~genesis:((sender, 1_000_000) :: filler) () in
+    ignore (Network.mine net);
+    let empty = hashed_by (fun () -> ignore (Network.mine net)) in
+    Network.submit net
+      (Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call payee) ~value:5 ~payload:Bytes.empty);
+    let transfer = hashed_by (fun () -> ignore (Network.mine net)) in
+    Alcotest.(check int) "transfer applied" 5 (Network.balance net payee);
+    (empty, transfer)
+  in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let empty10, transfer10 = blocks_with 10 in
+      let empty1000, transfer1000 = blocks_with 1_000 in
+      Alcotest.(check int) "empty block, 10 accounts" 0 empty10;
+      Alcotest.(check int) "empty block, 1000 accounts" 0 empty1000;
+      Alcotest.(check int) "one transfer, 10 accounts: written shards x 3 replicas"
+        (3 * written) transfer10;
+      Alcotest.(check int) "one transfer: same count at 1000 accounts" transfer10 transfer1000)
 
 (* --- partitions, fork choice and reorgs --- *)
 
@@ -783,6 +861,9 @@ let () =
           Alcotest.test_case "conflict retry classification" `Quick
             test_conflict_retry_classification;
           prop_parallel_equals_serial;
+          Alcotest.test_case "root rehashes only written shards" `Quick
+            test_root_rehashes_written_shards;
+          Alcotest.test_case "undo after root restores root" `Quick test_undo_after_root;
         ] );
       ( "forks",
         [

@@ -64,16 +64,36 @@ let keygen_digest seeds gen =
 
 let test_prime_generate_kat () =
   Alcotest.(check string) "Prime.generate ~bits:256 digest"
-    "157fe4a6709d3c089c90ab229d6010c92d815680f6e8567eda4ef15be8497bb4"
+    "3b9ad522afb03fa0eb7d051d926eee60ac2a106a5ae9cb9c633fc1e817f3a8bd"
     (keygen_digest [ "kat-prime-1"; "kat-prime-2" ] (fun random_bytes ->
          [ Prime.generate ~bits:256 ~random_bytes ]))
 
 let test_rsa_generate_kat () =
   Alcotest.(check string) "Rsa.generate ~bits:512 (n, d) digest"
-    "e092ae6535c6689a7a5caa54f2294674fda707f82860d85e3ca9e79473920ee0"
+    "596ac41c5d335cda869b6ce04d3b29cba4800335be3d0c61e147b42549096eab"
     (keygen_digest [ "kat-rsa-1"; "kat-rsa-2" ] (fun random_bytes ->
          let k = Rsa.generate ~bits:512 ~random_bytes in
          [ k.Rsa.pub.Rsa.n; k.Rsa.d ]))
+
+(* Primes carry both top bits, so any two of one width multiply to
+   exactly twice that width and Rsa.generate never discards a pair for a
+   short modulus. *)
+let test_prime_top_two_bits () =
+  List.iter
+    (fun bits ->
+      for _ = 1 to 4 do
+        let p = Prime.generate ~bits ~random_bytes in
+        Alcotest.(check int) (Printf.sprintf "%d-bit prime width" bits) bits (Nat.num_bits p);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d-bit prime has bit %d set" bits (bits - 2))
+          true
+          (Nat.testbit p (bits - 2))
+      done)
+    [ 8; 64; 256 ];
+  let p = Prime.generate ~bits:256 ~random_bytes in
+  let q = Prime.generate ~bits:256 ~random_bytes in
+  Alcotest.(check int) "two 256-bit primes make a 512-bit modulus" 512
+    (Nat.num_bits (Nat.mul p q))
 
 (* --- PKCS1 signatures --- *)
 
@@ -248,6 +268,7 @@ let () =
           Alcotest.test_case "pubkey serialisation" `Quick test_pubkey_serialization;
           Alcotest.test_case "Prime.generate KAT" `Quick test_prime_generate_kat;
           Alcotest.test_case "Rsa.generate KAT" `Quick test_rsa_generate_kat;
+          Alcotest.test_case "primes have both top bits" `Quick test_prime_top_two_bits;
         ] );
       ( "pkcs1",
         [
