@@ -100,16 +100,16 @@ let link a b = Fp.equal a.t1 b.t1
 let attestation_to_bytes att =
   Codec.encode
     (fun w att ->
-      Codec.bytes w (Fp.to_bytes_be att.t1);
-      Codec.bytes w (Fp.to_bytes_be att.t2);
+      Fp.write w att.t1;
+      Fp.write w att.t2;
       Codec.bytes w (Snark.proof_to_bytes att.proof))
     att
 
 let attestation_of_bytes b =
   Codec.decode
     (fun r ->
-      let t1 = Fp.of_bytes_be_exn (Codec.read_bytes r) in
-      let t2 = Fp.of_bytes_be_exn (Codec.read_bytes r) in
+      let t1 = Fp.read r in
+      let t2 = Fp.read r in
       let proof = Snark.proof_of_bytes (Codec.read_bytes r) in
       { t1; t2; proof })
     b

@@ -1,4 +1,5 @@
 module Sha256 = Zebra_hashing.Sha256
+module Codec = Zebra_codec.Codec
 
 type t = bytes (* 20 bytes *)
 
@@ -29,6 +30,13 @@ let to_bytes = Bytes.copy
 let of_bytes b =
   if Bytes.length b <> size then invalid_arg "Address.of_bytes: need 20 bytes";
   Bytes.copy b
+
+let write w a = Codec.bytes w a
+
+let read r =
+  let b = Codec.read_bytes r in
+  if Bytes.length b <> size then raise (Codec.Decode_error "address: need 20 bytes");
+  b
 
 let to_field a = Zebra_field.Fp.of_bytes_be a
 

@@ -26,7 +26,17 @@ val compare : t -> t -> int
 (** Raw 20 bytes. *)
 val to_bytes : t -> bytes
 
+(** @raise Invalid_argument unless [b] is 20 bytes.  Wire decoders use
+    {!read}. *)
 val of_bytes : bytes -> t
+
+(** [write w a] appends the raw 20 bytes as a length-prefixed string. *)
+val write : Zebra_codec.Codec.writer -> t -> unit
+
+(** [read r] is the one reader of an address off the wire: the inverse of
+    {!write}.
+    @raise Zebra_codec.Codec.Decode_error unless the string is 20 bytes. *)
+val read : Zebra_codec.Codec.reader -> t
 
 (** Field-element view, used as the authenticated message component
     (alpha_C, alpha_i) inside anonymous attestations. *)

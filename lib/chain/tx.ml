@@ -20,7 +20,7 @@ type t = {
 }
 
 let write_unsigned w (tx : t) =
-  Codec.bytes w (Address.to_bytes tx.sender);
+  Address.write w tx.sender;
   Codec.bytes w (Rsa.public_key_to_bytes tx.sender_pk);
   Codec.u64 w tx.nonce;
   (match tx.dst with
@@ -30,10 +30,10 @@ let write_unsigned w (tx : t) =
     Codec.bytes w args
   | Call addr ->
     Codec.u8 w 1;
-    Codec.bytes w (Address.to_bytes addr));
+    Address.write w addr);
   Codec.u64 w tx.value;
   Codec.u64 w tx.fee;
-  Codec.list w (fun w a -> Codec.bytes w (Address.to_bytes a)) tx.footprint;
+  Codec.list w Address.write tx.footprint;
   Codec.bytes w tx.payload
 
 let signing_bytes tx = Codec.encode write_unsigned tx
@@ -74,7 +74,7 @@ let to_bytes tx =
 let of_bytes b =
   Codec.decode
     (fun r ->
-      let sender = Address.of_bytes (Codec.read_bytes r) in
+      let sender = Address.read r in
       let sender_pk = Rsa.public_key_of_bytes (Codec.read_bytes r) in
       let nonce = Codec.read_u64 r in
       let dst =
@@ -83,12 +83,12 @@ let of_bytes b =
           let behavior = Codec.read_string r in
           let args = Codec.read_bytes r in
           Create { behavior; args }
-        | 1 -> Call (Address.of_bytes (Codec.read_bytes r))
+        | 1 -> Call (Address.read r)
         | _ -> raise (Codec.Decode_error "tx: bad dst tag")
       in
       let value = Codec.read_u64 r in
       let fee = Codec.read_u64 r in
-      let footprint = Codec.read_list r (fun r -> Address.of_bytes (Codec.read_bytes r)) in
+      let footprint = Codec.read_list r Address.read in
       let payload = Codec.read_bytes r in
       let signature = Codec.read_bytes r in
       { sender; sender_pk; nonce; dst; value; fee; payload; footprint; signature })

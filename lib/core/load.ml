@@ -1,8 +1,5 @@
 module Network = Zebra_chain.Network
 module Wallet = Zebra_chain.Wallet
-module Address = Zebra_chain.Address
-module Tx = Zebra_chain.Tx
-module State = Zebra_chain.State
 module Block = Zebra_chain.Block
 module Sha256 = Zebra_hashing.Sha256
 module Obs = Zebra_obs.Obs
@@ -65,14 +62,15 @@ type report = {
 }
 
 (* One marketplace task moving through its pipeline.  Each stage holds the
-   transactions whose receipts gate the next stage; one block is mined per
-   scheduler round, so tasks in different stages share every block. *)
+   task's Protocol phase in flight; one block is mined per scheduler
+   round and every phase is polled after it, so tasks in different stages
+   share every block. *)
 type stage =
   | Ready
-  | Wait_fund of Wallet.t * Tx.t
-  | Wait_publish of Requester.task * Tx.t
-  | Wait_answers of Requester.task * Tx.t list
-  | Wait_instruct of Requester.task * Tx.t
+  | Funding of Wallet.t Protocol.phase
+  | Publishing of Requester.task Protocol.phase
+  | Answering of Requester.task * Wallet.t list Protocol.phase
+  | Instructing of int array Protocol.phase
   | Completed of float
   | Task_failed of string
 
@@ -81,7 +79,6 @@ type task_state = {
   requester : Protocol.identity;
   mutable stage : stage;
   mutable started : float;
-  mutable attempts : int;
 }
 
 let now () = Unix.gettimeofday ()
@@ -105,37 +102,15 @@ let run ?(config = default_config) () =
   let requester_ids = Array.init cfg.requesters (fun _ -> Protocol.register sys) in
   let worker_ids = Array.init cfg.workers (fun _ -> Protocol.register sys) in
   Protocol.get_ok (Protocol.post_root_r sys);
-  let circuit = Protocol.reward_circuit sys ~policy ~n in
+  (* Warm the reward-circuit memo here, so its trusted setup stays out of
+     [elapsed_s]. *)
+  ignore (Protocol.reward_circuit sys ~policy ~n);
   let states =
     Array.init cfg.tasks (fun index ->
-        {
-          index;
-          requester = requester_ids.(index mod cfg.requesters);
-          stage = Ready;
-          started = 0.;
-          attempts = 0;
-        })
+        { index; requester = requester_ids.(index mod cfg.requesters); stage = Ready; started = 0. })
   in
   let faucet_nonce = ref (Network.nonce net (Wallet.address sys.Protocol.faucet)) in
   let conflict_retries = ref 0 in
-  let submit tx =
-    match Network.submit_r net tx with
-    | Ok () -> ()
-    | Error e -> failwith ("Load.run: " ^ Network.submit_error_to_string e)
-  in
-  let fail st reason =
-    st.stage <- Task_failed reason;
-    Obs.Counter.incr m_failed
-  in
-  (* Missing receipts cannot happen on this fault-free network unless
-     something is broken; still, rebroadcast a bounded number of times
-     rather than loop forever. *)
-  let retry st what resubmit =
-    st.attempts <- st.attempts + 1;
-    if st.attempts > 3 then fail st (what ^ " not mined after 3 broadcasts")
-    else resubmit ()
-  in
-  let receipt tx = Network.receipt net (Tx.hash tx) in
   let active () =
     Array.fold_left
       (fun acc st ->
@@ -150,94 +125,62 @@ let run ?(config = default_config) () =
       states
   in
   let start_task st =
-    let wallet = Protocol.fresh_wallet sys in
-    let tx =
-      Protocol.funding_tx ~fee:fee_funding ~nonce:!faucet_nonce sys wallet
-        ~amount:(cfg.budget + 1)
-    in
+    st.stage <-
+      Funding
+        (Protocol.funding ~fee:fee_funding ~nonce:!faucet_nonce sys (Protocol.fresh_wallet sys)
+           ~amount:(cfg.budget + 1));
     incr faucet_nonce;
-    submit tx;
-    st.started <- now ();
-    st.attempts <- 0;
-    st.stage <- Wait_fund (wallet, tx)
-  in
-  let publish st wallet =
-    let task, tx =
-      Protocol.publish_tx sys ~requester:st.requester ~wallet ~policy ~n ~budget:cfg.budget
-        ~circuit ~fee:fee_publish ()
-    in
-    submit tx;
-    st.attempts <- 0;
-    st.stage <- Wait_publish (task, tx)
+    st.started <- now ()
   in
   (* Load's workers answer from unfunded one-task wallets: submissions
      carry no value and ride at fee 0. *)
-  let answer_txs st (task : Requester.task) =
-    let storage = Protocol.task_storage sys task.Requester.contract in
-    List.init n (fun j ->
-        let wallet = Protocol.fresh_wallet sys in
-        Protocol.answer_tx sys ~storage ~task:task.Requester.contract ~wallet
-          worker_ids.(((st.index * n) + j) mod cfg.workers)
-          ~answer:(st.index mod 4))
+  let answer st (task : Requester.task) =
+    let workers =
+      List.init n (fun j -> (worker_ids.(((st.index * n) + j) mod cfg.workers), st.index mod 4))
+    in
+    Answering
+      ( task,
+        Protocol.get_ok
+          (Protocol.answers sys ~task:task.Requester.contract
+             ~wallet:(fun _ -> Ok (Protocol.fresh_wallet sys))
+             workers) )
   in
-  let instruct st task =
-    let _rewards, tx = Protocol.instruct_tx ~fee:fee_instruct sys task in
-    submit tx;
-    st.attempts <- 0;
-    st.stage <- Wait_instruct (task, tx)
+  let complete st =
+    let dt = now () -. st.started in
+    Obs.Histogram.observe h_settle dt;
+    Obs.Counter.incr m_completed;
+    Completed dt
   in
+  (* A settled phase starts the task's next one. *)
   let advance st =
+    let step phase next =
+      match Protocol.poll sys phase with
+      | None -> ()
+      | Some (Ok v) -> st.stage <- next v
+      | Some (Error e) ->
+        st.stage <- Task_failed (Protocol.error_to_string e);
+        Obs.Counter.incr m_failed
+    in
     match st.stage with
     | Ready | Completed _ | Task_failed _ -> ()
-    | Wait_fund (wallet, tx) -> (
-      match receipt tx with
-      | Some { State.status = State.Ok _; _ } -> publish st wallet
-      | Some { State.status = State.Failed e; _ } -> fail st ("funding failed: " ^ e)
-      | None -> retry st "funding" (fun () -> submit tx))
-    | Wait_publish (task, tx) -> (
-      match receipt tx with
-      | Some { State.status = State.Ok (Some addr); _ }
-        when Address.equal addr task.Requester.contract ->
-        let txs = answer_txs st task in
-        List.iter submit txs;
-        st.attempts <- 0;
-        st.stage <- Wait_answers (task, txs)
-      | Some { State.status = State.Ok _; _ } ->
-        fail st "publish: contract address prediction failed"
-      | Some { State.status = State.Failed e; _ } -> fail st ("publish failed: " ^ e)
-      | None -> retry st "publish" (fun () -> submit tx))
-    | Wait_answers (task, txs) -> (
-      let rs = List.map receipt txs in
-      match
-        List.find_opt
-          (function Some { State.status = State.Failed _; _ } -> true | _ -> false)
-          rs
-      with
-      | Some (Some { State.status = State.Failed e; _ }) ->
-        fail st ("submission failed: " ^ e)
-      | _ ->
-        if List.for_all Option.is_some rs then instruct st task
-        else
-          retry st "submissions" (fun () ->
-              List.iter2
-                (fun tx r -> if r = None then submit tx)
-                txs rs))
-    | Wait_instruct (_, tx) -> (
-      match receipt tx with
-      | Some { State.status = State.Ok _; _ } ->
-        let dt = now () -. st.started in
-        Obs.Histogram.observe h_settle dt;
-        Obs.Counter.incr m_completed;
-        st.stage <- Completed dt
-      | Some { State.status = State.Failed e; _ } -> fail st ("instruct failed: " ^ e)
-      | None -> retry st "instruct" (fun () -> submit tx))
+    | Funding p ->
+      step p (fun wallet ->
+          Publishing
+            (Protocol.publish sys ~requester:st.requester ~wallet ~policy ~n ~budget:cfg.budget
+               ~fee:fee_publish ()))
+    | Publishing p -> step p (answer st)
+    | Answering (task, p) ->
+      step p (fun _ -> Instructing (Protocol.instruct ~fee:fee_instruct sys task))
+    | Instructing p -> step p (fun _ -> complete st)
   in
   let t0 = now () in
   while unfinished () do
     (* Admit new tasks up to the in-flight window, mine one block, then
-       advance every pipeline on its receipts. *)
+       poll every task's phase in flight. *)
     Array.iter
-      (fun st -> if st.stage = Ready && active () < cfg.inflight then start_task st)
+      (fun st ->
+        (* a match, not [=]: stages hold phases, which hold closures *)
+        match st.stage with Ready when active () < cfg.inflight -> start_task st | _ -> ())
       states;
     let results = Network.mine_ext net in
     List.iter

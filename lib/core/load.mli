@@ -1,11 +1,13 @@
 (** Marketplace load harness: N requesters and M workers drive many CPLA
     tasks end-to-end, concurrently, against one simulated chain.
 
-    Each task is a pipeline — fund the requester's one-task wallet,
-    publish the contract, collect [workers_per_task] anonymous
-    submissions, send the proved reward instruction — and the scheduler
-    keeps up to [inflight] tasks in flight, mining one block per round, so
-    every block mixes phases from unrelated tasks.  Phases carry distinct
+    Each task is a pipeline of {!Protocol.phase}s — fund the requester's
+    one-task wallet, publish the contract, collect [workers_per_task]
+    anonymous submissions from unfunded one-task wallets, send the proved
+    reward instruction — and the scheduler keeps up to [inflight] tasks in
+    flight, mining one block per round and {!Protocol.poll}ing every
+    task's phase after it, so every block mixes phases from unrelated
+    tasks and the protocol's one retry rule confirms them all.  Phases carry distinct
     inclusion fees (funding 3, instruct 2, publish 1, submissions 0) to
     exercise the fee-ordered mempool, and instructions declare their payee
     footprints so the sharded parallel executor can settle unrelated

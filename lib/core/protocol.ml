@@ -60,17 +60,7 @@ let m_node_down = Obs.Counter.make "protocol.retry.node_down"
 
 let faucet_supply = 1_000_000_000
 
-(* Mines the pending block and returns the receipt of [tx]. *)
-let mine_for sys tx =
-  ignore (Network.mine sys.net);
-  match Network.receipt sys.net (Tx.hash tx) with
-  | Some r -> r
-  | None -> failwith "Protocol: transaction was not mined"
-
-let expect_ok what (r : State.receipt) =
-  match r.State.status with
-  | State.Ok addr -> addr
-  | State.Failed e -> failwith (Printf.sprintf "Protocol: %s failed: %s" what e)
+let ( let* ) = Result.bind
 
 (* Mine one block, mapping a replica divergence (a crashed node whose
    re-sync failed, or diverging live replicas) to the typed error —
@@ -82,54 +72,78 @@ let mine_r sys =
     Obs.Counter.incr m_node_down;
     Error (Node_down why)
 
-(* [submit_confirm_r sys ~phase tx] broadcasts [tx] and mines until its
-   receipt appears: exactly one block on the happy path.  When the receipt
-   is missing (the broadcast was dropped, or the transaction is being held
-   back by a delay fault) it waits up to [retry.backoff_blocks] further
-   blocks — the synchrony bound — then rebroadcasts, up to
-   [retry.max_attempts] broadcasts in total before [Timed_out].
-   Rebroadcasting a transaction whose delayed copy later arrives is safe:
-   the duplicate fails nonce replay and the first receipt is canonical. *)
-let submit_confirm_r sys ~phase tx =
-  let hash = Tx.hash tx in
-  let waited = ref false in
-  (* Receipt check first, so the happy path mines no extra blocks. *)
-  let rec backoff k =
-    match Network.receipt sys.net hash with
-    | Some r -> Some (Ok r)
-    | None ->
-      if k = 0 then None
-      else begin
-        waited := true;
-        match mine_r sys with
-        | Error e -> Some (Error e)
-        | Ok () -> backoff (k - 1)
-      end
+(* --- Phases: the one confirm loop.  A phase is the transactions one step
+   of a task broadcast plus the [finish] that turns their receipts into
+   the step's result; [poll] runs after each mined block and applies
+   [sys.retry]. --- *)
+
+type 'a phase = {
+  name : string;  (* labels a [Timed_out] *)
+  txs : (Tx.t * bytes) list;  (* broadcast, with their hashes *)
+  finish : State.status option list -> ('a, error) result;
+  mutable attempts : int;  (* broadcasts so far *)
+  mutable waited : int;  (* blocks mined since the last broadcast *)
+}
+
+let broadcast sys tx =
+  match Network.submit_r sys.net tx with
+  | Ok () -> ()
+  | Error e ->
+    (* Protocol only builds well-signed transactions; a refusal here is a
+       programming error, not a network fault. *)
+    invalid_arg ("Protocol: " ^ Network.submit_error_to_string e)
+
+(* A phase over transactions the caller already broadcast. *)
+let phase ~name txs finish =
+  { name; txs = List.map (fun tx -> (tx, Tx.hash tx)) txs; finish; attempts = 1; waited = 0 }
+
+(* Broadcasts [tx] as a phase of its own; [finish] sees its status. *)
+let single sys ~name tx finish =
+  broadcast sys tx;
+  phase ~name [ tx ] (function
+    | [ Some status ] -> finish status
+    | _ -> invalid_arg "Protocol: a one-transaction phase settles on its receipt")
+
+(* Every receipt in: settle.  Otherwise wait out the synchrony bound
+   ([backoff_blocks] blocks after the broadcast's own), then report a
+   failed receipt, or rebroadcast the stragglers — up to [max_attempts]
+   broadcasts before [Timed_out].  A rebroadcast whose delayed copy later
+   arrives is safe: the duplicate fails nonce replay and the first receipt
+   is canonical. *)
+let poll sys p =
+  p.waited <- p.waited + 1;
+  let statuses =
+    List.map
+      (fun (_, hash) -> Option.map (fun r -> r.State.status) (Network.receipt sys.net hash))
+      p.txs
   in
-  let rec attempt n =
-    (match Network.submit_r sys.net tx with
-    | Ok () -> ()
-    | Error e ->
-      (* Protocol drivers only build well-signed transactions; a refusal
-         here is a programming error, not a network fault. *)
-      invalid_arg ("Protocol: " ^ Network.submit_error_to_string e));
-    if n > 1 then Obs.Counter.incr m_resubmits;
-    match mine_r sys with
-    | Error e -> Error e
-    | Ok () -> (
-      match backoff sys.retry.backoff_blocks with
-      | Some (Ok r) ->
-        if n > 1 || !waited then Obs.Counter.incr m_recovered;
-        Ok r
-      | Some (Error e) -> Error e
-      | None ->
-        if n >= sys.retry.max_attempts then begin
-          Obs.Counter.incr m_timeouts;
-          Error (Timed_out { phase; attempts = n })
-        end
-        else attempt (n + 1))
-  in
-  attempt 1
+  if List.for_all Option.is_some statuses then begin
+    if p.attempts > 1 || p.waited > 1 then Obs.Counter.incr m_recovered;
+    Some (p.finish statuses)
+  end
+  else if p.waited <= sys.retry.backoff_blocks then None
+  else if List.exists (function Some (State.Failed _) -> true | _ -> false) statuses then
+    Some (p.finish statuses)
+  else if p.attempts >= sys.retry.max_attempts then begin
+    Obs.Counter.incr m_timeouts;
+    Some (Error (Timed_out { phase = p.name; attempts = p.attempts }))
+  end
+  else begin
+    List.iter2
+      (fun (tx, _) status ->
+        if status = None then begin
+          Obs.Counter.incr m_resubmits;
+          broadcast sys tx
+        end)
+      p.txs statuses;
+    p.attempts <- p.attempts + 1;
+    p.waited <- 0;
+    None
+  end
+
+let rec await sys p =
+  let* () = mine_r sys in
+  match poll sys p with Some result -> result | None -> await sys p
 
 let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ?(retry = default_retry) ~seed () =
   if retry.max_attempts < 1 then invalid_arg "Protocol.create_system: max_attempts must be >= 1";
@@ -149,17 +163,6 @@ let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ?(retry = default_retr
   let keycache = Zebra_snark.Snark.Keycache.create () in
   let cpla = Cpla.setup_cached keycache ~seed:(seed ^ "/cpla-auth") ~depth:tree_depth in
   let ra = Ra.create ~depth:tree_depth () in
-  let deploy =
-    Tx.make ~wallet:faucet ~nonce:0
-      ~dst:
-        (Tx.Create
-           {
-             behavior = Ra_contract.behavior_name;
-             args = Ra_contract.init_args ~auth_vk:(Cpla.vk_to_bytes cpla) ~root:(Ra.root ra);
-           })
-      ~value:0 ~payload:Bytes.empty
-  in
-  Network.submit net deploy;
   let ra_rsa = Zebra_rsa.Rsa.generate ~bits:512 ~random_bytes:rb in
   let sys =
     {
@@ -175,9 +178,22 @@ let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ?(retry = default_retr
       retry;
     }
   in
-  (match expect_ok "RA contract deployment" (mine_for sys deploy) with
-  | Some _ -> ()
-  | None -> failwith "Protocol: RA deployment returned no address");
+  let deploy =
+    Tx.make ~wallet:faucet ~nonce:0
+      ~dst:
+        (Tx.Create
+           {
+             behavior = Ra_contract.behavior_name;
+             args = Ra_contract.init_args ~auth_vk:(Cpla.vk_to_bytes cpla) ~root:(Ra.root ra);
+           })
+      ~value:0 ~payload:Bytes.empty
+  in
+  get_ok
+    (await sys
+       (single sys ~name:"ra_deployment" deploy (function
+         | State.Ok (Some _) -> Ok ()
+         | State.Ok None -> failwith "Protocol: RA deployment returned no address"
+         | State.Failed e -> failwith ("Protocol: RA contract deployment failed: " ^ e))));
   sys
 
 let faucet_nonce sys = Network.nonce sys.net (Wallet.address sys.faucet)
@@ -193,20 +209,17 @@ let post_root_r sys =
     Tx.make ~wallet:sys.faucet ~nonce:(faucet_nonce sys) ~dst:(Tx.Call sys.ra_contract)
       ~value:0 ~payload:(Ra_contract.set_root_msg (Ra.root sys.ra))
   in
-  match submit_confirm_r sys ~phase:"ra_root_update" tx with
-  | Error err -> Error err
-  | Ok { State.status = State.Ok _; _ } -> Ok ()
-  | Ok { State.status = State.Failed e; _ } ->
-    failwith (Printf.sprintf "Protocol: RA root update failed: %s" e)
+  await sys
+    (single sys ~name:"ra_root_update" tx (function
+      | State.Ok _ -> Ok ()
+      | State.Failed e -> failwith ("Protocol: RA root update failed: " ^ e)))
 
 let enroll_r sys =
   Obs.with_span "protocol.register" @@ fun () ->
   let id = register sys in
-  match post_root_r sys with
-  | Error err -> Error err
-  | Ok () ->
-    Obs.Counter.incr m_enrolled;
-    Ok id
+  let* () = post_root_r sys in
+  Obs.Counter.incr m_enrolled;
+  Ok id
 
 let enroll_plain sys =
   Obs.with_span "protocol.register" @@ fun () ->
@@ -219,28 +232,28 @@ let ra_rsa_pub_bytes sys = Zebra_rsa.Rsa.public_key_to_bytes sys.ra_rsa.Zebra_rs
 
 let fresh_wallet sys = Wallet.generate ~random_bytes:(random_bytes sys) ()
 
-let funding_tx ?(fee = 0) ?nonce sys wallet ~amount =
-  let nonce = match nonce with Some k -> k | None -> faucet_nonce sys in
-  Tx.make_ext ~wallet:sys.faucet ~fee ~footprint:[] ~nonce
-    ~dst:(Tx.Call (Wallet.address wallet))
-    ~value:amount ~payload:Bytes.empty
-
-let fresh_funded_wallet_r ?(phase = "faucet_funding") sys ~amount =
-  let wallet = fresh_wallet sys in
-  match submit_confirm_r sys ~phase (funding_tx sys wallet ~amount) with
-  | Error err -> Error err
-  | Ok { State.status = State.Ok _; _ } -> Ok wallet
-  | Ok { State.status = State.Failed e; _ } ->
-    failwith (Printf.sprintf "Protocol: faucet funding failed: %s" e)
-
 let task_storage sys contract =
   match Network.contract_storage sys.net contract with
   | Some bytes -> Task_contract.storage_of_bytes bytes
   | None -> failwith "Protocol: no such task contract"
 
-(* --- Task transactions: the one place a publish, answer or instruct
-   transaction is built, shared by the phase drivers below and by the
-   pipelined [Load] scheduler and the [Chaos] eclipse path. --- *)
+(* --- Task phases: the one place a funding, publish, answer or instruct
+   transaction is built, shared by the drivers below, the pipelined
+   [Load] scheduler and the [Chaos] eclipse path. --- *)
+
+let funding ?(fee = 0) ?nonce sys wallet ~amount =
+  let nonce = match nonce with Some k -> k | None -> faucet_nonce sys in
+  let tx =
+    Tx.make_ext ~wallet:sys.faucet ~fee ~footprint:[] ~nonce
+      ~dst:(Tx.Call (Wallet.address wallet))
+      ~value:amount ~payload:Bytes.empty
+  in
+  single sys ~name:"faucet_funding" tx (function
+    | State.Ok _ -> Ok wallet
+    | State.Failed e -> failwith ("Protocol: faucet funding failed: " ^ e))
+
+let fresh_funded_wallet_r ?(phase = "faucet_funding") sys ~amount =
+  await sys { (funding sys (fresh_wallet sys) ~amount) with name = phase }
 
 (* Setup randomness derives from the system seed (not the shared
    [sys.rng] stream), so a memo hit returns the keys a fresh setup would:
@@ -249,20 +262,27 @@ let reward_circuit sys ~policy ~n =
   Reward_circuit.setup_cached ~composition:(Cpla.composition sys.cpla) sys.keycache
     ~seed:(sys.setup_seed ^ "/reward-circuit") ~policy ~n
 
-let publish_tx sys ~requester ~wallet ~policy ~n ~budget ?(answer_window = 20)
-    ?(instruct_window = 40) ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit ?fee () =
-  let circuit =
-    match circuit with Some c -> c | None -> reward_circuit sys ~policy ~n
-  in
+let publish sys ~requester ~wallet ~policy ~n ~budget ?(answer_window = 20)
+    ?(instruct_window = 40) ?max_per_worker ?ra_rsa_pub ?data_digest ?fee () =
+  let circuit = reward_circuit sys ~policy ~n in
   let height = Network.height sys.net in
-  Requester.create_task ~circuit ?max_per_worker ?ra_rsa_pub ?data_digest ?fee
-    ~random_bytes:(random_bytes sys) ~cpla:sys.cpla ~key:requester.key
-    ~cert_index:requester.cert_index
-    ~ra_path:(Ra.path sys.ra requester.cert_index)
-    ~ra_root:(Ra.root sys.ra) ~wallet ~nonce:0 ~policy ~n ~budget
-    ~answer_deadline:(height + answer_window)
-    ~instruct_deadline:(height + answer_window + instruct_window)
-    ()
+  let task, tx =
+    Requester.create_task ~circuit ?max_per_worker ?ra_rsa_pub ?data_digest ?fee
+      ~random_bytes:(random_bytes sys) ~cpla:sys.cpla ~key:requester.key
+      ~cert_index:requester.cert_index
+      ~ra_path:(Ra.path sys.ra requester.cert_index)
+      ~ra_root:(Ra.root sys.ra) ~wallet ~nonce:0 ~policy ~n ~budget
+      ~answer_deadline:(height + answer_window)
+      ~instruct_deadline:(height + answer_window + instruct_window)
+      ()
+  in
+  single sys ~name:"task_publish" tx (function
+    | State.Ok (Some addr) when Address.equal addr task.Requester.contract ->
+      Obs.Counter.incr m_tasks;
+      Ok task
+    | State.Ok (Some _) -> Error (Deploy_rejected "contract address prediction failed")
+    | State.Ok None -> Error (Deploy_rejected "deployment returned no address")
+    | State.Failed e -> Error (Deploy_rejected e))
 
 let answer_tx sys ~storage ~task ~wallet worker ~answer =
   Worker.submit_tx ~random_bytes:(random_bytes sys) ~cpla:sys.cpla ~storage ~contract:task
@@ -270,156 +290,93 @@ let answer_tx sys ~storage ~task ~wallet worker ~answer =
     ~ra_path:(Ra.path sys.ra worker.cert_index)
     ~answer ~nonce:0
 
-let instruct_tx ?fee sys (task : Requester.task) =
-  Requester.instruct ?fee ~random_bytes:(random_bytes sys) task
-    ~storage:(task_storage sys task.Requester.contract)
-    ~nonce:(Network.nonce sys.net (Wallet.address task.Requester.wallet))
+let answers sys ~task ~wallet workers =
+  let storage = task_storage sys task in
+  let rec send i sent = function
+    | [] -> Ok (List.rev sent)
+    | (identity, answer) :: rest ->
+      let* w = wallet i in
+      let tx = answer_tx sys ~storage ~task ~wallet:w identity ~answer in
+      broadcast sys tx;
+      send (i + 1) ((tx, w) :: sent) rest
+  in
+  let* sent = send 0 [] workers in
+  let rec first_failure i = function
+    | Some (State.Failed reason) :: _ -> Error (Submission_rejected { worker = i; reason })
+    | _ :: rest -> first_failure (i + 1) rest
+    | [] ->
+      Obs.Counter.add m_answers (List.length sent);
+      Ok (List.map snd sent)
+  in
+  Ok (phase ~name:"answer_collection" (List.map fst sent) (first_failure 0))
 
-(* --- TaskPublish --- *)
+let instruct ?fee sys (task : Requester.task) =
+  let rewards, tx =
+    Requester.instruct ?fee ~random_bytes:(random_bytes sys) task
+      ~storage:(task_storage sys task.Requester.contract)
+      ~nonce:(Network.nonce sys.net (Wallet.address task.Requester.wallet))
+  in
+  single sys ~name:"reward" tx (function
+    | State.Ok _ -> Ok rewards
+    | State.Failed e -> Error (Instruction_rejected e))
+
+(* --- Phase drivers: each awaits its phases in turn. --- *)
 
 let publish_task_r sys ~requester ~policy ~n ~budget ?answer_window ?instruct_window
-    ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit () =
+    ?max_per_worker ?ra_rsa_pub ?data_digest () =
   Obs.with_span "protocol.task_publish" @@ fun () ->
-  match fresh_funded_wallet_r sys ~phase:"task_publish" ~amount:(budget + 1) with
-  | Error err -> Error err
-  | Ok wallet -> (
-    let task, tx =
-      publish_tx sys ~requester ~wallet ~policy ~n ~budget ?answer_window ?instruct_window
-        ?max_per_worker ?ra_rsa_pub ?data_digest ?circuit ()
-    in
-    match submit_confirm_r sys ~phase:"task_publish" tx with
-    | Error err -> Error err
-    | Ok { State.status = State.Ok (Some addr); _ }
-      when Address.equal addr task.Requester.contract ->
-      Obs.Counter.incr m_tasks;
-      Ok task
-    | Ok { State.status = State.Ok (Some _); _ } ->
-      Error (Deploy_rejected "contract address prediction failed")
-    | Ok { State.status = State.Ok None; _ } ->
-      Error (Deploy_rejected "deployment returned no address")
-    | Ok { State.status = State.Failed e; _ } -> Error (Deploy_rejected e))
-
-(* --- AnswerCollection --- *)
+  let* wallet = fresh_funded_wallet_r sys ~phase:"task_publish" ~amount:(budget + 1) in
+  await sys
+    (publish sys ~requester ~wallet ~policy ~n ~budget ?answer_window ?instruct_window
+       ?max_per_worker ?ra_rsa_pub ?data_digest ())
 
 let submit_answers_r sys ~task ~workers =
   Obs.with_span "protocol.answer_collection" @@ fun () ->
   let storage = task_storage sys task in
-  let root = storage.Task_contract.params.Task_contract.ra_root in
-  (* Validate, sign and broadcast every answer, then mine them as a batch. *)
-  let rec prepare i acc = function
-    | [] -> Ok (List.rev acc)
-    | (identity, answer) :: rest -> (
-      match fresh_funded_wallet_r sys ~phase:"answer_collection" ~amount:10 with
-      | Error err -> Error err
-      | Ok wallet -> (
-        match
-          Worker.validate_task ~storage ~contract:task ~balance:(Network.balance sys.net task)
-            ~height:(Network.height sys.net) ~expected_root:root
-        with
-        | Error e ->
-          Error
-            (Submission_rejected
-               {
-                 worker = i;
-                 reason = "task validation failed: " ^ Worker.validation_error_to_string e;
-               })
-        | Ok () ->
-          let tx = answer_tx sys ~storage ~task ~wallet identity ~answer in
-          Network.submit sys.net tx;
-          prepare (i + 1) ((i, tx, wallet) :: acc) rest))
+  (* Each worker awaits the faucet's funding of a fresh one-task wallet,
+     then checks the task before answering from it. *)
+  let funded worker =
+    let* wallet = fresh_funded_wallet_r sys ~phase:"answer_collection" ~amount:10 in
+    match
+      Worker.validate_task ~storage ~contract:task ~balance:(Network.balance sys.net task)
+        ~height:(Network.height sys.net)
+        ~expected_root:storage.Task_contract.params.Task_contract.ra_root
+    with
+    | Ok () -> Ok wallet
+    | Error e ->
+      Error
+        (Submission_rejected
+           { worker; reason = "task validation failed: " ^ Worker.validation_error_to_string e })
   in
-  match prepare 0 [] workers with
-  | Error _ as e -> e
-  | Ok entries ->
-    (* Settle the batch: one block on the happy path, then — while any
-       receipt is still missing — wait out the synchrony bound and
-       rebroadcast the stragglers, up to [retry.max_attempts] broadcasts. *)
-    let receipt (_, tx, _) = Network.receipt sys.net (Tx.hash tx) in
-    let first_failure () =
-      List.find_map
-        (fun ((i, _, _) as e) ->
-          match receipt e with
-          | Some { State.status = State.Failed reason; _ } ->
-            Some (Submission_rejected { worker = i; reason })
-          | _ -> None)
-        entries
-    in
-    let missing () = List.filter (fun e -> receipt e = None) entries in
-    let rec drain k =
-      if missing () = [] || k = 0 then Ok ()
-      else match mine_r sys with Error e -> Error e | Ok () -> drain (k - 1)
-    in
-    let rec settle n =
-      match mine_r sys with
-      | Error e -> Error e
-      | Ok () -> (
-        match drain sys.retry.backoff_blocks with
-        | Error e -> Error e
-        | Ok () -> (
-          match first_failure () with
-          | Some e -> Error e
-          | None -> (
-            match missing () with
-            | [] ->
-              List.iter (fun _ -> Obs.Counter.incr m_answers) entries;
-              if n > 1 then Obs.Counter.incr m_recovered;
-              Ok (List.map (fun (_, _, w) -> w) entries)
-            | stragglers ->
-              if n >= sys.retry.max_attempts then begin
-                Obs.Counter.incr m_timeouts;
-                Error (Timed_out { phase = "answer_collection"; attempts = n })
-              end
-              else begin
-                List.iter
-                  (fun (_, tx, _) ->
-                    Obs.Counter.incr m_resubmits;
-                    Network.submit sys.net tx)
-                  stragglers;
-                settle (n + 1)
-              end)))
-    in
-    settle 1
-
-(* --- Reward --- *)
+  let* p = answers sys ~task ~wallet:funded workers in
+  await sys p
 
 let reward_r sys task =
-  Obs.with_span "protocol.reward" @@ fun () ->
-  let rewards, tx = instruct_tx sys task in
-  match submit_confirm_r sys ~phase:"reward" tx with
-  | Error err -> Error err
-  | Ok { State.status = State.Ok _; _ } -> Ok rewards
-  | Ok { State.status = State.Failed e; _ } -> Error (Instruction_rejected e)
+  Obs.with_span "protocol.reward" @@ fun () -> await sys (instruct sys task)
 
 (* Result-aware [Network.mine_until]: the block clock may trip a scheduled
    crash window, so each tick can surface a replica failure. *)
-let mine_to_r sys ~height =
-  let rec go () =
-    if Network.height sys.net >= height then Ok ()
-    else match mine_r sys with Error e -> Error e | Ok () -> go ()
-  in
-  go ()
+let rec mine_to_r sys ~height =
+  if Network.height sys.net >= height then Ok ()
+  else
+    let* () = mine_r sys in
+    mine_to_r sys ~height
 
 let finalize_r sys (task : Requester.task) =
   Obs.with_span "protocol.finalize" @@ fun () ->
-  match
-    mine_to_r sys ~height:(task.Requester.params.Task_contract.instruct_deadline + 1)
-  with
-  | Error err -> Error err
-  | Ok () -> (
-    match fresh_funded_wallet_r sys ~phase:"finalize" ~amount:10 with
-    | Error err -> Error err
-    | Ok caller -> (
-      let storage = task_storage sys task.Requester.contract in
-      let tx =
-        Tx.make_ext ~wallet:caller ~fee:0
-          ~footprint:(Requester.settlement_footprint ~sender:(Wallet.address caller) storage)
-          ~nonce:0 ~dst:(Tx.Call task.Requester.contract) ~value:0
-          ~payload:(Task_contract.message_to_bytes Task_contract.Finalize)
-      in
-      match submit_confirm_r sys ~phase:"finalize" tx with
-      | Error err -> Error err
-      | Ok { State.status = State.Ok _; _ } -> Ok ()
-      | Ok { State.status = State.Failed e; _ } -> Error (Instruction_rejected e)))
+  let* () = mine_to_r sys ~height:(task.Requester.params.Task_contract.instruct_deadline + 1) in
+  let* caller = fresh_funded_wallet_r sys ~phase:"finalize" ~amount:10 in
+  let storage = task_storage sys task.Requester.contract in
+  let tx =
+    Tx.make_ext ~wallet:caller ~fee:0
+      ~footprint:(Requester.settlement_footprint ~sender:(Wallet.address caller) storage)
+      ~nonce:0 ~dst:(Tx.Call task.Requester.contract) ~value:0
+      ~payload:(Task_contract.message_to_bytes Task_contract.Finalize)
+  in
+  await sys
+    (single sys ~name:"finalize" tx (function
+      | State.Ok _ -> Ok ()
+      | State.Failed e -> Error (Instruction_rejected e)))
 
 (* --- Audit --- *)
 
@@ -572,16 +529,12 @@ let run_batch sys ~policy ~budget_per_task ~answer_sets =
     if n = 0 || List.exists (fun a -> List.length a <> n) rest then
       invalid_arg "Protocol.run_batch: ragged answer sets");
   let n = List.length (List.hd answer_sets) in
-  let circuit =
-    Reward_circuit.setup ~composition:(Cpla.composition sys.cpla)
-      ~random_bytes:(random_bytes sys) ~policy ~n ()
-  in
   let requester = get_ok (enroll_r sys) in
   let workers = List.init n (fun _ -> get_ok (enroll_r sys)) in
   List.map
     (fun answers ->
       let task =
-        get_ok (publish_task_r sys ~requester ~policy ~n ~budget:budget_per_task ~circuit ())
+        get_ok (publish_task_r sys ~requester ~policy ~n ~budget:budget_per_task ())
       in
       let pairs = List.map2 (fun w a -> (w, a)) workers answers in
       ignore (get_ok (submit_answers_r sys ~task:task.Requester.contract ~workers:pairs));

@@ -11,29 +11,38 @@
     step rejected and why.  Callers that treat a rejection as fatal unwrap
     with {!get_ok}.
 
-    {b One builder per transaction}: a task's publish, answer and instruct
-    transactions are built only by {!publish_tx}, {!answer_tx} and
-    {!instruct_tx} (faucet transfers by {!funding_tx}).  The phase drivers
-    use them, and so do the pipelined [Load] scheduler and the [Chaos]
-    eclipse path, which sequence the same transactions differently.
+    {b One builder and one confirm loop}: every on-chain step is a
+    {!phase} — the transactions it broadcast plus how their receipts
+    become its result — built only by {!funding}, {!publish}, {!answers}
+    and {!instruct} (and, inside this module, the RA deployment, root
+    post and Finalize).  The phase drivers {!await} them one at a time;
+    the pipelined [Load] scheduler keeps one phase per task in flight and
+    {!poll}s each after every block.  Both confirm through the same
+    {!poll}, so their bytes and their retries cannot drift apart.  Two
+    differences are the callers' choice, made through what they pass in:
+    {!submit_answers_r} funds each worker's one-task wallet with an
+    awaited {!funding} and pays fee 0, while [Load] answers from unfunded
+    wallets and passes its fee tiers and faucet nonces as [?fee] and
+    [?nonce].  The [Chaos] eclipse path broadcasts {!answer_tx}s itself
+    and waits, without rebroadcasting, until the held answers land or the
+    answer deadline passes.
 
-    {b Fault tolerance}: the [_r] drivers ride out transient network
-    faults (see [Zebra_faults]).  Each broadcast is confirmed by receipt;
-    a missing receipt is waited out for [retry.backoff_blocks] further
-    blocks — the synchrony bound — then rebroadcast, up to
+    {b Fault tolerance}: phases ride out transient network faults (see
+    [Zebra_faults]).  A phase settles once every receipt is in; a missing
+    receipt is waited out for [retry.backoff_blocks] further blocks — the
+    synchrony bound — then the stragglers are rebroadcast, up to
     [retry.max_attempts] broadcasts before [Timed_out].  Rebroadcasts are
     idempotent: a late-arriving delayed copy fails nonce replay and the
     first mined receipt is canonical.  A replica divergence the chain
-    cannot mask surfaces as [Node_down].  On the fault-free happy path the
-    drivers mine exactly the same blocks as before the retry layer
-    existed, so deterministic block-layout expectations hold.
+    cannot mask surfaces as [Node_down].  On the fault-free happy path
+    every phase settles in the block after its broadcast.
 
     {b Observability}: each phase runs under a [Zebra_obs] span
     ([protocol.register], [protocol.task_publish],
     [protocol.answer_collection], [protocol.reward], [protocol.finalize]) —
     inert until [Zebra_obs.Obs.set_enabled true]. *)
 
-(** Bounded-retry policy for the [_r] phase drivers: up to [max_attempts]
+(** Bounded-retry policy for every {!phase}: up to [max_attempts]
     broadcasts of a transaction, each followed by at most [backoff_blocks]
     extra blocks of waiting for the receipt. *)
 type retry_policy = { max_attempts : int; backoff_blocks : int }
@@ -128,37 +137,67 @@ val ra_rsa_pub_bytes : system -> bytes
 (** A new, unfunded one-task-only wallet drawn from the system stream. *)
 val fresh_wallet : system -> Zebra_chain.Wallet.t
 
-(** [funding_tx sys wallet ~amount] — the faucet's transfer of [amount] to
-    [wallet], at the faucet's on-chain nonce unless [?nonce] is given (a
-    caller with several transfers pending counts nonces itself).  [?fee]
-    defaults to 0. *)
-val funding_tx :
-  ?fee:int -> ?nonce:int -> system -> Zebra_chain.Wallet.t -> amount:int -> Zebra_chain.Tx.t
-
-(** [fresh_funded_wallet_r sys ~amount] — a {!fresh_wallet} funded from
-    the faucet (one block is mined on the happy path); [phase] (default
-    ["faucet_funding"]) labels a [Timed_out]. *)
-val fresh_funded_wallet_r :
-  ?phase:string -> system -> amount:int -> (Zebra_chain.Wallet.t, error) result
-
 (** Read and decode a task contract's storage from the chain. *)
 val task_storage : system -> Zebra_chain.Address.t -> Task_contract.storage
 
-(** {2 Task transactions} *)
+(** {2 Phases} *)
+
+(** One on-chain step in flight, settling to an ['a]: the transactions it
+    broadcast, and how their receipts become its result. *)
+type 'a phase
+
+(** [poll sys p] — run after each mined block — is [None] while [p] is
+    pending and [Some result] once it settles.  Every receipt in: the
+    phase settles on them.  A receipt still missing: after
+    [retry.backoff_blocks] further blocks (the synchrony bound) a failed
+    receipt among the others settles the phase with its rejection;
+    otherwise the stragglers are rebroadcast, up to [retry.max_attempts]
+    broadcasts before [Error (Timed_out _)].
+
+    Counters: [protocol.retry.resubmits] counts rebroadcast transactions;
+    [protocol.retry.recovered] counts phases whose receipts all arrived,
+    but not all in the first block after the first broadcast (a rebroadcast
+    or a late receipt); [protocol.retry.timeouts] counts [Timed_out]s. *)
+val poll : system -> 'a phase -> ('a, error) result option
+
+(** [await sys p] mines blocks, polling [p] after each, until it settles:
+    one block on the happy path.  A replica failure while mining is
+    [Error (Node_down _)]. *)
+val await : system -> 'a phase -> ('a, error) result
+
+(** [funding sys wallet ~amount] broadcasts the faucet's transfer of
+    [amount] to [wallet], at the faucet's on-chain nonce unless [?nonce]
+    is given (a caller with several transfers pending counts nonces
+    itself); [?fee] defaults to 0.  Settles to [wallet].
+    @raise Failure when it settles on a failed receipt (the faucet
+    holds the whole supply, so that is a bug, not a fault). *)
+val funding :
+  ?fee:int ->
+  ?nonce:int ->
+  system ->
+  Zebra_chain.Wallet.t ->
+  amount:int ->
+  Zebra_chain.Wallet.t phase
+
+(** [fresh_funded_wallet_r sys ~amount] — a {!fresh_wallet} with its
+    awaited {!funding} (one block is mined on the happy path); [phase]
+    (default ["faucet_funding"]) labels a [Timed_out]. *)
+val fresh_funded_wallet_r :
+  ?phase:string -> system -> amount:int -> (Zebra_chain.Wallet.t, error) result
 
 (** The reward circuit for [(policy, n)] through the system keypair memo,
     with setup randomness derived from [setup_seed ^ "/reward-circuit"] —
-    hit or miss, the same keys.  {!publish_tx} uses it when given no
-    [?circuit]. *)
+    hit or miss, the same keys.  {!publish} proves under it. *)
 val reward_circuit : system -> policy:Policy.t -> n:int -> Reward_circuit.t
 
-(** [publish_tx sys ~requester ~wallet ...] builds the task deployment
+(** [publish sys ~requester ~wallet ...] broadcasts the task deployment
     from the funded one-task [wallet] (nonce 0): a fresh task key, the
     requester's attestation under the RA's current root, an answer
     deadline [answer_window] (default 20) blocks after the current height
     and an instruct deadline [instruct_window] (default 40) blocks after
-    that.  [?fee] defaults to 0. *)
-val publish_tx :
+    that.  [?fee] defaults to 0.  Settles to the requester's task handle,
+    or [Deploy_rejected]. *)
+val publish :
   system ->
   requester:identity ->
   wallet:Zebra_chain.Wallet.t ->
@@ -170,15 +209,14 @@ val publish_tx :
   ?max_per_worker:int ->
   ?ra_rsa_pub:bytes ->
   ?data_digest:bytes ->
-  ?circuit:Reward_circuit.t ->
   ?fee:int ->
   unit ->
-  Requester.task * Zebra_chain.Tx.t
+  Requester.task phase
 
 (** [answer_tx sys ~storage ~task ~wallet worker ~answer] — [worker]'s
     encrypted, anonymously attested answer to the task contract [task]
     (whose decoded storage is [storage]), signed by the one-task [wallet]
-    at nonce 0. *)
+    at nonce 0, at fee 0. *)
 val answer_tx :
   system ->
   storage:Task_contract.storage ->
@@ -188,16 +226,31 @@ val answer_tx :
   answer:int ->
   Zebra_chain.Tx.t
 
-(** [instruct_tx sys task] — the requester's proved reward instruction
-    over the task's current on-chain submissions, with the reward vector
-    it pays.  [?fee] defaults to 0. *)
-val instruct_tx : ?fee:int -> system -> Requester.task -> int array * Zebra_chain.Tx.t
+(** [answers sys ~task ~wallet workers] broadcasts each worker's
+    {!answer_tx} in order, the [i]-th (0-based) from the one-task wallet
+    [wallet i] returns — so a caller decides whether workers' wallets are
+    funded first, and [wallet] may reject the [i]-th worker before it
+    answers.  The phase is labelled ["answer_collection"] and settles to
+    the wallets, or to [Submission_rejected] naming the first worker
+    whose submission reverted. *)
+val answers :
+  system ->
+  task:Zebra_chain.Address.t ->
+  wallet:(int -> (Zebra_chain.Wallet.t, error) result) ->
+  (identity * int) list ->
+  (Zebra_chain.Wallet.t list phase, error) result
+
+(** [instruct sys task] broadcasts the requester's proved reward
+    instruction over the task's current on-chain submissions.  [?fee]
+    defaults to 0.  Settles to the reward vector it pays, or
+    [Instruction_rejected]. *)
+val instruct : ?fee:int -> system -> Requester.task -> int array phase
 
 (** {2 Phase drivers} *)
 
-(** TaskPublish: funds a fresh one-task wallet with [budget + 1], then
-    mines the {!publish_tx} deployment and returns the requester's task
-    handle.  Deadlines are windows in blocks from now. *)
+(** TaskPublish: awaits a fresh one-task wallet funded with [budget + 1],
+    then the {!publish} phase, and returns the requester's task handle.
+    Deadlines are windows in blocks from now. *)
 val publish_task_r :
   system ->
   requester:identity ->
@@ -209,23 +262,24 @@ val publish_task_r :
   ?max_per_worker:int ->
   ?ra_rsa_pub:bytes ->
   ?data_digest:bytes ->
-  ?circuit:Reward_circuit.t ->
   unit ->
   (Requester.task, error) result
 
-(** AnswerCollection: each worker validates the task and submits one
-    encrypted answer from a fresh address; everything is mined into the
-    next block(s).  Returns each worker's one-task wallet (to observe the
-    payment).  On [Error (Submission_rejected _)] the index identifies the
-    offending worker; earlier accepted submissions stay on-chain. *)
+(** AnswerCollection: the {!answers} phase, in which each worker first
+    awaits the faucet's funding of a fresh one-task wallet with 10 and
+    validates the task, then submits one encrypted answer from that
+    wallet.  Returns each worker's wallet (to observe the payment).  On
+    [Error (Submission_rejected _)] the index identifies the offending
+    worker; earlier accepted submissions stay on-chain. *)
 val submit_answers_r :
   system ->
   task:Zebra_chain.Address.t ->
   workers:(identity * int) list ->
   (Zebra_chain.Wallet.t list, error) result
 
-(** Reward: the requester decrypts, computes rewards, proves and instructs;
-    mined immediately.  Returns the reward vector. *)
+(** Reward: awaits the {!instruct} phase (the requester decrypts,
+    computes rewards, proves and instructs).  Returns the reward
+    vector. *)
 val reward_r : system -> Requester.task -> (int array, error) result
 
 (** [mine_to_r sys ~height] mines (possibly empty) blocks up to [height].

@@ -11,20 +11,17 @@ type storage = {
 
 let behavior_name = "zebralancer-ra"
 
-let write_fp w x = Codec.bytes w (Fp.to_bytes_be x)
-let read_fp r = Fp.of_bytes_be_exn (Codec.read_bytes r)
-
 let write_storage w st =
-  Codec.bytes w (Address.to_bytes st.operator);
+  Address.write w st.operator;
   Codec.bytes w st.auth_vk;
-  write_fp w st.root;
-  Codec.list w write_fp st.history
+  Fp.write w st.root;
+  Codec.list w Fp.write st.history
 
 let read_storage r =
-  let operator = Address.of_bytes (Codec.read_bytes r) in
+  let operator = Address.read r in
   let auth_vk = Codec.read_bytes r in
-  let root = read_fp r in
-  let history = Codec.read_list r read_fp in
+  let root = Fp.read r in
+  let history = Codec.read_list r Fp.read in
   { operator; auth_vk; root; history }
 
 let storage_of_bytes = Codec.decode read_storage
@@ -33,10 +30,10 @@ let init_args ~auth_vk ~root =
   Codec.encode
     (fun w () ->
       Codec.bytes w auth_vk;
-      write_fp w root)
+      Fp.write w root)
     ()
 
-let set_root_msg root = Codec.encode write_fp root
+let set_root_msg root = Codec.encode Fp.write root
 
 module Behavior = struct
   type nonrec storage = storage
@@ -49,14 +46,14 @@ module Behavior = struct
     Codec.decode
       (fun r ->
         let auth_vk = Codec.read_bytes r in
-        let root = read_fp r in
+        let root = Fp.read r in
         { operator = ctx.Contract.sender; auth_vk; root; history = [] })
       args
 
   let receive (ctx : Contract.context) st payload =
     if not (Address.equal ctx.Contract.sender st.operator) then
       raise (Contract.Revert "only the RA operator updates the root");
-    let root = Codec.decode read_fp payload in
+    let root = Codec.decode Fp.read payload in
     ({ st with root; history = st.root :: st.history }, [ Contract.Log "ra root updated" ])
 end
 

@@ -20,18 +20,15 @@ let behavior_name = "zebralancer-reputation"
 
 let key_of_tag tag = Zebra_hashing.Sha256.to_hex (Fp.to_bytes_be tag)
 
-let write_fp w x = Codec.bytes w (Fp.to_bytes_be x)
-let read_fp r = Fp.of_bytes_be_exn (Codec.read_bytes r)
-
 let write_storage w st =
-  Codec.bytes w (Address.to_bytes st.owner);
+  Address.write w st.owner;
   Codec.bytes w st.link_vk;
   Codec.u64 w st.epoch;
   Codec.list w
     (fun w (k, (score, prefix)) ->
       Codec.string w k;
       Codec.u64 w score;
-      write_fp w prefix)
+      Fp.write w prefix)
     st.credits;
   Codec.list w
     (fun w (k, score) ->
@@ -40,14 +37,14 @@ let write_storage w st =
     st.scores
 
 let read_storage r =
-  let owner = Address.of_bytes (Codec.read_bytes r) in
+  let owner = Address.read r in
   let link_vk = Codec.read_bytes r in
   let epoch = Codec.read_u64 r in
   let credits =
     Codec.read_list r (fun r ->
         let k = Codec.read_string r in
         let score = Codec.read_u64 r in
-        let prefix = read_fp r in
+        let prefix = Fp.read r in
         (k, (score, prefix)))
   in
   let scores =
@@ -68,13 +65,13 @@ let message_to_bytes m =
       match m with
       | Credit { task_tag; task_prefix; score } ->
         Codec.u8 w 0;
-        write_fp w task_tag;
-        write_fp w task_prefix;
+        Fp.write w task_tag;
+        Fp.write w task_prefix;
         Codec.u64 w score
       | Claim { task_tag; pseudonym; proof } ->
         Codec.u8 w 1;
-        write_fp w task_tag;
-        write_fp w pseudonym;
+        Fp.write w task_tag;
+        Fp.write w pseudonym;
         Codec.bytes w proof
       | Advance_epoch -> Codec.u8 w 2)
     m
@@ -84,13 +81,13 @@ let message_of_bytes b =
     (fun r ->
       match Codec.read_u8 r with
       | 0 ->
-        let task_tag = read_fp r in
-        let task_prefix = read_fp r in
+        let task_tag = Fp.read r in
+        let task_prefix = Fp.read r in
         let score = Codec.read_u64 r in
         Credit { task_tag; task_prefix; score }
       | 1 ->
-        let task_tag = read_fp r in
-        let pseudonym = read_fp r in
+        let task_tag = Fp.read r in
+        let pseudonym = Fp.read r in
         let proof = Codec.read_bytes r in
         Claim { task_tag; pseudonym; proof }
       | 2 -> Advance_epoch
@@ -132,7 +129,7 @@ module Behavior = struct
       in
       let proof =
         try Snark.proof_of_bytes proof
-        with Codec.Decode_error e | Invalid_argument e -> revert "malformed proof: %s" e
+        with Codec.Decode_error e -> revert "malformed proof: %s" e
       in
       ctx.Contract.charge Contract.Gas.snark_verify;
       let ok =

@@ -49,16 +49,13 @@ let behavior_name = "zebralancer-task"
 
 (* --- codecs --- *)
 
-let write_fp w x = Codec.bytes w (Fp.to_bytes_be x)
-let read_fp r = Fp.of_bytes_be_exn (Codec.read_bytes r)
-
 let write_params w p =
   Codec.u64 w p.budget;
   Codec.u32 w p.n;
   Codec.u64 w p.answer_deadline;
   Codec.u64 w p.instruct_deadline;
-  write_fp w p.epk;
-  write_fp w p.ra_root;
+  Fp.write w p.epk;
+  Fp.write w p.ra_root;
   Codec.bytes w p.auth_vk;
   Codec.bytes w p.reward_vk;
   Codec.bytes w (Policy.to_bytes p.policy);
@@ -72,8 +69,8 @@ let read_params r =
   let n = Codec.read_u32 r in
   let answer_deadline = Codec.read_u64 r in
   let instruct_deadline = Codec.read_u64 r in
-  let epk = read_fp r in
-  let ra_root = read_fp r in
+  let epk = Fp.read r in
+  let ra_root = Fp.read r in
   let auth_vk = Codec.read_bytes r in
   let reward_vk = Codec.read_bytes r in
   let policy = Policy.of_bytes (Codec.read_bytes r) in
@@ -101,26 +98,26 @@ let params_to_bytes = Codec.encode write_params
 let params_of_bytes = Codec.decode read_params
 
 let write_submission w s =
-  Codec.bytes w (Address.to_bytes s.worker);
+  Address.write w s.worker;
   Codec.bytes w (Elgamal.ciphertext_to_bytes s.ciphertext);
-  write_fp w s.tag
+  Fp.write w s.tag
 
 let read_submission r =
-  let worker = Address.of_bytes (Codec.read_bytes r) in
+  let worker = Address.read r in
   let ciphertext = Elgamal.ciphertext_of_bytes (Codec.read_bytes r) in
-  let tag = read_fp r in
+  let tag = Fp.read r in
   { worker; ciphertext; tag }
 
 let write_storage w st =
   write_params w st.params;
-  Codec.bytes w (Address.to_bytes st.requester);
+  Address.write w st.requester;
   Codec.u8 w (match st.phase with Collecting -> 0 | Finished -> 1);
   Codec.list w write_submission st.submissions;
-  write_fp w st.requester_tag
+  Fp.write w st.requester_tag
 
 let read_storage r =
   let params = read_params r in
-  let requester = Address.of_bytes (Codec.read_bytes r) in
+  let requester = Address.read r in
   let phase =
     match Codec.read_u8 r with
     | 0 -> Collecting
@@ -128,7 +125,7 @@ let read_storage r =
     | _ -> raise (Codec.Decode_error "task: bad phase")
   in
   let submissions = Codec.read_list r read_submission in
-  let requester_tag = read_fp r in
+  let requester_tag = Fp.read r in
   { params; requester; phase; submissions; requester_tag }
 
 let storage_of_bytes = Codec.decode read_storage
@@ -225,7 +222,7 @@ module Behavior = struct
     if List.length st.submissions >= st.params.n then revert "enough answers collected";
     let ct =
       try Elgamal.ciphertext_of_bytes ciphertext
-      with Codec.Decode_error e | Invalid_argument e -> revert "malformed ciphertext: %s" e
+      with Codec.Decode_error e -> revert "malformed ciphertext: %s" e
     in
     if Elgamal.is_missing ct then revert "sentinel ciphertext";
     let sender = ctx.Contract.sender in
@@ -252,7 +249,7 @@ module Behavior = struct
     let ct = admission_checks ctx st ~ciphertext in
     let att =
       try Cpla.attestation_of_bytes attestation
-      with Codec.Decode_error e | Invalid_argument e -> revert "malformed attestation: %s" e
+      with Codec.Decode_error e -> revert "malformed attestation: %s" e
     in
     let sender = ctx.Contract.sender in
     link_checks ctx st ~tag:att.Cpla.t1;
@@ -280,7 +277,7 @@ module Behavior = struct
     let ct = admission_checks ctx st ~ciphertext in
     let att =
       try Plain_auth.attestation_of_bytes attestation
-      with Codec.Decode_error e | Invalid_argument e -> revert "malformed attestation: %s" e
+      with Codec.Decode_error e -> revert "malformed attestation: %s" e
     in
     let sender = ctx.Contract.sender in
     let tag = Plain_auth.tag att.Plain_auth.cert in
@@ -312,7 +309,7 @@ module Behavior = struct
     if total > st.params.budget then revert "rewards exceed budget";
     let proof =
       try Zebra_snark.Snark.proof_of_bytes proof
-      with Codec.Decode_error e | Invalid_argument e -> revert "malformed proof: %s" e
+      with Codec.Decode_error e -> revert "malformed proof: %s" e
     in
     let cts = Array.make n Elgamal.missing in
     List.iteri (fun i s -> cts.(i) <- s.ciphertext) st.submissions;

@@ -43,15 +43,15 @@ let is_missing ct = Fp.is_zero ct.c1
 let ciphertext_to_bytes ct =
   Codec.encode
     (fun w ct ->
-      Codec.bytes w (Fp.to_bytes_be ct.c1);
-      Codec.bytes w (Fp.to_bytes_be ct.c2))
+      Fp.write w ct.c1;
+      Fp.write w ct.c2)
     ct
 
 let ciphertext_of_bytes b =
   Codec.decode
     (fun r ->
-      let c1 = Fp.of_bytes_be_exn (Codec.read_bytes r) in
-      let c2 = Fp.of_bytes_be_exn (Codec.read_bytes r) in
+      let c1 = Fp.read r in
+      let c2 = Fp.read r in
       { c1; c2 })
     b
 

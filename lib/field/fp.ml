@@ -1,3 +1,5 @@
+module Codec = Zebra_codec.Codec
+
 let modulus =
   Nat.of_decimal_string
     "21888242871839275222246405745257275088548364400416034343698204186575808495617"
@@ -22,10 +24,13 @@ let of_bytes_be b = of_nat (Nat.of_bytes_be b)
 
 let to_bytes_be x = Nat.to_bytes_be ~len:32 (to_nat x)
 
-let of_bytes_be_exn b =
-  if Bytes.length b <> 32 then invalid_arg "Fp.of_bytes_be_exn: need 32 bytes";
+let write w x = Codec.bytes w (to_bytes_be x)
+
+let read r =
+  let b = Codec.read_bytes r in
+  if Bytes.length b <> 32 then raise (Codec.Decode_error "field element: need 32 bytes");
   let n = Nat.of_bytes_be b in
-  if Nat.compare n modulus >= 0 then invalid_arg "Fp.of_bytes_be_exn: not canonical";
+  if Nat.compare n modulus >= 0 then raise (Codec.Decode_error "field element: not canonical");
   of_nat n
 
 let of_decimal_string s = of_nat (Nat.of_decimal_string s)

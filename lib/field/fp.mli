@@ -38,9 +38,14 @@ val of_bytes_be : bytes -> t
 (** Canonical 32-byte big-endian encoding. *)
 val to_bytes_be : t -> bytes
 
-val of_bytes_be_exn : bytes -> t
-(** [of_bytes_be_exn] requires a canonical 32-byte encoding strictly below r.
-    @raise Invalid_argument otherwise.  Use for deserialising proofs. *)
+(** [write w x] appends {!to_bytes_be} [x] as a length-prefixed string. *)
+val write : Zebra_codec.Codec.writer -> t -> unit
+
+(** [read r] is the one reader of a field element off the wire, the
+    inverse of {!write}: a canonical 32-byte encoding strictly below r.
+    @raise Zebra_codec.Codec.Decode_error on a short, long or non-canonical
+    element. *)
+val read : Zebra_codec.Codec.reader -> t
 
 (** [of_decimal_string s] parses base-10 and reduces modulo r. *)
 val of_decimal_string : string -> t

@@ -515,27 +515,24 @@ let simulate_rng ~rng trapdoor ~public_inputs =
 let num_public_inputs vk = vk.v_num_inputs
 let domain_size pk = Fft.size pk.p_domain
 
-let write_fp w x = Codec.bytes w (Fp.to_bytes_be x)
-let read_fp r = Fp.of_bytes_be_exn (Codec.read_bytes r)
-
 let proof_to_bytes p =
   Codec.encode
     (fun w p ->
-      List.iter (write_fp w)
+      List.iter (Fp.write w)
         [ p.pi_a; p.pi_a'; p.pi_b; p.pi_b'; p.pi_c; p.pi_c'; p.pi_k; p.pi_h ])
     p
 
 let proof_of_bytes b =
   Codec.decode
     (fun r ->
-      let pi_a = read_fp r in
-      let pi_a' = read_fp r in
-      let pi_b = read_fp r in
-      let pi_b' = read_fp r in
-      let pi_c = read_fp r in
-      let pi_c' = read_fp r in
-      let pi_k = read_fp r in
-      let pi_h = read_fp r in
+      let pi_a = Fp.read r in
+      let pi_a' = Fp.read r in
+      let pi_b = Fp.read r in
+      let pi_b' = Fp.read r in
+      let pi_c = Fp.read r in
+      let pi_c' = Fp.read r in
+      let pi_k = Fp.read r in
+      let pi_h = Fp.read r in
       { pi_a; pi_a'; pi_b; pi_b'; pi_c; pi_c'; pi_k; pi_h })
     b
 
@@ -560,21 +557,21 @@ let batch_seed ~tag items =
 
 let write_vk w vk =
   Codec.u32 w vk.v_num_inputs;
-  List.iter (write_fp w) [ vk.alpha_a; vk.alpha_b; vk.alpha_c; vk.beta; vk.v_z_s ];
-  Codec.array w write_fp vk.io_a;
-  Codec.array w write_fp vk.io_b;
-  Codec.array w write_fp vk.io_c
+  List.iter (Fp.write w) [ vk.alpha_a; vk.alpha_b; vk.alpha_c; vk.beta; vk.v_z_s ];
+  Codec.array w Fp.write vk.io_a;
+  Codec.array w Fp.write vk.io_b;
+  Codec.array w Fp.write vk.io_c
 
 let read_vk r =
   let v_num_inputs = Codec.read_u32 r in
-  let alpha_a = read_fp r in
-  let alpha_b = read_fp r in
-  let alpha_c = read_fp r in
-  let beta = read_fp r in
-  let v_z_s = read_fp r in
-  let io_a = Codec.read_array r read_fp in
-  let io_b = Codec.read_array r read_fp in
-  let io_c = Codec.read_array r read_fp in
+  let alpha_a = Fp.read r in
+  let alpha_b = Fp.read r in
+  let alpha_c = Fp.read r in
+  let beta = Fp.read r in
+  let v_z_s = Fp.read r in
+  let io_a = Codec.read_array r Fp.read in
+  let io_b = Codec.read_array r Fp.read in
+  let io_c = Codec.read_array r Fp.read in
   if Array.length io_a <> v_num_inputs + 1 then
     raise (Codec.Decode_error "vk: io table length mismatch");
   { v_num_inputs; alpha_a; alpha_b; alpha_c; beta; v_z_s; io_a; io_b; io_c }

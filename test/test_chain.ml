@@ -519,6 +519,37 @@ let test_short_sender_key_rejected () =
   | Error Network.Invalid_signature -> ()
   | Ok () -> Alcotest.fail "short-key tx admitted"
 
+(* A 19-byte address anywhere on the tx wire — the sender, a Call
+   destination or a footprint entry — is a [Decode_error], never an
+   escaping [Invalid_argument]. *)
+let test_short_wire_address_rejected () =
+  let dst = Wallet.address (wallet 1) and declared = Wallet.address (wallet 2) in
+  let tx =
+    Tx.make_ext ~wallet:(wallet 0) ~fee:0 ~footprint:[ declared ] ~nonce:0 ~dst:(Tx.Call dst)
+      ~value:1 ~payload:Bytes.empty
+  in
+  let wire = Bytes.to_string (Tx.to_bytes tx) in
+  (* [wire] with the length-prefixed [addr] re-encoded at 19 bytes *)
+  let shorten addr =
+    let encode b = Bytes.to_string (Codec.encode Codec.bytes b) in
+    let field = encode (Address.to_bytes addr) in
+    let len = String.length field in
+    let rec find i = if String.sub wire i len = field then i else find (i + 1) in
+    let i = find 0 in
+    String.concat ""
+      [
+        String.sub wire 0 i;
+        encode (Bytes.sub (Address.to_bytes addr) 0 19);
+        String.sub wire (i + len) (String.length wire - i - len);
+      ]
+  in
+  List.iter
+    (fun (what, addr) ->
+      match Tx.of_bytes (Bytes.of_string (shorten addr)) with
+      | _ -> Alcotest.failf "%s: a 19-byte address decoded" what
+      | exception Codec.Decode_error _ -> ())
+    [ ("sender", tx.Tx.sender); ("call destination", dst); ("footprint entry", declared) ]
+
 let test_mine_ext_rejected_classification () =
   (* An invalidly-signed candidate smuggled in by the adversary shows up as
      [Rejected] in the typed outcomes, in candidate order, and never
@@ -856,6 +887,7 @@ let () =
             test_fee_ordering_keeps_nonce_lanes;
           Alcotest.test_case "submit_r typed rejection" `Quick test_submit_r_typed_rejection;
           Alcotest.test_case "short sender key rejected" `Quick test_short_sender_key_rejected;
+          Alcotest.test_case "short wire address rejected" `Quick test_short_wire_address_rejected;
           Alcotest.test_case "mine_ext rejected classification" `Quick
             test_mine_ext_rejected_classification;
           Alcotest.test_case "conflict retry classification" `Quick

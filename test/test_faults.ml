@@ -279,6 +279,131 @@ let test_protocol_rides_out_bounded_delay () =
   | Error e -> Alcotest.failf "bounded delay must be ridden out: %s" (Protocol.error_to_string e));
   Faults.detach sys.Protocol.net
 
+(* --- the one retry rule, over phases in flight --- *)
+
+let phase_sys = lazy (Protocol.create_system ~seed:"test-faults-phases" ())
+
+(* A requester and two workers under one root post, then [k] published
+   two-answer tasks; the workers' answers to each task. *)
+let phase_tasks sys k =
+  let requester = Protocol.register sys in
+  let workers = [ Protocol.register sys; Protocol.register sys ] in
+  Protocol.get_ok (Protocol.post_root_r sys);
+  let tasks =
+    List.init k (fun _ ->
+        Protocol.get_ok
+          (Protocol.publish_task_r sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
+             ~budget:60 ()))
+  in
+  (tasks, List.map (fun w -> (w, 1)) workers)
+
+let is_answer_to tasks (tx : Tx.t) =
+  match tx.Tx.dst with
+  | Tx.Call a -> List.exists (fun (t : Requester.task) -> Address.equal a t.Requester.contract) tasks
+  | Tx.Create _ -> false
+
+(* [f ()] with metrics on, and how far it moved [protocol.retry.recovered]
+   and [protocol.retry.resubmits]. *)
+let retry_deltas f =
+  let module Obs = Zebra_obs.Obs in
+  let recovered = Obs.Counter.make "protocol.retry.recovered" in
+  let resubmits = Obs.Counter.make "protocol.retry.resubmits" in
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  let r0 = Obs.Counter.value recovered and s0 = Obs.Counter.value resubmits in
+  let result = Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) f in
+  (result, Obs.Counter.value recovered - r0, Obs.Counter.value resubmits - s0)
+
+(* Each task's answers from unfunded nonce-0 wallets, all in flight at
+   once: mine a block, poll every phase still pending, until all settle. *)
+let answer_all sys tasks workers =
+  let phases =
+    List.map
+      (fun (t : Requester.task) ->
+        Protocol.get_ok
+          (Protocol.answers sys ~task:t.Requester.contract
+             ~wallet:(fun _ -> Ok (Protocol.fresh_wallet sys))
+             workers))
+      tasks
+  in
+  let results = Array.make (List.length phases) None in
+  let rec go blocks =
+    if Array.for_all Option.is_some results then Array.to_list (Array.map Option.get results)
+    else if blocks = 0 then Alcotest.fail "answer phases never settled"
+    else begin
+      ignore (Network.mine sys.Protocol.net);
+      List.iteri
+        (fun i p -> if results.(i) = None then results.(i) <- Protocol.poll sys p)
+        phases;
+      go (blocks - 1)
+    end
+  in
+  go 20
+
+(* A batch whose receipts arrive late counts as a recovery even though
+   nothing was rebroadcast, exactly as a one-transaction phase does. *)
+let test_late_batch_recovered () =
+  let sys = Lazy.force phase_sys in
+  let tasks, workers = phase_tasks sys 1 in
+  let task = List.hd tasks in
+  Network.set_mempool_fault sys.Protocol.net
+    (Some
+       (fun ~height txs ->
+         let late, now = List.partition (is_answer_to tasks) txs in
+         (now, List.map (fun tx -> (height + 1, tx)) late)));
+  let result, recovered, resubmits =
+    retry_deltas (fun () -> Protocol.submit_answers_r sys ~task:task.Requester.contract ~workers)
+  in
+  Network.set_mempool_fault sys.Protocol.net None;
+  (match result with
+  | Ok wallets -> Alcotest.(check int) "both answered" 2 (List.length wallets)
+  | Error e -> Alcotest.failf "late answers must settle: %s" (Protocol.error_to_string e));
+  Alcotest.(check int) "one late phase, one recovery" 1 recovered;
+  Alcotest.(check int) "nothing rebroadcast" 0 resubmits
+
+let test_phases_in_flight_resubmit () =
+  let sys = Lazy.force phase_sys in
+  let tasks, workers = phase_tasks sys 2 in
+  (* each answer's first broadcast is lost; its rebroadcast goes through *)
+  let lost = Hashtbl.create 8 in
+  Network.set_mempool_fault sys.Protocol.net
+    (Some
+       (fun ~height:_ txs ->
+         let drop, keep =
+           List.partition
+             (fun tx -> is_answer_to tasks tx && not (Hashtbl.mem lost (Tx.hash tx)))
+             txs
+         in
+         List.iter (fun tx -> Hashtbl.replace lost (Tx.hash tx) ()) drop;
+         (keep, [])));
+  let results, recovered, resubmits = retry_deltas (fun () -> answer_all sys tasks workers) in
+  Network.set_mempool_fault sys.Protocol.net None;
+  List.iter
+    (function
+      | Ok wallets -> Alcotest.(check int) "both answered" 2 (List.length wallets)
+      | Error e -> Alcotest.failf "dropped answers must settle: %s" (Protocol.error_to_string e))
+    results;
+  Alcotest.(check int) "one rebroadcast per dropped answer" (Hashtbl.length lost) resubmits;
+  Alcotest.(check int) "four answers dropped" 4 (Hashtbl.length lost);
+  Alcotest.(check int) "each phase recovered" 2 recovered
+
+let test_phases_in_flight_time_out () =
+  let sys = Lazy.force phase_sys in
+  let tasks, workers = phase_tasks sys 2 in
+  Network.set_mempool_fault sys.Protocol.net
+    (Some (fun ~height:_ txs -> (List.filter (fun tx -> not (is_answer_to tasks tx)) txs, [])));
+  let results = answer_all sys tasks workers in
+  Network.set_mempool_fault sys.Protocol.net None;
+  List.iter
+    (function
+      | Error (Protocol.Timed_out { phase; attempts }) ->
+        Alcotest.(check string) "phase" "answer_collection" phase;
+        Alcotest.(check int) "gave up after max_attempts"
+          Protocol.default_retry.Protocol.max_attempts attempts
+      | Error e -> Alcotest.failf "wrong error: %s" (Protocol.error_to_string e)
+      | Ok _ -> Alcotest.fail "cannot settle when every answer is lost")
+    results
+
 (* --- end-to-end chaos rounds --- *)
 
 let check_invariants name (o : Chaos.outcome) =
@@ -616,6 +741,11 @@ let () =
           Alcotest.test_case "timeout is typed" `Quick test_protocol_timeout_is_typed;
           Alcotest.test_case "bounded delay ridden out" `Quick
             test_protocol_rides_out_bounded_delay;
+          Alcotest.test_case "late batch counts one recovery" `Quick test_late_batch_recovered;
+          Alcotest.test_case "phases in flight: one resubmit per drop" `Quick
+            test_phases_in_flight_resubmit;
+          Alcotest.test_case "phases in flight: typed timeout" `Quick
+            test_phases_in_flight_time_out;
         ] );
       ( "chaos",
         [

@@ -1,6 +1,7 @@
 (* Field, FFT and polynomial tests. *)
 
 open Zebra_field
+module Codec = Zebra_codec.Codec
 
 let rng = Zebra_rng.Chacha20.create ~seed:"test_field"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
@@ -32,13 +33,13 @@ let test_negative_of_int () =
 
 let test_bytes_roundtrip () =
   let x = fresh_fp () in
-  Alcotest.check fp "roundtrip" x (Fp.of_bytes_be_exn (Fp.to_bytes_be x))
+  Alcotest.check fp "roundtrip" x (Codec.decode Fp.read (Codec.encode Fp.write x))
 
 let test_bytes_noncanonical () =
-  let b = Bytes.make 32 '\xff' in
+  let b = Codec.encode Codec.bytes (Bytes.make 32 '\xff') in
   Alcotest.check_raises "non-canonical rejected"
-    (Invalid_argument "Fp.of_bytes_be_exn: not canonical") (fun () ->
-      ignore (Fp.of_bytes_be_exn b))
+    (Codec.Decode_error "field element: not canonical") (fun () ->
+      ignore (Codec.decode Fp.read b))
 
 let test_root_of_unity () =
   let w = Fp.root_of_unity 10 in

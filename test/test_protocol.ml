@@ -8,6 +8,7 @@ open Zebralancer
 module Cpla = Zebra_anonauth.Cpla
 module Ra = Zebra_anonauth.Ra
 module Elgamal = Zebra_elgamal.Elgamal
+module Codec = Zebra_codec.Codec
 
 (* One shared system: CPLA setup is the expensive part.  Tests create
    independent tasks on the same chain, which also exercises coexistence. *)
@@ -548,6 +549,54 @@ let test_audit_report_batched () =
   Alcotest.(check int) "one batch per submission" 3 small.Protocol.batches;
   Alcotest.(check int) "same attestations checked" 3 small.Protocol.checked
 
+(* A worker mines a submission whose attestation carries t1 = 32 bytes of
+   0xff, which is no field element.  The contract reverts it, and the
+   audit then names it an offender instead of raising. *)
+let test_audit_malformed_attestation () =
+  let sys = Lazy.force sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let worker = Protocol.get_ok (Protocol.enroll_r sys) in
+  let task =
+    Protocol.get_ok
+      (Protocol.publish_task_r sys ~requester ~policy:(Policy.Majority { choices = 4 }) ~n:2
+         ~budget:60 ())
+  in
+  let contract = task.Requester.contract in
+  ignore (Protocol.get_ok (Protocol.submit_answers_r sys ~task:contract ~workers:[ (worker, 1) ]));
+  let wallet = Protocol.fresh_wallet sys in
+  let storage = Protocol.task_storage sys contract in
+  let valid = Protocol.answer_tx sys ~storage ~task:contract ~wallet worker ~answer:1 in
+  let payload =
+    match Task_contract.message_of_bytes valid.Tx.payload with
+    | Task_contract.Submit { ciphertext; attestation } ->
+      let t2, proof =
+        Codec.decode
+          (fun r ->
+            ignore (Codec.read_bytes r);
+            let t2 = Codec.read_bytes r in
+            (t2, Codec.read_bytes r))
+          attestation
+      in
+      let attestation =
+        Codec.encode
+          (fun w () -> List.iter (Codec.bytes w) [ Bytes.make 32 '\xff'; t2; proof ])
+          ()
+      in
+      Task_contract.message_to_bytes (Task_contract.Submit { ciphertext; attestation })
+    | _ -> Alcotest.fail "answer_tx builds a Submit"
+  in
+  let tx = Tx.make ~wallet ~nonce:0 ~dst:(Tx.Call contract) ~value:0 ~payload in
+  Network.submit sys.Protocol.net tx;
+  ignore (Network.mine sys.Protocol.net);
+  (match Network.receipt sys.Protocol.net (Tx.hash tx) with
+  | Some { State.status = State.Failed reason; _ } ->
+    Alcotest.(check string) "reverted as malformed" "malformed attestation"
+      (String.sub reason 0 (min (String.length reason) 21))
+  | _ -> Alcotest.fail "a malformed attestation must revert");
+  let report = Protocol.audit_task_report sys ~task:contract in
+  Alcotest.(check int) "both submissions checked" 2 report.Protocol.checked;
+  Alcotest.(check (list int)) "the malformed one is the offender" [ 1 ] report.Protocol.offenders
+
 (* --- system setup --- *)
 
 (* An invalid retry policy is refused at the door, before any key
@@ -627,6 +676,8 @@ let () =
           Alcotest.test_case "forged plain certificate" `Quick test_plain_mode_forged_cert_rejected;
           Alcotest.test_case "batch audit of mined submissions" `Quick test_audit_task_report;
           Alcotest.test_case "audit report: RLC batches" `Quick test_audit_report_batched;
+          Alcotest.test_case "audit names a malformed attestation" `Quick
+            test_audit_malformed_attestation;
         ] );
       ( "system",
         [
