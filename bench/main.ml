@@ -1,12 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section VI) plus the ablations called out in DESIGN.md.
+   evaluation (Section VI), the ablations called out in DESIGN.md, and the
+   committed BENCH_*.json row files (PERFORMANCE.md).
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe table1     -- Table I
-     dune exec bench/main.exe fig4       -- Figure 4
-     dune exec bench/main.exe memory | link | endtoend | ablation-fft |
-                              ablation-field | nonanon | obs | parallel |
-                              lint | field | snark | chaos | load
+     dune exec bench/main.exe                    -- everything
+     dune exec bench/main.exe table1 fig4        -- the named benches, in order
+     dune exec bench/main.exe check snark field  -- compare with BENCH_*.json
+
+   table1 fig4 memory link endtoend ablation-fft ablation-field
+   ablation-hash nonanon only print.  parallel lint field snark chaos load
+   also write BENCH_<name>.json, one {!Row} per measurement.  check re-runs
+   them and fails on any differing, missing or extra deterministic row; it
+   writes nothing, so regenerating a file is the re-pin.
 
    Shape, not absolute numbers, is the reproduction target: our substrate
    is a designated-verifier QAP SNARK over Poseidon (MiMC = ablation arm),
@@ -55,6 +59,9 @@ let wall fn =
 
 let ms x = x /. 1e6
 let header title = Printf.printf "\n===== %s =====\n%!" title
+
+(* A deterministic count row. *)
+let count name n = Row.det name ~unit:"count" (float_of_int n)
 
 (* --- fixtures --- *)
 
@@ -419,35 +426,11 @@ let nonanon () =
      anonymity costs ~%.0fx at generation, while verification stays comparable.\n%!"
     (t_auth *. 1e9 /. t_sign)
 
-(* --- X8: observability profile --- *)
-
-let obs () =
-  header "X8: per-phase profile from the observability layer";
-  let module Obs = Zebra_obs.Obs in
-  Obs.reset ();
-  Obs.set_enabled true;
-  let sys = Protocol.create_system ~seed:"bench-obs" () in
-  let _task, _wallets, rewards =
-    Protocol.run_task sys ~policy:(Policy.Majority { choices = 4 }) ~budget:90
-      ~answers:[ 1; 1; 2 ]
-  in
-  Obs.set_enabled false;
-  Printf.printf "one 3-worker majority task end-to-end; rewards [%s]\n\n"
-    (String.concat "; " (Array.to_list (Array.map string_of_int rewards)));
-  print_string (Obs.render_tree ());
-  let json = Obs.to_json_string () in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_obs.json (%d bytes)\n%!" (String.length json)
-
-(* --- X9: multicore scaling --- *)
+(* --- X9: multicore scaling (BENCH_parallel.json) --- *)
 
 let parallel () =
   header "X9: prover scaling over the Domain pool (ZEBRA_DOMAINS curve)";
   let module Parallel = Zebra_parallel.Parallel in
-  let module Json = Zebra_obs.Json in
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host reports %d recommended domain(s)%s\n\n" cores
     (if cores = 1 then " - expect a flat curve on this machine" else "");
@@ -508,79 +491,36 @@ let parallel () =
       Printf.printf "  %d domain(s): %7.3fs  speedup %.2fx\n%!" nd dt (fft_base /. dt))
     fft_runs;
   Parallel.set_default_domains saved;
-  let curve runs base =
-    Json.List
-      (List.map
-         (fun (nd, dt) ->
-           Json.Obj
-             [
-               ("domains", Json.Num (float_of_int nd));
-               ("seconds", Json.Num dt);
-               ("speedup", Json.Num (base /. dt));
-             ])
-         runs)
-  in
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ("recommended_domain_count", Json.Num (float_of_int cores));
-           ("prove_constraints", Json.Num (float_of_int (Cs.num_constraints cs)));
-           ("prove", curve (List.map (fun (nd, (_, dt)) -> (nd, dt)) prove_runs) base_t);
-           ("proofs_identical", Json.Bool true);
-           ("fft_log_size", Json.Num (float_of_int log_d));
-           ("fft_roundtrip", curve fft_runs fft_base);
-         ])
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
   Printf.printf
-    "\nwrote BENCH_parallel.json (%d bytes)\n\
-     read speedups against recommended_domain_count: on a single-core host the\n\
-     honest curve is flat (see PERFORMANCE.md).\n%!"
-    (String.length json)
+    "read speedups against recommended_domain_count: on a single-core host the\n\
+     honest curve is flat (see PERFORMANCE.md).\n%!";
+  let curve name runs =
+    List.map
+      (fun (nd, dt) -> Row.timing (Printf.sprintf "parallel.%s.domains_%d" name nd) ~unit:"s" dt)
+      runs
+  in
+  (count "parallel.prove.constraints" (Cs.num_constraints cs)
+  :: curve "prove" (List.map (fun (nd, (_, dt)) -> (nd, dt)) prove_runs))
+  @ curve (Printf.sprintf "fft_roundtrip_2^%d" log_d) fft_runs
 
-(* --- X10: static-analyzer cost --- *)
+(* --- snark: prover, keypair cache, batched audit, hash arms
+   (BENCH_snark.json) ---
 
-(* --- snark: sparse kernels, keypair cache, batched audit (BENCH_snark.json) ---
-
-   Guards the PR-5 optimisation triple: sparse prover kernels + twiddle
-   tables (>= 1.5x prove on the largest deployed reward circuit), the
-   named keypair memo (hit >= 100x cheaper than a setup miss),
-   and RLC-batched audit verification (>= 2x over stateless per-proof
-   verification at 8 submissions).  The baseline block is the pre-PR
-   measurement this tree is compared against; the proof digest must not
-   move at all — the optimisations are exact rewrites. *)
+   The proof digests pin the prover's output: every optimisation must be
+   an exact rewrite that leaves them byte-identical at any ZEBRA_DOMAINS. *)
 
 let snark_prove_seed = "bench-snark-prove"
 let snark_setup_seed = "bench-snark-setup"
 
-(* Pre-PR numbers, measured at commit ce50ef0 (min/median of 9 runs,
-   ZEBRA_DOMAINS=1, single-core container) with the same seeds. *)
-let snark_baseline_min = 0.5338
-let snark_baseline_median = 0.6145
-let snark_expected_digest = "0571fea4ba550fcf0b4269296b622188adf980c3bf002489fa14e6cff7c4402a"
-
 let snark_reward_circuit () =
   Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:5
 
-let snark_prove_digest () =
-  let cs = snark_reward_circuit () in
-  let kp = Snark.setup_rng ~rng:(Zebra_rng.Source.of_seed snark_setup_seed) cs in
-  let proof = Snark.prove_rng ~rng:(Zebra_rng.Source.of_seed snark_prove_seed) kp.Snark.pk cs in
-  Zebra_hashing.Sha256.to_hex (Zebra_hashing.Sha256.digest (Snark.proof_to_bytes proof))
+let sha256_hex b = Zebra_hashing.Sha256.to_hex (Zebra_hashing.Sha256.digest b)
 
 (* CPLA arm digests: one full attestation per hash composition at the
    smaller deployed depth, all randomness seed-derived, so the proof bytes
-   are a deterministic function of the tree alone.  check.sh diffs the
-   poseidon digest across ZEBRA_DOMAINS settings. *)
+   are a deterministic function of the tree alone. *)
 let snark_cpla_depth = 8
-
-let snark_cpla_expected = function
-  | Hc.Poseidon -> "5a4895c25784fefa60837b1c2732e9e40b23d01aefad767c78bea9d6ce3259c7"
-  | Hc.Mimc -> "27b0622b52b845eb192a976fcf043b9885957a0d00448ad297a13b3138fc8f5c"
 
 let snark_cpla_digest composition =
   let module Source = Zebra_rng.Source in
@@ -596,14 +536,13 @@ let snark_cpla_digest composition =
       ~path:(Ra.path ra index) ~root:(Ra.root ra)
   in
   assert (Cpla.verify params ~prefix ~message ~root:(Ra.root ra) att);
-  Zebra_hashing.Sha256.to_hex (Zebra_hashing.Sha256.digest (Snark.proof_to_bytes att.Cpla.proof))
+  sha256_hex (Snark.proof_to_bytes att.Cpla.proof)
 
 let snark () =
   header "X11: sparse prover kernels, keypair cache, batched audit";
-  let module Json = Zebra_obs.Json in
   let module Source = Zebra_rng.Source in
   let cs = snark_reward_circuit () in
-  (* Prover: min/median of 7 runs against the recorded pre-PR baseline. *)
+  (* Prover: min/median of 7 runs, each on a fresh seeded RNG. *)
   let kp, setup_miss =
     wall (fun () -> Snark.setup_rng ~rng:(Source.of_seed snark_setup_seed) cs)
   in
@@ -613,24 +552,13 @@ let snark () =
         let proof, dt =
           wall (fun () -> Snark.prove_rng ~rng:(Source.of_seed snark_prove_seed) kp.Snark.pk cs)
         in
-        digest :=
-          Zebra_hashing.Sha256.to_hex
-            (Zebra_hashing.Sha256.digest (Snark.proof_to_bytes proof));
+        digest := sha256_hex (Snark.proof_to_bytes proof);
         dt)
   in
   Array.sort compare times;
   let prove_min = times.(0) and prove_med = times.(3) in
-  if !digest <> snark_expected_digest then begin
-    Printf.eprintf "FATAL: proof digest moved: %s (expected %s)\n%!" !digest
-      snark_expected_digest;
-    exit 1
-  end;
-  Printf.printf
-    "reward-majority-n5 (%d constraints): prove min %.3fs med %.3fs (baseline %.3f/%.3f -> %.2fx)\n\
-     proof digest unchanged: %s\n%!"
-    (Cs.num_constraints cs) prove_min prove_med snark_baseline_min snark_baseline_median
-    (snark_baseline_min /. prove_min)
-    (String.sub !digest 0 16);
+  Printf.printf "reward-majority-n5 (%d constraints): prove min %.3fs med %.3fs, digest %s\n%!"
+    (Cs.num_constraints cs) prove_min prove_med (String.sub !digest 0 16);
   (* Keypair cache: a named hit skips synthesis and setup entirely. *)
   let cache = Snark.Keycache.create () in
   let _ =
@@ -643,9 +571,8 @@ let snark () =
           (Snark.Keycache.setup_named cache ~circuit_id:"bench/reward-n5"
              ~seed:snark_setup_seed snark_reward_circuit))
   in
-  let hit_s = hit_ns /. 1e9 in
   Printf.printf "keycache: setup miss %.3fs, named hit %.1f us (%.0fx cheaper)\n%!" setup_miss
-    (hit_ns /. 1e3) (setup_miss /. hit_s);
+    (hit_ns /. 1e3) (setup_miss /. (hit_ns /. 1e9));
   (* Decoded-VK cache. *)
   let vk_bytes = Snark.vk_to_bytes kp.Snark.vk in
   let decode_ns = bechamel_ns "vk-decode" (fun () -> ignore (Snark.vk_of_bytes vk_bytes)) in
@@ -685,9 +612,7 @@ let snark () =
   Printf.printf "audit of 8: sequential %.1f us, batched %.1f us (%.1fx)\n%!" (seq_ns /. 1e3)
     (batch_ns /. 1e3) (seq_ns /. batch_ns);
   (* Poseidon vs MiMC: the two CPLA arms at depth 8, constraint count,
-     setup and prove, plus the pinned attestation digest per arm.  The
-     digest gate is as fatal as the reward one: a silent move here means
-     the hash migration changed proof bytes it was not supposed to. *)
+     setup and prove, plus the attestation digest per arm. *)
   let cpla_arm composition =
     let cs = Cpla.constraint_system ~composition ~depth:snark_cpla_depth () in
     let kp, setup_s =
@@ -697,132 +622,68 @@ let snark () =
       wall (fun () -> Snark.prove_rng ~rng:(Source.of_seed snark_prove_seed) kp.Snark.pk cs)
     in
     let dg = snark_cpla_digest composition in
-    if dg <> snark_cpla_expected composition then begin
-      Printf.eprintf "FATAL: cpla-%s attestation digest moved: %s (expected %s)\n%!"
-        (Hc.to_string composition) dg
-        (snark_cpla_expected composition);
-      exit 1
-    end;
-    Printf.printf "cpla-depth%d-%s: %5d constraints, setup %.3fs, prove %.3fs, digest %s\n%!"
-      snark_cpla_depth (Hc.to_string composition) (Cs.num_constraints cs) setup_s prove_s
-      (String.sub dg 0 16);
-    (composition, Cs.num_constraints cs, setup_s, prove_s, dg)
+    let name = Printf.sprintf "snark.cpla-depth%d-%s" snark_cpla_depth (Hc.to_string composition) in
+    Printf.printf "%s: %5d constraints, setup %.3fs, prove %.3fs, digest %s\n%!" name
+      (Cs.num_constraints cs) setup_s prove_s (String.sub dg 0 16);
+    [
+      count (name ^ ".constraints") (Cs.num_constraints cs);
+      Row.text (name ^ ".proof_sha256") ~unit:"sha256" dg;
+      Row.timing (name ^ ".setup_s") ~unit:"s" setup_s;
+      Row.timing (name ^ ".prove_s") ~unit:"s" prove_s;
+    ]
   in
-  let arms = List.map cpla_arm Hc.all in
-  let constraints_of comp =
-    let _, c, _, _, _ = List.find (fun (x, _, _, _, _) -> x = comp) arms in
-    float_of_int c
-  in
-  let arm_ratio = constraints_of Hc.Mimc /. constraints_of Hc.Poseidon in
-  Printf.printf "cpla constraint ratio mimc/poseidon: %.2fx\n%!" arm_ratio;
-  (* Merkle-path-only view (depth 16, no tag hashes): the migration's
-     headline reduction — the acceptance bar is >= 2.5x. *)
-  let merkle_constraints composition =
+  (* Merkle-path-only view (depth 16, no tag hashes): the hash
+     migration's headline reduction. *)
+  let merkle composition =
     let cs = Cs.create () in
     let open Zebra_r1cs.Gadgets in
     let leaf = Cs.alloc cs (Fp.of_int 7) in
     let bits = Array.init 16 (fun i -> alloc_bit cs (i land 1 = 1)) in
     let siblings = Array.init 16 (fun i -> Cs.alloc cs (Fp.of_int (i + 1))) in
     ignore (Hc.merkle_root_gadget composition cs ~leaf:(v leaf) ~path_bits:bits ~siblings);
-    Cs.num_constraints cs
+    Printf.printf "merkle path depth 16, %s: %d constraints\n%!" (Hc.to_string composition)
+      (Cs.num_constraints cs);
+    count
+      (Printf.sprintf "snark.merkle-depth16-%s.constraints" (Hc.to_string composition))
+      (Cs.num_constraints cs)
   in
-  let merkle_p = merkle_constraints Hc.Poseidon and merkle_m = merkle_constraints Hc.Mimc in
-  let merkle_ratio = float_of_int merkle_m /. float_of_int merkle_p in
-  Printf.printf "merkle path depth 16: poseidon %d vs mimc %d constraints (%.2fx)\n%!" merkle_p
-    merkle_m merkle_ratio;
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ( "baseline",
-             Json.Obj
-               [
-                 ("commit", Json.Str "ce50ef0");
-                 ("prove_seconds_min", Json.Num snark_baseline_min);
-                 ("prove_seconds_median", Json.Num snark_baseline_median);
-                 ("proof_sha256", Json.Str snark_expected_digest);
-                 ( "note",
-                   Json.Str
-                     "pre-PR tree, ZEBRA_DOMAINS=1, reward-majority-n5, seeds \
-                      bench-snark-setup/bench-snark-prove" );
-               ] );
-           ("circuit", Json.Str "reward-majority-n5");
-           ("constraints", Json.Num (float_of_int (Cs.num_constraints cs)));
-           ("prove_seconds_min", Json.Num prove_min);
-           ("prove_seconds_median", Json.Num prove_med);
-           ("prove_speedup_min", Json.Num (snark_baseline_min /. prove_min));
-           ("proof_sha256", Json.Str !digest);
-           ("proof_digest_unchanged", Json.Bool (!digest = snark_expected_digest));
-           ("setup_miss_seconds", Json.Num setup_miss);
-           ("keycache_hit_seconds", Json.Num hit_s);
-           ("keycache_hit_speedup", Json.Num (setup_miss /. hit_s));
-           ("vk_decode_us", Json.Num (decode_ns /. 1e3));
-           ("vk_cached_us", Json.Num (cached_ns /. 1e3));
-           ("audit_batch_size", Json.Num 8.);
-           ("audit_sequential_us", Json.Num (seq_ns /. 1e3));
-           ("audit_batched_us", Json.Num (batch_ns /. 1e3));
-           ("audit_batch_speedup", Json.Num (seq_ns /. batch_ns));
-           ( "cpla",
-             Json.Obj
-               [
-                 ("depth", Json.Num (float_of_int snark_cpla_depth));
-                 ( "arms",
-                   Json.List
-                     (List.map
-                        (fun (comp, c, setup_s, prove_s, dg) ->
-                          Json.Obj
-                            [
-                              ("composition", Json.Str (Hc.to_string comp));
-                              ("constraints", Json.Num (float_of_int c));
-                              ("setup_seconds", Json.Num setup_s);
-                              ("prove_seconds", Json.Num prove_s);
-                              ("proof_sha256", Json.Str dg);
-                              ( "proof_digest_unchanged",
-                                Json.Bool (dg = snark_cpla_expected comp) );
-                            ])
-                        arms) );
-                 ("constraint_ratio_mimc_over_poseidon", Json.Num arm_ratio);
-                 ( "merkle_depth16_constraints",
-                   Json.Obj
-                     [
-                       ("poseidon", Json.Num (float_of_int merkle_p));
-                       ("mimc", Json.Num (float_of_int merkle_m));
-                       ("ratio_mimc_over_poseidon", Json.Num merkle_ratio);
-                     ] );
-               ] );
-         ])
-  in
-  let oc = open_out "BENCH_snark.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_snark.json (%d bytes)\n%!" (String.length json)
+  let reward = "snark.reward-majority-n5" in
+  [
+    count (reward ^ ".constraints") (Cs.num_constraints cs);
+    Row.text (reward ^ ".proof_sha256") ~unit:"sha256" !digest;
+    Row.timing (reward ^ ".setup_s") ~unit:"s" setup_miss;
+    Row.timing (reward ^ ".prove_min_s") ~unit:"s" prove_min;
+    Row.timing (reward ^ ".prove_median_s") ~unit:"s" prove_med;
+    Row.timing "snark.keycache.hit_us" ~unit:"us" (hit_ns /. 1e3);
+    Row.timing "snark.vk.decode_us" ~unit:"us" (decode_ns /. 1e3);
+    Row.timing "snark.vk.cached_us" ~unit:"us" (cached_ns /. 1e3);
+    Row.timing "snark.audit_8.sequential_us" ~unit:"us" (seq_ns /. 1e3);
+    Row.timing "snark.audit_8.batched_us" ~unit:"us" (batch_ns /. 1e3);
+  ]
+  @ List.concat_map cpla_arm Hc.all
+  @ List.map merkle Hc.all
 
-(* X12: the zero-allocation kernel work.  ns/op and allocated-bytes/op
-   for the pure vs destructive field kernels, the sliding-window
-   exponentiation, the numeric substrate under wallet keygen and
-   signature checks, an FFT size sweep over the flat-vector path, and
-   whole-prove allocation per constraint.  Self-asserting (this is what
-   the check.sh field gate runs): the bench exits non-zero unless every
-   in-place kernel cuts allocation per op by at least [field_alloc_floor]x
-   against its pure counterpart, and unless [mont_pow] allocates the same
-   bytes per call for a 64-bit as for a full-width exponent. *)
-
-let field_alloc_floor = 10.
+(* X12: the zero-allocation kernel work (BENCH_field.json).  ns/op and
+   allocated-bytes/op for the pure vs destructive field kernels, the
+   sliding-window exponentiation, the numeric substrate under wallet
+   keygen and signature checks, an FFT size sweep over the flat-vector
+   path, and whole-prove allocation.  Every byte count is a deterministic
+   row at ZEBRA_DOMAINS=1 ([Gc.allocated_bytes] is per-domain), so
+   `bench check field` catches one allocation put back into a kernel. *)
 
 let field () =
   header "X12: zero-allocation Montgomery kernels";
-  let module Json = Zebra_obs.Json in
   let module Source = Zebra_rng.Source in
   let fresh () = Fp.random random_bytes in
   let a = fresh () and b = fresh () in
   let dst = Fp.buffer () in
   (* Average bytes allocated on this domain per call.  Bracketed by
      [Gc.minor]: [Gc.allocated_bytes] only folds the nursery in at a
-     collection, so forcing one on each side makes the delta exact — a
-     true zero-allocation kernel reads 0.00 here, and [Fp.mul] reads
-     exactly its 80-byte result (9 limbs + header). *)
-  let bytes_per_op ?(iters = 200_000) fn =
+     collection, so forcing one on each side makes the delta exact.  The
+     bracket itself costs 96 B, so over 200 000 calls a zero-allocation
+     kernel reads 0.00048 and [Fp.mul] 80.00048, its 80-byte result
+     (9 limbs + header) plus the same share. *)
+  let bytes_per_op ~iters fn =
     fn ();
     Gc.minor ();
     let b0 = Gc.allocated_bytes () in
@@ -830,37 +691,36 @@ let field () =
     Gc.minor ();
     Float.max 0. ((Gc.allocated_bytes () -. b0) /. float_of_int iters)
   in
-  let kernels =
+  (* [measure name ~iters fn] times [fn] (Bechamel, or one wall-clock run
+     when [iters = 1]) and counts its bytes per call. *)
+  let measure name ~iters fn =
+    let ns = if iters > 1 then bechamel_ns name fn else 1e9 *. snd (wall fn) in
+    let b = bytes_per_op ~iters fn in
+    Printf.printf "%-28s %12.1f ns %12.5f B/op\n%!" name ns b;
     [
-      ("mul", (fun () -> ignore (Fp.mul a b)), fun () -> Fp.mul_into ~dst a b);
-      ("sqr", (fun () -> ignore (Fp.sqr a)), fun () -> Fp.sqr_into ~dst a);
-      ("add", (fun () -> ignore (Fp.add a b)), fun () -> Fp.add_into ~dst a b);
-      ("sub", (fun () -> ignore (Fp.sub a b)), fun () -> Fp.sub_into ~dst a b);
+      Row.timing ("field." ^ name ^ ".ns") ~unit:"ns" ns;
+      Row.det ("field." ^ name ^ ".bytes_per_op") ~unit:"B/op" b;
     ]
   in
-  Printf.printf "%-6s %9s %9s %11s %11s %9s\n%!" "kernel" "pure-ns" "into-ns"
-    "pure-B/op" "into-B/op" "alloc-x";
-  let rows =
-    List.map
+  let kernels =
+    List.concat_map
       (fun (name, pure, into) ->
-        let pure_ns = bechamel_ns (name ^ "-pure") pure in
-        let into_ns = bechamel_ns (name ^ "-into") into in
-        let pure_b = bytes_per_op pure in
-        let into_b = bytes_per_op into in
-        let ratio = pure_b /. Float.max 1. into_b in
-        Printf.printf "%-6s %9.1f %9.1f %11.1f %11.1f %8.0fx\n%!" name pure_ns into_ns
-          pure_b into_b ratio;
-        (name, pure_ns, into_ns, pure_b, into_b, ratio))
-      kernels
+        measure (name ^ "_pure") ~iters:200_000 pure @ measure (name ^ "_into") ~iters:200_000 into)
+      [
+        ("mul", (fun () -> ignore (Fp.mul a b)), fun () -> Fp.mul_into ~dst a b);
+        ("sqr", (fun () -> ignore (Fp.sqr a)), fun () -> Fp.sqr_into ~dst a);
+        ("add", (fun () -> ignore (Fp.add a b)), fun () -> Fp.add_into ~dst a b);
+        ("sub", (fun () -> ignore (Fp.sub a b)), fun () -> Fp.sub_into ~dst a b);
+      ]
   in
-  (* Sliding-window exponentiation over a full-width exponent. *)
+  (* Sliding-window exponentiation: its allocation must not depend on the
+     exponent's width. *)
   let e = Fp.to_nat (fresh ()) in
-  let pow_ns = bechamel_ns "pow-254bit" (fun () -> ignore (Fp.pow a e)) in
-  let pow_b = bytes_per_op ~iters:2_000 (fun () -> ignore (Fp.pow a e)) in
-  Printf.printf "pow (254-bit exponent, 4-bit window): %.0f ns, %.0f B/op\n%!" pow_ns pow_b;
   let e64 = Nat.of_hex "c3a5c85c97cb3127" in
-  let pow64_b = bytes_per_op ~iters:2_000 (fun () -> ignore (Fp.pow a e64)) in
-  Printf.printf "pow (64-bit exponent): %.0f B/op\n%!" pow64_b;
+  let pow =
+    measure "pow_254bit" ~iters:2_000 (fun () -> ignore (Fp.pow a e))
+    @ measure "pow_64bit" ~iters:2_000 (fun () -> ignore (Fp.pow a e64))
+  in
   (* The numeric substrate under one-task wallet keygen and every
      transaction's signature check, on fixed seeds. *)
   let module Rsa = Zebra_rsa.Rsa in
@@ -873,40 +733,29 @@ let field () =
   let block = Chacha20.bytes stream 64 in
   let msg = Bytes.of_string "bench field" in
   let signature = Zebra_rsa.Pkcs1.sign key msg in
-  let substrate_rows =
-    List.map
-      (fun (name, iters, fn) ->
-        let ns =
-          if iters > 1 then bechamel_ns name fn else 1e9 *. snd (wall fn)
-        in
-        let b = bytes_per_op ~iters fn in
-        Printf.printf "%-28s %12.0f ns %12.0f B/op\n%!" name ns b;
-        (name, ns, b))
+  let substrate =
+    List.concat_map
+      (fun (name, iters, fn) -> measure name ~iters fn)
       [
-        ("Chacha20.bytes 64 B", 20_000, fun () -> ignore (Chacha20.bytes stream 64));
-        ("Nat.of_bytes_be 64 B", 20_000, fun () -> ignore (Nat.of_bytes_be block));
-        ("Modular.create 512-bit", 2_000, fun () -> ignore (Modular.create key.Rsa.pub.Rsa.n));
-        ( "Pkcs1.verify 512-bit",
+        ("chacha20_bytes_64B", 20_000, fun () -> ignore (Chacha20.bytes stream 64));
+        ("nat_of_bytes_be_64B", 20_000, fun () -> ignore (Nat.of_bytes_be block));
+        ("modular_create_512bit", 2_000, fun () -> ignore (Modular.create key.Rsa.pub.Rsa.n));
+        ( "pkcs1_verify_512bit",
           500,
           fun () -> assert (Zebra_rsa.Pkcs1.verify key.Rsa.pub ~msg ~signature) );
-        ("Rsa.generate 512-bit", 1, fun () -> ignore (keygen ()));
+        ("rsa_generate_512bit", 1, fun () -> ignore (keygen ()));
       ]
   in
   (* FFT: in place on a flat Vec. *)
-  let fft_rows =
-    List.map
+  let fft =
+    List.concat_map
       (fun lg ->
         let d = Fft.domain (1 lsl lg) in
         let v = Fp.Vec.of_array (Array.init (Fft.size d) (fun _ -> fresh ())) in
-        let vec_ns = bechamel_ns (Printf.sprintf "fft-vec-2^%d" lg) (fun () -> Fft.fft_vec d v) in
-        let vec_b = bytes_per_op ~iters:50 (fun () -> Fft.fft_vec d v) in
-        Printf.printf "fft 2^%-2d: %8.1f us / %9.0f B\n%!" lg (vec_ns /. 1e3) vec_b;
-        (lg, vec_ns, vec_b))
+        measure (Printf.sprintf "fft_vec_2^%d" lg) ~iters:50 (fun () -> Fft.fft_vec d v))
       [ 10; 12; 14 ]
   in
-  (* Whole-prove allocation, normalised per constraint.  Calling-domain
-     only (Gc.allocated_bytes is per-domain), so run this gate under
-     ZEBRA_DOMAINS=1 for the full picture. *)
+  (* Whole-prove allocation on the calling domain. *)
   let cs = snark_reward_circuit () in
   let kp = Snark.setup_rng ~rng:(Source.of_seed snark_setup_seed) cs in
   let prove () =
@@ -918,138 +767,47 @@ let field () =
   let (), prove_s = wall prove in
   Gc.minor ();
   let prove_bytes = Gc.allocated_bytes () -. b0 in
-  let n_constraints = Cs.num_constraints cs in
-  let per_constraint = prove_bytes /. float_of_int n_constraints in
-  Printf.printf
-    "prove reward-majority-n5: %.3fs, %.1f MB allocated on calling domain (%.0f B/constraint)\n%!"
-    prove_s (prove_bytes /. 1e6) per_constraint;
-  (* The gate: every destructive kernel must beat its pure counterpart
-     by the floor.  A regression here means somebody re-introduced
-     per-op allocation into the hot path. *)
-  let worst =
-    List.fold_left (fun acc (_, _, _, _, _, r) -> Float.min acc r) infinity rows
-  in
-  if worst < field_alloc_floor then begin
-    Printf.eprintf
-      "FATAL: in-place kernel allocation reduction %.1fx is below the %.0fx floor\n%!" worst
-      field_alloc_floor;
-    exit 1
-  end;
-  Printf.printf "allocation reduction floor: worst kernel %.0fx >= %.0fx required\n%!" worst
-    field_alloc_floor;
-  if pow64_b <> pow_b then begin
-    Printf.eprintf "FATAL: mont_pow allocates %.0f B/op at 64 exponent bits but %.0f at 254\n%!"
-      pow64_b pow_b;
-    exit 1
-  end;
-  Printf.printf "mont_pow allocation is independent of the exponent width\n%!";
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ("alloc_floor_x", Json.Num field_alloc_floor);
-           ("worst_kernel_alloc_reduction_x", Json.Num worst);
-           ( "kernels",
-             Json.List
-               (List.map
-                  (fun (name, pure_ns, into_ns, pure_b, into_b, ratio) ->
-                    Json.Obj
-                      [
-                        ("op", Json.Str name);
-                        ("pure_ns", Json.Num pure_ns);
-                        ("into_ns", Json.Num into_ns);
-                        ("pure_bytes_per_op", Json.Num pure_b);
-                        ("into_bytes_per_op", Json.Num into_b);
-                        ("alloc_reduction_x", Json.Num ratio);
-                      ])
-                  rows) );
-           ( "pow_254bit",
-             Json.Obj [ ("ns", Json.Num pow_ns); ("bytes_per_op", Json.Num pow_b) ] );
-           ("pow_64bit", Json.Obj [ ("bytes_per_op", Json.Num pow64_b) ]);
-           ( "substrate",
-             Json.List
-               (List.map
-                  (fun (name, ns, b) ->
-                    Json.Obj
-                      [ ("op", Json.Str name); ("ns", Json.Num ns); ("bytes_per_op", Json.Num b) ])
-                  substrate_rows) );
-           ( "fft",
-             Json.List
-               (List.map
-                  (fun (lg, vec_ns, vec_b) ->
-                    Json.Obj
-                      [
-                        ("log2_size", Json.Num (float_of_int lg));
-                        ("vec_ns", Json.Num vec_ns);
-                        ("vec_bytes_per_op", Json.Num vec_b);
-                      ])
-                  fft_rows) );
-           ( "prove",
-             Json.Obj
-               [
-                 ("circuit", Json.Str "reward-majority-n5");
-                 ("constraints", Json.Num (float_of_int n_constraints));
-                 ("seconds", Json.Num prove_s);
-                 ("alloc_bytes_calling_domain", Json.Num prove_bytes);
-                 ("alloc_bytes_per_constraint", Json.Num per_constraint);
-                 ( "note",
-                   Json.Str
-                     "Gc.allocated_bytes is per-domain; run with ZEBRA_DOMAINS=1 to \
-                      attribute all prover allocation" );
-               ] );
-         ])
-  in
-  let oc = open_out "BENCH_field.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_field.json (%d bytes)\n%!" (String.length json)
+  Printf.printf "prove reward-majority-n5: %.3fs, %.0f B allocated on the calling domain\n%!"
+    prove_s prove_bytes;
+  kernels @ pow @ substrate @ fft
+  @ [
+      Row.timing "field.prove_reward-majority-n5.s" ~unit:"s" prove_s;
+      Row.det "field.prove_reward-majority-n5.alloc_bytes" ~unit:"B" prove_bytes;
+    ]
+
+(* --- X10: static-analyzer cost (BENCH_lint.json) --- *)
 
 let lint () =
   header "X10: zebra_lint analyzer wall-time across the deployed circuits";
   let module Lint = Zebra_lint.Lint in
-  let module Json = Zebra_obs.Json in
   Printf.printf "%-22s %12s %6s %9s %6s %6s %6s\n%!" "circuit" "constraints"
     "rank" "lint(s)" "err" "warn" "info";
-  let rows =
-    List.map
+  let circuits =
+    List.concat_map
       (fun (name, synth) ->
         let cs = synth () in
-        let report, dt = wall (fun () -> Lint.analyze ~name cs) in
+        let r, dt = wall (fun () -> Lint.analyze ~name cs) in
         Printf.printf "%-22s %12d %6d %9.3f %6d %6d %6d\n%!" name
-          report.Lint.num_constraints report.Lint.jacobian_rank dt
-          (Lint.errors report)
-          (Lint.warnings report)
-          (Lint.infos report);
-        (report, dt))
+          r.Lint.num_constraints r.Lint.jacobian_rank dt
+          (Lint.errors r)
+          (Lint.warnings r)
+          (Lint.infos r);
+        let p = "lint." ^ r.Lint.circuit ^ "." in
+        [
+          count (p ^ "constraints") r.Lint.num_constraints;
+          count (p ^ "vars") r.Lint.num_vars;
+          count (p ^ "rank") r.Lint.jacobian_rank;
+          count (p ^ "free_aux_wires") r.Lint.free_aux_wires;
+          count (p ^ "errors") (Lint.errors r);
+          count (p ^ "warnings") (Lint.warnings r);
+          count (p ^ "infos") (Lint.infos r);
+          Row.timing (p ^ "seconds") ~unit:"s" dt;
+        ])
       (Deployed.circuits ())
-  in
-  (* The headline number: analyzer cost on the largest deployed circuit,
-     the one that bounds how long the check.sh lint gate can take. *)
-  let largest, largest_dt =
-    List.fold_left
-      (fun ((best, _) as acc) ((r, _) as cand) ->
-        if r.Lint.num_constraints > best.Lint.num_constraints then cand else acc)
-      (List.hd rows) (List.tl rows)
-  in
-  let row_json (r, dt) =
-    Json.Obj
-      [
-        ("circuit", Json.Str r.Lint.circuit);
-        ("constraints", Json.Num (float_of_int r.Lint.num_constraints));
-        ("vars", Json.Num (float_of_int r.Lint.num_vars));
-        ("rank", Json.Num (float_of_int r.Lint.jacobian_rank));
-        ("free_aux_wires", Json.Num (float_of_int r.Lint.free_aux_wires));
-        ("errors", Json.Num (float_of_int (Lint.errors r)));
-        ("warnings", Json.Num (float_of_int (Lint.warnings r)));
-        ("infos", Json.Num (float_of_int (Lint.infos r)));
-        ("seconds", Json.Num dt);
-      ]
   in
   (* The ZL1xx/ZL2xx chain-layer passes: scenario construction dominates
      (it runs the whole deployed protocol once), analysis itself is
-     cheap — both numbers go into the JSON so regressions in either are
-     visible separately. *)
+     cheap — both are timed separately. *)
   let module Txlint = Zebra_lint.Txlint in
   let module Seclint = Zebra_lint.Seclint in
   Printf.printf "\ntx lint (ZL1xx footprints + ZL2xx secret flow):\n%!";
@@ -1067,57 +825,33 @@ let lint () =
   Printf.printf
     "scenario build %.3fs (%d cases), ZL1xx analyze %.3fs, ZL2xx scan %.3fs (%d codec cases)\n%!"
     scenario_dt (List.length cases) tx_dt codec_dt (List.length codec_reports);
-  let tx_kind_json (r : Txlint.report) =
-    Json.Obj
-      [
-        ("kind", Json.Str r.Txlint.kind);
-        ("cases", Json.Num (float_of_int r.Txlint.cases));
-        ("errors", Json.Num (float_of_int (Txlint.errors r)));
-        ("warnings", Json.Num (float_of_int (Txlint.warnings r)));
-        ("infos", Json.Num (float_of_int (Txlint.infos r)));
-      ]
+  let kind (r : Txlint.report) =
+    let p = "lint.tx." ^ r.Txlint.kind ^ "." in
+    [
+      count (p ^ "cases") r.Txlint.cases;
+      count (p ^ "errors") (Txlint.errors r);
+      count (p ^ "warnings") (Txlint.warnings r);
+      count (p ^ "infos") (Txlint.infos r);
+    ]
   in
-  let codec_json (r : Seclint.report) =
-    Json.Obj
-      [
-        ("codec", Json.Str r.Seclint.codec);
-        ("secrets", Json.Num (float_of_int r.Seclint.secrets));
-        ("outputs", Json.Num (float_of_int r.Seclint.outputs));
-        ("errors", Json.Num (float_of_int (Seclint.errors r)));
-        ("warnings", Json.Num (float_of_int (Seclint.warnings r)));
-      ]
+  let codec (r : Seclint.report) =
+    let p = "lint.codec." ^ r.Seclint.codec ^ "." in
+    [
+      count (p ^ "secrets") r.Seclint.secrets;
+      count (p ^ "outputs") r.Seclint.outputs;
+      count (p ^ "errors") (Seclint.errors r);
+      count (p ^ "warnings") (Seclint.warnings r);
+    ]
   in
-  let tx_json =
-    Json.Obj
-      [
-        ("scenario_seconds", Json.Num scenario_dt);
-        ("cases", Json.Num (float_of_int (List.length cases)));
-        ("analyze_seconds", Json.Num tx_dt);
-        ("secret_scan_seconds", Json.Num codec_dt);
-        ("kinds", Json.List (List.map tx_kind_json tx_reports));
-        ("codecs", Json.List (List.map codec_json codec_reports));
-      ]
-  in
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ("largest_circuit", Json.Str largest.Lint.circuit);
-           ( "largest_constraints",
-             Json.Num (float_of_int largest.Lint.num_constraints) );
-           ("largest_seconds", Json.Num largest_dt);
-           ("circuits", Json.List (List.map row_json rows));
-           ("tx", tx_json);
-         ])
-  in
-  let oc = open_out "BENCH_lint.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "\nlargest circuit %s: %d constraints, linted in %.3fs\nwrote BENCH_lint.json (%d bytes)\n%!"
-    largest.Lint.circuit largest.Lint.num_constraints largest_dt
-    (String.length json)
+  circuits
+  @ [
+      count "lint.tx.cases" (List.length cases);
+      Row.timing "lint.tx.scenario_s" ~unit:"s" scenario_dt;
+      Row.timing "lint.tx.analyze_s" ~unit:"s" tx_dt;
+      Row.timing "lint.tx.secret_scan_s" ~unit:"s" codec_dt;
+    ]
+  @ List.concat_map kind tx_reports
+  @ List.concat_map codec codec_reports
 
 (* --- chaos: cost of riding out fault plans (BENCH_chaos.json) ---
 
@@ -1129,7 +863,6 @@ let lint () =
 
 let chaos () =
   header "chaos: end-to-end round under seeded fault plans";
-  let module Json = Zebra_obs.Json in
   let module Obs = Zebra_obs.Obs in
   let module Faults = Zebra_faults.Faults in
   let plans =
@@ -1142,71 +875,50 @@ let chaos () =
   in
   Printf.printf "%-4s %-32s %8s %7s %7s %10s  %s\n%!" "rate" "plan" "seconds" "height"
     "faults" "resubmits" "settlement";
-  let rows =
-    List.map
-      (fun (rate, plan) ->
-        Obs.reset ();
-        Obs.set_enabled true;
-        let outcome, dt =
-          wall (fun () ->
-              Chaos.run ~seed:"bench-chaos" ~plan:(Faults.spec_of_string plan) ())
-        in
-        Obs.set_enabled false;
-        let counter name =
-          match Obs.counters_with_prefix name with (_, v) :: _ -> v | [] -> 0
-        in
-        let resubmits = counter "protocol.retry.resubmits" in
-        let injected = List.length outcome.Chaos.trace in
-        Printf.printf "%-4s %-32s %8.3f %7d %7d %10d  %s\n%!" rate plan dt
-          outcome.Chaos.final_height injected resubmits
-          (Chaos.settlement_to_string outcome.Chaos.settlement);
-        (rate, plan, dt, outcome, resubmits, injected))
-      plans
-  in
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ("seed", Json.Str "bench-chaos");
-           ( "rows",
-             Json.List
-               (List.map
-                  (fun (rate, plan, dt, (o : Chaos.outcome), resubmits, injected) ->
-                    Json.Obj
-                      [
-                        ("rate", Json.Str rate);
-                        ("plan", Json.Str plan);
-                        ("seconds", Json.Num dt);
-                        ("settlement", Json.Str (Chaos.settlement_to_string o.settlement));
-                        ("final_height", Json.Num (float_of_int o.final_height));
-                        ("faults_injected", Json.Num (float_of_int injected));
-                        ("resubmits", Json.Num (float_of_int resubmits));
-                        ("replicas_agree", Json.Bool o.replicas_agree);
-                        ("supply_conserved", Json.Bool o.supply_conserved);
-                        ("indexer_agrees", Json.Bool o.indexer_agrees);
-                        ("indexer_reorgs", Json.Num (float_of_int o.indexer_reorgs));
-                      ])
-                  rows) );
-         ])
-  in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_chaos.json (%d bytes)\n%!" (String.length json)
+  List.concat_map
+    (fun (rate, plan) ->
+      Obs.reset ();
+      Obs.set_enabled true;
+      let o, dt =
+        wall (fun () -> Chaos.run ~seed:"bench-chaos" ~plan:(Faults.spec_of_string plan) ())
+      in
+      Obs.set_enabled false;
+      let resubmits =
+        match Obs.counters_with_prefix "protocol.retry.resubmits" with
+        | (_, v) :: _ -> v
+        | [] -> 0
+      in
+      let injected = List.length o.Chaos.trace in
+      let settlement = Chaos.settlement_to_string o.Chaos.settlement in
+      Printf.printf "%-4s %-32s %8.3f %7d %7d %10d  %s\n%!" rate plan dt o.Chaos.final_height
+        injected resubmits settlement;
+      if
+        not
+          (o.Chaos.replicas_agree && o.Chaos.supply_conserved && o.Chaos.store_recovered
+         && o.Chaos.indexer_agrees)
+      then failwith ("chaos bench: invariants violated under plan " ^ plan);
+      let p = "chaos." ^ rate ^ "." in
+      [
+        Row.text (p ^ "settlement") ~unit:"text" settlement;
+        Row.det (p ^ "final_height") ~unit:"blocks" (float_of_int o.Chaos.final_height);
+        count (p ^ "faults_injected") injected;
+        count (p ^ "resubmits") resubmits;
+        count (p ^ "indexer_reorgs") o.Chaos.indexer_reorgs;
+        Row.timing (p ^ "seconds") ~unit:"s" dt;
+      ])
+    plans
 
 (* --- load: marketplace throughput under the parallel executor
    (BENCH_load.json) ---
 
    N requesters x M workers drive >= 100 CPLA tasks end-to-end through
-   the fee-ordered mempool and the sharded parallel executor.  Reported
-   tasks/sec and txs/sec are wall-clock; settle latency percentiles are
-   nearest-rank over the run's exact settle latencies.  The run must
-   complete every task with the invariants intact to count at all. *)
+   the fee-ordered mempool and the sharded parallel executor.  Settle
+   latency percentiles are nearest-rank over the run's exact settle
+   latencies.  The run must complete every task with the invariants
+   intact to count at all. *)
 
 let load_bench () =
   header "load: N x M marketplace throughput (>= 100 tasks)";
-  let module Json = Zebra_obs.Json in
   let module Obs = Zebra_obs.Obs in
   Obs.reset ();
   Obs.set_enabled true;
@@ -1226,86 +938,98 @@ let load_bench () =
   print_string (Load.render_deterministic r);
   print_string (Load.render_timing r);
   if not (Load.ok r) then failwith "load bench: invariants violated";
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ("seed", Json.Str config.Load.seed);
-           ("requesters", Json.Num (float_of_int config.Load.requesters));
-           ("workers", Json.Num (float_of_int config.Load.workers));
-           ("tasks", Json.Num (float_of_int r.Load.tasks_completed));
-           ("tasks_failed", Json.Num (float_of_int r.Load.tasks_failed));
-           ("blocks", Json.Num (float_of_int r.Load.blocks));
-           ("txs", Json.Num (float_of_int r.Load.txs));
-           ("conflict_retries", Json.Num (float_of_int r.Load.conflict_retries));
-           ("elapsed_seconds", Json.Num r.Load.elapsed_s);
-           ("tasks_per_sec", Json.Num r.Load.tasks_per_sec);
-           ("txs_per_sec", Json.Num r.Load.txs_per_sec);
-           ("settle_p50_seconds", Json.Num r.Load.settle_p50_s);
-           ("settle_p99_seconds", Json.Num r.Load.settle_p99_s);
-           ("state_root", Json.Str r.Load.state_root);
-           ("replicas_agree", Json.Bool r.Load.replicas_agree);
-           ("supply_conserved", Json.Bool r.Load.supply_conserved);
-         ])
-  in
-  let oc = open_out "BENCH_load.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_load.json (%d bytes)\n%!" (String.length json)
+  [
+    count "load.tasks" r.Load.tasks_completed;
+    count "load.tasks_failed" r.Load.tasks_failed;
+    Row.det "load.blocks" ~unit:"blocks" (float_of_int r.Load.blocks);
+    count "load.txs" r.Load.txs;
+    count "load.conflict_retries" r.Load.conflict_retries;
+    Row.text "load.state_root" ~unit:"hex" r.Load.state_root;
+    Row.timing "load.elapsed_s" ~unit:"s" r.Load.elapsed_s;
+    Row.timing "load.settle_p50_s" ~unit:"s" r.Load.settle_p50_s;
+    Row.timing "load.settle_p99_s" ~unit:"s" r.Load.settle_p99_s;
+  ]
 
-let all () =
-  table1 ();
-  fig4 ();
-  memory ();
-  link ();
-  endtoend ();
-  ablation_fft ();
-  ablation_field ();
-  ablation_hash ();
-  nonanon ();
-  obs ();
-  parallel ();
-  lint ();
-  field ();
-  snark ();
-  chaos ();
-  load_bench ()
+(* --- command line --- *)
+
+let reports =
+  [
+    ("table1", table1);
+    ("fig4", fig4);
+    ("memory", memory);
+    ("link", link);
+    ("endtoend", endtoend);
+    ("ablation-fft", ablation_fft);
+    ("ablation-field", ablation_field);
+    ("ablation-hash", ablation_hash);
+    ("nonanon", nonanon);
+  ]
+
+(* Each of these also writes BENCH_<name>.json, and `check` re-runs it. *)
+let row_benches =
+  [
+    ("parallel", parallel);
+    ("lint", lint);
+    ("field", field);
+    ("snark", snark);
+    ("chaos", chaos);
+    ("load", load_bench);
+  ]
+
+let file name = Printf.sprintf "BENCH_%s.json" name
+
+(* A bench's rows after the host facts the timing rows ran on. *)
+let rows_of name =
+  let rows = List.assoc name row_benches () in
+  Row.timing "host.recommended_domain_count" ~unit:"domains"
+    (float_of_int (Domain.recommended_domain_count ()))
+  :: Row.timing "host.domains" ~unit:"domains"
+       (float_of_int (Zebra_parallel.Parallel.default_domains ()))
+  :: rows
+
+let usage () =
+  Printf.eprintf
+    "usage: main.exe [BENCH...] | check ROWBENCH...\n  benches: %s\n  row benches: %s\n"
+    (String.concat " " (List.map fst reports))
+    (String.concat " " (List.map fst row_benches));
+  exit 2
+
+(* Re-run each bench and compare its deterministic rows with the
+   committed file; writes nothing. *)
+let check names =
+  if names = [] || not (List.for_all (fun n -> List.mem_assoc n row_benches) names) then usage ();
+  let failed =
+    List.filter
+      (fun name ->
+        let committed = Row.read (file name) in
+        match Row.diff ~committed ~fresh:(rows_of name) with
+        | [] ->
+          Printf.printf "check %s: %d deterministic rows match %s\n%!" name
+            (List.length (List.filter (fun r -> r.Row.kind = Row.Deterministic) committed))
+            (file name);
+          false
+        | errs ->
+          List.iter (Printf.eprintf "check %s: %s\n%!" name) errs;
+          true)
+      names
+  in
+  if failed <> [] then begin
+    Printf.eprintf "bench check FAILED: %s\n%!" (String.concat " " failed);
+    exit 1
+  end
+
+let run name =
+  match List.assoc_opt name reports with
+  | Some report -> report ()
+  | None ->
+    Row.write (file name) (rows_of name);
+    Printf.printf "\nwrote %s\n%!" (file name)
 
 let () =
-  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "table1" -> table1 ()
-  | "fig4" -> fig4 ()
-  | "memory" -> memory ()
-  | "link" -> link ()
-  | "endtoend" -> endtoend ()
-  | "ablation-fft" -> ablation_fft ()
-  | "ablation-field" -> ablation_field ()
-  | "ablation-hash" -> ablation_hash ()
-  | "nonanon" -> nonanon ()
-  | "obs" -> obs ()
-  | "parallel" -> parallel ()
-  | "lint" -> lint ()
-  | "field" -> field ()
-  | "snark" -> snark ()
-  | "snark-digest" -> (
-    (* Fast path for the check.sh determinism gate: print only a proof
-       digest, so runs under different ZEBRA_DOMAINS settings can be
-       diffed.  An optional argument picks the circuit:
-       reward (default), cpla-poseidon, or cpla-mimc. *)
-    match if Array.length Sys.argv > 2 then Sys.argv.(2) else "reward" with
-    | "reward" -> print_endline (snark_prove_digest ())
-    | "cpla-poseidon" -> print_endline (snark_cpla_digest Hc.Poseidon)
-    | "cpla-mimc" -> print_endline (snark_cpla_digest Hc.Mimc)
-    | other ->
-      Printf.eprintf "unknown snark-digest target %S; try: reward cpla-poseidon cpla-mimc\n"
-        other;
-      exit 2)
-  | "chaos" -> chaos ()
-  | "load" -> load_bench ()
-  | "all" -> all ()
-  | other ->
-    Printf.eprintf
-      "unknown bench %S; try: table1 fig4 memory link endtoend ablation-fft ablation-field ablation-hash nonanon obs parallel lint field snark chaos load all\n"
-      other;
-    exit 1
+  match List.tl (Array.to_list Sys.argv) with
+  | "check" :: names -> check names
+  | [] | [ "all" ] -> List.iter run (List.map fst reports @ List.map fst row_benches)
+  | names ->
+    let known n = List.mem_assoc n reports || List.mem_assoc n row_benches in
+    if not (List.for_all known names) then usage ();
+    List.iter run names

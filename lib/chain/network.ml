@@ -134,6 +134,16 @@ let crash_node t ~node =
 let blocks t = List.rev t.chain
 let genesis t = t.genesis
 
+(* Execute [blocks], oldest first, on [st]; every block replay (re-sync,
+   reorg rebuild, fork sibling, audit) goes through here. *)
+let apply_blocks ?(on_receipt = ignore) st blocks =
+  List.iter
+    (fun (b : Block.t) ->
+      List.iter
+        (fun tx -> on_receipt (State.apply_tx st ~height:b.Block.header.Block.height tx))
+        b.Block.txs)
+    blocks
+
 let restart_node t ~node =
   if node < 0 || node >= Array.length t.nodes then
     invalid_arg "Network.restart_node: no such node";
@@ -142,14 +152,10 @@ let restart_node t ~node =
     (* Re-sync from peers: replay every block mined while the node was
        down.  Deterministic execution means the node must land on the
        canonical state root recorded in the tip header. *)
-    List.iter
-      (fun (b : Block.t) ->
-        if b.Block.header.Block.height > n.applied_height then
-          List.iter
-            (fun tx ->
-              ignore (State.apply_tx n.state ~height:b.Block.header.Block.height tx))
-            b.Block.txs)
-      (blocks t);
+    apply_blocks n.state
+      (List.filter
+         (fun (b : Block.t) -> b.Block.header.Block.height > n.applied_height)
+         (blocks t));
     n.applied_height <- height t;
     (match t.chain with
     | [] -> ()
@@ -164,14 +170,9 @@ let restart_node t ~node =
 
 (* --- forks and partitions --- *)
 
-let replay_fresh t =
+let replay_fresh ?on_receipt t =
   let fresh = State.create ~genesis:t.genesis in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun tx -> ignore (State.apply_tx fresh ~height:b.Block.header.Block.height tx))
-        b.Block.txs)
-    (blocks t);
+  apply_blocks ?on_receipt fresh (blocks t);
   fresh
 
 (* Re-derive everything that hangs off the canonical chain after a reorg:
@@ -181,17 +182,12 @@ let replay_fresh t =
 let rebuild_from_chain t =
   Hashtbl.reset t.receipts;
   t.logs <- [];
-  let reference = State.create ~genesis:t.genesis in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun tx ->
-          let r = State.apply_tx reference ~height:b.Block.header.Block.height tx in
-          let k = Sha256.to_hex r.State.tx_hash in
-          if not (Hashtbl.mem t.receipts k) then Hashtbl.replace t.receipts k r;
-          t.logs <- List.rev_append r.State.logs t.logs)
-        b.Block.txs)
-    (blocks t);
+  let reference =
+    replay_fresh t ~on_receipt:(fun r ->
+        let k = Sha256.to_hex r.State.tx_hash in
+        if not (Hashtbl.mem t.receipts k) then Hashtbl.replace t.receipts k r;
+        t.logs <- List.rev_append r.State.logs t.logs)
+  in
   (match t.chain with
   | [] -> ()
   | tip :: _ ->
@@ -299,12 +295,7 @@ let fork_tip t ~permute =
     if same then None
     else begin
       let st = State.create ~genesis:t.genesis in
-      List.iter
-        (fun (b : Block.t) ->
-          List.iter
-            (fun tx -> ignore (State.apply_tx st ~height:b.Block.header.Block.height tx))
-            b.Block.txs)
-        (List.rev rest);
+      apply_blocks st (List.rev rest);
       let h = tip.Block.header.Block.height in
       List.iter (fun tx -> ignore (State.apply_tx st ~height:h tx)) txs';
       let sibling =
@@ -530,12 +521,4 @@ let all_logs t = List.rev t.logs
 
 let state_root t = State.root (node0 t)
 
-let replay t =
-  let fresh = State.create ~genesis:t.genesis in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun tx -> ignore (State.apply_tx fresh ~height:b.Block.header.Block.height tx))
-        b.Block.txs)
-    (blocks t);
-  State.root fresh
+let replay t = State.root (replay_fresh t)

@@ -45,9 +45,11 @@ let outcome_to_string o =
   Buffer.add_string b (Printf.sprintf "replicas agree: %b\n" o.replicas_agree);
   Buffer.add_string b (Printf.sprintf "supply conserved: %b\n" o.supply_conserved);
   Buffer.add_string b
-    (Printf.sprintf "store fetch: %s after %d attempt(s)\n"
-       (if o.store_recovered then "recovered" else "NOT recovered")
-       o.store_fetch_attempts);
+    (if o.store_fetch_attempts = 0 then "store fetch: none (the round aborted before it)\n"
+     else
+       Printf.sprintf "store fetch: %s after %d attempt(s)\n"
+         (if o.store_recovered then "recovered" else "NOT recovered")
+         o.store_fetch_attempts);
   Buffer.add_string b
     (Printf.sprintf "indexer: %d event(s), %d reorg(s)\n" o.indexer_events o.indexer_reorgs);
   Buffer.add_string b
@@ -96,6 +98,9 @@ let run ?(n = 3) ?(budget = 60) ?(answer_window = 20) ?(instruct_window = 12)
       let* id = Protocol.enroll_r sys in
       enroll_many (id :: acc) (k - 1)
   in
+  (* The fetch's verdict outlives a round that aborts after it; a round
+     that aborts before it fetched nothing and lost nothing. *)
+  let fetched = ref (0, true) in
   let round () =
     let* requester = Protocol.enroll_r sys in
     let* workers = enroll_many [] n in
@@ -109,9 +114,7 @@ let run ?(n = 3) ?(budget = 60) ?(answer_window = 20) ?(instruct_window = 12)
        is detected as a reorg (not silently replayed). *)
     ignore (Indexer.sync idx sys.Protocol.net);
     (* Workers fetch the payload off-chain before answering. *)
-    let store_fetch_attempts, store_recovered =
-      fetch_with_heal store ~blob ~digest ~max_attempts:8
-    in
+    fetched := fetch_with_heal store ~blob ~digest ~max_attempts:8;
     let answering =
       let indexed = List.mapi (fun i w -> (i, w)) workers in
       if spec.Faults.withhold_worker && n > 1 then
@@ -182,17 +185,16 @@ let run ?(n = 3) ?(budget = 60) ?(answer_window = 20) ?(instruct_window = 12)
               eclipse_txs
           with
           | Some e -> Error e
-          | None -> (
-            match List.filter (fun e -> receipt e = None) eclipse_txs with
-            | [] -> Ok ()
-            | missing ->
-              if Network.height sys.Protocol.net > deadline then
-                Error (Protocol.Timed_out { phase = "eclipse"; attempts = List.length missing })
-              else
-                let* () =
-                  Protocol.mine_to_r sys ~height:(Network.height sys.Protocol.net + 1)
-                in
-                wait ())
+          | None ->
+            if List.for_all (fun e -> Option.is_some (receipt e)) eclipse_txs then Ok ()
+            else if Network.height sys.Protocol.net > deadline then
+              (* Each victim broadcast its submission once. *)
+              Error (Protocol.Timed_out { phase = "eclipse"; attempts = 1 })
+            else
+              let* () =
+                Protocol.mine_to_r sys ~height:(Network.height sys.Protocol.net + 1)
+              in
+              wait ()
         in
         wait ()
       end
@@ -208,16 +210,13 @@ let run ?(n = 3) ?(budget = 60) ?(answer_window = 20) ?(instruct_window = 12)
     in
     if spec.Faults.no_instruction then
       let* () = Protocol.finalize_r sys task in
-      Ok (Finalized, store_fetch_attempts, store_recovered)
+      Ok Finalized
     else
       let* rewards = Protocol.reward_r sys task in
-      Ok (Rewarded rewards, store_fetch_attempts, store_recovered)
+      Ok (Rewarded rewards)
   in
-  let settlement, store_fetch_attempts, store_recovered =
-    match round () with
-    | Ok (s, a, r) -> (s, a, r)
-    | Error e -> (Aborted e, 0, false)
-  in
+  let settlement = match round () with Ok s -> s | Error e -> Aborted e in
+  let store_fetch_attempts, store_recovered = !fetched in
   (* End of run: bring every crashed replica back and check the global
      invariants a chaos plan must never break. *)
   let settlement =

@@ -36,9 +36,11 @@ type outcome = {
   supply_conserved : bool;
       (** total supply unchanged by the whole round *)
   store_fetch_attempts : int;
-      (** fetches (including heals) needed to retrieve the task blob *)
+      (** fetches (including heals) needed to retrieve the task blob; 0
+          when the round aborted before the fetch *)
   store_recovered : bool;
-      (** the blob came back intact despite loss/corruption faults *)
+      (** the blob came back intact despite loss/corruption faults, or no
+          fetch was made *)
   indexer_events : int;  (** chain events the off-chain indexer decoded *)
   indexer_reorgs : int;
       (** reorgs the indexer survived (partition heals, byzantine forks) *)

@@ -18,9 +18,10 @@
     deterministic and must be identical at any [ZEBRA_DOMAINS] (the CI
     load-smoke gate diffs exactly that).
 
-    Settle latency (task publish broadcast → reward receipt) is observed
-    into the [load.settle] {!Zebra_obs.Obs.Histogram}; completions and
-    failures bump [load.tasks.completed] / [load.tasks.failed]. *)
+    Settle latency runs from the task's funding broadcast to its reward
+    receipt.  Each one is observed into the [load.settle]
+    {!Zebra_obs.Obs.Histogram}; completions and failures bump
+    [load.tasks.completed] / [load.tasks.failed]. *)
 
 type config = {
   requesters : int;  (** size of the requester identity pool *)
@@ -52,7 +53,9 @@ type report = {
   elapsed_s : float;
   tasks_per_sec : float;
   txs_per_sec : float;
-  settle_p50_s : float;  (** from the [load.settle] histogram *)
+  settle_p50_s : float;
+      (** nearest-rank over the run's exact settle latencies (the
+          [load.settle] histogram is too coarse for percentiles) *)
   settle_p99_s : float;
   state_root : string;  (** final root, hex *)
   replicas_agree : bool;

@@ -56,7 +56,7 @@ let pow_int b e =
    canonical, so [fixed_base_pow] returns limb-identical results to
    [pow_int] — callers may precompute tables without changing any output. *)
 
-type fixed_base = { fb_base : t; fb_windows : t array array }
+type fixed_base = { fb_windows : t array array }
 
 let fixed_base_levels = 16 (* 16 windows x 4 bits cover any machine int *)
 
@@ -72,9 +72,7 @@ let fixed_base b =
     (* b^(16^(i+1)) = b^(15 * 16^i) * b^(16^i) *)
     cur := mul row.(15) !cur
   done;
-  { fb_base = b; fb_windows = windows }
-
-let fixed_base_of fb = fb.fb_base
+  { fb_windows = windows }
 
 let fixed_base_pow fb e =
   if e < 0 then invalid_arg "Fp.fixed_base_pow: negative exponent";
@@ -139,7 +137,6 @@ let buffer () : t = Modular.mont_buffer ctx
 let copy : t -> t = Modular.mont_copy
 let set ~dst x = Modular.mont_set ~dst x
 let set_zero dst = Modular.mont_set_zero dst
-let set_one dst = Modular.mont_set_one ctx ~dst
 let add_into ~dst a b = Modular.mont_add_into ctx ~dst a b
 let sub_into ~dst a b = Modular.mont_sub_into ctx ~dst a b
 let neg_into ~dst a = Modular.mont_neg_into ctx ~dst a
@@ -158,7 +155,6 @@ module Vec = struct
   let create len = { buf = Array.make (len * nl) 0; len }
   let length v = v.len
   let get v i = Modular.mont_of_region ctx v.buf (i * nl)
-  let get_into ~dst v i = Array.blit v.buf (i * nl) (limbs dst) 0 nl
   let set v i x = Array.blit (limbs x) 0 v.buf (i * nl) nl
   let copy v = { buf = Array.copy v.buf; len = v.len }
   let blit src si dst di k = Array.blit src.buf (si * nl) dst.buf (di * nl) (k * nl)
@@ -188,9 +184,6 @@ module Vec = struct
      which cannot overlap a vector's buffer). *)
   let add_slots d k a i b j =
     Modular.add_off ctx d.buf (k * nl) a.buf (i * nl) b.buf (j * nl)
-
-  let sub_slots d k a i b j =
-    Modular.sub_off ctx d.buf (k * nl) a.buf (i * nl) b.buf (j * nl)
 
   (* v.[i] <- v.[i] * e, staged through the caller's scratch element. *)
   let mul_slot_elt ~tmp v i e =

@@ -104,10 +104,7 @@ type fixed_base
 (** [fixed_base b] precomputes the window tables for base [b]. *)
 val fixed_base : t -> fixed_base
 
-(** The base the table was built for. *)
-val fixed_base_of : fixed_base -> t
-
-(** [fixed_base_pow fb e] is [fixed_base_of fb ^ e] for [e >= 0].
+(** [fixed_base_pow (fixed_base b) e] is [b ^ e] for [e >= 0].
     @raise Invalid_argument on negative exponents. *)
 val fixed_base_pow : fixed_base -> int -> t
 
@@ -151,7 +148,6 @@ val copy : t -> t
 val set : dst:t -> t -> unit
 
 val set_zero : t -> unit
-val set_one : t -> unit
 val add_into : dst:t -> t -> t -> unit
 val sub_into : dst:t -> t -> t -> unit
 val neg_into : dst:t -> t -> unit
@@ -190,9 +186,6 @@ module Vec : sig
   (** [get v i] copies slot [i] out into a fresh element. *)
   val get : t -> int -> elt
 
-  (** [get_into ~dst v i] copies slot [i] into the buffer [dst]. *)
-  val get_into : dst:elt -> t -> int -> unit
-
   (** [set v i x] copies the value of [x] into slot [i] ([x] is not
       captured — the vector owns its storage). *)
   val set : t -> int -> elt -> unit
@@ -211,7 +204,6 @@ module Vec : sig
   val swap : t -> int -> int -> unit
   val is_zero : t -> int -> bool
   val add_slots : t -> int -> t -> int -> t -> int -> unit
-  val sub_slots : t -> int -> t -> int -> t -> int -> unit
 
   (** [mul_slot_elt ~tmp v i e]: [v.(i) <- v.(i) * e] via scratch [tmp]. *)
   val mul_slot_elt : tmp:elt -> t -> int -> elt -> unit

@@ -36,5 +36,3 @@ let hash_gadget = function
 let merkle_root_gadget = function
   | Poseidon -> Poseidon.merkle_root_gadget
   | Mimc -> G.merkle_root
-
-let constraints_per_hash2 = function Poseidon -> 243 | Mimc -> 728

@@ -74,7 +74,3 @@ val merkle_root_gadget :
   path_bits:Zebra_r1cs.Cs.var array ->
   siblings:Zebra_r1cs.Cs.var array ->
   Zebra_r1cs.Gadgets.expr
-
-(** Documented cost of one 2-to-1 compression on non-constant inputs
-    (locked by a test): 243 for {!Poseidon}, 728 for {!Mimc}. *)
-val constraints_per_hash2 : t -> int

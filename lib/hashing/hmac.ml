@@ -14,5 +14,3 @@ let hmac ~key msg =
   Sha256.update outer (pad 0x5c);
   Sha256.update outer (Sha256.finalize inner);
   Sha256.finalize outer
-
-let hmac_string ~key msg = hmac ~key:(Bytes.of_string key) (Bytes.of_string msg)

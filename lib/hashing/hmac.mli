@@ -2,5 +2,3 @@
 
 (** [hmac ~key msg] is the 32-byte HMAC-SHA256 tag. *)
 val hmac : key:bytes -> bytes -> bytes
-
-val hmac_string : key:string -> string -> bytes

@@ -315,7 +315,6 @@ let mont_buffer ctx = Array.make ctx.n 0
 let mont_copy (a : mont) : mont = Array.copy a
 let mont_set ~dst (a : mont) = Array.blit a 0 dst 0 (Array.length dst)
 let mont_set_zero (dst : mont) = Array.fill dst 0 (Array.length dst) 0
-let mont_set_one ctx ~dst = Array.blit ctx.one_m 0 dst 0 ctx.n
 let mont_add_into ctx ~dst a b = add_off ctx dst 0 a 0 b 0
 let mont_sub_into ctx ~dst a b = sub_off ctx dst 0 a 0 b 0
 let mont_neg_into ctx ~dst a = neg_off ctx dst 0 a 0

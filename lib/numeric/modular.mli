@@ -70,7 +70,6 @@ val mont_copy : mont -> mont
 val mont_set : dst:mont -> mont -> unit
 
 val mont_set_zero : mont -> unit
-val mont_set_one : ctx -> dst:mont -> unit
 val mont_add_into : ctx -> dst:mont -> mont -> mont -> unit
 val mont_sub_into : ctx -> dst:mont -> mont -> mont -> unit
 val mont_neg_into : ctx -> dst:mont -> mont -> unit

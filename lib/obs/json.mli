@@ -1,8 +1,8 @@
 (** A minimal JSON value type with a renderer and a strict parser.
 
     Stdlib-only, just enough for the observability snapshot format
-    ({!Obs.snapshot}) and its consumers (benches writing [BENCH_obs.json],
-    tests round-tripping it).  Object member order is preserved. *)
+    ({!Obs.snapshot}), the benches' [BENCH_*.json] row files and the tests
+    round-tripping both.  Object member order is preserved. *)
 
 type t =
   | Null

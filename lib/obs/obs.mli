@@ -5,7 +5,7 @@
     paths pay a single boolean test and nothing else, so shipping the hooks
     costs the benchmarks nothing.  Benches, the [zebra stats] subcommand and
     tests flip {!set_enabled}, drive a workload, and read the registry back
-    as a JSON snapshot ({!to_json_string}, written to [BENCH_obs.json]) or a
+    as a JSON snapshot ({!to_json_string}, what [zebra stats --json] prints) or a
     human metric tree ({!render_tree}).
 
     {b Naming convention}: dotted lowercase paths mirroring the subsystem —

@@ -79,11 +79,6 @@ let constraints cs =
 let iter_constraints cs f =
   List.iteri (fun i c -> f ~index:i ~label:c.label c.a c.b c.c) (List.rev cs.constrs)
 
-let fold_constraints cs ~init ~f =
-  let acc = ref init in
-  iter_constraints cs (fun ~index ~label a b c -> acc := f !acc ~index ~label a b c);
-  !acc
-
 let assignment cs =
   let a = Array.sub cs.values 0 cs.num_vars in
   a.(0) <- Fp.one;

@@ -58,7 +58,7 @@ val constraints : t -> (lc * lc * lc) array
 
 (** {1 Read-only traversal}
 
-    [iter_constraints]/[fold_constraints] visit every constraint in
+    [iter_constraints] visits every constraint in
     insertion order together with its index and optional label, without
     copying or exposing the internal representation — the traversal the
     static analyzer ([Zebra_lint]) and future tooling are built on.  The
@@ -66,12 +66,6 @@ val constraints : t -> (lc * lc * lc) array
 
 val iter_constraints :
   t -> (index:int -> label:string option -> lc -> lc -> lc -> unit) -> unit
-
-val fold_constraints :
-  t ->
-  init:'a ->
-  f:('a -> index:int -> label:string option -> lc -> lc -> lc -> 'a) ->
-  'a
 
 (** Full assignment, indexed by wire; entry 0 is 1. *)
 val assignment : t -> Fp.t array

@@ -513,7 +513,6 @@ let simulate_rng ~rng trapdoor ~public_inputs =
   }
 
 let num_public_inputs vk = vk.v_num_inputs
-let domain_size pk = Fft.size pk.p_domain
 
 let proof_to_bytes p =
   Codec.encode
@@ -625,7 +624,6 @@ let vk_of_bytes_cached b =
     vk
 
 let proof_size_bytes p = Bytes.length (proof_to_bytes p)
-let vk_size_bytes vk = Bytes.length (vk_to_bytes vk)
 
 let equal_proof p q =
   Fp.equal p.pi_a q.pi_a && Fp.equal p.pi_a' q.pi_a' && Fp.equal p.pi_b q.pi_b

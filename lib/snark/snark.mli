@@ -107,9 +107,6 @@ val simulate_rng : rng:Zebra_rng.Source.t -> trapdoor -> public_inputs:Fp.t arra
 (** The public-input count the key was set up for. *)
 val num_public_inputs : verifying_key -> int
 
-(** The FFT domain size (power of two >= constraint count). *)
-val domain_size : proving_key -> int
-
 (** Canonical encoding (8 field elements, 32 bytes each framed). *)
 val proof_to_bytes : proof -> bytes
 
@@ -125,9 +122,6 @@ val vk_of_bytes : bytes -> verifying_key
 
 (** [Bytes.length (proof_to_bytes p)] (Table I's proof column). *)
 val proof_size_bytes : proof -> int
-
-(** [Bytes.length (vk_to_bytes vk)] (Table I's key column). *)
-val vk_size_bytes : verifying_key -> int
 
 (** Field-wise equality of the 8 proof elements. *)
 val equal_proof : proof -> proof -> bool

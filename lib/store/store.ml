@@ -119,10 +119,6 @@ let has t h = Hashtbl.mem t.objects (key h)
 
 let num_objects t = Hashtbl.length t.objects
 
-let stored_bytes t = Hashtbl.fold (fun _ v acc -> acc + Bytes.length v) t.objects 0
-
 let corrupt t h =
   if not (Hashtbl.mem t.objects (key h)) then raise Not_found;
   flip_middle_byte t h
-
-let pp_hash fmt h = Format.pp_print_string fmt (Sha256.to_hex h)

@@ -31,9 +31,6 @@ val has : t -> hash -> bool
 (** Number of stored objects (chunks + manifests). *)
 val num_objects : t -> int
 
-(** Total stored bytes (including manifest overhead). *)
-val stored_bytes : t -> int
-
 (** Failure injection for tests: flip one byte of the stored object with
     this hash.  @raise Not_found if absent. *)
 val corrupt : t -> hash -> unit
@@ -55,5 +52,3 @@ type fault_action =
     [has]-path fetch touches.  [Zebra_faults] supplies deterministic
     seed-keyed deciders. *)
 val set_fault : t -> (hash -> fault_action) option -> unit
-
-val pp_hash : Format.formatter -> hash -> unit

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Local CI gate: build everything, lint every deployed circuit, run the
 # whole test suite twice -- once sequential, once over a 4-domain pool --
+# check the benches' deterministic rows against the committed BENCH_*.json,
 # then replay the chaos suite at fixed seeds across both pool sizes and
 # against the committed outputs in scripts/golden/ (scripts/golden.sh,
 # which also runs on its own).  Results must agree:
@@ -23,59 +24,17 @@ ZEBRA_DOMAINS=1 dune runtest --force
 echo "== tests, ZEBRA_DOMAINS=4 =="
 ZEBRA_DOMAINS=4 dune runtest --force
 
-# Snark digest gate: the canonical reward-circuit proof digest (bench
-# snark-digest) must be one and the same bytes at ZEBRA_DOMAINS 1 and 4 --
+# Deterministic-cost gate: re-run the snark, field, lint and chaos
+# benches and compare every deterministic row -- proof digests,
+# constraint counts, allocated bytes, lint counts, chaos settlements and
+# heights -- with the committed BENCH_*.json exactly (bench/row.ml).
+# Allocation is counted per domain, so the rows are pinned at
+# ZEBRA_DOMAINS=1; the snark rows are checked again at 4 domains, since
 # pool size may not change a single proof byte (see DESIGN.md).
-echo "== snark digest gate (reward digest x domains) =="
+echo "== bench check (deterministic rows vs BENCH_*.json) =="
 BENCH="./_build/default/bench/main.exe"
-dune build bench/main.exe
-digest_ref=""
-for domains in 1 4; do
-  d="$(ZEBRA_DOMAINS=$domains "$BENCH" snark-digest)"
-  if [ -z "$digest_ref" ]; then
-    digest_ref="$d"
-  elif [ "$d" != "$digest_ref" ]; then
-    echo "snark gate FAILED: digest differs at ZEBRA_DOMAINS=$domains" >&2
-    echo "  expected $digest_ref" >&2
-    echo "  got      $d" >&2
-    exit 1
-  fi
-  echo "ZEBRA_DOMAINS=$domains: digest $d"
-done
-
-# Hash composition gate: the deployed default is Poseidon; its CPLA
-# attestation digest is pinned in bench/main.ml and must be the same
-# bytes at ZEBRA_DOMAINS 1 and 4.  The MiMC ablation arm is checked once
-# -- it must still prove and must NOT produce the Poseidon digest (the
-# arms really are different circuits).
-echo "== hash composition gate (cpla poseidon digest x domains) =="
-cpla_ref="5a4895c25784fefa60837b1c2732e9e40b23d01aefad767c78bea9d6ce3259c7"
-for domains in 1 4; do
-  d="$(ZEBRA_DOMAINS=$domains "$BENCH" snark-digest cpla-poseidon)"
-  if [ "$d" != "$cpla_ref" ]; then
-    echo "composition gate FAILED: cpla-poseidon digest moved at ZEBRA_DOMAINS=$domains" >&2
-    echo "  expected $cpla_ref" >&2
-    echo "  got      $d" >&2
-    exit 1
-  fi
-  echo "ZEBRA_DOMAINS=$domains: cpla-poseidon digest $d"
-done
-dm="$("$BENCH" snark-digest cpla-mimc)"
-if [ "$dm" = "$cpla_ref" ]; then
-  echo "composition gate FAILED: mimc arm produced the poseidon digest" >&2
-  exit 1
-fi
-echo "cpla-mimc ablation arm proves, digest $dm"
-
-# Field-kernel gate: the zero-allocation Montgomery kernel bench is
-# self-asserting -- it exits non-zero if any in-place kernel falls below
-# the committed allocation-reduction floor against its pure counterpart
-# (bench/main.ml, field_alloc_floor).  Run under ZEBRA_DOMAINS=1 so
-# Gc.allocated_bytes attributes the whole prove to one domain.  The
-# digest x domains gates above already pin the kernels' bit-identity;
-# this one pins their allocation profile.
-echo "== field kernel gate (in-place kernels stay allocation-free) =="
-ZEBRA_DOMAINS=1 "$BENCH" field
+ZEBRA_DOMAINS=1 "$BENCH" check snark field lint chaos
+ZEBRA_DOMAINS=4 "$BENCH" check snark
 
 # Chaos, byzantine, index and load-smoke traces against scripts/golden/.
 sh scripts/golden.sh

@@ -462,6 +462,29 @@ let test_chaos_timeout_fallback_payout () =
   | s -> Alcotest.failf "expected the timeout fallback, got %s" (Chaos.settlement_to_string s));
   check_invariants "noinstruct" o
 
+(* An aborted round reports what happened.  Two eclipse windows that
+   outlive the answer deadline: each victim broadcast once, and the blob
+   fetch made before the abort keeps its verdict.  A round that aborts
+   before the fetch made none, which is no store violation. *)
+let test_chaos_aborted_round_reports () =
+  let abort seed plan =
+    let o = Chaos.run ~seed ~plan:(Faults.spec_of_string plan) () in
+    match o.Chaos.settlement with
+    | Chaos.Aborted e -> (o, e)
+    | s -> Alcotest.failf "%s: expected an abort, got %s" plan (Chaos.settlement_to_string s)
+  in
+  let o, e = abort "found-1" "eclipse=1:6-60,eclipse=2:6-60" in
+  (match e with
+  | Protocol.Timed_out { phase; attempts } ->
+    Alcotest.(check string) "phase" "eclipse" phase;
+    Alcotest.(check int) "each victim broadcast once" 1 attempts
+  | e -> Alcotest.failf "wrong error: %s" (Protocol.error_to_string e));
+  Alcotest.(check int) "the fetch before the abort counts" 1 o.Chaos.store_fetch_attempts;
+  check_invariants "eclipse abort" o;
+  let o, _ = abort "found-2" "drop=1.0" in
+  Alcotest.(check int) "no fetch before an early abort" 0 o.Chaos.store_fetch_attempts;
+  check_invariants "early abort" o
+
 let test_chaos_trace_replays () =
   let plan = Faults.spec_of_string "drop=0.2,delay=0.2:2,dup=0.1,reorder=0.3,lose=0.1" in
   let o1 = Chaos.run ~seed:"chaos-replay" ~plan () in
@@ -753,6 +776,8 @@ let () =
           Alcotest.test_case "crash-restart agreement" `Quick test_chaos_crash_restart_agreement;
           Alcotest.test_case "withholding worker" `Quick test_chaos_withholding_worker;
           Alcotest.test_case "timeout fallback payout" `Quick test_chaos_timeout_fallback_payout;
+          Alcotest.test_case "aborted round keeps its verdicts" `Quick
+            test_chaos_aborted_round_reports;
           Alcotest.test_case "trace replays" `Quick test_chaos_trace_replays;
           Alcotest.test_case "identical across domains" `Quick
             test_chaos_identical_across_domains;
