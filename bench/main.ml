@@ -777,81 +777,86 @@ let field () =
 
 (* --- X10: static-analyzer cost (BENCH_lint.json) --- *)
 
-let lint () =
-  header "X10: zebra_lint analyzer wall-time across the deployed circuits";
+(* One report's deterministic rows: lint.<circuit>.*, lint.tx.<kind>.* or
+   lint.codec.<case>.*. *)
+let lint_rows (r : Zebra_lint.Lint.report) =
   let module Lint = Zebra_lint.Lint in
-  Printf.printf "%-22s %12s %6s %9s %6s %6s %6s\n%!" "circuit" "constraints"
-    "rank" "lint(s)" "err" "warn" "info";
+  let prefix, fields =
+    match r.Lint.subject with
+    | Lint.Circuit c ->
+      ( "lint.",
+        [
+          ("constraints", c.num_constraints);
+          ("vars", c.num_vars);
+          ("rank", c.jacobian_rank);
+          ("free_aux_wires", c.free_aux_wires);
+        ] )
+    | Lint.Tx_kind t -> ("lint.tx.", [ ("cases", t.cases) ])
+    | Lint.Codec c -> ("lint.codec.", [ ("secrets", c.secrets); ("outputs", c.outputs) ])
+  in
+  List.map
+    (fun (field, n) -> count (prefix ^ r.Lint.name ^ "." ^ field) n)
+    (fields
+    @ [ ("errors", Lint.errors r); ("warnings", Lint.warnings r); ("infos", Lint.infos r) ])
+
+let lint () =
+  header "X10: zebra_lint analyzer wall-time across the deployed subjects";
+  let module Lint = Zebra_lint.Lint in
+  let module Txlint = Zebra_lint.Txlint in
+  let module Seclint = Zebra_lint.Seclint in
+  let print_counts r =
+    Printf.printf " %6d %6d %6d\n%!" (Lint.errors r) (Lint.warnings r) (Lint.infos r)
+  in
+  Printf.printf "%-22s %12s %9s %6s %6s %6s\n%!" "circuit" "constraints" "lint(s)" "err"
+    "warn" "info";
   let circuits =
-    List.concat_map
+    List.map
       (fun (name, synth) ->
         let cs = synth () in
         let r, dt = wall (fun () -> Lint.analyze ~name cs) in
-        Printf.printf "%-22s %12d %6d %9.3f %6d %6d %6d\n%!" name
-          r.Lint.num_constraints r.Lint.jacobian_rank dt
-          (Lint.errors r)
-          (Lint.warnings r)
-          (Lint.infos r);
-        let p = "lint." ^ r.Lint.circuit ^ "." in
-        [
-          count (p ^ "constraints") r.Lint.num_constraints;
-          count (p ^ "vars") r.Lint.num_vars;
-          count (p ^ "rank") r.Lint.jacobian_rank;
-          count (p ^ "free_aux_wires") r.Lint.free_aux_wires;
-          count (p ^ "errors") (Lint.errors r);
-          count (p ^ "warnings") (Lint.warnings r);
-          count (p ^ "infos") (Lint.infos r);
-          Row.timing (p ^ "seconds") ~unit:"s" dt;
-        ])
+        Printf.printf "%-22s %12d %9.3f" name (Cs.num_constraints cs) dt;
+        print_counts r;
+        (r, dt))
       (Deployed.circuits ())
   in
   (* The ZL1xx/ZL2xx chain-layer passes: scenario construction dominates
      (it runs the whole deployed protocol once), analysis itself is
      cheap — both are timed separately. *)
-  let module Txlint = Zebra_lint.Txlint in
-  let module Seclint = Zebra_lint.Seclint in
   Printf.printf "\ntx lint (ZL1xx footprints + ZL2xx secret flow):\n%!";
-  let cases, scenario_dt = wall (fun () -> Deployed_txs.cases ()) in
+  let cases, scenario_dt = wall Deployed_txs.cases in
   let tx_reports, tx_dt = wall (fun () -> Txlint.analyze_all cases) in
   let codec_reports, codec_dt =
     wall (fun () -> List.map Seclint.analyze (Deployed_txs.codecs ()))
   in
-  Printf.printf "%-38s %6s %9s %6s %6s %6s\n%!" "kind" "cases" "lint(s)" "err" "warn" "info";
+  Printf.printf "%-38s %6s %6s %6s\n%!" "kind / codec case" "err" "warn" "info";
   List.iter
-    (fun (r : Txlint.report) ->
-      Printf.printf "%-38s %6d %9s %6d %6d %6d\n%!" r.Txlint.kind r.Txlint.cases "-"
-        (Txlint.errors r) (Txlint.warnings r) (Txlint.infos r))
-    tx_reports;
+    (fun (r : Lint.report) ->
+      Printf.printf "%-38s" r.Lint.name;
+      print_counts r)
+    (tx_reports @ codec_reports);
   Printf.printf
     "scenario build %.3fs (%d cases), ZL1xx analyze %.3fs, ZL2xx scan %.3fs (%d codec cases)\n%!"
     scenario_dt (List.length cases) tx_dt codec_dt (List.length codec_reports);
-  let kind (r : Txlint.report) =
-    let p = "lint.tx." ^ r.Txlint.kind ^ "." in
-    [
-      count (p ^ "cases") r.Txlint.cases;
-      count (p ^ "errors") (Txlint.errors r);
-      count (p ^ "warnings") (Txlint.warnings r);
-      count (p ^ "infos") (Txlint.infos r);
-    ]
-  in
-  let codec (r : Seclint.report) =
-    let p = "lint.codec." ^ r.Seclint.codec ^ "." in
-    [
-      count (p ^ "secrets") r.Seclint.secrets;
-      count (p ^ "outputs") r.Seclint.outputs;
-      count (p ^ "errors") (Seclint.errors r);
-      count (p ^ "warnings") (Seclint.warnings r);
-    ]
-  in
-  circuits
+  (* Every deployed subject must be Error-free before any row is written
+     or compared, so a re-pin cannot pin an error. *)
+  (match
+     List.filter (fun r -> Lint.errors r > 0) (List.map fst circuits @ tx_reports @ codec_reports)
+   with
+  | [] -> ()
+  | bad ->
+    failwith
+      ("lint bench: Error-severity findings in "
+      ^ String.concat ", " (List.map (fun (r : Lint.report) -> r.Lint.name) bad)));
+  List.concat_map
+    (fun (r, dt) -> lint_rows r @ [ Row.timing ("lint." ^ r.Lint.name ^ ".seconds") ~unit:"s" dt ])
+    circuits
   @ [
       count "lint.tx.cases" (List.length cases);
       Row.timing "lint.tx.scenario_s" ~unit:"s" scenario_dt;
       Row.timing "lint.tx.analyze_s" ~unit:"s" tx_dt;
       Row.timing "lint.tx.secret_scan_s" ~unit:"s" codec_dt;
     ]
-  @ List.concat_map kind tx_reports
-  @ List.concat_map codec codec_reports
+  @ List.concat_map lint_rows (tx_reports @ codec_reports)
 
 (* --- chaos: cost of riding out fault plans (BENCH_chaos.json) ---
 

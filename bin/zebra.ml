@@ -216,13 +216,13 @@ let stats_cmd =
       Protocol.run_task sys ~policy:(Policy.Majority { choices = 4 }) ~budget:90
         ~answers:[ 1; 1; 2 ]
     in
-    (* Lint the circuits this run deployed (the default Poseidon arms) so
-       the tree shows lint.* too. *)
+    (* Lint the circuits this run deployed (CPLA on its default Poseidon
+       arm) so the tree shows lint.* too. *)
     ignore
       (Zebra_lint.Lint.analyze ~name:"cpla-depth6-poseidon"
          (Zebra_anonauth.Cpla.constraint_system ~depth:6 ()));
     ignore
-      (Zebra_lint.Lint.analyze ~name:"reward-majority-n3-poseidon"
+      (Zebra_lint.Lint.analyze ~name:"reward-majority-n3"
          (Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:3));
     Obs.set_enabled false;
     if json then print_endline (Obs.to_json_string ())
@@ -246,7 +246,6 @@ let lint_cmd =
   let module Lint = Zebra_lint.Lint in
   let module Txlint = Zebra_lint.Txlint in
   let module Seclint = Zebra_lint.Seclint in
-  let module Sarif = Zebra_lint.Sarif in
   let module Json = Zebra_obs.Json in
   let strict_arg =
     let doc = "Exit with status 1 if any $(b,Error)-severity finding is reported." in
@@ -292,8 +291,39 @@ let lint_cmd =
     Arg.(value & flag & info [ "list" ] ~doc)
   in
   let max_arg =
-    let doc = "Warn/info findings printed per rule before eliding (circuit reports)." in
+    let doc = "Warn/info findings printed per rule before eliding." in
     Arg.(value & opt int 5 & info [ "max-per-rule" ] ~docv:"K" ~doc)
+  in
+  (* The circuits, or with --tx the kinds then (unless --kind narrows the
+     run) the codec cases. *)
+  let analyze tx only only_kinds =
+    if tx then begin
+      let cases = Deployed_txs.cases () in
+      match only_kinds with
+      | [] -> Txlint.analyze_all cases @ List.map Seclint.analyze (Deployed_txs.codecs ())
+      | kinds ->
+        let known = Deployed_txs.kinds () in
+        List.map
+          (fun k ->
+            if not (List.mem k known) then
+              failwith (Printf.sprintf "unknown tx kind %S (try --tx --list)" k);
+            Txlint.analyze ~kind:k
+              (List.filter (fun (c : Txlint.case) -> c.Txlint.kind = k) cases))
+          kinds
+    end
+    else
+      let selected =
+        match only with
+        | [] -> Deployed.circuits ()
+        | names ->
+          List.map
+            (fun n ->
+              match Deployed.find n with
+              | Some synth -> (n, synth)
+              | None -> failwith (Printf.sprintf "unknown circuit %S (try --list)" n))
+            names
+      in
+      List.map (fun (name, synth) -> Lint.analyze ~name (synth ())) selected
   in
   let run strict json format tx only only_kinds list max_per_rule =
     let format = if json then `Json else format in
@@ -303,92 +333,18 @@ let lint_cmd =
     end
     else
       try
-        if tx then begin
-          let cases = Deployed_txs.cases () in
-          let tx_reports =
-            match only_kinds with
-            | [] -> Txlint.analyze_all cases
-            | kinds ->
-              let known = Deployed_txs.kinds () in
-              List.map
-                (fun k ->
-                  if not (List.mem k known) then
-                    failwith (Printf.sprintf "unknown tx kind %S (try --tx --list)" k);
-                  Txlint.analyze ~kind:k
-                    (List.filter (fun (c : Txlint.case) -> c.Txlint.kind = k) cases))
-                kinds
-          in
-          let sec_reports =
-            if only_kinds = [] then List.map Seclint.analyze (Deployed_txs.codecs ())
-            else []
-          in
-          (match format with
-          | `Json ->
-            print_endline
-              (Json.to_string
-                 (Json.Obj
-                    [
-                      ("kinds", Json.List (List.map Txlint.to_json tx_reports));
-                      ("codecs", Json.List (List.map Seclint.to_json sec_reports));
-                    ]))
-          | `Sarif ->
-            let results =
-              List.concat_map Sarif.of_tx_report tx_reports
-              @ List.concat_map Sarif.of_codec_report sec_reports
-            in
-            print_endline (Json.to_string (Sarif.report results))
-          | `Text ->
-            List.iter (fun r -> print_string (Txlint.render r)) tx_reports;
-            List.iter (fun r -> print_string (Seclint.render r)) sec_reports;
-            let total sel = List.fold_left (fun acc r -> acc + sel r) 0 tx_reports in
-            let sec_total sel =
-              List.fold_left (fun acc r -> acc + sel r) 0 sec_reports
-            in
-            log "total: %d kind(s), %d codec case(s), %d error(s), %d warn(s), %d info(s)"
-              (List.length tx_reports) (List.length sec_reports)
-              (total Txlint.errors + sec_total Seclint.errors)
-              (total Txlint.warnings + sec_total Seclint.warnings)
-              (total Txlint.infos + sec_total Seclint.infos));
-          let errs =
-            List.fold_left (fun acc r -> acc + Txlint.errors r) 0 tx_reports
-            + List.fold_left (fun acc r -> acc + Seclint.errors r) 0 sec_reports
-          in
-          if strict && errs > 0 then
-            `Error (false, Printf.sprintf "%d Error-severity lint finding(s)" errs)
-          else `Ok ()
-        end
-        else begin
-          let selected =
-            match only with
-            | [] -> Deployed.circuits ()
-            | names ->
-              List.map
-                (fun n ->
-                  match Deployed.find n with
-                  | Some synth -> (n, synth)
-                  | None -> failwith (Printf.sprintf "unknown circuit %S (try --list)" n))
-                names
-          in
-          let reports =
-            List.map (fun (name, synth) -> Lint.analyze ~name (synth ())) selected
-          in
-          (match format with
-          | `Json ->
-            print_endline (Json.to_string (Json.List (List.map Lint.to_json reports)))
-          | `Sarif ->
-            let results = List.concat_map Sarif.of_circuit_report reports in
-            print_endline (Json.to_string (Sarif.report results))
-          | `Text ->
-            List.iter (fun r -> print_string (Lint.render ~max_per_rule r)) reports;
-            let total sel = List.fold_left (fun acc r -> acc + sel r) 0 reports in
-            log "total: %d circuit(s), %d error(s), %d warn(s), %d info(s)"
-              (List.length reports) (total Lint.errors) (total Lint.warnings)
-              (total Lint.infos));
-          let errs = List.fold_left (fun acc r -> acc + Lint.errors r) 0 reports in
-          if strict && errs > 0 then
-            `Error (false, Printf.sprintf "%d Error-severity lint finding(s)" errs)
-          else `Ok ()
-        end
+        let reports = analyze tx only only_kinds in
+        let total sel = List.fold_left (fun acc r -> acc + sel r) 0 reports in
+        (match format with
+        | `Json -> print_endline (Json.to_string (Json.List (List.map Lint.to_json reports)))
+        | `Sarif -> print_endline (Json.to_string (Lint.to_sarif reports))
+        | `Text ->
+          List.iter (fun r -> print_string (Lint.render ~max_per_rule r)) reports;
+          log "total: %d subject(s), %d error(s), %d warn(s), %d info(s)" (List.length reports)
+            (total Lint.errors) (total Lint.warnings) (total Lint.infos));
+        if strict && total Lint.errors > 0 then
+          `Error (false, Printf.sprintf "%d Error-severity lint finding(s)" (total Lint.errors))
+        else `Ok ()
       with Failure m -> `Error (false, m)
   in
   let doc =

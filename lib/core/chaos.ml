@@ -78,10 +78,9 @@ let fetch_with_heal store ~blob ~digest ~max_attempts =
   in
   go 1
 
-let run ?(n = 3) ?(budget = 60) ?(answer_window = 20) ?(instruct_window = 12)
-    ?(retry = Protocol.default_retry) ~seed ~plan () =
+let run ?(n = 3) ?(budget = 60) ~seed ~plan () =
   let faults = Faults.create ~seed plan in
-  let sys = Protocol.create_system ~seed ~retry () in
+  let sys = Protocol.create_system ~seed () in
   let supply0 = Network.total_supply sys.Protocol.net in
   (* The task's off-chain payload: a multi-chunk blob whose root hash is
      anchored in the contract's [data_digest]. *)
@@ -107,7 +106,7 @@ let run ?(n = 3) ?(budget = 60) ?(answer_window = 20) ?(instruct_window = 12)
     let* task =
       Protocol.publish_task_r sys ~requester
         ~policy:(Policy.Majority { choices = 4 })
-        ~n ~budget ~answer_window ~instruct_window ~data_digest:digest ()
+        ~n ~budget ~answer_window:20 ~instruct_window:12 ~data_digest:digest ()
     in
     (* Mid-run incremental sync: pins the indexer's cursor mid-chain, so a
        later partition heal or byzantine fork that abandons these blocks

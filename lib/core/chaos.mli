@@ -60,9 +60,8 @@ val outcome_to_string : outcome -> string
 (** [run ~seed ~plan ()] boots a fresh system ([Protocol.create_system
     ~seed]), attaches the fault plan to its network and to a
     content-addressed store holding the task's data blob, and drives one
-    round with [n] workers.  [retry] tunes the protocol's synchrony bound
-    (default {!Protocol.default_retry}); [create_system] rejects an invalid
-    one with [Invalid_argument] before the run starts.  If the plan says
+    round with [n] workers under {!Protocol.default_retry}, an answer
+    window of 20 blocks and an instruction window of 12.  If the plan says
     [withhold_worker], the last enrolled worker never submits; if
     [no_instruction], the requester never instructs and the round settles
     through Finalize; [collude=K] makes the last K answering workers
@@ -80,9 +79,6 @@ val outcome_to_string : outcome -> string
 val run :
   ?n:int ->
   ?budget:int ->
-  ?answer_window:int ->
-  ?instruct_window:int ->
-  ?retry:Protocol.retry_policy ->
   seed:string ->
   plan:Zebra_faults.Faults.spec ->
   unit ->

@@ -17,55 +17,39 @@ let merkle_circuit ~depth root_gadget () =
   ignore (root_gadget cs ~leaf:(v leaf) ~path_bits:bits ~siblings : expr);
   cs
 
-(* The protocol circuits, parameterised by the hash composition.  Each is
-   deployed as two registry arms ([<base>-poseidon] / [<base>-mimc]) so
-   lint gates and benchmarks cover both sides of the ablation. *)
-let parameterised =
+(* The protocol circuits.  Each one that hashes is parameterised by the
+   hash composition and deployed as two registry arms ([<base>-poseidon] /
+   [<base>-mimc]), so lint gates and benchmarks cover both sides of the
+   ablation.  The reward statement hashes nothing, so each of its policy
+   shapes is one circuit under its bare name. *)
+let protocol =
+  let reward policy n = `Hash_free (fun () -> Reward_circuit.constraint_system ~policy ~n) in
+  let cpla depth = `Hashing (fun composition () -> Cpla.constraint_system ~composition ~depth ()) in
   [
-    ("cpla-depth8", fun composition () -> Cpla.constraint_system ~composition ~depth:8 ());
-    ("cpla-depth16", fun composition () -> Cpla.constraint_system ~composition ~depth:16 ());
-    ( "reward-majority-n3",
-      fun _composition () ->
-        Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:3 );
-    ( "reward-majority-n5",
-      fun _composition () ->
-        Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:5 );
-    ( "reward-quota-n3",
-      fun _composition () ->
-        Reward_circuit.constraint_system
-          ~policy:(Policy.Majority_threshold { choices = 4; quota = 2 })
-          ~n:3 );
-    ( "reward-auction-n4",
-      fun _composition () ->
-        Reward_circuit.constraint_system
-          ~policy:(Policy.Reverse_auction { winners = 2; max_bid = 15 })
-          ~n:4 );
+    ("cpla-depth8", cpla 8);
+    ("cpla-depth16", cpla 16);
+    ("reward-majority-n3", reward (Policy.Majority { choices = 4 }) 3);
+    ("reward-majority-n5", reward (Policy.Majority { choices = 4 }) 5);
+    ("reward-quota-n3", reward (Policy.Majority_threshold { choices = 4; quota = 2 }) 3);
+    ("reward-auction-n4", reward (Policy.Reverse_auction { winners = 2; max_bid = 15 }) 4);
     ( "reputation-link",
-      fun composition () -> Reputation.constraint_system ~composition () );
+      `Hashing (fun composition () -> Reputation.constraint_system ~composition ()) );
   ]
-
-let arm_name base composition =
-  Printf.sprintf "%s-%s" base (Hash_composition.to_string composition)
 
 let circuits () =
   List.concat_map
-    (fun (base, synth) ->
-      List.map
-        (fun composition -> (arm_name base composition, synth composition))
-        Hash_composition.all)
-    parameterised
+    (function
+      | base, `Hashing synth ->
+        List.map
+          (fun composition ->
+            (Printf.sprintf "%s-%s" base (Hash_composition.to_string composition), synth composition))
+          Hash_composition.all
+      | name, `Hash_free synth -> [ (name, synth) ])
+    protocol
   @ [
       ("merkle-mimc-16", merkle_circuit ~depth:16 Gadgets.merkle_root);
       ("merkle-poseidon-16", merkle_circuit ~depth:16 Zebra_poseidon.Poseidon.merkle_root_gadget);
     ]
 
-(* Legacy bare names ("cpla-depth16") predate the composition arms; they
-   resolve to the default (Poseidon) arm so pinned scripts keep working. *)
-let find name =
-  match List.assoc_opt name (circuits ()) with
-  | Some f -> Some f
-  | None when List.mem_assoc name parameterised ->
-    List.assoc_opt (arm_name name Hash_composition.default) (circuits ())
-  | None -> None
-
+let find name = List.assoc_opt name (circuits ())
 let names () = List.map fst (circuits ())

@@ -259,8 +259,7 @@ let fresh_funded_wallet_r ?(phase = "faucet_funding") sys ~amount =
    [sys.rng] stream), so a memo hit returns the keys a fresh setup would:
    repeat publications of one (policy, n) shape skip the trusted setup. *)
 let reward_circuit sys ~policy ~n =
-  Reward_circuit.setup_cached ~composition:(Cpla.composition sys.cpla) sys.keycache
-    ~seed:(sys.setup_seed ^ "/reward-circuit") ~policy ~n
+  Reward_circuit.setup_cached sys.keycache ~seed:(sys.setup_seed ^ "/reward-circuit") ~policy ~n
 
 let publish sys ~requester ~wallet ~policy ~n ~budget ?(answer_window = 20)
     ?(instruct_window = 40) ?max_per_worker ?ra_rsa_pub ?data_digest ?fee () =

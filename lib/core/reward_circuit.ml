@@ -1,12 +1,10 @@
 module Snark = Zebra_snark.Snark
 module Elgamal = Zebra_elgamal.Elgamal
-module Hash_composition = Zebra_hashcomp.Hash_composition
 open Zebra_r1cs
 
 type t = {
   policy : Policy.t;
   n : int;
-  composition : Hash_composition.t;
   keys : Snark.keypair;
   n_constraints : int;
 }
@@ -197,12 +195,11 @@ let constraint_system ~policy ~n =
     ~esk_bits:(Array.make Elgamal.exponent_bits false)
     ~plaintexts:(Array.make n Fp.zero)
 
-let setup ?(composition = Hash_composition.default) ~random_bytes ~policy ~n () =
+let setup ~random_bytes ~policy ~n () =
   let cs = constraint_system ~policy ~n in
   {
     policy;
     n;
-    composition;
     keys = Snark.setup_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) cs;
     n_constraints = Cs.num_constraints cs;
   }
@@ -210,26 +207,22 @@ let setup ?(composition = Hash_composition.default) ~random_bytes ~policy ~n () 
 (* (policy, n) determines the synthesised structure, so a digest of the
    policy encoding plus n is a sound cache identifier — the named path lets
    a hit skip synthesis as well as setup.  The policy tails are hash-free,
-   so the composition does not change the structure; it is still keyed into
-   the id so a cache shared with hash-bearing circuits follows one uniform
-   "keypairs never cross arms" rule. *)
-let circuit_id ?(composition = Hash_composition.default) ~policy ~n () =
-  Printf.sprintf "reward/%s/n=%d/h=%s"
+   so no hash composition enters the id. *)
+let circuit_id ~policy ~n =
+  Printf.sprintf "reward/%s/n=%d"
     (Zebra_hashing.Sha256.to_hex (Zebra_hashing.Sha256.digest (Policy.to_bytes policy)))
     n
-    (Hash_composition.to_string composition)
 
-let setup_cached ?(composition = Hash_composition.default) cache ~seed ~policy ~n =
+let setup_cached cache ~seed ~policy ~n =
   if n <= 0 then invalid_arg "Reward_circuit.setup_cached: need n > 0";
   let keys, shape =
-    Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~composition ~policy ~n ()) ~seed
-      (fun () -> constraint_system ~policy ~n)
+    Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~policy ~n) ~seed (fun () ->
+        constraint_system ~policy ~n)
   in
-  { policy; n; composition; keys; n_constraints = shape.Snark.Keycache.constraints }
+  { policy; n; keys; n_constraints = shape.Snark.Keycache.constraints }
 
 let policy t = t.policy
 let n t = t.n
-let composition t = t.composition
 let num_constraints t = t.n_constraints
 let vk_bytes t = Snark.vk_to_bytes t.keys.Snark.vk
 let trapdoor_canary t = Snark.trapdoor_canary t.keys

@@ -23,22 +23,17 @@
     Hash-composition note: unlike CPLA and the reputation link circuit,
     the reward statement contains {e no} hashing — the policy tails are
     built from ElGamal decryption, equality, comparison and selection
-    gadgets only, so the Poseidon/MiMC choice does not change the
-    synthesised structure.  The composition is still accepted, recorded
-    and keyed into the cache id ([.../h=poseidon]) so registries and key
-    caches treat every deployed circuit uniformly (keypairs never cross
-    arms). *)
+    gadgets only — so it takes no hash composition: one circuit per
+    (policy, n), one keycache id, and one [Deployed] registry entry under
+    its bare name. *)
 
 type t
 
 (** [setup ~random_bytes ~policy ~n] compiles the circuit for a task
     collecting [n] answers and runs the SNARK setup.  Executed off-line by
     the requester before publishing (paper Section VI,
-    "establishments of zk-SNARKs").  [?composition] (default
-    {!Zebra_hashcomp.Hash_composition.default}) is recorded for registry
-    bookkeeping; see the hash-composition note above. *)
+    "establishments of zk-SNARKs"). *)
 val setup :
-  ?composition:Zebra_hashcomp.Hash_composition.t ->
   random_bytes:(int -> bytes) ->
   policy:Policy.t ->
   n:int ->
@@ -47,13 +42,12 @@ val setup :
 
 (** [setup_cached cache ~seed ~policy ~n] — {!setup} through a system's
     keypair memo ({!Zebra_snark.Snark.Keycache}), keyed by [seed] and the
-    id [reward/<policy-sha256>/n=<n>/h=<composition>]; on a hit, both
+    id [reward/<policy-sha256>/n=<n>]; on a hit, both
     circuit synthesis and the trusted setup are skipped.  Setup randomness
     comes from [seed] alone, so hit and miss produce byte-identical keys.
     [Protocol.reward_circuit] calls it with the system's memo and seed.
     @raise Invalid_argument when [n <= 0]. *)
 val setup_cached :
-  ?composition:Zebra_hashcomp.Hash_composition.t ->
   Zebra_snark.Snark.Keycache.t ->
   seed:string ->
   policy:Policy.t ->
@@ -67,10 +61,6 @@ val constraint_system : policy:Policy.t -> n:int -> Zebra_r1cs.Cs.t
 
 val policy : t -> Policy.t
 val n : t -> int
-
-(** The hash composition this instance was registered under (bookkeeping
-    only — the reward statement is hash-free). *)
-val composition : t -> Zebra_hashcomp.Hash_composition.t
 
 val num_constraints : t -> int
 val vk_bytes : t -> bytes

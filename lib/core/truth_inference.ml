@@ -42,7 +42,12 @@ let majority d =
    class in the current soft assignment. *)
 let smoothing = 0.01
 
-let dawid_skene ?(max_iters = 100) ?(tol = 1e-6) d =
+(* EM stops after [max_iters] rounds or once the log-likelihood gains less
+   than [tol]. *)
+let max_iters = 100
+let tol = 1e-6
+
+let dawid_skene d =
   validate d;
   let k = d.choices in
   (* Soft class assignments, initialised from majority voting. *)

@@ -34,9 +34,10 @@ val validate : data -> unit
     answers get 0) — the baseline the reward circuit enforces. *)
 val majority : data -> int array
 
-(** [dawid_skene ?max_iters ?tol data] runs EM initialised from majority
-    voting, stopping on log-likelihood convergence. *)
-val dawid_skene : ?max_iters:int -> ?tol:float -> data -> estimate
+(** [dawid_skene data] runs EM initialised from majority voting, stopping
+    once an iteration gains less than 1e-6 in log-likelihood, or after 100
+    iterations. *)
+val dawid_skene : data -> estimate
 
 (** [accuracy ~truth labels] — fraction of items labelled correctly. *)
 val accuracy : truth:int array -> int array -> float

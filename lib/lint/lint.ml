@@ -18,15 +18,18 @@ type finding = {
   message : string;
 }
 
-type report = {
-  circuit : string;
-  findings : finding list;
-  num_vars : int;
-  num_inputs : int;
-  num_constraints : int;
-  jacobian_rank : int;
-  free_aux_wires : int;
-}
+type subject =
+  | Circuit of {
+      num_vars : int;
+      num_inputs : int;
+      num_constraints : int;
+      jacobian_rank : int;
+      free_aux_wires : int;
+    }
+  | Tx_kind of { cases : int; accessed_shards : int list; declared_shards : int list }
+  | Codec of { secrets : int; outputs : int }
+
+type report = { name : string; subject : subject; findings : finding list }
 
 let rules =
   [
@@ -79,14 +82,16 @@ let rule_counters =
   tbl
 
 (* Shared by [analyze] and the chain-layer passes (Txlint, Seclint). *)
-let observe_findings findings =
+let make_report ~name subject findings =
+  let findings = List.stable_sort (fun f1 f2 -> compare f1.rule f2.rule) findings in
   List.iter
     (fun f ->
       Obs.Counter.incr (severity_counter f.severity);
       match Hashtbl.find_opt rule_counters f.rule with
       | Some c -> Obs.Counter.incr c
       | None -> ())
-    findings
+    findings;
+  { name; subject; findings }
 
 (* --- sparse linear algebra over Fp ---
 
@@ -185,7 +190,7 @@ let finding ?wire ?wire_label ?constraint_index ?constraint_label rule message =
     message;
   }
 
-let make_finding = finding
+let make_finding rule message = finding rule message
 
 let wire_finding cs rule w message =
   finding rule message ~wire:w ?wire_label:(Cs.wire_label cs (Cs.var_of_int w))
@@ -483,21 +488,16 @@ let analyze ?(name = "circuit") cs =
         (fun f -> Option.iter (fun i -> Hashtbl.replace skip i ()) f.constraint_index)
         (degenerate @ duplicates);
       let zl012, rank_findings, rank, free = rank_analysis cs views occurs ~skip in
-      let findings =
-        List.concat
-          [ zl001; zl002; degenerate; duplicates; zl012; rank_findings; zl030; zl031 ]
-        |> List.stable_sort (fun f1 f2 -> compare f1.rule f2.rule)
-      in
-      observe_findings findings;
-      {
-        circuit = name;
-        findings;
-        num_vars = Cs.num_vars cs;
-        num_inputs = Cs.num_inputs cs;
-        num_constraints = Cs.num_constraints cs;
-        jacobian_rank = rank;
-        free_aux_wires = free;
-      })
+      make_report ~name
+        (Circuit
+           {
+             num_vars = Cs.num_vars cs;
+             num_inputs = Cs.num_inputs cs;
+             num_constraints = Cs.num_constraints cs;
+             jacobian_rank = rank;
+             free_aux_wires = free;
+           })
+        (List.concat [ zl001; zl002; degenerate; duplicates; zl012; rank_findings; zl030; zl031 ]))
 
 (* --- report accessors & rendering --- *)
 
@@ -506,6 +506,7 @@ let errors = count Error
 let warnings = count Warn
 let infos = count Info
 let by_rule r id = List.filter (fun f -> f.rule = id) r.findings
+let shard_set_to_string shards = "{" ^ String.concat "," (List.map string_of_int shards) ^ "}"
 
 let finding_to_json f =
   let opt_int = function Some i -> Json.Num (float_of_int i) | None -> Json.Null in
@@ -523,23 +524,36 @@ let finding_to_json f =
     ]
 
 let to_json r =
+  let int i = Json.Num (float_of_int i) in
+  let ints l = Json.List (List.map int l) in
+  let subject =
+    match r.subject with
+    | Circuit c ->
+      [
+        ("circuit", Json.Str r.name);
+        ("num_vars", int c.num_vars);
+        ("num_inputs", int c.num_inputs);
+        ("num_constraints", int c.num_constraints);
+        ("jacobian_rank", int c.jacobian_rank);
+        ("free_aux_wires", int c.free_aux_wires);
+      ]
+    | Tx_kind t ->
+      [
+        ("kind", Json.Str r.name);
+        ("cases", int t.cases);
+        ("accessed_shards", ints t.accessed_shards);
+        ("declared_shards", ints t.declared_shards);
+      ]
+    | Codec c -> [ ("codec", Json.Str r.name); ("secrets", int c.secrets); ("outputs", int c.outputs) ]
+  in
   Json.Obj
-    [
-      ("circuit", Json.Str r.circuit);
-      ("num_vars", Json.Num (float_of_int r.num_vars));
-      ("num_inputs", Json.Num (float_of_int r.num_inputs));
-      ("num_constraints", Json.Num (float_of_int r.num_constraints));
-      ("jacobian_rank", Json.Num (float_of_int r.jacobian_rank));
-      ("free_aux_wires", Json.Num (float_of_int r.free_aux_wires));
-      ( "counts",
-        Json.Obj
-          [
-            ("error", Json.Num (float_of_int (errors r)));
-            ("warn", Json.Num (float_of_int (warnings r)));
-            ("info", Json.Num (float_of_int (infos r)));
-          ] );
-      ("findings", Json.List (List.map finding_to_json r.findings));
-    ]
+    (subject
+    @ [
+        ( "counts",
+          Json.Obj [ ("error", int (errors r)); ("warn", int (warnings r)); ("info", int (infos r)) ]
+        );
+        ("findings", Json.List (List.map finding_to_json r.findings));
+      ])
 
 let pp_finding ppf f =
   let subject =
@@ -556,10 +570,19 @@ let pp_finding ppf f =
 
 let render ?(max_per_rule = 5) r =
   let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "%s: %d vars (%d inputs), %d constraints, rank %d, %d free -- %d error(s), %d warn(s), %d info(s)\n"
-       r.circuit r.num_vars r.num_inputs r.num_constraints r.jacobian_rank r.free_aux_wires
-       (errors r) (warnings r) (infos r));
+  (match r.subject with
+  | Circuit c ->
+    Printf.bprintf b "%s: %d vars (%d inputs), %d constraints, rank %d, %d free" r.name
+      c.num_vars c.num_inputs c.num_constraints c.jacobian_rank c.free_aux_wires
+  | Tx_kind t ->
+    Printf.bprintf b "%s: %d case(s), shards accessed %s declared %s" r.name t.cases
+      (shard_set_to_string t.accessed_shards)
+      (shard_set_to_string t.declared_shards)
+  | Codec c -> Printf.bprintf b "%s: %d secret(s) against %d output(s)" r.name c.secrets c.outputs);
+  Printf.bprintf b " -- %d error(s), %d warn(s)" (errors r) (warnings r);
+  (* No codec rule is Info-level, so codec headers omit the count. *)
+  (match r.subject with Codec _ -> () | _ -> Printf.bprintf b ", %d info(s)" (infos r));
+  Buffer.add_char b '\n';
   let line f = Buffer.add_string b (Format.asprintf "  %a\n" pp_finding f) in
   List.iter (fun f -> if f.severity = Error then line f) r.findings;
   List.iter
@@ -575,3 +598,71 @@ let render ?(max_per_rule = 5) r =
       end)
     rules;
   Buffer.contents b
+
+(* --- SARIF --- *)
+
+let level_of_severity = function Error -> "error" | Warn -> "warning" | Info -> "note"
+
+let rule_to_sarif (id, name, severity) =
+  Json.Obj
+    [
+      ("id", Json.Str id);
+      ("name", Json.Str name);
+      ("defaultConfiguration", Json.Obj [ ("level", Json.Str (level_of_severity severity)) ]);
+    ]
+
+let result_to_sarif r f =
+  let location =
+    (match r.subject with Circuit _ -> "circuit:" | Tx_kind _ -> "tx:" | Codec _ -> "codec:")
+    ^ r.name
+  in
+  (* Wire/constraint locators, when present, go into the message: the
+     subjects are synthesised artifacts, so logical location is all the
+     anchoring SARIF can do. *)
+  let message =
+    match (f.wire, f.constraint_index) with
+    | Some w, _ -> Printf.sprintf "wire %d: %s" w f.message
+    | None, Some i -> Printf.sprintf "constraint #%d: %s" i f.message
+    | None, None -> f.message
+  in
+  Json.Obj
+    [
+      ("ruleId", Json.Str f.rule);
+      ("level", Json.Str (level_of_severity f.severity));
+      ("message", Json.Obj [ ("text", Json.Str message) ]);
+      ( "locations",
+        Json.List
+          [
+            Json.Obj
+              [ ("logicalLocations", Json.List [ Json.Obj [ ("name", Json.Str location) ] ]) ];
+          ] );
+    ]
+
+let to_sarif reports =
+  let results = List.concat_map (fun r -> List.map (result_to_sarif r) r.findings) reports in
+  Json.Obj
+    [
+      ( "$schema",
+        Json.Str
+          "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
+      );
+      ("version", Json.Str "2.1.0");
+      ( "runs",
+        Json.List
+          [
+            Json.Obj
+              [
+                ( "tool",
+                  Json.Obj
+                    [
+                      ( "driver",
+                        Json.Obj
+                          [
+                            ("name", Json.Str "zebra-lint");
+                            ("rules", Json.List (List.map rule_to_sarif rules));
+                          ] );
+                    ] );
+                ("results", Json.List results);
+              ];
+          ] );
+    ]

@@ -48,8 +48,8 @@ type severity = Error | Warn | Info
 val severity_to_string : severity -> string
 
 (** Stable machine-readable finding.  [wire]/[constraint_index] locate the
-    subject when the rule is about a single wire or constraint; labels give
-    the provenance recorded at allocation/enforcement time. *)
+    subject when an R1CS rule is about a single wire or constraint; labels
+    give the provenance recorded at allocation/enforcement time. *)
 type finding = {
   rule : string;  (** stable id, e.g. ["ZL001"] *)
   rule_name : string;  (** e.g. ["unconstrained-wire"] *)
@@ -61,42 +61,48 @@ type finding = {
   message : string;
 }
 
+(** What a report analysed: a circuit ({!analyze}), a tx kind
+    ({!Txlint.analyze}) or a secret-flow codec case ({!Seclint.analyze}). *)
+type subject =
+  | Circuit of {
+      num_vars : int;
+      num_inputs : int;
+      num_constraints : int;
+      jacobian_rank : int;  (** over auxiliary columns, at the board's assignment *)
+      free_aux_wires : int;  (** aux wires outside the pivot set *)
+    }
+  | Tx_kind of {
+      cases : int;
+      accessed_shards : int list;  (** union over cases, ascending *)
+      declared_shards : int list;  (** union of declared masks, ascending *)
+    }
+  | Codec of { secrets : int; outputs : int }
+
 type report = {
-  circuit : string;  (** the [?name] given to {!analyze} *)
+  name : string;  (** circuit name, tx kind or codec case *)
+  subject : subject;
   findings : finding list;  (** in rule-id order, stable within a rule *)
-  num_vars : int;
-  num_inputs : int;
-  num_constraints : int;
-  jacobian_rank : int;  (** over auxiliary columns, at the board's assignment *)
-  free_aux_wires : int;  (** aux wires outside the pivot set *)
 }
 
 (** [(id, name, severity)] of every rule, in id order — the linter's public
     contract surface, used by docs and tests.  ZL0xx rules are the R1CS
     families below; ZL1xx (declared-footprint soundness/minimality) and
     ZL2xx (secret canary flow) are produced by the chain-layer passes
-    {!Txlint} and {!Seclint}, which share this finding type, severity
-    mapping and obs counters. *)
+    {!Txlint} and {!Seclint}, which share this finding type, report and
+    obs counters. *)
 val rules : (string * string * severity) list
 
-(** [make_finding ?wire ?wire_label ?constraint_index ?constraint_label id
-    message] — a finding under a registered rule id (name and severity are
-    looked up; raises [Invalid_argument] on an unknown id).  Used by the
-    chain-layer passes; the wire/constraint locators are typically absent
-    there. *)
-val make_finding :
-  ?wire:int ->
-  ?wire_label:string ->
-  ?constraint_index:int ->
-  ?constraint_label:string ->
-  string ->
-  string ->
-  finding
+(** [make_finding id message] — a finding under a registered rule id (name
+    and severity are looked up; raises [Invalid_argument] on an unknown
+    id), with no wire or constraint locator.  Used by the chain-layer
+    passes. *)
+val make_finding : string -> string -> finding
 
-(** Bump the per-severity and per-rule [lint.*] obs counters for each
-    finding (no-ops unless {!Zebra_obs.Obs} is enabled).  {!analyze} calls
-    this itself; external passes call it once per report. *)
-val observe_findings : finding list -> unit
+(** [make_report ~name subject findings] sorts [findings] into rule-id
+    order and bumps the per-severity and per-rule [lint.*] obs counters for
+    each (no-ops unless {!Zebra_obs.Obs} is enabled).  Every pass builds
+    its report through it. *)
+val make_report : name:string -> subject -> finding list -> report
 
 (** [analyze ?name cs] runs every rule.  Read-only; safe to call on a board
     that will subsequently be handed to [Snark.setup_rng]/[prove_rng]. *)
@@ -109,18 +115,28 @@ val infos : report -> int
 (** Findings carrying the given rule id. *)
 val by_rule : report -> string -> finding list
 
-(** JSON shape:
-    [{"circuit":..,"num_vars":..,"num_inputs":..,"num_constraints":..,
-      "jacobian_rank":..,"free_aux_wires":..,
-      "counts":{"error":..,"warn":..,"info":..},"findings":[...]}]. *)
-val to_json : report -> Zebra_obs.Json.t
+(** A shard set as reports print it, e.g. ["{3,12,17}"]. *)
+val shard_set_to_string : int list -> string
 
-(** JSON shape of one finding (the element type of ["findings"] above). *)
-val finding_to_json : finding -> Zebra_obs.Json.t
+(** JSON shape: the subject's fields, then
+    [..,"counts":{"error":..,"warn":..,"info":..},"findings":[...]}]:
+    - circuit: [{"circuit":..,"num_vars":..,"num_inputs":..,
+      "num_constraints":..,"jacobian_rank":..,"free_aux_wires":..,..}];
+    - tx kind: [{"kind":..,"cases":..,"accessed_shards":[..],
+      "declared_shards":[..],..}];
+    - codec: [{"codec":..,"secrets":..,"outputs":..,..}]. *)
+val to_json : report -> Zebra_obs.Json.t
 
 (** Human rendering: one header line, then one line per finding; [Warn]-
     and [Info]-level findings are grouped per rule and truncated to
     [max_per_rule] (default 5) with an elision count. *)
 val render : ?max_per_rule:int -> report -> string
 
-val pp_finding : Format.formatter -> finding -> unit
+(** SARIF 2.1.0 export, so CI can annotate findings on PRs: one run, one
+    [tool.driver] (["zebra-lint"]) carrying every rule of {!rules} with its
+    default severity; each finding becomes a [result] anchored to a
+    {e logical} location ([circuit:<name>], [tx:<kind>] or
+    [codec:<case>]), since the subjects are synthesised artifacts, not
+    files.  Severity maps [Error]→["error"], [Warn]→["warning"],
+    [Info]→["note"]. *)
+val to_sarif : report list -> Zebra_obs.Json.t

@@ -1,5 +1,4 @@
 module Obs = Zebra_obs.Obs
-module Json = Zebra_obs.Json
 module Secret = Zebra_secret.Secret
 
 let m_runs = Obs.Counter.make "lint.sec.runs"
@@ -18,13 +17,6 @@ type codec_case = {
   codec : string;
   secrets : (string * bytes) list;
   outputs : (sink * string * bytes) list;
-}
-
-type report = {
-  codec : string;
-  secrets : int;
-  outputs : int;
-  findings : Lint.finding list;
 }
 
 let analyze (case : codec_case) =
@@ -61,46 +53,6 @@ let analyze (case : codec_case) =
               case.outputs)
           case.secrets
       in
-      let findings =
-        List.stable_sort
-          (fun f1 f2 -> compare f1.Lint.rule f2.Lint.rule)
-          (zl201 @ zl202)
-      in
-      Lint.observe_findings findings;
-      {
-        codec = case.codec;
-        secrets = List.length case.secrets;
-        outputs = List.length case.outputs;
-        findings;
-      })
-
-let count sev r = List.length (List.filter (fun f -> f.Lint.severity = sev) r.findings)
-let errors = count Lint.Error
-let warnings = count Lint.Warn
-let infos = count Lint.Info
-
-let to_json r =
-  Json.Obj
-    [
-      ("codec", Json.Str r.codec);
-      ("secrets", Json.Num (float_of_int r.secrets));
-      ("outputs", Json.Num (float_of_int r.outputs));
-      ( "counts",
-        Json.Obj
-          [
-            ("error", Json.Num (float_of_int (errors r)));
-            ("warn", Json.Num (float_of_int (warnings r)));
-            ("info", Json.Num (float_of_int (infos r)));
-          ] );
-      ("findings", Json.List (List.map Lint.finding_to_json r.findings));
-    ]
-
-let render r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "%s: %d secret(s) against %d output(s) -- %d error(s), %d warn(s)\n"
-       r.codec r.secrets r.outputs (errors r) (warnings r));
-  List.iter
-    (fun f -> Buffer.add_string b (Format.asprintf "  %a\n" Lint.pp_finding f))
-    r.findings;
-  Buffer.contents b
+      Lint.make_report ~name:case.codec
+        (Lint.Codec { secrets = List.length case.secrets; outputs = List.length case.outputs })
+        (zl201 @ zl202))

@@ -30,21 +30,6 @@ type codec_case = {
   outputs : (sink * string * bytes) list;  (** (sink, output label, bytes) *)
 }
 
-type report = {
-  codec : string;
-  secrets : int;
-  outputs : int;
-  findings : Lint.finding list;
-}
-
-val analyze : codec_case -> report
-
-val errors : report -> int
-val warnings : report -> int
-val infos : report -> int
-
-(** JSON shape: [{"codec":..,"secrets":..,"outputs":..,
-    "counts":{...},"findings":[...]}]. *)
-val to_json : report -> Zebra_obs.Json.t
-
-val render : report -> string
+(** Scan every output of the case for every canary; the report's subject
+    is a {!Lint.Codec}. *)
+val analyze : codec_case -> Lint.report

@@ -1,5 +1,4 @@
 module Obs = Zebra_obs.Obs
-module Json = Zebra_obs.Json
 module State = Zebra_chain.State
 module Tx = Zebra_chain.Tx
 module Exec = Zebra_chain.Exec
@@ -20,17 +19,6 @@ type case = {
 let trace_case ~kind ~case st ~height tx =
   let receipt, accessed = State.apply_tx_traced st ~height tx in
   { kind; case; tx; receipt; accessed }
-
-type report = {
-  kind : string;
-  cases : int;
-  findings : Lint.finding list;
-  accessed_shards : int list;
-  declared_shards : int list;
-}
-
-let shard_set_to_string shards =
-  "{" ^ String.concat "," (List.map string_of_int shards) ^ "}"
 
 let shards_of_mask m =
   let out = ref [] in
@@ -74,7 +62,7 @@ let analyze ~kind cases =
                           "case %s: access to %s (shard %d) is outside the declared mask %s — \
                            at runtime this kind escapes and is re-executed serially"
                           c.case key s
-                          (shard_set_to_string (shards_of_mask mask))))
+                          (Lint.shard_set_to_string (shards_of_mask mask))))
                 end)
               c.accessed)
           cases
@@ -124,16 +112,13 @@ let analyze ~kind cases =
         [
           Lint.make_finding "ZL110"
             (Printf.sprintf "%d case(s): shards accessed %s, declared %s" (List.length cases)
-               (shard_set_to_string accessed_shards)
-               (shard_set_to_string declared_shards));
+               (Lint.shard_set_to_string accessed_shards)
+               (Lint.shard_set_to_string declared_shards));
         ]
       in
-      let findings =
-        List.concat [ zl101; zl102; zl103; zl110 ]
-        |> List.stable_sort (fun f1 f2 -> compare f1.Lint.rule f2.Lint.rule)
-      in
-      Lint.observe_findings findings;
-      { kind; cases = List.length cases; findings; accessed_shards; declared_shards })
+      Lint.make_report ~name:kind
+        (Lint.Tx_kind { cases = List.length cases; accessed_shards; declared_shards })
+        (List.concat [ zl101; zl102; zl103; zl110 ]))
 
 let analyze_all (cases : case list) =
   let kinds = List.sort_uniq compare (List.map (fun (c : case) -> c.kind) cases) in
@@ -141,40 +126,7 @@ let analyze_all (cases : case list) =
     (fun kind -> analyze ~kind (List.filter (fun (c : case) -> c.kind = kind) cases))
     kinds
 
-let conflict_signature r = r.kind ^ " " ^ shard_set_to_string r.accessed_shards
-
-let count sev r = List.length (List.filter (fun f -> f.Lint.severity = sev) r.findings)
-let errors = count Lint.Error
-let warnings = count Lint.Warn
-let infos = count Lint.Info
-
-let to_json r =
-  let ints l = Json.List (List.map (fun s -> Json.Num (float_of_int s)) l) in
-  Json.Obj
-    [
-      ("kind", Json.Str r.kind);
-      ("cases", Json.Num (float_of_int r.cases));
-      ("accessed_shards", ints r.accessed_shards);
-      ("declared_shards", ints r.declared_shards);
-      ( "counts",
-        Json.Obj
-          [
-            ("error", Json.Num (float_of_int (errors r)));
-            ("warn", Json.Num (float_of_int (warnings r)));
-            ("info", Json.Num (float_of_int (infos r)));
-          ] );
-      ("findings", Json.List (List.map Lint.finding_to_json r.findings));
-    ]
-
-let render r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "%s: %d case(s), shards accessed %s declared %s -- %d error(s), %d warn(s), %d info(s)\n"
-       r.kind r.cases
-       (shard_set_to_string r.accessed_shards)
-       (shard_set_to_string r.declared_shards)
-       (errors r) (warnings r) (infos r));
-  List.iter
-    (fun f -> Buffer.add_string b (Format.asprintf "  %a\n" Lint.pp_finding f))
-    r.findings;
-  Buffer.contents b
+let conflict_signature (r : Lint.report) =
+  match r.Lint.subject with
+  | Lint.Tx_kind t -> r.Lint.name ^ " " ^ Lint.shard_set_to_string t.accessed_shards
+  | Lint.Circuit _ | Lint.Codec _ -> invalid_arg "Txlint.conflict_signature: not a tx-kind report"

@@ -45,34 +45,16 @@ type case = {
 val trace_case :
   kind:string -> case:string -> Zebra_chain.State.t -> height:int -> Zebra_chain.Tx.t -> case
 
-type report = {
-  kind : string;
-  cases : int;
-  findings : Lint.finding list;  (** in rule-id order *)
-  accessed_shards : int list;  (** union over cases, ascending *)
-  declared_shards : int list;  (** union of declared masks, ascending *)
-}
-
-(** Analyse the cases of one kind (all must carry [~kind]).
+(** Analyse the cases of one kind (all must carry [~kind]); the report's
+    subject is a {!Lint.Tx_kind}.
     @raise Invalid_argument on an empty or mixed-kind case list. *)
-val analyze : kind:string -> case list -> report
+val analyze : kind:string -> case list -> Lint.report
 
 (** Group cases by kind and analyse each; reports in kind order. *)
-val analyze_all : case list -> report list
+val analyze_all : case list -> Lint.report list
 
 (** The per-kind shard conflict signature, e.g.
     ["zebralancer-task.instruct {3,12,17}"] — the accessed-shard set the
-    wave scheduler must assume for this kind. *)
-val conflict_signature : report -> string
-
-val errors : report -> int
-val warnings : report -> int
-val infos : report -> int
-
-(** JSON shape:
-    [{"kind":..,"cases":..,"accessed_shards":[..],"declared_shards":[..],
-      "counts":{"error":..,"warn":..,"info":..},"findings":[...]}]. *)
-val to_json : report -> Zebra_obs.Json.t
-
-(** Human rendering, same style as {!Lint.render}. *)
-val render : report -> string
+    wave scheduler must assume for this kind.
+    @raise Invalid_argument on a report that is not a tx kind's. *)
+val conflict_signature : Lint.report -> string

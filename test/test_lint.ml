@@ -18,6 +18,12 @@ let qtest name ?(count = 50) gen f =
 
 let rule_ids report = List.map (fun f -> f.Lint.rule) report.Lint.findings
 
+(* (Jacobian rank, free aux wires) of a circuit report. *)
+let rank_and_free report =
+  match report.Lint.subject with
+  | Lint.Circuit c -> (c.jacobian_rank, c.free_aux_wires)
+  | Lint.Tx_kind _ | Lint.Codec _ -> Alcotest.fail "not a circuit report"
+
 let check_fires rule report =
   Alcotest.(check bool)
     (Printf.sprintf "%s fires (got: %s)" rule (String.concat ", " (rule_ids report)))
@@ -54,7 +60,7 @@ let test_rule_table () =
 let test_clean_circuit_silent () =
   let report = Lint.analyze ~name:"clean" (clean_circuit (Fp.of_int 2)) in
   Alcotest.(check (list string)) "no findings" [] (rule_ids report);
-  Alcotest.(check int) "no free aux wires" 0 report.Lint.free_aux_wires
+  Alcotest.(check int) "no free aux wires" 0 (snd (rank_and_free report))
 
 (* --- one broken circuit per rule --- *)
 
@@ -117,8 +123,7 @@ let test_zl020_zl021_rank_deficiency () =
   let report = Lint.analyze cs in
   check_fires "ZL020" report;
   Alcotest.(check int) "two free wires" 2 (List.length (Lint.by_rule report "ZL021"));
-  Alcotest.(check int) "rank one" 1 report.Lint.jacobian_rank;
-  Alcotest.(check int) "free count in report" 2 report.Lint.free_aux_wires
+  Alcotest.(check (pair int int)) "rank one, two free in report" (1, 2) (rank_and_free report)
 
 let test_zl030_missing_booleanity () =
   let cs = Cs.create () in
@@ -167,31 +172,28 @@ let test_deployed_circuits_no_errors () =
         [ "ZL001"; "ZL011"; "ZL013"; "ZL030"; "ZL031" ])
     (Zebralancer.Deployed.circuits ())
 
-(* Every parameterised circuit is deployed as two registry arms, one per
-   hash composition, and legacy bare names still resolve (to Poseidon). *)
+(* Every circuit that hashes is deployed as two registry arms, one per
+   hash composition, and has no bare-name entry; the hash-free reward
+   circuits are listed once, under their bare names. *)
 let test_deployed_composition_arms () =
   let names = Zebralancer.Deployed.names () in
-  let bases =
-    [
-      "cpla-depth8";
-      "cpla-depth16";
-      "reward-majority-n3";
-      "reward-majority-n5";
-      "reward-quota-n3";
-      "reward-auction-n4";
-      "reputation-link";
-    ]
+  let listed name expected =
+    Alcotest.(check bool) (name ^ if expected then " listed" else " not listed") expected
+      (List.mem name names)
   in
   List.iter
     (fun base ->
-      List.iter
-        (fun suffix ->
-          let arm = base ^ suffix in
-          Alcotest.(check bool) (arm ^ " listed") true (List.mem arm names))
-        [ "-poseidon"; "-mimc" ];
-      Alcotest.(check bool) (base ^ " bare name resolves") true
-        (Zebralancer.Deployed.find base <> None))
-    bases;
+      listed (base ^ "-poseidon") true;
+      listed (base ^ "-mimc") true;
+      listed base false)
+    [ "cpla-depth8"; "cpla-depth16"; "reputation-link" ];
+  List.iter
+    (fun base ->
+      listed base true;
+      listed (base ^ "-poseidon") false;
+      listed (base ^ "-mimc") false)
+    [ "reward-majority-n3"; "reward-majority-n5"; "reward-quota-n3"; "reward-auction-n4" ];
+  Alcotest.(check int) "12 deployed circuits" 12 (List.length names);
   (* and the two arms of the same base are different circuits *)
   let constraints name =
     match Zebralancer.Deployed.find name with
@@ -199,10 +201,7 @@ let test_deployed_composition_arms () =
     | None -> Alcotest.fail (name ^ " not found")
   in
   Alcotest.(check bool) "cpla arms differ" true
-    (constraints "cpla-depth8-poseidon" < constraints "cpla-depth8-mimc");
-  Alcotest.(check int) "bare name is the poseidon arm"
-    (constraints "cpla-depth8-poseidon")
-    (constraints "cpla-depth8")
+    (constraints "cpla-depth8-poseidon" < constraints "cpla-depth8-mimc")
 
 (* --- observability --- *)
 

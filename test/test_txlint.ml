@@ -23,7 +23,13 @@ let shard_of_address a = State.shard_of_key (Address.to_hex a)
 let qtest name ?(count = 3) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
 
-let rule_ids (r : Txlint.report) = List.map (fun f -> f.Lint.rule) r.Txlint.findings
+let rule_ids (r : Lint.report) = List.map (fun f -> f.Lint.rule) r.Lint.findings
+
+(* (accessed, declared) shards of a tx-kind report. *)
+let shards (r : Lint.report) =
+  match r.Lint.subject with
+  | Lint.Tx_kind t -> (t.accessed_shards, t.declared_shards)
+  | Lint.Circuit _ | Lint.Codec _ -> Alcotest.fail (r.Lint.name ^ " is not a tx-kind report")
 
 let check_fires rule ids =
   Alcotest.(check bool)
@@ -126,10 +132,11 @@ let test_under_declared () =
   check_fires "ZL101" (rule_ids r);
   check_silent "ZL102" (rule_ids r);
   check_silent "ZL103" (rule_ids r);
+  let accessed, declared = shards r in
   Alcotest.(check bool) "payee shard was accessed" true
-    (List.mem (shard_of_address fx.payee) r.Txlint.accessed_shards);
+    (List.mem (shard_of_address fx.payee) accessed);
   Alcotest.(check bool) "payee shard was not declared" false
-    (List.mem (shard_of_address fx.payee) r.Txlint.declared_shards)
+    (List.mem (shard_of_address fx.payee) declared)
 
 let test_over_declared () =
   let fx = Lazy.force fixture in
@@ -144,7 +151,7 @@ let test_over_declared () =
   let msgs =
     List.filter_map
       (fun f -> if f.Lint.rule = "ZL102" then Some f.Lint.message else None)
-      r.Txlint.findings
+      r.Lint.findings
   in
   Alcotest.(check int) "one vacuous declaration" 1 (List.length msgs);
   Alcotest.(check bool) "finding names the unused address" true
@@ -169,17 +176,16 @@ let test_exact_declaration_silent () =
     scatter_report ~kind:"scatter.ok" ~footprint:[ fx.payee ]
       ~payload:(Address.to_bytes fx.payee)
   in
-  Alcotest.(check int) "no errors" 0 (Txlint.errors r);
-  Alcotest.(check int) "no warnings" 0 (Txlint.warnings r);
+  Alcotest.(check int) "no errors" 0 (Lint.errors r);
+  Alcotest.(check int) "no warnings" 0 (Lint.warnings r);
   check_fires "ZL110" (rule_ids r);
-  Alcotest.(check (list int)) "accessed = declared" r.Txlint.accessed_shards r.Txlint.declared_shards;
+  let accessed, declared = shards r in
+  Alcotest.(check (list int)) "accessed = declared" accessed declared;
   let sig_ = Txlint.conflict_signature r in
   Alcotest.(check bool) ("signature names the kind: " ^ sig_) true
     (String.length sig_ > 10 && String.sub sig_ 0 10 = "scatter.ok")
 
 (* --- ZL2xx negative fixtures --- *)
-
-let codec_rule_ids (r : Seclint.report) = List.map (fun f -> f.Lint.rule) r.Seclint.findings
 
 let test_leaky_codec () =
   let canary = random_bytes 32 in
@@ -194,8 +200,8 @@ let test_leaky_codec () =
         outputs = [ (Seclint.Serialization, "old keypair encoder", leaked) ];
       }
   in
-  check_fires "ZL201" (codec_rule_ids r);
-  Alcotest.(check int) "one error" 1 (Seclint.errors r)
+  check_fires "ZL201" (rule_ids r);
+  Alcotest.(check int) "one error" 1 (Lint.errors r)
 
 let test_leaky_codec_reversed () =
   let canary = random_bytes 32 in
@@ -208,7 +214,7 @@ let test_leaky_codec_reversed () =
         outputs = [ (Seclint.Store_put, "little-endian encoder", Bytes.cat rev (random_bytes 8)) ];
       }
   in
-  check_fires "ZL201" (codec_rule_ids r)
+  check_fires "ZL201" (rule_ids r)
 
 let test_clean_codec_silent () =
   let r =
@@ -219,7 +225,7 @@ let test_clean_codec_silent () =
         outputs = [ (Seclint.Serialization, "honest encoder", random_bytes 256) ];
       }
   in
-  Alcotest.(check (list string)) "silent" [] (codec_rule_ids r)
+  Alcotest.(check (list string)) "silent" [] (rule_ids r)
 
 let test_short_canary () =
   let r =
@@ -230,8 +236,8 @@ let test_short_canary () =
         outputs = [ (Seclint.Log_line, "log", random_bytes 64) ];
       }
   in
-  check_fires "ZL202" (codec_rule_ids r);
-  Alcotest.(check int) "warn not error" 0 (Seclint.errors r)
+  check_fires "ZL202" (rule_ids r);
+  Alcotest.(check int) "warn not error" 0 (Lint.errors r)
 
 (* --- deployed registry locks --- *)
 
@@ -239,11 +245,10 @@ let test_registry_zero_errors () =
   let reports = Txlint.analyze_all (Deployed_txs.cases ()) in
   Alcotest.(check bool) "at least 10 kinds" true (List.length reports >= 10);
   List.iter
-    (fun (r : Txlint.report) ->
-      Alcotest.(check int) (r.Txlint.kind ^ ": zero errors") 0 (Txlint.errors r);
-      Alcotest.(check (list int))
-        (r.Txlint.kind ^ ": accessed = declared")
-        r.Txlint.accessed_shards r.Txlint.declared_shards)
+    (fun (r : Lint.report) ->
+      Alcotest.(check int) (r.Lint.name ^ ": zero errors") 0 (Lint.errors r);
+      let accessed, declared = shards r in
+      Alcotest.(check (list int)) (r.Lint.name ^ ": accessed = declared") accessed declared)
     reports
 
 let test_registry_kinds () =
@@ -272,21 +277,21 @@ let test_settlement_footprint_exact () =
   let reports = Txlint.analyze_all (Deployed_txs.cases ()) in
   List.iter
     (fun kind ->
-      match List.find_opt (fun (r : Txlint.report) -> r.Txlint.kind = kind) reports with
+      match List.find_opt (fun (r : Lint.report) -> r.Lint.name = kind) reports with
       | None -> Alcotest.fail ("kind missing from registry: " ^ kind)
       | Some r ->
-        Alcotest.(check int) (kind ^ ": zero errors") 0 (Txlint.errors r);
-        Alcotest.(check (list int))
-          (kind ^ ": declared exactly the accessed shards")
-          r.Txlint.accessed_shards r.Txlint.declared_shards)
+        Alcotest.(check int) (kind ^ ": zero errors") 0 (Lint.errors r);
+        let accessed, declared = shards r in
+        Alcotest.(check (list int)) (kind ^ ": declared exactly the accessed shards") accessed
+          declared)
     [ "zebralancer-task.instruct"; "zebralancer-task.finalize" ]
 
 let test_registry_codecs_clean () =
   List.iter
     (fun (c : Seclint.codec_case) ->
       let r = Seclint.analyze c in
-      Alcotest.(check int) (c.Seclint.codec ^ ": zero errors") 0 (Seclint.errors r);
-      Alcotest.(check int) (c.Seclint.codec ^ ": zero warnings") 0 (Seclint.warnings r))
+      Alcotest.(check int) (c.Seclint.codec ^ ": zero errors") 0 (Lint.errors r);
+      Alcotest.(check int) (c.Seclint.codec ^ ": zero warnings") 0 (Lint.warnings r))
     (Deployed_txs.codecs ())
 
 (* --- property: kinds that pass ZL1xx never escape at runtime --- *)
