@@ -667,9 +667,10 @@ let snark () =
    allocated-bytes/op for the pure vs destructive field kernels, the
    sliding-window exponentiation, the numeric substrate under wallet
    keygen and signature checks, an FFT size sweep over the flat-vector
-   path, and whole-prove allocation.  Every byte count is a deterministic
-   row at ZEBRA_DOMAINS=1 ([Gc.allocated_bytes] is per-domain), so
-   `bench check field` catches one allocation put back into a kernel. *)
+   path, and whole-prove and whole-auth allocation.  Every byte count is a
+   deterministic row at ZEBRA_DOMAINS=1 ([Gc.allocated_bytes] is
+   per-domain), so `bench check field` catches one allocation put back
+   into a kernel. *)
 
 let field () =
   header "X12: zero-allocation Montgomery kernels";
@@ -769,10 +770,33 @@ let field () =
   let prove_bytes = Gc.allocated_bytes () -. b0 in
   Printf.printf "prove reward-majority-n5: %.3fs, %.0f B allocated on the calling domain\n%!"
     prove_s prove_bytes;
+  (* Whole-auth allocation, bracketed the same way: one depth-6
+     attestation, synthesis on the witness board plus the proof. *)
+  let depth = 6 in
+  let params = Cpla.setup_rng ~rng:(Source.of_seed snark_setup_seed) ~depth () in
+  let key = Cpla.keygen_rng ~rng:(Source.of_seed "bench-field/cpla-key") () in
+  let ra = Ra.create ~depth () in
+  let index = Ra.register ra key.Cpla.pk in
+  let path = Ra.path ra index and root = Ra.root ra in
+  let auth () =
+    ignore
+      (Cpla.auth_rng ~rng:(Source.of_seed snark_prove_seed) params ~prefix:(Fp.of_int 7)
+         ~message:(Fp.of_int 11) ~key ~index ~path ~root)
+  in
+  auth ();
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  let (), auth_s = wall auth in
+  Gc.minor ();
+  let auth_bytes = Gc.allocated_bytes () -. a0 in
+  Printf.printf "auth cpla-depth6: %.3fs, %.0f B allocated on the calling domain\n%!" auth_s
+    auth_bytes;
   kernels @ pow @ substrate @ fft
   @ [
       Row.timing "field.prove_reward-majority-n5.s" ~unit:"s" prove_s;
       Row.det "field.prove_reward-majority-n5.alloc_bytes" ~unit:"B" prove_bytes;
+      Row.timing "field.auth_cpla-depth6.s" ~unit:"s" auth_s;
+      Row.det "field.auth_cpla-depth6.alloc_bytes" ~unit:"B" auth_bytes;
     ]
 
 (* --- X10: static-analyzer cost (BENCH_lint.json) --- *)
@@ -812,7 +836,8 @@ let lint () =
   let circuits =
     List.map
       (fun (name, synth) ->
-        let cs = synth () in
+        let cs = Cs.create () in
+        synth cs;
         let r, dt = wall (fun () -> Lint.analyze ~name cs) in
         Printf.printf "%-22s %12d %9.3f" name (Cs.num_constraints cs) dt;
         print_counts r;

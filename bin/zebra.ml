@@ -323,7 +323,12 @@ let lint_cmd =
               | None -> failwith (Printf.sprintf "unknown circuit %S (try --list)" n))
             names
       in
-      List.map (fun (name, synth) -> Lint.analyze ~name (synth ())) selected
+      List.map
+        (fun (name, synth) ->
+          let cs = Zebra_r1cs.Cs.create () in
+          synth cs;
+          Lint.analyze ~name cs)
+        selected
   in
   let run strict json format tx only only_kinds list max_per_rule =
     let format = if json then `Json else format in
@@ -342,8 +347,12 @@ let lint_cmd =
           List.iter (fun r -> print_string (Lint.render ~max_per_rule r)) reports;
           log "total: %d subject(s), %d error(s), %d warn(s), %d info(s)" (List.length reports)
             (total Lint.errors) (total Lint.warnings) (total Lint.infos));
-        if strict && total Lint.errors > 0 then
-          `Error (false, Printf.sprintf "%d Error-severity lint finding(s)" (total Lint.errors))
+        (* Findings are the command's result, not a usage error, so they
+           exit 1 rather than with cmdliner's CLI-error status (124). *)
+        if strict && total Lint.errors > 0 then begin
+          Printf.eprintf "zebra: %d Error-severity lint finding(s)\n%!" (total Lint.errors);
+          exit 1
+        end
         else `Ok ()
       with Failure m -> `Error (false, m)
   in
@@ -352,7 +361,11 @@ let lint_cmd =
      constraints, Jacobian rank, gadget contracts), or with $(b,--tx) the deployed \
      transaction kinds (footprint soundness/minimality, secret-flow canaries)."
   in
-  Cmd.v (Cmd.info "lint" ~doc)
+  let exits =
+    Cmd.Exit.info 1 ~doc:"with $(b,--strict), on any $(b,Error)-severity finding."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "lint" ~doc ~exits)
     Term.(
       ret
         (const run $ strict_arg $ json_arg $ format_arg $ tx_arg $ circuit_arg $ kind_arg

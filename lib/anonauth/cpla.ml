@@ -18,8 +18,7 @@ type attestation = { t1 : Fp.t; t2 : Fp.t; proof : Snark.proof }
 
 (* Synthesise the Auth circuit.  Public inputs (in order): prefix, message,
    root, t1, t2.  Witness: sk, certificate path bits and siblings. *)
-let synthesize ~composition ~depth ~prefix ~message ~root ~t1 ~t2 ~sk ~index ~path =
-  let cs = Cs.create () in
+let synthesize cs ~composition ~depth ~prefix ~message ~root ~t1 ~t2 ~sk ~index ~path =
   let open Gadgets in
   let hash = Hash_composition.hash_gadget composition cs in
   let v_prefix = Cs.alloc_input cs prefix in
@@ -39,15 +38,19 @@ let synthesize ~composition ~depth ~prefix ~message ~root ~t1 ~t2 ~sk ~index ~pa
   let computed_root =
     Hash_composition.merkle_root_gadget composition cs ~leaf:pk ~path_bits ~siblings
   in
-  enforce_eq cs ~label:"certificate" computed_root (v v_root);
-  cs
+  enforce_eq cs ~label:"certificate" computed_root (v v_root)
 
 (* Dummy values: the structure (and hence setup, and the static analyzer's
    view) only depends on (composition, depth). *)
-let constraint_system ?(composition = Hash_composition.default) ~depth () =
+let synthesize_dummy ?(composition = Hash_composition.default) ~depth cs =
   let z = Fp.zero in
-  synthesize ~composition ~depth ~prefix:z ~message:z ~root:z ~t1:z ~t2:z ~sk:z ~index:0
+  synthesize cs ~composition ~depth ~prefix:z ~message:z ~root:z ~t1:z ~t2:z ~sk:z ~index:0
     ~path:(Array.make depth z)
+
+let constraint_system ?composition ~depth () =
+  let cs = Cs.create () in
+  synthesize_dummy ?composition ~depth cs;
+  cs
 
 let setup_rng ?(composition = Hash_composition.default) ~rng ~depth () =
   let cs = constraint_system ~composition ~depth () in
@@ -83,11 +86,12 @@ let auth_rng ~rng p ~prefix ~message ~key ~index ~path ~root =
   if Array.length path <> p.depth then invalid_arg "Cpla.auth_rng: wrong path depth";
   let t1 = Hash_composition.hash_list p.composition [ prefix; key.sk ] in
   let t2 = Hash_composition.hash_list p.composition [ prefix; message; key.sk ] in
-  let cs =
-    synthesize ~composition:p.composition ~depth:p.depth ~prefix ~message ~root ~t1 ~t2
-      ~sk:key.sk ~index ~path
+  let proof =
+    Snark.prove_synth_rng ~rng p.keys.Snark.pk (fun cs ->
+        synthesize cs ~composition:p.composition ~depth:p.depth ~prefix ~message ~root ~t1 ~t2
+          ~sk:key.sk ~index ~path)
   in
-  { t1; t2; proof = Snark.prove_rng ~rng p.keys.Snark.pk cs }
+  { t1; t2; proof }
 
 let public_inputs ~prefix ~message ~root att = [| prefix; message; root; att.t1; att.t2 |]
 

@@ -71,14 +71,40 @@ val setup_cached :
   depth:int ->
   params
 
-(** The Auth circuit synthesised at the setup's dummy assignment — the
-    structure {!setup_rng} compiles, exposed for static analysis
-    ([Zebra_lint]) and introspection.  No keys are generated.  Constraint
-    budget by composition: the three tag/pk hashes plus [depth] Merkle
-    levels — roughly [245*depth + 6*243] for Poseidon (5 381 measured at
-    depth 16) vs [730*depth + 6*364] for MiMC (13 867). *)
+(** The Auth circuit synthesised at the setup's dummy assignment on a
+    constraint board — the structure {!setup_rng} compiles, exposed for
+    static analysis ([Zebra_lint]) and introspection.  No keys are
+    generated.  Constraint budget by composition: the three tag/pk hashes
+    plus [depth] Merkle levels — roughly [245*depth + 6*243] for Poseidon
+    (5 381 measured at depth 16) vs [730*depth + 6*364] for MiMC
+    (13 867). *)
 val constraint_system :
   ?composition:Zebra_hashcomp.Hash_composition.t -> depth:int -> unit -> Zebra_r1cs.Cs.t
+
+(** [synthesize_dummy ~depth cs]: the synthesis of {!constraint_system},
+    on a board the caller made (either kind, see {!Zebra_r1cs.Cs}). *)
+val synthesize_dummy :
+  ?composition:Zebra_hashcomp.Hash_composition.t -> depth:int -> Zebra_r1cs.Cs.t -> unit
+
+(** [synthesize cs ~composition ~depth ~prefix ~message ~root ~t1 ~t2 ~sk
+    ~index ~path] synthesises the Auth statement onto [cs]: public inputs
+    [prefix], [message], [root], [t1], [t2] in that order, then the
+    witness [sk] and the certificate path.  {!auth_rng} runs it on a
+    witness board; on a constraint board it gives the same assignment and
+    a board that {!Zebra_r1cs.Cs.is_satisfied} checks. *)
+val synthesize :
+  Zebra_r1cs.Cs.t ->
+  composition:Zebra_hashcomp.Hash_composition.t ->
+  depth:int ->
+  prefix:Fp.t ->
+  message:Fp.t ->
+  root:Fp.t ->
+  t1:Fp.t ->
+  t2:Fp.t ->
+  sk:Fp.t ->
+  index:int ->
+  path:Fp.t array ->
+  unit
 
 val depth : params -> int
 

@@ -6,16 +6,14 @@ module Hash_composition = Zebra_hashcomp.Hash_composition
 (* A depth-[d] Merkle membership circuit over the given compression
    gadget, with fixed (deterministic) leaf and sibling values — the "hash
    gadget composition" shape the benches profile. *)
-let merkle_circuit ~depth root_gadget () =
-  let cs = Cs.create () in
+let merkle_circuit ~depth root_gadget cs =
   let open Gadgets in
   let leaf = Cs.alloc cs ~label:"leaf" (Fp.of_int 7) in
   let bits = Array.init depth (fun i -> alloc_bit cs (i land 1 = 1)) in
   let siblings =
     Array.init depth (fun i -> Cs.alloc cs ~label:"sibling" (Fp.of_int (i + 1)))
   in
-  ignore (root_gadget cs ~leaf:(v leaf) ~path_bits:bits ~siblings : expr);
-  cs
+  ignore (root_gadget cs ~leaf:(v leaf) ~path_bits:bits ~siblings : expr)
 
 (* The protocol circuits.  Each one that hashes is parameterised by the
    hash composition and deployed as two registry arms ([<base>-poseidon] /
@@ -23,8 +21,8 @@ let merkle_circuit ~depth root_gadget () =
    ablation.  The reward statement hashes nothing, so each of its policy
    shapes is one circuit under its bare name. *)
 let protocol =
-  let reward policy n = `Hash_free (fun () -> Reward_circuit.constraint_system ~policy ~n) in
-  let cpla depth = `Hashing (fun composition () -> Cpla.constraint_system ~composition ~depth ()) in
+  let reward policy n = `Hash_free (Reward_circuit.synthesize_dummy ~policy ~n) in
+  let cpla depth = `Hashing (fun composition -> Cpla.synthesize_dummy ~composition ~depth) in
   [
     ("cpla-depth8", cpla 8);
     ("cpla-depth16", cpla 16);
@@ -33,7 +31,7 @@ let protocol =
     ("reward-quota-n3", reward (Policy.Majority_threshold { choices = 4; quota = 2 }) 3);
     ("reward-auction-n4", reward (Policy.Reverse_auction { winners = 2; max_bid = 15 }) 4);
     ( "reputation-link",
-      `Hashing (fun composition () -> Reputation.constraint_system ~composition ()) );
+      `Hashing (fun composition -> Reputation.synthesize_dummy ~composition) );
   ]
 
 let circuits () =

@@ -8,7 +8,10 @@
     [bench check lint]).  Synthesis is cheap — no SNARK setup
     runs — so the registry is rebuilt on demand. *)
 
-(** [(name, synthesise)] pairs, in a stable order.  Every protocol circuit
+(** [(name, synthesise)] pairs, in a stable order.  [synthesise cs]
+    builds the circuit onto [cs]: a constraint board
+    ({!Zebra_r1cs.Cs.create}) for lint, or a witness board, which must
+    come out with the same assignment and counts.  Every protocol circuit
     that hashes — the CPLA attestation circuit at the demo and deployment
     tree depths, and the reputation link circuit — is registered as {e two
     arms}, one per {!Zebra_hashcomp.Hash_composition}: [<base>-poseidon]
@@ -18,9 +21,9 @@
     [reward-quota-n3], [reward-auction-n4]).  The two standalone
     hash-gadget Merkle shapes ([merkle-mimc-16], [merkle-poseidon-16])
     close the list. *)
-val circuits : unit -> (string * (unit -> Zebra_r1cs.Cs.t)) list
+val circuits : unit -> (string * (Zebra_r1cs.Cs.t -> unit)) list
 
 (** [find name] — the synthesiser registered under [name]. *)
-val find : string -> (unit -> Zebra_r1cs.Cs.t) option
+val find : string -> (Zebra_r1cs.Cs.t -> unit) option
 
 val names : unit -> string list

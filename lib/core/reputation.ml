@@ -12,8 +12,7 @@ type params = {
 type claim_proof = Snark.proof
 
 (* Public inputs (in order): task_tag, pseudonym, task_prefix, epoch. *)
-let synthesize ~composition ~task_tag ~pseudonym ~task_prefix ~epoch ~sk =
-  let cs = Cs.create () in
+let synthesize cs ~composition ~task_tag ~pseudonym ~task_prefix ~epoch ~sk =
   let open Gadgets in
   let hash = Hash_composition.hash_gadget composition cs in
   let v_tag = Cs.alloc_input cs task_tag in
@@ -22,12 +21,16 @@ let synthesize ~composition ~task_tag ~pseudonym ~task_prefix ~epoch ~sk =
   let v_epoch = Cs.alloc_input cs epoch in
   let v_sk = Cs.alloc cs sk in
   enforce_eq cs ~label:"task tag" (hash [ v v_prefix; v v_sk ]) (v v_tag);
-  enforce_eq cs ~label:"epoch pseudonym" (hash [ v v_epoch; v v_sk ]) (v v_pseudo);
-  cs
+  enforce_eq cs ~label:"epoch pseudonym" (hash [ v v_epoch; v v_sk ]) (v v_pseudo)
 
-let constraint_system ?(composition = Hash_composition.default) () =
+let synthesize_dummy ?(composition = Hash_composition.default) cs =
   let z = Fp.zero in
-  synthesize ~composition ~task_tag:z ~pseudonym:z ~task_prefix:z ~epoch:z ~sk:z
+  synthesize cs ~composition ~task_tag:z ~pseudonym:z ~task_prefix:z ~epoch:z ~sk:z
+
+let constraint_system ?composition () =
+  let cs = Cs.create () in
+  synthesize_dummy ?composition cs;
+  cs
 
 let setup ?(composition = Hash_composition.default) ~random_bytes () =
   let cs = constraint_system ~composition () in
@@ -62,13 +65,11 @@ let epoch_pseudonym ?(composition = Hash_composition.default) (key : Cpla.user_k
 
 let prove_link ~random_bytes p ~key ~task_prefix ~epoch =
   let composition = p.composition in
-  let cs =
-    synthesize ~composition
-      ~task_tag:(task_tag ~composition key ~task_prefix)
-      ~pseudonym:(epoch_pseudonym ~composition key ~epoch)
-      ~task_prefix ~epoch:(epoch_field epoch) ~sk:key.Cpla.sk
-  in
-  Snark.prove_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) p.keys.Snark.pk cs
+  let tag = task_tag ~composition key ~task_prefix in
+  let pseudonym = epoch_pseudonym ~composition key ~epoch in
+  Snark.prove_synth_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) p.keys.Snark.pk (fun cs ->
+      synthesize cs ~composition ~task_tag:tag ~pseudonym ~task_prefix
+        ~epoch:(epoch_field epoch) ~sk:key.Cpla.sk)
 
 let verify_link ~vk_bytes ~task_tag ~pseudonym ~task_prefix ~epoch proof =
   match Snark.vk_of_bytes_cached vk_bytes with

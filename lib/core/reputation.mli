@@ -50,10 +50,15 @@ val setup_cached :
   seed:string ->
   params
 
-(** The link circuit synthesised at the dummy assignment, for static
-    analysis ([Zebra_lint]). *)
+(** The link circuit synthesised at the dummy assignment on a constraint
+    board, for static analysis ([Zebra_lint]). *)
 val constraint_system :
   ?composition:Zebra_hashcomp.Hash_composition.t -> unit -> Zebra_r1cs.Cs.t
+
+(** [synthesize_dummy cs]: the synthesis of {!constraint_system}, on a
+    board the caller made (either kind, see {!Zebra_r1cs.Cs}). *)
+val synthesize_dummy :
+  ?composition:Zebra_hashcomp.Hash_composition.t -> Zebra_r1cs.Cs.t -> unit
 
 (** The hash composition these parameters were set up with. *)
 val composition : params -> Zebra_hashcomp.Hash_composition.t

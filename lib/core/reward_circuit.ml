@@ -26,9 +26,8 @@ let money_bits = 61
 (* --- circuit synthesis --- *)
 
 (* Shared front end: allocate public inputs, decrypt every slot.
-   Returns (cs, rho_var, per-slot plaintext vars, reward vars). *)
-let synthesize_common ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
-  let cs = Cs.create () in
+   Returns (rho_var, per-slot plaintext vars, reward vars). *)
+let synthesize_common cs ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
   let open Gadgets in
   let v_epk = Cs.alloc_input cs epk in
   let v_rho = Cs.alloc_input cs (Fp.of_int rho) in
@@ -58,10 +57,10 @@ let synthesize_common ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
       v_cts
   in
   ignore n;
-  (cs, v_rho, v_m, v_rewards)
+  (v_rho, v_m, v_rewards)
 
 (* Majority / majority-with-quota tail. *)
-let synthesize_majority ~choices ~quota (cs, v_rho, v_m, v_rewards) =
+let synthesize_majority cs ~choices ~quota (v_rho, v_m, v_rewards) =
   let open Gadgets in
   let n = Array.length v_m in
   let count_bits = bits_for (n + 1) in
@@ -99,12 +98,11 @@ let synthesize_majority ~choices ~quota (cs, v_rho, v_m, v_rewards) =
       | Some gate ->
         let base = mul cs (v v_rho) (v correct) in
         Cs.enforce cs ~label:(Printf.sprintf "reward[%d]" j) (v base) gate (v v_rewards.(j)))
-    v_m;
-  cs
+    v_m
 
 (* Reverse auction tail: rank every slot by (bid, submission index), pay the
    [k] best a (k+1)-price clamped by [rho] (the per-winner cap). *)
-let synthesize_auction ~winners ~max_bid (cs, v_rho, v_m, v_rewards) =
+let synthesize_auction cs ~winners ~max_bid (v_rho, v_m, v_rewards) =
   let open Gadgets in
   let n = Array.length v_m in
   let s_bound = max_bid + 2 in
@@ -174,26 +172,30 @@ let synthesize_auction ~winners ~max_bid (cs, v_rho, v_m, v_rewards) =
       let winner = mul cs in_top valid in
       let w_pay = mul cs (v winner) (v pay) in
       enforce_eq cs ~label:(Printf.sprintf "reward[%d]" j) (v w_pay) (v v_rewards.(j)))
-    ranks;
-  cs
+    ranks
 
-let synthesize ~policy ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
-  let front = synthesize_common ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts in
+let synthesize cs ~policy ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts =
+  let front = synthesize_common cs ~n ~epk ~rho ~cts ~rewards ~esk_bits ~plaintexts in
   match policy with
-  | Policy.Majority { choices } -> synthesize_majority ~choices ~quota:0 front
-  | Policy.Majority_threshold { choices; quota } -> synthesize_majority ~choices ~quota front
-  | Policy.Reverse_auction { winners; max_bid } -> synthesize_auction ~winners ~max_bid front
+  | Policy.Majority { choices } -> synthesize_majority cs ~choices ~quota:0 front
+  | Policy.Majority_threshold { choices; quota } -> synthesize_majority cs ~choices ~quota front
+  | Policy.Reverse_auction { winners; max_bid } -> synthesize_auction cs ~winners ~max_bid front
 
 let dummy_ct = Elgamal.missing
 
 (* The structure the trusted setup compiles (dummy inputs) — also what the
    static analyzer inspects. *)
-let constraint_system ~policy ~n =
+let synthesize_dummy ~policy ~n cs =
   if n <= 0 then invalid_arg "Reward_circuit.constraint_system: need n > 0";
-  synthesize ~policy ~n ~epk:Fp.one ~rho:0 ~cts:(Array.make n dummy_ct)
+  synthesize cs ~policy ~n ~epk:Fp.one ~rho:0 ~cts:(Array.make n dummy_ct)
     ~rewards:(Array.make n 0)
     ~esk_bits:(Array.make Elgamal.exponent_bits false)
     ~plaintexts:(Array.make n Fp.zero)
+
+let constraint_system ~policy ~n =
+  let cs = Cs.create () in
+  synthesize_dummy ~policy ~n cs;
+  cs
 
 let setup ~random_bytes ~policy ~n () =
   let cs = constraint_system ~policy ~n in
@@ -254,10 +256,8 @@ let prove ~random_bytes t ~esk ~rho ~cts ~rewards =
       (fun ct -> if Elgamal.is_missing ct then Fp.zero else Elgamal.decrypt esk ct)
       cts
   in
-  let cs =
-    synthesize ~policy:t.policy ~n:t.n ~epk ~rho ~cts ~rewards ~esk_bits:bits ~plaintexts
-  in
-  Snark.prove_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) t.keys.Snark.pk cs
+  Snark.prove_synth_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) t.keys.Snark.pk (fun cs ->
+      synthesize cs ~policy:t.policy ~n:t.n ~epk ~rho ~cts ~rewards ~esk_bits:bits ~plaintexts)
 
 let verify ~vk_bytes ~epk ~rho ~cts ~rewards proof =
   match Snark.vk_of_bytes_cached vk_bytes with

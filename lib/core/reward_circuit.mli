@@ -54,10 +54,17 @@ val setup_cached :
   n:int ->
   t
 
-(** The circuit synthesised at the setup's dummy assignment — the structure
-    {!setup} compiles, exposed for static analysis ([Zebra_lint]).
+(** The circuit synthesised at the setup's dummy assignment on a
+    constraint board — the structure {!setup} compiles, exposed for static
+    analysis ([Zebra_lint]).
     @raise Invalid_argument when [n <= 0]. *)
 val constraint_system : policy:Policy.t -> n:int -> Zebra_r1cs.Cs.t
+
+(** [synthesize_dummy ~policy ~n cs]: the synthesis of
+    {!constraint_system}, on a board the caller made (either kind, see
+    {!Zebra_r1cs.Cs}).
+    @raise Invalid_argument when [n <= 0]. *)
+val synthesize_dummy : policy:Policy.t -> n:int -> Zebra_r1cs.Cs.t -> unit
 
 val policy : t -> Policy.t
 val n : t -> int

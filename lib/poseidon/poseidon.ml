@@ -74,14 +74,15 @@ let pow5_gadget cs x =
   G.v (G.mul cs (G.v x4) x)
 
 (* Canonicalise after every mix: without it the un-S-boxed lanes of the
-   partial rounds would accumulate 3^57 terms. *)
-let mix_exprs state =
+   partial rounds would accumulate 3^57 terms.  On a witness board each
+   lane folds to one term, so no lane grows past a few terms. *)
+let mix_exprs cs state =
   Array.init width (fun i ->
       let acc = ref [] in
       for j = 0 to width - 1 do
         acc := G.( +: ) !acc (G.scale mds.(i).(j) state.(j))
       done;
-      G.simplify !acc)
+      G.simplify cs !acc)
 
 let permute_gadget cs state =
   let state = ref state in
@@ -93,7 +94,7 @@ let permute_gadget cs state =
       if full then Array.map (pow5_gadget cs) st
       else Array.mapi (fun i e -> if i = 0 then pow5_gadget cs e else e) st
     in
-    state := mix_exprs st
+    state := mix_exprs cs st
   done;
   !state
 

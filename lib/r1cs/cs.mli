@@ -3,10 +3,17 @@
     A system is a list of constraints [<A,w> * <B,w> = <C,w>] over a witness
     vector [w] whose index 0 is pinned to the constant 1, indices
     [1..num_inputs] are the public inputs, and the rest are auxiliary
-    (private) wires.  The board always carries a concrete assignment: gadget
-    code computes witness values while emitting constraints, so the same
-    synthesis code serves key generation (dummy inputs), proving (real
-    inputs) and satisfaction checks. *)
+    (private) wires.  Gadget code computes witness values while it emits
+    constraints, so one synthesis function serves key generation (dummy
+    inputs), proving (real inputs) and satisfaction checks.
+
+    A board is made for one of two uses.  A {e constraint board}
+    ({!create}) keeps every constraint with its labels: set-up, lint and
+    satisfaction checks read it.  A {e witness board} ({!create_witness})
+    keeps only the values and the three counts, which is all the prover
+    reads: [enforce] just counts, labels are dropped, and the constraint
+    readers raise.  The same synthesis gives both boards the same
+    assignment and counts. *)
 
 type var = private int
 
@@ -15,10 +22,26 @@ type t
 (** Linear combination: sum of [coeff * var] terms. *)
 type lc = (Fp.t * var) list
 
+(** A constraint board: it keeps every constraint and wire label. *)
 val create : unit -> t
+
+(** A witness board: it keeps the assignment and counts constraints, but
+    stores none, so {!wire_label}, {!constraints}, {!iter_constraints},
+    {!is_satisfied} and {!find_unsatisfied} raise [Invalid_argument] on
+    it (and so does [Snark.setup_rng], which reads the constraints). *)
+val create_witness : unit -> t
+
+(** [true] for a board made by {!create_witness}. *)
+val is_witness : t -> bool
 
 (** The constant-1 wire. *)
 val one_var : var
+
+(** The pseudo-wire of a witness board's folded expressions
+    ([Gadgets.simplify]).  It reads 1, like {!one_var}, but is not the
+    constant wire, so a folded non-constant expression stays non-constant.
+    It is never allocated and never stored in a constraint. *)
+val value_var : var
 
 (** [alloc_input cs v] allocates the next public-input wire with value [v].
     All public inputs must be allocated before any auxiliary wire (this
@@ -33,10 +56,12 @@ val alloc_input : t -> ?label:string -> Fp.t -> var
     booleanity contract that [Zebra_lint] checks (see {!Gadgets.alloc_bit}). *)
 val alloc : t -> ?label:string -> Fp.t -> var
 
-(** The provenance label attached at allocation time, if any. *)
+(** The provenance label attached at allocation time, if any.
+    @raise Invalid_argument on a witness board. *)
 val wire_label : t -> var -> string option
 
-(** [enforce cs ?label a b c] adds the constraint [a * b = c]. *)
+(** [enforce cs ?label a b c] adds the constraint [a * b = c]; a witness
+    board only counts it. *)
 val enforce : t -> ?label:string -> lc -> lc -> lc -> unit
 
 val value : t -> var -> Fp.t
@@ -53,7 +78,8 @@ val num_inputs : t -> int
 
 val num_constraints : t -> int
 
-(** [constraints cs] in insertion order. *)
+(** [constraints cs] in insertion order.
+    @raise Invalid_argument on a witness board. *)
 val constraints : t -> (lc * lc * lc) array
 
 (** {1 Read-only traversal}
@@ -62,7 +88,8 @@ val constraints : t -> (lc * lc * lc) array
     insertion order together with its index and optional label, without
     copying or exposing the internal representation — the traversal the
     static analyzer ([Zebra_lint]) and future tooling are built on.  The
-    callback must not add constraints or allocate wires on [cs]. *)
+    callback must not add constraints or allocate wires on [cs].
+    @raise Invalid_argument on a witness board. *)
 
 val iter_constraints :
   t -> (index:int -> label:string option -> lc -> lc -> lc -> unit) -> unit
@@ -73,9 +100,11 @@ val assignment : t -> Fp.t array
 (** Values of the public input wires [1..num_inputs]. *)
 val public_inputs : t -> Fp.t array
 
+(** @raise Invalid_argument on a witness board. *)
 val is_satisfied : t -> bool
 
-(** First violated constraint's label (or its index as a string). *)
+(** First violated constraint's label (or its index as a string).
+    @raise Invalid_argument on a witness board. *)
 val find_unsatisfied : t -> string option
 
 (** [var_of_int i] — unsafe escape hatch for (de)serialisation in the SNARK

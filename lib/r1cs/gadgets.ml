@@ -10,7 +10,13 @@ let ( -: ) a b = a +: scale (Fp.neg Fp.one) b
 
 let eval = Cs.lc_value
 
-let simplify (e : expr) : expr =
+(* Constant folding: an expression with only constant-wire terms needs no
+   constraints (exp's constant base, the IV and length-absorption steps of
+   the hash gadgets, whose inputs are literals). *)
+let as_const cs e =
+  if List.for_all (fun ((_ : Fp.t), var) -> var = Cs.one_var) e then Some (eval cs e) else None
+
+let merge (e : expr) : expr =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
@@ -25,6 +31,16 @@ let simplify (e : expr) : expr =
     (fun var -> (Hashtbl.find tbl var, var))
     !order
   |> List.filter (fun ((c : Fp.t), _) -> not (Fp.is_zero c))
+
+(* A witness board keeps no constraint, so it folds the expression to its
+   value: a constant stays [c k], anything else becomes one term on
+   [Cs.value_var].  Constness is read off the terms, as [as_const] does;
+   it agrees with the constraint board's merge unless non-constant terms
+   cancel there, which the board-agreement test in test_snark.ml rules out
+   for every deployed circuit. *)
+let simplify cs (e : expr) : expr =
+  if not (Cs.is_witness cs) then merge e
+  else match as_const cs e with Some k -> c k | None -> [ (eval cs e, Cs.value_var) ]
 
 let mul cs ?label a b =
   let out = Cs.alloc cs ?label (Fp.mul (eval cs a) (eval cs b)) in
@@ -104,18 +120,13 @@ let less_than cs a b ~bits =
      regenerated for the Poseidon migration. *)
   c Fp.one -: v dbits.(bits)
 
-(* Forward declaration of as_const (defined below for MiMC); duplicated
-   check here to keep exp self-contained. *)
-let expr_const cs e =
-  if List.for_all (fun ((_ : Fp.t), var) -> var = Cs.one_var) e then Some (eval cs e) else None
-
 let exp cs ~base ~bits =
   let n = Array.length bits in
   if n = 0 then invalid_arg "Gadgets.exp: empty exponent";
   (* Square-and-multiply, msb first; sel_i = 1 + b_i (base - 1).  When the
      base is a circuit constant the selector is linear (2 constraints/bit
      instead of 3). *)
-  let const_base = expr_const cs base in
+  let const_base = as_const cs base in
   let acc = ref (c Fp.one) in
   for i = n - 1 downto 0 do
     let sq = square cs !acc in
@@ -139,11 +150,6 @@ let pow7 cs x =
   let x4 = square cs (v x2) in
   let x6 = mul cs (v x4) (v x2) in
   mul cs (v x6) x
-
-(* Constant folding: an expression with only constant-wire terms needs no
-   constraints (used for the length-absorption step of mimc_hash, whose
-   inputs are literals). *)
-let as_const = expr_const
 
 let mimc_encrypt cs ~key x =
   match (as_const cs key, as_const cs x) with

@@ -423,6 +423,13 @@ let prove_rng ~rng pk cs =
   in
   { pi_a; pi_a'; pi_b; pi_b'; pi_c; pi_c'; pi_k; pi_h }
 
+(* Proving reads only the assignment and the counts, so the statement is
+   synthesised on a witness board, which keeps no constraint. *)
+let prove_synth_rng ~rng pk synth =
+  let cs = Cs.create_witness () in
+  Obs.with_span "snark.synthesize" (fun () -> synth cs);
+  prove_rng ~rng pk cs
+
 let io_part vk ~public_inputs table =
   if Array.length public_inputs <> vk.v_num_inputs then
     invalid_arg "Snark: wrong number of public inputs";

@@ -50,7 +50,9 @@ val trapdoor_canary : keypair -> bytes
 
 (** [setup_rng ~rng cs] runs the trusted setup for the {e structure} of
     [cs] (witness values on the board are ignored).  The returned keys fix
-    the number of public inputs of [cs]. *)
+    the number of public inputs of [cs].
+    @raise Invalid_argument if [cs] is a witness board
+    ({!Cs.create_witness}), which keeps no constraint to compile. *)
 val setup_rng : rng:Zebra_rng.Source.t -> Cs.t -> keypair
 
 (** [prove_rng ~rng pk cs] where [cs] is the same circuit synthesised
@@ -61,6 +63,18 @@ val setup_rng : rng:Zebra_rng.Source.t -> Cs.t -> keypair
     An unsatisfied board produces a proof that verification rejects (the
     behaviour a cheating prover would face). *)
 val prove_rng : rng:Zebra_rng.Source.t -> proving_key -> Cs.t -> proof
+
+(** [prove_synth_rng ~rng pk synth] runs [synth] on a fresh witness board
+    ({!Cs.create_witness}) inside the [snark.synthesize] obs span, then
+    proves it with {!prove_rng}.  The witness board carries the assignment
+    a constraint board would, so the proof is byte-identical to
+    [prove_rng ~rng pk cs] for a constraint board [cs] that [synth] ran on;
+    synthesis just skips building the constraints the proving key already
+    holds.  The protocol's provers ([Cpla.auth_rng],
+    [Reward_circuit.prove], [Reputation.prove_link]) all go through it.
+    @raise Invalid_argument as {!prove_rng}. *)
+val prove_synth_rng :
+  rng:Zebra_rng.Source.t -> proving_key -> (Cs.t -> unit) -> proof
 
 (** [verify vk ~public_inputs proof]: O(|public_inputs|) field operations. *)
 val verify : verifying_key -> public_inputs:Fp.t array -> proof -> bool

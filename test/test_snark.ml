@@ -351,6 +351,108 @@ let test_keycache_named_path () =
   Alcotest.(check bool) "new seed, new keys" false
     (Snark.vk_to_bytes kp1.Snark.vk = Snark.vk_to_bytes kp3.Snark.vk)
 
+(* --- witness board --- *)
+
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no Invalid_argument on a witness board" what
+  | exception Invalid_argument _ -> ()
+
+let same_assignment a b =
+  Array.length a = Array.length b && Array.for_all2 Fp.equal a b
+
+(* Every deployed circuit synthesises to the same assignment and counts on
+   both boards.  This holds the constness rule of [Gadgets.simplify]: a
+   constraint board's merge could cancel terms down to a constant that the
+   witness board's fold would keep non-constant, and the two syntheses
+   would then allocate different wires. *)
+let test_boards_agree () =
+  List.iter
+    (fun (name, synth) ->
+      let cs = Cs.create () and w = Cs.create_witness () in
+      synth cs;
+      synth w;
+      Alcotest.(check int) (name ^ ": vars") (Cs.num_vars cs) (Cs.num_vars w);
+      Alcotest.(check int) (name ^ ": inputs") (Cs.num_inputs cs) (Cs.num_inputs w);
+      Alcotest.(check int) (name ^ ": constraints") (Cs.num_constraints cs)
+        (Cs.num_constraints w);
+      Alcotest.(check bool) (name ^ ": assignment") true
+        (same_assignment (Cs.assignment cs) (Cs.assignment w)))
+    (Zebralancer.Deployed.circuits ())
+
+let test_witness_simplify () =
+  let w = Cs.create_witness () in
+  let x = Cs.alloc w (Fp.of_int 3) in
+  let open Gadgets in
+  let folded = simplify w (scale (Fp.of_int 2) (v x) +: ci 5 -: v x) in
+  Alcotest.(check int) "one term" 1 (List.length folded);
+  Alcotest.(check bool) "value kept" true (Fp.equal (eval w folded) (Fp.of_int 8));
+  Alcotest.(check bool) "not constant" true (as_const w folded = None);
+  (* A non-constant expression whose value is 0 stays non-constant. *)
+  Alcotest.(check bool) "zero value, not constant" true
+    (as_const w (simplify w (v x -: ci 3)) = None);
+  Alcotest.(check bool) "constant folds to c k" true
+    (simplify w (ci 4 +: ci 3) = ci 7 && simplify w (ci 4 -: ci 4) = [])
+
+let test_witness_readers_raise () =
+  let w = Cs.create_witness () in
+  let y = Cs.alloc_input w ~label:"y" (Fp.of_int 6) in
+  let x = Cs.alloc w ~label:"x" (Fp.of_int 2) in
+  Gadgets.enforce_eq w ~label:"wrong" (Gadgets.v x) (Gadgets.v y);
+  Alcotest.(check int) "enforce counts" 1 (Cs.num_constraints w);
+  raises_invalid "wire_label" (fun () -> Cs.wire_label w x);
+  raises_invalid "constraints" (fun () -> Cs.constraints w);
+  raises_invalid "iter_constraints" (fun () ->
+      Cs.iter_constraints w (fun ~index:_ ~label:_ _ _ _ -> ()));
+  raises_invalid "is_satisfied" (fun () -> Cs.is_satisfied w);
+  raises_invalid "find_unsatisfied" (fun () -> Cs.find_unsatisfied w);
+  raises_invalid "Snark.setup_rng" (fun () -> Snark.setup_rng ~rng:src w)
+
+(* Depth-6 CPLA: the witness-board proof of [Cpla.auth_rng] is the proof
+   a constraint-board synthesis of the same statement gets under the same
+   seed, and that board is satisfied. *)
+let cpla_depth = 6
+
+(* [Cpla.setup_rng] and a bare [Snark.setup_rng] on the same seed give the
+   same keypair; the second exposes the proving key. *)
+let cpla_fixture =
+  lazy
+    (let module Cpla = Zebra_anonauth.Cpla in
+     let rng () = Zebra_rng.Source.of_seed "test-snark-witness-setup" in
+     let params = Cpla.setup_rng ~rng:(rng ()) ~depth:cpla_depth () in
+     let kp = Snark.setup_rng ~rng:(rng ()) (Cpla.constraint_system ~depth:cpla_depth ()) in
+     (params, kp.Snark.pk))
+
+let prop_cpla_boards_same_proof =
+  qtest ~count:4 "cpla depth 6: witness-board proof = constraint-board proof"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 63))
+    (fun (seed, fillers) ->
+      let module Cpla = Zebra_anonauth.Cpla in
+      let module Ra = Zebra_anonauth.Ra in
+      let params, pk = Lazy.force cpla_fixture in
+      let r = Zebra_rng.Chacha20.create ~seed:(Printf.sprintf "witness-%d" seed) in
+      let rb n = Zebra_rng.Chacha20.bytes r n in
+      let key = Cpla.keygen_rng ~rng:(Zebra_rng.Source.of_chacha r) () in
+      let ra = Ra.create ~depth:cpla_depth () in
+      for _ = 1 to fillers do
+        ignore (Ra.register ra (Fp.random rb) : int)
+      done;
+      let index = Ra.register ra key.Cpla.pk in
+      let prefix = Fp.random rb and message = Fp.random rb in
+      let path = Ra.path ra index and root = Ra.root ra in
+      let prove_seed = Printf.sprintf "witness-prove-%d" seed in
+      let att =
+        Cpla.auth_rng ~rng:(Zebra_rng.Source.of_seed prove_seed) params ~prefix ~message ~key
+          ~index ~path ~root
+      in
+      let cs = Cs.create () in
+      Cpla.synthesize cs ~composition:(Cpla.composition params) ~depth:cpla_depth ~prefix
+        ~message ~root ~t1:att.Cpla.t1 ~t2:att.Cpla.t2 ~sk:key.Cpla.sk ~index ~path;
+      let proof = Snark.prove_rng ~rng:(Zebra_rng.Source.of_seed prove_seed) pk cs in
+      Cs.is_satisfied cs
+      && Snark.proof_to_bytes proof = Snark.proof_to_bytes att.Cpla.proof
+      && Cpla.verify params ~prefix ~message ~root att)
+
 let () =
   Alcotest.run "snark"
     [
@@ -382,5 +484,12 @@ let () =
         [
           Alcotest.test_case "vk decode once" `Quick test_vk_decode_cache;
           Alcotest.test_case "named path" `Quick test_keycache_named_path;
+        ] );
+      ( "witness board",
+        [
+          Alcotest.test_case "deployed circuits agree on both boards" `Quick test_boards_agree;
+          Alcotest.test_case "simplify folds to one term" `Quick test_witness_simplify;
+          Alcotest.test_case "constraint readers raise" `Quick test_witness_readers_raise;
+          prop_cpla_boards_same_proof;
         ] );
     ]
