@@ -445,7 +445,7 @@ let parallel () =
     let leaf = Cs.alloc cs (Fp.random random_bytes) in
     let bits = Array.init 16 (fun _ -> alloc_bit cs false) in
     let siblings = Array.init 16 (fun _ -> Cs.alloc cs (Fp.random random_bytes)) in
-    ignore (merkle_root cs ~leaf:(v leaf) ~path_bits:bits ~siblings);
+    ignore (Hc.merkle_root_gadget Hc.Mimc cs ~leaf:(v leaf) ~path_bits:bits ~siblings);
     cs
   in
   let kp = Snark.setup_rng ~rng:src cs in

@@ -3,17 +3,19 @@ module Gadgets = Zebra_r1cs.Gadgets
 module Cpla = Zebra_anonauth.Cpla
 module Hash_composition = Zebra_hashcomp.Hash_composition
 
-(* A depth-[d] Merkle membership circuit over the given compression
-   gadget, with fixed (deterministic) leaf and sibling values — the "hash
-   gadget composition" shape the benches profile. *)
-let merkle_circuit ~depth root_gadget cs =
+(* A depth-[d] Merkle membership circuit under the given hash
+   composition, with fixed (deterministic) leaf and sibling values — the
+   "hash gadget composition" shape the benches profile. *)
+let merkle_circuit ~depth composition cs =
   let open Gadgets in
   let leaf = Cs.alloc cs ~label:"leaf" (Fp.of_int 7) in
   let bits = Array.init depth (fun i -> alloc_bit cs (i land 1 = 1)) in
   let siblings =
     Array.init depth (fun i -> Cs.alloc cs ~label:"sibling" (Fp.of_int (i + 1)))
   in
-  ignore (root_gadget cs ~leaf:(v leaf) ~path_bits:bits ~siblings : expr)
+  ignore
+    (Hash_composition.merkle_root_gadget composition cs ~leaf:(v leaf) ~path_bits:bits ~siblings
+      : expr)
 
 (* The protocol circuits.  Each one that hashes is parameterised by the
    hash composition and deployed as two registry arms ([<base>-poseidon] /
@@ -45,8 +47,8 @@ let circuits () =
       | name, `Hash_free synth -> [ (name, synth) ])
     protocol
   @ [
-      ("merkle-mimc-16", merkle_circuit ~depth:16 Gadgets.merkle_root);
-      ("merkle-poseidon-16", merkle_circuit ~depth:16 Zebra_poseidon.Poseidon.merkle_root_gadget);
+      ("merkle-mimc-16", merkle_circuit ~depth:16 Hash_composition.Mimc);
+      ("merkle-poseidon-16", merkle_circuit ~depth:16 Hash_composition.Poseidon);
     ]
 
 let find name = List.assoc_opt name (circuits ())

@@ -391,7 +391,7 @@ let m_batches = Obs.Counter.make "audit.batch.batches"
 let m_fallbacks = Obs.Counter.make "audit.batch.fallbacks"
 let m_offenders = Obs.Counter.make "audit.batch.offenders"
 
-let audit_task_report ?(batch_size = 32) ?seed sys ~task =
+let audit_task_report ?(batch_size = 32) sys ~task =
   if batch_size < 1 then invalid_arg "Protocol.audit_task_report: batch_size must be >= 1";
   Obs.with_span "protocol.audit" @@ fun () ->
   let params = (task_storage sys task).Task_contract.params in
@@ -474,9 +474,7 @@ let audit_task_report ?(batch_size = 32) ?seed sys ~task =
        the chain recomputes the same hashes, at any ZEBRA_DOMAINS, and
        batching on or off cannot shift the system's shared randomness
        stream. *)
-    let base_seed =
-      match seed with Some s -> s | None -> "audit/" ^ Address.to_hex task
-    in
+    let base_seed = "audit/" ^ Address.to_hex task in
     let total = Array.length anon in
     let b = ref 0 in
     while !b * batch_size < total do

@@ -320,16 +320,15 @@ type audit_report = {
     per-proof verification, so [offenders] names exactly the bad
     submissions.  Classical (RSA) attestations verify individually.  The
     RLC challenge is Fiat–Shamir ({!Zebra_snark.Snark.batch_seed}): hashed
-    from each block's proofs and public inputs, tagged with [seed]
-    (default: derived from the task address) plus the batch number — sound
+    from each block's proofs and public inputs, tagged with
+    ["audit/" ^ Address.to_hex task] plus the batch number — sound
     against adversarially crafted submissions (the challenge cannot be
     predicted before submitting), yet the audit is replayable from the
     chain alone and its result independent of [ZEBRA_DOMAINS] and of
     [batch_size].  Runs under the [protocol.audit] span; bumps
     [protocol.audit.attestations] and the [audit.batch.*] counters.
     @raise Invalid_argument when [batch_size < 1]. *)
-val audit_task_report :
-  ?batch_size:int -> ?seed:string -> system -> task:Zebra_chain.Address.t -> audit_report
+val audit_task_report : ?batch_size:int -> system -> task:Zebra_chain.Address.t -> audit_report
 
 (** Batch driver for same-shape tasks: one requester, one worker pool, one
     reward-circuit setup shared across the whole batch (the amortisation a

@@ -8,6 +8,9 @@ let ctx = Modular.create modulus
 
 type t = Modular.mont
 
+(* The kernels take raw limb arrays; an element is the region at offset 0. *)
+let limbs (x : t) : int array = (x :> int array)
+
 let zero = Modular.mont_zero ctx
 let one = Modular.mont_one ctx
 
@@ -137,11 +140,11 @@ let buffer () : t = Modular.mont_buffer ctx
 let copy : t -> t = Modular.mont_copy
 let set ~dst x = Modular.mont_set ~dst x
 let set_zero dst = Modular.mont_set_zero dst
-let add_into ~dst a b = Modular.mont_add_into ctx ~dst a b
-let sub_into ~dst a b = Modular.mont_sub_into ctx ~dst a b
-let neg_into ~dst a = Modular.mont_neg_into ctx ~dst a
-let mul_into ~dst a b = Modular.mont_mul_into ctx ~dst a b
-let sqr_into ~dst a = Modular.mont_sqr_into ctx ~dst a
+let add_into ~dst a b = Modular.add_off ctx (limbs dst) 0 (limbs a) 0 (limbs b) 0
+let sub_into ~dst a b = Modular.sub_off ctx (limbs dst) 0 (limbs a) 0 (limbs b) 0
+let neg_into ~dst a = Modular.neg_off ctx (limbs dst) 0 (limbs a) 0
+let mul_into ~dst a b = Modular.mul_off ctx (limbs dst) 0 (limbs a) 0 (limbs b) 0
+let sqr_into ~dst a = Modular.mul_off ctx (limbs dst) 0 (limbs a) 0 (limbs a) 0
 
 let minus_one = neg one
 let is_one x = Modular.mont_equal x one
@@ -151,7 +154,6 @@ module Vec = struct
   type elt = t
   type t = { buf : int array; len : int }
 
-  let limbs (x : elt) : int array = (x :> int array)
   let create len = { buf = Array.make (len * nl) 0; len }
   let length v = v.len
   let get v i = Modular.mont_of_region ctx v.buf (i * nl)

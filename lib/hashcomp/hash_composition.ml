@@ -33,6 +33,11 @@ let hash_gadget = function
   | Poseidon -> Poseidon.hash_list_gadget
   | Mimc -> G.mimc_hash
 
-let merkle_root_gadget = function
-  | Poseidon -> Poseidon.merkle_root_gadget
-  | Mimc -> G.merkle_root
+(* The gadget twin of [hash2], the Merkle tree compression. *)
+let hash2_gadget = function
+  | Poseidon -> Poseidon.hash2_gadget
+  | Mimc -> fun cs a b -> G.mimc_hash cs [ a; b ]
+
+(* Applied in full: a partial application would allocate a closure per call. *)
+let merkle_root_gadget c cs ~leaf ~path_bits ~siblings =
+  G.merkle_root ~compress:(hash2_gadget c) cs ~leaf ~path_bits ~siblings

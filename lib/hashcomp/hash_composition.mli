@@ -63,9 +63,11 @@ val hash_list : t -> Fp.t list -> Fp.t
 val hash_gadget :
   t -> Zebra_r1cs.Cs.t -> Zebra_r1cs.Gadgets.expr list -> Zebra_r1cs.Gadgets.expr
 
-(** [merkle_root_gadget c cs ~leaf ~path_bits ~siblings] — one select plus
-    one 2-to-1 compression per level: 244/level (Poseidon) or 729/level
-    (MiMC), plus the caller's path-bit booleanity.
+(** [merkle_root_gadget c cs ~leaf ~path_bits ~siblings] —
+    {!Zebra_r1cs.Gadgets.merkle_root} with the gadget twin of {!hash2}
+    as its compression: one select plus one 2-to-1 compression per level,
+    244/level (Poseidon) or 729/level (MiMC), plus the caller's path-bit
+    booleanity.
     @raise Invalid_argument when the arrays' lengths differ. *)
 val merkle_root_gadget :
   t ->

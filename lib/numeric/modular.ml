@@ -48,144 +48,17 @@ let create m =
 let modulus ctx = ctx.m
 let num_limbs ctx = ctx.n
 
-(* Compare little-endian limb regions, most-significant limb first.
-   Top-level recursion, not a local [let rec]: a local closure capturing
-   the array operands would be a per-call allocation in the innermost
-   prover loop (the non-flambda backend does not lift it). *)
-let rec cmp_off_from a ao b bo i =
-  if i < 0 then 0
-  else begin
-    let x = a.(ao + i) and y = b.(bo + i) in
-    if x < y then -1 else if x > y then 1 else cmp_off_from a ao b bo (i - 1)
-  end
-
-(* Compare fixed-width little-endian arrays. *)
-let cmp_fixed a b n = cmp_off_from a 0 b 0 (n - 1)
-
-(* r <- a - m (in place allowed when r == a); assumes a >= m. *)
-let sub_m ctx a r =
-  let borrow = ref 0 in
-  for i = 0 to ctx.n - 1 do
-    let d = a.(i) - ctx.m_limbs.(i) - !borrow in
-    if d < 0 then begin
-      r.(i) <- d + base;
-      borrow := 1
-    end
-    else begin
-      r.(i) <- d;
-      borrow := 0
-    end
-  done
-
-(* CIOS Montgomery multiplication: returns a*b*R^{-1} mod m.  The two limbs
-   that overflow the n-wide accumulator live in scalar refs so [t] itself
-   (allocated once, at exactly the result width) is returned — this is the
-   innermost loop of the whole prover, and the obvious (n+2)-wide temp plus
-   [Array.sub] costs a second allocation per field multiplication. *)
-let mont_mul ctx a b =
-  let n = ctx.n in
-  let t = Array.make n 0 in
-  let t_n = ref 0 in
-  let t_n1 = ref 0 in
-  for i = 0 to n - 1 do
-    let ai = a.(i) in
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      let acc = t.(j) + (ai * b.(j)) + !c in
-      t.(j) <- acc land mask;
-      c := acc lsr limb_bits
-    done;
-    let acc = !t_n + !c in
-    t_n := acc land mask;
-    t_n1 := !t_n1 + (acc lsr limb_bits);
-    let mi = (t.(0) * ctx.m0') land mask in
-    let c = ref ((t.(0) + (mi * ctx.m_limbs.(0))) lsr limb_bits) in
-    for j = 1 to n - 1 do
-      let acc = t.(j) + (mi * ctx.m_limbs.(j)) + !c in
-      t.(j - 1) <- acc land mask;
-      c := acc lsr limb_bits
-    done;
-    let acc = !t_n + !c in
-    t.(n - 1) <- acc land mask;
-    t_n := !t_n1 + (acc lsr limb_bits);
-    t_n1 := 0
-  done;
-  if !t_n <> 0 || cmp_fixed t ctx.m_limbs n >= 0 then sub_m ctx t t;
-  t
-
-let mont_sqr ctx a = mont_mul ctx a a
-
-let mont_add ctx a b =
-  let n = ctx.n in
-  let r = Array.make n 0 in
-  let carry = ref 0 in
-  for i = 0 to n - 1 do
-    let s = a.(i) + b.(i) + !carry in
-    r.(i) <- s land mask;
-    carry := s lsr limb_bits
-  done;
-  if !carry <> 0 || cmp_fixed r ctx.m_limbs n >= 0 then sub_m ctx r r;
-  r
-
-let mont_sub ctx a b =
-  let n = ctx.n in
-  let r = Array.make n 0 in
-  let borrow = ref 0 in
-  for i = 0 to n - 1 do
-    let d = a.(i) - b.(i) - !borrow in
-    if d < 0 then begin
-      r.(i) <- d + base;
-      borrow := 1
-    end
-    else begin
-      r.(i) <- d;
-      borrow := 0
-    end
-  done;
-  if !borrow <> 0 then begin
-    (* add modulus back *)
-    let carry = ref 0 in
-    for i = 0 to n - 1 do
-      let s = r.(i) + ctx.m_limbs.(i) + !carry in
-      r.(i) <- s land mask;
-      carry := s lsr limb_bits
-    done
-  end;
-  r
-
-let mont_zero ctx = Array.make ctx.n 0
-let mont_one ctx = Array.copy ctx.one_m
-
-let mont_neg ctx a =
-  if Array.for_all (fun x -> x = 0) a then Array.copy a
-  else begin
-    let r = Array.make ctx.n 0 in
-    let borrow = ref 0 in
-    for i = 0 to ctx.n - 1 do
-      let d = ctx.m_limbs.(i) - a.(i) - !borrow in
-      if d < 0 then begin
-        r.(i) <- d + base;
-        borrow := 1
-      end
-      else begin
-        r.(i) <- d;
-        borrow := 0
-      end
-    done;
-    r
-  end
-
-let mont_equal a b = cmp_fixed a b (Array.length a) = 0
-
 (* ------------------------------------------------------------------ *)
-(* Offset kernels over raw limb regions.
+(* Kernels over raw limb regions: the one implementation of each
+   Montgomery operation.
 
    Each kernel operates on an n-limb little-endian region of a flat
    [int array] starting at the given offset; regions must hold values
-   < m (every kernel re-establishes that invariant).  These back both
-   the in-place [mont_*_into] variants below (offset 0) and the flat
-   element vectors of {!Zebra_field.Fp.Vec}, so the prover hot path
-   can run without allocating a limb array per operation.
+   < m (every kernel re-establishes that invariant).  The pure
+   operations below run them on a fresh buffer at offset 0, and the
+   flat element vectors of {!Zebra_field.Fp.Vec} run them between
+   regions, so the prover hot path can run without allocating a limb
+   array per operation.
 
    Aliasing rules (documented in the .mli):
    - [add_off]/[sub_off]/[neg_off] read index i before writing index i,
@@ -196,6 +69,17 @@ let mont_equal a b = cmp_fixed a b (Array.length a) = 0
      it must be disjoint from both source regions ([Invalid_argument]
      on a detected overlap).  The two source regions may coincide
      (squaring). *)
+
+(* Compare little-endian limb regions, most-significant limb first.
+   Top-level recursion, not a local [let rec]: a local closure capturing
+   the array operands would be a per-call allocation in the innermost
+   prover loop (the non-flambda backend does not lift it). *)
+let rec cmp_off_from a ao b bo i =
+  if i < 0 then 0
+  else begin
+    let x = a.(ao + i) and y = b.(bo + i) in
+    if x < y then -1 else if x > y then 1 else cmp_off_from a ao b bo (i - 1)
+  end
 
 let cmp_off a ao b bo n = cmp_off_from a ao b bo (n - 1)
 
@@ -269,10 +153,13 @@ let neg_off ctx r ro a ao =
 
 let overlaps r ro a ao n = r == a && abs (ro - ao) < n
 
-(* CIOS with the destination region as accumulator; see [mont_mul] for
-   the scalar-overflow-limb trick.  The destination must be disjoint
-   from both sources: the accumulator is written at index j-1 while
-   source limbs at indices >= j are still pending reads. *)
+(* CIOS Montgomery multiplication: r <- a*b*R^{-1} mod m, with the
+   destination region as the accumulator.  The two limbs that overflow
+   the n-wide accumulator live in scalar refs, so no (n+2)-wide
+   temporary is allocated in the innermost loop of the whole prover.
+   The destination must be disjoint from both sources: the accumulator
+   is written at index j-1 while source limbs at indices >= j are still
+   pending reads. *)
 let mul_off ctx r ro a ao b bo =
   let n = ctx.n in
   if overlaps r ro a ao n || overlaps r ro b bo n then
@@ -306,21 +193,41 @@ let mul_off ctx r ro a ao b bo =
   if !t_n <> 0 || cmp_off r ro ctx.m_limbs 0 n >= 0 then sub_m_off ctx r ro
 
 (* ------------------------------------------------------------------ *)
-(* In-place variants on whole [mont] values (offset-0 specialisation).
-   Only safe on buffers the caller owns — never mutate a [mont] that
-   other code may hold a reference to (shared constants like
-   [mont_one], deduplicated witness values, ...). *)
+(* Pure operations: a fresh buffer plus the kernel at offset 0.  The
+   buffer functions hand out caller-owned arrays; only those may be a
+   kernel destination, never a [mont] other code may hold (shared
+   constants like [mont_one], deduplicated witness values, ...). *)
 
 let mont_buffer ctx = Array.make ctx.n 0
+let mont_zero = mont_buffer
+let mont_one ctx = Array.copy ctx.one_m
 let mont_copy (a : mont) : mont = Array.copy a
 let mont_set ~dst (a : mont) = Array.blit a 0 dst 0 (Array.length dst)
 let mont_set_zero (dst : mont) = Array.fill dst 0 (Array.length dst) 0
-let mont_add_into ctx ~dst a b = add_off ctx dst 0 a 0 b 0
-let mont_sub_into ctx ~dst a b = sub_off ctx dst 0 a 0 b 0
-let mont_neg_into ctx ~dst a = neg_off ctx dst 0 a 0
-let mont_mul_into ctx ~dst a b = mul_off ctx dst 0 a 0 b 0
-let mont_sqr_into ctx ~dst a = mul_off ctx dst 0 a 0 a 0
 let mont_of_region ctx a ao : mont = Array.sub a ao ctx.n
+
+let mont_add ctx a b =
+  let r = mont_buffer ctx in
+  add_off ctx r 0 a 0 b 0;
+  r
+
+let mont_sub ctx a b =
+  let r = mont_buffer ctx in
+  sub_off ctx r 0 a 0 b 0;
+  r
+
+let mont_neg ctx a =
+  let r = mont_buffer ctx in
+  neg_off ctx r 0 a 0;
+  r
+
+let mont_mul ctx a b =
+  let r = mont_buffer ctx in
+  mul_off ctx r 0 a 0 b 0;
+  r
+
+let mont_sqr ctx a = mont_mul ctx a a
+let mont_equal a b = cmp_off a 0 b 0 (Array.length a) = 0
 
 let to_mont ctx x =
   let x = if Nat.compare x ctx.m >= 0 then Nat.rem x ctx.m else x in

@@ -2,7 +2,15 @@
 
     A {!ctx} caches the Montgomery constants for one modulus so repeated
     multiplications and exponentiations avoid long division.  This engine
-    backs both the RSA layer and the SNARK prime field ({!Zebra_field.Fp}). *)
+    backs both the RSA layer and the SNARK prime field ({!Zebra_field.Fp}).
+
+    Each Montgomery operation (CIOS multiply, add, subtract, negate and
+    the final reduction by [m]) has one implementation: a kernel over
+    n-limb regions of flat arrays ({!add_off}, {!sub_off}, {!neg_off},
+    {!mul_off}).  The pure operations ({!mont_add} ... {!mont_sqr},
+    {!to_mont}, {!of_mont}) are a fresh buffer plus that kernel;
+    {!Zebra_field.Fp}'s in-place operations, [Fp.Vec] and {!mont_pow}
+    call the kernels on their own buffers. *)
 
 type ctx
 
@@ -18,9 +26,9 @@ val num_limbs : ctx -> int
 (** Montgomery-form values: [ctx.n] little-endian 31-bit limbs, always
     fully reduced ([< m]), so structural equality is value equality.
     The representation is exposed read-only ([private]) so
-    {!Zebra_field.Fp} can build flat element vectors on top of the
-    offset kernels below; treat values as immutable unless they are
-    buffers you created yourself (see the [mont_*_into] family). *)
+    {!Zebra_field.Fp} can run the kernels below on its elements and
+    build flat element vectors; treat values as immutable unless they
+    are buffers you created yourself ({!mont_buffer}, {!mont_copy}). *)
 type mont = private int array
 
 val to_mont : ctx -> Nat.t -> mont
@@ -30,6 +38,9 @@ val mont_zero : ctx -> mont
 val mont_one : ctx -> mont
 
 val mont_equal : mont -> mont -> bool
+
+(** The pure operations: each returns a fresh value computed by the
+    matching kernel below. *)
 
 val mont_add : ctx -> mont -> mont -> mont
 val mont_sub : ctx -> mont -> mont -> mont
@@ -46,20 +57,32 @@ val mont_sqr : ctx -> mont -> mont
     for every exponent wider than 4 bits. *)
 val mont_pow : ctx -> mont -> Nat.t -> mont
 
-(** {1 In-place kernels}
+(** {1 Kernels}
 
-    Destructive variants writing into caller-provided limb buffers, so
-    hot loops run without a heap allocation per field operation.  Only
-    ever mutate buffers you own: a [mont] obtained from another module
-    may be shared (e.g. {!Zebra_field.Fp.zero} is one global), and
-    mutating it corrupts every holder.
+    The one implementation of each operation, over n-limb little-endian
+    regions of flat arrays ([region i] of a vector lives at offset
+    [i * num_limbs ctx]); a whole [mont] is the region at offset [0] of
+    its limbs.  [op ctx r ro a ao b bo] computes
+    [r\[ro..\] <- a\[ao..\] op b\[bo..\]] and allocates nothing, so hot
+    loops run without a heap allocation per field operation.
 
-    Aliasing rules: [mont_add_into], [mont_sub_into] and
-    [mont_neg_into] are elementwise (index [i] is read before it is
-    written), so [dst] may be {e the same array} as either operand.
-    [mont_mul_into] and [mont_sqr_into] use [dst] as the CIOS
-    accumulator and raise [Invalid_argument] if it aliases a source
-    (the two sources may coincide). *)
+    Only ever write into buffers you own: a [mont] obtained from another
+    module may be shared (e.g. {!Zebra_field.Fp.zero} is one global),
+    and mutating it corrupts every holder.
+
+    Aliasing rules: [add_off], [sub_off] and [neg_off] are elementwise
+    (index [i] is read before it is written), so the destination region
+    may {e coincide exactly} with either source region; partial overlap
+    is invalid.  [mul_off] uses the destination as the CIOS accumulator,
+    so it must be disjoint from both sources, and it raises
+    [Invalid_argument] on a detected overlap; the two sources may
+    coincide (squaring). *)
+
+val add_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
+val sub_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
+val neg_off : ctx -> int array -> int -> int array -> int -> unit
+val mul_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
+val is_zero_off : ctx -> int array -> int -> bool
 
 (** A fresh caller-owned buffer, initialised to zero (a valid value). *)
 val mont_buffer : ctx -> mont
@@ -70,29 +93,6 @@ val mont_copy : mont -> mont
 val mont_set : dst:mont -> mont -> unit
 
 val mont_set_zero : mont -> unit
-val mont_add_into : ctx -> dst:mont -> mont -> mont -> unit
-val mont_sub_into : ctx -> dst:mont -> mont -> mont -> unit
-val mont_neg_into : ctx -> dst:mont -> mont -> unit
-val mont_mul_into : ctx -> dst:mont -> mont -> mont -> unit
-val mont_sqr_into : ctx -> dst:mont -> mont -> unit
-
-(** {1 Offset kernels}
-
-    The same kernels over n-limb little-endian regions of flat arrays
-    ([region i] of a vector lives at offset [i * num_limbs ctx]); these
-    back {!Zebra_field.Fp.Vec}.  [r ro a ao b bo] computes
-    [r\[ro..\] <- a\[ao..\] op b\[bo..\]].  Aliasing follows the rules
-    above, region-wise: add/sub/neg destinations may {e coincide
-    exactly} with a source region (partial overlap is invalid);
-    [mul_off] requires a destination disjoint from both sources and
-    raises [Invalid_argument] on a detected overlap. *)
-
-val add_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
-val sub_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
-val neg_off : ctx -> int array -> int -> int array -> int -> unit
-val mul_off : ctx -> int array -> int -> int array -> int -> int array -> int -> unit
-val is_zero_off : ctx -> int array -> int -> bool
-val cmp_off : int array -> int -> int array -> int -> int -> int
 
 (** [mont_of_region ctx a ao] copies the region at [ao] out into a
     fresh [mont] (the region must hold a reduced value, which every

@@ -111,16 +111,3 @@ let hash2_gadget cs a b =
 let hash_list_gadget cs ms =
   let len = G.ci (List.length ms) in
   List.fold_left (fun h m -> hash2_gadget cs h m) (hash2_gadget cs (G.c Fp.zero) len) ms
-
-let merkle_root_gadget cs ~leaf ~path_bits ~siblings =
-  let depth = Array.length path_bits in
-  if Array.length siblings <> depth then
-    invalid_arg "Poseidon.merkle_root_gadget: length mismatch";
-  let cur = ref leaf in
-  for i = 0 to depth - 1 do
-    let bit = path_bits.(i) and sib = G.v siblings.(i) in
-    let left = G.v (G.select cs ~cond:(G.v bit) sib !cur) in
-    let right = G.( -: ) (G.( +: ) sib !cur) left in
-    cur := hash2_gadget cs left right
-  done;
-  !cur

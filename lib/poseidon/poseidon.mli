@@ -73,17 +73,3 @@ val hash2_gadget :
     (cf. [364 * k] for {!Zebra_r1cs.Gadgets.mimc_hash}). *)
 val hash_list_gadget :
   Zebra_r1cs.Cs.t -> Zebra_r1cs.Gadgets.expr list -> Zebra_r1cs.Gadgets.expr
-
-(** [merkle_root_gadget cs ~leaf ~path_bits ~siblings] —
-    {!Zebra_r1cs.Gadgets.merkle_root} with Poseidon instead of MiMC:
-    per level 1 select + 243 = 244 constraints (the caller's
-    [alloc_bit] adds the path-bit booleanity).  [path_bits.(i) = 1] means
-    the current node is the right child at level [i]; bits must be boolean
-    wires; arrays must have equal length (the tree depth).
-    @raise Invalid_argument on a length mismatch. *)
-val merkle_root_gadget :
-  Zebra_r1cs.Cs.t ->
-  leaf:Zebra_r1cs.Gadgets.expr ->
-  path_bits:Zebra_r1cs.Cs.var array ->
-  siblings:Zebra_r1cs.Cs.var array ->
-  Zebra_r1cs.Gadgets.expr

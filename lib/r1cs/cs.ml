@@ -72,8 +72,12 @@ let enforce cs ?label a b c =
 
 let value cs v = if v <= 0 then Fp.one else cs.values.(v)
 
+(* A term on a wire that reads 1 ([one_var], [value_var]) adds its
+   coefficient as is: multiplying by one is exact, and would allocate. *)
 let lc_value cs lc =
-  List.fold_left (fun acc (coeff, v) -> Fp.add acc (Fp.mul coeff (value cs v))) Fp.zero lc
+  List.fold_left
+    (fun acc (coeff, v) -> Fp.add acc (if v <= 0 then coeff else Fp.mul coeff cs.values.(v)))
+    Fp.zero lc
 
 let set_value cs v x =
   if v = 0 then invalid_arg "Cs.set_value: constant wire";

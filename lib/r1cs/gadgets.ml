@@ -168,7 +168,7 @@ let mimc_hash cs ms =
   let len = ci (List.length ms) in
   List.fold_left (fun h m -> mimc_compress cs h m) (mimc_compress cs (c Fp.zero) len) ms
 
-let merkle_root cs ~leaf ~path_bits ~siblings =
+let merkle_root ~compress cs ~leaf ~path_bits ~siblings =
   let depth = Array.length path_bits in
   if Array.length siblings <> depth then invalid_arg "Gadgets.merkle_root: length mismatch";
   let cur = ref leaf in
@@ -177,6 +177,6 @@ let merkle_root cs ~leaf ~path_bits ~siblings =
     (* bit = 1 means current node is the right child. *)
     let left = v (select cs ~cond:(v bit) sib !cur) in
     let right = sib +: !cur -: left in
-    cur := mimc_hash cs [ left; right ]
+    cur := compress cs left right
   done;
   !cur

@@ -131,14 +131,24 @@ val mimc_hash : Cs.t -> expr list -> expr
 
 (** {1 Merkle gadget} *)
 
-(** [merkle_root cs ~leaf ~path_bits ~siblings] recomputes a MiMC Merkle
-    root from the leaf upward.  [path_bits.(i) = 1] means the current node
-    is the right child at level [i].  Bits must be boolean wires.  Arrays
-    must have equal length (the tree depth).  Per level: 1 select + two
-    MiMC compressions (the length one folds) = 1 + 2*364 = 729 constraints,
-    plus the path bit's booleanity — 730/level, 11680 at depth 16.  The
-    Poseidon equivalent is [Zebra_poseidon.Poseidon.merkle_root_gadget]
-    at 245/level (3920 at depth 16, a 2.98x reduction); circuits
-    should go through [Zebra_hashcomp.Hash_composition.merkle_root_gadget]
-    and take the composition as a parameter. *)
-val merkle_root : Cs.t -> leaf:expr -> path_bits:Cs.var array -> siblings:Cs.var array -> expr
+(** [merkle_root ~compress cs ~leaf ~path_bits ~siblings] recomputes a
+    Merkle root from the leaf upward, hashing each level with the 2-to-1
+    compression gadget [compress cs left right].  [path_bits.(i) = 1]
+    means the current node is the right child at level [i].  Bits must be
+    boolean wires.  Arrays must have equal length (the tree depth).  Per
+    level: 1 select + one compression.  With MiMC ([mimc_hash] of the two
+    children: two compressions, the length one folds) that is
+    1 + 2*364 = 729 constraints, plus the path bit's booleanity —
+    730/level, 11680 at depth 16; with
+    [Zebra_poseidon.Poseidon.hash2_gadget] it is 245/level (3920 at depth
+    16, a 2.98x reduction).  Circuits go through
+    [Zebra_hashcomp.Hash_composition.merkle_root_gadget], which picks the
+    compression from the composition.
+    @raise Invalid_argument on a length mismatch. *)
+val merkle_root :
+  compress:(Cs.t -> expr -> expr -> expr) ->
+  Cs.t ->
+  leaf:expr ->
+  path_bits:Cs.var array ->
+  siblings:Cs.var array ->
+  expr

@@ -437,29 +437,29 @@ let io_part vk ~public_inputs table =
   Array.iteri (fun i x -> acc := Fp.add !acc (Fp.mul x table.(i + 1))) public_inputs;
   !acc
 
+(* The five verification residuals of [p], each zero iff its check
+   holds: divisibility (A·B − C − H·Z(s), the I/O parts folded into
+   A, B and C), the three knowledge shifts and consistency. *)
+let residuals vk ~public_inputs p =
+  let total table x = Fp.add (io_part vk ~public_inputs table) x in
+  let a_total = total vk.io_a p.pi_a in
+  let b_total = total vk.io_b p.pi_b in
+  let c_total = total vk.io_c p.pi_c in
+  [|
+    Fp.sub (Fp.sub (Fp.mul a_total b_total) c_total) (Fp.mul p.pi_h vk.v_z_s);
+    Fp.sub p.pi_a' (Fp.mul vk.alpha_a p.pi_a);
+    Fp.sub p.pi_b' (Fp.mul vk.alpha_b p.pi_b);
+    Fp.sub p.pi_c' (Fp.mul vk.alpha_c p.pi_c);
+    Fp.sub p.pi_k (Fp.mul vk.beta (Fp.add (Fp.add p.pi_a p.pi_b) p.pi_c));
+  |]
+
 let verify vk ~public_inputs proof =
   if Array.length public_inputs <> vk.v_num_inputs then false
-  else begin
+  else
     Obs.with_span "snark.verify" @@ fun () ->
-    let a_total = Fp.add (io_part vk ~public_inputs vk.io_a) proof.pi_a in
-    let b_total = Fp.add (io_part vk ~public_inputs vk.io_b) proof.pi_b in
-    let c_total = Fp.add (io_part vk ~public_inputs vk.io_c) proof.pi_c in
-    let divisibility =
-      Fp.equal (Fp.sub (Fp.mul a_total b_total) c_total) (Fp.mul proof.pi_h vk.v_z_s)
-    in
-    let knowledge =
-      Fp.equal proof.pi_a' (Fp.mul vk.alpha_a proof.pi_a)
-      && Fp.equal proof.pi_b' (Fp.mul vk.alpha_b proof.pi_b)
-      && Fp.equal proof.pi_c' (Fp.mul vk.alpha_c proof.pi_c)
-    in
-    let consistency =
-      Fp.equal proof.pi_k (Fp.mul vk.beta (Fp.add (Fp.add proof.pi_a proof.pi_b) proof.pi_c))
-    in
-    divisibility && knowledge && consistency
-  end
+    Array.for_all Fp.is_zero (residuals vk ~public_inputs proof)
 
-(* Random-linear-combination batch verification.  Every proof contributes
-   its five residuals (divisibility, three knowledge shifts, consistency);
+(* Random-linear-combination batch verification over the same residuals:
    the accumulated sum [sum_k r^k res_k] is a polynomial in [r] of degree
    < 5m that is identically zero iff every residual is — so for [r] drawn
    after the proofs are fixed, a batch with any invalid proof passes with
@@ -482,17 +482,7 @@ let batch_verify ~rng vk items =
       weight := Fp.mul !weight r
     in
     Array.iter
-      (fun (public_inputs, p) ->
-        let a_total = Fp.add (io_part vk ~public_inputs vk.io_a) p.pi_a in
-        let b_total = Fp.add (io_part vk ~public_inputs vk.io_b) p.pi_b in
-        let c_total = Fp.add (io_part vk ~public_inputs vk.io_c) p.pi_c in
-        add_residual
-          (Fp.sub (Fp.sub (Fp.mul a_total b_total) c_total) (Fp.mul p.pi_h vk.v_z_s));
-        add_residual (Fp.sub p.pi_a' (Fp.mul vk.alpha_a p.pi_a));
-        add_residual (Fp.sub p.pi_b' (Fp.mul vk.alpha_b p.pi_b));
-        add_residual (Fp.sub p.pi_c' (Fp.mul vk.alpha_c p.pi_c));
-        add_residual
-          (Fp.sub p.pi_k (Fp.mul vk.beta (Fp.add (Fp.add p.pi_a p.pi_b) p.pi_c))))
+      (fun (public_inputs, p) -> Array.iter add_residual (residuals vk ~public_inputs p))
       items;
     Fp.is_zero !acc
   end
@@ -503,21 +493,22 @@ let simulate_rng ~rng trapdoor ~public_inputs =
   let pi_a = Fp.random random_bytes in
   let pi_b = Fp.random random_bytes in
   let pi_h = Fp.random random_bytes in
-  let a_total = Fp.add (io_part vk ~public_inputs vk.io_a) pi_a in
-  let b_total = Fp.add (io_part vk ~public_inputs vk.io_b) pi_b in
-  let c_total = Fp.sub (Fp.mul a_total b_total) (Fp.mul pi_h vk.v_z_s) in
-  let pi_c = Fp.sub c_total (io_part vk ~public_inputs vk.io_c) in
   ignore trapdoor.t_s;
-  {
-    pi_a;
-    pi_b;
-    pi_c;
-    pi_h;
-    pi_a' = Fp.mul vk.alpha_a pi_a;
-    pi_b' = Fp.mul vk.alpha_b pi_b;
-    pi_c' = Fp.mul vk.alpha_c pi_c;
-    pi_k = Fp.mul vk.beta (Fp.add (Fp.add pi_a pi_b) pi_c);
-  }
+  let with_c pi_c =
+    {
+      pi_a;
+      pi_b;
+      pi_c;
+      pi_h;
+      pi_a' = Fp.mul vk.alpha_a pi_a;
+      pi_b' = Fp.mul vk.alpha_b pi_b;
+      pi_c' = Fp.mul vk.alpha_c pi_c;
+      pi_k = Fp.mul vk.beta (Fp.add (Fp.add pi_a pi_b) pi_c);
+    }
+  in
+  (* Divisibility is linear in pi_c with coefficient -1, so its residual
+     at pi_c = 0 is the pi_c that makes it vanish. *)
+  with_c (residuals vk ~public_inputs (with_c Fp.zero)).(0)
 
 let num_public_inputs vk = vk.v_num_inputs
 

@@ -79,8 +79,8 @@ let prop_sqr =
 
 module Nat = Zebra_numeric.Nat
 
-(* Edge-heavy generator: the in-place kernels must agree with the pure
-   ops at 0, 1, p-1 and p-2 as well as on random elements. *)
+(* Edge-heavy generator: the in-place kernels must agree with the
+   reference at 0, 1, p-1 and p-2 as well as on random elements. *)
 let arb_fp_edge =
   QCheck2.Gen.frequency
     [
@@ -91,35 +91,56 @@ let arb_fp_edge =
       (1, QCheck2.Gen.return (Fp.neg Fp.two));
     ]
 
+(* Reference arithmetic mod p on naturals.  The pure ops run the same
+   kernels as the in-place ones, so the kernels are checked against this
+   instead. *)
+let nat_add a b = Nat.rem (Nat.add a b) Fp.modulus
+let nat_sub a b = Nat.rem (Nat.sub (Nat.add a Fp.modulus) b) Fp.modulus
+let nat_mul a b = Nat.rem (Nat.mul a b) Fp.modulus
+let nat_neg a = Nat.rem (Nat.sub Fp.modulus a) Fp.modulus
+let nat = Alcotest.testable Nat.pp Nat.equal
+
 let prop_into_kernels =
-  qtest "in-place kernels = pure ops" ~count:300 (QCheck2.Gen.pair arb_fp_edge arb_fp_edge)
+  qtest "in-place kernels = Nat reference" ~count:300 (QCheck2.Gen.pair arb_fp_edge arb_fp_edge)
     (fun (a, b) ->
+      let an = Fp.to_nat a and bn = Fp.to_nat b in
+      (* [to_nat] reads an unreduced result as the right value, so the
+         limbs must also equal the canonical form. *)
+      let holds x expected = Nat.equal (Fp.to_nat x) expected && Fp.equal x (Fp.of_nat expected) in
       let dst = Fp.buffer () in
       Fp.add_into ~dst a b;
-      let ok_add = Fp.equal dst (Fp.add a b) in
+      let ok_add = holds dst (nat_add an bn) in
       Fp.sub_into ~dst a b;
-      let ok_sub = Fp.equal dst (Fp.sub a b) in
+      let ok_sub = holds dst (nat_sub an bn) in
       Fp.mul_into ~dst a b;
-      let ok_mul = Fp.equal dst (Fp.mul a b) in
+      let ok_mul = holds dst (nat_mul an bn) in
       Fp.sqr_into ~dst a;
-      let ok_sqr = Fp.equal dst (Fp.sqr a) in
+      let ok_sqr = holds dst (nat_mul an an) in
       Fp.neg_into ~dst a;
-      let ok_neg = Fp.equal dst (Fp.neg a) in
+      let ok_neg = holds dst (nat_neg an) in
+      (* The pure ops, which wrap the same kernels. *)
+      let ok_pure =
+        holds (Fp.add a b) (nat_add an bn)
+        && holds (Fp.sub a b) (nat_sub an bn)
+        && holds (Fp.mul a b) (nat_mul an bn)
+        && holds (Fp.sqr a) (nat_mul an an)
+        && holds (Fp.neg a) (nat_neg an)
+      in
       (* Aliased destinations (dst == an operand) for the elementwise
          kernels, as the documented aliasing rules permit. *)
       let buf = Fp.copy a in
       Fp.add_into ~dst:buf buf b;
-      let ok_add_alias = Fp.equal buf (Fp.add a b) in
+      let ok_add_alias = holds buf (nat_add an bn) in
       let buf = Fp.copy a in
       Fp.sub_into ~dst:buf buf b;
-      let ok_sub_alias = Fp.equal buf (Fp.sub a b) in
+      let ok_sub_alias = holds buf (nat_sub an bn) in
       let buf = Fp.copy b in
       Fp.sub_into ~dst:buf a buf;
-      let ok_sub_alias2 = Fp.equal buf (Fp.sub a b) in
+      let ok_sub_alias2 = holds buf (nat_sub an bn) in
       let buf = Fp.copy a in
       Fp.neg_into ~dst:buf buf;
-      let ok_neg_alias = Fp.equal buf (Fp.neg a) in
-      ok_add && ok_sub && ok_mul && ok_sqr && ok_neg && ok_add_alias && ok_sub_alias
+      let ok_neg_alias = holds buf (nat_neg an) in
+      ok_add && ok_sub && ok_mul && ok_sqr && ok_neg && ok_pure && ok_add_alias && ok_sub_alias
       && ok_sub_alias2 && ok_neg_alias)
 
 let test_mul_into_alias_rejected () =
@@ -211,34 +232,39 @@ let test_vec_roundtrip () =
 
 let test_vec_slot_ops () =
   let x = fresh_fp () and y = fresh_fp () and c = fresh_fp () in
+  let xn = Fp.to_nat x and yn = Fp.to_nat y and cn = Fp.to_nat c in
+  let check name expected e =
+    Alcotest.check nat name expected (Fp.to_nat e);
+    Alcotest.check fp (name ^ ": canonical") (Fp.of_nat expected) e
+  in
   let tmp = Fp.buffer () in
   let v = Fp.Vec.of_array [| x; y |] in
   Fp.Vec.butterfly ~tmp v 0 1 c;
-  Alcotest.check fp "butterfly +" (Fp.add x (Fp.mul c y)) (Fp.Vec.get v 0);
-  Alcotest.check fp "butterfly -" (Fp.sub x (Fp.mul c y)) (Fp.Vec.get v 1);
+  check "butterfly +" (nat_add xn (nat_mul cn yn)) (Fp.Vec.get v 0);
+  check "butterfly -" (nat_sub xn (nat_mul cn yn)) (Fp.Vec.get v 1);
   let v = Fp.Vec.of_array [| x; y |] in
   Fp.Vec.mul_slot_elt ~tmp v 0 c;
-  Alcotest.check fp "mul_slot_elt" (Fp.mul x c) (Fp.Vec.get v 0);
+  check "mul_slot_elt" (nat_mul xn cn) (Fp.Vec.get v 0);
   Fp.Vec.add_slots v 0 v 0 v 1;
-  Alcotest.check fp "add_slots (aliased dst)" (Fp.add (Fp.mul x c) y) (Fp.Vec.get v 0);
+  check "add_slots (aliased dst)" (nat_add (nat_mul xn cn) yn) (Fp.Vec.get v 0);
   let v = Fp.Vec.of_array [| x; y |] in
   Fp.Vec.mul_into_elt ~dst:tmp v 0 v 1;
-  Alcotest.check fp "mul_into_elt" (Fp.mul x y) tmp;
+  check "mul_into_elt" (nat_mul xn yn) tmp;
   Fp.Vec.mul_elt_into ~dst:tmp v 1 c;
-  Alcotest.check fp "mul_elt_into" (Fp.mul y c) tmp;
+  check "mul_elt_into" (nat_mul yn cn) tmp;
   Fp.Vec.set_mul v 0 c c;
-  Alcotest.check fp "set_mul" (Fp.sqr c) (Fp.Vec.get v 0);
+  check "set_mul" (nat_mul cn cn) (Fp.Vec.get v 0);
   Fp.Vec.sub_elt_into ~dst:tmp c v 1;
-  Alcotest.check fp "sub_elt_into" (Fp.sub c y) tmp;
+  check "sub_elt_into" (nat_sub cn yn) tmp;
   Fp.set_zero tmp;
   Fp.Vec.add_elt_acc ~acc:tmp v 1;
   Fp.Vec.add_elt_acc ~acc:tmp v 1;
-  Alcotest.check fp "add_elt_acc" (Fp.add y y) tmp;
+  check "add_elt_acc" (nat_add yn yn) tmp;
   let v = Fp.Vec.of_array [| x |] in
   Fp.Vec.add_slot_elt v 0 c;
-  Alcotest.check fp "add_slot_elt" (Fp.add x c) (Fp.Vec.get v 0);
+  check "add_slot_elt" (nat_add xn cn) (Fp.Vec.get v 0);
   Fp.Vec.sub_slot_elt v 0 c;
-  Alcotest.check fp "sub_slot_elt" x (Fp.Vec.get v 0)
+  check "sub_slot_elt" xn (Fp.Vec.get v 0)
 
 (* --- FFT --- *)
 

@@ -316,6 +316,57 @@ let prop_mod_pow_wide =
       Nat.equal (Modular.pow ctx a e) (ladder ctx p256 a e)
       && Nat.equal (Modular.pow ctx3 a e) (ladder ctx3 tiny a e))
 
+(* Residues mod [m], biased to the edges 0, 1, m-1 and m-2. *)
+let arb_residue m =
+  QCheck2.Gen.frequency
+    [
+      (6, QCheck2.Gen.map (fun x -> Nat.rem x m) (arb_nat ~bits:(Nat.num_bits m) ()));
+      (1, QCheck2.Gen.return Nat.zero);
+      (1, QCheck2.Gen.return Nat.one);
+      (1, QCheck2.Gen.return (Nat.sub m Nat.one));
+      (1, QCheck2.Gen.return (Nat.sub m Nat.two));
+    ]
+
+(* The offset kernels against plain Nat arithmetic mod [m].  The
+   operands sit in regions 1 and 2 of one flat array, so every kernel
+   runs at a non-zero offset; add/sub/neg run again with the destination
+   on a source region, as their aliasing rule allows, and squaring reads
+   one region twice.  [of_mont] would map an unreduced result (say m
+   for 0) to the right value, so the region itself must also read < m. *)
+let prop_off_kernels name m =
+  qtest ("offset kernels = Nat reference, " ^ name) ~count:100 (pair (arb_residue m))
+    (fun (a, b) ->
+      let ctx = Modular.create m in
+      let n = Modular.num_limbs ctx in
+      let buf = Array.make (3 * n) 0 in
+      let run dst kernel expected =
+        Array.blit (Modular.to_mont ctx a :> int array) 0 buf n n;
+        Array.blit (Modular.to_mont ctx b :> int array) 0 buf (2 * n) n;
+        kernel ();
+        Nat.compare (Nat.of_limbs (Array.sub buf dst n)) m < 0
+        && Nat.equal (Modular.of_mont ctx (Modular.mont_of_region ctx buf dst)) (Nat.rem expected m)
+      in
+      let sum = Nat.add a b and diff = Nat.sub (Nat.add a m) b and neg = Nat.sub m a in
+      let ra = n and rb = 2 * n in
+      run 0 (fun () -> Modular.add_off ctx buf 0 buf ra buf rb) sum
+      && run 0 (fun () -> Modular.sub_off ctx buf 0 buf ra buf rb) diff
+      && run 0 (fun () -> Modular.neg_off ctx buf 0 buf ra) neg
+      && run 0 (fun () -> Modular.mul_off ctx buf 0 buf ra buf rb) (Nat.mul a b)
+      && run 0 (fun () -> Modular.mul_off ctx buf 0 buf ra buf ra) (Nat.mul a a)
+      && run ra (fun () -> Modular.add_off ctx buf ra buf ra buf rb) sum
+      && run rb (fun () -> Modular.add_off ctx buf rb buf ra buf rb) sum
+      && run ra (fun () -> Modular.sub_off ctx buf ra buf ra buf rb) diff
+      && run rb (fun () -> Modular.sub_off ctx buf rb buf ra buf rb) diff
+      && run ra (fun () -> Modular.neg_off ctx buf ra buf ra) neg)
+
+(* An odd modulus of RSA width: 2^512 - 569. *)
+let rsa_width_modulus = Nat.sub (Nat.shift_left Nat.one 512) (Nat.of_int 569)
+
+(* 2^496 - 1 fills its 16 limbs, so a product can carry out of the top
+   limb before the final reduction; under the two moduli above it never
+   does. *)
+let full_limbs_modulus = Nat.sub (Nat.shift_left Nat.one 496) Nat.one
+
 (* --- Prime --- *)
 
 let test_small_primes () =
@@ -416,6 +467,9 @@ let () =
           Alcotest.test_case "inverse non-coprime" `Quick test_inverse_not_coprime;
           prop_mod_mul_matches_nat; prop_mod_add_matches_nat; prop_mod_inv;
           prop_mod_pow_agree_small; prop_mod_pow_wide;
+          prop_off_kernels "512-bit modulus" rsa_width_modulus;
+          prop_off_kernels "modulus 3" (Nat.of_int 3);
+          prop_off_kernels "full-limb modulus" full_limbs_modulus;
         ] );
       ( "prime",
         [

@@ -106,7 +106,10 @@ let test_merkle_gadget () =
   let vleaf = Cs.alloc cs leaf in
   let bits = Array.init depth (fun l -> Gadgets.alloc_bit cs ((index lsr l) land 1 = 1)) in
   let vsibs = Array.map (Cs.alloc cs) siblings in
-  let out = Poseidon.merkle_root_gadget cs ~leaf:(Gadgets.v vleaf) ~path_bits:bits ~siblings:vsibs in
+  let out =
+    Gadgets.merkle_root ~compress:Poseidon.hash2_gadget cs ~leaf:(Gadgets.v vleaf) ~path_bits:bits
+      ~siblings:vsibs
+  in
   Alcotest.check fp "root" !root (Gadgets.eval cs out);
   Alcotest.(check bool) "satisfied" true (Cs.is_satisfied cs)
 

@@ -193,7 +193,8 @@ let test_merkle_gadget () =
     in
     let path_bits = Array.init depth (fun l -> Gadgets.alloc_bit cs ((idx lsr l) land 1 = 1)) in
     let siblings = Array.map (Cs.alloc cs) sibling_values in
-    let out = Gadgets.merkle_root cs ~leaf:(Gadgets.v leaf) ~path_bits ~siblings in
+    let compress board l r = Gadgets.mimc_hash board [ l; r ] in
+    let out = Gadgets.merkle_root ~compress cs ~leaf:(Gadgets.v leaf) ~path_bits ~siblings in
     Alcotest.check fp (Printf.sprintf "leaf %d root" idx) root (Gadgets.eval cs out);
     Alcotest.(check bool) "satisfied" true (Cs.is_satisfied cs)
   done
