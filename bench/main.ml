@@ -311,37 +311,50 @@ let endtoend () =
 
 (* --- X4: FFT ablation --- *)
 
+(* H(s) for H = (A B - C) / Z two ways, on a satisfied instance (C = A B
+   on the domain, so Z divides A B - C and both ways give one element).
+   The prover's route starts from the domain values, as the prover does:
+   each of A, B, C through the fused domain-to-coset transform, then one
+   pass against the coset query.  The naive route starts from the
+   coefficients: schoolbook A B - C, long division by Z, Horner at s. *)
 let ablation_fft () =
-  header "X4 ablation: quotient polynomial via coset FFT vs naive division";
+  header "X4 ablation: H(s) via coset transforms and the coset query vs naive division";
   Printf.printf "%8s | %12s %12s %8s\n" "degree" "fft (ms)" "naive (ms)" "speedup";
   List.iter
     (fun log_d ->
       let d = 1 lsl log_d in
-      let dom = Zebra_field.Fft.domain d in
+      let dom = Fft.domain d in
+      let s = Fp.random random_bytes in
+      let query = Fft.coset_query dom s in
       let a = Array.init d (fun _ -> Fp.random random_bytes) in
       let b = Array.init d (fun _ -> Fp.random random_bytes) in
-      (* FFT path: evaluate a*b on a coset, divide by Z there, interpolate. *)
-      let fft_once () =
-        let ea = Fp.Vec.of_array a and eb = Fp.Vec.of_array b in
-        Zebra_field.Fft.coset_fft_vec dom ea;
-        Zebra_field.Fft.coset_fft_vec dom eb;
-        let zinv = Fp.inv (Zebra_field.Fft.vanishing_on_coset dom) in
-        for i = 0 to d - 1 do
-          Fp.Vec.set ea i (Fp.mul (Fp.mul (Fp.Vec.get ea i) (Fp.Vec.get eb i)) zinv)
-        done;
-        Zebra_field.Fft.coset_ifft_vec dom ea;
-        ea
+      let c = Array.map2 Fp.mul a b in
+      let coeffs evals =
+        let v = Fp.Vec.of_array evals in
+        Fft.ifft_vec dom v;
+        Poly.of_coeffs (Fp.Vec.to_array v)
       in
-      (* Naive path: schoolbook product then polynomial long division. *)
+      let pa = coeffs a and pb = coeffs b and pc = coeffs c in
+      let fft_once () =
+        let ea = Fp.Vec.of_array a and eb = Fp.Vec.of_array b and ec = Fp.Vec.of_array c in
+        List.iter (Fft.coset_of_evals_vec dom) [ ea; eb; ec ];
+        let h = ref Fp.zero in
+        for j = 0 to d - 1 do
+          let num = Fp.sub (Fp.mul (Fp.Vec.get ea j) (Fp.Vec.get eb j)) (Fp.Vec.get ec j) in
+          h := Fp.add !h (Fp.mul num (Fp.Vec.get query j))
+        done;
+        !h
+      in
       let naive_once () =
-        let prod = Zebra_field.Poly.mul (Zebra_field.Poly.of_coeffs (Array.copy a)) (Zebra_field.Poly.of_coeffs (Array.copy b)) in
         let z = Array.make (d + 1) Fp.zero in
         z.(0) <- Fp.neg Fp.one;
         z.(d) <- Fp.one;
-        fst (Zebra_field.Poly.divmod prod (Zebra_field.Poly.of_coeffs z))
+        let q, _ = Poly.divmod (Poly.sub (Poly.mul pa pb) pc) (Poly.of_coeffs z) in
+        Poly.eval q s
       in
-      let _, t_fft = wall fft_once in
-      let _, t_naive = wall naive_once in
+      let h_fft, t_fft = wall fft_once in
+      let h_naive, t_naive = wall naive_once in
+      assert (Fp.equal h_fft h_naive);
       Printf.printf "%8d | %12.2f %12.2f %7.1fx\n%!" d (t_fft *. 1e3) (t_naive *. 1e3)
         (t_naive /. t_fft))
     [ 7; 9; 11 ];
@@ -467,28 +480,25 @@ let parallel () =
       Printf.printf "  %d domain(s): %7.3fs  speedup %.2fx  proof identical: yes\n%!" nd dt
         (base_t /. dt))
     prove_runs;
-  (* FFT: one coset-quotient round trip at 2^15, the prover's inner shape. *)
+  (* FFT: one domain-to-coset transform at 2^15, the prover's inner shape. *)
   let log_d = 15 in
   let d = 1 lsl log_d in
-  let dom = Zebra_field.Fft.domain d in
+  let dom = Fft.domain d in
   let a0 = Array.init d (fun _ -> Fp.random random_bytes) in
   let fft_at nd =
     Parallel.set_default_domains nd;
     let a = Fp.Vec.of_array a0 in
-    let _, dt =
-      wall (fun () ->
-          Zebra_field.Fft.coset_fft_vec dom a;
-          Zebra_field.Fft.coset_ifft_vec dom a)
-    in
-    assert (Array.for_all2 Fp.equal (Fp.Vec.to_array a) a0);
-    dt
+    let _, dt = wall (fun () -> Fft.coset_of_evals_vec dom a) in
+    (Fp.Vec.to_array a, dt)
   in
   let fft_runs = List.map (fun nd -> (nd, fft_at nd)) domain_counts in
-  let fft_base = match fft_runs with (_, t) :: _ -> t | [] -> assert false in
-  Printf.printf "\ncoset FFT round trip (2^%d):\n" log_d;
+  let base_out, fft_base = match fft_runs with (_, r) :: _ -> r | [] -> assert false in
+  Printf.printf "\ndomain-to-coset transform (2^%d):\n" log_d;
   List.iter
-    (fun (nd, dt) ->
-      Printf.printf "  %d domain(s): %7.3fs  speedup %.2fx\n%!" nd dt (fft_base /. dt))
+    (fun (nd, (out, dt)) ->
+      assert (Array.for_all2 Fp.equal out base_out);
+      Printf.printf "  %d domain(s): %7.3fs  speedup %.2fx  output identical: yes\n%!" nd dt
+        (fft_base /. dt))
     fft_runs;
   Parallel.set_default_domains saved;
   Printf.printf
@@ -501,7 +511,9 @@ let parallel () =
   in
   (count "parallel.prove.constraints" (Cs.num_constraints cs)
   :: curve "prove" (List.map (fun (nd, (_, dt)) -> (nd, dt)) prove_runs))
-  @ curve (Printf.sprintf "fft_roundtrip_2^%d" log_d) fft_runs
+  @ curve
+      (Printf.sprintf "coset_of_evals_2^%d" log_d)
+      (List.map (fun (nd, (_, dt)) -> (nd, dt)) fft_runs)
 
 (* --- snark: prover, keypair cache, batched audit, hash arms
    (BENCH_snark.json) ---
@@ -559,6 +571,37 @@ let snark () =
   let prove_min = times.(0) and prove_med = times.(3) in
   Printf.printf "reward-majority-n5 (%d constraints): prove min %.3fs med %.3fs, digest %s\n%!"
     (Cs.num_constraints cs) prove_min prove_med (String.sub !digest 0 16);
+  let reward = "snark.reward-majority-n5" in
+  (* The work of one prove, read off the obs counters its loops add to:
+     NTT butterflies, pointwise multiplications (the transforms' scaling
+     passes and the H(s) pass) and the CSR terms each coefficient class
+     took in the constraint evaluations. *)
+  let work =
+    let module Obs = Zebra_obs.Obs in
+    let rows =
+      [
+        ("ntt_butterflies", [ "fft.butterflies" ]);
+        ("pointwise_muls", [ "fft.pointwise_muls"; "snark.prove.h_muls" ]);
+        ("csr_terms_pos", [ "fp.dot.terms_pos" ]);
+        ("csr_terms_neg", [ "fp.dot.terms_neg" ]);
+        ("csr_terms_generic", [ "fp.dot.terms_generic" ]);
+      ]
+    in
+    let total names =
+      List.fold_left (fun acc n -> acc + Obs.Counter.value (Obs.Counter.make n)) 0 names
+    in
+    let before = List.map (fun (_, names) -> total names) rows in
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    ignore (Snark.prove_rng ~rng:(Source.of_seed snark_prove_seed) kp.Snark.pk cs);
+    Obs.set_enabled was;
+    List.map2
+      (fun (row, names) b ->
+        let n = total names - b in
+        Printf.printf "  %-18s %d\n" row n;
+        count (reward ^ "." ^ row) n)
+      rows before
+  in
   (* Keypair cache: a named hit skips synthesis and setup entirely. *)
   let cache = Snark.Keycache.create () in
   let _ =
@@ -647,7 +690,6 @@ let snark () =
       (Printf.sprintf "snark.merkle-depth16-%s.constraints" (Hc.to_string composition))
       (Cs.num_constraints cs)
   in
-  let reward = "snark.reward-majority-n5" in
   [
     count (reward ^ ".constraints") (Cs.num_constraints cs);
     Row.text (reward ^ ".proof_sha256") ~unit:"sha256" !digest;
@@ -660,6 +702,7 @@ let snark () =
     Row.timing "snark.audit_8.sequential_us" ~unit:"us" (seq_ns /. 1e3);
     Row.timing "snark.audit_8.batched_us" ~unit:"us" (batch_ns /. 1e3);
   ]
+  @ work
   @ List.concat_map cpla_arm Hc.all
   @ List.map merkle Hc.all
 

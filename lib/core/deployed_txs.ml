@@ -129,11 +129,12 @@ let build_scenario () =
      round-trip of it, and the re-encoding of its decode must all be
      trapdoor-free.  The proving key's encoding is deliberately NOT a
      registered sink: the simulation models the real scheme's hiding
-     commitments g^{s^i} as raw field powers, so pk bytes contain s^1
-     verbatim by construction — a modelling artifact, not a leak.  The
-     historic bug (t_s written as an explicit field of the keypair
-     encoding) is locked by a synthetic leaky-encoder fixture in
-     [test_txlint.ml]. *)
+     commitments (a Lagrange-basis key g^(L_j(s/g)/Z(g)) for H and the
+     wires' g^(A_i(s)), g^(B_i(s)), as a Groth16 proving key holds them)
+     as raw field elements, so pk bytes determine s by construction — a
+     modelling artifact, not a leak.  The historic bug (t_s written as an
+     explicit field of the keypair encoding) is locked by a synthetic
+     leaky-encoder fixture in [test_txlint.ml]. *)
   let snark_case =
     let cs = Cs.create () in
     let x = Cs.alloc_input cs ~label:"x" (Fp.of_int 3) in

@@ -37,6 +37,8 @@ val kinds : unit -> string list
     encodings and a {!Zebra_store.Store} round-trip (the PR 5
     trapdoor-leak regression lock).  Proving-key encodings are not
     registered sinks: the simulation models the real scheme's hiding
-    commitments [g^(s^i)] as raw field powers, so pk bytes contain [s]
-    verbatim by construction — a modelling artifact, not a leak. *)
+    commitments (a Lagrange-basis key [g^(L_j(s/g)/Z(g))] for the
+    quotient and the wires' [g^(A_i(s))], [g^(B_i(s))]) as raw field
+    elements, so pk bytes determine [s] by construction — a modelling
+    artifact, not a leak. *)
 val codecs : unit -> Zebra_lint.Seclint.codec_case list

@@ -1,4 +1,5 @@
 module Parallel = Zebra_parallel.Parallel
+module Obs = Zebra_obs.Obs
 
 (* Butterflies (resp. pointwise multiplications) per chunk below which a
    stage is not worth fanning out.  Thresholds gate only *where* the work
@@ -7,14 +8,21 @@ module Parallel = Zebra_parallel.Parallel
 let par_min_butterflies = 1 lsl 12
 let par_min_pointwise = 1 lsl 13
 
-(* A domain carries precomputed power tables, built eagerly at creation:
+(* Work counters, added once per transform or pass (one [Obs.enabled]
+   test), so the disabled path stays one branch. *)
+let c_butterflies = Obs.Counter.make "fft.butterflies"
+let c_pointwise = Obs.Counter.make "fft.pointwise_muls"
+
+(* A domain carries three power tables, built eagerly at creation:
    - [tw] / [tw_inv]: omega^i (resp. omega^-i) for i < size/2, shared by
      every butterfly stage via stride indexing — without them each
-     butterfly pays an extra multiplication stepping its twiddle.
-   - [coset_pows]: g^i for i < size (coset_fft input scaling).
-   - [coset_unscale]: size_inv * g^-i (coset_ifft output scaling with the
-     inverse-NTT 1/n factor folded in — field multiplication is exact and
-     associative, so folding changes no output byte).
+     butterfly pays an extra multiplication stepping its twiddle.  (At
+     size 1 [tw] holds omega^0, so every point of the domain is in it.)
+   - [coset_pows]: g^i / size for i < size, the one scaling pass between
+     the inverse and the forward NTT of {!coset_of_evals_vec}: the
+     inverse NTT's 1/n and the coset shift g^i folded into one table read
+     (field multiplication is exact and associative, so folding changes
+     no output byte).
    Tables hold the exact values the replaced running products computed, so
    results are limb-identical to the table-free code path.  A domain is
    immutable after [domain] returns, so one domain (e.g. inside a cached
@@ -22,13 +30,10 @@ let par_min_pointwise = 1 lsl 13
 type domain = {
   log_size : int;
   size : int;
-  omega : Fp.t;
-  omega_inv : Fp.t;
   size_inv : Fp.t;
   tw : Fp.t array;
   tw_inv : Fp.t array;
   coset_pows : Fp.t array;
-  coset_unscale : Fp.t array;
 }
 
 let coset_shift = Fp.generator
@@ -57,23 +62,18 @@ let domain n =
   if log_size > Fp.two_adicity then invalid_arg "Fft.domain: exceeds field 2-adicity";
   let size = 1 lsl log_size in
   let omega = Fp.root_of_unity log_size in
-  let omega_inv = Fp.inv omega in
   let size_inv = Fp.inv (Fp.of_int size) in
   {
     log_size;
     size;
-    omega;
-    omega_inv;
     size_inv;
-    tw = power_table omega (size / 2);
-    tw_inv = power_table omega_inv (size / 2);
-    coset_pows = power_table coset_shift size;
-    coset_unscale = power_table ~init:size_inv (Fp.inv coset_shift) size;
+    tw = power_table omega (max 1 (size / 2));
+    tw_inv = power_table (Fp.inv omega) (size / 2);
+    coset_pows = power_table ~init:size_inv coset_shift size;
   }
 
 let size d = d.size
-let omega d = d.omega
-let element d i = Fp.pow_int d.omega i
+let element d i = Fp.pow_int (Fp.root_of_unity d.log_size) i
 
 (* The transforms run natively on flat {!Fp.Vec} limb vectors: one
    contiguous buffer per polynomial, slots rewritten in place through
@@ -107,6 +107,7 @@ let bit_reverse_permute_vec v =
 let ntt_in_place_vec v tw =
   let n = Fp.Vec.length v in
   bit_reverse_permute_vec v;
+  let butterflies_run = ref 0 in
   let len = ref 2 in
   while !len <= n do
     let blk = !len in
@@ -147,20 +148,24 @@ let ntt_in_place_vec v tw =
         base := !base + blk
       done
     end;
+    butterflies_run := !butterflies_run + (n / 2);
     len := blk * 2
-  done
+  done;
+  if Obs.enabled () then Obs.Counter.add c_butterflies !butterflies_run
 
 let check_len_vec d v =
   if Fp.Vec.length v <> d.size then
     invalid_arg "Fft: vector length must equal domain size"
 
-(* v.(i) <- v.(i) * t.(i), the pointwise pass both coset transforms use. *)
+(* v.(i) <- v.(i) * t.(i), one pointwise pass. *)
 let scale_by_table_vec v t =
-  Parallel.parallel_for ~min_chunk:par_min_pointwise (Fp.Vec.length v) (fun lo hi ->
+  let n = Fp.Vec.length v in
+  Parallel.parallel_for ~min_chunk:par_min_pointwise n (fun lo hi ->
       let tmp = Fp.buffer () in
       for i = lo to hi - 1 do
         Fp.Vec.mul_slot_elt ~tmp v i t.(i)
-      done)
+      done);
+  if Obs.enabled () then Obs.Counter.add c_pointwise n
 
 let fft_vec d v =
   check_len_vec d v;
@@ -173,39 +178,67 @@ let ifft_vec d v =
       let tmp = Fp.buffer () in
       for i = lo to hi - 1 do
         Fp.Vec.mul_slot_elt ~tmp v i d.size_inv
-      done)
+      done);
+  if Obs.enabled () then Obs.Counter.add c_pointwise d.size
 
-let coset_fft_vec d v =
-  check_len_vec d v;
-  scale_by_table_vec v d.coset_pows;
-  ntt_in_place_vec v d.tw
-
-let coset_ifft_vec d v =
+(* Interpolate on the domain, shift coefficient i by g^i (the inverse
+   NTT's 1/n rides in the same table read), evaluate on the domain:
+   p(g omega^i) for the p of degree < n through the domain values. *)
+let coset_of_evals_vec d v =
   check_len_vec d v;
   ntt_in_place_vec v d.tw_inv;
-  (* One pass applies both the inverse-NTT 1/n factor and the coset
-     unshift g^-i (folded table — see [coset_unscale]). *)
-  scale_by_table_vec v d.coset_unscale
+  scale_by_table_vec v d.coset_pows;
+  ntt_in_place_vec v d.tw
 
 let vanishing_on_coset d = Fp.sub (Fp.pow_int coset_shift d.size) Fp.one
 let vanishing_at d x = Fp.sub (Fp.pow_int x d.size) Fp.one
 
-(* L_i(x) = Z(x) * omega^i / (size * (x - omega^i)) for x off-domain. *)
-let lagrange_at d x =
+(* out.(j) <- c omega^j / (y - omega^j) for every j, y off the domain,
+   by one batch inversion over the flat vector: a forward pass leaves the
+   prefix products of the denominators in [out], one inversion of the
+   whole product (scaled by c), and a backward pass peels each
+   denominator off.  omega^j is read from [tw]: for j >= n/2 it is
+   -tw.(j - n/2), and c omega^j / (y - omega^j) = c t / (-y - t) with
+   t = tw.(j - n/2), so the denominator takes -y and the numerator t
+   for either half.  Four multiplications per point, no allocation per
+   point; the values are the field's, so any exact route gives the same
+   limbs. *)
+let basis_at d y c =
   let n = d.size in
-  let z = vanishing_at d x in
-  if Fp.is_zero z then raise Division_by_zero;
-  let denoms = Array.make n Fp.one in
-  let wi = ref Fp.one in
-  for i = 0 to n - 1 do
-    denoms.(i) <- Fp.mul (Fp.of_int n) (Fp.sub x !wi);
-    wi := Fp.mul !wi d.omega
+  let half = Array.length d.tw in
+  let neg_y = Fp.neg y in
+  let out = Fp.Vec.create n in
+  let den = Fp.buffer () and acc = Fp.copy Fp.one and tmp = Fp.buffer () in
+  let load_den j =
+    if j < half then Fp.sub_into ~dst:den y d.tw.(j)
+    else Fp.sub_into ~dst:den neg_y d.tw.(j - half)
+  in
+  for j = 0 to n - 1 do
+    Fp.Vec.set out j acc;
+    load_den j;
+    Fp.mul_into ~dst:tmp acc den;
+    Fp.set ~dst:acc tmp
   done;
-  let inv_denoms = Fp.batch_inv denoms in
-  let out = Array.make n Fp.zero in
-  let wi = ref Fp.one in
-  for i = 0 to n - 1 do
-    out.(i) <- Fp.mul (Fp.mul z !wi) inv_denoms.(i);
-    wi := Fp.mul !wi d.omega
+  Fp.set ~dst:acc (Fp.mul c (Fp.inv acc));
+  for j = n - 1 downto 0 do
+    load_den j;
+    Fp.Vec.mul_slot_elt ~tmp out j acc;
+    Fp.mul_into ~dst:tmp acc den;
+    Fp.set ~dst:acc tmp;
+    Fp.Vec.mul_slot_elt ~tmp out j d.tw.(if j < half then j else j - half)
   done;
   out
+
+(* L_j(x) = Z(x) omega^j / (n (x - omega^j)). *)
+let lagrange_at d x =
+  let z = vanishing_at d x in
+  if Fp.is_zero z then raise Division_by_zero;
+  basis_at d x (Fp.mul z d.size_inv)
+
+(* The coset's basis is L_j(x / g); dividing it by Z(g) folds the
+   quotient's division by Z on the coset into the query. *)
+let coset_query d x =
+  let y = Fp.div x coset_shift in
+  let z = vanishing_at d y in
+  if Fp.is_zero z then raise Division_by_zero;
+  basis_at d y (Fp.div (Fp.mul z d.size_inv) (vanishing_on_coset d))

@@ -1,4 +1,5 @@
 module Codec = Zebra_codec.Codec
+module Obs = Zebra_obs.Obs
 
 let modulus =
   Nat.of_decimal_string
@@ -187,6 +188,9 @@ module Vec = struct
   let add_slots d k a i b j =
     Modular.add_off ctx d.buf (k * nl) a.buf (i * nl) b.buf (j * nl)
 
+  let sub_slots d k a i b j =
+    Modular.sub_off ctx d.buf (k * nl) a.buf (i * nl) b.buf (j * nl)
+
   (* v.[i] <- v.[i] * e, staged through the caller's scratch element. *)
   let mul_slot_elt ~tmp v i e =
     Modular.mul_off ctx (limbs tmp) 0 v.buf (i * nl) (limbs e) 0;
@@ -245,17 +249,27 @@ type dot_scratch = { ds_pos : t; ds_neg : t; ds_tmp : t }
 
 let dot_scratch () = { ds_pos = buffer (); ds_neg = buffer (); ds_tmp = buffer () }
 
+let c_terms_pos = Obs.Counter.make "fp.dot.terms_pos"
+let c_terms_neg = Obs.Counter.make "fp.dot.terms_neg"
+let c_terms_generic = Obs.Counter.make "fp.dot.terms_generic"
+
 let dot_sparse_acc ~scratch ~acc ~cls ~coefs ~idx ~w ~lo ~hi =
   let { ds_pos; ds_neg; ds_tmp } = scratch in
   set_zero ds_pos;
   set_zero ds_neg;
+  let n_pos = ref 0 and n_neg = ref 0 and n_generic = ref 0 in
   for k = lo to hi - 1 do
     let wi = w.(idx.(k)) in
     if not (is_zero wi) then
       match Bytes.unsafe_get cls k with
-      | '\001' -> add_into ~dst:ds_pos ds_pos wi
-      | '\002' -> add_into ~dst:ds_neg ds_neg wi
+      | '\001' ->
+          incr n_pos;
+          add_into ~dst:ds_pos ds_pos wi
+      | '\002' ->
+          incr n_neg;
+          add_into ~dst:ds_neg ds_neg wi
       | _ ->
+          incr n_generic;
           if is_one wi then add_into ~dst:acc acc coefs.(k)
           else begin
             mul_into ~dst:ds_tmp coefs.(k) wi;
@@ -263,6 +277,11 @@ let dot_sparse_acc ~scratch ~acc ~cls ~coefs ~idx ~w ~lo ~hi =
           end
   done;
   add_into ~dst:acc acc ds_pos;
-  sub_into ~dst:acc acc ds_neg
+  sub_into ~dst:acc acc ds_neg;
+  if Obs.enabled () then begin
+    Obs.Counter.add c_terms_pos !n_pos;
+    Obs.Counter.add c_terms_neg !n_neg;
+    Obs.Counter.add c_terms_generic !n_generic
+  end
 
 let pp fmt x = Format.pp_print_string fmt (to_decimal_string x)

@@ -92,8 +92,8 @@ val pow_int : t -> int -> t
 (** {2 Fixed-base exponentiation}
 
     Precomputed 4-bit-window tables for one base, amortising repeated
-    [pow_int] calls on the same base (the SNARK setup's power table and the
-    FFT twiddle/coset tables re-seed a running power per parallel chunk).
+    [pow_int] calls on the same base (the FFT's twiddle and coset tables
+    re-seed a running power per parallel chunk).
     Building a table costs ~256 multiplications; each [fixed_base_pow] then
     costs at most 16 — independent of the exponent's magnitude.  Results
     are limb-identical to [pow_int] (exact Montgomery arithmetic), so
@@ -204,6 +204,7 @@ module Vec : sig
   val swap : t -> int -> int -> unit
   val is_zero : t -> int -> bool
   val add_slots : t -> int -> t -> int -> t -> int -> unit
+  val sub_slots : t -> int -> t -> int -> t -> int -> unit
 
   (** [mul_slot_elt ~tmp v i e]: [v.(i) <- v.(i) * e] via scratch [tmp]. *)
   val mul_slot_elt : tmp:elt -> t -> int -> elt -> unit
@@ -260,7 +261,10 @@ val dot_scratch : unit -> dot_scratch
 (** [dot_sparse_acc ~scratch ~acc ~cls ~coefs ~idx ~w ~lo ~hi] adds
     [sum_{k in [lo,hi)} coefs.(k) * w.(idx.(k))] into the caller-owned
     buffer [acc], skipping zero witness values and bucketing by
-    [cls] (from {!classify_coefs} over [coefs]). *)
+    [cls] (from {!classify_coefs} over [coefs]).  With
+    {!Zebra_obs.Obs} enabled, each call adds the terms it visited (nonzero
+    witness value) per class to the counters [fp.dot.terms_pos],
+    [fp.dot.terms_neg] and [fp.dot.terms_generic]. *)
 val dot_sparse_acc :
   scratch:dot_scratch ->
   acc:t ->

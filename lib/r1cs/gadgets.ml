@@ -6,7 +6,7 @@ let ci n = c (Fp.of_int n)
 
 let ( +: ) (a : expr) (b : expr) : expr = a @ b
 let scale k (a : expr) : expr = if Fp.is_zero k then [] else List.map (fun (co, var) -> (Fp.mul k co, var)) a
-let ( -: ) a b = a +: scale (Fp.neg Fp.one) b
+let ( -: ) a b = a +: List.map (fun (co, var) -> (Fp.neg co, var)) b
 
 let eval = Cs.lc_value
 

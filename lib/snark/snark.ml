@@ -51,7 +51,9 @@ type proving_key = {
   mat_a : csr; (* constraint matrices, for the per-proof evaluations *)
   mat_b : csr;
   mat_c : csr;
-  powers : Fp.t array; (* s^0 .. s^d *)
+  io_a : Fp.t array; (* A_i(s), B_i(s) over the constant and input wires *)
+  io_b : Fp.t array;
+  h_query : Fp.Vec.t; (* the coset's Lagrange basis at s over Z(g) *)
   z_s : Fp.t;
   z_alpha_a : Fp.t;
   z_alpha_b : Fp.t;
@@ -104,6 +106,7 @@ let trapdoor_canary kp =
       done;
       Bytes.sub b !i (n - !i))
 
+let c_h_muls = Obs.Counter.make "snark.prove.h_muls"
 let g_sparse_mat_nnz = Obs.Gauge.make "snark.sparse.mat_nnz"
 let g_sparse_aux_nnz = Obs.Gauge.make "snark.sparse.aux_nnz"
 
@@ -163,13 +166,23 @@ let sparse_of_vec ~lo (v : Fp.Vec.t) =
 let scale_vec factor v =
   { sv_idx = v.sv_idx; sv_val = par_init (Array.length v.sv_val) (fun k -> Fp.mul factor v.sv_val.(k)) }
 
+(* The IO part of a QAP evaluation at s: [table.(0)] for the constant
+   wire plus [sum_i x_i table.(i + 1)] over the public inputs.  The
+   prover and the verifier take the same sum. *)
+let io_sum table inputs =
+  let acc = ref table.(0) in
+  Array.iteri (fun i x -> acc := Fp.add !acc (Fp.mul x table.(i + 1))) inputs;
+  !acc
+
 (* The secret point is the first field element drawn from the setup
-   randomness that lies outside the domain (so the Lagrange evaluation is
-   well defined). *)
+   randomness that lies outside the domain and its coset (s^d <> 1 and
+   s^d <> g^d), so both Lagrange evaluations are well defined. *)
 let sample_secret_point ~random_bytes domain =
+  let on_coset = Fft.vanishing_on_coset domain in
   let rec go () =
     let s = Fp.random random_bytes in
-    if Fp.is_zero (Fft.vanishing_at domain s) then go () else s
+    let z = Fft.vanishing_at domain s in
+    if Fp.is_zero z || Fp.equal z on_coset then go () else s
   in
   go ()
 
@@ -180,7 +193,6 @@ let setup_rng ~rng cs =
   let n_vars = Cs.num_vars cs in
   let n_inputs = Cs.num_inputs cs in
   let domain = Fft.domain (max 2 n_constraints) in
-  let d = Fft.size domain in
   let s = sample_secret_point ~random_bytes domain in
   let alpha_a = Fp.random random_bytes in
   let alpha_b = Fp.random random_bytes in
@@ -201,14 +213,13 @@ let setup_rng ~rng cs =
       let tmp = Fp.buffer () in
       let accumulate (dst : Fp.Vec.t) (m : csr) =
         for j = 0 to n_constraints - 1 do
-          let lj = lag.(j) in
           for k = m.row_ptr.(j) to m.row_ptr.(j + 1) - 1 do
             let i = m.col_idx.(k) in
             match Bytes.unsafe_get m.coef_cls k with
-            | '\001' -> Fp.Vec.add_slot_elt dst i lj
-            | '\002' -> Fp.Vec.sub_slot_elt dst i lj
+            | '\001' -> Fp.Vec.add_slots dst i dst i lag j
+            | '\002' -> Fp.Vec.sub_slots dst i dst i lag j
             | _ ->
-                Fp.mul_into ~dst:tmp m.coefs.(k) lj;
+                Fp.Vec.mul_elt_into ~dst:tmp lag j m.coefs.(k);
                 Fp.Vec.add_slot_elt dst i tmp
           done
         done
@@ -216,21 +227,7 @@ let setup_rng ~rng cs =
       accumulate a_s mat_a;
       accumulate b_s mat_b;
       accumulate c_s mat_c);
-  let powers =
-    Obs.with_span "snark.setup.exp" (fun () ->
-        (* Each chunk re-seeds its running power at s^lo (via the windowed
-           fixed-base table), so the table is independent of the chunk grid
-           (and of ZEBRA_DOMAINS). *)
-        let powers = Array.make (d + 1) Fp.one in
-        let fb = Fp.fixed_base s in
-        Parallel.parallel_for ~min_chunk:par_min_ops (d + 1) (fun lo hi ->
-            let p = ref (Fp.fixed_base_pow fb lo) in
-            for i = lo to hi - 1 do
-              powers.(i) <- !p;
-              p := Fp.mul !p s
-            done);
-        powers)
-  in
+  let h_query = Obs.with_span "snark.setup.query" (fun () -> Fft.coset_query domain s) in
   let z_s = Fft.vanishing_at domain s in
   let aux_lo = n_inputs + 1 in
   let aux_a = sparse_of_vec ~lo:aux_lo a_s in
@@ -251,6 +248,8 @@ let setup_rng ~rng cs =
       (float_of_int
          (Array.length aux_a.sv_idx + Array.length aux_b.sv_idx + Array.length aux_c.sv_idx))
   end;
+  let slice v = Array.init (n_inputs + 1) (Fp.Vec.get v) in
+  let io_a = slice a_s and io_b = slice b_s in
   let pk =
     {
       p_domain = domain;
@@ -267,7 +266,9 @@ let setup_rng ~rng cs =
       mat_a;
       mat_b;
       mat_c;
-      powers;
+      io_a;
+      io_b;
+      h_query;
       z_s;
       z_alpha_a = Fp.mul alpha_a z_s;
       z_alpha_b = Fp.mul alpha_b z_s;
@@ -275,7 +276,6 @@ let setup_rng ~rng cs =
       z_beta = Fp.mul beta z_s;
     }
   in
-  let slice v = Array.init (n_inputs + 1) (Fp.Vec.get v) in
   let vk =
     {
       v_num_inputs = n_inputs;
@@ -284,8 +284,8 @@ let setup_rng ~rng cs =
       alpha_c;
       beta;
       v_z_s = z_s;
-      io_a = slice a_s;
-      io_b = slice b_s;
+      io_a;
+      io_b;
       io_c = slice c_s;
     }
   in
@@ -328,10 +328,12 @@ let prove_rng ~rng pk cs =
         acc)
       ~reduce:Fp.add Fp.zero
   in
-  let pi_a, pi_b, pi_c, pi_a', pi_b', pi_c', pi_k =
+  (* The aux parts of A(s) and B(s) are also pi_h's blinding terms. *)
+  let a_aux, b_aux, pi_a, pi_b, pi_c, pi_a', pi_b', pi_c', pi_k =
     Obs.with_span "snark.prove.exp" (fun () ->
-        let pi_a = Fp.add (aux_sum pk.aux_a) (Fp.mul delta1 pk.z_s) in
-        let pi_b = Fp.add (aux_sum pk.aux_b) (Fp.mul delta2 pk.z_s) in
+        let a_aux = aux_sum pk.aux_a and b_aux = aux_sum pk.aux_b in
+        let pi_a = Fp.add a_aux (Fp.mul delta1 pk.z_s) in
+        let pi_b = Fp.add b_aux (Fp.mul delta2 pk.z_s) in
         let pi_c = Fp.add (aux_sum pk.aux_c) (Fp.mul delta3 pk.z_s) in
         let pi_a' = Fp.add (aux_sum pk.aux_a_alpha) (Fp.mul delta1 pk.z_alpha_a) in
         let pi_b' = Fp.add (aux_sum pk.aux_b_alpha) (Fp.mul delta2 pk.z_alpha_b) in
@@ -339,11 +341,10 @@ let prove_rng ~rng pk cs =
         let pi_k =
           Fp.add (aux_sum pk.aux_k) (Fp.mul (Fp.add (Fp.add delta1 delta2) delta3) pk.z_beta)
         in
-        (pi_a, pi_b, pi_c, pi_a', pi_b', pi_c', pi_k))
+        (a_aux, b_aux, pi_a, pi_b, pi_c, pi_a', pi_b', pi_c', pi_k))
   in
-  (* Quotient polynomial H = (A B - C) / Z via coset FFTs.  A, B, C are the
-     full (IO + aux) witness combinations, one CSR row dot product per
-     constraint. *)
+  (* A, B, C on the domain: the full (IO + aux) witness combinations, one
+     CSR row dot product per constraint. *)
   let evals_of (m : csr) =
     (* Constraint j writes only slot j: rows are independent.  One flat
        vector per matrix; each chunk owns a dot-product scratch, and
@@ -364,62 +365,43 @@ let prove_rng ~rng pk cs =
     Obs.with_span "snark.prove.eval" (fun () ->
         (evals_of pk.mat_a, evals_of pk.mat_b, evals_of pk.mat_c))
   in
-  let a_coeffs, b_coeffs, h =
-    Obs.with_span "snark.prove.fft" (fun () ->
-        Fft.ifft_vec pk.p_domain a_evals;
-        Fft.ifft_vec pk.p_domain b_evals;
-        Fft.ifft_vec pk.p_domain c_evals;
-        let a_coeffs = Fp.Vec.copy a_evals in
-        let b_coeffs = Fp.Vec.copy b_evals in
-        Fft.coset_fft_vec pk.p_domain a_evals;
-        Fft.coset_fft_vec pk.p_domain b_evals;
-        Fft.coset_fft_vec pk.p_domain c_evals;
-        let z_inv = Fp.inv (Fft.vanishing_on_coset pk.p_domain) in
-        let h = Fp.Vec.create d in
-        (* h.(i) <- (a.(i) b.(i) - c.(i)) z_inv, staged per chunk. *)
-        Parallel.parallel_for ~min_chunk:par_min_ops d (fun lo hi ->
-            let tmp = Fp.buffer () in
-            for i = lo to hi - 1 do
-              Fp.Vec.mul_into_elt ~dst:tmp a_evals i b_evals i;
-              Fp.Vec.sub_elt_into ~dst:tmp tmp c_evals i;
-              Fp.Vec.set_mul h i tmp z_inv
-            done);
-        Fft.coset_ifft_vec pk.p_domain h;
-        (a_coeffs, b_coeffs, h))
-  in
+  (* The same polynomials on the coset, where Z is the constant Z(g). *)
+  Obs.with_span "snark.prove.fft" (fun () ->
+      Fft.coset_of_evals_vec pk.p_domain a_evals;
+      Fft.coset_of_evals_vec pk.p_domain b_evals;
+      Fft.coset_of_evals_vec pk.p_domain c_evals);
   (* Blinding:
-     (A + d1 Z)(B + d2 Z) - (C + d3 Z) = Z (H + d1 B + d2 A + d1 d2 Z - d3). *)
-  let h_ext = Fp.Vec.create (d + 1) in
-  Fp.Vec.blit h 0 h_ext 0 d;
-  Parallel.parallel_for ~min_chunk:par_min_ops d (fun lo hi ->
-      let tmp = Fp.buffer () in
-      for i = lo to hi - 1 do
-        Fp.Vec.mul_elt_into ~dst:tmp b_coeffs i delta1;
-        Fp.Vec.add_slot_elt h_ext i tmp;
-        Fp.Vec.mul_elt_into ~dst:tmp a_coeffs i delta2;
-        Fp.Vec.add_slot_elt h_ext i tmp
-      done);
-  let d1d2 = Fp.mul delta1 delta2 in
-  (* d1 d2 Z = d1 d2 x^d - d1 d2 *)
-  Fp.Vec.add_slot_elt h_ext d d1d2;
-  Fp.Vec.sub_slot_elt h_ext 0 d1d2;
-  Fp.Vec.sub_slot_elt h_ext 0 delta3;
-  (* H is dense per proof (it depends on the witness, not the keypair), so
-     this pass stays an index dot product with value-level zero skipping. *)
+     (A + d1 Z)(B + d2 Z) - (C + d3 Z) = Z (H + d1 B + d2 A + d1 d2 Z - d3),
+     so pi_h is that bracket at s.  H = (A B - C) / Z has degree < d and
+     the values (a_j b_j - c_j) / Z(g) on the coset, so H(s) is one pass
+     against the coset query; A(s) and B(s) are the IO parts plus the aux
+     sums above.  Field arithmetic is exact, so this is the element that
+     H's coefficients against the powers of s would give, on any board. *)
   let pi_h =
     Obs.with_span "snark.prove.exp" (fun () ->
-        Parallel.map_reduce ~min_chunk:par_min_ops (d + 1)
-          ~map:(fun lo hi ->
-            let acc = Fp.buffer () in
-            let tmp = Fp.buffer () in
-            for i = lo to hi - 1 do
-              if not (Fp.Vec.is_zero h_ext i) then begin
-                Fp.Vec.mul_elt_into ~dst:tmp h_ext i pk.powers.(i);
+        let h_s =
+          Parallel.map_reduce ~min_chunk:par_min_ops d
+            ~map:(fun lo hi ->
+              let acc = Fp.buffer () in
+              let num = Fp.buffer () in
+              let tmp = Fp.buffer () in
+              for j = lo to hi - 1 do
+                Fp.Vec.mul_into_elt ~dst:num a_evals j b_evals j;
+                Fp.Vec.sub_elt_into ~dst:num num c_evals j;
+                Fp.Vec.mul_elt_into ~dst:tmp pk.h_query j num;
                 Fp.add_into ~dst:acc acc tmp
-              end
-            done;
-            acc)
-          ~reduce:Fp.add Fp.zero)
+              done;
+              acc)
+            ~reduce:Fp.add Fp.zero
+        in
+        if Obs.enabled () then Obs.Counter.add c_h_muls (2 * d);
+        let inputs = Array.sub w 1 pk.p_num_inputs in
+        let a_s = Fp.add (io_sum pk.io_a inputs) a_aux in
+        let b_s = Fp.add (io_sum pk.io_b inputs) b_aux in
+        let d1d2_z = Fp.mul (Fp.mul delta1 delta2) pk.z_s in
+        Fp.add
+          (Fp.add h_s (Fp.add (Fp.mul delta1 b_s) (Fp.mul delta2 a_s)))
+          (Fp.sub d1d2_z delta3))
   in
   { pi_a; pi_a'; pi_b; pi_b'; pi_c; pi_c'; pi_k; pi_h }
 
@@ -433,9 +415,7 @@ let prove_synth_rng ~rng pk synth =
 let io_part vk ~public_inputs table =
   if Array.length public_inputs <> vk.v_num_inputs then
     invalid_arg "Snark: wrong number of public inputs";
-  let acc = ref table.(0) in
-  Array.iteri (fun i x -> acc := Fp.add !acc (Fp.mul x table.(i + 1))) public_inputs;
-  !acc
+  io_sum table public_inputs
 
 (* The five verification residuals of [p], each zero iff its check
    holds: divisibility (A·B − C − H·Z(s), the I/O parts folded into

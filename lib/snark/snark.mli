@@ -5,9 +5,13 @@
     witness polynomials A, B, C at a secret point s fixed by the trusted
     setup, plus knowledge-shifted copies (alpha_A A, alpha_B B, alpha_C C),
     a linear-consistency term beta (A + B + C), and the quotient
-    H = (A B - C) / Z evaluated via coset FFTs.  Zero-knowledge comes from
-    blinding each polynomial by a random multiple of the vanishing
-    polynomial Z.
+    H = (A B - C) / Z at s.  The prover takes A, B and C from their values
+    on the domain to their values on a coset, where Z is a nonzero
+    constant (three fused transforms, {!Fft.coset_of_evals_vec}), and
+    evaluates H at s in one pass against the proving key's coset Lagrange
+    basis ({!Fft.coset_query}): six NTTs per proof, and no coefficient of
+    H is ever formed.  Zero-knowledge comes from blinding each polynomial
+    by a random multiple of the vanishing polynomial Z.
 
     {b Substitution note} (see DESIGN.md): the paper uses the pairing-based
     scheme of BCGTV13 via libsnark.  Without a pairing-friendly curve
@@ -26,8 +30,11 @@
     randomness is drawn on the calling domain before fan-out and chunk
     grids are pool-independent (DESIGN.md, "Multicore prover"). *)
 
-(** Prover material: the QAP evaluated at the secret point (kept in the
-    clear under the designated-verifier caveat above). *)
+(** Prover material: the QAP evaluated at the secret point, the
+    constraint matrices, and the coset's Lagrange basis at the secret
+    point for H — the shape of a pairing-based Lagrange-basis key, with
+    field elements in the place of group elements (kept in the clear
+    under the designated-verifier caveat above). *)
 type proving_key
 
 (** Verifier material; fixes the public-input count. *)

@@ -301,13 +301,45 @@ let test_fft_roundtrip () = List.iter (check_roundtrip Fft.fft_vec Fft.ifft_vec)
 let test_fft_matches_eval () =
   List.iter (check_matches_eval Fft.fft_vec ~point:Fft.element) [ 2; 8; 64 ]
 
-let test_coset_fft_matches_eval () =
+(* [coset_of_evals_vec] on the domain values of a random p of degree < n
+   gives p(g omega^i).  Horner checks every point up to n = 64 and a
+   spread of points above (it costs n multiplications a point). *)
+let check_coset_of_evals n =
+  let d = Fft.domain n in
+  let n = Fft.size d in
+  let coeffs = rand_poly n in
+  let p = Poly.of_coeffs (Array.copy coeffs) in
+  let coset = on_vec Fft.coset_of_evals_vec d (on_vec Fft.fft_vec d coeffs) in
+  let points = if n <= 64 then List.init n Fun.id else [ 0; 1; (n / 2) - 1; n / 2; n - 1 ] in
   List.iter
-    (check_matches_eval Fft.coset_fft_vec ~point:(fun d i -> Fp.mul Fp.generator (Fft.element d i)))
-    [ 2; 8; 64 ]
+    (fun i ->
+      let x = Fp.mul Fp.generator (Fft.element d i) in
+      Alcotest.check fp (Printf.sprintf "n=%d coset %d" n i) (Poly.eval p x) coset.(i))
+    points
 
-let test_coset_roundtrip () =
-  List.iter (check_roundtrip Fft.coset_fft_vec Fft.coset_ifft_vec) roundtrip_sizes
+let test_coset_of_evals () =
+  List.iter check_coset_of_evals (List.sort_uniq compare ([ 2; 8; 64 ] @ roundtrip_sizes))
+
+(* The coset query interpolates from the coset:
+   sum_j p(g omega^j) q_j Z(g) = p(x) for p of degree < n, x off the coset. *)
+let test_coset_query () =
+  List.iter
+    (fun n ->
+      let d = Fft.domain n in
+      let p = Poly.of_coeffs (rand_poly n) in
+      let x = fresh_fp () in
+      let q = Fp.Vec.to_array (Fft.coset_query d x) in
+      let sum = ref Fp.zero in
+      Array.iteri
+        (fun j qj ->
+          let y = Poly.eval p (Fp.mul Fp.generator (Fft.element d j)) in
+          sum := Fp.add !sum (Fp.mul y qj))
+        q;
+      Alcotest.check fp (Printf.sprintf "n=%d p(x)" n) (Poly.eval p x)
+        (Fp.mul !sum (Fft.vanishing_on_coset d));
+      Alcotest.check_raises (Printf.sprintf "n=%d coset point" n) Division_by_zero (fun () ->
+          ignore (Fft.coset_query d (Fp.mul Fp.generator (Fft.element d (n - 1))))))
+    [ 1; 2; 8; 64 ]
 
 let test_vanishing () =
   let d = Fft.domain 8 in
@@ -321,7 +353,7 @@ let test_vanishing () =
 let test_lagrange_at () =
   let d = Fft.domain 8 in
   let x = fresh_fp () in
-  let ls = Fft.lagrange_at d x in
+  let ls = Fp.Vec.to_array (Fft.lagrange_at d x) in
   (* Sum of all Lagrange basis polys is 1. *)
   let sum = Array.fold_left Fp.add Fp.zero ls in
   Alcotest.check fp "partition of unity" Fp.one sum;
@@ -382,8 +414,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
           Alcotest.test_case "matches Horner" `Quick test_fft_matches_eval;
-          Alcotest.test_case "coset matches Horner" `Quick test_coset_fft_matches_eval;
-          Alcotest.test_case "coset roundtrip" `Quick test_coset_roundtrip;
+          Alcotest.test_case "coset matches Horner" `Quick test_coset_of_evals;
+          Alcotest.test_case "coset query interpolates" `Quick test_coset_query;
           Alcotest.test_case "vanishing polynomial" `Quick test_vanishing;
           Alcotest.test_case "lagrange at point" `Quick test_lagrange_at;
         ] );

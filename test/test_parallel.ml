@@ -160,24 +160,22 @@ let test_fft_determinism =
         ~finally:(fun () -> Parallel.set_default_domains saved)
         (fun () ->
           let dom = Fft.domain (Array.length a) in
-          (* Each transform pair's forward output and round trip. *)
+          (* The forward output, the round trip, and the fused
+             domain-to-coset transform of the forward output. *)
           let run nd =
             Parallel.set_default_domains nd;
-            List.map
-              (fun (forward, inverse) ->
-                let v = Fp.Vec.of_array a in
-                forward dom v;
-                let evals = Fp.Vec.to_array v in
-                inverse dom v;
-                (evals, Fp.Vec.to_array v))
-              [ (Fft.fft_vec, Fft.ifft_vec); (Fft.coset_fft_vec, Fft.coset_ifft_vec) ]
+            let v = Fp.Vec.of_array a in
+            Fft.fft_vec dom v;
+            let evals = Fp.Vec.to_array v in
+            let coset = Fp.Vec.copy v in
+            Fft.coset_of_evals_vec dom coset;
+            Fft.ifft_vec dom v;
+            (evals, Fp.Vec.to_array v, Fp.Vec.to_array coset)
           in
           let same = Array.for_all2 Fp.equal in
-          let seq = run 1 in
-          let par = run 4 in
-          List.for_all2
-            (fun (e1, r1) (e4, r4) -> same e1 e4 && same r1 r4 && same r1 a)
-            seq par))
+          let e1, r1, c1 = run 1 in
+          let e4, r4, c4 = run 4 in
+          same e1 e4 && same r1 r4 && same r1 a && same c1 c4))
 
 let test_prove_determinism () =
   (* Same circuit, same RNG seed, different domain counts: the proofs must
