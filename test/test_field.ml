@@ -320,6 +320,22 @@ let check_coset_of_evals n =
 let test_coset_of_evals () =
   List.iter check_coset_of_evals (List.sort_uniq compare ([ 2; 8; 64 ] @ roundtrip_sizes))
 
+(* Coset values back to domain values: the inverse NTT of p(g omega^i)
+   gives the coefficients p_i g^i; dividing each by g^i and running the
+   forward NTT gives p(omega^i). *)
+let coset_to_evals d v =
+  Fft.ifft_vec d v;
+  let g_inv = Fp.inv Fp.generator in
+  let scale = ref Fp.one in
+  for i = 0 to Fft.size d - 1 do
+    Fp.Vec.set v i (Fp.mul (Fp.Vec.get v i) !scale);
+    scale := Fp.mul !scale g_inv
+  done;
+  Fft.fft_vec d v
+
+let test_coset_roundtrip () =
+  List.iter (check_roundtrip Fft.coset_of_evals_vec coset_to_evals) roundtrip_sizes
+
 (* The coset query interpolates from the coset:
    sum_j p(g omega^j) q_j Z(g) = p(x) for p of degree < n, x off the coset. *)
 let test_coset_query () =
@@ -415,6 +431,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
           Alcotest.test_case "matches Horner" `Quick test_fft_matches_eval;
           Alcotest.test_case "coset matches Horner" `Quick test_coset_of_evals;
+          Alcotest.test_case "coset roundtrip" `Quick test_coset_roundtrip;
           Alcotest.test_case "coset query interpolates" `Quick test_coset_query;
           Alcotest.test_case "vanishing polynomial" `Quick test_vanishing;
           Alcotest.test_case "lagrange at point" `Quick test_lagrange_at;
