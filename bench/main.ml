@@ -311,6 +311,32 @@ let endtoend () =
 
 (* --- X4: FFT ablation --- *)
 
+(* The naive arm's polynomial arithmetic on little-endian coefficient
+   arrays: schoolbook product, long division and Horner's rule. *)
+let poly_mul a b =
+  let r = Array.make (Array.length a + Array.length b - 1) Fp.zero in
+  Array.iteri
+    (fun i ai -> Array.iteri (fun j bj -> r.(i + j) <- Fp.add r.(i + j) (Fp.mul ai bj)) b)
+    a;
+  r
+
+(* The quotient of [p] by [d], whose top coefficient is non-zero. *)
+let poly_div p d =
+  let dd = Array.length d - 1 in
+  let lead_inv = Fp.inv d.(dd) in
+  let r = Array.copy p in
+  let q = Array.make (max 0 (Array.length p - dd)) Fp.zero in
+  for i = Array.length p - 1 downto dd do
+    let c = Fp.mul r.(i) lead_inv in
+    q.(i - dd) <- c;
+    for j = 0 to dd do
+      r.(i - dd + j) <- Fp.sub r.(i - dd + j) (Fp.mul c d.(j))
+    done
+  done;
+  q
+
+let horner p x = Array.fold_right (fun c acc -> Fp.add (Fp.mul acc x) c) p Fp.zero
+
 (* H(s) for H = (A B - C) / Z two ways, on a satisfied instance (C = A B
    on the domain, so Z divides A B - C and both ways give one element).
    The prover's route starts from the domain values, as the prover does:
@@ -332,7 +358,7 @@ let ablation_fft () =
       let coeffs evals =
         let v = Fp.Vec.of_array evals in
         Fft.ifft_vec dom v;
-        Poly.of_coeffs (Fp.Vec.to_array v)
+        Fp.Vec.to_array v
       in
       let pa = coeffs a and pb = coeffs b and pc = coeffs c in
       let fft_once () =
@@ -349,8 +375,9 @@ let ablation_fft () =
         let z = Array.make (d + 1) Fp.zero in
         z.(0) <- Fp.neg Fp.one;
         z.(d) <- Fp.one;
-        let q, _ = Poly.divmod (Poly.sub (Poly.mul pa pb) pc) (Poly.of_coeffs z) in
-        Poly.eval q s
+        let num = poly_mul pa pb in
+        Array.iteri (fun i c -> num.(i) <- Fp.sub num.(i) c) pc;
+        horner (poly_div num z) s
       in
       let h_fft, t_fft = wall fft_once in
       let h_naive, t_naive = wall naive_once in
@@ -708,12 +735,12 @@ let snark () =
 
 (* X12: the zero-allocation kernel work (BENCH_field.json).  ns/op and
    allocated-bytes/op for the pure vs destructive field kernels, the
-   sliding-window exponentiation, the numeric substrate under wallet
-   keygen and signature checks, an FFT size sweep over the flat-vector
-   path, and whole-prove and whole-auth allocation.  Every byte count is a
-   deterministic row at ZEBRA_DOMAINS=1 ([Gc.allocated_bytes] is
-   per-domain), so `bench check field` catches one allocation put back
-   into a kernel. *)
+   sliding-window exponentiation, field inversion, the numeric substrate
+   under wallet keygen and signature checks, an FFT size sweep over the
+   flat-vector path, and whole-prove and whole-auth allocation.  Every
+   byte count is a deterministic row at ZEBRA_DOMAINS=1
+   ([Gc.allocated_bytes] is per-domain), so `bench check field` catches
+   one allocation put back into a kernel. *)
 
 let field () =
   header "X12: zero-allocation Montgomery kernels";
@@ -764,6 +791,20 @@ let field () =
   let pow =
     measure "pow_254bit" ~iters:2_000 (fun () -> ignore (Fp.pow a e))
     @ measure "pow_64bit" ~iters:2_000 (fun () -> ignore (Fp.pow a e64))
+  in
+  (* Field inversion (extended Euclid on the canonical representative).
+     Its cost depends on the operand, so each call inverts the next of 16
+     fixed elements: every run of a multiple of 16 calls inverts each one
+     equally often, and the bytes per call are deterministic. *)
+  let inv =
+    let operands =
+      let rb = Source.fn (Source.of_seed "bench-field/inv") in
+      Array.init 16 (fun _ -> Fp.random rb)
+    in
+    let k = ref 0 in
+    measure "inv" ~iters:1_600 (fun () ->
+        ignore (Fp.inv operands.(!k land 15));
+        incr k)
   in
   (* The numeric substrate under one-task wallet keygen and every
      transaction's signature check, on fixed seeds. *)
@@ -834,7 +875,7 @@ let field () =
   let auth_bytes = Gc.allocated_bytes () -. a0 in
   Printf.printf "auth cpla-depth6: %.3fs, %.0f B allocated on the calling domain\n%!" auth_s
     auth_bytes;
-  kernels @ pow @ substrate @ fft
+  kernels @ pow @ inv @ substrate @ fft
   @ [
       Row.timing "field.prove_reward-majority-n5.s" ~unit:"s" prove_s;
       Row.det "field.prove_reward-majority-n5.alloc_bytes" ~unit:"B" prove_bytes;

@@ -24,7 +24,6 @@ let create ?(hash = Hash_composition.default) ~depth () =
     registered = Hashtbl.create 64;
   }
 
-let depth t = t.depth
 let hash_composition t = t.hash
 let capacity t = 1 lsl t.depth
 let num_registered t = t.next

@@ -27,8 +27,6 @@ type t
     @raise Invalid_argument when [depth] is outside [1, 30]. *)
 val create : ?hash:Zebra_hashcomp.Hash_composition.t -> depth:int -> unit -> t
 
-val depth : t -> int
-
 (** The node-hash composition this tree was created with. *)
 val hash_composition : t -> Zebra_hashcomp.Hash_composition.t
 

@@ -18,12 +18,7 @@ let of_creator addr nonce =
 
 let to_hex = Sha256.to_hex
 
-let of_hex s =
-  if String.length s <> 2 * size then invalid_arg "Address.of_hex: need 40 hex digits";
-  Sha256.of_hex s
-
 let equal = Bytes.equal
-let compare = Bytes.compare
 
 let to_bytes = Bytes.copy
 
@@ -40,4 +35,3 @@ let read r =
 
 let to_field a = Zebra_field.Fp.of_bytes_be a
 
-let pp fmt a = Format.fprintf fmt "0x%s" (to_hex a)

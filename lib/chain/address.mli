@@ -17,11 +17,7 @@ val of_creator : t -> int -> t
 
 val to_hex : t -> string
 
-(** @raise Invalid_argument on malformed input (needs 40 hex digits). *)
-val of_hex : string -> t
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** Raw 20 bytes. *)
 val to_bytes : t -> bytes
@@ -41,5 +37,3 @@ val read : Zebra_codec.Codec.reader -> t
 (** Field-element view, used as the authenticated message component
     (alpha_C, alpha_i) inside anonymous attestations. *)
 val to_field : t -> Zebra_field.Fp.t
-
-val pp : Format.formatter -> t -> unit

@@ -65,7 +65,3 @@ let tx_proof b i = Merkle.proof (List.map Tx.to_bytes b.txs) i
 
 let verify_tx_inclusion b tx proof =
   Merkle.verify ~root:b.header.tx_root ~leaf:(Tx.to_bytes tx) proof
-
-let pp fmt b =
-  Format.fprintf fmt "block{h=%d, %d txs, state=%s}" b.header.height (List.length b.txs)
-    (String.sub (Sha256.to_hex b.header.state_root) 0 8)

@@ -44,5 +44,3 @@ val validate :
 val tx_proof : t -> int -> (bytes * bool) list
 
 val verify_tx_inclusion : t -> Tx.t -> (bytes * bool) list -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -16,11 +16,6 @@
     only on the block contents, never on the pool size, so state roots
     agree at any [ZEBRA_DOMAINS]. *)
 
-(** All addresses a transaction may touch: the statically-known ones
-    (sender; call destination or to-be-created contract address) plus its
-    declared [Tx.footprint]. *)
-val footprint : Tx.t -> Address.t list
-
 (** Just the static part (sender, destination / created address) — what a
     transaction touches {e before} any contract logic runs.  A declared
     [Tx.footprint] only needs to cover accesses beyond these; footprint
@@ -29,7 +24,9 @@ val footprint : Tx.t -> Address.t list
     combination is exactly sound and minimal. *)
 val static_footprint : Tx.t -> Address.t list
 
-(** Shard bitmask of {!footprint} (bit [s] = touches shard [s]). *)
+(** Shard bitmask of every address a transaction may touch,
+    {!static_footprint} plus its declared [Tx.footprint] (bit [s] =
+    touches shard [s]). *)
 val shard_mask : Tx.t -> int
 
 (** [apply_block st ~height txs] executes one block's transactions and

@@ -66,7 +66,6 @@ let create ?(difficulty = 0) ~num_nodes ~genesis () =
   }
 
 let num_nodes t = Array.length t.nodes
-let difficulty t = t.difficulty
 
 let height t = match t.chain with [] -> 0 | b :: _ -> b.Block.header.Block.height
 

@@ -32,8 +32,6 @@ type mempool_fault = height:int -> Tx.t list -> Tx.t list * (int * Tx.t) list
     a proof-of-work seal of that many leading zero bits per block. *)
 val create : ?difficulty:int -> num_nodes:int -> genesis:(Address.t * int) list -> unit -> t
 
-val difficulty : t -> int
-
 val num_nodes : t -> int
 
 (** Current chain height (0 = genesis, before any block). *)

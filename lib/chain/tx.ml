@@ -98,15 +98,6 @@ let hash tx = Sha256.digest (to_bytes tx)
 
 let size_bytes tx = Bytes.length (to_bytes tx)
 
-let pp fmt tx =
-  let dst_str =
-    match tx.dst with
-    | Create { behavior; _ } -> Printf.sprintf "create:%s" behavior
-    | Call a -> Printf.sprintf "call:%s" (Address.to_hex a)
-  in
-  Format.fprintf fmt "tx{%a -> %s, nonce=%d, value=%d, fee=%d, %dB}" Address.pp tx.sender
-    dst_str tx.nonce tx.value tx.fee (size_bytes tx)
-
 let resend_as ~wallet ~nonce tx =
   let unsigned =
     {

@@ -71,8 +71,6 @@ val of_bytes : bytes -> t
 (** Total serialised size (the paper's on-chain byte cost). *)
 val size_bytes : t -> int
 
-val pp : Format.formatter -> t -> unit
-
 (**/**)
 
 (** Test-only: forge a copy of [t] re-signed by [wallet] with a different

@@ -29,14 +29,6 @@ let string w s =
   u32 w (String.length s);
   Buffer.add_string w s
 
-let bool w b = u8 w (if b then 1 else 0)
-
-let option w f = function
-  | None -> u8 w 0
-  | Some x ->
-    u8 w 1;
-    f w x
-
 let list w f xs =
   u32 w (List.length xs);
   List.iter (f w) xs
@@ -85,18 +77,6 @@ let read_bytes r =
   b
 
 let read_string r = Bytes.to_string (read_bytes r)
-
-let read_bool r =
-  match read_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | _ -> raise (Decode_error "bad bool")
-
-let read_option r f =
-  match read_u8 r with
-  | 0 -> None
-  | 1 -> Some (f r)
-  | _ -> raise (Decode_error "bad option tag")
 
 (* Every element reader consumes at least one byte, so a count larger
    than the input left is malformed.  Rejecting it before allocating bounds

@@ -26,8 +26,6 @@ val u64 : writer -> int -> unit
 val bytes : writer -> bytes -> unit
 
 val string : writer -> string -> unit
-val bool : writer -> bool -> unit
-val option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 val array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
 
@@ -37,16 +35,11 @@ type reader
 
 val reader : bytes -> reader
 
-(** @raise Decode_error if any input remains. *)
-val expect_end : reader -> unit
-
 val read_u8 : reader -> int
 val read_u32 : reader -> int
 val read_u64 : reader -> int
 val read_bytes : reader -> bytes
 val read_string : reader -> string
-val read_bool : reader -> bool
-val read_option : reader -> (reader -> 'a) -> 'a option
 
 (** [read_list r f] reads a u32 count, then that many elements with [f],
     which must consume at least one byte each.

@@ -13,8 +13,6 @@ module Gadgets = Zebra_r1cs.Gadgets
 module Txlint = Zebra_lint.Txlint
 module Seclint = Zebra_lint.Seclint
 
-let scenario_seed = Scenario.default_seed
-
 (* Kind of a mined transaction, from its pre-state: contract deploys by
    behaviour, contract calls by behaviour + decoded message, everything
    else a plain transfer. *)
@@ -54,7 +52,7 @@ let build_scenario () =
   (* The chain itself comes from the shared fixture; this module only
      harvests it into the lint corpus. *)
   let { Scenario.sys; requester; w1; w2; task_a; task_b; board; rep = _ } =
-    Scenario.build ~seed:scenario_seed ()
+    Scenario.build ~seed:Scenario.default_seed ()
   in
   (* --- harvest: serial replay from genesis, tracing every tx against
      exactly the state it executed on --- *)

@@ -15,12 +15,9 @@
     traced with {!Zebra_chain.State.apply_tx_traced} against exactly the
     state it executed on.
 
-    Everything is derived from {!scenario_seed}, so kinds, cases and
+    Everything is derived from {!Scenario.default_seed}, so kinds, cases and
     conflict signatures are deterministic; the scenario is built once per
     process and memoised. *)
-
-(** Seed of the memoised scenario. *)
-val scenario_seed : string
 
 (** All traced cases, in chain order.  Kind names are
     ["transfer"], ["deploy.<behavior>"], ["<behavior>.<message>"] — e.g.

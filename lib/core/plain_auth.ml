@@ -56,5 +56,3 @@ let attestation_of_bytes b =
       let signature = Codec.read_bytes r in
       { cert = { worker_pk; ra_signature }; signature })
     b
-
-let attestation_size_bytes att = Bytes.length (attestation_to_bytes att)

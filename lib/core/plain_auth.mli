@@ -25,8 +25,6 @@ type attestation = {
 (** [issue ~ra_priv pk] — CertGen for the plain mode. *)
 val issue : ra_priv:Zebra_rsa.Rsa.private_key -> Zebra_rsa.Rsa.public_key -> cert
 
-val cert_valid : ra_pub:Zebra_rsa.Rsa.public_key -> cert -> bool
-
 (** [auth ~priv ~cert ~prefix ~message] — Auth: sign the same
     (prefix, message) pair the anonymous mode authenticates. *)
 val auth :
@@ -44,5 +42,3 @@ val attestation_to_bytes : attestation -> bytes
 
 (** @raise Zebra_codec.Codec.Decode_error on malformed input. *)
 val attestation_of_bytes : bytes -> attestation
-
-val attestation_size_bytes : attestation -> int

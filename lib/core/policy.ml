@@ -105,10 +105,3 @@ let of_bytes b =
         Reverse_auction { winners; max_bid }
       | _ -> raise (Codec.Decode_error "policy: bad tag"))
     b
-
-let pp fmt = function
-  | Majority { choices } -> Format.fprintf fmt "majority(%d choices)" choices
-  | Majority_threshold { choices; quota } ->
-    Format.fprintf fmt "majority(%d choices, quota %d)" choices quota
-  | Reverse_auction { winners; max_bid } ->
-    Format.fprintf fmt "reverse-auction(%d winners, bids <= %d)" winners max_bid

@@ -41,4 +41,3 @@ val fallback_share : budget:int -> submitted:int -> int
 val equal : t -> t -> bool
 val to_bytes : t -> bytes
 val of_bytes : bytes -> t
-val pp : Format.formatter -> t -> unit

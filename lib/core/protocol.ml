@@ -141,6 +141,8 @@ let poll sys p =
     None
   end
 
+(* Mine blocks, polling [p] after each, until it settles: one block on the
+   happy path.  A replica failure while mining is [Error (Node_down _)]. *)
 let rec await sys p =
   let* () = mine_r sys in
   match poll sys p with Some result -> result | None -> await sys p

@@ -15,7 +15,7 @@
     {!phase} — the transactions it broadcast plus how their receipts
     become its result — built only by {!funding}, {!publish}, {!answers}
     and {!instruct} (and, inside this module, the RA deployment, root
-    post and Finalize).  The phase drivers {!await} them one at a time;
+    post and Finalize).  The phase drivers await them one at a time;
     the pipelined [Load] scheduler keeps one phase per task in flight and
     {!poll}s each after every block.  Both confirm through the same
     {!poll}, so their bytes and their retries cannot drift apart.  Two
@@ -159,11 +159,6 @@ type 'a phase
     but not all in the first block after the first broadcast (a rebroadcast
     or a late receipt); [protocol.retry.timeouts] counts [Timed_out]s. *)
 val poll : system -> 'a phase -> ('a, error) result option
-
-(** [await sys p] mines blocks, polling [p] after each, until it settles:
-    one block on the happy path.  A replica failure while mining is
-    [Error (Node_down _)]. *)
-val await : system -> 'a phase -> ('a, error) result
 
 (** [funding sys wallet ~amount] broadcasts the faucet's transfer of
     [amount] to [wallet], at the faucet's on-chain nonce unless [?nonce]

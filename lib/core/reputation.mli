@@ -50,13 +50,9 @@ val setup_cached :
   seed:string ->
   params
 
-(** The link circuit synthesised at the dummy assignment on a constraint
-    board, for static analysis ([Zebra_lint]). *)
-val constraint_system :
-  ?composition:Zebra_hashcomp.Hash_composition.t -> unit -> Zebra_r1cs.Cs.t
-
-(** [synthesize_dummy cs]: the synthesis of {!constraint_system}, on a
-    board the caller made (either kind, see {!Zebra_r1cs.Cs}). *)
+(** [synthesize_dummy cs]: the link circuit synthesised at the dummy
+    assignment, on a board the caller made (either kind, see
+    {!Zebra_r1cs.Cs}); the deployed registry lints it ([Zebra_lint]). *)
 val synthesize_dummy :
   ?composition:Zebra_hashcomp.Hash_composition.t -> Zebra_r1cs.Cs.t -> unit
 

@@ -60,6 +60,8 @@ let create_task ~circuit ?(max_per_worker = 1) ?(ra_rsa_pub = Bytes.empty)
   in
   ({ wallet; contract; esk; circuit; params }, tx)
 
+(* The off-chain retrieval step of the Reward phase: decrypt every
+   submission, mapping undecodable plaintexts and missing slots to bottom. *)
 let decrypt_answers task (storage : Task_contract.storage) =
   let n = task.params.Task_contract.n in
   let answers = Array.make n None in

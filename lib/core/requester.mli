@@ -53,11 +53,6 @@ val create_task :
   unit ->
   task * Zebra_chain.Tx.t
 
-(** [decrypt_answers task storage] — the off-chain retrieval step of the
-    Reward phase: decrypt every submission, mapping undecodable plaintexts
-    and missing slots to bottom. *)
-val decrypt_answers : task -> Task_contract.storage -> Policy.answer array
-
 (** The payees a settlement transaction must declare as its footprint:
     every submission's worker plus the requester refund destination,
     minus [sender] — the executor's static footprint

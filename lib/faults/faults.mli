@@ -53,8 +53,6 @@ type partition_window = { p_majority : int; p_minority : int; p_from : int; p_to
     an adopted sibling is a depth-1 reorg. *)
 type byz_mode = Byz_reorder | Byz_censor | Byz_fork
 
-val byz_mode_to_string : byz_mode -> string
-
 (** Eclipse worker [victim] for blocks [e_from..e_to]: the adversary owns
     all the victim's links, so every transaction the victim broadcasts in
     the window is held (deterministically, no coin) until the eclipse

@@ -37,7 +37,6 @@ let read r =
   if Nat.compare n modulus >= 0 then raise (Codec.Decode_error "field element: not canonical");
   of_nat n
 
-let of_decimal_string s = of_nat (Nat.of_decimal_string s)
 let to_decimal_string x = Nat.to_decimal_string (to_nat x)
 
 let equal = Modular.mont_equal
@@ -49,7 +48,7 @@ let sub = Modular.mont_sub ctx
 let neg = Modular.mont_neg ctx
 let mul = Modular.mont_mul ctx
 let sqr = Modular.mont_sqr ctx
-let inv x = if is_zero x then raise Division_by_zero else Modular.mont_inv ctx x
+let inv x = of_nat (Modular.inverse (to_nat x) modulus)
 let div a b = mul a (inv b)
 let pow b e = Modular.mont_pow ctx b e
 let pow_int b e =
@@ -143,7 +142,6 @@ let set ~dst x = Modular.mont_set ~dst x
 let set_zero dst = Modular.mont_set_zero dst
 let add_into ~dst a b = Modular.add_off ctx (limbs dst) 0 (limbs a) 0 (limbs b) 0
 let sub_into ~dst a b = Modular.sub_off ctx (limbs dst) 0 (limbs a) 0 (limbs b) 0
-let neg_into ~dst a = Modular.neg_off ctx (limbs dst) 0 (limbs a) 0
 let mul_into ~dst a b = Modular.mul_off ctx (limbs dst) 0 (limbs a) 0 (limbs b) 0
 let sqr_into ~dst a = Modular.mul_off ctx (limbs dst) 0 (limbs a) 0 (limbs a) 0
 
@@ -182,9 +180,8 @@ module Vec = struct
   (* Slot arithmetic.  [op d k a i b j] computes d.[k] <- a.[i] op b.[j];
      the destination slot may coincide with a source slot for add/sub
      (elementwise kernels), never for multiplications (CIOS uses the
-     destination as accumulator — multiplications below either target a
-     caller-owned scratch element or write a slot from two elements,
-     which cannot overlap a vector's buffer). *)
+     destination as accumulator — multiplications below target a
+     caller-owned element, which cannot overlap a vector's buffer). *)
   let add_slots d k a i b j =
     Modular.add_off ctx d.buf (k * nl) a.buf (i * nl) b.buf (j * nl)
 
@@ -204,21 +201,12 @@ module Vec = struct
   let mul_elt_into ~dst v i e =
     Modular.mul_off ctx (limbs dst) 0 v.buf (i * nl) (limbs e) 0
 
-  (* v.[i] <- e1 * e2 (elements live outside the vector's buffer) *)
-  let set_mul v i e1 e2 =
-    Modular.mul_off ctx v.buf (i * nl) (limbs e1) 0 (limbs e2) 0
-
   (* dst <- e - v.[i] *)
   let sub_elt_into ~dst e v i =
     Modular.sub_off ctx (limbs dst) 0 (limbs e) 0 v.buf (i * nl)
 
-  (* acc <- acc + v.[i] *)
-  let add_elt_acc ~acc v i =
-    Modular.add_off ctx (limbs acc) 0 (limbs acc) 0 v.buf (i * nl)
-
-  (* v.[i] <- v.[i] + e  /  v.[i] <- v.[i] - e *)
+  (* v.[i] <- v.[i] + e *)
   let add_slot_elt v i e = Modular.add_off ctx v.buf (i * nl) v.buf (i * nl) (limbs e) 0
-  let sub_slot_elt v i e = Modular.sub_off ctx v.buf (i * nl) v.buf (i * nl) (limbs e) 0
 
   (* Radix-2 butterfly: (v.[p], v.[q]) <- (v.[p] + w v.[q], v.[p] - w v.[q]) *)
   let butterfly ~tmp v p q w =

@@ -47,12 +47,6 @@ val write : Zebra_codec.Codec.writer -> t -> unit
     element. *)
 val read : Zebra_codec.Codec.reader -> t
 
-(** [of_decimal_string s] parses base-10 and reduces modulo r. *)
-val of_decimal_string : string -> t
-
-(** Base-10 rendering of the canonical representative. *)
-val to_decimal_string : t -> string
-
 (** Field equality. *)
 val equal : t -> t -> bool
 
@@ -77,7 +71,8 @@ val mul : t -> t -> t
 (** [sqr x = mul x x], the common case optimised. *)
 val sqr : t -> t
 
-(** @raise Division_by_zero on zero. *)
+(** Multiplicative inverse, by {!Modular.inverse} on the canonical
+    representative.  @raise Division_by_zero on zero. *)
 val inv : t -> t
 
 (** [div a b = mul a (inv b)].  @raise Division_by_zero when [b] is zero. *)
@@ -133,8 +128,8 @@ val batch_inv : t array -> t array
     pure API may be shared — [zero] and [one] are process-wide globals
     and [Array.make d Fp.zero] aliases [zero] in every slot.
 
-    Aliasing: [add_into]/[sub_into]/[neg_into] accept [dst] physically
-    equal to either operand; [mul_into]/[sqr_into] raise
+    Aliasing: [add_into]/[sub_into] accept [dst] physically equal to
+    either operand; [mul_into]/[sqr_into] raise
     [Invalid_argument] if [dst] aliases a source (Montgomery CIOS uses
     [dst] as its accumulator). *)
 
@@ -150,16 +145,11 @@ val set : dst:t -> t -> unit
 val set_zero : t -> unit
 val add_into : dst:t -> t -> t -> unit
 val sub_into : dst:t -> t -> t -> unit
-val neg_into : dst:t -> t -> unit
 val mul_into : dst:t -> t -> t -> unit
 val sqr_into : dst:t -> t -> unit
 
 (** [equal x one] without materialising [one]. *)
 val is_one : t -> bool
-
-(** [equal x (neg one)]; with [is_one] this classifies the +-1
-    constraint coefficients that dominate R1CS rows. *)
-val is_minus_one : t -> bool
 
 (** {2 Flat element vectors}
 
@@ -171,8 +161,8 @@ val is_minus_one : t -> bool
     Slot semantics: [op d k a i b j] computes [d.(k) <- a.(i) op b.(j)].
     Destination slots may coincide with source slots for additive ops;
     multiplicative ops either stage through a caller scratch element or
-    write a slot from elements outside the vector, so they are
-    alias-safe by construction. *)
+    write a caller-owned element, so they are alias-safe by
+    construction. *)
 module Vec : sig
   type elt = t
 
@@ -215,20 +205,11 @@ module Vec : sig
   (** [mul_elt_into ~dst v i e]: [dst <- v.(i) * e]. *)
   val mul_elt_into : dst:elt -> t -> int -> elt -> unit
 
-  (** [set_mul v i e1 e2]: [v.(i) <- e1 * e2]. *)
-  val set_mul : t -> int -> elt -> elt -> unit
-
   (** [sub_elt_into ~dst e v i]: [dst <- e - v.(i)]. *)
   val sub_elt_into : dst:elt -> elt -> t -> int -> unit
 
-  (** [add_elt_acc ~acc v i]: [acc <- acc + v.(i)]. *)
-  val add_elt_acc : acc:elt -> t -> int -> unit
-
   (** [add_slot_elt v i e]: [v.(i) <- v.(i) + e]. *)
   val add_slot_elt : t -> int -> elt -> unit
-
-  (** [sub_slot_elt v i e]: [v.(i) <- v.(i) - e]. *)
-  val sub_slot_elt : t -> int -> elt -> unit
 
   (** [butterfly ~tmp v p q w]:
       [(v.(p), v.(q)) <- (v.(p) + w v.(q), v.(p) - w v.(q))]. *)
@@ -245,10 +226,8 @@ end
     sum is limb-identical to the naive one — proof bytes are
     unchanged. *)
 
-(** ['\001'] for +1, ['\002'] for -1, ['\000'] otherwise. *)
-val classify : t -> char
-
-(** One classification byte per element (precompute at matrix build). *)
+(** One classification byte per element (precompute at matrix build):
+    ['\001'] for +1, ['\002'] for -1, ['\000'] otherwise. *)
 val classify_coefs : t array -> Bytes.t
 
 (** Per-worker scratch (two bucket accumulators and a product

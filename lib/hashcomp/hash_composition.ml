@@ -9,19 +9,6 @@ let all = [ Poseidon; Mimc ]
 
 let to_string = function Poseidon -> "poseidon" | Mimc -> "mimc"
 
-let of_string = function
-  | "poseidon" -> Some Poseidon
-  | "mimc" -> Some Mimc
-  | _ -> None
-
-let of_string_exn s =
-  match of_string s with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Hash_composition.of_string_exn: %S" s)
-
-let equal (a : t) (b : t) = a = b
-let pp fmt c = Format.pp_print_string fmt (to_string c)
-
 (* --- native --- *)
 
 let hash2 = function Poseidon -> Poseidon.hash2 | Mimc -> Mimc.hash2

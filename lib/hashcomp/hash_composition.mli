@@ -35,14 +35,6 @@ val all : t list
 (** ["poseidon"] / ["mimc"] — the registry-name suffix. *)
 val to_string : t -> string
 
-val of_string : string -> t option
-
-(** @raise Invalid_argument on an unknown name. *)
-val of_string_exn : string -> t
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
 (** {1 Native hashing} — dispatch to {!Zebra_poseidon.Poseidon} /
     {!Zebra_mimc.Mimc}. *)
 

@@ -159,5 +159,3 @@ let of_hex s =
     | _ -> invalid_arg "Sha256.of_hex: bad digit"
   in
   Bytes.init (n / 2) (fun i -> Char.chr ((digit s.[2 * i] lsl 4) lor digit s.[(2 * i) + 1]))
-
-let hex_digest_string s = to_hex (digest_string s)

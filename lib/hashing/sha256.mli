@@ -1,6 +1,6 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch.
 
-    Used for blockchain hashing (transactions, blocks, addresses), HMAC, and
+    Used for blockchain hashing (transactions, blocks, addresses) and
     mapping arbitrary byte strings into the SNARK field. *)
 
 type ctx
@@ -17,9 +17,6 @@ val finalize : ctx -> bytes
 val digest : bytes -> bytes
 
 val digest_string : string -> bytes
-
-(** [hex_digest_string s] is the lowercase hex of [digest_string s]. *)
-val hex_digest_string : string -> string
 
 val to_hex : bytes -> string
 val of_hex : string -> bytes

@@ -41,7 +41,7 @@ type t = {
   mutable events : event list;  (* newest first *)
   mutable n_events : int;
   mutable reorgs : int;
-  mutable diverged : string option;
+  mutable diverged : string option;  (* mirror vs receipt disagreement; [check] reports it *)
   mutable subscribers : (event -> unit) list;
 }
 
@@ -76,8 +76,6 @@ let reset t =
   t.cursor_height <- 0;
   t.cursor_tip <- Sha256.to_hex Block.genesis_hash
 
-let tracked t = Hashtbl.length t.contracts
-
 let storage t addr =
   match Hashtbl.find_opt t.contracts (Address.to_hex addr) with
   | None -> None
@@ -96,8 +94,6 @@ let behavior t addr =
 let contract_addresses t =
   Hashtbl.fold (fun _ e acc -> e.addr :: acc) t.contracts []
   |> List.sort (fun a b -> compare (Address.to_hex a) (Address.to_hex b))
-
-let diverged t = t.diverged
 
 (* Mirror-execute one chain transaction against the indexer's shadow
    contract state.  Only transactions whose canonical receipt succeeded are

@@ -66,9 +66,6 @@ val event_count : t -> int
 (** How many reorgs this indexer has survived ({!Reorged} emissions). *)
 val reorg_count : t -> int
 
-(** Number of contracts currently tracked. *)
-val tracked : t -> int
-
 (** Mirror storage / balance of a contract, if tracked. *)
 val storage : t -> Address.t -> bytes option
 
@@ -79,11 +76,6 @@ val behavior : t -> Address.t -> string option
 
 (** Tracked contract addresses, sorted by hex (deterministic order). *)
 val contract_addresses : t -> Address.t list
-
-(** Set when mirror execution disagreed with a canonical receipt (e.g. the
-    mirror reverted where the chain succeeded) — always a bug in one of
-    the two executions; {!check} reports it. *)
-val diverged : t -> string option
 
 (** The consistency oracle: [Ok ()] iff every tracked contract's mirror
     storage is byte-identical to the chain's, balances agree, and mirror

@@ -45,8 +45,6 @@
 
 type severity = Error | Warn | Info
 
-val severity_to_string : severity -> string
-
 (** Stable machine-readable finding.  [wire]/[constraint_index] locate the
     subject when an R1CS rule is about a single wire or constraint; labels
     give the provenance recorded at allocation/enforcement time. *)

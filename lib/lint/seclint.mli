@@ -22,8 +22,6 @@
 
 type sink = Serialization | Store_put | Obs_export | Log_line
 
-val sink_to_string : sink -> string
-
 type codec_case = {
   codec : string;  (** e.g. ["snark.keypair"] *)
   secrets : (string * bytes) list;  (** (secret label, canary bytes) *)

@@ -27,11 +27,9 @@ val encrypt : key:Fp.t -> Fp.t -> Fp.t
 (** [decrypt ~key y] inverts {!encrypt} (sanity/permutation tests). *)
 val decrypt : key:Fp.t -> Fp.t -> Fp.t
 
-(** Miyaguchi-Preneel compression: [compress h m = encrypt ~key:h m + m + h]. *)
-val compress : Fp.t -> Fp.t -> Fp.t
-
-(** [hash_list ms]: Merkle-Damgard chain of {!compress} from IV 0, with the
-    list length absorbed first (length extension defence). *)
+(** [hash_list ms]: Merkle-Damgard chain of the Miyaguchi-Preneel
+    compression [compress h m = encrypt ~key:h m + m + h] from IV 0, with
+    the list length absorbed first (length extension defence). *)
 val hash_list : Fp.t list -> Fp.t
 
 (** [hash2 a b = hash_list [a; b]] — the Merkle tree compression. *)

@@ -45,7 +45,6 @@ let create m =
     one_m = fixed_width n (Nat.limbs r1_nat);
   }
 
-let modulus ctx = ctx.m
 let num_limbs ctx = ctx.n
 
 (* ------------------------------------------------------------------ *)
@@ -307,41 +306,8 @@ let mont_pow ctx b e =
     !acc
   end
 
-(* Binary inverse for odd modulus (HAC 14.61 specialisation). *)
-let inv_nat_odd a m =
-  let a = Nat.rem a m in
-  if Nat.is_zero a then raise Division_by_zero;
-  let half x =
-    (* x/2 mod m for odd m *)
-    if Nat.is_even x then Nat.shift_right x 1
-    else Nat.shift_right (Nat.add x m) 1
-  in
-  let u = ref a and v = ref m in
-  let x1 = ref Nat.one and x2 = ref Nat.zero in
-  let sub_mod a b = if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a m) b in
-  while (not (Nat.equal !u Nat.one)) && not (Nat.equal !v Nat.one) do
-    while Nat.is_even !u && not (Nat.is_zero !u) do
-      u := Nat.shift_right !u 1;
-      x1 := half !x1
-    done;
-    while Nat.is_even !v && not (Nat.is_zero !v) do
-      v := Nat.shift_right !v 1;
-      x2 := half !x2
-    done;
-    if Nat.is_zero !u || Nat.is_zero !v then raise Division_by_zero;
-    if Nat.compare !u !v >= 0 then begin
-      u := Nat.sub !u !v;
-      x1 := sub_mod !x1 !x2
-    end
-    else begin
-      v := Nat.sub !v !u;
-      x2 := sub_mod !x2 !x1
-    end
-  done;
-  if Nat.equal !u Nat.one then !x1 else !x2
-
-(* Signed extended Euclid for arbitrary modulus (RSA keygen needs even
-   moduli).  Signed values are (negative flag, magnitude). *)
+(* Signed extended Euclid, for any modulus (RSA keygen needs even ones).
+   Signed values are (negative flag, magnitude). *)
 let inverse a m =
   if Nat.compare m Nat.two < 0 then invalid_arg "Modular.inverse: modulus < 2";
   let s_sub (na, a) (nb, b) =
@@ -370,12 +336,6 @@ let inverse a m =
   let mag = Nat.rem mag m in
   if neg && not (Nat.is_zero mag) then Nat.sub m mag else mag
 
-let mont_inv ctx a =
-  let x = of_mont ctx a in
-  to_mont ctx (inv_nat_odd x ctx.m)
-
-let add ctx a b = of_mont ctx (mont_add ctx (to_mont ctx a) (to_mont ctx b))
 let sub ctx a b = of_mont ctx (mont_sub ctx (to_mont ctx a) (to_mont ctx b))
 let mul ctx a b = of_mont ctx (mont_mul ctx (to_mont ctx a) (to_mont ctx b))
 let pow ctx b e = of_mont ctx (mont_pow ctx (to_mont ctx b) e)
-let inv ctx a = inv_nat_odd a ctx.m

@@ -18,8 +18,6 @@ type ctx
     @raise Invalid_argument if [m] is even or [< 3]. *)
 val create : Nat.t -> ctx
 
-val modulus : ctx -> Nat.t
-
 (** Number of limbs in the Montgomery representation. *)
 val num_limbs : ctx -> int
 
@@ -99,21 +97,16 @@ val mont_set_zero : mont -> unit
     kernel above guarantees). *)
 val mont_of_region : ctx -> int array -> int -> mont
 
-(** [mont_inv ctx a] for [a] invertible. @raise Division_by_zero otherwise. *)
-val mont_inv : ctx -> mont -> mont
-
 (** Convenience wrappers on plain naturals (inputs reduced mod m first). *)
-
-val add : ctx -> Nat.t -> Nat.t -> Nat.t
 
 val sub : ctx -> Nat.t -> Nat.t -> Nat.t
 val mul : ctx -> Nat.t -> Nat.t -> Nat.t
 val pow : ctx -> Nat.t -> Nat.t -> Nat.t
 
-(** [inv ctx a]: modular inverse via extended binary GCD.
-    @raise Division_by_zero if [gcd a m <> 1]. *)
-val inv : ctx -> Nat.t -> Nat.t
-
-(** [inverse a m] without a context (used by RSA keygen for even [m] too,
-    as long as [a] is odd or [gcd a m = 1]). *)
+(** [inverse a m] is [a^-1 mod m] in [\[1, m)], by the signed extended
+    Euclidean algorithm: the one modular inverse, for any modulus [m >= 2],
+    odd or even (RSA keygen inverts modulo an even lambda, [Fp.inv] modulo
+    the field prime).
+    @raise Division_by_zero if [gcd a m <> 1] (so also when [a mod m = 0]).
+    @raise Invalid_argument if [m < 2]. *)
 val inverse : Nat.t -> Nat.t -> Nat.t

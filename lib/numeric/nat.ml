@@ -125,7 +125,7 @@ let sub a b =
   done;
   trim r
 
-let mul_schoolbook a b =
+let mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
   else begin
@@ -151,35 +151,6 @@ let mul_schoolbook a b =
       end
     done;
     trim r
-  end
-
-(* Karatsuba above ~1000-bit operands; three recursive multiplications of
-   half size instead of four. *)
-let karatsuba_threshold = 32
-
-let rec mul a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then zero
-  else if min la lb < karatsuba_threshold then mul_schoolbook a b
-  else begin
-    let m = (max la lb + 1) / 2 in
-    let lo x lx = trim (Array.sub x 0 (min m lx)) in
-    let hi x lx = if lx > m then trim (Array.sub x m (lx - m)) else zero in
-    let a0 = lo a la and a1 = hi a la in
-    let b0 = lo b lb and b1 = hi b lb in
-    let z0 = mul a0 b0 in
-    let z2 = mul a1 b1 in
-    let z1 = sub (mul (add a0 a1) (add b0 b1)) (add z0 z2) in
-    add (add z0 (shift_limbs z1 m)) (shift_limbs z2 (2 * m))
-  end
-
-and shift_limbs x k =
-  if is_zero x then zero
-  else begin
-    let lx = Array.length x in
-    let r = Array.make (lx + k) 0 in
-    Array.blit x 0 r k lx;
-    r
   end
 
 let add_small a d =
@@ -436,28 +407,6 @@ let of_hex s =
       if v >= 0 then r := add_small (shift_left !r 4) v)
     s;
   !r
-
-let to_hex n =
-  if is_zero n then "0"
-  else begin
-    let digits = (num_bits n + 3) / 4 in
-    let buf = Buffer.create digits in
-    for i = digits - 1 downto 0 do
-      let bit = i * 4 in
-      let limb = bit / limb_bits and off = bit mod limb_bits in
-      let v =
-        let lo = if limb < Array.length n then n.(limb) lsr off else 0 in
-        let hi =
-          if off > limb_bits - 4 && limb + 1 < Array.length n then
-            n.(limb + 1) lsl (limb_bits - off)
-          else 0
-        in
-        (lo lor hi) land 0xf
-      in
-      Buffer.add_char buf "0123456789abcdef".[v]
-    done;
-    Buffer.contents buf
-  end
 
 let of_decimal_string s =
   let r = ref zero in

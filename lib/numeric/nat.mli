@@ -29,7 +29,6 @@ val of_bytes_be : bytes -> t
 val to_bytes_be : ?len:int -> t -> bytes
 
 val of_hex : string -> t
-val to_hex : t -> string
 
 val of_decimal_string : string -> t
 val to_decimal_string : t -> string
@@ -50,7 +49,7 @@ val add : t -> t -> t
 (** [sub a b] requires [a >= b].  @raise Invalid_argument otherwise. *)
 val sub : t -> t -> t
 
-(** Schoolbook below ~1000 bits, Karatsuba above. *)
+(** Schoolbook multiplication. *)
 val mul : t -> t -> t
 
 (** [divmod a b] is [(a / b, a mod b)] by Knuth's Algorithm D.
@@ -59,11 +58,6 @@ val divmod : t -> t -> t * t
 
 val div : t -> t -> t
 val rem : t -> t -> t
-
-(** Fast path for small operands (each in [0, 2^31)). *)
-val add_small : t -> int -> t
-
-val mul_small : t -> int -> t
 
 (** [divmod_small a d] for [0 < d < 2^31]. *)
 val divmod_small : t -> int -> t * int
@@ -90,7 +84,3 @@ val limbs : t -> int array
 val of_limbs : int array -> t
 
 val limb_bits : int
-
-(** Internal: the quadratic multiplication, exposed so tests and benches
-    can cross-check the Karatsuba path. *)
-val mul_schoolbook : t -> t -> t

@@ -38,11 +38,6 @@ val width : int
 val full_rounds : int
 val partial_rounds : int
 
-val round_constants : Fp.t array array
-(** [round_constants.(round).(lane)]. *)
-
-val mds : Fp.t array array
-
 (** [permute state] — in-place Poseidon permutation; length must be
     {!width}.  @raise Invalid_argument otherwise. *)
 val permute : Fp.t array -> unit

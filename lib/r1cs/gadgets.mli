@@ -62,9 +62,6 @@ val inverse : Cs.t -> expr -> Cs.var
 (** [enforce_eq cs a b] adds [a = b] (one constraint). *)
 val enforce_eq : Cs.t -> ?label:string -> expr -> expr -> unit
 
-(** [enforce_bit cs x]: [x * (x - 1) = 0]. *)
-val enforce_bit : Cs.t -> expr -> unit
-
 (** [alloc_bit cs b] allocates a wire constrained to {0,1}.  The wire is
     labelled with the ["bit"] prefix (optionally extended by [?label]),
     which declares the booleanity contract that [Zebra_lint]'s ZL030 rule
@@ -118,10 +115,6 @@ val exp : Cs.t -> base:expr -> bits:Cs.var array -> Cs.var
     91-round cipher.  Constant-folds to zero constraints when both [key]
     and [x] are circuit constants ({!as_const}). *)
 val mimc_encrypt : Cs.t -> key:expr -> expr -> expr
-
-(** Miyaguchi–Preneel compression [encrypt ~key:h m + m + h]: 364
-    constraints (the wrap-around additions are linear). *)
-val mimc_compress : Cs.t -> expr -> expr -> expr
 
 (** [mimc_hash cs ms] = [Mimc.hash_list] over expressions: one compression
     per element plus one for the length absorption; the length compression

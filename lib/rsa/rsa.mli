@@ -1,9 +1,10 @@
 (** RSA key generation and raw operations, on top of {!Zebra_numeric}.
 
-    The paper instantiates its DApp-layer encryption as RSA-OAEP-2048 and
-    its DApp-layer signature as an RSA signature; this library provides
-    both (see {!Oaep} and {!Pkcs1}).  In this reproduction RSA also signs
-    every blockchain transaction. *)
+    The paper instantiates its DApp-layer signature as an RSA signature;
+    this library provides it ({!Pkcs1}), and RSA also signs every
+    blockchain transaction.  The paper's DApp-layer RSA-OAEP-2048 answer
+    encryption is replaced by ElGamal inside the reward circuit
+    ([lib/elgamal], DESIGN.md substitution 4). *)
 
 type public_key = { n : Nat.t; e : Nat.t }
 

@@ -1,9 +1,7 @@
 type 'a t = { label : string; value : 'a }
 
 let make ~label value = { label; value }
-let label s = s.label
 let use s f = f s.value
-let map ~label f s = { label; value = f s.value }
 let pp fmt s = Format.fprintf fmt "<secret:%s>" s.label
 
 let min_canary_len = 8

@@ -20,15 +20,9 @@ type 'a t
     findings and in the redacted printer (e.g. ["snark.trapdoor.t_s"]). *)
 val make : label:string -> 'a -> 'a t
 
-val label : 'a t -> string
-
 (** [use s f] applies [f] to the boxed value.  The only way out of the
     box; keep the scope of [f] minimal. *)
 val use : 'a t -> ('a -> 'b) -> 'b
-
-(** [map ~label f s] re-boxes [f] of the secret (e.g. deriving a signing
-    key from a master secret — the derivation stays inside the box). *)
-val map : label:string -> ('a -> 'b) -> 'a t -> 'b t
 
 (** Prints [<secret:label>]; never the value. *)
 val pp : Format.formatter -> 'a t -> unit

@@ -567,19 +567,8 @@ let vk_of_bytes b = Codec.decode read_vk b
 let vk_cache_capacity = 64
 let vk_cache : (string, verifying_key) Hashtbl.t = Hashtbl.create 16
 let vk_cache_mutex = Mutex.create ()
-let vk_cache_hits_n = Atomic.make 0
-let vk_cache_decodes_n = Atomic.make 0
 let m_vk_hits = Obs.Counter.make "snark.cache.vk.hits"
 let m_vk_decodes = Obs.Counter.make "snark.cache.vk.decodes"
-
-let vk_cache_clear () =
-  Mutex.lock vk_cache_mutex;
-  Hashtbl.reset vk_cache;
-  Mutex.unlock vk_cache_mutex;
-  Atomic.set vk_cache_hits_n 0;
-  Atomic.set vk_cache_decodes_n 0
-
-let vk_cache_stats () = (Atomic.get vk_cache_hits_n, Atomic.get vk_cache_decodes_n)
 
 let vk_of_bytes_cached b =
   let key = Bytes.to_string b in
@@ -588,12 +577,10 @@ let vk_of_bytes_cached b =
   Mutex.unlock vk_cache_mutex;
   match cached with
   | Some vk ->
-    Atomic.incr vk_cache_hits_n;
     Obs.Counter.incr m_vk_hits;
     vk
   | None ->
     let vk = vk_of_bytes b in
-    Atomic.incr vk_cache_decodes_n;
     Obs.Counter.incr m_vk_decodes;
     Mutex.lock vk_cache_mutex;
     if Hashtbl.length vk_cache >= vk_cache_capacity then Hashtbl.reset vk_cache;

@@ -157,14 +157,10 @@ val equal_proof : proof -> proof -> bool
     auditing) decode each distinct key once. *)
 
 (** Like {!vk_of_bytes} but memoised.  Raises exactly like {!vk_of_bytes}
-    on malformed input (failures are never cached). *)
+    on malformed input (failures are never cached).  Hits and decodes are
+    counted by the obs counters [snark.cache.vk.hits] and
+    [snark.cache.vk.decodes]. *)
 val vk_of_bytes_cached : bytes -> verifying_key
-
-(** [(hits, decodes)] since start or the last {!vk_cache_clear}. *)
-val vk_cache_stats : unit -> int * int
-
-(** Drop all memoised keys and zero the stats (tests). *)
-val vk_cache_clear : unit -> unit
 
 (** {1 Named keypair memo}
 

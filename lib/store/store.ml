@@ -115,8 +115,6 @@ let get t h =
   in
   fetch h
 
-let has t h = Hashtbl.mem t.objects (key h)
-
 let num_objects t = Hashtbl.length t.objects
 
 let corrupt t h =

@@ -26,8 +26,6 @@ val put : t -> bytes -> hash
     missing or fails verification. *)
 val get : t -> hash -> bytes option
 
-val has : t -> hash -> bool
-
 (** Number of stored objects (chunks + manifests). *)
 val num_objects : t -> int
 
@@ -48,7 +46,6 @@ type fault_action =
                  integrity check, healed by re-[put] *)
 
 (** [set_fault t f] installs (or, with [None], removes) a per-fetch fault
-    decision, consulted once per object (manifest or chunk) that a [get] /
-    [has]-path fetch touches.  [Zebra_faults] supplies deterministic
-    seed-keyed deciders. *)
+    decision, consulted once per object (manifest or chunk) that a [get]
+    touches.  [Zebra_faults] supplies deterministic seed-keyed deciders. *)
 val set_fault : t -> (hash -> fault_action) option -> unit

@@ -19,10 +19,7 @@ let test_scalar_roundtrips () =
         Codec.u8 w 200;
         Codec.u32 w 0xdeadbeef;
         Codec.u64 w 123456789012345;
-        Codec.bool w true;
         Codec.string w "zebra";
-        Codec.option w Codec.u32 (Some 7);
-        Codec.option w Codec.u32 None;
         Codec.list w Codec.u8 [ 1; 2; 3 ];
         Codec.array w Codec.u8 [| 4; 5 |])
       ()
@@ -32,10 +29,7 @@ let test_scalar_roundtrips () =
       Alcotest.(check int) "u8" 200 (Codec.read_u8 r);
       Alcotest.(check int) "u32" 0xdeadbeef (Codec.read_u32 r);
       Alcotest.(check int) "u64" 123456789012345 (Codec.read_u64 r);
-      Alcotest.(check bool) "bool" true (Codec.read_bool r);
       Alcotest.(check string) "string" "zebra" (Codec.read_string r);
-      Alcotest.(check (option int)) "some" (Some 7) (Codec.read_option r Codec.read_u32);
-      Alcotest.(check (option int)) "none" None (Codec.read_option r Codec.read_u32);
       Alcotest.(check (list int)) "list" [ 1; 2; 3 ] (Codec.read_list r Codec.read_u8);
       Alcotest.(check (array int)) "array" [| 4; 5 |] (Codec.read_array r Codec.read_u8))
     b

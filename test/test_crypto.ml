@@ -1,22 +1,17 @@
-(* RSA (keygen / PKCS#1 / OAEP) and ElGamal tests. *)
+(* RSA (keygen / PKCS#1) and ElGamal tests. *)
 
 open Zebra_numeric
 open Zebra_field
 module Rsa = Zebra_rsa.Rsa
 module Pkcs1 = Zebra_rsa.Pkcs1
-module Oaep = Zebra_rsa.Oaep
 module Elgamal = Zebra_elgamal.Elgamal
 module Sha256 = Zebra_hashing.Sha256
 
 let rng = Zebra_rng.Chacha20.create ~seed:"test_crypto"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
 
-(* One 512-bit key shared by most tests (keygen is the slow part).  OAEP
-   with SHA-256 needs at least 2*32+2 bytes of padding, so its tests use a
-   768-bit key. *)
+(* One 512-bit key shared by most tests (keygen is the slow part). *)
 let key = lazy (Rsa.generate ~bits:512 ~random_bytes)
-
-let key768 = lazy (Rsa.generate ~bits:768 ~random_bytes)
 
 let fp = Alcotest.testable Fp.pp Fp.equal
 
@@ -156,49 +151,6 @@ let test_verify_rejects_huge_exponent () =
   Alcotest.(check bytes) "s^e opens to the message hash" (Sha256.digest msg) (Bytes.sub em 32 32);
   Alcotest.(check bool) "e >= 2^32 rejected" false (Pkcs1.verify priv.Rsa.pub ~msg ~signature)
 
-(* --- OAEP --- *)
-
-let test_mgf1_vector () =
-  (* Cross-checked reference value for MGF1-SHA256("foo", 8). *)
-  let out = Oaep.mgf1 ~seed:(Bytes.of_string "foo") 8 in
-  Alcotest.(check int) "len" 8 (Bytes.length out);
-  (* determinism + prefix property *)
-  let out16 = Oaep.mgf1 ~seed:(Bytes.of_string "foo") 16 in
-  Alcotest.(check bytes) "prefix consistent" out (Bytes.sub out16 0 8)
-
-let test_oaep_roundtrip () =
-  let k = Lazy.force key768 in
-  let msg = Bytes.of_string "the answer is B" in
-  let ct = Oaep.encrypt ~random_bytes k.Rsa.pub msg in
-  Alcotest.(check (option bytes)) "roundtrip" (Some msg) (Oaep.decrypt k ct)
-
-let test_oaep_randomized () =
-  let k = Lazy.force key768 in
-  let msg = Bytes.of_string "same plaintext" in
-  let c1 = Oaep.encrypt ~random_bytes k.Rsa.pub msg in
-  let c2 = Oaep.encrypt ~random_bytes k.Rsa.pub msg in
-  Alcotest.(check bool) "ciphertexts differ" false (Bytes.equal c1 c2)
-
-let test_oaep_max_len () =
-  let k = Lazy.force key768 in
-  let maxl = Oaep.max_message_len k.Rsa.pub in
-  let msg = Bytes.make maxl 'x' in
-  Alcotest.(check (option bytes)) "max-length roundtrip" (Some msg)
-    (Oaep.decrypt k (Oaep.encrypt ~random_bytes k.Rsa.pub msg));
-  Alcotest.check_raises "too long" (Invalid_argument "Oaep.encrypt: message too long")
-    (fun () -> ignore (Oaep.encrypt ~random_bytes k.Rsa.pub (Bytes.make (maxl + 1) 'x')))
-
-let test_oaep_tamper () =
-  let k = Lazy.force key768 in
-  let ct = Oaep.encrypt ~random_bytes k.Rsa.pub (Bytes.of_string "secret") in
-  Bytes.set ct 3 (Char.chr (Char.code (Bytes.get ct 3) lxor 1));
-  Alcotest.(check (option bytes)) "tampered ciphertext rejected" None (Oaep.decrypt k ct)
-
-let test_oaep_empty_message () =
-  let k = Lazy.force key768 in
-  let ct = Oaep.encrypt ~random_bytes k.Rsa.pub Bytes.empty in
-  Alcotest.(check (option bytes)) "empty message" (Some Bytes.empty) (Oaep.decrypt k ct)
-
 (* --- ElGamal --- *)
 
 let test_elgamal_roundtrip () =
@@ -278,15 +230,6 @@ let () =
           Alcotest.test_case "wrong key" `Quick test_sign_wrong_key;
           Alcotest.test_case "garbage signatures" `Quick test_sign_garbage;
           Alcotest.test_case "exponent >= 2^32 rejected" `Quick test_verify_rejects_huge_exponent;
-        ] );
-      ( "oaep",
-        [
-          Alcotest.test_case "mgf1" `Quick test_mgf1_vector;
-          Alcotest.test_case "roundtrip" `Quick test_oaep_roundtrip;
-          Alcotest.test_case "randomised" `Quick test_oaep_randomized;
-          Alcotest.test_case "max length" `Quick test_oaep_max_len;
-          Alcotest.test_case "tampered" `Quick test_oaep_tamper;
-          Alcotest.test_case "empty message" `Quick test_oaep_empty_message;
         ] );
       ( "elgamal",
         [

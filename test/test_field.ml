@@ -1,4 +1,4 @@
-(* Field, FFT and polynomial tests. *)
+(* Field and FFT tests. *)
 
 open Zebra_field
 module Codec = Zebra_codec.Codec
@@ -19,6 +19,18 @@ let arb_fp =
       let r = Zebra_rng.Chacha20.create ~seed:(Printf.sprintf "fp-%d" seed) in
       Fp.random (Zebra_rng.Chacha20.bytes r))
     QCheck2.Gen.(int_bound 1_000_000)
+
+(* Edge-heavy generator: the in-place kernels and the inverse must hold
+   at 0, 1, p-1 and p-2 as well as on random elements. *)
+let arb_fp_edge =
+  QCheck2.Gen.frequency
+    [
+      (6, arb_fp);
+      (1, QCheck2.Gen.return Fp.zero);
+      (1, QCheck2.Gen.return Fp.one);
+      (1, QCheck2.Gen.return (Fp.neg Fp.one));
+      (1, QCheck2.Gen.return (Fp.neg Fp.two));
+    ]
 
 (* --- Fp --- *)
 
@@ -69,8 +81,11 @@ let prop_field_laws =
       && Fp.equal (Fp.sub Fp.zero a) (Fp.neg a))
 
 let prop_inverse =
-  qtest "multiplicative inverse" arb_fp (fun a ->
+  qtest "multiplicative inverse" arb_fp_edge (fun a ->
       Fp.is_zero a || Fp.equal Fp.one (Fp.mul a (Fp.inv a)))
+
+let test_inverse_of_zero () =
+  Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (Fp.inv Fp.zero))
 
 let prop_sqr =
   qtest "sqr = mul self" arb_fp (fun a -> Fp.equal (Fp.sqr a) (Fp.mul a a))
@@ -78,18 +93,6 @@ let prop_sqr =
 (* --- in-place kernels, Vec, bucketed dots (PR 10) --- *)
 
 module Nat = Zebra_numeric.Nat
-
-(* Edge-heavy generator: the in-place kernels must agree with the
-   reference at 0, 1, p-1 and p-2 as well as on random elements. *)
-let arb_fp_edge =
-  QCheck2.Gen.frequency
-    [
-      (6, arb_fp);
-      (1, QCheck2.Gen.return Fp.zero);
-      (1, QCheck2.Gen.return Fp.one);
-      (1, QCheck2.Gen.return (Fp.neg Fp.one));
-      (1, QCheck2.Gen.return (Fp.neg Fp.two));
-    ]
 
 (* Reference arithmetic mod p on naturals.  The pure ops run the same
    kernels as the in-place ones, so the kernels are checked against this
@@ -116,8 +119,6 @@ let prop_into_kernels =
       let ok_mul = holds dst (nat_mul an bn) in
       Fp.sqr_into ~dst a;
       let ok_sqr = holds dst (nat_mul an an) in
-      Fp.neg_into ~dst a;
-      let ok_neg = holds dst (nat_neg an) in
       (* The pure ops, which wrap the same kernels. *)
       let ok_pure =
         holds (Fp.add a b) (nat_add an bn)
@@ -137,11 +138,8 @@ let prop_into_kernels =
       let buf = Fp.copy b in
       Fp.sub_into ~dst:buf a buf;
       let ok_sub_alias2 = holds buf (nat_sub an bn) in
-      let buf = Fp.copy a in
-      Fp.neg_into ~dst:buf buf;
-      let ok_neg_alias = holds buf (nat_neg an) in
-      ok_add && ok_sub && ok_mul && ok_sqr && ok_neg && ok_pure && ok_add_alias && ok_sub_alias
-      && ok_sub_alias2 && ok_neg_alias)
+      ok_add && ok_sub && ok_mul && ok_sqr && ok_pure && ok_add_alias && ok_sub_alias
+      && ok_sub_alias2)
 
 let test_mul_into_alias_rejected () =
   let a = Fp.copy Fp.two in
@@ -252,23 +250,18 @@ let test_vec_slot_ops () =
   check "mul_into_elt" (nat_mul xn yn) tmp;
   Fp.Vec.mul_elt_into ~dst:tmp v 1 c;
   check "mul_elt_into" (nat_mul yn cn) tmp;
-  Fp.Vec.set_mul v 0 c c;
-  check "set_mul" (nat_mul cn cn) (Fp.Vec.get v 0);
   Fp.Vec.sub_elt_into ~dst:tmp c v 1;
   check "sub_elt_into" (nat_sub cn yn) tmp;
-  Fp.set_zero tmp;
-  Fp.Vec.add_elt_acc ~acc:tmp v 1;
-  Fp.Vec.add_elt_acc ~acc:tmp v 1;
-  check "add_elt_acc" (nat_add yn yn) tmp;
   let v = Fp.Vec.of_array [| x |] in
   Fp.Vec.add_slot_elt v 0 c;
-  check "add_slot_elt" (nat_add xn cn) (Fp.Vec.get v 0);
-  Fp.Vec.sub_slot_elt v 0 c;
-  check "sub_slot_elt" xn (Fp.Vec.get v 0)
+  check "add_slot_elt" (nat_add xn cn) (Fp.Vec.get v 0)
 
 (* --- FFT --- *)
 
 let rand_poly n = Array.init n (fun _ -> fresh_fp ())
+
+(* The oracle: Horner's rule on little-endian coefficients. *)
+let horner p x = Array.fold_right (fun c acc -> Fp.add (Fp.mul acc x) c) p Fp.zero
 
 (* [transform d] applied to a flat copy of [a], read back as an array. *)
 let on_vec transform d a =
@@ -290,10 +283,9 @@ let check_roundtrip forward inverse n =
 let check_matches_eval transform ~point n =
   let d = Fft.domain n in
   let coeffs = rand_poly n in
-  let p = Poly.of_coeffs (Array.copy coeffs) in
   Array.iteri
     (fun i y ->
-      Alcotest.check fp (Printf.sprintf "n=%d eval %d" n i) (Poly.eval p (point d i)) y)
+      Alcotest.check fp (Printf.sprintf "n=%d eval %d" n i) (horner coeffs (point d i)) y)
     (on_vec transform d coeffs)
 
 let test_fft_roundtrip () = List.iter (check_roundtrip Fft.fft_vec Fft.ifft_vec) roundtrip_sizes
@@ -308,13 +300,12 @@ let check_coset_of_evals n =
   let d = Fft.domain n in
   let n = Fft.size d in
   let coeffs = rand_poly n in
-  let p = Poly.of_coeffs (Array.copy coeffs) in
   let coset = on_vec Fft.coset_of_evals_vec d (on_vec Fft.fft_vec d coeffs) in
   let points = if n <= 64 then List.init n Fun.id else [ 0; 1; (n / 2) - 1; n / 2; n - 1 ] in
   List.iter
     (fun i ->
       let x = Fp.mul Fp.generator (Fft.element d i) in
-      Alcotest.check fp (Printf.sprintf "n=%d coset %d" n i) (Poly.eval p x) coset.(i))
+      Alcotest.check fp (Printf.sprintf "n=%d coset %d" n i) (horner coeffs x) coset.(i))
     points
 
 let test_coset_of_evals () =
@@ -342,16 +333,16 @@ let test_coset_query () =
   List.iter
     (fun n ->
       let d = Fft.domain n in
-      let p = Poly.of_coeffs (rand_poly n) in
+      let p = rand_poly n in
       let x = fresh_fp () in
       let q = Fp.Vec.to_array (Fft.coset_query d x) in
       let sum = ref Fp.zero in
       Array.iteri
         (fun j qj ->
-          let y = Poly.eval p (Fp.mul Fp.generator (Fft.element d j)) in
+          let y = horner p (Fp.mul Fp.generator (Fft.element d j)) in
           sum := Fp.add !sum (Fp.mul y qj))
         q;
-      Alcotest.check fp (Printf.sprintf "n=%d p(x)" n) (Poly.eval p x)
+      Alcotest.check fp (Printf.sprintf "n=%d p(x)" n) (horner p x)
         (Fp.mul !sum (Fft.vanishing_on_coset d));
       Alcotest.check_raises (Printf.sprintf "n=%d coset point" n) Division_by_zero (fun () ->
           ignore (Fft.coset_query d (Fp.mul Fp.generator (Fft.element d (n - 1))))))
@@ -373,36 +364,13 @@ let test_lagrange_at () =
   (* Sum of all Lagrange basis polys is 1. *)
   let sum = Array.fold_left Fp.add Fp.zero ls in
   Alcotest.check fp "partition of unity" Fp.one sum;
-  (* Against the naive interpolation through an indicator function. *)
-  let pts = List.init 8 (fun i -> (Fft.element d i, if i = 3 then Fp.one else Fp.zero)) in
-  let l3 = Poly.interpolate pts in
-  Alcotest.check fp "L_3(x)" (Poly.eval l3 x) ls.(3)
-
-(* --- Poly --- *)
-
-let test_poly_divmod () =
-  let p = Poly.of_coeffs (rand_poly 10) in
-  let d = Poly.of_coeffs (rand_poly 4) in
-  let q, r = Poly.divmod p d in
-  Alcotest.(check bool) "deg r < deg d" true (Poly.degree r < Poly.degree d);
-  Alcotest.(check bool) "p = q*d + r" true (Poly.equal p (Poly.add (Poly.mul q d) r))
-
-let test_poly_interpolate_roundtrip () =
-  let pts = List.init 6 (fun i -> (Fp.of_int (i + 1), fresh_fp ())) in
-  let p = Poly.interpolate pts in
-  List.iter (fun (x, y) -> Alcotest.check fp "through point" y (Poly.eval p x)) pts
-
-let test_poly_interpolate_duplicate () =
-  Alcotest.check_raises "duplicate x" (Invalid_argument "Poly.interpolate: duplicate x")
-    (fun () -> ignore (Poly.interpolate [ (Fp.one, Fp.one); (Fp.one, Fp.two) ]))
-
-let prop_poly_mul_eval =
-  qtest "eval is ring hom" (QCheck2.Gen.pair arb_fp (QCheck2.Gen.int_bound 8))
-    (fun (x, n) ->
-      let a = Poly.of_coeffs (rand_poly (n + 1)) in
-      let b = Poly.of_coeffs (rand_poly (n + 2)) in
-      Fp.equal (Poly.eval (Poly.mul a b) x) (Fp.mul (Poly.eval a x) (Poly.eval b x))
-      && Fp.equal (Poly.eval (Poly.add a b) x) (Fp.add (Poly.eval a x) (Poly.eval b x)))
+  (* Against the product formula L_3(x) = prod_{j <> 3} (x - w^j) / (w^3 - w^j). *)
+  let w = Fft.element d in
+  let l3 = ref Fp.one in
+  for j = 0 to 7 do
+    if j <> 3 then l3 := Fp.mul !l3 (Fp.div (Fp.sub x (w j)) (Fp.sub (w 3) (w j)))
+  done;
+  Alcotest.check fp "L_3(x)" !l3 ls.(3)
 
 let () =
   Alcotest.run "field"
@@ -417,6 +385,7 @@ let () =
           Alcotest.test_case "2^28 root" `Quick test_max_two_adic_root;
           Alcotest.test_case "batch inversion" `Quick test_batch_inv;
           Alcotest.test_case "batch inversion zero" `Quick test_batch_inv_zero;
+          Alcotest.test_case "inverse of zero" `Quick test_inverse_of_zero;
           prop_field_laws; prop_inverse; prop_sqr;
         ] );
       ( "kernels",
@@ -435,12 +404,5 @@ let () =
           Alcotest.test_case "coset query interpolates" `Quick test_coset_query;
           Alcotest.test_case "vanishing polynomial" `Quick test_vanishing;
           Alcotest.test_case "lagrange at point" `Quick test_lagrange_at;
-        ] );
-      ( "poly",
-        [
-          Alcotest.test_case "divmod" `Quick test_poly_divmod;
-          Alcotest.test_case "interpolation" `Quick test_poly_interpolate_roundtrip;
-          Alcotest.test_case "duplicate abscissae" `Quick test_poly_interpolate_duplicate;
-          prop_poly_mul_eval;
         ] );
     ]

@@ -4,6 +4,7 @@
 open Zebra_field
 open Zebra_r1cs
 module Snark = Zebra_snark.Snark
+module Obs = Zebra_obs.Obs
 
 let rng = Zebra_rng.Chacha20.create ~seed:"test_snark"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
@@ -280,19 +281,27 @@ let test_batch_seed_binds_contents () =
 
 (* --- decoded-VK cache --- *)
 
+(* Read through the obs counters, as deltas: fresh circuits give vk bytes
+   no earlier test has cached. *)
 let test_vk_decode_cache () =
+  let hits = Obs.Counter.make "snark.cache.vk.hits" in
+  let decodes = Obs.Counter.make "snark.cache.vk.decodes" in
   let { Snark.vk; _ } = keys_of (cubic_circuit (fresh_fp ())) in
   let vk_bytes = Snark.vk_to_bytes vk in
-  Snark.vk_cache_clear ();
-  ignore (Snark.vk_of_bytes_cached vk_bytes);
-  ignore (Snark.vk_of_bytes_cached (Bytes.copy vk_bytes));
-  let hits, decodes = Snark.vk_cache_stats () in
-  Alcotest.(check (pair int int)) "one decode per distinct bytes" (1, 1) (hits, decodes);
   let { Snark.vk = vk2; _ } = keys_of (mixed_circuit (fresh_fp ())) in
-  ignore (Snark.vk_of_bytes_cached (Snark.vk_to_bytes vk2));
-  let _, decodes = Snark.vk_cache_stats () in
-  Alcotest.(check int) "distinct bytes decode separately" 2 decodes;
-  Snark.vk_cache_clear ()
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was_enabled)
+    (fun () ->
+      let h0 = Obs.Counter.value hits and d0 = Obs.Counter.value decodes in
+      ignore (Snark.vk_of_bytes_cached vk_bytes);
+      ignore (Snark.vk_of_bytes_cached (Bytes.copy vk_bytes));
+      Alcotest.(check (pair int int)) "one decode per distinct bytes" (1, 1)
+        (Obs.Counter.value hits - h0, Obs.Counter.value decodes - d0);
+      ignore (Snark.vk_of_bytes_cached (Snark.vk_to_bytes vk2));
+      Alcotest.(check int) "distinct bytes decode separately" 2
+        (Obs.Counter.value decodes - d0))
 
 (* A vk whose io_a count claims 2^24 elements must fail as a typed decode
    error, before allocating for the claimed elements: peers supply vk
