@@ -67,9 +67,15 @@ let count name n = Row.det name ~unit:"count" (float_of_int n)
 
 let bench_tree_depth = 16 (* RA capacity 65536, as a deployment would use *)
 
+(* The benches' one setup seed: a circuit's [setup_cached] on a fresh
+   memo and this seed gives the keys of a bare seeded [Snark.setup_rng]. *)
+let snark_setup_seed = "bench-snark-setup"
+
 let cpla_fixture =
   lazy
-    (let params = Cpla.setup_rng ~rng:src ~depth:bench_tree_depth () in
+    (let params =
+       Cpla.setup_cached (Snark.Keycache.create ()) ~seed:snark_setup_seed ~depth:bench_tree_depth
+     in
      let ra = Ra.create ~depth:bench_tree_depth () in
      let key = Cpla.keygen_rng ~rng:src () in
      let index = Ra.register ra key.Cpla.pk in
@@ -87,7 +93,9 @@ let make_attestation () =
 (* A majority reward instance for a given n, mostly-honest answers. *)
 let majority_instance ~n =
   let policy = Policy.Majority { choices = 4 } in
-  let circuit = Reward_circuit.setup ~random_bytes ~policy ~n () in
+  let circuit =
+    Reward_circuit.setup_cached (Snark.Keycache.create ()) ~seed:snark_setup_seed ~policy ~n
+  in
   let esk, epk = Elgamal.generate ~random_bytes in
   let answers = Array.init n (fun i -> Some (if i mod 4 = 3 then 2 else 1)) in
   let cts =
@@ -181,7 +189,7 @@ let fig4 () =
     "the paper contrasts two CPUs (3.1 vs 3.6 GHz); we contrast two RA tree\n\
      depths (8 vs 16), the knob that scales our Auth circuit the same way.\n\n";
   let bench_depth depth =
-    let params = Cpla.setup_rng ~rng:src ~depth () in
+    let params = Cpla.setup_cached (Snark.Keycache.create ()) ~seed:snark_setup_seed ~depth in
     let ra = Ra.create ~depth () in
     let key = Cpla.keygen_rng ~rng:src () in
     let index = Ra.register ra key.Cpla.pk in
@@ -549,10 +557,16 @@ let parallel () =
    an exact rewrite that leaves them byte-identical at any ZEBRA_DOMAINS. *)
 
 let snark_prove_seed = "bench-snark-prove"
-let snark_setup_seed = "bench-snark-setup"
+let snark_reward_policy = Policy.Majority { choices = 4 }
 
-let snark_reward_circuit () =
-  Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:5
+(* [synth] run on a fresh constraint board. *)
+let board synth =
+  let cs = Cs.create () in
+  synth cs;
+  cs
+
+let snark_reward_synth = Reward_circuit.synthesize_dummy ~policy:snark_reward_policy ~n:5
+let snark_reward_circuit () = board snark_reward_synth
 
 let sha256_hex b = Zebra_hashing.Sha256.to_hex (Zebra_hashing.Sha256.digest b)
 
@@ -564,7 +578,8 @@ let snark_cpla_depth = 8
 let snark_cpla_digest composition =
   let module Source = Zebra_rng.Source in
   let params =
-    Cpla.setup_rng ~composition ~rng:(Source.of_seed snark_setup_seed) ~depth:snark_cpla_depth ()
+    Cpla.setup_cached ~composition (Snark.Keycache.create ()) ~seed:snark_setup_seed
+      ~depth:snark_cpla_depth
   in
   let key = Cpla.keygen_rng ~composition ~rng:(Source.of_seed "bench-snark-cpla-key") () in
   let ra = Ra.create ~hash:composition ~depth:snark_cpla_depth () in
@@ -633,13 +648,13 @@ let snark () =
   let cache = Snark.Keycache.create () in
   let _ =
     Snark.Keycache.setup_named cache ~circuit_id:"bench/reward-n5" ~seed:snark_setup_seed
-      snark_reward_circuit
+      snark_reward_synth
   in
   let hit_ns =
     bechamel_ns "keycache-hit" (fun () ->
         ignore
           (Snark.Keycache.setup_named cache ~circuit_id:"bench/reward-n5"
-             ~seed:snark_setup_seed snark_reward_circuit))
+             ~seed:snark_setup_seed snark_reward_synth))
   in
   Printf.printf "keycache: setup miss %.3fs, named hit %.1f us (%.0fx cheaper)\n%!" setup_miss
     (hit_ns /. 1e3) (setup_miss /. (hit_ns /. 1e9));
@@ -684,7 +699,7 @@ let snark () =
   (* Poseidon vs MiMC: the two CPLA arms at depth 8, constraint count,
      setup and prove, plus the attestation digest per arm. *)
   let cpla_arm composition =
-    let cs = Cpla.constraint_system ~composition ~depth:snark_cpla_depth () in
+    let cs = board (Cpla.synthesize_dummy ~composition ~depth:snark_cpla_depth) in
     let kp, setup_s =
       wall (fun () -> Snark.setup_rng ~rng:(Source.of_seed snark_setup_seed) cs)
     in
@@ -717,6 +732,32 @@ let snark () =
       (Printf.sprintf "snark.merkle-depth16-%s.constraints" (Hc.to_string composition))
       (Cs.num_constraints cs)
   in
+  (* The keys of the set-ups the layerbench workloads' systems run
+     through their memo (market: CPLA depth 6 and reward n=2; crowd:
+     depth 16 and n=5, CPLA on the default arm), each from a fresh memo on
+     the bench seed. *)
+  let workload_key name vk_bytes =
+    let dg = sha256_hex vk_bytes in
+    Printf.printf "%s: vk %s\n%!" name (String.sub dg 0 16);
+    Row.text (name ^ ".vk_sha256") ~unit:"sha256" dg
+  in
+  let workload_keys =
+    List.map
+      (fun depth ->
+        workload_key
+          (Printf.sprintf "snark.cpla-depth%d-%s" depth (Hc.to_string Hc.default))
+          (Cpla.vk_to_bytes
+             (Cpla.setup_cached (Snark.Keycache.create ()) ~seed:snark_setup_seed ~depth)))
+      [ 6; 16 ]
+    @ List.map
+        (fun n ->
+          workload_key
+            (Printf.sprintf "snark.reward-majority-n%d" n)
+            (Reward_circuit.vk_bytes
+               (Reward_circuit.setup_cached (Snark.Keycache.create ()) ~seed:snark_setup_seed
+                  ~policy:snark_reward_policy ~n)))
+        [ 2; 5 ]
+  in
   [
     count (reward ^ ".constraints") (Cs.num_constraints cs);
     Row.text (reward ^ ".proof_sha256") ~unit:"sha256" !digest;
@@ -732,6 +773,7 @@ let snark () =
   @ work
   @ List.concat_map cpla_arm Hc.all
   @ List.map merkle Hc.all
+  @ workload_keys
 
 (* X12: the zero-allocation kernel work (BENCH_field.json).  ns/op and
    allocated-bytes/op for the pure vs destructive field kernels, the
@@ -857,7 +899,7 @@ let field () =
   (* Whole-auth allocation, bracketed the same way: one depth-6
      attestation, synthesis on the witness board plus the proof. *)
   let depth = 6 in
-  let params = Cpla.setup_rng ~rng:(Source.of_seed snark_setup_seed) ~depth () in
+  let params = Cpla.setup_cached (Snark.Keycache.create ()) ~seed:snark_setup_seed ~depth in
   let key = Cpla.keygen_rng ~rng:(Source.of_seed "bench-field/cpla-key") () in
   let ra = Ra.create ~depth () in
   let index = Ra.register ra key.Cpla.pk in

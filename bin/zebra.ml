@@ -218,12 +218,14 @@ let stats_cmd =
     in
     (* Lint the circuits this run deployed (CPLA on its default Poseidon
        arm) so the tree shows lint.* too. *)
-    ignore
-      (Zebra_lint.Lint.analyze ~name:"cpla-depth6-poseidon"
-         (Zebra_anonauth.Cpla.constraint_system ~depth:6 ()));
-    ignore
-      (Zebra_lint.Lint.analyze ~name:"reward-majority-n3"
-         (Reward_circuit.constraint_system ~policy:(Policy.Majority { choices = 4 }) ~n:3));
+    let lint name synth =
+      let cs = Zebra_r1cs.Cs.create () in
+      synth cs;
+      ignore (Zebra_lint.Lint.analyze ~name cs)
+    in
+    lint "cpla-depth6-poseidon" (Zebra_anonauth.Cpla.synthesize_dummy ~depth:6);
+    lint "reward-majority-n3"
+      (Reward_circuit.synthesize_dummy ~policy:(Policy.Majority { choices = 4 }) ~n:3);
     Obs.set_enabled false;
     if json then print_endline (Obs.to_json_string ())
     else begin
@@ -546,8 +548,7 @@ let inspect_cmd =
     Arg.(value & opt int 8 & info [ "depth" ] ~docv:"D" ~doc:"RA tree depth to inspect.")
   in
   let run seed depth =
-    let rng = Zebra_rng.Chacha20.create ~seed in
-    let rb n = Zebra_rng.Chacha20.bytes rng n in
+    let keycache = Zebra_snark.Snark.Keycache.create () in
     log "ZebraLancer system parameters";
     log "  SNARK field        : BN254 scalar (%s...)"
       (String.sub (Zebra_numeric.Nat.to_decimal_string Zebra_field.Fp.modulus) 0 24);
@@ -558,9 +559,7 @@ let inspect_cmd =
       Zebra_poseidon.Poseidon.partial_rounds;
     log "  MiMC               : exponent %d, %d rounds" Zebra_mimc.Mimc.exponent
       Zebra_mimc.Mimc.rounds;
-    let cpla =
-      Zebra_anonauth.Cpla.setup_rng ~rng:(Zebra_rng.Source.of_chacha rng) ~depth ()
-    in
+    let cpla = Zebra_anonauth.Cpla.setup_cached keycache ~seed ~depth in
     log "  CPLA (depth %d, %s): %d constraints, vk %d bytes" depth
       (Zebra_hashcomp.Hash_composition.to_string (Zebra_anonauth.Cpla.composition cpla))
       (Zebra_anonauth.Cpla.circuit_size cpla)
@@ -568,7 +567,7 @@ let inspect_cmd =
     List.iter
       (fun n ->
         let rc =
-          Reward_circuit.setup ~random_bytes:rb ~policy:(Policy.Majority { choices = 4 }) ~n ()
+          Reward_circuit.setup_cached keycache ~seed ~policy:(Policy.Majority { choices = 4 }) ~n
         in
         log "  majority n=%-2d      : %d constraints, vk %d bytes" n
           (Reward_circuit.num_constraints rc)

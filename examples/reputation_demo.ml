@@ -20,7 +20,10 @@ let () =
   let sys = Protocol.create_system ~seed:"reputation-demo" () in
   Reputation_contract.register ();
   let rb = Protocol.random_bytes sys in
-  let rep_params = Reputation.setup ~random_bytes:rb () in
+  let rep_params =
+    Reputation.setup_cached sys.Protocol.keycache
+      ~seed:(sys.Protocol.setup_seed ^ "/reputation-link")
+  in
   Printf.printf "link circuit: %d constraints\n%!" (Reputation.circuit_size rep_params);
 
   let requester = Protocol.get_ok (Protocol.enroll_r sys) in

@@ -3,12 +3,7 @@ module Codec = Zebra_codec.Codec
 module Hash_composition = Zebra_hashcomp.Hash_composition
 open Zebra_r1cs
 
-type params = {
-  depth : int;
-  composition : Hash_composition.t;
-  keys : Snark.keypair;
-  n_constraints : int;
-}
+type params = { depth : int; composition : Hash_composition.t; keys : Snark.keypair }
 
 type user_key = { sk : Fp.t; pk : Fp.t }
 
@@ -47,20 +42,6 @@ let synthesize_dummy ?(composition = Hash_composition.default) ~depth cs =
   synthesize cs ~composition ~depth ~prefix:z ~message:z ~root:z ~t1:z ~t2:z ~sk:z ~index:0
     ~path:(Array.make depth z)
 
-let constraint_system ?composition ~depth () =
-  let cs = Cs.create () in
-  synthesize_dummy ?composition ~depth cs;
-  cs
-
-let setup_rng ?(composition = Hash_composition.default) ~rng ~depth () =
-  let cs = constraint_system ~composition ~depth () in
-  {
-    depth;
-    composition;
-    keys = Snark.setup_rng ~rng cs;
-    n_constraints = Cs.num_constraints cs;
-  }
-
 (* (composition, depth) determines the synthesised structure; encoding both
    in the cache id keeps the arms' keypairs strictly apart. *)
 let circuit_id ?(composition = Hash_composition.default) ~depth () =
@@ -68,15 +49,15 @@ let circuit_id ?(composition = Hash_composition.default) ~depth () =
 
 let setup_cached ?(composition = Hash_composition.default) cache ~seed ~depth =
   if depth < 1 then invalid_arg "Cpla.setup_cached: need depth >= 1";
-  let keys, shape =
+  let keys =
     Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~composition ~depth ()) ~seed
-      (fun () -> constraint_system ~composition ~depth ())
+      (synthesize_dummy ~composition ~depth)
   in
-  { depth; composition; keys; n_constraints = shape.Snark.Keycache.constraints }
+  { depth; composition; keys }
 
 let depth p = p.depth
 let composition p = p.composition
-let circuit_size p = p.n_constraints
+let circuit_size p = Snark.num_constraints p.keys.Snark.pk
 
 let keygen_rng ?(composition = Hash_composition.default) ~rng () =
   let sk = Fp.random (Zebra_rng.Source.fn rng) in
@@ -123,6 +104,5 @@ let attestation_size_bytes att = Bytes.length (attestation_to_bytes att)
 let vk_to_bytes p = Snark.vk_to_bytes p.keys.Snark.vk
 
 let verify_with_vk ~vk_bytes ~prefix ~message ~root att =
-  match Snark.vk_of_bytes_cached vk_bytes with
-  | vk -> Snark.verify vk ~public_inputs:(public_inputs ~prefix ~message ~root att) att.proof
-  | exception Codec.Decode_error _ -> false
+  Snark.verify_vk_bytes ~vk_bytes ~public_inputs:(public_inputs ~prefix ~message ~root att)
+    att.proof

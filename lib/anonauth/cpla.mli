@@ -29,7 +29,9 @@
     Two valid attestations {!link} iff their [t1] tags are equal, i.e. iff
     the same key authenticated two messages with the same prefix.  In
     ZebraLancer the prefix is the task contract address, which is exactly
-    what stops double submission without harming cross-task anonymity. *)
+    what stops double submission without harming cross-task anonymity.
+    Set-up, size and key-bytes verification are {!Zebra_snark.Snark}'s;
+    this module supplies the circuit. *)
 
 (** Public parameters PP: the circuit shape and SNARK keys for one
     (hash composition, RA tree depth) pair.  Generated once at system
@@ -46,23 +48,14 @@ val key_canary : user_key -> bytes
 
 type attestation = { t1 : Fp.t; t2 : Fp.t; proof : Zebra_snark.Snark.proof }
 
-(** [setup_rng ~rng ~depth ()] runs the zk-SNARK trusted setup for
-    the authentication circuit over an RA tree of the given depth, under
-    the given hash composition (default Poseidon). *)
-val setup_rng :
-  ?composition:Zebra_hashcomp.Hash_composition.t ->
-  rng:Zebra_rng.Source.t ->
-  depth:int ->
-  unit ->
-  params
-
-(** [setup_cached cache ~seed ~depth] — {!setup_rng} through a system's
-    keypair memo ({!Zebra_snark.Snark.Keycache}), id
-    [cpla/depth=<depth>/h=<composition>] (the composition is in the id, so
-    the two arms' keypairs can never be served for each other).  On a hit
-    both circuit synthesis and the trusted setup are skipped; setup
-    randomness comes from [seed] alone, so hit and miss produce
-    byte-identical keys.
+(** [setup_cached cache ~seed ~depth] runs the zk-SNARK trusted setup
+    for the authentication circuit over an RA tree of the given depth,
+    under the given hash composition (default Poseidon), through a
+    keypair memo ({!Zebra_snark.Snark.Keycache}; a fresh one for a
+    one-off setup), id [cpla/depth=<depth>/h=<composition>] (the
+    composition is in the id, so the two arms' keypairs can never be
+    served for each other).  Setup randomness comes from [seed] alone, so
+    hit and miss produce byte-identical keys.
     @raise Invalid_argument when [depth < 1]. *)
 val setup_cached :
   ?composition:Zebra_hashcomp.Hash_composition.t ->
@@ -71,18 +64,13 @@ val setup_cached :
   depth:int ->
   params
 
-(** The Auth circuit synthesised at the setup's dummy assignment on a
-    constraint board — the structure {!setup_rng} compiles, exposed for
-    static analysis ([Zebra_lint]) and introspection.  No keys are
-    generated.  Constraint budget by composition: the three tag/pk hashes
-    plus [depth] Merkle levels — roughly [245*depth + 6*243] for Poseidon
+(** [synthesize_dummy ~depth cs]: the Auth circuit at the setup's dummy
+    assignment, on a board the caller made (either kind, see
+    {!Zebra_r1cs.Cs}) — what {!setup_cached} compiles and lint inspects.
+    Constraint budget by composition: the three tag/pk hashes plus
+    [depth] Merkle levels — roughly [245*depth + 6*243] for Poseidon
     (5 381 measured at depth 16) vs [730*depth + 6*364] for MiMC
     (13 867). *)
-val constraint_system :
-  ?composition:Zebra_hashcomp.Hash_composition.t -> depth:int -> unit -> Zebra_r1cs.Cs.t
-
-(** [synthesize_dummy ~depth cs]: the synthesis of {!constraint_system},
-    on a board the caller made (either kind, see {!Zebra_r1cs.Cs}). *)
 val synthesize_dummy :
   ?composition:Zebra_hashcomp.Hash_composition.t -> depth:int -> Zebra_r1cs.Cs.t -> unit
 
@@ -164,9 +152,7 @@ val public_inputs :
   prefix:Fp.t -> message:Fp.t -> root:Fp.t -> attestation -> Fp.t array
 
 (** [verify_with_vk ~vk_bytes ...] — verification from the serialised key
-    only (what the task contract runs on-chain).  Key decoding is memoised
-    process-wide ({!Zebra_snark.Snark.vk_of_bytes_cached}), so repeat
-    verifications against the same contract-held key bytes decode it
-    once. *)
+    only (what the task contract runs on-chain), through
+    {!Zebra_snark.Snark.verify_vk_bytes}. *)
 val verify_with_vk :
   vk_bytes:bytes -> prefix:Fp.t -> message:Fp.t -> root:Fp.t -> attestation -> bool

@@ -62,6 +62,3 @@ let validate ?(difficulty = 0) ~prev_hash ~prev_height b =
   else Ok ()
 
 let tx_proof b i = Merkle.proof (List.map Tx.to_bytes b.txs) i
-
-let verify_tx_inclusion b tx proof =
-  Merkle.verify ~root:b.header.tx_root ~leaf:(Tx.to_bytes tx) proof

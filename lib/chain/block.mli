@@ -40,7 +40,6 @@ val meets_difficulty : header -> int -> bool
 val validate :
   ?difficulty:int -> prev_hash:bytes -> prev_height:int -> t -> (unit, string) result
 
-(** Merkle inclusion proof for the [i]-th transaction (light-client path). *)
+(** Merkle inclusion proof for the [i]-th transaction (light-client path:
+    {!Light_client.verify_inclusion} checks it against a synced header). *)
 val tx_proof : t -> int -> (bytes * bool) list
-
-val verify_tx_inclusion : t -> Tx.t -> (bytes * bool) list -> bool

@@ -3,11 +3,7 @@ module Cpla = Zebra_anonauth.Cpla
 module Hash_composition = Zebra_hashcomp.Hash_composition
 open Zebra_r1cs
 
-type params = {
-  composition : Hash_composition.t;
-  keys : Snark.keypair;
-  n_constraints : int;
-}
+type params = { composition : Hash_composition.t; keys : Snark.keypair }
 
 type claim_proof = Snark.proof
 
@@ -27,30 +23,20 @@ let synthesize_dummy ?(composition = Hash_composition.default) cs =
   let z = Fp.zero in
   synthesize cs ~composition ~task_tag:z ~pseudonym:z ~task_prefix:z ~epoch:z ~sk:z
 
-let constraint_system ?composition () =
-  let cs = Cs.create () in
-  synthesize_dummy ?composition cs;
-  cs
-
-let setup ?(composition = Hash_composition.default) ~random_bytes () =
-  let cs = constraint_system ~composition () in
-  let keys = Snark.setup_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) cs in
-  { composition; keys; n_constraints = Cs.num_constraints cs }
-
 (* The link circuit has a single fixed structure per composition, so the
    composition-suffixed id keys it (arms never share keypairs). *)
 let circuit_id ?(composition = Hash_composition.default) () =
   Printf.sprintf "reputation/link/h=%s" (Hash_composition.to_string composition)
 
 let setup_cached ?(composition = Hash_composition.default) cache ~seed =
-  let keys, shape =
-    Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~composition ()) ~seed (fun () ->
-        constraint_system ~composition ())
+  let keys =
+    Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~composition ()) ~seed
+      (synthesize_dummy ~composition)
   in
-  { composition; keys; n_constraints = shape.Snark.Keycache.constraints }
+  { composition; keys }
 
 let composition p = p.composition
-let circuit_size p = p.n_constraints
+let circuit_size p = Snark.num_constraints p.keys.Snark.pk
 let vk_bytes p = Snark.vk_to_bytes p.keys.Snark.vk
 
 let epoch_field e =
@@ -72,9 +58,6 @@ let prove_link ~random_bytes p ~key ~task_prefix ~epoch =
         ~epoch:(epoch_field epoch) ~sk:key.Cpla.sk)
 
 let verify_link ~vk_bytes ~task_tag ~pseudonym ~task_prefix ~epoch proof =
-  match Snark.vk_of_bytes_cached vk_bytes with
-  | vk ->
-    Snark.verify vk
-      ~public_inputs:[| task_tag; pseudonym; task_prefix; epoch_field epoch |]
-      proof
-  | exception Zebra_codec.Codec.Decode_error _ -> false
+  Snark.verify_vk_bytes ~vk_bytes
+    ~public_inputs:[| task_tag; pseudonym; task_prefix; epoch_field epoch |]
+    proof

@@ -22,7 +22,9 @@
     The flow (see {!Reputation_contract} for the on-chain side):
     requester credits task tags after the Reward phase; the worker later
     claims the credit onto an epoch pseudonym with a link proof; anyone
-    reads pseudonym scores and requesters may e.g. gate tasks on them. *)
+    reads pseudonym scores and requesters may e.g. gate tasks on them.
+    Set-up, size and key-bytes verification are {!Zebra_snark.Snark}'s;
+    this module supplies the circuit. *)
 
 (** SNARK parameters for the link statement (one-time setup, like PP).
     The hash [H] of both tag equations is the
@@ -33,17 +35,10 @@
     arms never collide. *)
 type params
 
-val setup :
-  ?composition:Zebra_hashcomp.Hash_composition.t ->
-  random_bytes:(int -> bytes) ->
-  unit ->
-  params
-
-(** {!setup} through a system's keypair memo
-    ({!Zebra_snark.Snark.Keycache}) under the id
-    [reputation/link/h=<composition>] (one entry per arm); randomness
-    derives from [seed] alone, so results are byte-identical to a fresh
-    seeded setup. *)
+(** The link circuit's setup through a keypair memo
+    ({!Zebra_snark.Snark.Keycache}; a fresh one for a one-off setup) under
+    the id [reputation/link/h=<composition>] (one entry per arm);
+    randomness derives from [seed] alone. *)
 val setup_cached :
   ?composition:Zebra_hashcomp.Hash_composition.t ->
   Zebra_snark.Snark.Keycache.t ->
@@ -52,7 +47,7 @@ val setup_cached :
 
 (** [synthesize_dummy cs]: the link circuit synthesised at the dummy
     assignment, on a board the caller made (either kind, see
-    {!Zebra_r1cs.Cs}); the deployed registry lints it ([Zebra_lint]). *)
+    {!Zebra_r1cs.Cs}); {!setup_cached} compiles it, the registry lints it. *)
 val synthesize_dummy :
   ?composition:Zebra_hashcomp.Hash_composition.t -> Zebra_r1cs.Cs.t -> unit
 

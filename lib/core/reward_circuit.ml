@@ -2,12 +2,7 @@ module Snark = Zebra_snark.Snark
 module Elgamal = Zebra_elgamal.Elgamal
 open Zebra_r1cs
 
-type t = {
-  policy : Policy.t;
-  n : int;
-  keys : Snark.keypair;
-  n_constraints : int;
-}
+type t = { policy : Policy.t; n : int; keys : Snark.keypair }
 
 (* How the contract derives the public "unit reward" input from the budget:
    tau/n for majority policies, the per-winner cap tau/k for auctions. *)
@@ -186,25 +181,11 @@ let dummy_ct = Elgamal.missing
 (* The structure the trusted setup compiles (dummy inputs) — also what the
    static analyzer inspects. *)
 let synthesize_dummy ~policy ~n cs =
-  if n <= 0 then invalid_arg "Reward_circuit.constraint_system: need n > 0";
+  if n <= 0 then invalid_arg "Reward_circuit.synthesize_dummy: need n > 0";
   synthesize cs ~policy ~n ~epk:Fp.one ~rho:0 ~cts:(Array.make n dummy_ct)
     ~rewards:(Array.make n 0)
     ~esk_bits:(Array.make Elgamal.exponent_bits false)
     ~plaintexts:(Array.make n Fp.zero)
-
-let constraint_system ~policy ~n =
-  let cs = Cs.create () in
-  synthesize_dummy ~policy ~n cs;
-  cs
-
-let setup ~random_bytes ~policy ~n () =
-  let cs = constraint_system ~policy ~n in
-  {
-    policy;
-    n;
-    keys = Snark.setup_rng ~rng:(Zebra_rng.Source.of_fn random_bytes) cs;
-    n_constraints = Cs.num_constraints cs;
-  }
 
 (* (policy, n) determines the synthesised structure, so a digest of the
    policy encoding plus n is a sound cache identifier — the named path lets
@@ -217,15 +198,15 @@ let circuit_id ~policy ~n =
 
 let setup_cached cache ~seed ~policy ~n =
   if n <= 0 then invalid_arg "Reward_circuit.setup_cached: need n > 0";
-  let keys, shape =
-    Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~policy ~n) ~seed (fun () ->
-        constraint_system ~policy ~n)
+  let keys =
+    Snark.Keycache.setup_named cache ~circuit_id:(circuit_id ~policy ~n) ~seed
+      (synthesize_dummy ~policy ~n)
   in
-  { policy; n; keys; n_constraints = shape.Snark.Keycache.constraints }
+  { policy; n; keys }
 
 let policy t = t.policy
 let n t = t.n
-let num_constraints t = t.n_constraints
+let num_constraints t = Snark.num_constraints t.keys.Snark.pk
 let vk_bytes t = Snark.vk_to_bytes t.keys.Snark.vk
 let trapdoor_canary t = Snark.trapdoor_canary t.keys
 
@@ -243,14 +224,7 @@ let prove ~random_bytes t ~esk ~rho ~cts ~rewards =
   if Array.length cts <> t.n || Array.length rewards <> t.n then
     invalid_arg "Reward_circuit.prove: wrong arity";
   let bits = Elgamal.secret_bits esk in
-  let epk =
-    let acc = ref Fp.one in
-    for i = Array.length bits - 1 downto 0 do
-      acc := Fp.sqr !acc;
-      if bits.(i) then acc := Fp.mul !acc Elgamal.g
-    done;
-    !acc
-  in
+  let epk = Elgamal.public_key esk in
   let plaintexts =
     Array.map
       (fun ct -> if Elgamal.is_missing ct then Fp.zero else Elgamal.decrypt esk ct)
@@ -260,6 +234,4 @@ let prove ~random_bytes t ~esk ~rho ~cts ~rewards =
       synthesize cs ~policy:t.policy ~n:t.n ~epk ~rho ~cts ~rewards ~esk_bits:bits ~plaintexts)
 
 let verify ~vk_bytes ~epk ~rho ~cts ~rewards proof =
-  match Snark.vk_of_bytes_cached vk_bytes with
-  | vk -> Snark.verify vk ~public_inputs:(public_inputs ~epk ~rho ~cts ~rewards) proof
-  | exception Zebra_codec.Codec.Decode_error _ -> false
+  Snark.verify_vk_bytes ~vk_bytes ~public_inputs:(public_inputs ~epk ~rho ~cts ~rewards) proof

@@ -25,26 +25,18 @@
     built from ElGamal decryption, equality, comparison and selection
     gadgets only — so it takes no hash composition: one circuit per
     (policy, n), one keycache id, and one [Deployed] registry entry under
-    its bare name. *)
+    its bare name.  Set-up, size and key-bytes verification are
+    {!Zebra_snark.Snark}'s; this module supplies the circuit. *)
 
 type t
 
-(** [setup ~random_bytes ~policy ~n] compiles the circuit for a task
-    collecting [n] answers and runs the SNARK setup.  Executed off-line by
-    the requester before publishing (paper Section VI,
-    "establishments of zk-SNARKs"). *)
-val setup :
-  random_bytes:(int -> bytes) ->
-  policy:Policy.t ->
-  n:int ->
-  unit ->
-  t
-
-(** [setup_cached cache ~seed ~policy ~n] — {!setup} through a system's
-    keypair memo ({!Zebra_snark.Snark.Keycache}), keyed by [seed] and the
-    id [reward/<policy-sha256>/n=<n>]; on a hit, both
-    circuit synthesis and the trusted setup are skipped.  Setup randomness
-    comes from [seed] alone, so hit and miss produce byte-identical keys.
+(** [setup_cached cache ~seed ~policy ~n] compiles the circuit for a task
+    collecting [n] answers and runs the SNARK setup, off-line by the
+    requester before publishing (paper Section VI, "establishments of
+    zk-SNARKs"), through a keypair memo ({!Zebra_snark.Snark.Keycache};
+    a fresh one for a one-off setup) keyed by [seed] and the id
+    [reward/<policy-sha256>/n=<n>].  Setup randomness comes from [seed]
+    alone, so hit and miss produce byte-identical keys.
     [Protocol.reward_circuit] calls it with the system's memo and seed.
     @raise Invalid_argument when [n <= 0]. *)
 val setup_cached :
@@ -54,15 +46,9 @@ val setup_cached :
   n:int ->
   t
 
-(** The circuit synthesised at the setup's dummy assignment on a
-    constraint board — the structure {!setup} compiles, exposed for static
-    analysis ([Zebra_lint]).
-    @raise Invalid_argument when [n <= 0]. *)
-val constraint_system : policy:Policy.t -> n:int -> Zebra_r1cs.Cs.t
-
-(** [synthesize_dummy ~policy ~n cs]: the synthesis of
-    {!constraint_system}, on a board the caller made (either kind, see
-    {!Zebra_r1cs.Cs}).
+(** [synthesize_dummy ~policy ~n cs]: the circuit at the setup's dummy
+    assignment, on a board the caller made (either kind, see
+    {!Zebra_r1cs.Cs}) — what {!setup_cached} compiles and lint inspects.
     @raise Invalid_argument when [n <= 0]. *)
 val synthesize_dummy : policy:Policy.t -> n:int -> Zebra_r1cs.Cs.t -> unit
 

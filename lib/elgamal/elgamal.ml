@@ -13,9 +13,11 @@ let random_exponent ~random_bytes =
   let x = Prime.random_bits ~random_bytes exponent_bits in
   if Nat.is_zero x then Nat.one else x
 
+let public_key sk = Fp.pow g sk
+
 let generate ~random_bytes =
   let sk = random_exponent ~random_bytes in
-  (sk, Fp.pow g sk)
+  (sk, public_key sk)
 
 let secret_bits sk = Array.init exponent_bits (Nat.testbit sk)
 let secret_canary sk = Nat.to_bytes_be sk
@@ -26,8 +28,6 @@ let encrypt ~random_bytes epk m =
   { c1 = Fp.pow g k; c2 = Fp.mul m (Fp.pow epk k) }
 
 let decrypt sk ct = Fp.mul ct.c2 (Fp.inv (Fp.pow ct.c1 sk))
-
-let pair sk pk = Fp.equal pk (Fp.pow g sk)
 
 let encode_answer a =
   if a < 0 then invalid_arg "Elgamal.encode_answer: negative";

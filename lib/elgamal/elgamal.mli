@@ -26,6 +26,9 @@ val exponent_bits : int
 
 val generate : random_bytes:(int -> bytes) -> secret_key * public_key
 
+(** [g^sk] (the circuit's [pair(esk, epk)] is [epk = public_key esk]). *)
+val public_key : secret_key -> public_key
+
 (** Little-endian bits of the secret exponent — the witness fed to the
     reward circuit. *)
 val secret_bits : secret_key -> bool array
@@ -41,9 +44,6 @@ val secret_canary : secret_key -> bytes
 val encrypt : random_bytes:(int -> bytes) -> public_key -> Fp.t -> ciphertext
 
 val decrypt : secret_key -> ciphertext -> Fp.t
-
-(** [pair sk pk] checks [pk = g^sk] (the circuit's [pair(esk, epk)]). *)
-val pair : secret_key -> public_key -> bool
 
 (** Answers are small non-negative integers; [encode_answer a = a + 1]
     keeps plaintexts nonzero.  [decode_answer] inverts it, returning

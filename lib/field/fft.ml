@@ -39,15 +39,14 @@ type domain = {
 let coset_shift = Fp.generator
 
 (* [| init; init*base; ...; init*base^(n-1) |].  Each chunk re-seeds its
-   running power with the fixed-base table, so the result is independent of
+   running power with [init * base^lo], so the result is independent of
    the chunk grid (and of ZEBRA_DOMAINS). *)
 let power_table ?(init = Fp.one) base n =
   if n = 0 then [||]
   else begin
     let t = Array.make n init in
-    let fb = Fp.fixed_base base in
     Parallel.parallel_for ~min_chunk:par_min_pointwise n (fun lo hi ->
-        let p = ref (Fp.mul init (Fp.fixed_base_pow fb lo)) in
+        let p = ref (Fp.mul init (Fp.pow_int base lo)) in
         for i = lo to hi - 1 do
           t.(i) <- !p;
           p := Fp.mul !p base

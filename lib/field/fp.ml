@@ -54,41 +54,6 @@ let pow b e = Modular.mont_pow ctx b e
 let pow_int b e =
   if e >= 0 then pow b (Nat.of_int e) else inv (pow b (Nat.of_int (-e)))
 
-(* Fixed-base windowed exponentiation: one table of b^(j * 16^i) per
-   4-bit window.  Montgomery multiplication is exact and the representation
-   canonical, so [fixed_base_pow] returns limb-identical results to
-   [pow_int] — callers may precompute tables without changing any output. *)
-
-type fixed_base = { fb_windows : t array array }
-
-let fixed_base_levels = 16 (* 16 windows x 4 bits cover any machine int *)
-
-let fixed_base b =
-  let windows = Array.make fixed_base_levels [||] in
-  let cur = ref b in
-  for i = 0 to fixed_base_levels - 1 do
-    let row = Array.make 16 one in
-    for j = 1 to 15 do
-      row.(j) <- mul row.(j - 1) !cur
-    done;
-    windows.(i) <- row;
-    (* b^(16^(i+1)) = b^(15 * 16^i) * b^(16^i) *)
-    cur := mul row.(15) !cur
-  done;
-  { fb_windows = windows }
-
-let fixed_base_pow fb e =
-  if e < 0 then invalid_arg "Fp.fixed_base_pow: negative exponent";
-  let acc = ref one in
-  let e = ref e and i = ref 0 in
-  while !e <> 0 do
-    let nib = !e land 15 in
-    if nib <> 0 then acc := mul !acc fb.fb_windows.(!i).(nib);
-    e := !e lsr 4;
-    incr i
-  done;
-  !acc
-
 let generator = of_int 5
 let two_adicity = 28
 

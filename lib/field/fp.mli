@@ -84,25 +84,6 @@ val pow : t -> Nat.t -> t
 (** [pow] for machine-integer exponents; negative exponents invert. *)
 val pow_int : t -> int -> t
 
-(** {2 Fixed-base exponentiation}
-
-    Precomputed 4-bit-window tables for one base, amortising repeated
-    [pow_int] calls on the same base (the FFT's twiddle and coset tables
-    re-seed a running power per parallel chunk).
-    Building a table costs ~256 multiplications; each [fixed_base_pow] then
-    costs at most 16 — independent of the exponent's magnitude.  Results
-    are limb-identical to [pow_int] (exact Montgomery arithmetic), so
-    swapping one for the other never changes any output byte. *)
-
-type fixed_base
-
-(** [fixed_base b] precomputes the window tables for base [b]. *)
-val fixed_base : t -> fixed_base
-
-(** [fixed_base_pow (fixed_base b) e] is [b ^ e] for [e >= 0].
-    @raise Invalid_argument on negative exponents. *)
-val fixed_base_pow : fixed_base -> int -> t
-
 (** Multiplicative generator of the full group (5 for this field). *)
 val generator : t
 

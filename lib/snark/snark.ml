@@ -491,6 +491,7 @@ let simulate_rng ~rng trapdoor ~public_inputs =
   with_c (residuals vk ~public_inputs (with_c Fp.zero)).(0)
 
 let num_public_inputs vk = vk.v_num_inputs
+let num_constraints pk = pk.p_num_constraints
 
 let proof_to_bytes p =
   Codec.encode
@@ -549,7 +550,9 @@ let read_vk r =
   let io_a = Codec.read_array r Fp.read in
   let io_b = Codec.read_array r Fp.read in
   let io_c = Codec.read_array r Fp.read in
-  if Array.length io_a <> v_num_inputs + 1 then
+  (* The verifier indexes every table by input, so a short one must not
+     decode. *)
+  if List.exists (fun t -> Array.length t <> v_num_inputs + 1) [ io_a; io_b; io_c ] then
     raise (Codec.Decode_error "vk: io table length mismatch");
   { v_num_inputs; alpha_a; alpha_b; alpha_c; beta; v_z_s; io_a; io_b; io_c }
 
@@ -588,6 +591,11 @@ let vk_of_bytes_cached b =
     Mutex.unlock vk_cache_mutex;
     vk
 
+let verify_vk_bytes ~vk_bytes ~public_inputs proof =
+  match vk_of_bytes_cached vk_bytes with
+  | vk -> verify vk ~public_inputs proof
+  | exception Codec.Decode_error _ -> false
+
 let proof_size_bytes p = Bytes.length (proof_to_bytes p)
 
 let equal_proof p q =
@@ -598,9 +606,7 @@ let equal_proof p q =
 (* --- named keypair memo --- *)
 
 module Keycache = struct
-  type shape = { constraints : int }
-
-  type t = { table : (string * string, keypair * shape) Hashtbl.t; mutex : Mutex.t }
+  type t = { table : (string * string, keypair) Hashtbl.t; mutex : Mutex.t }
 
   let m_hits = Obs.Counter.make "snark.cache.hits"
   let m_misses = Obs.Counter.make "snark.cache.misses"
@@ -616,15 +622,16 @@ module Keycache = struct
     let found = Hashtbl.find_opt c.table key in
     Mutex.unlock c.mutex;
     match found with
-    | Some entry ->
+    | Some kp ->
       Obs.Counter.incr m_hits;
-      entry
+      kp
     | None ->
       Obs.Counter.incr m_misses;
-      let kp = setup_rng ~rng:(Source.of_seed seed) (synth ()) in
-      let entry = (kp, { constraints = kp.pk.p_num_constraints }) in
+      let cs = Cs.create () in
+      synth cs;
+      let kp = setup_rng ~rng:(Source.of_seed seed) cs in
       Mutex.lock c.mutex;
-      Hashtbl.replace c.table key entry;
+      Hashtbl.replace c.table key kp;
       Mutex.unlock c.mutex;
-      entry
+      kp
 end

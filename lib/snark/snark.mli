@@ -128,6 +128,9 @@ val simulate_rng : rng:Zebra_rng.Source.t -> trapdoor -> public_inputs:Fp.t arra
 (** The public-input count the key was set up for. *)
 val num_public_inputs : verifying_key -> int
 
+(** The constraint count the key was set up for. *)
+val num_constraints : proving_key -> int
+
 (** Canonical encoding (8 field elements, 32 bytes each framed). *)
 val proof_to_bytes : proof -> bytes
 
@@ -138,7 +141,8 @@ val proof_of_bytes : bytes -> proof
 val vk_to_bytes : verifying_key -> bytes
 
 (** Inverse of {!vk_to_bytes}.
-    @raise Zebra_codec.Codec.Decode_error on malformed input. *)
+    @raise Zebra_codec.Codec.Decode_error on malformed input, including an
+    input table that does not hold [num_public_inputs + 1] entries. *)
 val vk_of_bytes : bytes -> verifying_key
 
 (** [Bytes.length (proof_to_bytes p)] (Table I's proof column). *)
@@ -153,8 +157,7 @@ val equal_proof : proof -> proof -> bool
     a Montgomery conversion per field element — on the same order as a
     verification.  [vk_of_bytes_cached] memoises successful decodes in a
     bounded process-wide table keyed by the exact bytes, so hot paths
-    ({!Zebra_anonauth.Cpla.verify_with_vk}, reward/reputation checks,
-    auditing) decode each distinct key once. *)
+    ({!verify_vk_bytes}, auditing) decode each distinct key once. *)
 
 (** Like {!vk_of_bytes} but memoised.  Raises exactly like {!vk_of_bytes}
     on malformed input (failures are never cached).  Hits and decodes are
@@ -162,15 +165,19 @@ val equal_proof : proof -> proof -> bool
     [snark.cache.vk.decodes]. *)
 val vk_of_bytes_cached : bytes -> verifying_key
 
+(** {!verify} under [vk_of_bytes_cached vk_bytes], [false] when the bytes
+    do not decode: the one verifier on contract-held key bytes. *)
+val verify_vk_bytes : vk_bytes:bytes -> public_inputs:Fp.t array -> proof -> bool
+
 (** {1 Named keypair memo}
 
     A system needs one trusted setup per circuit shape: each task contract
     carries its reward circuit's verifying key (Algorithm 1), and tasks
     reuse a handful of (policy, n) shapes.  A [Keycache.t] memoises
     keypairs under a caller-chosen circuit id plus the setup seed, so a
-    hit skips both circuit synthesis and setup.  One memo lives in each
-    [Protocol.system]; it holds one entry per distinct shape and is never
-    evicted.
+    hit skips both circuit synthesis and setup.  It is every circuit's one
+    set-up path.  One memo lives in each [Protocol.system]; it holds one
+    keypair per distinct shape and is never evicted.
 
     Caching is invisible in every output byte: the setup draws all its
     randomness from the seed, so a hit returns exactly the keypair a fresh
@@ -179,17 +186,14 @@ val vk_of_bytes_cached : bytes -> verifying_key
 module Keycache : sig
   type t
 
-  (** Circuit dimensions, available even on a hit (no synthesis ran). *)
-  type shape = { constraints : int }
-
   val create : unit -> t
 
   (** [setup_named c ~circuit_id ~seed synth] returns the memoised
-      keypair for [(circuit_id, seed)], or runs
-      [setup_rng ~rng:(Source.of_seed seed) (synth ())] and memoises it
-      ([synth] is only called on a miss).  The caller owns the
+      keypair for [(circuit_id, seed)], or runs [synth] on a fresh
+      constraint board and memoises [setup_rng ~rng:(Source.of_seed seed)]
+      of it ([synth] is only called on a miss).  The caller owns the
       [circuit_id] namespace: it must determine the circuit structure
       (e.g. ["reward/" ^ policy-digest ^ "/n=" ^ n]). *)
   val setup_named :
-    t -> circuit_id:string -> seed:string -> (unit -> Cs.t) -> keypair * shape
+    t -> circuit_id:string -> seed:string -> (Cs.t -> unit) -> keypair
 end

@@ -20,10 +20,15 @@ let fp = Alcotest.testable Fp.pp Fp.equal
 
 let depth = 4 (* small tree keeps proving fast in tests *)
 
+(* A one-off trusted setup: a fresh memo, a fixed seed. *)
+let setup ?composition ~depth () =
+  Cpla.setup_cached ?composition (Zebra_snark.Snark.Keycache.create ()) ~seed:"test_anonauth"
+    ~depth
+
 (* Shared fixture: params, RA, two registered users. *)
 let fixture =
   lazy
-    (let params = Cpla.setup_rng ~rng:src ~depth () in
+    (let params = setup ~depth () in
      let ra = Ra.create ~depth () in
      let alice = Cpla.keygen_rng ~rng:src () in
      let bob = Cpla.keygen_rng ~rng:src () in
@@ -196,7 +201,7 @@ let test_registration_after_auth_breaks_old_root () =
   (* Paths are valid per root snapshot: after another registration the old
      attestation stays valid under the old root but not under the new one,
      so verifiers must pin the root (task contracts snapshot it). *)
-  let params = Cpla.setup_rng ~rng:src ~depth () in
+  let params = setup ~depth () in
   let ra = Ra.create ~depth () in
   let key = Cpla.keygen_rng ~rng:src () in
   let i = Ra.register ra key.Cpla.pk in
@@ -253,7 +258,7 @@ let arm_fixture =
   lazy
     (List.map
        (fun composition ->
-         (composition, Cpla.setup_rng ~composition ~rng:src ~depth:arm_depth ()))
+         (composition, setup ~composition ~depth:arm_depth ()))
        Hc.all)
 
 let test_composition_accessors () =

@@ -345,7 +345,12 @@ let test_tx_inclusion_proof () =
   ignore (Network.mine net);
   let b = List.hd (Network.blocks net) in
   let proof = Block.tx_proof b 0 in
-  Alcotest.(check bool) "inclusion verifies" true (Block.verify_tx_inclusion b tx proof)
+  let lc = Light_client.create () in
+  (match Light_client.sync lc (Network.blocks net) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "light-client sync: %s" e);
+  Alcotest.(check bool) "inclusion verifies" true
+    (Light_client.verify_inclusion lc ~height:b.Block.header.Block.height tx proof)
 
 let test_replay_determinism () =
   (* A late-joining node replays all blocks from genesis and must arrive at

@@ -169,8 +169,8 @@ let test_elgamal_randomized () =
 let test_elgamal_pair () =
   let sk, pk = Elgamal.generate ~random_bytes in
   let sk', _ = Elgamal.generate ~random_bytes in
-  Alcotest.(check bool) "matching pair" true (Elgamal.pair sk pk);
-  Alcotest.(check bool) "mismatched pair" false (Elgamal.pair sk' pk)
+  Alcotest.(check bool) "matching pair" true (Fp.equal (Elgamal.public_key sk) pk);
+  Alcotest.(check bool) "mismatched pair" false (Fp.equal (Elgamal.public_key sk') pk)
 
 let test_elgamal_wrong_key () =
   let _, pk = Elgamal.generate ~random_bytes in

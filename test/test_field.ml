@@ -269,9 +269,11 @@ let on_vec transform d a =
   transform d v;
   Fp.Vec.to_array v
 
-(* Round trips run up to 2^13, where the butterfly stages and pointwise
-   passes fan out over the pool. *)
-let roundtrip_sizes = [ 1; 2; 4; 8; 64; 256; 1 lsl 13 ]
+(* Round trips run up to 2^15.  From 2^13 the butterfly stages and
+   pointwise passes fan out over the pool; above it a domain's power
+   tables span several chunks, each re-seeded with its own power: from
+   2^14 the coset table, from 2^15 the twiddle tables too. *)
+let roundtrip_sizes = [ 1; 2; 4; 8; 64; 256; 1 lsl 13; 1 lsl 14; 1 lsl 15 ]
 
 let check_roundtrip forward inverse n =
   let d = Fft.domain n in

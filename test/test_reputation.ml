@@ -11,7 +11,12 @@ let random_bytes n = Zebra_rng.Chacha20.bytes rng n
 let src = Zebra_rng.Source.of_chacha rng
 let fresh_fp () = Fp.random random_bytes
 
-let params = lazy (Reputation.setup ~random_bytes ())
+(* A one-off trusted setup: a fresh memo, a fixed seed. *)
+let setup ?composition () =
+  Reputation.setup_cached ?composition (Zebra_snark.Snark.Keycache.create ())
+    ~seed:"test_reputation"
+
+let params = lazy (setup ())
 let vk = lazy (Reputation.vk_bytes (Lazy.force params))
 
 let worker = lazy (Cpla.keygen_rng ~rng:src ())
@@ -33,7 +38,9 @@ let test_task_tag_matches_cpla_t1 () =
      in the task contract's storage. *)
   let key = Lazy.force worker in
   let depth = 3 in
-  let cpla = Cpla.setup_rng ~rng:src ~depth () in
+  let cpla =
+    Cpla.setup_cached (Zebra_snark.Snark.Keycache.create ()) ~seed:"test_reputation" ~depth
+  in
   let ra = Zebra_anonauth.Ra.create ~depth () in
   let i = Zebra_anonauth.Ra.register ra key.Cpla.pk in
   let task_prefix = fresh_fp () in
@@ -187,13 +194,51 @@ let test_contract_epoch_advance () =
   | { State.status = State.Ok _; _ } -> ()
   | { State.status = State.Failed m; _ } -> Alcotest.failf "fresh claim failed: %s" m
 
+(* A board deployed with a link key whose input tables are short or empty
+   turns every claim away as an invalid proof: the key does not decode,
+   so the check never indexes past a table into an exception receipt. *)
+let test_contract_malformed_link_vk () =
+  let net, owner, stranger, _ = Lazy.force chain_fixture in
+  let p = Lazy.force params and key = Lazy.force worker in
+  let task_prefix = fresh_fp () in
+  let tag = Reputation.task_tag key ~task_prefix in
+  let pseudonym = Reputation.epoch_pseudonym key ~epoch:0 in
+  let proof =
+    Zebra_snark.Snark.proof_to_bytes
+      (Reputation.prove_link ~random_bytes p ~key ~task_prefix ~epoch:0)
+  in
+  List.iter
+    (fun (what, link_vk) ->
+      let nonce = Network.nonce net (Wallet.address owner) in
+      Network.submit net
+        (Tx.make ~wallet:owner ~nonce
+           ~dst:
+             (Tx.Create
+                {
+                  behavior = Reputation_contract.behavior_name;
+                  args = Reputation_contract.init_args ~link_vk;
+                })
+           ~value:0 ~payload:Bytes.empty);
+      ignore (Network.mine net);
+      let board = Address.of_creator (Wallet.address owner) nonce in
+      let credit = Reputation_contract.Credit { task_tag = tag; task_prefix; score = 1 } in
+      (match call net owner board credit with
+      | { State.status = State.Ok _; _ } -> ()
+      | _ -> Alcotest.failf "%s: credit failed" what);
+      let claim = Reputation_contract.Claim { task_tag = tag; pseudonym; proof } in
+      match call net stranger board claim with
+      | { State.status = State.Failed "invalid link proof"; _ } -> ()
+      | { State.status = State.Failed m; _ } -> Alcotest.failf "%s: claim failed with %S" what m
+      | { State.status = State.Ok _; _ } -> Alcotest.failf "%s: claim accepted" what)
+    (Vk_tables.malformed (Lazy.force vk))
+
 (* --- hash composition arms --- *)
 
 let test_mimc_arm_roundtrip () =
   (* The MiMC ablation arm stays provable end to end, and its tags live in
      a different space than the Poseidon default's. *)
   let composition = Zebra_hashcomp.Hash_composition.Mimc in
-  let p = Reputation.setup ~composition ~random_bytes () in
+  let p = setup ~composition () in
   Alcotest.(check string) "params record the arm" "mimc"
     (Zebra_hashcomp.Hash_composition.to_string (Reputation.composition p));
   let key = Cpla.keygen_rng ~composition ~rng:src () in
@@ -224,6 +269,7 @@ let () =
         [
           Alcotest.test_case "credit/claim cycle" `Quick test_contract_credit_claim_cycle;
           Alcotest.test_case "epoch advance" `Quick test_contract_epoch_advance;
+          Alcotest.test_case "malformed link key" `Quick test_contract_malformed_link_vk;
         ] );
       ( "composition",
         [ Alcotest.test_case "mimc arm roundtrip" `Slow test_mimc_arm_roundtrip ] );

@@ -18,7 +18,9 @@ type fixture = {
 }
 
 let make_fixture ~policy ~n =
-  let circuit = Rc.setup ~random_bytes ~policy ~n () in
+  let circuit =
+    Rc.setup_cached (Zebra_snark.Snark.Keycache.create ()) ~seed:"test_reward_circuit" ~policy ~n
+  in
   let esk, epk = Elgamal.generate ~random_bytes in
   { circuit; esk; epk; vk = Rc.vk_bytes circuit }
 

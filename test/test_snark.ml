@@ -12,8 +12,7 @@ let src = Zebra_rng.Source.of_chacha rng
 let fresh_fp () = Fp.random random_bytes
 
 (* Demo circuit: prove knowledge of x with  x^3 + x + 5 = y  (public y). *)
-let cubic_circuit x =
-  let cs = Cs.create () in
+let cubic_synth x cs =
   let y_val =
     Fp.add (Fp.add (Fp.mul x (Fp.mul x x)) x) (Fp.of_int 5)
   in
@@ -22,7 +21,11 @@ let cubic_circuit x =
   let open Gadgets in
   let x2 = square cs (v vx) in
   let x3 = mul cs (v x2) (v vx) in
-  enforce_eq cs ~label:"cubic" (v x3 +: v vx +: ci 5) (v y);
+  enforce_eq cs ~label:"cubic" (v x3 +: v vx +: ci 5) (v y)
+
+let cubic_circuit x =
+  let cs = Cs.create () in
+  cubic_synth x cs;
   cs
 
 (* A wider circuit exercising several gadget types at once. *)
@@ -336,16 +339,17 @@ let prove_bytes pk cs =
 let test_keycache_named_path () =
   let cache = Snark.Keycache.create () in
   let synth_calls = ref 0 in
-  let cs0 = cubic_circuit (fresh_fp ()) in
-  let synth () =
+  let x = fresh_fp () in
+  let synth cs =
     incr synth_calls;
-    cs0
+    cubic_synth x cs
   in
-  let kp1, shape = Snark.Keycache.setup_named cache ~circuit_id:"test/cubic" ~seed:"s" synth in
-  let kp2, _ = Snark.Keycache.setup_named cache ~circuit_id:"test/cubic" ~seed:"s" synth in
+  let cs0 = cubic_circuit x in
+  let kp1 = Snark.Keycache.setup_named cache ~circuit_id:"test/cubic" ~seed:"s" synth in
+  let kp2 = Snark.Keycache.setup_named cache ~circuit_id:"test/cubic" ~seed:"s" synth in
   Alcotest.(check int) "synthesis only on miss" 1 !synth_calls;
-  Alcotest.(check int) "shape reports constraints" (Cs.num_constraints cs0)
-    shape.Snark.Keycache.constraints;
+  Alcotest.(check int) "keys report the board's constraints" (Cs.num_constraints cs0)
+    (Snark.num_constraints kp1.Snark.pk);
   Alcotest.(check bool) "hit returns the memoised keypair" true (kp1 == kp2);
   (* The memoised keypair is the one a fresh seeded setup produces, and
      so are the proofs it makes. *)
@@ -355,10 +359,119 @@ let test_keycache_named_path () =
   Alcotest.(check bool) "proofs byte-identical" true
     (prove_bytes kp1.Snark.pk cs0 = prove_bytes fresh.Snark.pk cs0);
   (* The seed is part of the key. *)
-  let kp3, _ = Snark.Keycache.setup_named cache ~circuit_id:"test/cubic" ~seed:"t" synth in
+  let kp3 = Snark.Keycache.setup_named cache ~circuit_id:"test/cubic" ~seed:"t" synth in
   Alcotest.(check int) "new seed misses" 2 !synth_calls;
   Alcotest.(check bool) "new seed, new keys" false
     (Snark.vk_to_bytes kp1.Snark.vk = Snark.vk_to_bytes kp3.Snark.vk)
+
+(* The three protocol circuits, each set up once through a fresh memo on
+   one seed, with the bare seeded setup of its [synthesize_dummy] board
+   beside it.  CPLA runs at depth 6, the witness-board tests' depth. *)
+let setup_seed = "test-snark-witness-setup"
+let cpla_depth = 6
+let reward_policy = Zebralancer.Policy.Majority { choices = 4 }
+
+let bare_setup synth =
+  let cs = Cs.create () in
+  synth cs;
+  (cs, Snark.setup_rng ~rng:(Zebra_rng.Source.of_seed setup_seed) cs)
+
+let cpla_fixture =
+  lazy
+    (let module Cpla = Zebra_anonauth.Cpla in
+     ( Cpla.setup_cached (Snark.Keycache.create ()) ~seed:setup_seed ~depth:cpla_depth,
+       bare_setup (Cpla.synthesize_dummy ~depth:cpla_depth) ))
+
+let reward_fixture =
+  lazy
+    (let module Rc = Zebralancer.Reward_circuit in
+     ( Rc.setup_cached (Snark.Keycache.create ()) ~seed:setup_seed ~policy:reward_policy ~n:2,
+       bare_setup (Rc.synthesize_dummy ~policy:reward_policy ~n:2) ))
+
+let reputation_fixture =
+  lazy
+    (let module Rep = Zebralancer.Reputation in
+     ( Rep.setup_cached (Snark.Keycache.create ()) ~seed:setup_seed,
+       bare_setup Rep.synthesize_dummy ))
+
+(* [setup_cached] serves each circuit the keypair of the bare setup, and
+   the size the circuit reports is its board's. *)
+let test_circuits_set_up_through_memo () =
+  let module Cpla = Zebra_anonauth.Cpla in
+  let module Rc = Zebralancer.Reward_circuit in
+  let module Rep = Zebralancer.Reputation in
+  let check name ~vk ~size (cs, kp) =
+    Alcotest.(check bool) (name ^ ": vk equals bare setup") true
+      (Bytes.equal vk (Snark.vk_to_bytes kp.Snark.vk));
+    Alcotest.(check int) (name ^ ": size is the board's") (Cs.num_constraints cs) size
+  in
+  let params, bare = Lazy.force cpla_fixture in
+  check "cpla" ~vk:(Cpla.vk_to_bytes params) ~size:(Cpla.circuit_size params) bare;
+  let rc, bare = Lazy.force reward_fixture in
+  check "reward" ~vk:(Rc.vk_bytes rc) ~size:(Rc.num_constraints rc) bare;
+  let rep, bare = Lazy.force reputation_fixture in
+  check "reputation" ~vk:(Rep.vk_bytes rep) ~size:(Rep.circuit_size rep) bare
+
+(* A key whose input tables are not all one entry per public input plus
+   the constant wire does not decode, so each key-bytes verifier rejects
+   the proof that verifies under the honest key, where indexing the short
+   table would raise. *)
+let test_short_io_table () =
+  let module Cpla = Zebra_anonauth.Cpla in
+  let module Ra = Zebra_anonauth.Ra in
+  let module Rc = Zebralancer.Reward_circuit in
+  let module Rep = Zebralancer.Reputation in
+  let module Elgamal = Zebra_elgamal.Elgamal in
+  let key = Cpla.keygen_rng ~rng:src () in
+  let cpla_verify =
+    let params, _ = Lazy.force cpla_fixture in
+    let ra = Ra.create ~depth:cpla_depth () in
+    let index = Ra.register ra key.Cpla.pk in
+    let prefix = fresh_fp () and message = fresh_fp () and root = Ra.root ra in
+    let att =
+      Cpla.auth_rng ~rng:src params ~prefix ~message ~key ~index ~path:(Ra.path ra index) ~root
+    in
+    ( Cpla.vk_to_bytes params,
+      fun vk_bytes -> Cpla.verify_with_vk ~vk_bytes ~prefix ~message ~root att )
+  in
+  let reward_verify =
+    let rc, _ = Lazy.force reward_fixture in
+    let esk, epk = Elgamal.generate ~random_bytes in
+    let answers = [| Some 1; Some 1 |] in
+    let cts =
+      Array.map
+        (fun a -> Elgamal.encrypt ~random_bytes epk (Elgamal.encode_answer (Option.get a)))
+        answers
+    in
+    let rewards = Zebralancer.Policy.rewards reward_policy ~budget:20 ~n:2 answers in
+    let rho = Rc.rho_of ~policy:reward_policy ~budget:20 ~n:2 in
+    let proof = Rc.prove ~random_bytes rc ~esk ~rho ~cts ~rewards in
+    (Rc.vk_bytes rc, fun vk_bytes -> Rc.verify ~vk_bytes ~epk ~rho ~cts ~rewards proof)
+  in
+  let link_verify =
+    let rep, _ = Lazy.force reputation_fixture in
+    let task_prefix = fresh_fp () in
+    let proof = Rep.prove_link ~random_bytes rep ~key ~task_prefix ~epoch:0 in
+    ( Rep.vk_bytes rep,
+      fun vk_bytes ->
+        Rep.verify_link ~vk_bytes ~task_tag:(Rep.task_tag key ~task_prefix)
+          ~pseudonym:(Rep.epoch_pseudonym key ~epoch:0) ~task_prefix ~epoch:0 proof )
+  in
+  List.iter
+    (fun (name, (vk_bytes, verify)) ->
+      Alcotest.(check bool) (name ^ ": honest key verifies") true (verify vk_bytes);
+      List.iter
+        (fun (what, bad) ->
+          (match Snark.vk_of_bytes bad with
+          | _ -> Alcotest.failf "%s, %s: decoded" name what
+          | exception Zebra_codec.Codec.Decode_error _ -> ());
+          Alcotest.(check bool) (Printf.sprintf "%s, %s: rejected" name what) false (verify bad))
+        (Vk_tables.malformed vk_bytes))
+    [
+      ("Cpla.verify_with_vk", cpla_verify);
+      ("Reward_circuit.verify", reward_verify);
+      ("Reputation.verify_link", link_verify);
+    ]
 
 (* --- witness board --- *)
 
@@ -419,26 +532,15 @@ let test_witness_readers_raise () =
 
 (* Depth-6 CPLA: the witness-board proof of [Cpla.auth_rng] is the proof
    a constraint-board synthesis of the same statement gets under the same
-   seed, and that board is satisfied. *)
-let cpla_depth = 6
-
-(* [Cpla.setup_rng] and a bare [Snark.setup_rng] on the same seed give the
-   same keypair; the second exposes the proving key. *)
-let cpla_fixture =
-  lazy
-    (let module Cpla = Zebra_anonauth.Cpla in
-     let rng () = Zebra_rng.Source.of_seed "test-snark-witness-setup" in
-     let params = Cpla.setup_rng ~rng:(rng ()) ~depth:cpla_depth () in
-     let kp = Snark.setup_rng ~rng:(rng ()) (Cpla.constraint_system ~depth:cpla_depth ()) in
-     (params, kp.Snark.pk))
-
+   seed, and that board is satisfied.  The constraint-board proof uses the
+   bare setup's proving key, which the cache tests show is the memo's. *)
 let prop_cpla_boards_same_proof =
   qtest ~count:4 "cpla depth 6: witness-board proof = constraint-board proof"
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 63))
     (fun (seed, fillers) ->
       let module Cpla = Zebra_anonauth.Cpla in
       let module Ra = Zebra_anonauth.Ra in
-      let params, pk = Lazy.force cpla_fixture in
+      let params, (_, { Snark.pk; _ }) = Lazy.force cpla_fixture in
       let r = Zebra_rng.Chacha20.create ~seed:(Printf.sprintf "witness-%d" seed) in
       let rb n = Zebra_rng.Chacha20.bytes r n in
       let key = Cpla.keygen_rng ~rng:(Zebra_rng.Source.of_chacha r) () in
@@ -480,6 +582,7 @@ let () =
           Alcotest.test_case "mixed circuit" `Quick test_mixed_circuit_end_to_end;
           Alcotest.test_case "wrong input count" `Quick test_wrong_input_count;
           Alcotest.test_case "forged vk count" `Quick test_forged_vk_count;
+          Alcotest.test_case "short vk io table" `Quick test_short_io_table;
         ] );
       ( "batch",
         [
@@ -493,6 +596,8 @@ let () =
         [
           Alcotest.test_case "vk decode once" `Quick test_vk_decode_cache;
           Alcotest.test_case "named path" `Quick test_keycache_named_path;
+          Alcotest.test_case "circuits set up through the memo" `Quick
+            test_circuits_set_up_through_memo;
         ] );
       ( "witness board",
         [
