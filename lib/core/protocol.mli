@@ -14,8 +14,9 @@
     {b One builder and one confirm loop}: every on-chain step is a
     {!phase} — the transactions it broadcast plus how their receipts
     become its result — built only by {!funding}, {!publish}, {!answers}
-    and {!instruct} (and, inside this module, the RA deployment, root
-    post and Finalize).  The phase drivers await them one at a time;
+    and {!instruct}, and by {!single} for the RA deployment, root post,
+    Finalize and [Scenario]'s reputation-board transactions.  The phase
+    drivers and [Scenario] {!await} them one at a time;
     the pipelined [Load] scheduler keeps one phase per task in flight and
     {!poll}s each after every block.  Both confirm through the same
     {!poll}, so their bytes and their retries cannot drift apart.  Two
@@ -159,6 +160,21 @@ type 'a phase
     but not all in the first block after the first broadcast (a rebroadcast
     or a late receipt); [protocol.retry.timeouts] counts [Timed_out]s. *)
 val poll : system -> 'a phase -> ('a, error) result option
+
+(** [await sys p] mines blocks, {!poll}ing [p] after each, until it
+    settles: one block on the happy path.  A replica failure while mining
+    is [Error (Node_down _)]. *)
+val await : system -> 'a phase -> ('a, error) result
+
+(** [single sys ~name tx finish] broadcasts [tx] as a phase of its own,
+    labelled [name] in a [Timed_out]; [finish] turns its receipt's status
+    into the phase's result. *)
+val single :
+  system ->
+  name:string ->
+  Zebra_chain.Tx.t ->
+  (Zebra_chain.State.status -> ('a, error) result) ->
+  'a phase
 
 (** [funding sys wallet ~amount] broadcasts the faucet's transfer of
     [amount] to [wallet], at the faucet's on-chain nonce unless [?nonce]

@@ -55,32 +55,37 @@ let build ?(seed = default_seed) () =
      link-proof claim onto an epoch pseudonym, and an epoch advance. *)
   let rep = Reputation.setup_cached sys.Protocol.keycache ~seed in
   let op = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:100) in
-  let deploy =
-    Tx.make ~wallet:op ~nonce:0
-      ~dst:
-        (Tx.Create
-           {
-             behavior = Reputation_contract.behavior_name;
-             args = Reputation_contract.init_args ~link_vk:(Reputation.vk_bytes rep);
-           })
-      ~value:0 ~payload:Bytes.empty
-  in
-  Network.submit sys.Protocol.net deploy;
-  ignore (Network.mine sys.Protocol.net);
-  let board = Address.of_creator (Wallet.address op) 0 in
-  let call msg =
+  (* The operator's transactions, each confirmed through Protocol's one
+     confirm loop. *)
+  let confirm ~name ~dst ~payload =
     let tx =
-      Tx.make ~wallet:op
-        ~nonce:(Network.nonce sys.Protocol.net (Wallet.address op))
-        ~dst:(Tx.Call board) ~value:0
-        ~payload:(Reputation_contract.message_to_bytes msg)
+      Tx.make ~wallet:op ~nonce:(Network.nonce sys.Protocol.net (Wallet.address op)) ~dst
+        ~value:0 ~payload
     in
-    Network.submit sys.Protocol.net tx;
-    ignore (Network.mine sys.Protocol.net);
-    match Option.get (Network.receipt sys.Protocol.net (Tx.hash tx)) with
-    | { State.status = State.Ok _; _ } -> ()
-    | { State.status = State.Failed m; _ } ->
-      failwith ("Scenario: reputation call failed: " ^ m)
+    Protocol.get_ok
+      (Protocol.await sys
+         (Protocol.single sys ~name tx (function
+           | State.Ok created -> Ok created
+           | State.Failed m -> failwith (Printf.sprintf "Scenario: %s failed: %s" name m))))
+  in
+  let board =
+    match
+      confirm ~name:"reputation board deployment"
+        ~dst:
+          (Tx.Create
+             {
+               behavior = Reputation_contract.behavior_name;
+               args = Reputation_contract.init_args ~link_vk:(Reputation.vk_bytes rep);
+             })
+        ~payload:Bytes.empty
+    with
+    | Some board -> board
+    | None -> failwith "Scenario: reputation board deployment returned no address"
+  in
+  let call msg =
+    ignore
+      (confirm ~name:"reputation call" ~dst:(Tx.Call board)
+         ~payload:(Reputation_contract.message_to_bytes msg))
   in
   let storage_a = Protocol.task_storage sys task_a.Requester.contract in
   let s1 = List.hd storage_a.Task_contract.submissions in
