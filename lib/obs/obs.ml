@@ -128,24 +128,33 @@ end
 let span_stack : string list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
+(* Bytes the calling domain has allocated so far.  [Gc.minor_words]
+   includes the nursery's current fill, which [Gc.allocated_bytes] only
+   folds in at a minor collection; the major-minus-promoted words add
+   what went to the major heap directly.  Exact, without forcing a
+   collection. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. Float.of_int (Sys.word_size / 8)
+
 let with_span name f =
   if not (Atomic.get on) then f ()
   else begin
     let h = intern spans hist_make name in
     (* Allocation companion gauge: bytes allocated on the calling
        domain while the span was open (work fanned out to pool domains
-       is not counted — Gc.allocated_bytes is per-domain).  Lets
-       `zebra stats` and the BENCH files spot allocation regressions in
-       the prover phases (e.g. snark.prove.fft.alloc_bytes). *)
+       is not counted).  Lets `zebra stats` and the BENCH files spot
+       allocation regressions in the prover phases (e.g.
+       snark.prove.fft.alloc_bytes). *)
     let g = intern gauges (fun _ -> Atomic.make 0.) (name ^ ".alloc_bytes") in
     let stack = Domain.DLS.get span_stack in
     stack := name :: !stack;
-    let b0 = Gc.allocated_bytes () in
+    let b0 = allocated_bytes () in
     let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
         let dt = now () -. t0 in
-        Atomic.set g (Gc.allocated_bytes () -. b0);
+        Atomic.set g (allocated_bytes () -. b0);
         (match !stack with _ :: rest -> stack := rest | [] -> ());
         locked (fun () -> hist_observe h dt))
       f

@@ -78,9 +78,10 @@ end
     recorded even when the region raises.
 
     Each span also maintains a companion gauge [<name>.alloc_bytes]: the
-    [Gc.allocated_bytes] delta of the {e calling domain} over the most
-    recent execution of the span (allocation on pool worker domains is
-    not attributed).  This makes allocation regressions in hot phases
+    bytes the {e calling domain} allocated over the most recent
+    execution of the span, minor and major heap alike, exact without a
+    forced collection (allocation on pool worker domains is not
+    attributed).  This makes allocation regressions in hot phases
     (e.g. [snark.prove.fft.alloc_bytes]) visible in [zebra stats] and
     the BENCH exports. *)
 

@@ -123,6 +123,31 @@ let test_disabled_noop () =
     (Obs.span_stats "t.off.span");
   Obs.set_enabled true
 
+(* A span's allocation gauge counts what is still in the nursery, so one
+   body reads the same bytes however full the nursery was when the span
+   opened.  A cons cell is 24 B: 1 000 fit in the nursery, 100 000 spill
+   over a minor collection. *)
+let test_span_alloc_bytes () =
+  let g = Obs.Gauge.make "t.alloc.alloc_bytes" in
+  let reading cells prior =
+    ignore (Sys.opaque_identity (List.init prior Fun.id));
+    Obs.with_span "t.alloc" (fun () -> ignore (Sys.opaque_identity (List.init cells Fun.id)));
+    Obs.Gauge.value g
+  in
+  List.iter
+    (fun cells ->
+      let readings = List.map (reading cells) [ 0; 1_000; 10_000; 100_000 ] in
+      let first = List.hd readings in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d cells: %.0f B counted" cells first)
+        true
+        (first >= float_of_int (24 * cells));
+      Alcotest.(check (list (float 0.)))
+        (Printf.sprintf "%d cells: independent of prior allocation" cells)
+        (List.map (fun _ -> first) readings)
+        readings)
+    [ 1_000; 100_000 ]
+
 (* --- JSON --- *)
 
 let test_json_roundtrip () =
@@ -280,6 +305,7 @@ let () =
           Alcotest.test_case "nesting" `Quick (with_obs test_span_nesting);
           Alcotest.test_case "records on raise" `Quick (with_obs test_span_records_on_raise);
           Alcotest.test_case "disabled is a no-op" `Quick (with_obs test_disabled_noop);
+          Alcotest.test_case "allocation counts the nursery" `Quick (with_obs test_span_alloc_bytes);
         ] );
       ( "export",
         [
