@@ -1026,7 +1026,7 @@ let chaos () =
       ("0%", "none");
       ("5%", "drop=0.05,delay=0.05:2,dup=0.02");
       ("20%", "drop=0.2,delay=0.2:2,dup=0.1");
-      ("byz", "partition=2|1:6-9,byzmine=1:reorder,drop=0.05");
+      ("byz", "partition=2|1:2-5,byzmine=1:reorder,drop=0.05");
     ]
   in
   Printf.printf "%-4s %-32s %8s %7s %7s %10s  %s\n%!" "rate" "plan" "seconds" "height"

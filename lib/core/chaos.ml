@@ -1,8 +1,6 @@
 module Network = Zebra_chain.Network
 module Wallet = Zebra_chain.Wallet
 module Address = Zebra_chain.Address
-module Tx = Zebra_chain.Tx
-module State = Zebra_chain.State
 module Sha256 = Zebra_hashing.Sha256
 module Faults = Zebra_faults.Faults
 module Store = Zebra_store.Store
@@ -128,76 +126,26 @@ let run ?(n = 3) ?(budget = 60) ~seed ~plan () =
     let answer_of pos =
       if spec.Faults.collude > 0 && pos >= m - spec.Faults.collude then 3 else 1
     in
-    let with_answers = List.mapi (fun pos (i, w) -> (i, w, answer_of pos)) answering in
-    let victims =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun (w : Faults.eclipse_window) ->
-             if List.exists (fun (i, _, _) -> i = w.Faults.victim) with_answers then
-               Some w.Faults.victim
-             else None)
-           spec.Faults.eclipses)
+    (* Every answering worker answers in one phase, each from a fresh
+       one-task wallet.  An eclipse victim's wallet is registered with the
+       fault controller as it is handed out, so the adversary holds every
+       transaction from that sender during its window; the phase
+       rebroadcasts a held answer like any lost one. *)
+    let eclipsed i =
+      List.exists (fun (w : Faults.eclipse_window) -> w.Faults.victim = i) spec.Faults.eclipses
     in
-    let eclipsed, normal = List.partition (fun (i, _, _) -> List.mem i victims) with_answers in
-    (* Eclipse victims broadcast themselves (the scenario driver plays the
-       victim's client): their one-task wallet is registered with the
-       fault controller first, so the adversary holds every transaction
-       from that sender for the whole window. *)
-    let submit_eclipsed (i, id, answer) =
-      let storage = Protocol.task_storage sys task.Requester.contract in
-      let wallet = Protocol.fresh_wallet sys in
-      Faults.set_eclipsed faults ~victim:i ~sender_hex:(Address.to_hex (Wallet.address wallet));
-      let tx = Protocol.answer_tx sys ~storage ~task:task.Requester.contract ~wallet id ~answer in
-      match Network.submit_r sys.Protocol.net tx with
-      | Ok () -> Ok (i, tx)
-      | Error e ->
-        Error
-          (Protocol.Submission_rejected { worker = i; reason = Network.submit_error_to_string e })
+    let wallet pos =
+      let i, _ = List.nth answering pos in
+      let w = Protocol.fresh_wallet sys in
+      if eclipsed i then
+        Faults.set_eclipsed faults ~victim:i ~sender_hex:(Address.to_hex (Wallet.address w));
+      w
     in
-    let rec submit_all acc = function
-      | [] -> Ok (List.rev acc)
-      | e :: tl -> (
-        match submit_eclipsed e with Ok x -> submit_all (x :: acc) tl | Error err -> Error err)
+    let* p =
+      Protocol.answers sys ~task:task.Requester.contract ~wallet
+        (List.mapi (fun pos (_, w) -> (w, answer_of pos)) answering)
     in
-    let* eclipse_txs = submit_all [] eclipsed in
-    let* _wallets =
-      if normal = [] then Ok []
-      else
-        Protocol.submit_answers_r sys ~task:task.Requester.contract
-          ~workers:(List.map (fun (_i, w, a) -> (w, a)) normal)
-    in
-    (* Wait out the eclipse: mine until every held submission lands, or
-       report a typed error if the window outlives the answer deadline. *)
-    let* () =
-      if eclipse_txs = [] then Ok ()
-      else begin
-        let deadline = task.Requester.params.Task_contract.answer_deadline in
-        let receipt (_, tx) = Network.receipt sys.Protocol.net (Tx.hash tx) in
-        let rec wait () =
-          match
-            List.find_map
-              (fun ((i, _) as e) ->
-                match receipt e with
-                | Some { State.status = State.Failed reason; _ } ->
-                  Some (Protocol.Submission_rejected { worker = i; reason })
-                | _ -> None)
-              eclipse_txs
-          with
-          | Some e -> Error e
-          | None ->
-            if List.for_all (fun e -> Option.is_some (receipt e)) eclipse_txs then Ok ()
-            else if Network.height sys.Protocol.net > deadline then
-              (* Each victim broadcast its submission once. *)
-              Error (Protocol.Timed_out { phase = "eclipse"; attempts = 1 })
-            else
-              let* () =
-                Protocol.mine_to_r sys ~height:(Network.height sys.Protocol.net + 1)
-              in
-              wait ()
-        in
-        wait ()
-      end
-    in
+    let* _wallets = Protocol.await sys p in
     ignore (Indexer.sync idx sys.Protocol.net);
     (* With a withheld answer the collection never fills, so the requester
        may only instruct once the answer deadline passes. *)

@@ -66,16 +66,22 @@ val outcome_to_string : outcome -> string
     [no_instruction], the requester never instructs and the round settles
     through Finalize; [collude=K] makes the last K answering workers
     submit an identical deviant answer; [eclipse=W:F-T] holds worker [W]'s
-    submission for the window (the driver plays the victim's client and
-    registers its one-task wallet with the controller).  An off-chain
+    submission for the window (every answering worker answers in one
+    {!Protocol.answers} phase, and the driver registers the victim's
+    one-task wallet with the controller as it hands it out, so the phase
+    rebroadcasts the held answer under the retry policy and, if the
+    window outlasts the retries, aborts with [Timed_out] of
+    ["answer_collection"]).  An off-chain
     {!Zebra_index.Indexer} follows the chain throughout — incremental
     mid-run syncs, reorg detection across partition heals and byzantine
     forks — and the outcome asserts its rebuilt state agrees with the
     contracts byte-for-byte.
 
-    Crash windows at heights the boot sequence has already mined (the
-    chain is ~4 blocks tall when faults attach) are skipped by the
-    schedule; plan them at height 5 or later. *)
+    Faults attach once [create_system] has mined the RA deployment
+    (height 1), so crash and partition windows start at height 2 or
+    later.  A fault-free round with the default [n = 3] ends at height 9:
+    four enrollments, the requester's funding and task deployment, one
+    block of answers and the reward. *)
 val run :
   ?n:int ->
   ?budget:int ->

@@ -132,18 +132,22 @@ let run ?(config = default_config) () =
     incr faucet_nonce;
     st.started <- now ()
   in
-  (* Load's workers answer from unfunded one-task wallets: submissions
-     carry no value and ride at fee 0. *)
+  let failed e =
+    Obs.Counter.incr m_failed;
+    Task_failed (Protocol.error_to_string e)
+  in
+  (* Submissions carry no value and ride at fee 0. *)
   let answer st (task : Requester.task) =
     let workers =
       List.init n (fun j -> (worker_ids.(((st.index * n) + j) mod cfg.workers), st.index mod 4))
     in
-    Answering
-      ( task,
-        Protocol.get_ok
-          (Protocol.answers sys ~task:task.Requester.contract
-             ~wallet:(fun _ -> Ok (Protocol.fresh_wallet sys))
-             workers) )
+    match
+      Protocol.answers sys ~task:task.Requester.contract
+        ~wallet:(fun _ -> Protocol.fresh_wallet sys)
+        workers
+    with
+    | Ok p -> Answering (task, p)
+    | Error e -> failed e
   in
   let complete st =
     let dt = now () -. st.started in
@@ -157,9 +161,7 @@ let run ?(config = default_config) () =
       match Protocol.poll sys phase with
       | None -> ()
       | Some (Ok v) -> st.stage <- next v
-      | Some (Error e) ->
-        st.stage <- Task_failed (Protocol.error_to_string e);
-        Obs.Counter.incr m_failed
+      | Some (Error e) -> st.stage <- failed e
     in
     match st.stage with
     | Ready | Completed _ | Task_failed _ -> ()

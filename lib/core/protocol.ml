@@ -241,7 +241,7 @@ let task_storage sys contract =
 
 (* --- Task phases: the one place a funding, publish, answer or instruct
    transaction is built, shared by the drivers below, the pipelined
-   [Load] scheduler and the [Chaos] eclipse path. --- *)
+   [Load] scheduler and [Chaos]. --- *)
 
 let funding ?(fee = 0) ?nonce sys wallet ~amount =
   let nonce = match nonce with Some k -> k | None -> faucet_nonce sys in
@@ -293,15 +293,25 @@ let answer_tx sys ~storage ~task ~wallet worker ~answer =
 
 let answers sys ~task ~wallet workers =
   let storage = task_storage sys task in
-  let rec send i sent = function
-    | [] -> Ok (List.rev sent)
-    | (identity, answer) :: rest ->
-      let* w = wallet i in
-      let tx = answer_tx sys ~storage ~task ~wallet:w identity ~answer in
-      broadcast sys tx;
-      send (i + 1) ((tx, w) :: sent) rest
+  let* () =
+    Worker.validate_task ~storage ~contract:task ~balance:(Network.balance sys.net task)
+      ~height:(Network.height sys.net)
+      ~expected_root:storage.Task_contract.params.Task_contract.ra_root
+    |> Result.map_error (fun e ->
+           Submission_rejected
+             { worker = 0; reason = "task validation failed: " ^ Worker.validation_error_to_string e })
   in
-  let* sent = send 0 [] workers in
+  (* Wallet and proof draws interleave worker by worker: the chain bytes
+     of every caller, [Load]'s pinned root among them, follow that order. *)
+  let sent =
+    List.mapi
+      (fun i (identity, answer) ->
+        let w = wallet i in
+        let tx = answer_tx sys ~storage ~task ~wallet:w identity ~answer in
+        broadcast sys tx;
+        (tx, w))
+      workers
+  in
   let rec first_failure i = function
     | Some (State.Failed reason) :: _ -> Error (Submission_rejected { worker = i; reason })
     | _ :: rest -> first_failure (i + 1) rest
@@ -333,23 +343,7 @@ let publish_task_r sys ~requester ~policy ~n ~budget ?answer_window ?instruct_wi
 
 let submit_answers_r sys ~task ~workers =
   Obs.with_span "protocol.answer_collection" @@ fun () ->
-  let storage = task_storage sys task in
-  (* Each worker awaits the faucet's funding of a fresh one-task wallet,
-     then checks the task before answering from it. *)
-  let funded worker =
-    let* wallet = fresh_funded_wallet_r sys ~phase:"answer_collection" ~amount:10 in
-    match
-      Worker.validate_task ~storage ~contract:task ~balance:(Network.balance sys.net task)
-        ~height:(Network.height sys.net)
-        ~expected_root:storage.Task_contract.params.Task_contract.ra_root
-    with
-    | Ok () -> Ok wallet
-    | Error e ->
-      Error
-        (Submission_rejected
-           { worker; reason = "task validation failed: " ^ Worker.validation_error_to_string e })
-  in
-  let* p = answers sys ~task ~wallet:funded workers in
+  let* p = answers sys ~task ~wallet:(fun _ -> fresh_wallet sys) workers in
   await sys p
 
 let reward_r sys task =
@@ -366,7 +360,7 @@ let rec mine_to_r sys ~height =
 let finalize_r sys (task : Requester.task) =
   Obs.with_span "protocol.finalize" @@ fun () ->
   let* () = mine_to_r sys ~height:(task.Requester.params.Task_contract.instruct_deadline + 1) in
-  let* caller = fresh_funded_wallet_r sys ~phase:"finalize" ~amount:10 in
+  let caller = fresh_wallet sys in
   let storage = task_storage sys task.Requester.contract in
   let tx =
     Tx.make_ext ~wallet:caller ~fee:0

@@ -16,17 +16,17 @@
     become its result — built only by {!funding}, {!publish}, {!answers}
     and {!instruct}, and by {!single} for the RA deployment, root post,
     Finalize and [Scenario]'s reputation-board transactions.  The phase
-    drivers and [Scenario] {!await} them one at a time;
-    the pipelined [Load] scheduler keeps one phase per task in flight and
+    drivers, [Chaos] and [Scenario] {!await} them one at a time; the
+    pipelined [Load] scheduler keeps one phase per task in flight and
     {!poll}s each after every block.  Both confirm through the same
-    {!poll}, so their bytes and their retries cannot drift apart.  Two
-    differences are the callers' choice, made through what they pass in:
-    {!submit_answers_r} funds each worker's one-task wallet with an
-    awaited {!funding} and pays fee 0, while [Load] answers from unfunded
-    wallets and passes its fee tiers and faucet nonces as [?fee] and
-    [?nonce].  The [Chaos] eclipse path broadcasts {!answer_tx}s itself
-    and waits, without rebroadcasting, until the held answers land or the
-    answer deadline passes.
+    {!poll}, so their bytes and their retries cannot drift apart.  A
+    task's answers reach the chain only through {!answers}, each from an
+    unfunded one-task wallet the caller hands out: the simulation
+    charges no fees, so no worker and no Finalize caller is funded.
+    [Load] passes its fee tiers and faucet nonces as [?fee] and
+    [?nonce]; [Chaos] registers an eclipse victim's wallet with the fault
+    controller as it hands it out, so a held answer is rebroadcast under
+    [retry] like any lost one.
 
     {b Fault tolerance}: phases ride out transient network faults (see
     [Zebra_faults]).  A phase settles once every receipt is in; a missing
@@ -237,17 +237,20 @@ val answer_tx :
   answer:int ->
   Zebra_chain.Tx.t
 
-(** [answers sys ~task ~wallet workers] broadcasts each worker's
-    {!answer_tx} in order, the [i]-th (0-based) from the one-task wallet
-    [wallet i] returns — so a caller decides whether workers' wallets are
-    funded first, and [wallet] may reject the [i]-th worker before it
-    answers.  The phase is labelled ["answer_collection"] and settles to
-    the wallets, or to [Submission_rejected] naming the first worker
-    whose submission reverted. *)
+(** [answers sys ~task ~wallet workers] checks the task once with
+    [Worker.validate_task] against the chain's current state, then
+    broadcasts each worker's {!answer_tx} in order, the [i]-th (0-based)
+    from the unfunded one-task wallet [wallet i].  [wallet i] is called
+    just before the [i]-th answer is proved, so wallet and proof draws
+    interleave.  A task that fails validation is [Error
+    (Submission_rejected { worker = 0; _ })], before any wallet is drawn.
+    The phase is labelled ["answer_collection"] and settles to the
+    wallets, or to [Submission_rejected] naming the first worker whose
+    submission reverted. *)
 val answers :
   system ->
   task:Zebra_chain.Address.t ->
-  wallet:(int -> (Zebra_chain.Wallet.t, error) result) ->
+  wallet:(int -> Zebra_chain.Wallet.t) ->
   (identity * int) list ->
   (Zebra_chain.Wallet.t list phase, error) result
 
@@ -276,12 +279,11 @@ val publish_task_r :
   unit ->
   (Requester.task, error) result
 
-(** AnswerCollection: the {!answers} phase, in which each worker first
-    awaits the faucet's funding of a fresh one-task wallet with 10 and
-    validates the task, then submits one encrypted answer from that
-    wallet.  Returns each worker's wallet (to observe the payment).  On
-    [Error (Submission_rejected _)] the index identifies the offending
-    worker; earlier accepted submissions stay on-chain. *)
+(** AnswerCollection: awaits the {!answers} phase, each worker
+    answering from a {!fresh_wallet} (one block on the happy path).
+    Returns each worker's wallet, whose balance is then what the task
+    pays it.  On [Error (Submission_rejected _)] the index identifies the
+    offending worker; earlier accepted submissions stay on-chain. *)
 val submit_answers_r :
   system ->
   task:Zebra_chain.Address.t ->
@@ -300,9 +302,10 @@ val reward_r : system -> Requester.task -> (int array, error) result
 val mine_to_r : system -> height:int -> (unit, error) result
 
 (** Fallback: mine past the instruction deadline and have anyone call
-    Finalize — refunds the untouched budget to the requester and pays the
-    flat fallback to each submitted worker (the paper's timeout path when
-    the requester never instructs). *)
+    Finalize, here from an unfunded {!fresh_wallet} — refunds the
+    untouched budget to the requester and pays the flat fallback to each
+    submitted worker (the paper's timeout path when the requester never
+    instructs). *)
 val finalize_r : system -> Requester.task -> (unit, error) result
 
 (** What an audit found.  [offenders] are indices into the chain-ordered

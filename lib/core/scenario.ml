@@ -57,7 +57,7 @@ let build ?(seed = default_seed) () =
   let op = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:100) in
   (* The operator's transactions, each confirmed through Protocol's one
      confirm loop. *)
-  let confirm ~name ~dst ~payload =
+  let confirm ~name dst payload =
     let tx =
       Tx.make ~wallet:op ~nonce:(Network.nonce sys.Protocol.net (Wallet.address op)) ~dst
         ~value:0 ~payload
@@ -65,27 +65,19 @@ let build ?(seed = default_seed) () =
     Protocol.get_ok
       (Protocol.await sys
          (Protocol.single sys ~name tx (function
-           | State.Ok created -> Ok created
+           | State.Ok _ -> Ok ()
            | State.Failed m -> failwith (Printf.sprintf "Scenario: %s failed: %s" name m))))
   in
-  let board =
-    match
-      confirm ~name:"reputation board deployment"
-        ~dst:
-          (Tx.Create
-             {
-               behavior = Reputation_contract.behavior_name;
-               args = Reputation_contract.init_args ~link_vk:(Reputation.vk_bytes rep);
-             })
-        ~payload:Bytes.empty
-    with
-    | Some board -> board
-    | None -> failwith "Scenario: reputation board deployment returned no address"
-  in
+  confirm ~name:"reputation board deployment"
+    (Tx.Create
+       {
+         behavior = Reputation_contract.behavior_name;
+         args = Reputation_contract.init_args ~link_vk:(Reputation.vk_bytes rep);
+       })
+    Bytes.empty;
+  let board = Address.of_creator (Wallet.address op) 0 in
   let call msg =
-    ignore
-      (confirm ~name:"reputation call" ~dst:(Tx.Call board)
-         ~payload:(Reputation_contract.message_to_bytes msg))
+    confirm ~name:"reputation call" (Tx.Call board) (Reputation_contract.message_to_bytes msg)
   in
   let storage_a = Protocol.task_storage sys task_a.Requester.contract in
   let s1 = List.hd storage_a.Task_contract.submissions in

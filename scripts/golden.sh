@@ -33,7 +33,7 @@ echo "== chaos gate (fixed seeds, pool-size-invariant traces) =="
 i=0
 for spec in \
   "ci-1|drop=0.15,delay=0.15:2,dup=0.1" \
-  "ci-2|crash=1:6-9,drop=0.1,reorder=0.3" \
+  "ci-2|crash=1:5-8,drop=0.1,reorder=0.3" \
   "ci-3|delay=1.0:2,lose=0.2,withhold,noinstruct"; do
   seed="${spec%%|*}"
   plan="${spec#*|}"
@@ -55,25 +55,28 @@ done
 # ZEBRA_DOMAINS=1 and =4.  Fork choice breaks ties on the tip hash, so
 # which branch a seed takes moves whenever root or key bytes do; today
 # part-1, part-2 and part-7 adopt the minority branch (a 4-block reorg the
-# indexer must survive), part-4 keeps the canonical chain, and byz-20
-# adopts a byzantine sibling block.  The check after the loop fails if
-# the corpus stops covering all three outcomes.
+# indexer must survive), part-4 keeps the canonical chain, and byz-35
+# adopts a byzantine sibling of the answers block (its withheld worker
+# makes the requester prove the instruction after the fork, over the
+# adopted order).  The check after the loop fails if the corpus stops
+# covering all three outcomes, or if a partition heal or crash restart
+# falls after the round, where Faults.finish marks it "(end of run)".
 echo "== byzantine gate (adversary corpus, pool-size-invariant traces) =="
 i=0
 for spec in \
-  "part-1@partition=2|1:6-9" \
-  "part-2@partition=2|1:6-9" \
-  "part-7@partition=2|1:6-9,drop=0.1" \
+  "part-1@partition=2|1:5-8" \
+  "part-2@partition=2|1:5-8" \
+  "part-7@partition=2|1:5-8,drop=0.1" \
   "byz-1@byzmine=1:reorder,drop=0.05" \
   "byz-1@byzmine=2:censor" \
-  "byz-20@byzmine=0:fork" \
+  "byz-35@byzmine=0:fork,withhold" \
   "ec-1@eclipse=1:6-9" \
   "ec-2@eclipse=2:6-8" \
   "ec-3@eclipse=1:6-9,drop=0.1" \
   "col-1@collude=1" \
   "col-2@collude=2" \
   "col-3@collude=1,withhold" \
-  "part-4@partition=2|1:6-9"; do
+  "part-4@partition=2|1:5-8"; do
   seed="${spec%%@*}"
   plan="${spec#*@}"
   i=$((i + 1))
@@ -90,7 +93,12 @@ for outcome in "partition.heal canonical chain kept" "partition.heal fork adopte
     exit 1
   fi
 done
+if grep -l "(end of run)" "$tmp"/d1-*.txt "$tmp"/byz-d1-*.txt; then
+  echo "byzantine gate FAILED: the trace(s) above heal a partition or restart a node after the round (end of run)" >&2
+  exit 1
+fi
 echo "byzantine corpus covers a kept heal, an adopted heal and an adopted sibling"
+echo "every partition heal and crash restart happens inside its round"
 
 # Index gate: the off-chain event-sourced mirror must rebuild the
 # canonical scenario's task/reputation state byte-identically to contract

@@ -253,9 +253,9 @@ let test_protocol_submission_rejected () =
   with
   | Error e -> Alcotest.fail ("publish failed: " ^ Protocol.error_to_string e)
   | Ok task -> (
-    (* Two submissions race into a 1-answer task: both pass client-side
-       validation against the same storage view, the second reverts on-chain
-       and is identified by its submission index. *)
+    (* Two submissions race into a 1-answer task: the task passes its one
+       client-side validation, the second submission reverts on-chain and
+       is identified by its submission index. *)
     match
       Protocol.submit_answers_r sys ~task:task.Requester.contract
         ~workers:[ (w0, 1); (w1, 0) ]

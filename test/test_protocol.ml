@@ -26,9 +26,9 @@ let test_end_to_end_majority () =
   let policy = Policy.Majority { choices = 4 } in
   let task, wallets, rewards = Protocol.run_task sys ~policy ~budget:90 ~answers:[ 1; 1; 2 ] in
   Alcotest.(check (array int)) "rewards" [| 30; 30; 0 |] rewards;
-  (* workers were funded with 10 and paid their reward *)
+  (* workers answer from unfunded wallets, so each holds its reward *)
   List.iteri
-    (fun i w -> check_paid ~msg:(Printf.sprintf "worker %d paid" i) sys.Protocol.net w (10 + rewards.(i)))
+    (fun i w -> check_paid ~msg:(Printf.sprintf "worker %d paid" i) sys.Protocol.net w rewards.(i))
     wallets;
   (* contract drained; requester refunded the incorrect worker's share *)
   Alcotest.(check int) "contract drained" 0
@@ -76,9 +76,31 @@ let test_fallback_even_split () =
   let wallets = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
       ~workers:[ (w1, 0); (w2, 1) ]) in
   Protocol.get_ok (Protocol.finalize_r sys task);
-  List.iter (fun w -> check_paid ~msg:"even split" sys.Protocol.net w (10 + 50)) wallets;
+  List.iter (fun w -> check_paid ~msg:"even split" sys.Protocol.net w 50) wallets;
   Alcotest.(check int) "contract drained" 0
     (Network.balance sys.Protocol.net task.Requester.contract)
+
+(* AnswerCollection funds nobody: two workers' answers take one block and
+   no faucet transfer, and each worker's wallet then holds its reward. *)
+let test_answers_from_unfunded_wallets () =
+  let sys = Lazy.force sys in
+  let requester = Protocol.get_ok (Protocol.enroll_r sys) in
+  let w1 = Protocol.get_ok (Protocol.enroll_r sys) and w2 = Protocol.get_ok (Protocol.enroll_r sys) in
+  let task =
+    Protocol.get_ok (Protocol.publish_task_r sys ~requester
+        ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:60 ())
+  in
+  let net = sys.Protocol.net and faucet = Wallet.address sys.Protocol.faucet in
+  let height = Network.height net and faucet_nonce = Network.nonce net faucet in
+  let wallets = Protocol.get_ok (Protocol.submit_answers_r sys ~task:task.Requester.contract
+      ~workers:[ (w1, 1); (w2, 1) ]) in
+  Alcotest.(check int) "one block mined" (height + 1) (Network.height net);
+  Alcotest.(check int) "faucet nonce unchanged" faucet_nonce (Network.nonce net faucet);
+  let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
+  Alcotest.(check (array int)) "rewards" [| 30; 30 |] rewards;
+  List.iteri
+    (fun i w -> check_paid ~msg:(Printf.sprintf "worker %d holds its reward" i) net w rewards.(i))
+    wallets
 
 let test_fallback_no_submissions_refund () =
   let sys = Lazy.force sys in
@@ -269,7 +291,7 @@ let test_false_instruction_dropped_then_fallback () =
   | Some { State.status = State.Failed m; _ } -> Alcotest.failf "unexpected: %s" m
   | _ -> Alcotest.fail "lying instruction accepted!");
   Protocol.get_ok (Protocol.finalize_r sys task);
-  List.iter (fun w -> check_paid ~msg:"fallback pay" sys.Protocol.net w (10 + 50)) wallets
+  List.iter (fun w -> check_paid ~msg:"fallback pay" sys.Protocol.net w 50) wallets
 
 let test_budget_not_deposited () =
   (* Deploying with value < budget must abort creation (line 3). *)
@@ -647,6 +669,8 @@ let () =
           Alcotest.test_case "auction end-to-end" `Quick test_end_to_end_auction;
           Alcotest.test_case "partial submissions" `Quick test_partial_submissions_reward;
           Alcotest.test_case "fallback even split" `Quick test_fallback_even_split;
+          Alcotest.test_case "answers from unfunded wallets" `Quick
+            test_answers_from_unfunded_wallets;
           Alcotest.test_case "fallback full refund" `Quick test_fallback_no_submissions_refund;
         ] );
       ( "malicious-workers",
