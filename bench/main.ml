@@ -1011,33 +1011,61 @@ let lint () =
 
 (* --- chaos: cost of riding out fault plans (BENCH_chaos.json) ---
 
-   One end-to-end round per plan, same seed: the wall-clock delta against
-   the fault-free row is the price of retries/backoff blocks, and the
-   retry counters say where it went.  Every row must still settle with the
-   invariants intact — a bench that needed an unbounded plan would be a
-   bug, not a data point. *)
+   One end-to-end round per plan: the wall-clock delta against the
+   fault-free row is the price of retries/backoff blocks, and the retry
+   counters say where it went.  Every row must keep the invariants intact
+   (it may settle with a typed abort) — a bench that needed an unbounded
+   plan would be a bug, not a data point — and must show an event of every
+   fault class its plan names, or it prices a fault that never happened. *)
+
+(* The clauses of [plan] whose fault class leaves no event in [trace].
+   [collude], [withhold] and [noinstruct] shape the workload and leave
+   none.  scripts/golden.sh applies the same map to its corpus. *)
+let unfired plan trace =
+  let event clause =
+    match String.split_on_char '=' clause with
+    | key :: value :: _ -> (
+      match key with
+      | "drop" | "delay" | "dup" | "reorder" -> Some ("mempool." ^ key)
+      | "lose" | "corrupt" -> Some ("store." ^ key)
+      | "crash" -> Some "node.crash"
+      | "partition" -> Some "partition.start"
+      | "byzmine" -> Some ("byzmine." ^ List.nth (String.split_on_char ':' value) 1)
+      | "eclipse" -> Some "eclipse.hold"
+      | _ -> None)
+    | _ -> None
+  in
+  let shows e =
+    List.exists
+      (fun line -> match String.split_on_char ' ' line with _ :: w :: _ -> w = e | _ -> false)
+      trace
+  in
+  List.filter
+    (fun clause -> match event clause with Some e -> not (shows e) | None -> false)
+    (String.split_on_char ',' plan)
 
 let chaos () =
   header "chaos: end-to-end round under seeded fault plans";
   let module Obs = Zebra_obs.Obs in
   let module Faults = Zebra_faults.Faults in
+  (* Each row's seed is the first of bench-chaos, bench-chaos-1,
+     bench-chaos-2, ... whose trace shows every fault class its plan
+     names. *)
   let plans =
     [
-      ("0%", "none");
-      ("5%", "drop=0.05,delay=0.05:2,dup=0.02");
-      ("20%", "drop=0.2,delay=0.2:2,dup=0.1");
-      ("byz", "partition=2|1:2-5,byzmine=1:reorder,drop=0.05");
+      ("0%", "bench-chaos", "none");
+      ("5%", "bench-chaos-18", "drop=0.05,delay=0.05:2,dup=0.02");
+      ("20%", "bench-chaos", "drop=0.2,delay=0.2:2,dup=0.1");
+      ("byz", "bench-chaos-1", "partition=2|1:5-8,byzmine=1:reorder,drop=0.05");
     ]
   in
   Printf.printf "%-4s %-32s %8s %7s %7s %10s  %s\n%!" "rate" "plan" "seconds" "height"
     "faults" "resubmits" "settlement";
   List.concat_map
-    (fun (rate, plan) ->
+    (fun (rate, seed, plan) ->
       Obs.reset ();
       Obs.set_enabled true;
-      let o, dt =
-        wall (fun () -> Chaos.run ~seed:"bench-chaos" ~plan:(Faults.spec_of_string plan) ())
-      in
+      let o, dt = wall (fun () -> Chaos.run ~seed ~plan:(Faults.spec_of_string plan) ()) in
       Obs.set_enabled false;
       let resubmits =
         match Obs.counters_with_prefix "protocol.retry.resubmits" with
@@ -1053,6 +1081,12 @@ let chaos () =
           (o.Chaos.replicas_agree && o.Chaos.supply_conserved && o.Chaos.store_recovered
          && o.Chaos.indexer_agrees)
       then failwith ("chaos bench: invariants violated under plan " ^ plan);
+      (match unfired plan o.Chaos.trace with
+      | [] -> ()
+      | missed ->
+        failwith
+          (Printf.sprintf "chaos bench: seed %s fires no %s under plan %s" seed
+             (String.concat ", " missed) plan));
       let p = "chaos." ^ rate ^ "." in
       [
         Row.text (p ^ "settlement") ~unit:"text" settlement;

@@ -275,18 +275,48 @@ let heal_partition t =
       { adopted_fork = true; reorged_blocks = main_len; requeued_txs = List.length orphaned }
     end
 
+(* Each sender's transactions re-slotted into that sender's positions in
+   nonce order: however a block is ordered (fee sort, byzantine miner,
+   forked sibling), it never runs a later nonce first, which validators
+   would reject.  Only that sender's slots move, so the result does not
+   depend on hashtable iteration order. *)
+let nonce_lanes txs =
+  match txs with
+  | [] | [ _ ] -> txs
+  | _ ->
+    let arr = Array.of_list txs in
+    let by_sender = Hashtbl.create 8 in
+    Array.iteri
+      (fun i tx ->
+        let k = Address.to_hex tx.Tx.sender in
+        let prev = try Hashtbl.find by_sender k with Not_found -> [] in
+        Hashtbl.replace by_sender k (i :: prev))
+      arr;
+    Hashtbl.iter
+      (fun _ rev_positions ->
+        match rev_positions with
+        | [] | [ _ ] -> ()
+        | _ ->
+          let ps = List.rev rev_positions in
+          let txs = List.map (fun i -> arr.(i)) ps in
+          let txs = List.stable_sort (fun a b -> compare a.Tx.nonce b.Tx.nonce) txs in
+          List.iter2 (fun i tx -> arr.(i) <- tx) ps txs)
+      by_sender;
+    Array.to_list arr
+
 (* A byzantine miner mines a conflicting sibling of the current tip (same
-   parent, same height, permuted transactions).  Between two equal-length
-   chains the fork choice is the lexicographically smaller tip hash, so
-   the sibling is adopted — a one-block reorg — exactly when its hash
-   sorts below the honest tip's.  [None] means there was nothing to fork
-   (no tip, an active partition, or an identity permutation). *)
+   parent, same height, transactions permuted in nonce lanes).  Between
+   two equal-length chains the fork choice is the lexicographically
+   smaller tip hash, so the sibling is adopted — a one-block reorg —
+   exactly when its hash sorts below the honest tip's.  [None] means there
+   was nothing to fork (no tip, an active partition, or an identity
+   permutation). *)
 let fork_tip t ~permute =
   match t.chain with
   | [] -> None
   | _ when t.partition <> None -> None
   | tip :: rest ->
-    let txs' = permute tip.Block.txs in
+    let txs' = nonce_lanes (permute tip.Block.txs) in
     let same =
       List.length txs' = List.length tip.Block.txs
       && List.for_all2 (fun a b -> Bytes.equal (Tx.hash a) (Tx.hash b)) txs' tip.Block.txs
@@ -314,34 +344,8 @@ type exec_result =
   | Conflict_retry of State.receipt
   | Rejected of string
 
-(* Highest fee first, stable on arrival order; each sender's transactions
-   are then re-slotted into that sender's positions in nonce order, so fee
-   ordering can never wedge a sender behind its own later nonce.  The
-   per-sender fixup touches only that sender's slots, so the result does
-   not depend on hashtable iteration order. *)
-let fee_order txs =
-  match txs with
-  | [] | [ _ ] -> txs
-  | _ ->
-    let arr = Array.of_list (List.stable_sort (fun a b -> compare b.Tx.fee a.Tx.fee) txs) in
-    let by_sender = Hashtbl.create 8 in
-    Array.iteri
-      (fun i tx ->
-        let k = Address.to_hex tx.Tx.sender in
-        let prev = try Hashtbl.find by_sender k with Not_found -> [] in
-        Hashtbl.replace by_sender k (i :: prev))
-      arr;
-    Hashtbl.iter
-      (fun _ rev_positions ->
-        match rev_positions with
-        | [] | [ _ ] -> ()
-        | _ ->
-          let ps = List.rev rev_positions in
-          let txs = List.map (fun i -> arr.(i)) ps in
-          let txs = List.stable_sort (fun a b -> compare a.Tx.nonce b.Tx.nonce) txs in
-          List.iter2 (fun i tx -> arr.(i) <- tx) ps txs)
-      by_sender;
-    Array.to_list arr
+(* Highest fee first, stable on arrival order, in nonce lanes. *)
+let fee_order txs = nonce_lanes (List.stable_sort (fun a b -> compare b.Tx.fee a.Tx.fee) txs)
 
 let mine_ext t =
   Obs.with_span "chain.mine" @@ fun () ->
@@ -377,7 +381,7 @@ let mine_ext t =
     match t.adversary with
     | None -> scheduled
     | Some f ->
-      let out = f scheduled in
+      let out = nonce_lanes (f scheduled) in
       (* A reordering adversary may also omit or duplicate transactions,
          but cannot censor under synchrony: anything it left out of this
          block stays pending for a later one. *)

@@ -64,13 +64,14 @@ val pending : t -> int
 val delayed : t -> int
 
 (** [set_adversary t f] lets [f] reorder the pending transactions of each
-    block before execution.  The adversary may also duplicate or omit
-    transactions, but gains nothing by either: a duplicate is rejected by
-    nonce replay when it executes (the first execution's receipt is
-    canonical), and an omitted transaction stays pending for a later block
-    — the adversary can delay but not censor.  Invalidly-signed injections
-    are filtered by the miner.  [None] restores first-come-first-served
-    order. *)
+    block before execution; the network re-slots each sender's into nonce
+    order, since a block that ran a later nonce first would be invalid.
+    The adversary may also duplicate or omit transactions, but gains
+    nothing by either: a duplicate is rejected by nonce replay when it
+    executes (the first execution's receipt is canonical), and an omitted
+    transaction stays pending for a later block — the adversary can delay
+    but not censor.  Invalidly-signed injections are filtered by the
+    miner.  [None] restores first-come-first-served order. *)
 val set_adversary : t -> (Tx.t list -> Tx.t list) option -> unit
 
 (** [set_mempool_fault t f] installs (or, with [None], removes) the fault
@@ -136,9 +137,9 @@ val heal_partition : t -> heal_report
 
 (** [fork_tip t ~permute] lets a byzantine miner propose a conflicting
     sibling of the current tip: same parent and height, transactions
-    permuted by [permute].  The sibling is adopted — a one-block reorg,
-    with receipts and replicas rebuilt — exactly when the fork choice
-    prefers its hash.  Returns [None] when there is nothing to fork (empty
+    permuted by [permute] and kept in nonce order per sender.  The
+    sibling is adopted — a one-block reorg, with receipts and replicas
+    rebuilt — exactly when the fork choice prefers its hash.  Returns [None] when there is nothing to fork (empty
     chain, active partition, or an identity permutation), otherwise
     [Some adopted]. *)
 val fork_tip : t -> permute:(Tx.t list -> Tx.t list) -> bool option

@@ -112,20 +112,17 @@ let run ?(n = 3) ?(budget = 60) ~seed ~plan () =
     ignore (Indexer.sync idx sys.Protocol.net);
     (* Workers fetch the payload off-chain before answering. *)
     fetched := fetch_with_heal store ~blob ~digest ~max_attempts:8;
+    (* A withheld worker is the last one, so worker [i] answers [i]th. *)
     let answering =
-      let indexed = List.mapi (fun i w -> (i, w)) workers in
-      if spec.Faults.withhold_worker && n > 1 then
-        List.filter (fun (i, _) -> i < n - 1) indexed
-      else indexed
+      if spec.Faults.withhold_worker && n > 1 then List.filteri (fun i _ -> i < n - 1) workers
+      else workers
     in
     let m = List.length answering in
     (* The colluding pool: the last [collude] answering workers submit an
        identical deviant answer (3 against the honest 1), attacking the
        majority reward policy.  Whether they sway it depends on whether
        they outnumber the honest answers — the settlement records it. *)
-    let answer_of pos =
-      if spec.Faults.collude > 0 && pos >= m - spec.Faults.collude then 3 else 1
-    in
+    let answer_of i = if spec.Faults.collude > 0 && i >= m - spec.Faults.collude then 3 else 1 in
     (* Every answering worker answers in one phase, each from a fresh
        one-task wallet.  An eclipse victim's wallet is registered with the
        fault controller as it is handed out, so the adversary holds every
@@ -134,8 +131,7 @@ let run ?(n = 3) ?(budget = 60) ~seed ~plan () =
     let eclipsed i =
       List.exists (fun (w : Faults.eclipse_window) -> w.Faults.victim = i) spec.Faults.eclipses
     in
-    let wallet pos =
-      let i, _ = List.nth answering pos in
+    let wallet i =
       let w = Protocol.fresh_wallet sys in
       if eclipsed i then
         Faults.set_eclipsed faults ~victim:i ~sender_hex:(Address.to_hex (Wallet.address w));
@@ -143,7 +139,7 @@ let run ?(n = 3) ?(budget = 60) ~seed ~plan () =
     in
     let* p =
       Protocol.answers sys ~task:task.Requester.contract ~wallet
-        (List.mapi (fun pos (_, w) -> (w, answer_of pos)) answering)
+        (List.mapi (fun i w -> (w, answer_of i)) answering)
     in
     let* _wallets = Protocol.await sys p in
     ignore (Indexer.sync idx sys.Protocol.net);

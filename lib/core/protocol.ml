@@ -346,8 +346,23 @@ let submit_answers_r sys ~task ~workers =
   let* p = answers sys ~task ~wallet:(fun _ -> fresh_wallet sys) workers in
   await sys p
 
-let reward_r sys task =
-  Obs.with_span "protocol.reward" @@ fun () -> await sys (instruct sys task)
+(* A reorg can re-mine the submissions in another order after the
+   instruction was proved over them (a byzantine sibling of the answers
+   block, a partition heal), and the contract then rejects the proof: a
+   rejected instruction whose deployed task's storage has since moved is
+   proved again, up to [max_attempts] proofs. *)
+let reward_r sys (task : Requester.task) =
+  Obs.with_span "protocol.reward" @@ fun () ->
+  let storage () = Network.contract_storage sys.net task.Requester.contract in
+  let rec prove k =
+    let basis = storage () in
+    match await sys (instruct sys task) with
+    | Error (Instruction_rejected _)
+      when k < sys.retry.max_attempts && storage () <> None && storage () <> basis ->
+      prove (k + 1)
+    | result -> result
+  in
+  prove 1
 
 (* Result-aware [Network.mine_until]: the block clock may trip a scheduled
    crash window, so each tick can surface a replica failure. *)

@@ -292,7 +292,9 @@ val submit_answers_r :
 
 (** Reward: awaits the {!instruct} phase (the requester decrypts,
     computes rewards, proves and instructs).  Returns the reward
-    vector. *)
+    vector.  An instruction the contract rejects because a reorg re-mined
+    the submissions after it was proved (a byzantine sibling, a partition
+    heal) is proved again, up to [max_attempts] proofs. *)
 val reward_r : system -> Requester.task -> (int array, error) result
 
 (** [mine_to_r sys ~height] mines (possibly empty) blocks up to [height].

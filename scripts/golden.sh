@@ -24,6 +24,26 @@ same() {
     exit 1
   fi
 }
+# fired GATE PLAN TRACE: fail GATE unless TRACE shows an event of every
+# fault class PLAN names (bench/main.ml's chaos rows use the same map);
+# a spec whose fault never fires tests nothing and is re-seeded.
+fired() {
+  for clause in $(echo "$2" | tr ',' ' '); do
+    case "${clause%%=*}" in
+      drop | delay | dup | reorder) event="mempool.${clause%%=*}" ;;
+      lose | corrupt) event="store.${clause%%=*}" ;;
+      crash) event="node.crash" ;;
+      partition) event="partition.start" ;;
+      byzmine) event="byzmine.${clause##*:}" ;;
+      eclipse) event="eclipse.hold" ;;
+      *) continue ;;
+    esac
+    if ! grep -qE "^  (h|op)=[0-9]+ $event " "$3"; then
+      echo "$1 FAILED: plan $2 names ${clause%%=*} but the trace shows no $event event" >&2
+      exit 1
+    fi
+  done
+}
 
 # Chaos gate: each (seed, plan) pair must print the identical fault trace
 # and settlement at ZEBRA_DOMAINS=1 and =4 -- the fault schedule may not
@@ -32,8 +52,8 @@ same() {
 echo "== chaos gate (fixed seeds, pool-size-invariant traces) =="
 i=0
 for spec in \
-  "ci-1|drop=0.15,delay=0.15:2,dup=0.1" \
-  "ci-2|crash=1:5-8,drop=0.1,reorder=0.3" \
+  "ci-7|drop=0.15,delay=0.15:2,dup=0.1" \
+  "ci-6|crash=1:5-8,drop=0.1,reorder=0.3" \
   "ci-3|delay=1.0:2,lose=0.2,withhold,noinstruct"; do
   seed="${spec%%|*}"
   plan="${spec#*|}"
@@ -42,6 +62,7 @@ for spec in \
   ZEBRA_DOMAINS=4 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/d4-$i.txt"
   same "chaos gate (seed=$seed plan=$plan)" "$tmp/d1-$i.txt" "$tmp/d4-$i.txt"
   same "chaos gate (seed=$seed plan=$plan)" "$golden/chaos-$i.txt" "$tmp/d1-$i.txt"
+  fired "chaos gate (seed=$seed)" "$plan" "$tmp/d1-$i.txt"
   echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains and to $golden/chaos-$i.txt"
 done
 
@@ -54,25 +75,28 @@ done
 # indexer agreement fails) and print the identical trace at
 # ZEBRA_DOMAINS=1 and =4.  Fork choice breaks ties on the tip hash, so
 # which branch a seed takes moves whenever root or key bytes do; today
-# part-1, part-2 and part-7 adopt the minority branch (a 4-block reorg the
-# indexer must survive), part-4 keeps the canonical chain, and byz-35
-# adopts a byzantine sibling of the answers block (its withheld worker
-# makes the requester prove the instruction after the fork, over the
-# adopted order).  The check after the loop fails if the corpus stops
-# covering all three outcomes, or if a partition heal or crash restart
-# falls after the round, where Faults.finish marks it "(end of run)".
+# part-1 and part-2 adopt the minority branch (a 4-block reorg the
+# indexer must survive), part-13 and part-4 keep the canonical chain, and
+# byz-28 and byz-35 adopt a byzantine sibling of the answers block.
+# byz-28's sibling lands after the reward instruction was proved, so the
+# requester proves it again over the adopted order; byz-35's withheld
+# worker defers the instruction past the fork.  The check after the loop
+# fails if the corpus stops covering all three outcomes, or if a
+# partition heal or crash restart falls after the round, where
+# Faults.finish marks it "(end of run)".
 echo "== byzantine gate (adversary corpus, pool-size-invariant traces) =="
 i=0
 for spec in \
   "part-1@partition=2|1:5-8" \
   "part-2@partition=2|1:5-8" \
-  "part-7@partition=2|1:5-8,drop=0.1" \
-  "byz-1@byzmine=1:reorder,drop=0.05" \
+  "part-13@partition=2|1:5-8,drop=0.1" \
+  "byz-3@byzmine=1:reorder,drop=0.05" \
   "byz-1@byzmine=2:censor" \
+  "byz-28@byzmine=0:fork" \
   "byz-35@byzmine=0:fork,withhold" \
   "ec-1@eclipse=1:6-9" \
   "ec-2@eclipse=2:6-8" \
-  "ec-3@eclipse=1:6-9,drop=0.1" \
+  "ec-14@eclipse=1:6-9,drop=0.1" \
   "col-1@collude=1" \
   "col-2@collude=2" \
   "col-3@collude=1,withhold" \
@@ -84,6 +108,7 @@ for spec in \
   ZEBRA_DOMAINS=4 "$ZEBRA" chaos --seed "$seed" --plan "$plan" >"$tmp/byz-d4-$i.txt"
   same "byzantine gate (seed=$seed plan=$plan)" "$tmp/byz-d1-$i.txt" "$tmp/byz-d4-$i.txt"
   same "byzantine gate (seed=$seed plan=$plan)" "$golden/byz-$i.txt" "$tmp/byz-d1-$i.txt"
+  fired "byzantine gate (seed=$seed)" "$plan" "$tmp/byz-d1-$i.txt"
   echo "seed=$seed plan=$plan: trace identical at 1 and 4 domains and to $golden/byz-$i.txt"
 done
 for outcome in "partition.heal canonical chain kept" "partition.heal fork adopted" \

@@ -599,19 +599,41 @@ let test_chaos_byzantine_censor () =
 (* A byzantine miner whose conflicting sibling block WINS fork choice: a
    depth-1 reorg every replica adopts, after which the round still settles
    and the indexer still agrees.  The only block with two transactions to
-   reorder is the answers block; the withheld worker keeps the reward
-   instruction until the answer deadline, so it is proved over the order
-   the fork left. *)
+   reorder is the answers block, and its sibling lands after the reward
+   instruction was proved over the old order: the contract rejects that
+   proof and the requester proves again over the adopted order. *)
 let test_chaos_byzantine_fork_adopted () =
   let o =
-    first_landing "byz-fork" ~seeds:(numbered "byz" 35 42) ~plan:"byzmine=0:fork,withhold"
+    first_landing "byz-fork" ~seeds:(numbered "byz" 20 28) ~plan:"byzmine=0:fork"
       (fun o -> trace_has o "sibling adopted")
   in
   (match o.Chaos.settlement with
-  | Chaos.Rewarded _ -> ()
+  | Chaos.Rewarded rewards ->
+    Alcotest.(check (array int)) "every worker paid" [| 20; 20; 20 |] rewards
   | s -> Alcotest.failf "expected rewards, got %s" (Chaos.settlement_to_string s));
   Alcotest.(check bool) "adopted sibling traced" true
     (trace_has o "sibling adopted (reorg depth 1)")
+
+(* However a block is ordered — by a reordering byzantine miner or in a
+   forked sibling — one sender's transactions run in nonce order, as they
+   must in any valid block. *)
+let test_byzantine_orders_keep_nonce_lanes () =
+  let net = fresh_net () in
+  Network.set_adversary net (Some List.rev);
+  List.iter
+    (fun (from, nonce) -> Network.submit net (transfer ~from ~to_:2 ~nonce ~value:1))
+    [ (0, 0); (1, 0); (0, 1); (0, 2) ];
+  let statuses = List.map (fun r -> r.State.status) (Network.mine net) in
+  Alcotest.(check bool) "every transfer of the reversed block applies" true
+    (List.for_all (function State.Ok _ -> true | State.Failed _ -> false) statuses);
+  Alcotest.(check int) "sender 0 advanced three nonces" 3
+    (Network.nonce net (Wallet.address (wallet 0)));
+  Network.set_adversary net None;
+  Network.submit net (transfer ~from:1 ~to_:2 ~nonce:1 ~value:1);
+  Network.submit net (transfer ~from:1 ~to_:2 ~nonce:2 ~value:1);
+  ignore (Network.mine net);
+  Alcotest.(check (option bool)) "a sibling reordering one sender's nonces is no fork" None
+    (Network.fork_tip net ~permute:List.rev)
 
 (* Eclipse of one worker: its submission is held for the window and lands
    at release, inside the answer deadline — everyone still gets paid. *)
@@ -800,6 +822,8 @@ let () =
           Alcotest.test_case "byzantine miner censors" `Quick test_chaos_byzantine_censor;
           Alcotest.test_case "byzantine sibling adopted" `Quick
             test_chaos_byzantine_fork_adopted;
+          Alcotest.test_case "byzantine orders keep nonce lanes" `Quick
+            test_byzantine_orders_keep_nonce_lanes;
           Alcotest.test_case "eclipsed worker released in time" `Quick
             test_chaos_eclipse_release;
           Alcotest.test_case "colluding minority unpaid" `Quick
