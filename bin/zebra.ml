@@ -458,11 +458,7 @@ let load_cmd =
   let inflight_arg =
     Arg.(value & opt int 8 & info [ "inflight" ] ~docv:"W" ~doc:"Max tasks in flight.")
   in
-  let replay_arg =
-    let doc = "Also re-execute the chain serially from genesis and check root agreement." in
-    Arg.(value & flag & info [ "verify-replay" ] ~doc)
-  in
-  let run () seed quiet tasks requesters workers per_task inflight verify_replay =
+  let run () seed quiet tasks requesters workers per_task inflight =
     try
       Obs.reset ();
       Obs.set_enabled true;
@@ -475,7 +471,6 @@ let load_cmd =
           workers_per_task = per_task;
           inflight;
           seed;
-          verify_replay;
         }
       in
       let report = Load.run ~config () in
@@ -483,7 +478,9 @@ let load_cmd =
       print_string (Load.render_deterministic report);
       if not quiet then print_string (Load.render_timing report);
       if Load.ok report then `Ok ()
-      else `Error (false, "load invariants violated (failures / replica agreement / supply)")
+      else
+        `Error
+          (false, "load invariants violated (failures / replica agreement / supply / replay)")
     with Invalid_argument m | Failure m -> `Error (false, m)
   in
   let doc =
@@ -495,7 +492,7 @@ let load_cmd =
     Term.(
       ret
         (const run $ domains_arg $ seed_arg $ quiet_arg $ tasks_arg $ requesters_arg
-        $ workers_arg $ per_task_arg $ inflight_arg $ replay_arg))
+        $ workers_arg $ per_task_arg $ inflight_arg))
 
 (* --- index --- *)
 

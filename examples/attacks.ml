@@ -137,7 +137,7 @@ let () =
           ~policy:(Policy.Majority { choices = 4 }) ~n:2 ~budget:60 ()
       with
       | Ok _ -> Printf.printf "  -> ACCEPTED (attack succeeded?!)\n%!"
-      | Error (Protocol.Deploy_rejected reason) ->
+      | Error (Protocol.Rejected { phase = "task_publish"; reason; _ }) ->
         Printf.printf "  -> REJECTED at deployment: %s\n%!" reason
       | Error e -> Printf.printf "  -> unexpected error: %s\n%!" (Protocol.error_to_string e));
 
@@ -154,8 +154,8 @@ let () =
           ~workers:[ (w1, 1); (w2, 2) ]
       with
       | Ok _ -> Printf.printf "  -> both ACCEPTED (attack succeeded?!)\n%!"
-      | Error (Protocol.Submission_rejected { worker; reason }) ->
-        Printf.printf "  -> submission #%d REJECTED: %s\n" worker reason;
+      | Error (Protocol.Rejected { phase = "answer_collection"; index; reason }) ->
+        Printf.printf "  -> submission #%d REJECTED: %s\n" index reason;
         Printf.printf "  the contract enforces n; the loser only lost a transaction fee.\n%!"
       | Error e -> Printf.printf "  -> unexpected error: %s\n%!" (Protocol.error_to_string e));
 

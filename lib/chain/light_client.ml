@@ -1,8 +1,8 @@
 module Merkle = Zebra_hashing.Merkle
 
-type t = { difficulty : int; mutable headers : Block.header list (* newest first *) }
+type t = { mutable headers : Block.header list (* newest first *) }
 
-let create ?(difficulty = 0) () = { difficulty; headers = [] }
+let create () = { headers = [] }
 
 let height t = match t.headers with [] -> 0 | h :: _ -> h.Block.height
 
@@ -14,7 +14,6 @@ let tip_hash t =
 let push_header t (h : Block.header) =
   if h.Block.height <> height t + 1 then Error "bad height"
   else if not (Bytes.equal h.Block.prev_hash (tip_hash t)) then Error "bad parent"
-  else if not (Block.meets_difficulty h t.difficulty) then Error "insufficient proof of work"
   else begin
     t.headers <- h :: t.headers;
     Ok ()

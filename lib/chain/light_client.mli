@@ -9,8 +9,8 @@
 
 type t
 
-(** [create ?difficulty ()] — headers failing the PoW target are refused. *)
-val create : ?difficulty:int -> unit -> t
+(** A client that has accepted no header yet. *)
+val create : unit -> t
 
 (** Height of the last accepted header (0 before any). *)
 val height : t -> int

@@ -32,7 +32,6 @@ type partition_state = {
 
 type t = {
   genesis : (Address.t * int) list;
-  difficulty : int;
   nodes : node array;
   mutable mempool : Tx.t list; (* reversed arrival order *)
   mutable adversary : (Tx.t list -> Tx.t list) option;
@@ -45,12 +44,10 @@ type t = {
   mutable logs : string list; (* reversed *)
 }
 
-let create ?(difficulty = 0) ~num_nodes ~genesis () =
+let create ~num_nodes ~genesis () =
   if num_nodes < 1 then invalid_arg "Network.create: need at least one node";
-  if difficulty < 0 || difficulty > 32 then invalid_arg "Network.create: difficulty out of range";
   {
     genesis;
-    difficulty;
     nodes =
       Array.init num_nodes (fun id ->
           { id; state = State.create ~genesis; up = true; applied_height = 0 });
@@ -328,8 +325,8 @@ let fork_tip t ~permute =
       let h = tip.Block.header.Block.height in
       List.iter (fun tx -> ignore (State.apply_tx st ~height:h tx)) txs';
       let sibling =
-        Block.make ~difficulty:t.difficulty ~height:h
-          ~prev_hash:tip.Block.header.Block.prev_hash ~state_root:(State.root st) txs'
+        Block.make ~height:h ~prev_hash:tip.Block.header.Block.prev_hash
+          ~state_root:(State.root st) txs'
       in
       if Bytes.compare (Block.hash sibling) (Block.hash tip) < 0 then begin
         t.chain <- sibling :: rest;
@@ -426,10 +423,9 @@ let mine_ext t =
                   (List.nth live i).id new_height)))
       roots;
     let block =
-      Block.make ~difficulty:t.difficulty ~height:new_height ~prev_hash:(tip_hash t)
-        ~state_root:root0 valid
+      Block.make ~height:new_height ~prev_hash:(tip_hash t) ~state_root:root0 valid
     in
-    (match Block.validate ~difficulty:t.difficulty ~prev_hash:(tip_hash t) ~prev_height:(height t) block with
+    (match Block.validate ~prev_hash:(tip_hash t) ~prev_height:(height t) block with
     | Ok () -> ()
     | Error e -> raise (Consensus_failure ("miner produced invalid block: " ^ e)));
     block
@@ -471,8 +467,7 @@ let mine_ext t =
           else Block.hash (List.nth t.chain (height t - p.p_fork_height))
       in
       let mblock =
-        Block.make ~difficulty:t.difficulty ~height:m_height ~prev_hash:prev
-          ~state_root:root0 []
+        Block.make ~height:m_height ~prev_hash:prev ~state_root:root0 []
       in
       p.p_chain <- mblock :: p.p_chain;
       List.iter (fun n -> n.applied_height <- m_height) m_live));

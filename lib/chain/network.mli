@@ -27,10 +27,9 @@ exception Consensus_failure of string
     height (and run through the pipeline again). *)
 type mempool_fault = height:int -> Tx.t list -> Tx.t list * (int * Tx.t) list
 
-(** [create ?difficulty ~num_nodes ~genesis ()] — all nodes start from the
-    same funded genesis state.  [difficulty] (default 0) makes miners grind
-    a proof-of-work seal of that many leading zero bits per block. *)
-val create : ?difficulty:int -> num_nodes:int -> genesis:(Address.t * int) list -> unit -> t
+(** [create ~num_nodes ~genesis ()] — all nodes start from the same
+    funded genesis state. *)
+val create : num_nodes:int -> genesis:(Address.t * int) list -> unit -> t
 
 val num_nodes : t -> int
 

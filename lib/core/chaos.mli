@@ -24,8 +24,9 @@ type settlement =
       (** the timeout fallback paid out (the plan withheld the
           instruction) *)
   | Aborted of Protocol.error
-      (** the plan exceeded the retry policy's synchrony bound; a typed
-          error, never an exception *)
+      (** a phase was rejected (a fault reordered or lost a transaction a
+          later phase depends on), timed out past the synchrony bound, or
+          met a replica failure; a typed error, never an exception *)
 
 type outcome = {
   settlement : settlement;
@@ -60,8 +61,9 @@ val outcome_to_string : outcome -> string
 (** [run ~seed ~plan ()] boots a fresh system ([Protocol.create_system
     ~seed]), attaches the fault plan to its network and to a
     content-addressed store holding the task's data blob, and drives one
-    round with [n] workers under {!Protocol.default_retry}, an answer
-    window of 20 blocks and an instruction window of 12.  If the plan says
+    round with [n] workers under the {!Protocol.max_attempts} and
+    {!Protocol.backoff_blocks} retry bound, an answer window of 20 blocks
+    and an instruction window of 12.  If the plan says
     [withhold_worker], the last enrolled worker never submits; if
     [no_instruction], the requester never instructs and the round settles
     through Finalize; [collude=K] makes the last K answering workers

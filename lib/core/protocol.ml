@@ -9,9 +9,8 @@ module Source = Zebra_rng.Source
 module Obs = Zebra_obs.Obs
 module Parallel = Zebra_parallel.Parallel
 
-type retry_policy = { max_attempts : int; backoff_blocks : int }
-
-let default_retry = { max_attempts = 3; backoff_blocks = 2 }
+let max_attempts = 3
+let backoff_blocks = 2
 
 type system = {
   net : Network.t;
@@ -23,28 +22,23 @@ type system = {
   rng : Source.t;
   setup_seed : string;
   keycache : Zebra_snark.Snark.Keycache.t;
-  retry : retry_policy;
 }
 
 type identity = { key : Cpla.user_key; cert_index : int }
 
 type error =
-  | Deploy_rejected of string
-  | Submission_rejected of { worker : int; reason : string }
-  | Instruction_rejected of string
+  | Rejected of { phase : string; index : int; reason : string }
   | Timed_out of { phase : string; attempts : int }
   | Node_down of string
 
 let error_to_string = function
-  | Deploy_rejected reason -> "task deployment rejected: " ^ reason
-  | Submission_rejected { worker; reason } ->
-    Printf.sprintf "submission of worker %d rejected: %s" worker reason
-  | Instruction_rejected reason -> "reward instruction rejected: " ^ reason
+  | Rejected { phase; index; reason } ->
+    Printf.sprintf "%s: transaction %d rejected: %s" phase index reason
   | Timed_out { phase; attempts } ->
     Printf.sprintf "%s timed out: transaction not mined after %d broadcast(s)" phase attempts
   | Node_down reason -> "replica failure: " ^ reason
 
-let get_ok = function Ok v -> v | Error e -> failwith ("Protocol: " ^ error_to_string e)
+let get_ok = function Ok v -> v | Error e -> raise (Failure ("Protocol: " ^ error_to_string e))
 
 let random_bytes sys n = Source.bytes sys.rng n
 
@@ -73,14 +67,13 @@ let mine_r sys =
     Error (Node_down why)
 
 (* --- Phases: the one confirm loop.  A phase is the transactions one step
-   of a task broadcast plus the [finish] that turns their receipts into
-   the step's result; [poll] runs after each mined block and applies
-   [sys.retry]. --- *)
+   of a task broadcast plus the [value] it settles to; [poll] runs after
+   each mined block and applies the one settle rule. --- *)
 
 type 'a phase = {
-  name : string;  (* labels a [Timed_out] *)
+  name : string;  (* labels a [Rejected] or [Timed_out] *)
   txs : (Tx.t * bytes) list;  (* broadcast, with their hashes *)
-  finish : State.status option list -> ('a, error) result;
+  value : 'a;  (* the result once every receipt is Ok *)
   mutable attempts : int;  (* broadcasts so far *)
   mutable waited : int;  (* blocks mined since the last broadcast *)
 }
@@ -94,22 +87,20 @@ let broadcast sys tx =
     invalid_arg ("Protocol: " ^ Network.submit_error_to_string e)
 
 (* A phase over transactions the caller already broadcast. *)
-let phase ~name txs finish =
-  { name; txs = List.map (fun tx -> (tx, Tx.hash tx)) txs; finish; attempts = 1; waited = 0 }
+let phase ~name txs value =
+  { name; txs = List.map (fun tx -> (tx, Tx.hash tx)) txs; value; attempts = 1; waited = 0 }
 
-(* Broadcasts [tx] as a phase of its own; [finish] sees its status. *)
-let single sys ~name tx finish =
+let single sys ~name tx value =
   broadcast sys tx;
-  phase ~name [ tx ] (function
-    | [ Some status ] -> finish status
-    | _ -> invalid_arg "Protocol: a one-transaction phase settles on its receipt")
+  phase ~name [ tx ] value
 
-(* Every receipt in: settle.  Otherwise wait out the synchrony bound
-   ([backoff_blocks] blocks after the broadcast's own), then report a
-   failed receipt, or rebroadcast the stragglers — up to [max_attempts]
-   broadcasts before [Timed_out].  A rebroadcast whose delayed copy later
-   arrives is safe: the duplicate fails nonce replay and the first receipt
-   is canonical. *)
+(* Every receipt Ok: settle to the value.  A failed receipt: [Rejected]
+   naming the first one — at once if every receipt is in, otherwise after
+   the synchrony bound ([backoff_blocks] blocks after the broadcast's
+   own).  Receipts still missing after the bound are rebroadcast, up to
+   [max_attempts] broadcasts before [Timed_out].  A rebroadcast whose
+   delayed copy later arrives is safe: the duplicate fails nonce replay
+   and the first receipt is canonical. *)
 let poll sys p =
   p.waited <- p.waited + 1;
   let statuses =
@@ -117,14 +108,22 @@ let poll sys p =
       (fun (_, hash) -> Option.map (fun r -> r.State.status) (Network.receipt sys.net hash))
       p.txs
   in
+  let rejected =
+    let rec first index = function
+      | Some (State.Failed reason) :: _ -> Some (Rejected { phase = p.name; index; reason })
+      | _ :: rest -> first (index + 1) rest
+      | [] -> None
+    in
+    first 0 statuses
+  in
+  let settled = match rejected with Some e -> Error e | None -> Ok p.value in
   if List.for_all Option.is_some statuses then begin
     if p.attempts > 1 || p.waited > 1 then Obs.Counter.incr m_recovered;
-    Some (p.finish statuses)
+    Some settled
   end
-  else if p.waited <= sys.retry.backoff_blocks then None
-  else if List.exists (function Some (State.Failed _) -> true | _ -> false) statuses then
-    Some (p.finish statuses)
-  else if p.attempts >= sys.retry.max_attempts then begin
+  else if p.waited <= backoff_blocks then None
+  else if Option.is_some rejected then Some settled
+  else if p.attempts >= max_attempts then begin
     Obs.Counter.incr m_timeouts;
     Some (Error (Timed_out { phase = p.name; attempts = p.attempts }))
   end
@@ -147,10 +146,7 @@ let rec await sys p =
   let* () = mine_r sys in
   match poll sys p with Some result -> result | None -> await sys p
 
-let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ?(retry = default_retry) ~seed () =
-  if retry.max_attempts < 1 then invalid_arg "Protocol.create_system: max_attempts must be >= 1";
-  if retry.backoff_blocks < 0 then
-    invalid_arg "Protocol.create_system: backoff_blocks must be >= 0";
+let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ~seed () =
   Task_contract.register ();
   Ra_contract.register ();
   let rng = match rng with Some s -> s | None -> Source.of_seed seed in
@@ -177,7 +173,6 @@ let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ?(retry = default_retr
       rng;
       setup_seed = seed;
       keycache;
-      retry;
     }
   in
   let deploy =
@@ -190,12 +185,7 @@ let create_system ?(num_nodes = 3) ?(tree_depth = 6) ?rng ?(retry = default_retr
            })
       ~value:0 ~payload:Bytes.empty
   in
-  get_ok
-    (await sys
-       (single sys ~name:"ra_deployment" deploy (function
-         | State.Ok (Some _) -> Ok ()
-         | State.Ok None -> failwith "Protocol: RA deployment returned no address"
-         | State.Failed e -> failwith ("Protocol: RA contract deployment failed: " ^ e))));
+  get_ok (await sys (single sys ~name:"ra_deployment" deploy ()));
   sys
 
 let faucet_nonce sys = Network.nonce sys.net (Wallet.address sys.faucet)
@@ -211,10 +201,7 @@ let post_root_r sys =
     Tx.make ~wallet:sys.faucet ~nonce:(faucet_nonce sys) ~dst:(Tx.Call sys.ra_contract)
       ~value:0 ~payload:(Ra_contract.set_root_msg (Ra.root sys.ra))
   in
-  await sys
-    (single sys ~name:"ra_root_update" tx (function
-      | State.Ok _ -> Ok ()
-      | State.Failed e -> failwith ("Protocol: RA root update failed: " ^ e)))
+  await sys (single sys ~name:"ra_root_update" tx ())
 
 let enroll_r sys =
   Obs.with_span "protocol.register" @@ fun () ->
@@ -234,10 +221,15 @@ let ra_rsa_pub_bytes sys = Zebra_rsa.Rsa.public_key_to_bytes sys.ra_rsa.Zebra_rs
 
 let fresh_wallet sys = Wallet.generate ~random_bytes:(random_bytes sys) ()
 
-let task_storage sys contract =
+(* A task contract's decoded storage.  A missing contract — its deployment
+   requeued by a reorg or lost to a drop — rejects [phase] before its
+   first transaction is built. *)
+let storage_r sys ~phase contract =
   match Network.contract_storage sys.net contract with
-  | Some bytes -> Task_contract.storage_of_bytes bytes
-  | None -> failwith "Protocol: no such task contract"
+  | Some bytes -> Ok (Task_contract.storage_of_bytes bytes)
+  | None -> Error (Rejected { phase; index = 0; reason = "no such task contract" })
+
+let task_storage sys contract = get_ok (storage_r sys ~phase:"task_storage" contract)
 
 (* --- Task phases: the one place a funding, publish, answer or instruct
    transaction is built, shared by the drivers below, the pipelined
@@ -250,12 +242,9 @@ let funding ?(fee = 0) ?nonce sys wallet ~amount =
       ~dst:(Tx.Call (Wallet.address wallet))
       ~value:amount ~payload:Bytes.empty
   in
-  single sys ~name:"faucet_funding" tx (function
-    | State.Ok _ -> Ok wallet
-    | State.Failed e -> failwith ("Protocol: faucet funding failed: " ^ e))
+  single sys ~name:"faucet_funding" tx wallet
 
-let fresh_funded_wallet_r ?(phase = "faucet_funding") sys ~amount =
-  await sys { (funding sys (fresh_wallet sys) ~amount) with name = phase }
+let fresh_funded_wallet_r sys ~amount = await sys (funding sys (fresh_wallet sys) ~amount)
 
 (* Setup randomness derives from the system seed (not the shared
    [sys.rng] stream), so a memo hit returns the keys a fresh setup would:
@@ -263,6 +252,8 @@ let fresh_funded_wallet_r ?(phase = "faucet_funding") sys ~amount =
 let reward_circuit sys ~policy ~n =
   Reward_circuit.setup_cached sys.keycache ~seed:(sys.setup_seed ^ "/reward-circuit") ~policy ~n
 
+(* The deployment lands at [Address.of_creator wallet 0], the address
+   [Requester.create_task] predicts for [task.contract]. *)
 let publish sys ~requester ~wallet ~policy ~n ~budget ?(answer_window = 20)
     ?(instruct_window = 40) ?max_per_worker ?ra_rsa_pub ?data_digest ?fee () =
   let circuit = reward_circuit sys ~policy ~n in
@@ -277,13 +268,8 @@ let publish sys ~requester ~wallet ~policy ~n ~budget ?(answer_window = 20)
       ~instruct_deadline:(height + answer_window + instruct_window)
       ()
   in
-  single sys ~name:"task_publish" tx (function
-    | State.Ok (Some addr) when Address.equal addr task.Requester.contract ->
-      Obs.Counter.incr m_tasks;
-      Ok task
-    | State.Ok (Some _) -> Error (Deploy_rejected "contract address prediction failed")
-    | State.Ok None -> Error (Deploy_rejected "deployment returned no address")
-    | State.Failed e -> Error (Deploy_rejected e))
+  Obs.Counter.incr m_tasks;
+  single sys ~name:"task_publish" tx task
 
 let answer_tx sys ~storage ~task ~wallet worker ~answer =
   Worker.submit_tx ~random_bytes:(random_bytes sys) ~cpla:sys.cpla ~storage ~contract:task
@@ -292,14 +278,19 @@ let answer_tx sys ~storage ~task ~wallet worker ~answer =
     ~answer ~nonce:0
 
 let answers sys ~task ~wallet workers =
-  let storage = task_storage sys task in
+  let name = "answer_collection" in
+  let* storage = storage_r sys ~phase:name task in
   let* () =
     Worker.validate_task ~storage ~contract:task ~balance:(Network.balance sys.net task)
       ~height:(Network.height sys.net)
       ~expected_root:storage.Task_contract.params.Task_contract.ra_root
     |> Result.map_error (fun e ->
-           Submission_rejected
-             { worker = 0; reason = "task validation failed: " ^ Worker.validation_error_to_string e })
+           Rejected
+             {
+               phase = name;
+               index = 0;
+               reason = "task validation failed: " ^ Worker.validation_error_to_string e;
+             })
   in
   (* Wallet and proof draws interleave worker by worker: the chain bytes
      of every caller, [Load]'s pinned root among them, follow that order. *)
@@ -312,31 +303,24 @@ let answers sys ~task ~wallet workers =
         (tx, w))
       workers
   in
-  let rec first_failure i = function
-    | Some (State.Failed reason) :: _ -> Error (Submission_rejected { worker = i; reason })
-    | _ :: rest -> first_failure (i + 1) rest
-    | [] ->
-      Obs.Counter.add m_answers (List.length sent);
-      Ok (List.map snd sent)
-  in
-  Ok (phase ~name:"answer_collection" (List.map fst sent) (first_failure 0))
+  Obs.Counter.add m_answers (List.length sent);
+  Ok (phase ~name (List.map fst sent) (List.map snd sent))
 
 let instruct ?fee sys (task : Requester.task) =
+  let name = "reward" in
+  let* storage = storage_r sys ~phase:name task.Requester.contract in
   let rewards, tx =
-    Requester.instruct ?fee ~random_bytes:(random_bytes sys) task
-      ~storage:(task_storage sys task.Requester.contract)
+    Requester.instruct ?fee ~random_bytes:(random_bytes sys) task ~storage
       ~nonce:(Network.nonce sys.net (Wallet.address task.Requester.wallet))
   in
-  single sys ~name:"reward" tx (function
-    | State.Ok _ -> Ok rewards
-    | State.Failed e -> Error (Instruction_rejected e))
+  Ok (single sys ~name tx rewards)
 
 (* --- Phase drivers: each awaits its phases in turn. --- *)
 
 let publish_task_r sys ~requester ~policy ~n ~budget ?answer_window ?instruct_window
     ?max_per_worker ?ra_rsa_pub ?data_digest () =
   Obs.with_span "protocol.task_publish" @@ fun () ->
-  let* wallet = fresh_funded_wallet_r sys ~phase:"task_publish" ~amount:(budget + 1) in
+  let* wallet = fresh_funded_wallet_r sys ~amount:(budget + 1) in
   await sys
     (publish sys ~requester ~wallet ~policy ~n ~budget ?answer_window ?instruct_window
        ?max_per_worker ?ra_rsa_pub ?data_digest ())
@@ -356,9 +340,8 @@ let reward_r sys (task : Requester.task) =
   let storage () = Network.contract_storage sys.net task.Requester.contract in
   let rec prove k =
     let basis = storage () in
-    match await sys (instruct sys task) with
-    | Error (Instruction_rejected _)
-      when k < sys.retry.max_attempts && storage () <> None && storage () <> basis ->
+    match Result.bind (instruct sys task) (await sys) with
+    | Error (Rejected _) when k < max_attempts && storage () <> None && storage () <> basis ->
       prove (k + 1)
     | result -> result
   in
@@ -375,18 +358,16 @@ let rec mine_to_r sys ~height =
 let finalize_r sys (task : Requester.task) =
   Obs.with_span "protocol.finalize" @@ fun () ->
   let* () = mine_to_r sys ~height:(task.Requester.params.Task_contract.instruct_deadline + 1) in
+  let name = "finalize" in
+  let* storage = storage_r sys ~phase:name task.Requester.contract in
   let caller = fresh_wallet sys in
-  let storage = task_storage sys task.Requester.contract in
   let tx =
     Tx.make_ext ~wallet:caller ~fee:0
       ~footprint:(Requester.settlement_footprint ~sender:(Wallet.address caller) storage)
       ~nonce:0 ~dst:(Tx.Call task.Requester.contract) ~value:0
       ~payload:(Task_contract.message_to_bytes Task_contract.Finalize)
   in
-  await sys
-    (single sys ~name:"finalize" tx (function
-      | State.Ok _ -> Ok ()
-      | State.Failed e -> Error (Instruction_rejected e)))
+  await sys (single sys ~name tx ())
 
 (* --- Audit --- *)
 

@@ -6,15 +6,17 @@
     drive.  Lower-level steps are exposed so adversarial scenarios can
     deviate at any point.
 
-    {b Error handling}: the [_r]-suffixed phase drivers return
-    [('a, error) result] with a typed {!error} describing which on-chain
-    step rejected and why.  Callers that treat a rejection as fatal unwrap
-    with {!get_ok}.
+    {b Error handling}: the [_r]-suffixed phase drivers, and the builders
+    that read a task's storage ({!answers}, {!instruct}), return
+    [('a, error) result]; a fault never raises.  Every rejection is
+    [Rejected] naming the phase, the transaction and the reason, whether
+    a receipt failed or a builder found its task contract missing.
+    Callers that treat a rejection as fatal unwrap with {!get_ok}.
 
-    {b One builder and one confirm loop}: every on-chain step is a
-    {!phase} — the transactions it broadcast plus how their receipts
-    become its result — built only by {!funding}, {!publish}, {!answers}
-    and {!instruct}, and by {!single} for the RA deployment, root post,
+    {b One builder and one settle rule}: every on-chain step is a
+    {!phase} — the transactions it broadcast plus the value it settles
+    to — built only by {!funding}, {!publish}, {!answers} and
+    {!instruct}, and by {!single} for the RA deployment, root post,
     Finalize and [Scenario]'s reputation-board transactions.  The phase
     drivers, [Chaos] and [Scenario] {!await} them one at a time; the
     pipelined [Load] scheduler keeps one phase per task in flight and
@@ -25,14 +27,14 @@
     charges no fees, so no worker and no Finalize caller is funded.
     [Load] passes its fee tiers and faucet nonces as [?fee] and
     [?nonce]; [Chaos] registers an eclipse victim's wallet with the fault
-    controller as it hands it out, so a held answer is rebroadcast under
-    [retry] like any lost one.
+    controller as it hands it out, so a held answer is rebroadcast like
+    any lost one.
 
     {b Fault tolerance}: phases ride out transient network faults (see
     [Zebra_faults]).  A phase settles once every receipt is in; a missing
-    receipt is waited out for [retry.backoff_blocks] further blocks — the
+    receipt is waited out for {!backoff_blocks} further blocks — the
     synchrony bound — then the stragglers are rebroadcast, up to
-    [retry.max_attempts] broadcasts before [Timed_out].  Rebroadcasts are
+    {!max_attempts} broadcasts before [Timed_out].  Rebroadcasts are
     idempotent: a late-arriving delayed copy fails nonce replay and the
     first mined receipt is canonical.  A replica divergence the chain
     cannot mask surfaces as [Node_down].  On the fault-free happy path
@@ -43,15 +45,14 @@
     [protocol.answer_collection], [protocol.reward], [protocol.finalize]) —
     inert until [Zebra_obs.Obs.set_enabled true]. *)
 
-(** Bounded-retry policy for every {!phase}: up to [max_attempts]
-    broadcasts of a transaction, each followed by at most [backoff_blocks]
-    extra blocks of waiting for the receipt. *)
-type retry_policy = { max_attempts : int; backoff_blocks : int }
+(** The retry bound of every {!phase}: up to [max_attempts] (3)
+    broadcasts of a transaction, each followed by at most
+    [backoff_blocks] (2) extra blocks of waiting for the receipt.  It
+    rides out any delay fault with [delay_blocks <= 2] and any drop
+    pattern that spares one of three broadcasts. *)
+val max_attempts : int
 
-(** [{ max_attempts = 3; backoff_blocks = 2 }] — rides out any delay fault
-    with [delay_blocks <= 2] and any drop rate that spares one of three
-    broadcasts. *)
-val default_retry : retry_policy
+val backoff_blocks : int
 
 type system = {
   net : Zebra_chain.Network.t;
@@ -68,23 +69,23 @@ type system = {
   keycache : Zebra_snark.Snark.Keycache.t;
       (** the system's keypair memo: one trusted setup per circuit shape,
           behind the CPLA setup and {!reward_circuit} *)
-  retry : retry_policy;
 }
 
 (** A registered participant: long-term CPLA identity plus certificate. *)
 type identity = { key : Zebra_anonauth.Cpla.user_key; cert_index : int }
 
-(** Why a phase was rejected on-chain. *)
+(** Why a phase did not settle. *)
 type error =
-  | Deploy_rejected of string  (** TaskPublish: contract creation reverted *)
-  | Submission_rejected of { worker : int; reason : string }
-      (** AnswerCollection: the [worker]-th submission (0-based, in
-          submission order) was declined client-side or reverted on-chain *)
-  | Instruction_rejected of string  (** Reward: the instruction reverted *)
+  | Rejected of { phase : string; index : int; reason : string }
+      (** the phase's [index]-th transaction (0-based, in broadcast order:
+          the worker, for ["answer_collection"]) failed on-chain with
+          [reason]; or the builder declined before broadcasting, with
+          [index] 0 — a task that fails the workers' validation, or a task
+          contract that is missing (its deployment requeued by a reorg or
+          lost to a drop) *)
   | Timed_out of { phase : string; attempts : int }
       (** the phase's transaction was never mined despite [attempts]
-          broadcasts — the fault plan exceeded the retry policy's
-          synchrony bound *)
+          broadcasts — the fault plan exceeded the synchrony bound *)
   | Node_down of string
       (** a replica failure the chain could not mask (a crashed node whose
           re-sync diverged, or live replicas disagreeing) *)
@@ -101,15 +102,11 @@ val get_ok : ('a, error) result -> 'a
     Every circuit and the RA tree use
     {!Zebra_hashcomp.Hash_composition.default} (Poseidon).  [?rng]
     overrides the randomness source (default: a deterministic ChaCha20
-    stream keyed by [seed]).  [?retry] sets the phase drivers' retry
-    policy for the system's lifetime (default {!default_retry}).
-    @raise Invalid_argument if [retry.max_attempts < 1] or
-    [retry.backoff_blocks < 0], before any key generation. *)
+    stream keyed by [seed]). *)
 val create_system :
   ?num_nodes:int ->
   ?tree_depth:int ->
   ?rng:Zebra_rng.Source.t ->
-  ?retry:retry_policy ->
   seed:string ->
   unit ->
   system
@@ -138,22 +135,26 @@ val ra_rsa_pub_bytes : system -> bytes
 (** A new, unfunded one-task-only wallet drawn from the system stream. *)
 val fresh_wallet : system -> Zebra_chain.Wallet.t
 
-(** Read and decode a task contract's storage from the chain. *)
+(** Read and decode a task contract's storage from the chain.  The phase
+    builders read it as a result; this raising read serves callers that
+    know the contract is deployed.
+    @raise Failure when no contract lives at the address. *)
 val task_storage : system -> Zebra_chain.Address.t -> Task_contract.storage
 
 (** {2 Phases} *)
 
-(** One on-chain step in flight, settling to an ['a]: the transactions it
-    broadcast, and how their receipts become its result. *)
+(** One on-chain step in flight: the transactions it broadcast and the
+    ['a] it settles to once every receipt is Ok. *)
 type 'a phase
 
 (** [poll sys p] — run after each mined block — is [None] while [p] is
-    pending and [Some result] once it settles.  Every receipt in: the
-    phase settles on them.  A receipt still missing: after
-    [retry.backoff_blocks] further blocks (the synchrony bound) a failed
-    receipt among the others settles the phase with its rejection;
-    otherwise the stragglers are rebroadcast, up to [retry.max_attempts]
-    broadcasts before [Error (Timed_out _)].
+    pending and [Some result] once it settles, by one rule for every
+    phase.  Every receipt Ok: [Ok value].  A failed receipt: [Error
+    (Rejected {phase; index; reason})] for the first one, at once when
+    every receipt is in, else after {!backoff_blocks} further blocks (the
+    synchrony bound).  Receipts still missing after the bound are
+    rebroadcast, up to {!max_attempts} broadcasts before [Error
+    (Timed_out _)].
 
     Counters: [protocol.retry.resubmits] counts rebroadcast transactions;
     [protocol.retry.recovered] counts phases whose receipts all arrived,
@@ -166,22 +167,16 @@ val poll : system -> 'a phase -> ('a, error) result option
     is [Error (Node_down _)]. *)
 val await : system -> 'a phase -> ('a, error) result
 
-(** [single sys ~name tx finish] broadcasts [tx] as a phase of its own,
-    labelled [name] in a [Timed_out]; [finish] turns its receipt's status
-    into the phase's result. *)
-val single :
-  system ->
-  name:string ->
-  Zebra_chain.Tx.t ->
-  (Zebra_chain.State.status -> ('a, error) result) ->
-  'a phase
+(** [single sys ~name tx value] broadcasts [tx] as a phase of its own,
+    labelled [name] in a [Rejected] or [Timed_out], settling to
+    [value]. *)
+val single : system -> name:string -> Zebra_chain.Tx.t -> 'a -> 'a phase
 
 (** [funding sys wallet ~amount] broadcasts the faucet's transfer of
     [amount] to [wallet], at the faucet's on-chain nonce unless [?nonce]
     is given (a caller with several transfers pending counts nonces
-    itself); [?fee] defaults to 0.  Settles to [wallet].
-    @raise Failure when it settles on a failed receipt (the faucet
-    holds the whole supply, so that is a bug, not a fault). *)
+    itself); [?fee] defaults to 0.  Settles to [wallet], labelled
+    ["faucet_funding"]. *)
 val funding :
   ?fee:int ->
   ?nonce:int ->
@@ -191,10 +186,8 @@ val funding :
   Zebra_chain.Wallet.t phase
 
 (** [fresh_funded_wallet_r sys ~amount] — a {!fresh_wallet} with its
-    awaited {!funding} (one block is mined on the happy path); [phase]
-    (default ["faucet_funding"]) labels a [Timed_out]. *)
-val fresh_funded_wallet_r :
-  ?phase:string -> system -> amount:int -> (Zebra_chain.Wallet.t, error) result
+    awaited {!funding} (one block is mined on the happy path). *)
+val fresh_funded_wallet_r : system -> amount:int -> (Zebra_chain.Wallet.t, error) result
 
 (** The reward circuit for [(policy, n)] through the system keypair memo,
     with setup randomness derived from [setup_seed ^ "/reward-circuit"] —
@@ -206,8 +199,9 @@ val reward_circuit : system -> policy:Policy.t -> n:int -> Reward_circuit.t
     requester's attestation under the RA's current root, an answer
     deadline [answer_window] (default 20) blocks after the current height
     and an instruct deadline [instruct_window] (default 40) blocks after
-    that.  [?fee] defaults to 0.  Settles to the requester's task handle,
-    or [Deploy_rejected]. *)
+    that.  [?fee] defaults to 0.  The contract lands at the address
+    [Requester.create_task] predicts, so the phase (["task_publish"])
+    settles to the requester's task handle. *)
 val publish :
   system ->
   requester:identity ->
@@ -242,11 +236,10 @@ val answer_tx :
     broadcasts each worker's {!answer_tx} in order, the [i]-th (0-based)
     from the unfunded one-task wallet [wallet i].  [wallet i] is called
     just before the [i]-th answer is proved, so wallet and proof draws
-    interleave.  A task that fails validation is [Error
-    (Submission_rejected { worker = 0; _ })], before any wallet is drawn.
-    The phase is labelled ["answer_collection"] and settles to the
-    wallets, or to [Submission_rejected] naming the first worker whose
-    submission reverted. *)
+    interleave.  A missing task contract, or a task that fails
+    validation, is [Error (Rejected { index = 0; _ })] before any wallet
+    is drawn.  The phase is labelled ["answer_collection"] and settles to
+    the wallets; a [Rejected]'s [index] names the worker. *)
 val answers :
   system ->
   task:Zebra_chain.Address.t ->
@@ -256,9 +249,10 @@ val answers :
 
 (** [instruct sys task] broadcasts the requester's proved reward
     instruction over the task's current on-chain submissions.  [?fee]
-    defaults to 0.  Settles to the reward vector it pays, or
-    [Instruction_rejected]. *)
-val instruct : ?fee:int -> system -> Requester.task -> int array phase
+    defaults to 0.  The phase (["reward"]) settles to the reward vector
+    it pays; a missing task contract is [Error (Rejected _)] before
+    anything is proved. *)
+val instruct : ?fee:int -> system -> Requester.task -> (int array phase, error) result
 
 (** {2 Phase drivers} *)
 
@@ -282,7 +276,7 @@ val publish_task_r :
 (** AnswerCollection: awaits the {!answers} phase, each worker
     answering from a {!fresh_wallet} (one block on the happy path).
     Returns each worker's wallet, whose balance is then what the task
-    pays it.  On [Error (Submission_rejected _)] the index identifies the
+    pays it.  On [Error (Rejected { index; _ })] the index identifies the
     offending worker; earlier accepted submissions stay on-chain. *)
 val submit_answers_r :
   system ->
@@ -294,7 +288,7 @@ val submit_answers_r :
     computes rewards, proves and instructs).  Returns the reward
     vector.  An instruction the contract rejects because a reorg re-mined
     the submissions after it was proved (a byzantine sibling, a partition
-    heal) is proved again, up to [max_attempts] proofs. *)
+    heal) is proved again, up to {!max_attempts} proofs. *)
 val reward_r : system -> Requester.task -> (int array, error) result
 
 (** [mine_to_r sys ~height] mines (possibly empty) blocks up to [height].
@@ -307,7 +301,7 @@ val mine_to_r : system -> height:int -> (unit, error) result
     Finalize, here from an unfunded {!fresh_wallet} — refunds the
     untouched budget to the requester and pays the flat fallback to each
     submitted worker (the paper's timeout path when the requester never
-    instructs). *)
+    instructs).  A missing task contract is [Error (Rejected _)]. *)
 val finalize_r : system -> Requester.task -> (unit, error) result
 
 (** What an audit found.  [offenders] are indices into the chain-ordered

@@ -2,7 +2,6 @@ module Network = Zebra_chain.Network
 module Wallet = Zebra_chain.Wallet
 module Address = Zebra_chain.Address
 module Tx = Zebra_chain.Tx
-module State = Zebra_chain.State
 module Snark = Zebra_snark.Snark
 
 let default_seed = "deployed-txs/lint-scenario-v1"
@@ -56,17 +55,13 @@ let build ?(seed = default_seed) () =
   let rep = Reputation.setup_cached sys.Protocol.keycache ~seed in
   let op = Protocol.get_ok (Protocol.fresh_funded_wallet_r sys ~amount:100) in
   (* The operator's transactions, each confirmed through Protocol's one
-     confirm loop. *)
+     settle rule. *)
   let confirm ~name dst payload =
     let tx =
       Tx.make ~wallet:op ~nonce:(Network.nonce sys.Protocol.net (Wallet.address op)) ~dst
         ~value:0 ~payload
     in
-    Protocol.get_ok
-      (Protocol.await sys
-         (Protocol.single sys ~name tx (function
-           | State.Ok _ -> Ok ()
-           | State.Failed m -> failwith (Printf.sprintf "Scenario: %s failed: %s" name m))))
+    Protocol.get_ok (Protocol.await sys (Protocol.single sys ~name tx ()))
   in
   confirm ~name:"reputation board deployment"
     (Tx.Create

@@ -16,10 +16,11 @@ ZEBRA_DOMAINS=1 dune runtest --force
 echo "== tests, ZEBRA_DOMAINS=4 =="
 ZEBRA_DOMAINS=4 dune runtest --force
 
-# Deterministic-cost gate: re-run the snark, field, lint and chaos
+# Deterministic-cost gate: re-run the snark, field, lint, chaos and load
 # benches and compare every deterministic row -- proof digests,
 # constraint counts, allocated bytes, lint counts, chaos settlements and
-# heights -- with the committed BENCH_*.json exactly (bench/row.ml).
+# heights, the 100-task load run's state root and block/tx counts -- with
+# the committed BENCH_*.json exactly (bench/row.ml).
 # This is also the lint gate, one analysis per deployed subject: bench
 # lint fails on any Error finding in a circuit (ZL0xx), tx kind's
 # footprint (ZL1xx) or secret-flow codec case (ZL2xx) before it compares
@@ -29,7 +30,7 @@ ZEBRA_DOMAINS=4 dune runtest --force
 # pool size may not change a single proof byte (see DESIGN.md).
 echo "== bench check (deterministic rows vs BENCH_*.json) =="
 BENCH="./_build/default/bench/main.exe"
-ZEBRA_DOMAINS=1 "$BENCH" check snark field lint chaos
+ZEBRA_DOMAINS=1 "$BENCH" check snark field lint chaos load
 ZEBRA_DOMAINS=4 "$BENCH" check snark
 
 # Chaos, byzantine, index and load-smoke traces against scripts/golden/.

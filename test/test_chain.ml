@@ -371,42 +371,6 @@ let test_replay_determinism () =
   Alcotest.(check bytes) "replayed root equals live root" (Network.state_root net)
     (Network.replay net)
 
-let test_pow_mining () =
-  (* With a difficulty target, every mined block carries a valid seal and
-     tampering with the nonce invalidates it. *)
-  let net = fresh_net () in
-  let net12 =
-    Network.create ~difficulty:12 ~num_nodes:2
-      ~genesis:[ (Wallet.address (wallet 0), 1000) ] ()
-  in
-  ignore net;
-  Network.submit net12
-    (Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:1
-       ~payload:Bytes.empty);
-  List.iter check_ok (Network.mine net12);
-  let b = List.hd (Network.blocks net12) in
-  Alcotest.(check bool) "seal meets target" true
-    (Block.meets_difficulty b.Block.header 12);
-  let unsealed = { b.Block.header with Block.nonce = b.Block.header.Block.nonce + 1 } in
-  (* overwhelmingly likely to fail the 12-bit target *)
-  Alcotest.(check bool) "tampered nonce fails" false (Block.meets_difficulty unsealed 12);
-  (* a light client at the same difficulty follows; one at a higher target
-     refuses *)
-  let lc = Light_client.create ~difficulty:12 () in
-  (match Light_client.sync lc (Network.blocks net12) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "sync: %s" e);
-  let strict = Light_client.create ~difficulty:28 () in
-  match Light_client.sync strict (Network.blocks net12) with
-  | Error "insufficient proof of work" -> ()
-  | _ -> Alcotest.fail "under-sealed header accepted"
-
-let test_pow_difficulty_zero_default () =
-  let net = fresh_net () in
-  ignore (Network.mine net);
-  let b = List.hd (Network.blocks net) in
-  Alcotest.(check int) "nonce zero at difficulty 0" 0 b.Block.header.Block.nonce
-
 let test_mine_until () =
   let net = fresh_net () in
   Network.mine_until net ~height:10;
@@ -880,8 +844,6 @@ let () =
           Alcotest.test_case "block linkage" `Quick test_block_chain_integrity;
           Alcotest.test_case "tx inclusion proof" `Quick test_tx_inclusion_proof;
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
-          Alcotest.test_case "proof-of-work seal" `Quick test_pow_mining;
-          Alcotest.test_case "difficulty 0 default" `Quick test_pow_difficulty_zero_default;
           Alcotest.test_case "mine_until" `Quick test_mine_until;
         ] );
       ( "sharded exec",

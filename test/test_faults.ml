@@ -256,8 +256,7 @@ let test_protocol_timeout_is_typed () =
   Faults.attach f sys.Protocol.net;
   (match Protocol.enroll_r sys with
   | Error (Protocol.Timed_out { attempts; _ }) ->
-    Alcotest.(check int) "gave up after max_attempts" Protocol.default_retry.Protocol.max_attempts
-      attempts
+    Alcotest.(check int) "gave up after max_attempts" Protocol.max_attempts attempts
   | Error e -> Alcotest.failf "wrong error: %s" (Protocol.error_to_string e)
   | Ok _ -> Alcotest.fail "cannot succeed under total loss");
   Faults.detach sys.Protocol.net;
@@ -398,8 +397,7 @@ let test_phases_in_flight_time_out () =
     (function
       | Error (Protocol.Timed_out { phase; attempts }) ->
         Alcotest.(check string) "phase" "answer_collection" phase;
-        Alcotest.(check int) "gave up after max_attempts"
-          Protocol.default_retry.Protocol.max_attempts attempts
+        Alcotest.(check int) "gave up after max_attempts" Protocol.max_attempts attempts
       | Error e -> Alcotest.failf "wrong error: %s" (Protocol.error_to_string e)
       | Ok _ -> Alcotest.fail "cannot settle when every answer is lost")
     results
@@ -480,8 +478,7 @@ let test_chaos_aborted_round_reports () =
   (match e with
   | Protocol.Timed_out { phase; attempts } ->
     Alcotest.(check string) "phase" "answer_collection" phase;
-    Alcotest.(check int) "gave up after max_attempts"
-      Protocol.default_retry.Protocol.max_attempts attempts
+    Alcotest.(check int) "gave up after max_attempts" Protocol.max_attempts attempts
   | e -> Alcotest.failf "wrong error: %s" (Protocol.error_to_string e));
   Alcotest.(check bool) "held answers rebroadcast" true (resubmits > 0);
   Alcotest.(check int) "the fetch before the abort counts" 1 o.Chaos.store_fetch_attempts;
@@ -634,6 +631,29 @@ let test_byzantine_orders_keep_nonce_lanes () =
   ignore (Network.mine net);
   Alcotest.(check (option bool)) "a sibling reordering one sender's nonces is no fork" None
     (Network.fork_tip net ~permute:List.rev)
+
+(* A partition heal that adopts the minority branch requeues phases that
+   had already settled.  At part-11 the requeued faucet transfer leaves
+   the requester's funding at a stale nonce; at bench-chaos a byzantine
+   reorder leaves the task contract undeployed when the requester comes
+   to instruct.  Neither round can settle, and each must end in a typed
+   rejection, not an exception, with the ledger invariants intact. *)
+let test_chaos_requeued_phase_aborts_typed () =
+  List.iter
+    (fun (seed, plan) ->
+      match Chaos.run ~seed ~plan:(Faults.spec_of_string plan) () with
+      | exception e -> Alcotest.failf "%s %s raised %s" seed plan (Printexc.to_string e)
+      | o ->
+        (match o.Chaos.settlement with
+        | Chaos.Aborted (Protocol.Rejected _) -> ()
+        | s ->
+          Alcotest.failf "%s %s: expected a typed rejection, got %s" seed plan
+            (Chaos.settlement_to_string s));
+        check_invariants (seed ^ " " ^ plan) o)
+    [
+      ("part-11", "partition=2|1:5-8,drop=0.1");
+      ("bench-chaos", "partition=2|1:4-7,byzmine=1:reorder,drop=0.05");
+    ]
 
 (* Eclipse of one worker: its submission is held for the window and lands
    at release, inside the answer deadline — everyone still gets paid. *)
@@ -822,6 +842,8 @@ let () =
           Alcotest.test_case "byzantine miner censors" `Quick test_chaos_byzantine_censor;
           Alcotest.test_case "byzantine sibling adopted" `Quick
             test_chaos_byzantine_fork_adopted;
+          Alcotest.test_case "requeued phases abort typed" `Quick
+            test_chaos_requeued_phase_aborts_typed;
           Alcotest.test_case "byzantine orders keep nonce lanes" `Quick
             test_byzantine_orders_keep_nonce_lanes;
           Alcotest.test_case "eclipsed worker released in time" `Quick

@@ -229,7 +229,9 @@ let test_protocol_deploy_rejected () =
      Protocol.publish_task_r sys ~requester:forged ~policy:(Policy.Majority { choices = 4 })
        ~n:1 ~budget:30 ()
    with
-  | Error (Protocol.Deploy_rejected reason) ->
+  | Error (Protocol.Rejected { phase; index; reason }) ->
+    Alcotest.(check string) "the deployment phase" "task_publish" phase;
+    Alcotest.(check int) "its one transaction" 0 index;
     Alcotest.(check string) "contract names the check" "requester not identified" reason
   | Ok _ -> Alcotest.fail "forged requester must not deploy"
   | Error e -> Alcotest.fail ("wrong error: " ^ Protocol.error_to_string e));
@@ -240,7 +242,7 @@ let test_protocol_deploy_rejected () =
   with
   | exception Failure m ->
     Alcotest.(check string) "get_ok message"
-      "Protocol: task deployment rejected: requester not identified" m
+      "Protocol: task_publish: transaction 0 rejected: requester not identified" m
   | _ -> Alcotest.fail "get_ok must raise"
 
 let test_protocol_submission_rejected () =
@@ -260,8 +262,9 @@ let test_protocol_submission_rejected () =
       Protocol.submit_answers_r sys ~task:task.Requester.contract
         ~workers:[ (w0, 1); (w1, 0) ]
     with
-    | Error (Protocol.Submission_rejected { worker; reason }) ->
-      Alcotest.(check int) "second submission blamed" 1 worker;
+    | Error (Protocol.Rejected { phase; index; reason }) ->
+      Alcotest.(check string) "the answer phase" "answer_collection" phase;
+      Alcotest.(check int) "second submission blamed" 1 index;
       Alcotest.(check string) "contract reason surfaced" "enough answers collected" reason
     | Ok _ -> Alcotest.fail "over-budget submission must be rejected"
     | Error e -> Alcotest.fail ("wrong error: " ^ Protocol.error_to_string e))

@@ -621,20 +621,6 @@ let test_audit_malformed_attestation () =
 
 (* --- system setup --- *)
 
-(* An invalid retry policy is refused at the door, before any key
-   generation: a negative backoff would otherwise mine forever once a
-   broadcast is lost. *)
-let test_create_system_rejects_bad_retry () =
-  List.iter
-    (fun (what, retry) ->
-      match Protocol.create_system ~retry ~seed:"test_protocol-retry" () with
-      | _ -> Alcotest.failf "create_system accepted %s" what
-      | exception Invalid_argument _ -> ())
-    [
-      ("max_attempts = 0", { Protocol.max_attempts = 0; backoff_blocks = 2 });
-      ("backoff_blocks = -1", { Protocol.max_attempts = 3; backoff_blocks = -1 });
-    ]
-
 (* One trusted setup per (policy, n): the second request is a memo hit,
    and both return the keys of a fresh setup seeded from the system seed. *)
 let test_reward_circuit_memo () =
@@ -707,7 +693,6 @@ let () =
         ] );
       ( "system",
         [
-          Alcotest.test_case "invalid retry rejected" `Quick test_create_system_rejects_bad_retry;
           Alcotest.test_case "reward circuit memo" `Quick test_reward_circuit_memo;
         ] );
     ]

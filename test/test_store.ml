@@ -201,7 +201,6 @@ let test_light_client_rejects_fork () =
       prev_hash = Bytes.make 32 '\000';
       state_root = Bytes.make 32 '\000';
       tx_root = Bytes.make 32 '\000';
-      nonce = 0;
     }
   in
   (match Light_client.push_header lc bogus with

@@ -302,7 +302,6 @@ let prop_no_conflict_retries =
     (fun (tasks, workers_per_task, inflight) ->
       let config =
         {
-          Load.default_config with
           Load.tasks;
           workers_per_task;
           inflight;
