@@ -777,7 +777,8 @@ let snark () =
 
 (* X12: the zero-allocation kernel work (BENCH_field.json).  ns/op and
    allocated-bytes/op for the pure vs destructive field kernels, the
-   sliding-window exponentiation, field inversion, the numeric substrate
+   generic vs BN254-specialised kernel pairs, the sliding-window
+   exponentiation, field inversion, the numeric substrate
    under wallet keygen and signature checks, an FFT size sweep over the
    flat-vector path, and whole-prove and whole-auth allocation.  Every
    byte count is a deterministic row at ZEBRA_DOMAINS=1
@@ -824,6 +825,34 @@ let field () =
         ("sqr", (fun () -> ignore (Fp.sqr a)), fun () -> Fp.sqr_into ~dst a);
         ("add", (fun () -> ignore (Fp.add a b)), fun () -> Fp.add_into ~dst a b);
         ("sub", (fun () -> ignore (Fp.sub a b)), fun () -> Fp.sub_into ~dst a b);
+      ]
+  in
+  (* Same-binary pairs: the generic offset kernels on a [Modular] context
+     for r, still compiled for RSA, against Fp's own kernels on the same
+     operands.  Both sides share this binary's code placement, which moves
+     ns rows by up to 20 % between two builds, so only their ratio is
+     comparable across builds.  Three alternating rounds, median of each
+     side; the ratio is derived, so it is printed and not a row. *)
+  let pairs =
+    let g = Modular.create Fp.modulus in
+    let ga = (Modular.to_mont g (Fp.to_nat a) :> int array)
+    and gb = (Modular.to_mont g (Fp.to_nat b) :> int array)
+    and gd = (Modular.mont_buffer g :> int array) in
+    let median3 xs = List.nth (List.sort compare xs) 1 in
+    List.concat_map
+      (fun (name, generic, fp) ->
+        let rounds = List.init 3 (fun _ -> (bechamel_ns name generic, bechamel_ns name fp)) in
+        let g_ns = median3 (List.map fst rounds) and fp_ns = median3 (List.map snd rounds) in
+        Printf.printf "%-28s generic %8.1f ns  Fp %8.1f ns  %5.2fx\n%!" ("pair " ^ name) g_ns fp_ns
+          (g_ns /. fp_ns);
+        [
+          Row.timing ("field.pair." ^ name ^ "_off_generic.ns") ~unit:"ns" g_ns;
+          Row.timing ("field.pair." ^ name ^ "_into.ns") ~unit:"ns" fp_ns;
+        ])
+      [
+        ("mul", (fun () -> Modular.mul_off g gd 0 ga 0 gb 0), fun () -> Fp.mul_into ~dst a b);
+        ("add", (fun () -> Modular.add_off g gd 0 ga 0 gb 0), fun () -> Fp.add_into ~dst a b);
+        ("sub", (fun () -> Modular.sub_off g gd 0 ga 0 gb 0), fun () -> Fp.sub_into ~dst a b);
       ]
   in
   (* Sliding-window exponentiation: its allocation must not depend on the
@@ -917,7 +946,7 @@ let field () =
   let auth_bytes = Gc.allocated_bytes () -. a0 in
   Printf.printf "auth cpla-depth6: %.3fs, %.0f B allocated on the calling domain\n%!" auth_s
     auth_bytes;
-  kernels @ pow @ inv @ substrate @ fft
+  kernels @ pairs @ pow @ inv @ substrate @ fft
   @ [
       Row.timing "field.prove_reward-majority-n5.s" ~unit:"s" prove_s;
       Row.det "field.prove_reward-majority-n5.alloc_bytes" ~unit:"B" prove_bytes;

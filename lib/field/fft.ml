@@ -160,9 +160,8 @@ let check_len_vec d v =
 let scale_by_table_vec v t =
   let n = Fp.Vec.length v in
   Parallel.parallel_for ~min_chunk:par_min_pointwise n (fun lo hi ->
-      let tmp = Fp.buffer () in
       for i = lo to hi - 1 do
-        Fp.Vec.mul_slot_elt ~tmp v i t.(i)
+        Fp.Vec.mul_slot_elt v i t.(i)
       done);
   if Obs.enabled () then Obs.Counter.add c_pointwise n
 
@@ -174,9 +173,8 @@ let ifft_vec d v =
   check_len_vec d v;
   ntt_in_place_vec v d.tw_inv;
   Parallel.parallel_for ~min_chunk:par_min_pointwise d.size (fun lo hi ->
-      let tmp = Fp.buffer () in
       for i = lo to hi - 1 do
-        Fp.Vec.mul_slot_elt ~tmp v i d.size_inv
+        Fp.Vec.mul_slot_elt v i d.size_inv
       done);
   if Obs.enabled () then Obs.Counter.add c_pointwise d.size
 
@@ -207,7 +205,7 @@ let basis_at d y c =
   let half = Array.length d.tw in
   let neg_y = Fp.neg y in
   let out = Fp.Vec.create n in
-  let den = Fp.buffer () and acc = Fp.copy Fp.one and tmp = Fp.buffer () in
+  let den = Fp.buffer () and acc = Fp.copy Fp.one in
   let load_den j =
     if j < half then Fp.sub_into ~dst:den y d.tw.(j)
     else Fp.sub_into ~dst:den neg_y d.tw.(j - half)
@@ -215,16 +213,14 @@ let basis_at d y c =
   for j = 0 to n - 1 do
     Fp.Vec.set out j acc;
     load_den j;
-    Fp.mul_into ~dst:tmp acc den;
-    Fp.set ~dst:acc tmp
+    Fp.mul_into ~dst:acc acc den
   done;
-  Fp.set ~dst:acc (Fp.mul c (Fp.inv acc));
+  Fp.mul_into ~dst:acc c (Fp.inv acc);
   for j = n - 1 downto 0 do
     load_den j;
-    Fp.Vec.mul_slot_elt ~tmp out j acc;
-    Fp.mul_into ~dst:tmp acc den;
-    Fp.set ~dst:acc tmp;
-    Fp.Vec.mul_slot_elt ~tmp out j d.tw.(if j < half then j else j - half)
+    Fp.Vec.mul_slot_elt out j acc;
+    Fp.mul_into ~dst:acc acc den;
+    Fp.Vec.mul_slot_elt out j d.tw.(if j < half then j else j - half)
   done;
   out
 

@@ -4,7 +4,16 @@
 
     chosen for its high 2-adicity (r - 1 is divisible by 2^28), which enables
     radix-2 FFTs over evaluation domains of up to 2^28 points.  Elements are
-    kept in Montgomery form internally. *)
+    kept in Montgomery form internally: nine 31-bit limbs, the same form
+    {!Modular} gives r.
+
+    Two kernel families serve this field (DESIGN.md, "Field kernel
+    discipline").  Every arithmetic operation below — the pure ones, the
+    in-place [*_into] ones, the {!Vec} slot kernels and the bucketed dot
+    product — runs on kernels of this module fixed at r's nine limbs.
+    {!of_nat}, {!to_nat}, {!pow} and {!inv} run on {!Modular}'s generic
+    context for r.  The two compute the same limbs: the Montgomery form
+    is canonical. *)
 
 (** A field element (Montgomery form; canonical, so structural equality of
     limbs coincides with field equality). *)
@@ -22,7 +31,8 @@ val one : t
 (** [add one one], predefined for gadget code. *)
 val two : t
 
-(** [of_int n] embeds a machine integer (negative values reduce mod r). *)
+(** [of_int n] embeds a machine integer (negative values reduce mod r,
+    [min_int] included). *)
 val of_int : int -> t
 
 (** [of_nat n] reduces [n] modulo r. *)
@@ -109,19 +119,15 @@ val batch_inv : t array -> t array
     pure API may be shared — [zero] and [one] are process-wide globals
     and [Array.make d Fp.zero] aliases [zero] in every slot.
 
-    Aliasing: [add_into]/[sub_into] accept [dst] physically equal to
-    either operand; [mul_into]/[sqr_into] raise
-    [Invalid_argument] if [dst] aliases a source (Montgomery CIOS uses
-    [dst] as its accumulator). *)
+    Aliasing: [dst] may be physically equal to either operand, or both:
+    each kernel reads all of its operands' limbs before it writes
+    [dst]. *)
 
 (** A fresh caller-owned element buffer, initialised to zero. *)
 val buffer : unit -> t
 
 (** A fresh caller-owned buffer holding the value of the argument. *)
 val copy : t -> t
-
-(** [set ~dst x] overwrites [dst] with the value of [x]. *)
-val set : dst:t -> t -> unit
 
 val set_zero : t -> unit
 val add_into : dst:t -> t -> t -> unit
@@ -140,10 +146,11 @@ val is_one : t -> bool
     prover hot loops.
 
     Slot semantics: [op d k a i b j] computes [d.(k) <- a.(i) op b.(j)].
-    Destination slots may coincide with source slots for additive ops;
-    multiplicative ops either stage through a caller scratch element or
-    write a caller-owned element, so they are alias-safe by
-    construction. *)
+    Like the element kernels, every slot kernel reads its sources before
+    it writes, so a destination slot or element may coincide with any
+    source.  Each slot index is checked once per call: an index outside
+    [\[0, length v)] raises [Invalid_argument] before any limb is
+    touched. *)
 module Vec : sig
   type elt = t
 
@@ -177,8 +184,8 @@ module Vec : sig
   val add_slots : t -> int -> t -> int -> t -> int -> unit
   val sub_slots : t -> int -> t -> int -> t -> int -> unit
 
-  (** [mul_slot_elt ~tmp v i e]: [v.(i) <- v.(i) * e] via scratch [tmp]. *)
-  val mul_slot_elt : tmp:elt -> t -> int -> elt -> unit
+  (** [mul_slot_elt v i e]: [v.(i) <- v.(i) * e]. *)
+  val mul_slot_elt : t -> int -> elt -> unit
 
   (** [mul_into_elt ~dst a i b j]: [dst <- a.(i) * b.(j)]. *)
   val mul_into_elt : dst:elt -> t -> int -> t -> int -> unit

@@ -54,10 +54,9 @@ let num_limbs ctx = ctx.n
    Each kernel operates on an n-limb little-endian region of a flat
    [int array] starting at the given offset; regions must hold values
    < m (every kernel re-establishes that invariant).  The pure
-   operations below run them on a fresh buffer at offset 0, and the
-   flat element vectors of {!Zebra_field.Fp.Vec} run them between
-   regions, so the prover hot path can run without allocating a limb
-   array per operation.
+   operations below run them on a fresh buffer at offset 0, and
+   [mont_pow] between its own buffers, so an exponentiation allocates
+   no limb array per multiplication.
 
    Aliasing rules (documented in the .mli):
    - [add_off]/[sub_off]/[neg_off] read index i before writing index i,
@@ -71,8 +70,8 @@ let num_limbs ctx = ctx.n
 
 (* Compare little-endian limb regions, most-significant limb first.
    Top-level recursion, not a local [let rec]: a local closure capturing
-   the array operands would be a per-call allocation in the innermost
-   prover loop (the non-flambda backend does not lift it). *)
+   the array operands would be a per-call allocation in every kernel
+   call (the non-flambda backend does not lift it). *)
 let rec cmp_off_from a ao b bo i =
   if i < 0 then 0
   else begin
@@ -155,7 +154,7 @@ let overlaps r ro a ao n = r == a && abs (ro - ao) < n
 (* CIOS Montgomery multiplication: r <- a*b*R^{-1} mod m, with the
    destination region as the accumulator.  The two limbs that overflow
    the n-wide accumulator live in scalar refs, so no (n+2)-wide
-   temporary is allocated in the innermost loop of the whole prover.
+   temporary is allocated per multiplication.
    The destination must be disjoint from both sources: the accumulator
    is written at index j-1 while source limbs at indices >= j are still
    pending reads. *)

@@ -2,15 +2,18 @@
 
     A {!ctx} caches the Montgomery constants for one modulus so repeated
     multiplications and exponentiations avoid long division.  This engine
-    backs both the RSA layer and the SNARK prime field ({!Zebra_field.Fp}).
+    backs the RSA layer and {!Prime}, and {!Zebra_field.Fp}'s [Nat]
+    conversions, [pow] and [inv]; [Fp]'s arithmetic runs on kernels of
+    its own fixed at the field's nine limbs, which compute the same limbs
+    and are tested against these (DESIGN.md, "Field kernel discipline").
 
     Each Montgomery operation (CIOS multiply, add, subtract, negate and
-    the final reduction by [m]) has one implementation: a kernel over
-    n-limb regions of flat arrays ({!add_off}, {!sub_off}, {!neg_off},
-    {!mul_off}).  The pure operations ({!mont_add} ... {!mont_sqr},
-    {!to_mont}, {!of_mont}) are a fresh buffer plus that kernel;
-    {!Zebra_field.Fp}'s in-place operations, [Fp.Vec] and {!mont_pow}
-    call the kernels on their own buffers. *)
+    the final reduction by [m]) has one implementation here: a kernel
+    over n-limb regions of flat arrays ({!add_off}, {!sub_off},
+    {!neg_off}, {!mul_off}), for any limb count.  The pure operations
+    ({!mont_add} ... {!mont_sqr}, {!to_mont}, {!of_mont}) are a fresh
+    buffer plus that kernel, and {!mont_pow} calls the kernels on its
+    own buffers. *)
 
 type ctx
 
@@ -24,9 +27,9 @@ val num_limbs : ctx -> int
 (** Montgomery-form values: [ctx.n] little-endian 31-bit limbs, always
     fully reduced ([< m]), so structural equality is value equality.
     The representation is exposed read-only ([private]) so
-    {!Zebra_field.Fp} can run the kernels below on its elements and
-    build flat element vectors; treat values as immutable unless they
-    are buffers you created yourself ({!mont_buffer}, {!mont_copy}). *)
+    {!Zebra_field.Fp} can run its own kernels on its elements and build
+    flat element vectors; treat values as immutable unless they are
+    buffers you created yourself ({!mont_buffer}, {!mont_copy}). *)
 type mont = private int array
 
 val to_mont : ctx -> Nat.t -> mont

@@ -10,6 +10,22 @@
 # alone, and this is where both contracts are enforced.
 set -eu
 cd "$(dirname "$0")/.."
+
+# Unchecked array access stays inside Fp's kernels, behind one index
+# check per call (DESIGN.md, "Field kernel discipline"): no other .ml
+# under lib/, bin/ or bench/ may use Array.unsafe_*, and no dune file may
+# compile anything with -unsafe.
+echo "== unchecked array access only in lib/field/fp.ml =="
+if grep -rn --include='*.ml' 'Array\.unsafe_' lib bin bench | grep -v '^lib/field/fp\.ml:'; then
+  echo "check.sh: Array.unsafe_ outside lib/field/fp.ml" >&2
+  exit 1
+fi
+if find . -path ./_build -prune -o \( -name dune -o -name dune-project \) -print |
+  xargs grep -n -e '-unsafe'; then
+  echo "check.sh: a dune file passes -unsafe" >&2
+  exit 1
+fi
+
 dune build @check
 echo "== tests, ZEBRA_DOMAINS=1 =="
 ZEBRA_DOMAINS=1 dune runtest --force

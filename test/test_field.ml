@@ -20,17 +20,42 @@ let arb_fp =
       Fp.random (Zebra_rng.Chacha20.bytes r))
     QCheck2.Gen.(int_bound 1_000_000)
 
-(* Edge-heavy generator: the in-place kernels and the inverse must hold
-   at 0, 1, p-1 and p-2 as well as on random elements. *)
+module Nat = Zebra_numeric.Nat
+module Modular = Zebra_numeric.Modular
+
+(* The generic kernels' context for r: the oracle the specialised ones
+   must match limb for limb. *)
+let generic = Modular.create Fp.modulus
+
+(* The element whose Montgomery limbs are [limbs] (little-endian base
+   2^31, below r): L R^-1 mod r, R = 2^279. *)
+let of_mont_limbs limbs =
+  let r_inv = Modular.inverse (Nat.shift_left Nat.one 279) Fp.modulus in
+  Fp.of_nat (Nat.rem (Nat.mul (Nat.of_limbs limbs) r_inv) Fp.modulus)
+
+(* Saturated limbs, where every carry chain runs its full length: each
+   limb 2^31 - 1 below a top limb of 47 (r's is 48), and below a top of
+   0. *)
+let saturated_limbs =
+  [
+    Array.init 9 (fun i -> if i = 8 then 47 else 0x7fffffff);
+    Array.init 9 (fun i -> if i = 8 then 0 else 0x7fffffff);
+  ]
+
+let saturated = List.map of_mont_limbs saturated_limbs
+
+(* Edge-heavy generator: the kernels and the inverse must hold at 0, 1,
+   r-1, r-2 and on saturated limbs as well as on random elements. *)
 let arb_fp_edge =
   QCheck2.Gen.frequency
-    [
-      (6, arb_fp);
-      (1, QCheck2.Gen.return Fp.zero);
-      (1, QCheck2.Gen.return Fp.one);
-      (1, QCheck2.Gen.return (Fp.neg Fp.one));
-      (1, QCheck2.Gen.return (Fp.neg Fp.two));
-    ]
+    ([
+       (6, arb_fp);
+       (1, QCheck2.Gen.return Fp.zero);
+       (1, QCheck2.Gen.return Fp.one);
+       (1, QCheck2.Gen.return (Fp.neg Fp.one));
+       (1, QCheck2.Gen.return (Fp.neg Fp.two));
+     ]
+    @ List.map (fun x -> (1, QCheck2.Gen.return x)) saturated)
 
 (* --- Fp --- *)
 
@@ -42,6 +67,11 @@ let test_constants () =
 let test_negative_of_int () =
   Alcotest.check fp "-1 + 1 = 0" Fp.zero (Fp.add (Fp.of_int (-1)) Fp.one);
   Alcotest.check fp "-5 = neg 5" (Fp.neg (Fp.of_int 5)) (Fp.of_int (-5))
+
+(* -min_int overflows back to min_int, so it cannot be negated first. *)
+let test_of_int_extremes () =
+  Alcotest.check fp "of_int min_int" (Fp.neg (Fp.of_nat (Nat.pow Nat.two 62))) (Fp.of_int min_int);
+  Alcotest.check fp "of_int (min_int + 1)" (Fp.neg (Fp.of_int max_int)) (Fp.of_int (min_int + 1))
 
 let test_bytes_roundtrip () =
   let x = fresh_fp () in
@@ -90,62 +120,82 @@ let test_inverse_of_zero () =
 let prop_sqr =
   qtest "sqr = mul self" arb_fp (fun a -> Fp.equal (Fp.sqr a) (Fp.mul a a))
 
-(* --- in-place kernels, Vec, bucketed dots (PR 10) --- *)
+(* --- in-place kernels, Vec, bucketed dots --- *)
 
-module Nat = Zebra_numeric.Nat
-
-(* Reference arithmetic mod p on naturals.  The pure ops run the same
-   kernels as the in-place ones, so the kernels are checked against this
-   instead. *)
 let nat_add a b = Nat.rem (Nat.add a b) Fp.modulus
 let nat_sub a b = Nat.rem (Nat.sub (Nat.add a Fp.modulus) b) Fp.modulus
 let nat_mul a b = Nat.rem (Nat.mul a b) Fp.modulus
 let nat_neg a = Nat.rem (Nat.sub Fp.modulus a) Fp.modulus
 let nat = Alcotest.testable Nat.pp Nat.equal
 
-let prop_into_kernels =
-  qtest "in-place kernels = Nat reference" ~count:300 (QCheck2.Gen.pair arb_fp_edge arb_fp_edge)
+let test_saturated_limbs () =
+  List.iter2
+    (fun limbs x ->
+      Alcotest.(check (array int)) "Montgomery limbs" limbs
+        (Modular.to_mont generic (Fp.to_nat x) :> int array))
+    saturated_limbs saturated
+
+(* [x] holds [expected] in canonical limbs: [Fp.equal] compares limbs,
+   and [of_nat] gives the generic kernels' limbs for the value. *)
+let holds x expected = Nat.equal (Fp.to_nat x) expected && Fp.equal x (Fp.of_nat expected)
+
+(* The generic offset kernel [kernel] on the generic context, read back
+   as a natural. *)
+let generic_op kernel a b =
+  let mont x = (Modular.to_mont generic (Fp.to_nat x) :> int array) in
+  let d = Modular.mont_buffer generic in
+  kernel generic (d :> int array) 0 (mont a) 0 (mont b) 0;
+  Modular.of_mont generic d
+
+(* Every in-place form of a binary op: a fresh destination, and the
+   destination on the first source, on the second, and on both. *)
+let into_forms into a b =
+  let fresh = Fp.buffer () in
+  into ~dst:fresh a b;
+  let on_a = Fp.copy a in
+  into ~dst:on_a on_a b;
+  let on_b = Fp.copy b in
+  into ~dst:on_b a on_b;
+  [ fresh; on_a; on_b ]
+
+(* [a op a] with the destination on both sources. *)
+let on_both into a =
+  let both = Fp.copy a in
+  into ~dst:both both both;
+  both
+
+let prop_kernels_generic =
+  qtest "specialised = generic = Nat" ~count:300 (QCheck2.Gen.pair arb_fp_edge arb_fp_edge)
     (fun (a, b) ->
       let an = Fp.to_nat a and bn = Fp.to_nat b in
-      (* [to_nat] reads an unreduced result as the right value, so the
-         limbs must also equal the canonical form. *)
-      let holds x expected = Nat.equal (Fp.to_nat x) expected && Fp.equal x (Fp.of_nat expected) in
-      let dst = Fp.buffer () in
-      Fp.add_into ~dst a b;
-      let ok_add = holds dst (nat_add an bn) in
-      Fp.sub_into ~dst a b;
-      let ok_sub = holds dst (nat_sub an bn) in
-      Fp.mul_into ~dst a b;
-      let ok_mul = holds dst (nat_mul an bn) in
-      Fp.sqr_into ~dst a;
-      let ok_sqr = holds dst (nat_mul an an) in
-      (* The pure ops, which wrap the same kernels. *)
-      let ok_pure =
-        holds (Fp.add a b) (nat_add an bn)
-        && holds (Fp.sub a b) (nat_sub an bn)
-        && holds (Fp.mul a b) (nat_mul an bn)
-        && holds (Fp.sqr a) (nat_mul an an)
-        && holds (Fp.neg a) (nat_neg an)
+      let check name pure into generic_kernel expected =
+        let results = pure a b :: into_forms into a b in
+        Nat.equal (generic_op generic_kernel a b) expected
+        && List.for_all (fun x -> holds x expected) results
+        || QCheck2.Test.fail_reportf "%s disagrees on %a, %a" name Fp.pp a Fp.pp b
       in
-      (* Aliased destinations (dst == an operand) for the elementwise
-         kernels, as the documented aliasing rules permit. *)
-      let buf = Fp.copy a in
-      Fp.add_into ~dst:buf buf b;
-      let ok_add_alias = holds buf (nat_add an bn) in
-      let buf = Fp.copy a in
-      Fp.sub_into ~dst:buf buf b;
-      let ok_sub_alias = holds buf (nat_sub an bn) in
-      let buf = Fp.copy b in
-      Fp.sub_into ~dst:buf a buf;
-      let ok_sub_alias2 = holds buf (nat_sub an bn) in
-      ok_add && ok_sub && ok_mul && ok_sqr && ok_pure && ok_add_alias && ok_sub_alias
-      && ok_sub_alias2)
+      let sqr_dst = Fp.buffer () and sqr_on_a = Fp.copy a in
+      Fp.sqr_into ~dst:sqr_dst a;
+      Fp.sqr_into ~dst:sqr_on_a sqr_on_a;
+      check "add" Fp.add Fp.add_into Modular.add_off (nat_add an bn)
+      && check "sub" Fp.sub Fp.sub_into Modular.sub_off (nat_sub an bn)
+      && check "mul" Fp.mul Fp.mul_into Modular.mul_off (nat_mul an bn)
+      && holds (on_both Fp.add_into a) (nat_add an an)
+      && holds (on_both Fp.sub_into a) Nat.zero
+      && holds (on_both Fp.mul_into a) (nat_mul an an)
+      && List.for_all (fun x -> holds x (nat_mul an an)) [ Fp.sqr a; sqr_dst; sqr_on_a ]
+      && Nat.equal (generic_op (fun g d o x xo _ _ -> Modular.neg_off g d o x xo) a a) (nat_neg an)
+      && holds (Fp.neg a) (nat_neg an))
 
-let test_mul_into_alias_rejected () =
-  let a = Fp.copy Fp.two in
-  Alcotest.check_raises "dst aliasing a source is rejected"
-    (Invalid_argument "Modular.mul_off: destination overlaps a source") (fun () ->
-      Fp.mul_into ~dst:a a Fp.one)
+let test_mul_into_alias () =
+  let x = fresh_fp () and y = fresh_fp () in
+  let xn = Fp.to_nat x and yn = Fp.to_nat y in
+  let a = Fp.copy x in
+  Fp.mul_into ~dst:a a y;
+  Alcotest.check nat "mul_into ~dst:a a b" (nat_mul xn yn) (Fp.to_nat a);
+  let a = Fp.copy x in
+  Fp.sqr_into ~dst:a a;
+  Alcotest.check nat "sqr_into ~dst:a a" (nat_mul xn xn) (Fp.to_nat a)
 
 (* Reference binary exponentiation; Fp.pow now uses a 4-bit sliding
    window and must return limb-identical results. *)
@@ -241,7 +291,7 @@ let test_vec_slot_ops () =
   check "butterfly +" (nat_add xn (nat_mul cn yn)) (Fp.Vec.get v 0);
   check "butterfly -" (nat_sub xn (nat_mul cn yn)) (Fp.Vec.get v 1);
   let v = Fp.Vec.of_array [| x; y |] in
-  Fp.Vec.mul_slot_elt ~tmp v 0 c;
+  Fp.Vec.mul_slot_elt v 0 c;
   check "mul_slot_elt" (nat_mul xn cn) (Fp.Vec.get v 0);
   Fp.Vec.add_slots v 0 v 0 v 1;
   check "add_slots (aliased dst)" (nat_add (nat_mul xn cn) yn) (Fp.Vec.get v 0);
@@ -255,6 +305,97 @@ let test_vec_slot_ops () =
   let v = Fp.Vec.of_array [| x |] in
   Fp.Vec.add_slot_elt v 0 c;
   check "add_slot_elt" (nat_add xn cn) (Fp.Vec.get v 0)
+
+(* Every slot kernel at the first and last slot of a vector, against the
+   pure ops on the values read out before the call.  The two-slot ops run
+   with one vector as destination and both sources, so they cover every
+   coincidence of slots too. *)
+let prop_vec_slot_kernels =
+  qtest "vec slot kernels at both ends" ~count:100
+    (QCheck2.Gen.triple arb_fp_edge arb_fp_edge arb_fp_edge) (fun (x, y, c) ->
+      let len = 4 in
+      let ends = [ 0; len - 1 ] in
+      let fresh () =
+        let v = Fp.Vec.create len in
+        Fp.Vec.set v 0 x;
+        Fp.Vec.set v (len - 1) y;
+        v
+      in
+      let ok name got want =
+        Fp.equal got want || QCheck2.Test.fail_reportf "%s: %a, expected %a" name Fp.pp got Fp.pp want
+      in
+      let dst = Fp.buffer () and tmp = Fp.buffer () in
+      let each f = List.for_all f ends in
+      each (fun k ->
+          each (fun i ->
+              each (fun j ->
+                  let slots op pure =
+                    let v = fresh () in
+                    let want = pure (Fp.Vec.get v i) (Fp.Vec.get v j) in
+                    op v k v i v j;
+                    ok "slots" (Fp.Vec.get v k) want
+                  in
+                  slots Fp.Vec.add_slots Fp.add && slots Fp.Vec.sub_slots Fp.sub)))
+      && each (fun i ->
+             each (fun j ->
+                 let v = fresh () in
+                 Fp.Vec.mul_into_elt ~dst v i v j;
+                 ok "mul_into_elt" dst (Fp.mul (Fp.Vec.get v i) (Fp.Vec.get v j))))
+      && each (fun i ->
+             let v = fresh () in
+             let vi = Fp.Vec.get v i in
+             Fp.Vec.mul_elt_into ~dst v i c;
+             ok "mul_elt_into" dst (Fp.mul vi c)
+             && (Fp.Vec.sub_elt_into ~dst c v i;
+                 ok "sub_elt_into" dst (Fp.sub c vi))
+             && Fp.Vec.is_zero v i = Fp.is_zero vi
+             && (Fp.Vec.mul_slot_elt v i c;
+                 ok "mul_slot_elt" (Fp.Vec.get v i) (Fp.mul vi c))
+             && (Fp.Vec.add_slot_elt v i c;
+                 ok "add_slot_elt" (Fp.Vec.get v i) (Fp.add (Fp.mul vi c) c)))
+      && List.for_all
+           (fun (p, q) ->
+             let v = fresh () in
+             let vp = Fp.Vec.get v p and wq = Fp.mul c (Fp.Vec.get v q) in
+             Fp.Vec.butterfly ~tmp v p q c;
+             ok "butterfly +" (Fp.Vec.get v p) (Fp.add vp wq)
+             && ok "butterfly -" (Fp.Vec.get v q) (Fp.sub vp wq))
+           [ (0, len - 1); (len - 1, 0) ])
+
+(* The slot kernels read and write unchecked after one index check per
+   call, so every index argument of every one of them must be checked:
+   an index outside [0, length) raises before any limb moves. *)
+let test_vec_slot_bounds () =
+  let len = 3 in
+  let v = Fp.Vec.of_array (Array.init len (fun _ -> fresh_fp ())) in
+  let saved = Fp.Vec.to_array v in
+  let e = Fp.copy Fp.two and dst = Fp.buffer () and tmp = Fp.buffer () in
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun (name, call) ->
+          match call () with
+          | () -> Alcotest.failf "%s at slot %d: no exception" name bad
+          | exception Invalid_argument _ -> ())
+        [
+          ("is_zero", fun () -> ignore (Fp.Vec.is_zero v bad));
+          ("add_slots dst", fun () -> Fp.Vec.add_slots v bad v 0 v 0);
+          ("add_slots a", fun () -> Fp.Vec.add_slots v 0 v bad v 0);
+          ("add_slots b", fun () -> Fp.Vec.add_slots v 0 v 0 v bad);
+          ("sub_slots dst", fun () -> Fp.Vec.sub_slots v bad v 0 v 0);
+          ("sub_slots a", fun () -> Fp.Vec.sub_slots v 0 v bad v 0);
+          ("sub_slots b", fun () -> Fp.Vec.sub_slots v 0 v 0 v bad);
+          ("mul_slot_elt", fun () -> Fp.Vec.mul_slot_elt v bad e);
+          ("mul_into_elt a", fun () -> Fp.Vec.mul_into_elt ~dst v bad v 0);
+          ("mul_into_elt b", fun () -> Fp.Vec.mul_into_elt ~dst v 0 v bad);
+          ("mul_elt_into", fun () -> Fp.Vec.mul_elt_into ~dst v bad e);
+          ("sub_elt_into", fun () -> Fp.Vec.sub_elt_into ~dst e v bad);
+          ("add_slot_elt", fun () -> Fp.Vec.add_slot_elt v bad e);
+          ("butterfly p", fun () -> Fp.Vec.butterfly ~tmp v bad 0 e);
+          ("butterfly q", fun () -> Fp.Vec.butterfly ~tmp v 0 bad e);
+        ])
+    [ -1; len; max_int; min_int ];
+  Array.iteri (fun i x -> Alcotest.check fp (Printf.sprintf "slot %d untouched" i) x (Fp.Vec.get v i)) saved
 
 (* --- FFT --- *)
 
@@ -381,6 +522,7 @@ let () =
         [
           Alcotest.test_case "constants" `Quick test_constants;
           Alcotest.test_case "negative of_int" `Quick test_negative_of_int;
+          Alcotest.test_case "of_int min_int" `Quick test_of_int_extremes;
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "non-canonical bytes" `Quick test_bytes_noncanonical;
           Alcotest.test_case "root of unity" `Quick test_root_of_unity;
@@ -392,10 +534,12 @@ let () =
         ] );
       ( "kernels",
         [
-          Alcotest.test_case "mul_into alias rejected" `Quick test_mul_into_alias_rejected;
+          Alcotest.test_case "saturated limbs" `Quick test_saturated_limbs;
+          Alcotest.test_case "mul_into aliased = Nat reference" `Quick test_mul_into_alias;
           Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
           Alcotest.test_case "vec slot ops" `Quick test_vec_slot_ops;
-          prop_into_kernels; prop_pow_window; prop_bucket_dot;
+          Alcotest.test_case "vec slot index checked" `Quick test_vec_slot_bounds;
+          prop_kernels_generic; prop_vec_slot_kernels; prop_pow_window; prop_bucket_dot;
         ] );
       ( "fft",
         [
