@@ -777,8 +777,8 @@ let snark () =
 
 (* X12: the zero-allocation kernel work (BENCH_field.json).  ns/op and
    allocated-bytes/op for the pure vs destructive field kernels, the
-   generic vs BN254-specialised kernel pairs, the sliding-window
-   exponentiation, field inversion, the numeric substrate
+   generic vs BN254-specialised operation pairs, exponentiation, field
+   inversion, the numeric substrate
    under wallet keygen and signature checks, an FFT size sweep over the
    flat-vector path, and whole-prove and whole-auth allocation.  Every
    byte count is a deterministic row at ZEBRA_DOMAINS=1
@@ -827,17 +827,16 @@ let field () =
         ("sub", (fun () -> ignore (Fp.sub a b)), fun () -> Fp.sub_into ~dst a b);
       ]
   in
-  (* Same-binary pairs: the generic offset kernels on a [Modular] context
-     for r, still compiled for RSA, against Fp's own kernels on the same
-     operands.  Both sides share this binary's code placement, which moves
-     ns rows by up to 20 % between two builds, so only their ratio is
-     comparable across builds.  Three alternating rounds, median of each
-     side; the ratio is derived, so it is printed and not a row. *)
+  (* Same-binary pairs: the generic whole-value operations on a [Modular]
+     context for r, the engine RSA runs, against Fp's pure operations on
+     the same operands; each side allocates one result.  Both sides share
+     this binary's code placement, which moves ns rows by up to 20 %
+     between two builds, so only their ratio is comparable across builds.
+     Three alternating rounds, median of each side; the ratio is derived,
+     so it is printed and not a row. *)
   let pairs =
     let g = Modular.create Fp.modulus in
-    let ga = (Modular.to_mont g (Fp.to_nat a) :> int array)
-    and gb = (Modular.to_mont g (Fp.to_nat b) :> int array)
-    and gd = (Modular.mont_buffer g :> int array) in
+    let ga = Modular.to_mont g (Fp.to_nat a) and gb = Modular.to_mont g (Fp.to_nat b) in
     let median3 xs = List.nth (List.sort compare xs) 1 in
     List.concat_map
       (fun (name, generic, fp) ->
@@ -846,17 +845,17 @@ let field () =
         Printf.printf "%-28s generic %8.1f ns  Fp %8.1f ns  %5.2fx\n%!" ("pair " ^ name) g_ns fp_ns
           (g_ns /. fp_ns);
         [
-          Row.timing ("field.pair." ^ name ^ "_off_generic.ns") ~unit:"ns" g_ns;
-          Row.timing ("field.pair." ^ name ^ "_into.ns") ~unit:"ns" fp_ns;
+          Row.timing ("field.pair." ^ name ^ "_generic.ns") ~unit:"ns" g_ns;
+          Row.timing ("field.pair." ^ name ^ ".ns") ~unit:"ns" fp_ns;
         ])
       [
-        ("mul", (fun () -> Modular.mul_off g gd 0 ga 0 gb 0), fun () -> Fp.mul_into ~dst a b);
-        ("add", (fun () -> Modular.add_off g gd 0 ga 0 gb 0), fun () -> Fp.add_into ~dst a b);
-        ("sub", (fun () -> Modular.sub_off g gd 0 ga 0 gb 0), fun () -> Fp.sub_into ~dst a b);
+        ("mul", (fun () -> ignore (Modular.mont_mul g ga gb)), fun () -> ignore (Fp.mul a b));
+        ("add", (fun () -> ignore (Modular.mont_add g ga gb)), fun () -> ignore (Fp.add a b));
+        ("sub", (fun () -> ignore (Modular.mont_sub g ga gb)), fun () -> ignore (Fp.sub a b));
       ]
   in
-  (* Sliding-window exponentiation: its allocation must not depend on the
-     exponent's width. *)
+  (* Exponentiation runs on one accumulator: its allocation must not
+     depend on the exponent's width. *)
   let e = Fp.to_nat (fresh ()) in
   let e64 = Nat.of_hex "c3a5c85c97cb3127" in
   let pow =

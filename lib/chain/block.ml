@@ -31,11 +31,4 @@ let hash b = hash_header b.header
 let make ~height ~prev_hash ~state_root txs =
   { header = { height; prev_hash; state_root; tx_root = tx_root txs }; txs }
 
-let validate ~prev_hash ~prev_height b =
-  if b.header.height <> prev_height + 1 then Error "bad height"
-  else if not (Bytes.equal b.header.prev_hash prev_hash) then Error "bad parent"
-  else if not (Bytes.equal b.header.tx_root (tx_root b.txs)) then Error "bad tx root"
-  else if not (List.for_all Tx.validate b.txs) then Error "invalid transaction signature"
-  else Ok ()
-
 let tx_proof b i = Merkle.proof (List.map Tx.to_bytes b.txs) i

@@ -22,10 +22,6 @@ val hash : t -> bytes
 (** Hash from the header alone (light clients hold no bodies). *)
 val hash_header : header -> bytes
 
-(** Structural validity: tx root matches, transactions well signed, height
-    and parent linkage against [prev]. *)
-val validate : prev_hash:bytes -> prev_height:int -> t -> (unit, string) result
-
 (** Merkle inclusion proof for the [i]-th transaction (light-client path:
     {!Light_client.verify_inclusion} checks it against a synced header). *)
 val tx_proof : t -> int -> (bytes * bool) list

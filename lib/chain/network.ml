@@ -350,6 +350,10 @@ let mine_ext t =
   (* The block hook fires before the block forms so a fault controller can
      take a replica down (or bring one back) effective this very height. *)
   (match t.block_hook with None -> () | Some f -> f ~height:new_height);
+  if height t + 1 <> new_height then
+    raise
+      (Consensus_failure
+         (Printf.sprintf "block hook moved the tip while mining height %d" new_height));
   let fifo = List.rev t.mempool in
   t.mempool <- [];
   Obs.Gauge.set m_mempool_depth 0.;
@@ -422,13 +426,7 @@ let mine_ext t =
                (Printf.sprintf "node %d state root diverges at height %d"
                   (List.nth live i).id new_height)))
       roots;
-    let block =
-      Block.make ~height:new_height ~prev_hash:(tip_hash t) ~state_root:root0 valid
-    in
-    (match Block.validate ~prev_hash:(tip_hash t) ~prev_height:(height t) block with
-    | Ok () -> ()
-    | Error e -> raise (Consensus_failure ("miner produced invalid block: " ^ e)));
-    block
+    Block.make ~height:new_height ~prev_hash:(tip_hash t) ~state_root:root0 valid
   in
   t.chain <- block :: t.chain;
   List.iter (fun n -> n.applied_height <- new_height) live;

@@ -85,7 +85,8 @@ val set_mempool_fault : t -> mempool_fault option -> unit
 
 (** [set_block_hook t f] — [f ~height] fires at the start of mining block
     [height], before execution, so a fault controller can apply scheduled
-    node crashes/restarts effective that height.  The hook must not mine. *)
+    node crashes/restarts effective that height.  The hook must not mine:
+    {!mine_ext} raises [Consensus_failure] when the tip moved under it. *)
 val set_block_hook : t -> (height:int -> unit) option -> unit
 
 (** [crash_node t ~node] takes a replica down: it stops executing blocks
@@ -161,7 +162,7 @@ type exec_result =
     executes it on every live node via the sharded parallel executor
     ({!Exec}), checks replica agreement and returns the typed
     per-candidate outcomes (receipts from the first live node).
-    @raise Consensus_failure if replicas diverge. *)
+    @raise Consensus_failure if replicas diverge or the block hook mined. *)
 val mine_ext : t -> exec_result list
 
 (** [mine t] is {!mine_ext} returning only the executed receipts, kept for

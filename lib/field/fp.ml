@@ -5,19 +5,14 @@ let modulus =
   Nat.of_decimal_string
     "21888242871839275222246405745257275088548364400416034343698204186575808495617"
 
-(* [to_nat], [of_nat], [pow] and [inv] run on the generic [Modular]
-   context; every other operation runs on the kernels below. *)
-let ctx = Modular.create modulus
-
-type t = Modular.mont
-
-(* The kernels take raw limb arrays; an element is the region at offset 0. *)
-let limbs (x : t) : int array = (x :> int array)
+(* An element is x R mod r, R = 2^279, in nine little-endian 31-bit
+   limbs: the region at offset 0 of its own array. *)
+type t = int array
 
 (* ------------------------------------------------------------------ *)
 (* BN254-specialised Montgomery kernels (DESIGN.md, "Field kernel
-   discipline").  An element is nine little-endian 31-bit limbs holding
-   a value below r, and r's limbs
+   discipline"), the one implementation of r's arithmetic.  An element
+   holds a value below r, and r's limbs
      0x70000001 0x07c3eb27 0x66e5c245 0x419f4243 0x181585d2
      0x0a08b6d0 0x4c680a6e 0x32273970 0x30
    and -r^-1 mod 2^31 = 0x6fffffff are written into the kernels as
@@ -35,10 +30,9 @@ let mask = 0x7fffffff
 
 let () =
   if
-    Modular.num_limbs ctx <> nl
-    || Nat.limbs modulus
-       <> [| 0x70000001; 0x07c3eb27; 0x66e5c245; 0x419f4243; 0x181585d2; 0x0a08b6d0;
-             0x4c680a6e; 0x32273970; 0x30 |]
+    Nat.limbs modulus
+    <> [| 0x70000001; 0x07c3eb27; 0x66e5c245; 0x419f4243; 0x181585d2; 0x0a08b6d0;
+          0x4c680a6e; 0x32273970; 0x30 |]
     || (0x70000001 * 0x6fffffff) land mask <> mask
   then failwith "Fp: kernel literals do not match the modulus"
 
@@ -191,8 +185,7 @@ let is_zero_k (a : int array) o =
   = 0
 
 (* Canonical limbs, so field equality is limb equality. *)
-let equal x y =
-  let a = limbs x and b = limbs y in
+let equal a b =
   Array.unsafe_get a 0 = Array.unsafe_get b 0
   && Array.unsafe_get a 1 = Array.unsafe_get b 1
   && Array.unsafe_get a 2 = Array.unsafe_get b 2
@@ -209,17 +202,43 @@ let equal x y =
    and every element returned by the pure API may be shared — e.g.
    [Array.make d Fp.zero] aliases the global zero in every slot. *)
 
-let buffer () : t = Modular.mont_buffer ctx
-let copy : t -> t = Modular.mont_copy
-let set_zero dst = Modular.mont_set_zero dst
-let add_into ~dst a b = add_k (limbs dst) 0 (limbs a) 0 (limbs b) 0
-let sub_into ~dst a b = sub_k (limbs dst) 0 (limbs a) 0 (limbs b) 0
-let mul_into ~dst a b = mul_k (limbs dst) 0 (limbs a) 0 (limbs b) 0
+let buffer () : t = Array.make nl 0
+let copy : t -> t = Array.copy
+let set_zero dst = Array.fill dst 0 nl 0
+let add_into ~dst a b = add_k dst 0 a 0 b 0
+let sub_into ~dst a b = sub_k dst 0 a 0 b 0
+let mul_into ~dst a b = mul_k dst 0 a 0 b 0
 let sqr_into ~dst a = mul_into ~dst a a
 
-let zero = Modular.mont_zero ctx
-let one = Modular.mont_one ctx
-let is_zero x = is_zero_k (limbs x) 0
+(* Nat conversions: into Montgomery form by one multiplication by
+   R^2 mod r, out of it by one multiplication by the plain 1. *)
+
+(* The nine limbs of a natural below r, in a fresh array. *)
+let limbs_of n =
+  let l = Nat.limbs n in
+  if Array.length l = nl then l
+  else begin
+    let d = buffer () in
+    Array.blit l 0 d 0 (Array.length l);
+    d
+  end
+
+let r2 = limbs_of (Nat.rem (Nat.shift_left Nat.one (2 * nl * 31)) modulus)
+let plain_one = limbs_of Nat.one
+
+let of_nat n =
+  let d = limbs_of (if Nat.compare n modulus >= 0 then Nat.rem n modulus else n) in
+  mul_into ~dst:d d r2;
+  d
+
+let to_nat x =
+  let d = buffer () in
+  mul_into ~dst:d x plain_one;
+  Nat.of_limbs d
+
+let zero = buffer ()
+let one = of_nat Nat.one
+let is_zero x = is_zero_k x 0
 let is_one x = equal x one
 
 let add a b =
@@ -241,9 +260,6 @@ let neg x = sub zero x
 let sqr x = mul x x
 let minus_one = neg one
 let is_minus_one x = equal x minus_one
-
-let of_nat n = Modular.to_mont ctx n
-let to_nat x = Modular.of_mont ctx x
 
 (* A negative [n] is -(|n| - 1) - 1, so [min_int] does not overflow. *)
 let of_int n =
@@ -268,11 +284,22 @@ let to_decimal_string x = Nat.to_decimal_string (to_nat x)
 
 let compare a b = Nat.compare (to_nat a) (to_nat b)
 
-let inv x = of_nat (Modular.inverse (to_nat x) modulus)
+let inv x = of_nat (Nat.inverse (to_nat x) modulus)
 let div a b = mul a (inv b)
-let pow b e = Modular.mont_pow ctx b e
+
+(* Square-and-multiply over one accumulator. *)
+let pow b e =
+  let acc = copy one in
+  for i = Nat.num_bits e - 1 downto 0 do
+    sqr_into ~dst:acc acc;
+    if Nat.testbit e i then mul_into ~dst:acc acc b
+  done;
+  acc
+
+(* b^e for e < 0 is the inverse of b^-(e+1) b, so [min_int] does not
+   overflow. *)
 let pow_int b e =
-  if e >= 0 then pow b (Nat.of_int e) else inv (pow b (Nat.of_int (-e)))
+  if e >= 0 then pow b (Nat.of_int e) else inv (mul (pow b (Nat.of_int (-(e + 1)))) b)
 
 let generator = of_int 5
 let two_adicity = 28
@@ -322,8 +349,8 @@ module Vec = struct
 
   let create len = { buf = Array.make (len * nl) 0; len }
   let length v = v.len
-  let get v i = Modular.mont_of_region ctx v.buf (i * nl)
-  let set v i x = Array.blit (limbs x) 0 v.buf (i * nl) nl
+  let get v i = Array.sub v.buf (i * nl) nl
+  let set v i x = Array.blit x 0 v.buf (i * nl) nl
   let copy v = { buf = Array.copy v.buf; len = v.len }
   let blit src si dst di k = Array.blit src.buf (si * nl) dst.buf (di * nl) (k * nl)
 
@@ -357,28 +384,28 @@ module Vec = struct
   (* v.[i] <- v.[i] * e *)
   let mul_slot_elt v i e =
     let o = off v i in
-    mul_k v.buf o v.buf o (limbs e) 0
+    mul_k v.buf o v.buf o e 0
 
   (* dst <- a.[i] * b.[j] *)
-  let mul_into_elt ~dst a i b j = mul_k (limbs dst) 0 a.buf (off a i) b.buf (off b j)
+  let mul_into_elt ~dst a i b j = mul_k dst 0 a.buf (off a i) b.buf (off b j)
 
   (* dst <- v.[i] * e *)
-  let mul_elt_into ~dst v i e = mul_k (limbs dst) 0 v.buf (off v i) (limbs e) 0
+  let mul_elt_into ~dst v i e = mul_k dst 0 v.buf (off v i) e 0
 
   (* dst <- e - v.[i] *)
-  let sub_elt_into ~dst e v i = sub_k (limbs dst) 0 (limbs e) 0 v.buf (off v i)
+  let sub_elt_into ~dst e v i = sub_k dst 0 e 0 v.buf (off v i)
 
   (* v.[i] <- v.[i] + e *)
   let add_slot_elt v i e =
     let o = off v i in
-    add_k v.buf o v.buf o (limbs e) 0
+    add_k v.buf o v.buf o e 0
 
   (* Radix-2 butterfly: (v.[p], v.[q]) <- (v.[p] + w v.[q], v.[p] - w v.[q]) *)
   let butterfly ~tmp v p q w =
-    let op = off v p and oq = off v q and t = limbs tmp in
-    mul_k t 0 v.buf oq (limbs w) 0;
-    sub_k v.buf oq v.buf op t 0;
-    add_k v.buf op v.buf op t 0
+    let op = off v p and oq = off v q in
+    mul_k tmp 0 v.buf oq w 0;
+    sub_k v.buf oq v.buf op tmp 0;
+    add_k v.buf op v.buf op tmp 0
 end
 
 (* Bucketed sparse dot products (Pippenger's bucket idea transposed to a

@@ -4,16 +4,15 @@
 
     chosen for its high 2-adicity (r - 1 is divisible by 2^28), which enables
     radix-2 FFTs over evaluation domains of up to 2^28 points.  Elements are
-    kept in Montgomery form internally: nine 31-bit limbs, the same form
-    {!Modular} gives r.
+    kept in Montgomery form internally: x 2^279 mod r in nine 31-bit
+    limbs.
 
-    Two kernel families serve this field (DESIGN.md, "Field kernel
-    discipline").  Every arithmetic operation below — the pure ones, the
-    in-place [*_into] ones, the {!Vec} slot kernels and the bucketed dot
-    product — runs on kernels of this module fixed at r's nine limbs.
-    {!of_nat}, {!to_nat}, {!pow} and {!inv} run on {!Modular}'s generic
-    context for r.  The two compute the same limbs: the Montgomery form
-    is canonical. *)
+    This module is the one Montgomery implementation for r (DESIGN.md,
+    "Field kernel discipline"): every operation below — the pure ones,
+    the in-place [*_into] ones, the {!Vec} slot kernels, the bucketed dot
+    product, the [Nat] conversions and {!pow} — runs on its own kernels
+    fixed at r's nine limbs; {!inv} runs [Nat.inverse] on the canonical
+    representative. *)
 
 (** A field element (Montgomery form; canonical, so structural equality of
     limbs coincides with field equality). *)
@@ -81,17 +80,20 @@ val mul : t -> t -> t
 (** [sqr x = mul x x], the common case optimised. *)
 val sqr : t -> t
 
-(** Multiplicative inverse, by {!Modular.inverse} on the canonical
+(** Multiplicative inverse, by [Nat.inverse] on the canonical
     representative.  @raise Division_by_zero on zero. *)
 val inv : t -> t
 
 (** [div a b = mul a (inv b)].  @raise Division_by_zero when [b] is zero. *)
 val div : t -> t -> t
 
-(** [pow x e] by square-and-multiply ([pow x zero = one]). *)
+(** [pow x e] by square-and-multiply over one accumulator
+    ([pow x zero = one]). *)
 val pow : t -> Nat.t -> t
 
-(** [pow] for machine-integer exponents; negative exponents invert. *)
+(** [pow] for machine-integer exponents; negative exponents invert
+    ([min_int] included).  @raise Division_by_zero for a negative
+    exponent of zero. *)
 val pow_int : t -> int -> t
 
 (** Multiplicative generator of the full group (5 for this field). *)

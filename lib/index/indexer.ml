@@ -100,8 +100,9 @@ let contract_addresses t =
    applied (a failed transaction rolled back everything but the nonce,
    which the indexer does not track), and only at their first occurrence —
    fault-injected duplicates re-execute on chain and fail nonce replay, so
-   the first receipt is the canonical one. *)
-let apply_tx t ~height (tx : Tx.t) (r : State.receipt) =
+   the first receipt is the canonical one.  [tx_hex] is the first eight
+   hex digits of the transaction's hash, which events carry. *)
+let apply_tx t ~height ~tx_hex (tx : Tx.t) (r : State.receipt) =
   let ctx self self_balance =
     {
       Contract.self;
@@ -112,7 +113,6 @@ let apply_tx t ~height (tx : Tx.t) (r : State.receipt) =
       charge = (fun _ -> ());
     }
   in
-  let tx_hex = String.sub (Sha256.to_hex (Tx.hash tx)) 0 8 in
   match (tx.Tx.dst, r.State.status) with
   | _, State.Failed _ -> ()
   | Tx.Create { behavior; args }, State.Ok created -> (
@@ -172,12 +172,14 @@ let apply_block t net (b : Block.t) =
   let height = b.Block.header.Block.height in
   List.iter
     (fun tx ->
-      let k = Sha256.to_hex (Tx.hash tx) in
+      let h = Tx.hash tx in
+      let k = Sha256.to_hex h in
       if not (Hashtbl.mem t.seen k) then begin
         Hashtbl.add t.seen k ();
-        match Network.receipt net (Tx.hash tx) with
-        | None -> t.diverged <- Some (Printf.sprintf "no receipt for mined tx %s" (String.sub k 0 8))
-        | Some r -> apply_tx t ~height tx r
+        let tx_hex = String.sub k 0 8 in
+        match Network.receipt net h with
+        | None -> t.diverged <- Some (Printf.sprintf "no receipt for mined tx %s" tx_hex)
+        | Some r -> apply_tx t ~height ~tx_hex tx r
       end)
     b.Block.txs;
   t.cursor_height <- height;

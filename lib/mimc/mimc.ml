@@ -24,7 +24,7 @@ let encrypt ~key x =
 (* x^(1/7) = x^e_inv where e_inv = 7^{-1} mod (r-1). *)
 let seventh_root_exp =
   let r_minus_1 = Nat.sub Fp.modulus Nat.one in
-  Modular.inverse (Nat.of_int 7) r_minus_1
+  Nat.inverse (Nat.of_int 7) r_minus_1
 
 let decrypt ~key y =
   let acc = ref (Fp.sub y key) in

@@ -45,8 +45,6 @@ let create m =
     one_m = fixed_width n (Nat.limbs r1_nat);
   }
 
-let num_limbs ctx = ctx.n
-
 (* ------------------------------------------------------------------ *)
 (* Kernels over raw limb regions: the one implementation of each
    Montgomery operation.
@@ -55,10 +53,10 @@ let num_limbs ctx = ctx.n
    [int array] starting at the given offset; regions must hold values
    < m (every kernel re-establishes that invariant).  The pure
    operations below run them on a fresh buffer at offset 0, and
-   [mont_pow] between its own buffers, so an exponentiation allocates
-   no limb array per multiplication.
+   [mont_pow] on its flat table and two buffers, so an exponentiation
+   allocates no limb array per multiplication.
 
-   Aliasing rules (documented in the .mli):
+   Aliasing rules:
    - [add_off]/[sub_off]/[neg_off] read index i before writing index i,
      so the destination region may coincide with either source region
      exactly (same array, same offset).  Partially-overlapping regions
@@ -129,11 +127,10 @@ let sub_off ctx r ro a ao b bo =
     done
   end
 
-let rec is_zero_off_from a ao n i = i >= n || (a.(ao + i) = 0 && is_zero_off_from a ao n (i + 1))
-let is_zero_off ctx a ao = is_zero_off_from a ao ctx.n 0
+let rec is_zero_off a ao n i = i >= n || (a.(ao + i) = 0 && is_zero_off a ao n (i + 1))
 
 let neg_off ctx r ro a ao =
-  if is_zero_off ctx a ao then Array.fill r ro ctx.n 0
+  if is_zero_off a ao ctx.n 0 then Array.fill r ro ctx.n 0
   else begin
     let borrow = ref 0 in
     for i = 0 to ctx.n - 1 do
@@ -191,18 +188,12 @@ let mul_off ctx r ro a ao b bo =
   if !t_n <> 0 || cmp_off r ro ctx.m_limbs 0 n >= 0 then sub_m_off ctx r ro
 
 (* ------------------------------------------------------------------ *)
-(* Pure operations: a fresh buffer plus the kernel at offset 0.  The
-   buffer functions hand out caller-owned arrays; only those may be a
-   kernel destination, never a [mont] other code may hold (shared
-   constants like [mont_one], deduplicated witness values, ...). *)
+(* Pure operations: a fresh buffer plus the kernel at offset 0.  Only a
+   fresh buffer is ever a kernel destination, never a [mont] a caller
+   holds. *)
 
 let mont_buffer ctx = Array.make ctx.n 0
-let mont_zero = mont_buffer
 let mont_one ctx = Array.copy ctx.one_m
-let mont_copy (a : mont) : mont = Array.copy a
-let mont_set ~dst (a : mont) = Array.blit a 0 dst 0 (Array.length dst)
-let mont_set_zero (dst : mont) = Array.fill dst 0 (Array.length dst) 0
-let mont_of_region ctx a ao : mont = Array.sub a ao ctx.n
 
 let mont_add ctx a b =
   let r = mont_buffer ctx in
@@ -304,36 +295,6 @@ let mont_pow ctx b e =
     done;
     !acc
   end
-
-(* Signed extended Euclid, for any modulus (RSA keygen needs even ones).
-   Signed values are (negative flag, magnitude). *)
-let inverse a m =
-  if Nat.compare m Nat.two < 0 then invalid_arg "Modular.inverse: modulus < 2";
-  let s_sub (na, a) (nb, b) =
-    (* a - b with signs *)
-    match (na, nb) with
-    | false, true -> (false, Nat.add a b)
-    | true, false -> (true, Nat.add a b)
-    | false, false -> if Nat.compare a b >= 0 then (false, Nat.sub a b) else (true, Nat.sub b a)
-    | true, true -> if Nat.compare b a >= 0 then (false, Nat.sub b a) else (true, Nat.sub a b)
-  in
-  let s_mul_nat (na, a) q = (na, Nat.mul a q) in
-  let a = Nat.rem a m in
-  if Nat.is_zero a then raise Division_by_zero;
-  let r0 = ref m and r1 = ref a in
-  let t0 = ref (false, Nat.zero) and t1 = ref (false, Nat.one) in
-  while not (Nat.is_zero !r1) do
-    let q, r = Nat.divmod !r0 !r1 in
-    r0 := !r1;
-    r1 := r;
-    let t = s_sub !t0 (s_mul_nat !t1 q) in
-    t0 := !t1;
-    t1 := t
-  done;
-  if not (Nat.equal !r0 Nat.one) then raise Division_by_zero;
-  let neg, mag = !t0 in
-  let mag = Nat.rem mag m in
-  if neg && not (Nat.is_zero mag) then Nat.sub m mag else mag
 
 let sub ctx a b = of_mont ctx (mont_sub ctx (to_mont ctx a) (to_mont ctx b))
 let mul ctx a b = of_mont ctx (mont_mul ctx (to_mont ctx a) (to_mont ctx b))

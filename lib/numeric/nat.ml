@@ -335,6 +335,36 @@ let rem a b = snd (divmod a b)
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
+(* Signed extended Euclid, for any modulus (RSA keygen needs even ones).
+   Signed values are (negative flag, magnitude). *)
+let inverse a m =
+  if compare m two < 0 then invalid_arg "Nat.inverse: modulus < 2";
+  let s_sub (na, a) (nb, b) =
+    (* a - b with signs *)
+    match (na, nb) with
+    | false, true -> (false, add a b)
+    | true, false -> (true, add a b)
+    | false, false -> if compare a b >= 0 then (false, sub a b) else (true, sub b a)
+    | true, true -> if compare b a >= 0 then (false, sub b a) else (true, sub a b)
+  in
+  let s_mul_nat (na, a) q = (na, mul a q) in
+  let a = rem a m in
+  if is_zero a then raise Division_by_zero;
+  let r0 = ref m and r1 = ref a in
+  let t0 = ref (false, zero) and t1 = ref (false, one) in
+  while not (is_zero !r1) do
+    let q, r = divmod !r0 !r1 in
+    r0 := !r1;
+    r1 := r;
+    let t = s_sub !t0 (s_mul_nat !t1 q) in
+    t0 := !t1;
+    t1 := t
+  done;
+  if not (equal !r0 one) then raise Division_by_zero;
+  let neg, mag = !t0 in
+  let mag = rem mag m in
+  if neg && not (is_zero mag) then sub m mag else mag
+
 let pow b e =
   if e < 0 then invalid_arg "Nat.pow";
   let rec go acc b e =

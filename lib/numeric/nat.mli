@@ -5,8 +5,9 @@
     OCaml's 63-bit native integers.  All values are canonical: no leading
     zero limbs, and zero is the empty limb array.
 
-    This module is the arithmetic substrate for the RSA layer and the
-    Montgomery machinery in {!Modular}; it has no dependencies. *)
+    This module is the arithmetic substrate for the RSA layer, the
+    Montgomery engine in {!Modular} and the field [Zebra_field.Fp], and it
+    holds the one modular {!inverse}; it has no dependencies. *)
 
 type t
 
@@ -71,6 +72,14 @@ val shift_right : t -> int -> t
 
 val gcd : t -> t -> t
 
+(** [inverse a m] is [a^-1 mod m] in [\[1, m)], by the signed extended
+    Euclidean algorithm: the one modular inverse, for any modulus [m >= 2],
+    odd or even (RSA keygen inverts modulo an even lambda, [Fp.inv] modulo
+    the field prime).
+    @raise Division_by_zero if [gcd a m <> 1] (so also when [a mod m = 0]).
+    @raise Invalid_argument if [m < 2]. *)
+val inverse : t -> t -> t
+
 (** [pow b e] for native exponent [e >= 0] (no modulus; use sparingly). *)
 val pow : t -> int -> t
 
@@ -78,7 +87,8 @@ val pp : Format.formatter -> t -> unit
 
 (**/**)
 
-(** Internal: raw limb access for {!Modular}.  [limbs n] is a fresh copy. *)
+(** Internal: raw limb access for the Montgomery engines, {!Modular} and
+    [Zebra_field.Fp].  [limbs n] is a fresh copy. *)
 val limbs : t -> int array
 
 val of_limbs : int array -> t

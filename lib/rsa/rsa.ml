@@ -34,7 +34,7 @@ let generate ~bits ~random_bytes =
   let p, q, n, p1, q1, lambda = gen_pair () in
   (* Keep p > q so the CRT recombination needs a single correction term. *)
   let p, q, p1, q1 = if Nat.compare p q > 0 then (p, q, p1, q1) else (q, p, q1, p1) in
-  let d = Modular.inverse e65537 lambda in
+  let d = Nat.inverse e65537 lambda in
   {
     pub = { n; e = e65537 };
     d;
@@ -42,7 +42,7 @@ let generate ~bits ~random_bytes =
     q;
     dp = Nat.rem d p1;
     dq = Nat.rem d q1;
-    qinv = Modular.inverse q p;
+    qinv = Nat.inverse q p;
   }
 
 let key_bytes pub = (Nat.num_bits pub.n + 7) / 8

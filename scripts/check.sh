@@ -26,6 +26,15 @@ if find . -path ./_build -prune -o \( -name dune -o -name dune-project \) -print
   exit 1
 fi
 
+# One Montgomery implementation per modulus: Fp computes everything about
+# r on its own kernels, so nothing under lib/field may name the generic
+# engine (DESIGN.md, "Field kernel discipline").
+echo "== lib/field does not use Modular =="
+if grep -rn 'Modular' lib/field; then
+  echo "check.sh: lib/field names Modular" >&2
+  exit 1
+fi
+
 dune build @check
 echo "== tests, ZEBRA_DOMAINS=1 =="
 ZEBRA_DOMAINS=1 dune runtest --force

@@ -244,6 +244,23 @@ let test_replicas_agree () =
      4 replicas is the assertion. *)
   Alcotest.(check int) "height" 6 (Network.height net)
 
+(* The block hook runs before the block forms; one that mines moves the
+   tip under the block being mined, which must fail loudly. *)
+let test_mining_hook_rejected () =
+  let net = fresh_net () in
+  let fired = ref false in
+  Network.set_block_hook net
+    (Some
+       (fun ~height:_ ->
+         if not !fired then begin
+           fired := true;
+           ignore (Network.mine net)
+         end));
+  match Network.mine net with
+  | _ -> Alcotest.fail "a block hook that mines went unnoticed"
+  | exception Network.Consensus_failure _ ->
+    Alcotest.(check int) "inner block only" 1 (Network.height net)
+
 let test_adversary_reorder () =
   (* The adversary reverses the block order: the later-submitted transfer
      executes first.  Both still execute; balances must reflect the
@@ -836,6 +853,7 @@ let () =
       ( "network",
         [
           Alcotest.test_case "replicas agree" `Quick test_replicas_agree;
+          Alcotest.test_case "block hook that mines rejected" `Quick test_mining_hook_rejected;
           Alcotest.test_case "adversary reorder" `Quick test_adversary_reorder;
           Alcotest.test_case "adversary cannot forge" `Quick test_adversary_cannot_forge;
           Alcotest.test_case "adversary duplicate rejected" `Quick

@@ -135,7 +135,7 @@ let test_verify_rejects_huge_exponent () =
   let p1 = Nat.sub k.Rsa.p Nat.one and q1 = Nat.sub k.Rsa.q Nat.one in
   let lambda = Nat.div (Nat.mul p1 q1) (Nat.gcd p1 q1) in
   let rec pick e =
-    match Modular.inverse e lambda with
+    match Nat.inverse e lambda with
     | d -> (e, d)
     | exception Division_by_zero -> pick (Nat.add e Nat.two)
   in

@@ -23,14 +23,14 @@ let arb_fp =
 module Nat = Zebra_numeric.Nat
 module Modular = Zebra_numeric.Modular
 
-(* The generic kernels' context for r: the oracle the specialised ones
-   must match limb for limb. *)
+(* The generic Montgomery engine's context for r: the oracle Fp's own
+   kernels must match. *)
 let generic = Modular.create Fp.modulus
 
 (* The element whose Montgomery limbs are [limbs] (little-endian base
    2^31, below r): L R^-1 mod r, R = 2^279. *)
 let of_mont_limbs limbs =
-  let r_inv = Modular.inverse (Nat.shift_left Nat.one 279) Fp.modulus in
+  let r_inv = Nat.inverse (Nat.shift_left Nat.one 279) Fp.modulus in
   Fp.of_nat (Nat.rem (Nat.mul (Nat.of_limbs limbs) r_inv) Fp.modulus)
 
 (* Saturated limbs, where every carry chain runs its full length: each
@@ -72,6 +72,14 @@ let test_negative_of_int () =
 let test_of_int_extremes () =
   Alcotest.check fp "of_int min_int" (Fp.neg (Fp.of_nat (Nat.pow Nat.two 62))) (Fp.of_int min_int);
   Alcotest.check fp "of_int (min_int + 1)" (Fp.neg (Fp.of_int max_int)) (Fp.of_int (min_int + 1))
+
+(* The same overflow for exponents: b^min_int is the inverse of b^(2^62). *)
+let test_pow_int_extremes () =
+  let e62 = Nat.pow Nat.two 62 in
+  Alcotest.check fp "pow_int two min_int" (Fp.inv (Fp.pow Fp.two e62)) (Fp.pow_int Fp.two min_int);
+  Alcotest.check fp "pow_int two (min_int + 1)"
+    (Fp.inv (Fp.pow Fp.two (Nat.sub e62 Nat.one)))
+    (Fp.pow_int Fp.two (min_int + 1))
 
 let test_bytes_roundtrip () =
   let x = fresh_fp () in
@@ -128,24 +136,24 @@ let nat_mul a b = Nat.rem (Nat.mul a b) Fp.modulus
 let nat_neg a = Nat.rem (Nat.sub Fp.modulus a) Fp.modulus
 let nat = Alcotest.testable Nat.pp Nat.equal
 
+(* The Montgomery limbs of x are those of x 2^279 mod r, computed in Nat. *)
 let test_saturated_limbs () =
   List.iter2
     (fun limbs x ->
+      let mont = Nat.limbs (Nat.rem (Nat.shift_left (Fp.to_nat x) 279) Fp.modulus) in
       Alcotest.(check (array int)) "Montgomery limbs" limbs
-        (Modular.to_mont generic (Fp.to_nat x) :> int array))
+        (Array.init 9 (fun i -> if i < Array.length mont then mont.(i) else 0)))
     saturated_limbs saturated
 
 (* [x] holds [expected] in canonical limbs: [Fp.equal] compares limbs,
-   and [of_nat] gives the generic kernels' limbs for the value. *)
+   and [of_nat] gives the canonical limbs for the value. *)
 let holds x expected = Nat.equal (Fp.to_nat x) expected && Fp.equal x (Fp.of_nat expected)
 
-(* The generic offset kernel [kernel] on the generic context, read back
-   as a natural. *)
-let generic_op kernel a b =
-  let mont x = (Modular.to_mont generic (Fp.to_nat x) :> int array) in
-  let d = Modular.mont_buffer generic in
-  kernel generic (d :> int array) 0 (mont a) 0 (mont b) 0;
-  Modular.of_mont generic d
+(* The generic engine's whole-value operation [op] on the generic
+   context, read back as a natural. *)
+let generic_op op a b =
+  let mont x = Modular.to_mont generic (Fp.to_nat x) in
+  Modular.of_mont generic (op generic (mont a) (mont b))
 
 (* Every in-place form of a binary op: a fresh destination, and the
    destination on the first source, on the second, and on both. *)
@@ -177,14 +185,14 @@ let prop_kernels_generic =
       let sqr_dst = Fp.buffer () and sqr_on_a = Fp.copy a in
       Fp.sqr_into ~dst:sqr_dst a;
       Fp.sqr_into ~dst:sqr_on_a sqr_on_a;
-      check "add" Fp.add Fp.add_into Modular.add_off (nat_add an bn)
-      && check "sub" Fp.sub Fp.sub_into Modular.sub_off (nat_sub an bn)
-      && check "mul" Fp.mul Fp.mul_into Modular.mul_off (nat_mul an bn)
+      check "add" Fp.add Fp.add_into Modular.mont_add (nat_add an bn)
+      && check "sub" Fp.sub Fp.sub_into Modular.mont_sub (nat_sub an bn)
+      && check "mul" Fp.mul Fp.mul_into Modular.mont_mul (nat_mul an bn)
       && holds (on_both Fp.add_into a) (nat_add an an)
       && holds (on_both Fp.sub_into a) Nat.zero
       && holds (on_both Fp.mul_into a) (nat_mul an an)
       && List.for_all (fun x -> holds x (nat_mul an an)) [ Fp.sqr a; sqr_dst; sqr_on_a ]
-      && Nat.equal (generic_op (fun g d o x xo _ _ -> Modular.neg_off g d o x xo) a a) (nat_neg an)
+      && Nat.equal (generic_op (fun g x _ -> Modular.mont_neg g x) a a) (nat_neg an)
       && holds (Fp.neg a) (nat_neg an))
 
 let test_mul_into_alias () =
@@ -197,35 +205,44 @@ let test_mul_into_alias () =
   Fp.sqr_into ~dst:a a;
   Alcotest.check nat "sqr_into ~dst:a a" (nat_mul xn xn) (Fp.to_nat a)
 
-(* Reference binary exponentiation; Fp.pow now uses a 4-bit sliding
-   window and must return limb-identical results. *)
-let naive_pow b e =
-  let nb = Nat.num_bits e in
-  if nb = 0 then Fp.one
-  else begin
-    let acc = ref b in
-    for i = nb - 2 downto 0 do
-      acc := Fp.sqr !acc;
-      if Nat.testbit e i then acc := Fp.mul !acc b
-    done;
-    !acc
-  end
-
+(* Fp.pow is square-and-multiply on Fp's kernels; the generic engine's
+   sliding-window [Modular.pow] on naturals is its reference, at the
+   exponent edges 0, 1, r-2 and r-1, around the window's width, and on
+   random 254- and 256-bit exponents. *)
 let prop_pow_window =
   qtest "sliding-window pow = square-and-multiply" ~count:60 QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let r = Zebra_rng.Chacha20.create ~seed:(Printf.sprintf "pow-%d" seed) in
       let rb n = Zebra_rng.Chacha20.bytes r n in
       let b = Fp.random rb in
-      let e = Nat.of_bytes_be (rb 32) in
-      Fp.equal (Fp.pow b e) (naive_pow b e)
-      && Fp.equal (Fp.pow b Nat.zero) Fp.one
-      && Fp.equal (Fp.pow b Nat.one) b
-      && List.for_all
-           (fun k ->
-             let e = Nat.of_int k in
-             Fp.equal (Fp.pow b e) (naive_pow b e))
-           [ 2; 15; 16; 17; 255; 257 ])
+      let bn = Fp.to_nat b in
+      List.for_all
+        (fun e -> holds (Fp.pow b e) (Modular.pow generic bn e))
+        ([
+           Nat.zero; Nat.one; Nat.sub Fp.modulus Nat.two; Nat.sub Fp.modulus Nat.one;
+           Fp.to_nat (Fp.random rb); Nat.of_bytes_be (rb 32);
+         ]
+        @ List.map Nat.of_int [ 2; 15; 16; 17; 255; 257 ]))
+
+(* [of_nat] reduces and [to_nat] inverts it, at r's edges, beyond r and
+   on random values; the square ties both to the kernels' Montgomery
+   form. *)
+let test_nat_conversions () =
+  let r = Fp.modulus in
+  let edges =
+    [ Nat.zero; Nat.one; Nat.sub r Nat.one; r; Nat.add r Nat.one;
+      Nat.sub (Nat.shift_left Nat.one 256) Nat.one ]
+  in
+  let random k = Nat.of_bytes_be (random_bytes k) in
+  let randoms = List.concat_map (fun k -> List.init 8 (fun _ -> random k)) [ 31; 32; 40 ] in
+  List.iter
+    (fun n ->
+      let x = Fp.of_nat n and m = Nat.rem n r in
+      let name = Nat.to_decimal_string n in
+      Alcotest.check nat ("to_nat (of_nat n) = n mod r, n = " ^ name) m (Fp.to_nat x);
+      Alcotest.check fp ("of_nat (to_nat x) = x, n = " ^ name) x (Fp.of_nat (Fp.to_nat x));
+      Alcotest.check nat ("of_nat n squared, n = " ^ name) (nat_mul m m) (Fp.to_nat (Fp.sqr x)))
+    (edges @ randoms)
 
 let prop_bucket_dot =
   qtest "bucketed sparse dot = naive sum" ~count:200 QCheck2.Gen.(int_bound 1_000_000)
@@ -523,6 +540,7 @@ let () =
           Alcotest.test_case "constants" `Quick test_constants;
           Alcotest.test_case "negative of_int" `Quick test_negative_of_int;
           Alcotest.test_case "of_int min_int" `Quick test_of_int_extremes;
+          Alcotest.test_case "pow_int min_int" `Quick test_pow_int_extremes;
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "non-canonical bytes" `Quick test_bytes_noncanonical;
           Alcotest.test_case "root of unity" `Quick test_root_of_unity;
@@ -535,6 +553,7 @@ let () =
       ( "kernels",
         [
           Alcotest.test_case "saturated limbs" `Quick test_saturated_limbs;
+          Alcotest.test_case "Nat conversions reduce and round-trip" `Quick test_nat_conversions;
           Alcotest.test_case "mul_into aliased = Nat reference" `Quick test_mul_into_alias;
           Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
           Alcotest.test_case "vec slot ops" `Quick test_vec_slot_ops;

@@ -247,17 +247,17 @@ let test_mod_pow_fermat () =
 let test_mod_inverse () =
   let ctx = Modular.create p256 in
   let a = Nat.of_decimal_string "31415926535897932384626433832795" in
-  let ai = Modular.inverse a p256 in
+  let ai = Nat.inverse a p256 in
   Alcotest.check nat "a * a^-1 = 1" Nat.one (Modular.mul ctx a ai)
 
 let test_inverse_even_modulus () =
   (* 3^-1 mod 40 = 27 (RSA keygen path: inverse modulo even lambda) *)
   Alcotest.check nat "3^-1 mod 40" (Nat.of_int 27)
-    (Modular.inverse (Nat.of_int 3) (Nat.of_int 40))
+    (Nat.inverse (Nat.of_int 3) (Nat.of_int 40))
 
 let test_inverse_not_coprime () =
   Alcotest.check_raises "non coprime" Division_by_zero (fun () ->
-      ignore (Modular.inverse (Nat.of_int 6) (Nat.of_int 9)))
+      ignore (Nat.inverse (Nat.of_int 6) (Nat.of_int 9)))
 
 let prop_mod_mul_matches_nat =
   qtest "mod mul matches Nat" (pair (arb_nat ~bits:300 ())) (fun (a, b) ->
@@ -275,7 +275,7 @@ let prop_mod_inv =
       let ctx = Modular.create p256 in
       let a = Nat.rem a p256 in
       if Nat.is_zero a then true
-      else Nat.equal Nat.one (Modular.mul ctx a (Modular.inverse a p256)))
+      else Nat.equal Nat.one (Modular.mul ctx a (Nat.inverse a p256)))
 
 let prop_mod_pow_agree_small =
   qtest "pow matches repeated mul" (QCheck2.Gen.pair (arb_nat ~bits:64 ()) (QCheck2.Gen.int_bound 30))
@@ -319,37 +319,27 @@ let arb_residue m =
       (1, QCheck2.Gen.return (Nat.sub m Nat.two));
     ]
 
-(* The offset kernels against plain Nat arithmetic mod [m].  The
-   operands sit in regions 1 and 2 of one flat array, so every kernel
-   runs at a non-zero offset; add/sub/neg run again with the destination
-   on a source region, as their aliasing rule allows, and squaring reads
-   one region twice.  [of_mont] would map an unreduced result (say m
-   for 0) to the right value, so the region itself must also read < m. *)
+(* The Montgomery operations against plain Nat arithmetic mod [m].  Each
+   is a fresh value plus its offset kernel, so this runs every kernel:
+   add, subtract, negate, multiply and square.  [of_mont] would map an
+   unreduced result (say m for 0) to the right value, so [mont_equal]
+   against the value's own [to_mont] checks that the result is reduced
+   too. *)
 let prop_off_kernels name m =
   qtest ("offset kernels = Nat reference, " ^ name) ~count:100 (pair (arb_residue m))
     (fun (a, b) ->
       let ctx = Modular.create m in
-      let n = Modular.num_limbs ctx in
-      let buf = Array.make (3 * n) 0 in
-      let run dst kernel expected =
-        Array.blit (Modular.to_mont ctx a :> int array) 0 buf n n;
-        Array.blit (Modular.to_mont ctx b :> int array) 0 buf (2 * n) n;
-        kernel ();
-        Nat.compare (Nat.of_limbs (Array.sub buf dst n)) m < 0
-        && Nat.equal (Modular.of_mont ctx (Modular.mont_of_region ctx buf dst)) (Nat.rem expected m)
+      let ma = Modular.to_mont ctx a and mb = Modular.to_mont ctx b in
+      let holds x expected =
+        let expected = Nat.rem expected m in
+        Nat.equal (Modular.of_mont ctx x) expected
+        && Modular.mont_equal x (Modular.to_mont ctx expected)
       in
-      let sum = Nat.add a b and diff = Nat.sub (Nat.add a m) b and neg = Nat.sub m a in
-      let ra = n and rb = 2 * n in
-      run 0 (fun () -> Modular.add_off ctx buf 0 buf ra buf rb) sum
-      && run 0 (fun () -> Modular.sub_off ctx buf 0 buf ra buf rb) diff
-      && run 0 (fun () -> Modular.neg_off ctx buf 0 buf ra) neg
-      && run 0 (fun () -> Modular.mul_off ctx buf 0 buf ra buf rb) (Nat.mul a b)
-      && run 0 (fun () -> Modular.mul_off ctx buf 0 buf ra buf ra) (Nat.mul a a)
-      && run ra (fun () -> Modular.add_off ctx buf ra buf ra buf rb) sum
-      && run rb (fun () -> Modular.add_off ctx buf rb buf ra buf rb) sum
-      && run ra (fun () -> Modular.sub_off ctx buf ra buf ra buf rb) diff
-      && run rb (fun () -> Modular.sub_off ctx buf rb buf ra buf rb) diff
-      && run ra (fun () -> Modular.neg_off ctx buf ra buf ra) neg)
+      holds (Modular.mont_add ctx ma mb) (Nat.add a b)
+      && holds (Modular.mont_sub ctx ma mb) (Nat.sub (Nat.add a m) b)
+      && holds (Modular.mont_neg ctx ma) (Nat.sub m a)
+      && holds (Modular.mont_mul ctx ma mb) (Nat.mul a b)
+      && holds (Modular.mont_sqr ctx ma) (Nat.mul a a))
 
 (* An odd modulus of RSA width: 2^512 - 569. *)
 let rsa_width_modulus = Nat.sub (Nat.shift_left Nat.one 512) (Nat.of_int 569)
@@ -399,7 +389,7 @@ let test_modular_tiny_modulus () =
   (* Smallest legal modulus and extreme residues. *)
   let ctx = Modular.create (Nat.of_int 3) in
   Alcotest.check nat "2*2 mod 3" Nat.one (Modular.mul ctx Nat.two Nat.two);
-  Alcotest.check nat "2^-1 mod 3" Nat.two (Modular.inverse Nat.two (Nat.of_int 3))
+  Alcotest.check nat "2^-1 mod 3" Nat.two (Nat.inverse Nat.two (Nat.of_int 3))
 
 let test_modular_extreme_residues () =
   let ctx = Modular.create p256 in
@@ -460,6 +450,7 @@ let () =
           prop_off_kernels "512-bit modulus" rsa_width_modulus;
           prop_off_kernels "modulus 3" (Nat.of_int 3);
           prop_off_kernels "full-limb modulus" full_limbs_modulus;
+          prop_off_kernels "BN254 scalar modulus" p256;
         ] );
       ( "prime",
         [
