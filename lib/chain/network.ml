@@ -14,20 +14,20 @@ type node = {
   id : int;
   mutable state : State.t;
   mutable up : bool;
-  mutable applied_height : int;  (** last block height executed on [state] *)
+  mutable head : bytes;  (** hash of the last block executed on [state] *)
 }
 
 type mempool_fault = height:int -> Tx.t list -> Tx.t list * (int * Tx.t) list
 
-(* An active partition: the minority side mines its own branch off the last
-   common block.  Both sides extend by one block per clock tick, so the two
-   branches have equal length at heal time and the fork-choice tie-break
-   (lexicographically smaller tip hash) decides the winner — chain height
-   never moves backwards across a heal. *)
+(* An active partition.  The minority side is cut off from the mempool, so
+   its branch off the last common block could hold only empty blocks, and
+   an empty block changes no state: the minority executes nothing and the
+   heal builds its branch from [p_ticks].  Both sides extend by one block
+   per tick, so the fork-choice tie-break decides the winner. *)
 type partition_state = {
   p_minority : int list;  (* node ids on the minority side; never node 0 *)
   p_fork_height : int;  (* height of the last common block *)
-  mutable p_chain : Block.t list;  (* minority branch, newest first *)
+  mutable p_ticks : int;  (* ticks with a minority replica up *)
 }
 
 type t = {
@@ -50,7 +50,7 @@ let create ~num_nodes ~genesis () =
     genesis;
     nodes =
       Array.init num_nodes (fun id ->
-          { id; state = State.create ~genesis; up = true; applied_height = 0 });
+          { id; state = State.create ~genesis; up = true; head = Block.genesis_hash });
     mempool = [];
     adversary = None;
     fault = None;
@@ -95,7 +95,7 @@ let set_block_hook t f = t.block_hook <- f
 let tip_hash t = match t.chain with [] -> Block.genesis_hash | b :: _ -> Block.hash b
 
 (* During a partition only the majority side serves reads and extends the
-   canonical chain; minority nodes follow their own branch until the heal. *)
+   canonical chain; minority nodes stay at the fork point until the heal. *)
 let in_minority t id =
   match t.partition with None -> false | Some p -> List.mem id p.p_minority
 
@@ -131,7 +131,7 @@ let blocks t = List.rev t.chain
 let genesis t = t.genesis
 
 (* Execute [blocks], oldest first, on [st]; every block replay (re-sync,
-   reorg rebuild, fork sibling, audit) goes through here. *)
+   receipt rebuild, fork sibling, audit) goes through here. *)
 let apply_blocks ?(on_receipt = ignore) st blocks =
   List.iter
     (fun (b : Block.t) ->
@@ -140,60 +140,44 @@ let apply_blocks ?(on_receipt = ignore) st blocks =
         b.Block.txs)
     blocks
 
-let restart_node t ~node =
-  if node < 0 || node >= Array.length t.nodes then
-    invalid_arg "Network.restart_node: no such node";
-  let n = t.nodes.(node) in
-  if not n.up then begin
-    (* Re-sync from peers: replay every block mined while the node was
-       down.  Deterministic execution means the node must land on the
-       canonical state root recorded in the tip header. *)
-    apply_blocks n.state
-      (List.filter
-         (fun (b : Block.t) -> b.Block.header.Block.height > n.applied_height)
-         (blocks t));
-    n.applied_height <- height t;
-    (match t.chain with
-    | [] -> ()
-    | tip :: _ ->
-      if not (Bytes.equal (State.root n.state) tip.Block.header.Block.state_root) then
-        raise
-          (Consensus_failure
-             (Printf.sprintf "node %d failed to resync: state root diverges at height %d"
-                node (height t))));
-    n.up <- true
-  end
-
-(* --- forks and partitions --- *)
-
 let replay_fresh ?on_receipt t =
   let fresh = State.create ~genesis:t.genesis in
   apply_blocks ?on_receipt fresh (blocks t);
   fresh
 
-(* Re-derive everything that hangs off the canonical chain after a reorg:
-   every node full-syncs by a fresh replay from genesis, and the receipts
-   and logs are rebuilt from the new chain — first-wins per transaction
-   hash, exactly as live mining records them. *)
-let rebuild_from_chain t =
-  Hashtbl.reset t.receipts;
-  t.logs <- [];
-  let reference =
-    replay_fresh t ~on_receipt:(fun r ->
-        let k = Sha256.to_hex r.State.tx_hash in
-        if not (Hashtbl.mem t.receipts k) then Hashtbl.replace t.receipts k r;
-        t.logs <- List.rev_append r.State.logs t.logs)
+(* The one re-sync rule, for a restart, either heal outcome and an adopted
+   sibling.  A replica whose last executed block is still canonical applies
+   only the blocks above it; one that executed since-orphaned blocks
+   replays the chain from genesis.  Either way deterministic execution must
+   land it on the tip header's state root. *)
+let resync t n =
+  let rec above newer = function
+    | [] -> if Bytes.equal n.head Block.genesis_hash then Some newer else None
+    | b :: older ->
+      if Bytes.equal (Block.hash b) n.head then Some newer else above (b :: newer) older
   in
-  (match t.chain with
-  | [] -> ()
-  | tip :: _ ->
-    if not (Bytes.equal (State.root reference) tip.Block.header.Block.state_root) then
-      raise (Consensus_failure "reorg replay diverges from the adopted tip root"));
-  Array.iter
-    (fun n ->
-      n.state <- replay_fresh t;
-      n.applied_height <- height t)
-    t.nodes
+  (match above [] t.chain with
+  | Some newer -> apply_blocks n.state newer
+  | None -> n.state <- replay_fresh t);
+  n.head <- tip_hash t;
+  match t.chain with
+  | tip :: _ when not (Bytes.equal (State.root n.state) tip.Block.header.Block.state_root) ->
+    raise
+      (Consensus_failure
+         (Printf.sprintf "node %d failed to resync: state root diverges at height %d" n.id
+            (height t)))
+  | _ -> ()
+
+let restart_node t ~node =
+  if node < 0 || node >= Array.length t.nodes then
+    invalid_arg "Network.restart_node: no such node";
+  let n = t.nodes.(node) in
+  if not n.up then begin
+    resync t n;
+    n.up <- true
+  end
+
+(* --- forks and partitions --- *)
 
 let partition_active t = t.partition <> None
 
@@ -208,7 +192,7 @@ let start_partition t ~minority =
     (fun id -> if id < 0 || id >= n then invalid_arg "Network.start_partition: no such node")
     minority;
   if List.length minority >= n then invalid_arg "Network.start_partition: minority too large";
-  t.partition <- Some { p_minority = minority; p_fork_height = height t; p_chain = [] }
+  t.partition <- Some { p_minority = minority; p_fork_height = height t; p_ticks = 0 }
 
 type heal_report = { adopted_fork : bool; reorged_blocks : int; requeued_txs : int }
 
@@ -216,61 +200,77 @@ let rec split_at k l =
   if k = 0 then ([], l)
   else match l with [] -> ([], []) | x :: tl -> let a, b = split_at (k - 1) tl in (x :: a, b)
 
+(* First-wins per transaction hash: a duplicated transaction (fault
+   injection) re-executes and fails on nonce replay, but must not
+   overwrite the canonical receipt of its first execution. *)
+let record t (r : State.receipt) =
+  let k = Sha256.to_hex r.State.tx_hash in
+  if not (Hashtbl.mem t.receipts k) then Hashtbl.replace t.receipts k r;
+  t.logs <- List.rev_append r.State.logs t.logs
+
+(* The one fork choice, for partition heals and byzantine siblings:
+   [branch] (newest first) competes with the canonical blocks above
+   [fork_height].  The longer branch wins; equal lengths go to the
+   lexicographically smaller tip hash, so chain height never decreases.
+   On adoption the orphaned transactions rejoin the front of the mempool
+   in block order (minus any the branch carries) so the next block
+   re-mines them, and the receipts and logs are rebuilt from one replay
+   of the adopted chain.  Either way every live replica then re-syncs. *)
+let fork_choice t ~fork_height branch =
+  let main, common = split_at (height t - fork_height) t.chain in
+  let adopt =
+    match (branch, main) with
+    | [], _ -> false
+    | _, [] -> true
+    | b :: _, m :: _ ->
+      let longer = List.length branch - List.length main in
+      longer > 0 || (longer = 0 && Bytes.compare (Block.hash b) (Block.hash m) < 0)
+  in
+  let report =
+    if not adopt then { adopted_fork = false; reorged_blocks = 0; requeued_txs = 0 }
+    else begin
+      t.chain <- branch @ common;
+      let on_branch = Hashtbl.create 64 in
+      List.iter
+        (fun (b : Block.t) ->
+          List.iter (fun tx -> Hashtbl.replace on_branch (Tx.hash tx) ()) b.Block.txs)
+        branch;
+      let orphaned =
+        List.concat_map
+          (fun (b : Block.t) ->
+            List.filter (fun tx -> not (Hashtbl.mem on_branch (Tx.hash tx))) b.Block.txs)
+          (List.rev main)
+      in
+      t.mempool <- t.mempool @ List.rev orphaned;
+      Hashtbl.reset t.receipts;
+      t.logs <- [];
+      ignore (replay_fresh t ~on_receipt:(record t));
+      let requeued_txs = List.length orphaned in
+      { adopted_fork = true; reorged_blocks = List.length main; requeued_txs }
+    end
+  in
+  Array.iter (fun n -> if n.up then resync t n) t.nodes;
+  report
+
 let heal_partition t =
   match t.partition with
   | None -> invalid_arg "Network.heal_partition: no active partition"
   | Some p ->
     t.partition <- None;
-    let main_len = height t - p.p_fork_height in
-    let fork_len = List.length p.p_chain in
-    (* Fork choice: longest chain wins; equal lengths break the tie toward
-       the lexicographically smaller tip hash. *)
-    let adopt =
-      fork_len > main_len
-      || fork_len = main_len && fork_len > 0
-         &&
-         (match (p.p_chain, t.chain) with
-         | fb :: _, mb :: _ -> Bytes.compare (Block.hash fb) (Block.hash mb) < 0
-         | _ -> false)
+    (* The minority branch: one empty block per tick, linked off the last
+       common block and carrying its state root. *)
+    let prev, root =
+      match List.nth_opt t.chain (height t - p.p_fork_height) with
+      | Some b -> (Block.hash b, b.Block.header.Block.state_root)
+      | None -> (Block.genesis_hash, State.root (State.create ~genesis:t.genesis))
     in
-    if not adopt then begin
-      (* Majority branch kept: minority nodes full-sync back onto it. *)
-      Array.iter
-        (fun node ->
-          if List.mem node.id p.p_minority then begin
-            node.state <- replay_fresh t;
-            node.applied_height <- height t
-          end)
-        t.nodes;
-      { adopted_fork = false; reorged_blocks = 0; requeued_txs = 0 }
-    end
-    else begin
-      (* Fork choice picked the minority branch: the majority blocks above
-         the fork point are orphaned.  Their transactions rejoin the front
-         of the mempool in block order (minus any already on the adopted
-         branch) so the next block re-mines them; receipts, logs and every
-         node state are rebuilt from the adopted chain. *)
-      let abandoned, common = split_at main_len t.chain in
-      t.chain <- p.p_chain @ common;
-      let on_adopted = Hashtbl.create 64 in
-      List.iter
-        (fun (b : Block.t) ->
-          List.iter
-            (fun tx -> Hashtbl.replace on_adopted (Sha256.to_hex (Tx.hash tx)) ())
-            b.Block.txs)
-        p.p_chain;
-      let orphaned =
-        List.concat_map
-          (fun (b : Block.t) ->
-            List.filter
-              (fun tx -> not (Hashtbl.mem on_adopted (Sha256.to_hex (Tx.hash tx))))
-              b.Block.txs)
-          (List.rev abandoned)
-      in
-      t.mempool <- t.mempool @ List.rev orphaned;
-      rebuild_from_chain t;
-      { adopted_fork = true; reorged_blocks = main_len; requeued_txs = List.length orphaned }
-    end
+    let rec grow branch prev h =
+      if h > p.p_fork_height + p.p_ticks then branch
+      else
+        let b = Block.make ~height:h ~prev_hash:prev ~state_root:root [] in
+        grow (b :: branch) (Block.hash b) (h + 1)
+    in
+    fork_choice t ~fork_height:p.p_fork_height (grow [] prev (p.p_fork_height + 1))
 
 (* Each sender's transactions re-slotted into that sender's positions in
    nonce order: however a block is ordered (fee sort, byzantine miner,
@@ -328,12 +328,7 @@ let fork_tip t ~permute =
         Block.make ~height:h ~prev_hash:tip.Block.header.Block.prev_hash
           ~state_root:(State.root st) txs'
       in
-      if Bytes.compare (Block.hash sibling) (Block.hash tip) < 0 then begin
-        t.chain <- sibling :: rest;
-        rebuild_from_chain t;
-        Some true
-      end
-      else Some false
+      Some (fork_choice t ~fork_height:(h - 1) [ sibling ]).adopted_fork
     end
 
 type exec_result =
@@ -398,10 +393,9 @@ let mine_ext t =
   let valid = List.filter_map (fun (tx, ok) -> if ok then Some tx else None) tagged in
   Obs.Histogram.observe m_txs_per_block (float_of_int (List.length valid));
   Obs.Counter.add m_txs (List.length valid);
-  (* During a partition only the majority side sees the mempool and mines
-     the canonical-candidate branch; the minority side extends its own
-     (empty) branch below.  Fork choice at heal time decides which one
-     survives. *)
+  (* During a partition only the majority side sees the mempool and
+     executes the canonical-candidate branch; fork choice at heal time
+     decides whether it or the minority's empty branch survives. *)
   let live = Array.to_list t.nodes |> List.filter (fun n -> n.up && not (in_minority t n.id)) in
   (* Every live node executes the block independently; receipts must agree.
      The exec span gets one sample per node per block, so its histogram is
@@ -413,7 +407,6 @@ let mine_ext t =
             Exec.apply_block node.state ~height:new_height valid))
       live
   in
-  let all_receipts = List.map (List.map fst) all_results in
   let block =
     Obs.with_span "chain.mine.consensus" @@ fun () ->
     let roots = List.map (fun node -> State.root node.state) live in
@@ -429,56 +422,16 @@ let mine_ext t =
     Block.make ~height:new_height ~prev_hash:(tip_hash t) ~state_root:root0 valid
   in
   t.chain <- block :: t.chain;
-  List.iter (fun n -> n.applied_height <- new_height) live;
+  let head = Block.hash block in
+  List.iter (fun n -> n.head <- head) live;
   Obs.Counter.incr m_blocks;
-  (* The partitioned minority mines one block per tick too — empty, since
-     the mempool lives on the majority side — so both branches grow at the
-     same rate and the heal-time fork choice comes down to the tip-hash
-     tie-break. *)
+  (* The minority branch grows by one empty block on every tick one of its
+     replicas is up; [heal_partition] builds it. *)
   (match t.partition with
-  | None -> ()
-  | Some p ->
-    let m_live =
-      Array.to_list t.nodes |> List.filter (fun n -> n.up && List.mem n.id p.p_minority)
-    in
-    (match m_live with
-    | [] -> ()
-    | _ ->
-      let m_height = p.p_fork_height + List.length p.p_chain + 1 in
-      List.iter
-        (fun node -> ignore (Exec.apply_block node.state ~height:m_height []))
-        m_live;
-      let roots = List.map (fun node -> State.root node.state) m_live in
-      let root0 = List.hd roots in
-      List.iter
-        (fun r ->
-          if not (Bytes.equal r root0) then
-            raise
-              (Consensus_failure
-                 (Printf.sprintf "minority branch diverges at height %d" m_height)))
-        roots;
-      let prev =
-        match p.p_chain with
-        | b :: _ -> Block.hash b
-        | [] ->
-          if p.p_fork_height = 0 then Block.genesis_hash
-          else Block.hash (List.nth t.chain (height t - p.p_fork_height))
-      in
-      let mblock =
-        Block.make ~height:m_height ~prev_hash:prev ~state_root:root0 []
-      in
-      p.p_chain <- mblock :: p.p_chain;
-      List.iter (fun n -> n.applied_height <- m_height) m_live));
-  let rs = List.hd all_receipts in
-  (* First-wins per transaction hash: a duplicated transaction (fault
-     injection) re-executes and fails on nonce replay, but must not
-     overwrite the canonical receipt of its first execution. *)
-  List.iter
-    (fun (r : State.receipt) ->
-      let k = Sha256.to_hex r.State.tx_hash in
-      if not (Hashtbl.mem t.receipts k) then Hashtbl.replace t.receipts k r;
-      t.logs <- List.rev_append r.State.logs t.logs)
-    rs;
+  | Some p when Array.exists (fun n -> n.up && List.mem n.id p.p_minority) t.nodes ->
+    p.p_ticks <- p.p_ticks + 1
+  | _ -> ());
+  List.iter (fun (r, _) -> record t r) (List.hd all_results);
   (* Classify in block-candidate order: invalid candidates become
      [Rejected], executed ones [Applied] or [Conflict_retry] (escaped the
      declared footprint and was re-run in the serial fallback). *)

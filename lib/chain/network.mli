@@ -94,9 +94,11 @@ val set_block_hook : t -> (height:int -> unit) option -> unit
     @raise Invalid_argument if [node] is the last live replica. *)
 val crash_node : t -> node:int -> unit
 
-(** [restart_node t ~node] brings a crashed replica back: it re-syncs by
-    replaying every block mined while it was down and must land on the tip
-    header's state root.  Idempotent on live nodes.
+(** [restart_node t ~node] brings a crashed replica back through the one
+    re-sync rule heals and adopted siblings also use: it applies the
+    blocks mined while it was down, or replays from genesis if a reorg
+    orphaned a block it executed, and must land on the tip header's state
+    root.  Idempotent on live nodes.
     @raise Consensus_failure if the re-synced root diverges. *)
 val restart_node : t -> node:int -> unit
 
@@ -104,14 +106,22 @@ val node_up : t -> int -> bool
 
 (** {1 Partitions, forks and reorgs}
 
-    A network partition splits the replicas into a majority side (which
-    keeps the mempool and mines the candidate branch) and a minority side
-    (which mines empty blocks on its own branch at the same rate).  At
-    heal time the {e fork choice} picks the longer branch; equal lengths
-    break the tie toward the lexicographically smaller tip hash.  When the
-    minority branch wins, the orphaned majority transactions rejoin the
-    front of the mempool and every replica, receipt and log is rebuilt by
-    a deterministic replay of the adopted chain. *)
+    A network partition splits the replicas into a majority side, which
+    keeps the mempool and mines the candidate branch, and a minority side
+    that executes nothing: cut off from the mempool, its branch would
+    hold only empty blocks, and an empty block changes no state.  The
+    heal builds that branch off the last common block, one block per
+    tick on which a minority replica was up, each carrying the fork
+    point's state root.
+
+    Heals and byzantine siblings ({!fork_tip}) share one {e fork choice}:
+    the longer branch wins, equal lengths go to the lexicographically
+    smaller tip hash.  On adoption the orphaned transactions rejoin the
+    front of the mempool and receipts and logs are rebuilt from one
+    replay of the adopted chain.  Then every live replica re-syncs by the
+    rule restarts use: one that executed orphaned blocks replays from
+    genesis, any other applies the blocks above its last one, and each
+    must land on the tip header's state root. *)
 
 (** [start_partition t ~minority] cuts the given replica ids off from the
     mempool and the majority branch, starting with the next mined block.
@@ -128,20 +138,23 @@ type heal_report = {
   requeued_txs : int;  (** orphaned transactions returned to the mempool *)
 }
 
-(** [heal_partition t] reconnects the sides, runs the fork choice and
-    replays the losing side onto the winning branch.  The chain height
-    never decreases: both branches grew one block per {!mine_ext} tick.
+(** [heal_partition t] reconnects the sides, builds the minority's empty
+    branch, runs the fork choice and re-syncs every live replica: after a
+    kept heal the minority applies the majority blocks above the fork
+    point, after an adopted one the majority replays from genesis.  The
+    chain height never decreases.
     @raise Invalid_argument if no partition is active.
-    @raise Consensus_failure if the reorg replay diverges. *)
+    @raise Consensus_failure if a re-synced root diverges. *)
 val heal_partition : t -> heal_report
 
 (** [fork_tip t ~permute] lets a byzantine miner propose a conflicting
     sibling of the current tip: same parent and height, transactions
-    permuted by [permute] and kept in nonce order per sender.  The
-    sibling is adopted — a one-block reorg, with receipts and replicas
-    rebuilt — exactly when the fork choice prefers its hash.  Returns [None] when there is nothing to fork (empty
-    chain, active partition, or an identity permutation), otherwise
-    [Some adopted]. *)
+    permuted by [permute] and kept in nonce order per sender.  The heal's
+    fork choice adopts it — a one-block reorg, after which every live
+    replica replays from genesis — exactly when its hash is smaller.
+    Returns [None] when there is nothing to fork (empty chain, active
+    partition, or an identity permutation), otherwise [Some adopted].
+    @raise Consensus_failure if a re-synced root diverges. *)
 val fork_tip : t -> permute:(Tx.t list -> Tx.t list) -> bool option
 
 (** State root of node [i] (stale while the node is down) — lets tests

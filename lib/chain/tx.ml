@@ -17,6 +17,7 @@ type t = {
   payload : bytes;
   footprint : Address.t list;
   signature : bytes;
+  hash : bytes;
 }
 
 let write_unsigned w (tx : t) =
@@ -38,10 +39,23 @@ let write_unsigned w (tx : t) =
 
 let signing_bytes tx = Codec.encode write_unsigned tx
 
+let to_bytes tx =
+  Codec.encode
+    (fun w tx ->
+      write_unsigned w tx;
+      Codec.bytes w tx.signature)
+    tx
+
+(* Every constructor ends here: the hash is computed once per value. *)
+let with_hash tx = { tx with hash = Sha256.digest (to_bytes tx) }
+
+let sign wallet unsigned =
+  with_hash { unsigned with signature = Wallet.sign wallet (signing_bytes unsigned) }
+
 let make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload =
   if value < 0 then invalid_arg "Tx.make: negative value";
   if fee < 0 then invalid_arg "Tx.make: negative fee";
-  let unsigned =
+  sign wallet
     {
       sender = Wallet.address wallet;
       sender_pk = Wallet.public_key wallet;
@@ -52,9 +66,8 @@ let make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload =
       payload;
       footprint;
       signature = Bytes.empty;
+      hash = Bytes.empty;
     }
-  in
-  { unsigned with signature = Wallet.sign wallet (signing_bytes unsigned) }
 
 let make ~wallet ~nonce ~dst ~value ~payload =
   make_ext ~wallet ~fee:0 ~footprint:[] ~nonce ~dst ~value ~payload
@@ -63,13 +76,6 @@ let validate tx =
   tx.fee >= 0 && tx.value >= 0
   && Address.equal tx.sender (Address.of_public_key tx.sender_pk)
   && Pkcs1.verify tx.sender_pk ~msg:(signing_bytes tx) ~signature:tx.signature
-
-let to_bytes tx =
-  Codec.encode
-    (fun w tx ->
-      write_unsigned w tx;
-      Codec.bytes w tx.signature)
-    tx
 
 let of_bytes b =
   Codec.decode
@@ -91,21 +97,15 @@ let of_bytes b =
       let footprint = Codec.read_list r Address.read in
       let payload = Codec.read_bytes r in
       let signature = Codec.read_bytes r in
-      { sender; sender_pk; nonce; dst; value; fee; payload; footprint; signature })
+      let hash = Bytes.empty in
+      { sender; sender_pk; nonce; dst; value; fee; payload; footprint; signature; hash })
     b
+  |> with_hash
 
-let hash tx = Sha256.digest (to_bytes tx)
+let hash tx = tx.hash
 
 let size_bytes tx = Bytes.length (to_bytes tx)
 
 let resend_as ~wallet ~nonce tx =
-  let unsigned =
-    {
-      tx with
-      sender = Wallet.address wallet;
-      sender_pk = Wallet.public_key wallet;
-      nonce;
-      signature = Bytes.empty;
-    }
-  in
-  { unsigned with signature = Wallet.sign wallet (signing_bytes unsigned) }
+  sign wallet
+    { tx with sender = Wallet.address wallet; sender_pk = Wallet.public_key wallet; nonce }

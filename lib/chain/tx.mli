@@ -36,6 +36,7 @@ type t = private {
   payload : bytes;
   footprint : Address.t list;  (** declared extra touched addresses *)
   signature : bytes;
+  hash : bytes;  (** {!hash}, computed once per value *)
 }
 
 (** [make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload] builds
@@ -62,7 +63,9 @@ val make :
     value/fee non-negative. *)
 val validate : t -> bool
 
-(** Transaction hash (of the signed encoding). *)
+(** Transaction hash: SHA-256 of the signed encoding ({!to_bytes}),
+    computed once by the constructors ({!make_ext}, {!of_bytes},
+    {!resend_as}) and carried with the value, so readers never re-encode. *)
 val hash : t -> bytes
 
 val to_bytes : t -> bytes

@@ -72,7 +72,7 @@ let mine_r sys =
 
 type 'a phase = {
   name : string;  (* labels a [Rejected] or [Timed_out] *)
-  txs : (Tx.t * bytes) list;  (* broadcast, with their hashes *)
+  txs : Tx.t list;  (* broadcast *)
   value : 'a;  (* the result once every receipt is Ok *)
   mutable attempts : int;  (* broadcasts so far *)
   mutable waited : int;  (* blocks mined since the last broadcast *)
@@ -88,7 +88,7 @@ let broadcast sys tx =
 
 (* A phase over transactions the caller already broadcast. *)
 let phase ~name txs value =
-  { name; txs = List.map (fun tx -> (tx, Tx.hash tx)) txs; value; attempts = 1; waited = 0 }
+  { name; txs; value; attempts = 1; waited = 0 }
 
 let single sys ~name tx value =
   broadcast sys tx;
@@ -105,7 +105,7 @@ let poll sys p =
   p.waited <- p.waited + 1;
   let statuses =
     List.map
-      (fun (_, hash) -> Option.map (fun r -> r.State.status) (Network.receipt sys.net hash))
+      (fun tx -> Option.map (fun r -> r.State.status) (Network.receipt sys.net (Tx.hash tx)))
       p.txs
   in
   let rejected =
@@ -129,7 +129,7 @@ let poll sys p =
   end
   else begin
     List.iter2
-      (fun (tx, _) status ->
+      (fun tx status ->
         if status = None then begin
           Obs.Counter.incr m_resubmits;
           broadcast sys tx

@@ -81,9 +81,11 @@ done
 # byz-28's sibling lands after the reward instruction was proved, so the
 # requester proves it again over the adopted order; byz-35's withheld
 # worker defers the instruction past the fork.  The check after the loop
-# fails if the corpus stops covering all three outcomes, or if a
-# partition heal or crash restart falls after the round, where
-# Faults.finish marks it "(end of run)".
+# fails if the corpus stops covering all three outcomes or the chaos
+# traces stop showing a crash restart (ci-6 holds the only one) -- the
+# four callers of Network's one re-sync rule -- or if a partition heal
+# or crash restart falls after the round, where Faults.finish marks it
+# "(end of run)".
 echo "== byzantine gate (adversary corpus, pool-size-invariant traces) =="
 i=0
 for spec in \
@@ -118,11 +120,15 @@ for outcome in "partition.heal canonical chain kept" "partition.heal fork adopte
     exit 1
   fi
 done
+if ! grep -q "node\.restart node=[0-9]* resync=ok" "$tmp"/d1-*.txt; then
+  echo "chaos gate FAILED: no chaos trace shows a 'node.restart ... resync=ok'" >&2
+  exit 1
+fi
 if grep -l "(end of run)" "$tmp"/d1-*.txt "$tmp"/byz-d1-*.txt; then
   echo "byzantine gate FAILED: the trace(s) above heal a partition or restart a node after the round (end of run)" >&2
   exit 1
 fi
-echo "byzantine corpus covers a kept heal, an adopted heal and an adopted sibling"
+echo "corpus covers a kept heal, an adopted heal, an adopted sibling and a crash restart"
 echo "every partition heal and crash restart happens inside its round"
 
 # Index gate: the off-chain event-sourced mirror must rebuild the

@@ -827,6 +827,104 @@ let test_fork_tip_choice () =
   Alcotest.(check int) "transfers settled exactly once (received 3, sent 4)" 999_999
     (Network.balance net (Wallet.address (wallet 1)))
 
+(* A replica that is down across a sibling reorg catches up at restart
+   through the same re-sync rule as a heal.  Wallet 3 starts unfunded, so
+   its transfer fails when it runs ahead of its funding: a sibling that
+   swaps them commits to a different root.  Node 1 executed the tip before
+   it crashed and must replay from genesis; node 2 crashed before the tip
+   was mined and applies only the adopted sibling. *)
+let test_restart_across_sibling_reorg () =
+  let net = fresh_net ~num_nodes:3 () in
+  let send from to_ value =
+    Network.submit net
+      (Tx.make ~wallet:(wallet from) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet to_)))
+         ~value ~payload:Bytes.empty)
+  in
+  Network.crash_node net ~node:2;
+  send 0 3 10;
+  send 3 1 5;
+  send 1 2 1;
+  ignore (Network.mine net);
+  let orphaned = last_block net in
+  Network.crash_node net ~node:1;
+  (* fork choice breaks the tie on the tip hash, so walk the permutations
+     that run the unfunded transfer first until one sibling wins *)
+  let permutations =
+    [
+      (function [ a; b; c ] -> [ b; a; c ] | txs -> txs);
+      (function [ a; b; c ] -> [ b; c; a ] | txs -> txs);
+      List.rev;
+      (function [ a; b; c ] -> [ a; c; b ] | txs -> txs);
+      (function [ a; b; c ] -> [ c; a; b ] | txs -> txs);
+    ]
+  in
+  Alcotest.(check bool) "a sibling is adopted" true
+    (List.exists (fun permute -> Network.fork_tip net ~permute = Some true) permutations);
+  let adopted = last_block net in
+  Alcotest.(check bool) "the adopted sibling commits to another root" false
+    (Bytes.equal adopted.Block.header.Block.state_root orphaned.Block.header.Block.state_root);
+  Alcotest.(check bytes) "node 1 still holds the orphaned tip's state while down"
+    orphaned.Block.header.Block.state_root (Network.node_state_root net 1);
+  Network.restart_node net ~node:2;
+  Alcotest.(check bytes) "restarted node 2 lands on the adopted tip's root"
+    adopted.Block.header.Block.state_root (Network.node_state_root net 2);
+  Network.restart_node net ~node:1;
+  all_replicas_agree net;
+  Alcotest.(check bytes) "every replica on the adopted tip's root"
+    adopted.Block.header.Block.state_root (Network.state_root net)
+
+(* A heal that adopts the minority branch: the branch is built at heal
+   time, one empty block per minority tick, linked off the fork point and
+   carrying its state root.  Fork choice breaks the tie on the tip hash,
+   so each fork height walks the number of ticks until the minority wins;
+   fork height 0 links the branch to genesis. *)
+let test_adopted_heal_branch () =
+  let attempt ~fork_height ticks =
+    let net = fresh_net ~num_nodes:3 () in
+    for nonce = 0 to fork_height - 1 do
+      Network.submit net
+        (Tx.make ~wallet:(wallet 0) ~nonce ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:5
+           ~payload:Bytes.empty);
+      ignore (Network.mine net)
+    done;
+    let fork_root = Network.state_root net in
+    Network.start_partition net ~minority:[ 2 ];
+    Network.submit net
+      (Tx.make ~wallet:(wallet 0) ~nonce:fork_height ~dst:(Tx.Call (Wallet.address (wallet 1)))
+         ~value:7 ~payload:Bytes.empty);
+    for _ = 1 to ticks do
+      ignore (Network.mine net)
+    done;
+    let r = Network.heal_partition net in
+    if r.Network.adopted_fork then Some (net, fork_root, r) else None
+  in
+  List.iter
+    (fun fork_height ->
+      match List.find_map (attempt ~fork_height) [ 1; 2; 3; 4; 5; 6; 7; 8 ] with
+      | None -> Alcotest.failf "fork height %d: no tick count adopts the minority" fork_height
+      | Some (net, fork_root, r) ->
+        let ticks = Network.height net - fork_height in
+        Alcotest.(check int) "every majority block reorged" ticks r.Network.reorged_blocks;
+        Alcotest.(check int) "the orphaned transfer requeued" 1 r.Network.requeued_txs;
+        Alcotest.(check (result unit string)) "a light client accepts the adopted chain" (Ok ())
+          (Light_client.sync (Light_client.create ()) (Network.blocks net));
+        List.iter
+          (fun (b : Block.t) ->
+            if b.Block.header.Block.height > fork_height then begin
+              Alcotest.(check int) "branch block is empty" 0 (List.length b.Block.txs);
+              Alcotest.(check bytes) "branch block carries the fork point's root" fork_root
+                b.Block.header.Block.state_root
+            end)
+          (Network.blocks net);
+        Alcotest.(check bytes) "replay equals the live root" (Network.state_root net)
+          (Network.replay net);
+        all_replicas_agree net;
+        ignore (Network.mine net);
+        Alcotest.(check int) "the requeued transfer lands once"
+          (1_000_007 + (5 * fork_height))
+          (Network.balance net (Wallet.address (wallet 1))))
+    [ 0; 1 ]
+
 let () =
   Alcotest.run "chain"
     [
@@ -887,5 +985,9 @@ let () =
           Alcotest.test_case "partition rejects bad splits" `Quick
             test_partition_rejects_bad_splits;
           Alcotest.test_case "byzantine sibling fork choice" `Quick test_fork_tip_choice;
+          Alcotest.test_case "restart across a sibling reorg" `Quick
+            test_restart_across_sibling_reorg;
+          Alcotest.test_case "adopted heal builds the empty branch" `Quick
+            test_adopted_heal_branch;
         ] );
     ]
