@@ -1133,11 +1133,14 @@ let chaos () =
    the fee-ordered mempool and the sharded parallel executor.  Settle
    latency percentiles are nearest-rank over the run's exact settle
    latencies.  The run must complete every task with the invariants
-   intact to count at all. *)
+   intact to count at all.  [load.signature_checks] counts [Tx.validate]
+   calls over the run: one at broadcast and one at sealing per
+   transaction, none on a replica or in the replay check. *)
 
 let load_bench () =
   header "load: N x M marketplace throughput (>= 100 tasks)";
   let module Obs = Zebra_obs.Obs in
+  let signature_checks = Obs.Counter.make "chain.tx.signature_checks" in
   Obs.reset ();
   Obs.set_enabled true;
   let config =
@@ -1162,6 +1165,7 @@ let load_bench () =
     Row.det "load.blocks" ~unit:"blocks" (float_of_int r.Load.blocks);
     count "load.txs" r.Load.txs;
     count "load.conflict_retries" r.Load.conflict_retries;
+    count "load.signature_checks" (Obs.Counter.value signature_checks);
     Row.text "load.state_root" ~unit:"hex" r.Load.state_root;
     Row.timing "load.elapsed_s" ~unit:"s" r.Load.elapsed_s;
     Row.timing "load.settle_p50_s" ~unit:"s" r.Load.settle_p50_s;

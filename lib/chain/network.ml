@@ -131,7 +131,8 @@ let blocks t = List.rev t.chain
 let genesis t = t.genesis
 
 (* Execute [blocks], oldest first, on [st]; every block replay (re-sync,
-   receipt rebuild, fork sibling, audit) goes through here. *)
+   receipt rebuild, fork sibling, audit) goes through here, unchecked:
+   the block's sealer checked each signature. *)
 let apply_blocks ?(on_receipt = ignore) st blocks =
   List.iter
     (fun (b : Block.t) ->
@@ -302,7 +303,8 @@ let nonce_lanes txs =
     Array.to_list arr
 
 (* A byzantine miner mines a conflicting sibling of the current tip (same
-   parent, same height, transactions permuted in nonce lanes).  Between
+   parent, same height, transactions permuted in nonce lanes).  Like
+   [mine_ext], it drops every candidate that fails [Tx.validate].  Between
    two equal-length chains the fork choice is the lexicographically
    smaller tip hash, so the sibling is adopted — a one-block reorg —
    exactly when its hash sorts below the honest tip's.  [None] means there
@@ -313,7 +315,7 @@ let fork_tip t ~permute =
   | [] -> None
   | _ when t.partition <> None -> None
   | tip :: rest ->
-    let txs' = nonce_lanes (permute tip.Block.txs) in
+    let txs' = nonce_lanes (List.filter Tx.validate (permute tip.Block.txs)) in
     let same =
       List.length txs' = List.length tip.Block.txs
       && List.for_all2 (fun a b -> Bytes.equal (Tx.hash a) (Tx.hash b)) txs' tip.Block.txs
@@ -389,6 +391,8 @@ let mine_ext t =
       t.mempool <- List.rev omitted;
       out
   in
+  (* One signature check per candidate: the fault pipeline and the
+     adversary can seal transactions that never passed [submit_r]. *)
   let tagged = List.map (fun tx -> (tx, Tx.validate tx)) ordered in
   let valid = List.filter_map (fun (tx, ok) -> if ok then Some tx else None) tagged in
   Obs.Histogram.observe m_txs_per_block (float_of_int (List.length valid));

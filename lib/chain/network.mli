@@ -41,8 +41,9 @@ type submit_error = Invalid_signature
 
 val submit_error_to_string : submit_error -> string
 
-(** [submit_r t tx] broadcasts to the mempool.  Invalidly-signed
-    transactions are rejected immediately (never enter the mempool).
+(** [submit_r t tx] broadcasts to the mempool.  An invalidly-signed
+    transaction ({!Tx.validate}) is rejected here and never enters the
+    mempool; the sealer checks it once more (see {!exec_result}).
 
     The mempool is {e fee-ordered} at seal time: each block takes the
     pending transactions highest-[Tx.fee] first (stable on arrival order,
@@ -152,6 +153,8 @@ val heal_partition : t -> heal_report
     permuted by [permute] and kept in nonce order per sender.  The heal's
     fork choice adopts it — a one-block reorg, after which every live
     replica replays from genesis — exactly when its hash is smaller.
+    Like {!mine_ext}, it seals only candidates that pass {!Tx.validate}:
+    a forged transaction [permute] adds is dropped.
     Returns [None] when there is nothing to fork (empty chain, active
     partition, or an identity permutation), otherwise [Some adopted].
     @raise Consensus_failure if a re-synced root diverges. *)
@@ -165,7 +168,10 @@ val node_state_root : t -> int -> bytes
     [Applied] ran in the parallel schedule, [Conflict_retry] escaped its
     declared footprint and was re-executed in the deterministic serial
     fallback (same receipt it would always have had — the classification
-    is diagnostic), [Rejected] never executed. *)
+    is diagnostic), [Rejected] failed the sealer's {!Tx.validate} and
+    never executed: the fault pipeline and the adversary can put a
+    transaction in front of the sealer that never passed {!submit_r}.
+    Replicas and replays execute the sealed block unchecked. *)
 type exec_result =
   | Applied of State.receipt
   | Conflict_retry of State.receipt

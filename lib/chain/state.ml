@@ -203,114 +203,99 @@ let apply_tx_logged_traced t ~height ?(allowed = -1) ?trace tx =
   let txn = { st = t; allowed; trace; undos = [] } in
   let tx_hash = Tx.hash tx in
   let gas = ref (Contract.Gas.base + (Contract.Gas.per_byte * Tx.size_bytes tx)) in
-  let fail reason =
-    Result.Ok ({ tx_hash; status = Failed reason; gas_used = !gas; logs = [] }, txn.undos)
-  in
-  if not (Tx.validate tx) then fail "invalid signature"
-  else begin
-    match t_account txn tx.Tx.sender with
-    | exception Escape key ->
-      Obs.Counter.incr m_escapes;
-      Result.Error key
-    | sender ->
-      if tx.Tx.nonce <> sender.nonce then fail "bad nonce"
-      else if sender.balance < tx.Tx.value then fail "insufficient funds"
-      else begin
-        (* The nonce advances even if execution reverts. *)
-        t_set_account txn tx.Tx.sender { sender with nonce = sender.nonce + 1 };
-        let after_nonce = txn.undos in
-        let charge n = gas := !gas + n in
-        try
-          match tx.Tx.dst with
-          | Tx.Create { behavior; args } ->
-            let beh =
-              try Contract.lookup behavior
-              with Not_found -> raise (Contract.Revert ("unknown behavior " ^ behavior))
-            in
-            let contract_addr = Address.of_creator tx.Tx.sender tx.Tx.nonce in
-            if t_contract txn contract_addr <> None then
-              raise (Contract.Revert "address collision");
+  let finish status logs = Result.Ok ({ tx_hash; status; gas_used = !gas; logs }, txn.undos) in
+  let fail reason = finish (Failed reason) [] in
+  match t_account txn tx.Tx.sender with
+  | exception Escape key ->
+    Obs.Counter.incr m_escapes;
+    Result.Error key
+  | sender ->
+    if tx.Tx.nonce <> sender.nonce then fail "bad nonce"
+    else if sender.balance < tx.Tx.value then fail "insufficient funds"
+    else begin
+      (* The nonce advances even if execution reverts. *)
+      t_set_account txn tx.Tx.sender { sender with nonce = sender.nonce + 1 };
+      let after_nonce = txn.undos in
+      let charge n = gas := !gas + n in
+      try
+        match tx.Tx.dst with
+        | Tx.Create { behavior; args } ->
+          let beh =
+            try Contract.lookup behavior
+            with Not_found -> raise (Contract.Revert ("unknown behavior " ^ behavior))
+          in
+          let contract_addr = Address.of_creator tx.Tx.sender tx.Tx.nonce in
+          if t_contract txn contract_addr <> None then
+            raise (Contract.Revert "address collision");
+          debit txn tx.Tx.sender tx.Tx.value;
+          credit txn contract_addr tx.Tx.value;
+          charge Contract.Gas.storage_word;
+          let ctx =
+            {
+              Contract.self = contract_addr;
+              sender = tx.Tx.sender;
+              value = tx.Tx.value;
+              height;
+              self_balance = (t_account txn contract_addr).balance;
+              charge;
+            }
+          in
+          let storage =
+            Obs.with_span "chain.state.exec" (fun () -> Contract.run_init beh ctx args)
+          in
+          t_set_contract txn contract_addr { behavior; storage };
+          finish (Ok (Some contract_addr)) []
+        | Tx.Call dst -> (
+          match t_contract txn dst with
+          | None ->
+            (* plain value transfer *)
             debit txn tx.Tx.sender tx.Tx.value;
-            credit txn contract_addr tx.Tx.value;
-            charge Contract.Gas.storage_word;
+            credit txn dst tx.Tx.value;
+            finish (Ok None) []
+          | Some info ->
+            let beh = Contract.lookup info.behavior in
+            debit txn tx.Tx.sender tx.Tx.value;
+            credit txn dst tx.Tx.value;
             let ctx =
               {
-                Contract.self = contract_addr;
+                Contract.self = dst;
                 sender = tx.Tx.sender;
                 value = tx.Tx.value;
                 height;
-                self_balance = (t_account txn contract_addr).balance;
+                self_balance = (t_account txn dst).balance;
                 charge;
               }
             in
-            let storage =
-              Obs.with_span "chain.state.exec" (fun () -> Contract.run_init beh ctx args)
+            let storage', actions =
+              Obs.with_span "chain.state.exec" (fun () ->
+                  Contract.run_receive beh ctx info.storage ~payload:tx.Tx.payload)
             in
-            t_set_contract txn contract_addr { behavior; storage };
-            Result.Ok
-              ( { tx_hash; status = Ok (Some contract_addr); gas_used = !gas; logs = [] },
-                txn.undos )
-          | Tx.Call dst -> (
-            match t_contract txn dst with
-            | None ->
-              (* plain value transfer *)
-              debit txn tx.Tx.sender tx.Tx.value;
-              credit txn dst tx.Tx.value;
-              Result.Ok ({ tx_hash; status = Ok None; gas_used = !gas; logs = [] }, txn.undos)
-            | Some info ->
-              let beh = Contract.lookup info.behavior in
-              debit txn tx.Tx.sender tx.Tx.value;
-              credit txn dst tx.Tx.value;
-              let ctx =
-                {
-                  Contract.self = dst;
-                  sender = tx.Tx.sender;
-                  value = tx.Tx.value;
-                  height;
-                  self_balance = (t_account txn dst).balance;
-                  charge;
-                }
-              in
-              let storage', actions =
-                Obs.with_span "chain.state.exec" (fun () ->
-                    Contract.run_receive beh ctx info.storage ~payload:tx.Tx.payload)
-              in
-              let logs = apply_actions txn ~self:dst actions in
-              t_set_contract txn dst { info with storage = storage' };
-              Result.Ok ({ tx_hash; status = Ok None; gas_used = !gas; logs }, txn.undos))
-        with
-        | Escape key ->
-          (* The execution reached outside its declared footprint: roll
-             everything back (this transaction will be re-executed in
-             serial block order, where nothing is off-limits). *)
-          rollback t txn.undos [];
-          Obs.Counter.incr m_escapes;
-          Result.Error key
-        | Contract.Revert reason ->
-          rollback t txn.undos after_nonce;
-          txn.undos <- after_nonce;
-          Obs.Counter.incr m_reverts;
-          Result.Ok ({ tx_hash; status = Failed reason; gas_used = !gas; logs = [] }, txn.undos)
-        | Codec.Decode_error reason ->
-          rollback t txn.undos after_nonce;
-          txn.undos <- after_nonce;
-          Result.Ok
-            ( { tx_hash; status = Failed ("decode: " ^ reason); gas_used = !gas; logs = [] },
-              txn.undos )
-        | e ->
-          (* Defensive: a behaviour bug must not fork the simulated network. *)
-          rollback t txn.undos [];
-          txn.undos <- [];
-          Result.Ok
-            ( {
-                tx_hash;
-                status = Failed ("exception: " ^ Printexc.to_string e);
-                gas_used = !gas;
-                logs = [];
-              },
-              txn.undos )
-      end
-  end
+            let logs = apply_actions txn ~self:dst actions in
+            t_set_contract txn dst { info with storage = storage' };
+            finish (Ok None) logs)
+      with
+      | Escape key ->
+        (* The execution reached outside its declared footprint: roll
+           everything back (this transaction will be re-executed in
+           serial block order, where nothing is off-limits). *)
+        rollback t txn.undos [];
+        Obs.Counter.incr m_escapes;
+        Result.Error key
+      | Contract.Revert reason ->
+        rollback t txn.undos after_nonce;
+        txn.undos <- after_nonce;
+        Obs.Counter.incr m_reverts;
+        fail reason
+      | Codec.Decode_error reason ->
+        rollback t txn.undos after_nonce;
+        txn.undos <- after_nonce;
+        fail ("decode: " ^ reason)
+      | e ->
+        (* Defensive: a behaviour bug must not fork the simulated network. *)
+        rollback t txn.undos [];
+        txn.undos <- [];
+        fail ("exception: " ^ Printexc.to_string e)
+    end
 
 let apply_tx_logged t ~height ?allowed tx = apply_tx_logged_traced t ~height ?allowed tx
 

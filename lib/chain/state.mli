@@ -15,7 +15,11 @@
     shard outside its mask (it is rolled back and reported instead), so
     concurrent execution is race-free by construction.  All mutations are
     journaled, making rollback exact — both per-transaction (reverts,
-    escapes) and whole-block (the executor's serial fallback). *)
+    escapes) and whole-block (the executor's serial fallback).
+
+    [State] checks nonces and balances, never signatures: {!Network}
+    checks each transaction when it is broadcast and when its block is
+    sealed, and [State] executes whatever it is given. *)
 
 type t
 

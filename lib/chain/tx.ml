@@ -2,6 +2,9 @@ module Codec = Zebra_codec.Codec
 module Rsa = Zebra_rsa.Rsa
 module Pkcs1 = Zebra_rsa.Pkcs1
 module Sha256 = Zebra_hashing.Sha256
+module Obs = Zebra_obs.Obs
+
+let m_signature_checks = Obs.Counter.make "chain.tx.signature_checks"
 
 type dst =
   | Create of { behavior : string; args : bytes }
@@ -73,6 +76,7 @@ let make ~wallet ~nonce ~dst ~value ~payload =
   make_ext ~wallet ~fee:0 ~footprint:[] ~nonce ~dst ~value ~payload
 
 let validate tx =
+  Obs.Counter.incr m_signature_checks;
   tx.fee >= 0 && tx.value >= 0
   && Address.equal tx.sender (Address.of_public_key tx.sender_pk)
   && Pkcs1.verify tx.sender_pk ~msg:(signing_bytes tx) ~signature:tx.signature

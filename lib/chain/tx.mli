@@ -60,7 +60,11 @@ val make :
   wallet:Wallet.t -> nonce:int -> dst:dst -> value:int -> payload:bytes -> t
 
 (** Signature valid, sender address consistent with the embedded key, and
-    value/fee non-negative. *)
+    value/fee non-negative.  Each call adds one to the
+    [chain.tx.signature_checks] counter.  Its three callers are
+    {!Network.submit_r} at broadcast and the two sealers,
+    {!Network.mine_ext} and {!Network.fork_tip}, once per candidate;
+    {!State} never calls it. *)
 val validate : t -> bool
 
 (** Transaction hash: SHA-256 of the signed encoding ({!to_bytes}),

@@ -64,10 +64,12 @@ let read_fixed r n =
 
 let read_u32 r = read_fixed r 4
 
+(* The writer's bound, 2^62, checked on the top byte before [read_fixed]
+   shifts its high bits out of the native int. *)
 let read_u64 r =
-  let v = read_fixed r 8 in
-  if v < 0 then raise (Decode_error "u64 out of native range");
-  v
+  need r 8;
+  if Char.code (Bytes.get r.buf r.pos) >= 0x40 then raise (Decode_error "u64 out of native range");
+  read_fixed r 8
 
 let read_bytes r =
   let n = read_u32 r in

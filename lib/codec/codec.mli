@@ -37,7 +37,11 @@ val reader : bytes -> reader
 
 val read_u8 : reader -> int
 val read_u32 : reader -> int
+
+(** Big-endian, 0 <= v < 2^62, the writer's bound.
+    @raise Decode_error on a larger value. *)
 val read_u64 : reader -> int
+
 val read_bytes : reader -> bytes
 val read_string : reader -> string
 

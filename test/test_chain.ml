@@ -535,6 +535,23 @@ let test_short_wire_address_rejected () =
       | exception Codec.Decode_error _ -> ())
     [ ("sender", tx.Tx.sender); ("call destination", dst); ("footprint entry", declared) ]
 
+(* The nonce field with its top bit set reads 2^63 above the signed
+   nonce, out of the u64 reader's range: a [Decode_error], never the
+   original transaction with its hash and signature intact. *)
+let test_wire_nonce_top_bit_rejected () =
+  let tx =
+    Tx.make ~wallet:(wallet 0) ~nonce:5 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:1
+      ~payload:Bytes.empty
+  in
+  let wire = Tx.to_bytes tx in
+  (* the nonce follows the length-prefixed sender address and key *)
+  let at = 4 + 20 + 4 + Bytes.length (Zebra_rsa.Rsa.public_key_to_bytes tx.Tx.sender_pk) in
+  Alcotest.(check int) "nonce field located" 5 (Codec.decode Codec.read_u64 (Bytes.sub wire at 8));
+  Bytes.set wire at (Char.chr (Char.code (Bytes.get wire at) lor 0x80));
+  match Tx.of_bytes wire with
+  | _ -> Alcotest.fail "a nonce >= 2^63 decoded"
+  | exception Codec.Decode_error _ -> ()
+
 let test_mine_ext_rejected_classification () =
   (* An invalidly-signed candidate smuggled in by the adversary shows up as
      [Rejected] in the typed outcomes, in candidate order, and never
@@ -925,6 +942,90 @@ let test_adopted_heal_branch () =
           (Network.balance net (Wallet.address (wallet 1))))
     [ 0; 1 ]
 
+(* Signatures are [Network]'s to check, and [State] only executes: a
+   mined transaction costs one check when it is broadcast and one when its
+   block is sealed, and replicas, replays and re-syncs execute sealed
+   blocks unchecked. *)
+let test_signature_checks_per_tx () =
+  let module Obs = Zebra_obs.Obs in
+  let checks = Obs.Counter.make "chain.tx.signature_checks" in
+  let checked_by f =
+    let before = Obs.Counter.value checks in
+    f ();
+    Obs.Counter.value checks - before
+  in
+  let net = fresh_net ~num_nodes:3 () in
+  let transfers nonces =
+    List.map
+      (fun nonce ->
+        Tx.make ~wallet:(wallet 0) ~nonce ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:1
+          ~payload:Bytes.empty)
+      nonces
+  in
+  let mine () = List.iter check_ok (Network.mine net) in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let k = 3 and j = 2 in
+      Alcotest.(check int) "submitting k transfers: k checks" k
+        (checked_by (fun () -> List.iter (Network.submit net) (transfers [ 0; 1; 2 ])));
+      Alcotest.(check int) "mining them: k checks, none on the 3 replicas" k (checked_by mine);
+      Alcotest.(check int) "a replay: none" 0 (checked_by (fun () -> ignore (Network.replay net)));
+      Network.crash_node net ~node:2;
+      Alcotest.(check int) "j more while node 2 is down: 2j checks" (2 * j)
+        (checked_by (fun () ->
+             List.iter (Network.submit net) (transfers [ 3; 4 ]);
+             mine ()));
+      Alcotest.(check int) "node 2's re-sync: none" 0
+        (checked_by (fun () -> Network.restart_node net ~node:2));
+      all_replicas_agree net)
+
+(* The other sealer checks too: a byzantine sibling whose [permute] adds a
+   forged transaction drops it, so an adopted sibling carries only checked
+   transactions.  Fork choice breaks the tie on the tip hash, so walk the
+   transfers' value until a sibling wins. *)
+let test_sibling_cannot_carry_forgery () =
+  let attempt value =
+    let net = fresh_net ~num_nodes:3 () in
+    List.iter
+      (fun (from, to_) ->
+        Network.submit net
+          (Tx.make ~wallet:(wallet from) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet to_)))
+             ~value ~payload:Bytes.empty))
+      [ (0, 1); (1, 2); (2, 0) ];
+    ignore (Network.mine net);
+    (* a doctored copy of the first transfer: one signature byte flipped *)
+    let forged =
+      let b = Tx.to_bytes (List.hd (last_block net).Block.txs) in
+      let i = Bytes.length b - 1 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      Tx.of_bytes b
+    in
+    Alcotest.(check bool) "the copy fails validation" false (Tx.validate forged);
+    match Network.fork_tip net ~permute:(fun txs -> forged :: List.rev txs) with
+    | Some true -> Some (net, forged)
+    | _ -> None
+  in
+  match List.find_map attempt [ 1; 2; 3; 4; 5; 6; 7; 8 ] with
+  | None -> Alcotest.fail "no value's sibling wins fork choice"
+  | Some (net, forged) ->
+    List.iter
+      (fun (b : Block.t) ->
+        List.iter
+          (fun tx ->
+            if Bytes.equal (Tx.hash tx) (Tx.hash forged) then
+              Alcotest.failf "the forged transaction is sealed at height %d"
+                b.Block.header.Block.height)
+          b.Block.txs)
+      (Network.blocks net);
+    (match Network.receipt net (Tx.hash forged) with
+    | None -> ()
+    | Some _ -> Alcotest.fail "the forged transaction has a receipt");
+    all_replicas_agree net;
+    Alcotest.(check bytes) "replay equals the live root" (Network.state_root net)
+      (Network.replay net)
+
 let () =
   Alcotest.run "chain"
     [
@@ -970,6 +1071,7 @@ let () =
           Alcotest.test_case "submit_r typed rejection" `Quick test_submit_r_typed_rejection;
           Alcotest.test_case "short sender key rejected" `Quick test_short_sender_key_rejected;
           Alcotest.test_case "short wire address rejected" `Quick test_short_wire_address_rejected;
+          Alcotest.test_case "wire nonce top bit rejected" `Quick test_wire_nonce_top_bit_rejected;
           Alcotest.test_case "mine_ext rejected classification" `Quick
             test_mine_ext_rejected_classification;
           Alcotest.test_case "conflict retry classification" `Quick
@@ -978,6 +1080,8 @@ let () =
           Alcotest.test_case "root rehashes only written shards" `Quick
             test_root_rehashes_written_shards;
           Alcotest.test_case "undo after root restores root" `Quick test_undo_after_root;
+          Alcotest.test_case "two signature checks per mined tx" `Quick
+            test_signature_checks_per_tx;
         ] );
       ( "forks",
         [
@@ -989,5 +1093,7 @@ let () =
             test_restart_across_sibling_reorg;
           Alcotest.test_case "adopted heal builds the empty branch" `Quick
             test_adopted_heal_branch;
+          Alcotest.test_case "byzantine sibling cannot carry a forgery" `Quick
+            test_sibling_cannot_carry_forgery;
         ] );
     ]

@@ -47,7 +47,19 @@ let test_range_checks () =
   let w = Codec.writer () in
   Alcotest.check_raises "u8 range" (Invalid_argument "Codec.u8") (fun () -> Codec.u8 w 256);
   Alcotest.check_raises "u32 range" (Invalid_argument "Codec.u32") (fun () ->
-      Codec.u32 w (-1))
+      Codec.u32 w (-1));
+  (* The reader keeps the writer's bound, 2^62: a top bit that would be
+     shifted out of the native int is an error, not a smaller value. *)
+  let read_u64 s = Codec.decode Codec.read_u64 (Bytes.of_string s) in
+  List.iter
+    (fun s ->
+      Alcotest.check_raises "u64 >= 2^62 rejected"
+        (Codec.Decode_error "u64 out of native range") (fun () -> ignore (read_u64 s)))
+    [ "\x80\x00\x00\x00\x00\x00\x00\x05"; "\xc0\x00\x00\x00\x00\x00\x00\x00" ];
+  Alcotest.(check string) "max_int is what u64 writes" "\x3f\xff\xff\xff\xff\xff\xff\xff"
+    (Bytes.to_string (Codec.encode Codec.u64 max_int));
+  Alcotest.(check int) "max_int reads back" max_int
+    (read_u64 "\x3f\xff\xff\xff\xff\xff\xff\xff")
 
 (* Eight bytes claiming 2^24 u32 elements: the count is checked against
    the input left before anything is allocated for the elements. *)
