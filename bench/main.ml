@@ -550,7 +550,7 @@ let parallel () =
       (Printf.sprintf "coset_of_evals_2^%d" log_d)
       (List.map (fun (nd, (_, dt)) -> (nd, dt)) fft_runs)
 
-(* --- snark: prover, keypair cache, batched audit, hash arms
+(* --- snark: prover, keypair cache, audit check, hash arms
    (BENCH_snark.json) ---
 
    The proof digests pin the prover's output: every optimisation must be
@@ -593,7 +593,7 @@ let snark_cpla_digest composition =
   sha256_hex (Snark.proof_to_bytes att.Cpla.proof)
 
 let snark () =
-  header "X11: sparse prover kernels, keypair cache, batched audit";
+  header "X11: sparse prover kernels, keypair cache, audit check";
   let module Source = Zebra_rng.Source in
   let cs = snark_reward_circuit () in
   (* Prover: min/median of 7 runs, each on a fresh seeded RNG. *)
@@ -666,36 +666,20 @@ let snark () =
   in
   Printf.printf "vk decode: %.1f us cold, %.2f us cached\n%!" (decode_ns /. 1e3)
     (cached_ns /. 1e3);
-  (* Batched audit: 8 attestations under the contract's one CPLA key.
-     Sequential = the stateless pre-batching path (decode + verify per
-     proof); batched = one decode plus one RLC check, the audit_task_report path. *)
+  (* The audit's check: 8 attestations under the contract's one CPLA
+     key, each re-verified on its own as Protocol.audit_task_report and
+     the task contract do. *)
   let atts = Array.init 8 (fun _ -> make_attestation ()) in
   let params, _, _, _, _ = atts.(0) in
   let auth_vk = Cpla.vk_to_bytes params in
-  let items =
-    Array.map
-      (fun (_, prefix, message, root, att) ->
-        (Cpla.public_inputs ~prefix ~message ~root att, att.Cpla.proof))
-      atts
-  in
-  let seq_ns =
-    bechamel_ns "audit-sequential" (fun () ->
+  let audit_ns =
+    bechamel_ns "audit-verify" (fun () ->
         Array.iter
-          (fun (pi, proof) ->
-            let vk = Snark.vk_of_bytes auth_vk in
-            assert (Snark.verify vk ~public_inputs:pi proof))
-          items)
+          (fun (_, prefix, message, root, att) ->
+            assert (Cpla.verify_with_vk ~vk_bytes:auth_vk ~prefix ~message ~root att))
+          atts)
   in
-  let batch_ns =
-    bechamel_ns "audit-batched" (fun () ->
-        let vk = Snark.vk_of_bytes_cached auth_vk in
-        (* Fiat–Shamir challenge derivation included: it is part of the
-           audit_task_report path being modelled. *)
-        let rng = Source.of_seed (Snark.batch_seed ~tag:"bench-snark-audit#0" items) in
-        assert (Snark.batch_verify ~rng vk items))
-  in
-  Printf.printf "audit of 8: sequential %.1f us, batched %.1f us (%.1fx)\n%!" (seq_ns /. 1e3)
-    (batch_ns /. 1e3) (seq_ns /. batch_ns);
+  Printf.printf "audit of 8: %.1f us\n%!" (audit_ns /. 1e3);
   (* Poseidon vs MiMC: the two CPLA arms at depth 8, constraint count,
      setup and prove, plus the attestation digest per arm. *)
   let cpla_arm composition =
@@ -767,8 +751,7 @@ let snark () =
     Row.timing "snark.keycache.hit_us" ~unit:"us" (hit_ns /. 1e3);
     Row.timing "snark.vk.decode_us" ~unit:"us" (decode_ns /. 1e3);
     Row.timing "snark.vk.cached_us" ~unit:"us" (cached_ns /. 1e3);
-    Row.timing "snark.audit_8.sequential_us" ~unit:"us" (seq_ns /. 1e3);
-    Row.timing "snark.audit_8.batched_us" ~unit:"us" (batch_ns /. 1e3);
+    Row.timing "snark.audit_8.verify_us" ~unit:"us" (audit_ns /. 1e3);
   ]
   @ work
   @ List.concat_map cpla_arm Hc.all

@@ -145,12 +145,6 @@ val attestation_size_bytes : attestation -> int
 (** Serialised verification material for embedding in contracts. *)
 val vk_to_bytes : params -> bytes
 
-(** The SNARK statement [(prefix, message, root, t1, t2)] an attestation is
-    verified against — exposed so auditors can hand blocks of attestations
-    to {!Zebra_snark.Snark.batch_verify} under one shared key. *)
-val public_inputs :
-  prefix:Fp.t -> message:Fp.t -> root:Fp.t -> attestation -> Fp.t array
-
 (** [verify_with_vk ~vk_bytes ...] — verification from the serialised key
     only (what the task contract runs on-chain), through
     {!Zebra_snark.Snark.verify_vk_bytes}. *)

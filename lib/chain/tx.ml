@@ -21,6 +21,7 @@ type t = {
   footprint : Address.t list;
   signature : bytes;
   hash : bytes;
+  size : int;
 }
 
 let write_unsigned w (tx : t) =
@@ -49,8 +50,11 @@ let to_bytes tx =
       Codec.bytes w tx.signature)
     tx
 
-(* Every constructor ends here: the hash is computed once per value. *)
-let with_hash tx = { tx with hash = Sha256.digest (to_bytes tx) }
+(* Every constructor ends here: the encoding is computed once per value,
+   for its hash and its length. *)
+let with_hash tx =
+  let b = to_bytes tx in
+  { tx with hash = Sha256.digest b; size = Bytes.length b }
 
 let sign wallet unsigned =
   with_hash { unsigned with signature = Wallet.sign wallet (signing_bytes unsigned) }
@@ -70,6 +74,7 @@ let make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload =
       footprint;
       signature = Bytes.empty;
       hash = Bytes.empty;
+      size = 0;
     }
 
 let make ~wallet ~nonce ~dst ~value ~payload =
@@ -101,14 +106,14 @@ let of_bytes b =
       let footprint = Codec.read_list r Address.read in
       let payload = Codec.read_bytes r in
       let signature = Codec.read_bytes r in
-      let hash = Bytes.empty in
-      { sender; sender_pk; nonce; dst; value; fee; payload; footprint; signature; hash })
+      let hash = Bytes.empty and size = 0 in
+      { sender; sender_pk; nonce; dst; value; fee; payload; footprint; signature; hash; size })
     b
   |> with_hash
 
 let hash tx = tx.hash
 
-let size_bytes tx = Bytes.length (to_bytes tx)
+let size_bytes tx = tx.size
 
 let resend_as ~wallet ~nonce tx =
   sign wallet

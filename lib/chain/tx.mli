@@ -37,6 +37,7 @@ type t = private {
   footprint : Address.t list;  (** declared extra touched addresses *)
   signature : bytes;
   hash : bytes;  (** {!hash}, computed once per value *)
+  size : int;  (** {!size_bytes}, computed with the hash *)
 }
 
 (** [make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload] builds
@@ -75,7 +76,8 @@ val hash : t -> bytes
 val to_bytes : t -> bytes
 val of_bytes : bytes -> t
 
-(** Total serialised size (the paper's on-chain byte cost). *)
+(** Total serialised size (the paper's on-chain byte cost): the length of
+    {!to_bytes}, computed with {!hash} and carried with the value. *)
 val size_bytes : t -> int
 
 (**/**)

@@ -371,20 +371,9 @@ let finalize_r sys (task : Requester.task) =
 
 (* --- Audit --- *)
 
-type audit_report = {
-  all_valid : bool;
-  checked : int;
-  batches : int;
-  fallbacks : int;
-  offenders : int list;
-}
+type audit_report = { all_valid : bool; checked : int; offenders : int list }
 
-let m_batches = Obs.Counter.make "audit.batch.batches"
-let m_fallbacks = Obs.Counter.make "audit.batch.fallbacks"
-let m_offenders = Obs.Counter.make "audit.batch.offenders"
-
-let audit_task_report ?(batch_size = 32) sys ~task =
-  if batch_size < 1 then invalid_arg "Protocol.audit_task_report: batch_size must be >= 1";
+let audit_task_report sys ~task =
   Obs.with_span "protocol.audit" @@ fun () ->
   let params = (task_storage sys task).Task_contract.params in
   let prefix = Address.to_field task in
@@ -409,106 +398,34 @@ let audit_task_report ?(batch_size = 32) sys ~task =
       (Network.blocks sys.net)
     |> Array.of_list
   in
+  (* Each submission's check is the one the contract admitted it with:
+     the same verifier, over the digest of the actual sender and
+     ciphertext. *)
+  let verify = function
+    | `Anon (sender, ciphertext, attestation) ->
+      Cpla.verify_with_vk ~vk_bytes:params.Task_contract.auth_vk ~prefix
+        ~message:(Task_contract.submission_digest sender ciphertext)
+        ~root:params.Task_contract.ra_root
+        (Cpla.attestation_of_bytes attestation)
+    | `Plain (sender, ciphertext, attestation) ->
+      Plain_auth.verify
+        ~ra_pub:(Zebra_rsa.Rsa.public_key_of_bytes params.Task_contract.ra_rsa_pub)
+        ~prefix
+        ~message:(Task_contract.submission_digest sender ciphertext)
+        (Plain_auth.attestation_of_bytes attestation)
+  in
   let count = Array.length submissions in
-  let bad = ref [] in
-  let mark i = bad := i :: !bad in
-  (* Partition: anonymous attestations that decode share the contract's
-     CPLA key, so they batch; malformed ones are offenders outright and
-     classical (RSA) ones verify individually below. *)
-  let anon = ref [] in
-  let plain = ref [] in
-  Array.iteri
-    (fun i sub ->
-      match sub with
-      | `Anon (sender, ciphertext, attestation) -> (
-        match Cpla.attestation_of_bytes attestation with
-        | att ->
-          let message = Task_contract.submission_digest sender ciphertext in
-          let pi =
-            Cpla.public_inputs ~prefix ~message ~root:params.Task_contract.ra_root att
-          in
-          anon := (i, pi, att.Cpla.proof) :: !anon
-        | exception Zebra_codec.Codec.Decode_error _ -> mark i)
-      | `Plain (sender, ciphertext, attestation) -> (
-        match
-          ( Plain_auth.attestation_of_bytes attestation,
-            Zebra_rsa.Rsa.public_key_of_bytes params.Task_contract.ra_rsa_pub )
-        with
-        | att, ra_pub ->
-          plain := (i, Task_contract.submission_digest sender ciphertext, att, ra_pub) :: !plain
-        | exception Zebra_codec.Codec.Decode_error _ -> mark i))
-    submissions;
-  let anon = Array.of_list (List.rev !anon) in
-  let plain = Array.of_list (List.rev !plain) in
-  (* Classical signatures have no shared key to combine under; they verify
-     independently, fanned out over the pool (slot-disjoint writes, so the
-     verdict is pool-independent). *)
-  let plain_ok = Array.make (Array.length plain) false in
-  Parallel.parallel_for ~min_chunk:1 (Array.length plain) (fun lo hi ->
-      for k = lo to hi - 1 do
-        let _, message, att, ra_pub = plain.(k) in
-        plain_ok.(k) <- Plain_auth.verify ~ra_pub ~prefix ~message att
+  (* One verdict per slot, so the report is the same at any pool size.
+     An attestation that does not decode fails its check. *)
+  let valid = Array.make count false in
+  Parallel.parallel_for ~min_chunk:1 count (fun lo hi ->
+      for i = lo to hi - 1 do
+        valid.(i) <-
+          (try verify submissions.(i) with Zebra_codec.Codec.Decode_error _ -> false)
       done);
-  Array.iteri (fun k (i, _, _, _) -> if not plain_ok.(k) then mark i) plain;
-  let n_batches = ref 0 in
-  let n_fallbacks = ref 0 in
-  (match Zebra_snark.Snark.vk_of_bytes_cached params.Task_contract.auth_vk with
-  | vk ->
-    (* One random-linear-combination check per block of [batch_size]
-       attestations.  The RLC scalar comes from a Fiat–Shamir seed
-       ([Snark.batch_seed]: hash of the block's proofs and public inputs,
-       tagged with the task address and batch index), never from
-       [sys.rng].  Binding the challenge to the proofs is what makes the
-       Schwartz–Zippel bound hold against adversarial submissions — a
-       challenge predictable before submission (e.g. from the task address
-       alone) would let a worker craft residuals that cancel under the
-       known weights.  The audit stays deterministic: replaying it from
-       the chain recomputes the same hashes, at any ZEBRA_DOMAINS, and
-       batching on or off cannot shift the system's shared randomness
-       stream. *)
-    let base_seed = "audit/" ^ Address.to_hex task in
-    let total = Array.length anon in
-    let b = ref 0 in
-    while !b * batch_size < total do
-      let lo = !b * batch_size in
-      let len = min batch_size (total - lo) in
-      let block = Array.sub anon lo len in
-      let items = Array.map (fun (_, pi, proof) -> (pi, proof)) block in
-      let rng =
-        Source.of_seed
-          (Zebra_snark.Snark.batch_seed
-             ~tag:(Printf.sprintf "%s#%d" base_seed !b)
-             items)
-      in
-      incr n_batches;
-      if not (Zebra_snark.Snark.batch_verify ~rng vk items) then begin
-        (* The batch test has one-sided error: a failure proves at least
-           one bad proof but not which, so re-verify each member to name
-           the offenders exactly. *)
-        incr n_fallbacks;
-        Array.iter
-          (fun (i, pi, proof) ->
-            if not (Zebra_snark.Snark.verify vk ~public_inputs:pi proof) then mark i)
-          block
-      end;
-      incr b
-    done
-  | exception Zebra_codec.Codec.Decode_error _ ->
-    (* Malformed contract key: every anonymous attestation fails, exactly
-       as per-submission [Cpla.verify_with_vk] would have reported. *)
-    Array.iter (fun (i, _, _) -> mark i) anon);
-  let offenders = List.sort_uniq compare !bad in
+  let offenders = List.filter (fun i -> not valid.(i)) (List.init count Fun.id) in
   Obs.Counter.add m_audited count;
-  Obs.Counter.add m_batches !n_batches;
-  Obs.Counter.add m_fallbacks !n_fallbacks;
-  Obs.Counter.add m_offenders (List.length offenders);
-  {
-    all_valid = offenders = [];
-    checked = count;
-    batches = !n_batches;
-    fallbacks = !n_fallbacks;
-    offenders;
-  }
+  { all_valid = offenders = []; checked = count; offenders }
 
 let run_batch sys ~policy ~budget_per_task ~answer_sets =
   (match answer_sets with

@@ -306,39 +306,21 @@ val finalize_r : system -> Requester.task -> (unit, error) result
 
 (** What an audit found.  [offenders] are indices into the chain-ordered
     submission list (the order {!audit_task_report} scanned the blocks in),
-    sorted ascending; [batches]/[fallbacks] count the random-linear-
-    combination blocks checked and how many of them failed and were
-    re-verified proof by proof. *)
-type audit_report = {
-  all_valid : bool;
-  checked : int;
-  batches : int;
-  fallbacks : int;
-  offenders : int list;
-}
+    sorted ascending. *)
+type audit_report = { all_valid : bool; checked : int; offenders : int list }
 
 (** Audit: re-verify every submission attestation mined for [task], the way
     an external verifier (or a full node replaying the chain) would — walks
     the blocks for Submit/Submit_plain transactions addressed to the task
-    contract and re-checks each attestation against the contract's
-    verification key, root and the actual sender/ciphertext digest.
-
-    Anonymous attestations all verify under the contract's one CPLA key, so
-    they are checked in blocks of [batch_size] (default 32) with a single
-    random-linear-combination test per block
-    ({!Zebra_snark.Snark.batch_verify}); a failed block falls back to
-    per-proof verification, so [offenders] names exactly the bad
-    submissions.  Classical (RSA) attestations verify individually.  The
-    RLC challenge is Fiat–Shamir ({!Zebra_snark.Snark.batch_seed}): hashed
-    from each block's proofs and public inputs, tagged with
-    ["audit/" ^ Address.to_hex task] plus the batch number — sound
-    against adversarially crafted submissions (the challenge cannot be
-    predicted before submitting), yet the audit is replayable from the
-    chain alone and its result independent of [ZEBRA_DOMAINS] and of
-    [batch_size].  Runs under the [protocol.audit] span; bumps
-    [protocol.audit.attestations] and the [audit.batch.*] counters.
-    @raise Invalid_argument when [batch_size < 1]. *)
-val audit_task_report : ?batch_size:int -> system -> task:Zebra_chain.Address.t -> audit_report
+    contract and checks each one on its own, with the verifier and inputs
+    the contract admitted it with: [Cpla.verify_with_vk] under the task's
+    [auth_vk] and [ra_root], or [Plain_auth.verify] under its [ra_rsa_pub],
+    over the digest of the actual sender and ciphertext.  An attestation
+    that does not decode is an offender.  The checks fan out over the pool,
+    one verdict per slot, so the report does not depend on
+    [ZEBRA_DOMAINS].  Runs under the [protocol.audit] span; bumps
+    [protocol.audit.attestations]. *)
+val audit_task_report : system -> task:Zebra_chain.Address.t -> audit_report
 
 (** Batch driver for same-shape tasks: one requester, one worker pool, one
     reward-circuit setup shared across the whole batch (the amortisation a

@@ -76,11 +76,19 @@ let public_key_to_bytes pub =
       Codec.bytes w (Nat.to_bytes_be pub.e))
     pub
 
+(* The writer emits each field's shortest form, so a leading zero byte
+   would be a second encoding of the same key. *)
+let read_field r =
+  let b = Codec.read_bytes r in
+  if Bytes.length b > 0 && Bytes.get b 0 = '\000' then
+    raise (Codec.Decode_error "rsa: key field has a leading zero byte");
+  Nat.of_bytes_be b
+
 let public_key_of_bytes b =
   Codec.decode
     (fun r ->
-      let n = Nat.of_bytes_be (Codec.read_bytes r) in
-      let e = Nat.of_bytes_be (Codec.read_bytes r) in
+      let n = read_field r in
+      let e = read_field r in
       { n; e })
     b
 

@@ -2,7 +2,6 @@ module Codec = Zebra_codec.Codec
 module Obs = Zebra_obs.Obs
 module Source = Zebra_rng.Source
 module Parallel = Zebra_parallel.Parallel
-module Sha256 = Zebra_hashing.Sha256
 module Secret = Zebra_secret.Secret
 
 (* Field multiplications per chunk below which fanning out is a loss. *)
@@ -439,34 +438,6 @@ let verify vk ~public_inputs proof =
     Obs.with_span "snark.verify" @@ fun () ->
     Array.for_all Fp.is_zero (residuals vk ~public_inputs proof)
 
-(* Random-linear-combination batch verification over the same residuals:
-   the accumulated sum [sum_k r^k res_k] is a polynomial in [r] of degree
-   < 5m that is identically zero iff every residual is — so for [r] drawn
-   after the proofs are fixed, a batch with any invalid proof passes with
-   probability at most (5m-1)/|F| (Schwartz–Zippel; see DESIGN.md). *)
-let batch_verify ~rng vk items =
-  let m = Array.length items in
-  if m = 0 then true
-  else if Array.exists (fun (pi, _) -> Array.length pi <> vk.v_num_inputs) items then false
-  else begin
-    Obs.with_span "snark.verify.batch" @@ fun () ->
-    let rec nonzero () =
-      let r = Fp.random (Source.fn rng) in
-      if Fp.is_zero r then nonzero () else r
-    in
-    let r = nonzero () in
-    let acc = ref Fp.zero in
-    let weight = ref Fp.one in
-    let add_residual res =
-      if not (Fp.is_zero res) then acc := Fp.add !acc (Fp.mul !weight res);
-      weight := Fp.mul !weight r
-    in
-    Array.iter
-      (fun (public_inputs, p) -> Array.iter add_residual (residuals vk ~public_inputs p))
-      items;
-    Fp.is_zero !acc
-  end
-
 let simulate_rng ~rng trapdoor ~public_inputs =
   let random_bytes = Source.fn rng in
   let vk = trapdoor.t_vk in
@@ -513,25 +484,6 @@ let proof_of_bytes b =
       let pi_h = Fp.read r in
       { pi_a; pi_a'; pi_b; pi_b'; pi_c; pi_c'; pi_k; pi_h })
     b
-
-(* Fiat–Shamir seed for [batch_verify]: the RLC challenge r must be
-   sampled after (and independently of) the proofs it weighs — a
-   predictable r lets a cheating prover craft residuals that cancel under
-   the known weights, defeating the Schwartz–Zippel argument.  Hashing the
-   batch contents into the seed makes r a function of the proofs being
-   checked, so no residual can be chosen against it, while keeping the
-   check deterministic and replayable from the same inputs. *)
-let batch_seed ~tag items =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "zebra-batch-fs-v1\x00";
-  Sha256.update_string ctx tag;
-  Array.iter
-    (fun (pi, p) ->
-      Sha256.update_string ctx "\x00";
-      Array.iter (fun x -> Sha256.update ctx (Fp.to_bytes_be x)) pi;
-      Sha256.update ctx (proof_to_bytes p))
-    items;
-  Sha256.to_hex (Sha256.finalize ctx)
 
 let write_vk w vk =
   Codec.u32 w vk.v_num_inputs;

@@ -86,37 +86,6 @@ val prove_synth_rng :
 (** [verify vk ~public_inputs proof]: O(|public_inputs|) field operations. *)
 val verify : verifying_key -> public_inputs:Fp.t array -> proof -> bool
 
-(** [batch_verify ~rng vk items] checks a block of proofs against one
-    shared key with a single random-linear-combination test: each proof's
-    five verification residuals are weighted by consecutive powers of one
-    random scalar [r] drawn from [rng], and the batch passes iff the
-    accumulated sum is zero.
-
-    Completeness is exact — a batch of valid proofs always passes, for any
-    [r].  Soundness is probabilistic with one-sided error: a batch hiding an
-    invalid proof passes with probability at most (5m - 1)/|F| over the
-    choice of [r] (Schwartz–Zippel; m = [Array.length items]), which is
-    < 2^-200 here.  On [false], fall back to per-proof {!verify} to name
-    the offenders.  An empty batch passes; a public-input arity mismatch
-    fails without drawing randomness.
-
-    {b Soundness requires [r] to be unpredictable to the prover}: the
-    Schwartz–Zippel bound holds only when [r] is sampled after the proofs
-    are fixed.  Seeding [rng] from data an adversary knows before crafting
-    submissions lets them pick residuals that cancel under the known
-    weights.  For a deterministic-but-sound challenge, seed [rng] from
-    {!batch_seed} (Fiat–Shamir over the batch contents). *)
-val batch_verify :
-  rng:Zebra_rng.Source.t -> verifying_key -> (Fp.t array * proof) array -> bool
-
-(** [batch_seed ~tag items] is a Fiat–Shamir seed for {!batch_verify}:
-    SHA-256 over [tag] (domain separation — e.g. task address and batch
-    index) and every item's public inputs and canonical proof bytes.  A
-    challenge drawn from this seed depends on the proofs being checked, so
-    no prover can choose residuals against it, yet the check stays
-    deterministic and replayable from the same inputs. *)
-val batch_seed : tag:string -> (Fp.t array * proof) array -> string
-
 (** [simulate_rng ~rng trapdoor ~public_inputs] forges a verifying
     proof {e without any witness}, using the setup trapdoor — the standard
     zero-knowledge simulator, used by tests to establish that proofs leak

@@ -87,6 +87,23 @@ let test_tx_roundtrip () =
   Alcotest.(check bool) "roundtrip validates" true (Tx.validate tx');
   Alcotest.(check bytes) "same hash" (Tx.hash tx) (Tx.hash tx')
 
+(* [size_bytes] is carried with the value, not re-encoded: it must still
+   be the length of the encoding, for every constructor. *)
+let test_tx_size_is_wire_length () =
+  let tx =
+    Tx.make_ext ~wallet:(wallet 0) ~fee:3 ~footprint:[ Wallet.address (wallet 2) ] ~nonce:7
+      ~dst:(Tx.Create { behavior = "escrow"; args = Bytes.make 40 'a' }) ~value:5
+      ~payload:(Bytes.make 1500 'p')
+  in
+  List.iter
+    (fun (what, tx) ->
+      Alcotest.(check int) what (Bytes.length (Tx.to_bytes tx)) (Tx.size_bytes tx))
+    [
+      ("make_ext", tx);
+      ("of_bytes", Tx.of_bytes (Tx.to_bytes tx));
+      ("resend_as", Tx.resend_as ~wallet:(wallet 1) ~nonce:0 tx);
+    ]
+
 let test_tx_tamper () =
   let tx =
     Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:42
@@ -551,6 +568,46 @@ let test_wire_nonce_top_bit_rejected () =
   match Tx.of_bytes wire with
   | _ -> Alcotest.fail "a nonce >= 2^63 decoded"
   | exception Codec.Decode_error _ -> ()
+
+(* The sender key's [n] or [e] field with a leading zero byte reads as
+   the same number: a [Decode_error], never the original transaction
+   with its hash and signature intact. *)
+let test_wire_key_leading_zero_rejected () =
+  let module Rsa = Zebra_rsa.Rsa in
+  let module Nat = Zebra_numeric.Nat in
+  let tx =
+    Tx.make ~wallet:(wallet 0) ~nonce:5 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:1
+      ~payload:Bytes.empty
+  in
+  let wire = Tx.to_bytes tx in
+  (* the key is a length-prefixed (n, e) pair after the sender address *)
+  let key_at = 4 + 20 in
+  let rest_at = key_at + 4 + Bytes.length (Rsa.public_key_to_bytes tx.Tx.sender_pk) in
+  let with_key n e =
+    let key =
+      Codec.encode
+        (fun w () ->
+          Codec.bytes w n;
+          Codec.bytes w e)
+        ()
+    in
+    Bytes.concat Bytes.empty
+      [
+        Bytes.sub wire 0 key_at;
+        Codec.encode Codec.bytes key;
+        Bytes.sub wire rest_at (Bytes.length wire - rest_at);
+      ]
+  in
+  let n = Nat.to_bytes_be tx.Tx.sender_pk.Rsa.n and e = Nat.to_bytes_be tx.Tx.sender_pk.Rsa.e in
+  Alcotest.(check bool) "key field located" true (Bytes.equal wire (with_key n e));
+  let pad b = Bytes.cat (Bytes.make 1 '\000') b in
+  List.iter
+    (fun (what, forged) ->
+      Alcotest.(check int) "one byte longer" (Bytes.length wire + 1) (Bytes.length forged);
+      match Tx.of_bytes forged with
+      | _ -> Alcotest.failf "a key %s with a leading zero byte decoded" what
+      | exception Codec.Decode_error _ -> ())
+    [ ("n", with_key (pad n) e); ("e", with_key n (pad e)) ]
 
 let test_mine_ext_rejected_classification () =
   (* An invalidly-signed candidate smuggled in by the adversary shows up as
@@ -1033,6 +1090,7 @@ let () =
         [
           Alcotest.test_case "address derivation" `Quick test_address_derivation;
           Alcotest.test_case "tx roundtrip" `Quick test_tx_roundtrip;
+          Alcotest.test_case "tx size is the wire length" `Quick test_tx_size_is_wire_length;
           Alcotest.test_case "tx tamper" `Quick test_tx_tamper;
         ] );
       ( "ledger",
@@ -1072,6 +1130,8 @@ let () =
           Alcotest.test_case "short sender key rejected" `Quick test_short_sender_key_rejected;
           Alcotest.test_case "short wire address rejected" `Quick test_short_wire_address_rejected;
           Alcotest.test_case "wire nonce top bit rejected" `Quick test_wire_nonce_top_bit_rejected;
+          Alcotest.test_case "wire key leading zero rejected" `Quick
+            test_wire_key_leading_zero_rejected;
           Alcotest.test_case "mine_ext rejected classification" `Quick
             test_mine_ext_rejected_classification;
           Alcotest.test_case "conflict retry classification" `Quick

@@ -44,6 +44,38 @@ let test_pubkey_serialization () =
   let pk' = Rsa.public_key_of_bytes (Rsa.public_key_to_bytes k.Rsa.pub) in
   Alcotest.(check bool) "roundtrip" true (Rsa.equal_public_key k.Rsa.pub pk')
 
+(* The writer emits each field's shortest big-endian form, so a field
+   with a leading zero byte would be a second encoding of the same key:
+   the reader rejects it, in [n] and in [e]. *)
+let test_pubkey_leading_zero_rejected () =
+  let module Codec = Zebra_codec.Codec in
+  let encode n e =
+    Codec.encode
+      (fun w () ->
+        Codec.bytes w n;
+        Codec.bytes w e)
+      ()
+  in
+  let pad b = Bytes.cat (Bytes.make 1 '\000') b in
+  let pub = (Lazy.force key).Rsa.pub in
+  let n = Nat.to_bytes_be pub.Rsa.n and e = Nat.to_bytes_be pub.Rsa.e in
+  Alcotest.(check bool) "the writer's form" true
+    (Bytes.equal (encode n e) (Rsa.public_key_to_bytes pub));
+  List.iter
+    (fun (what, b) ->
+      match Rsa.public_key_of_bytes b with
+      | _ -> Alcotest.failf "%s with a leading zero byte decoded" what
+      | exception Codec.Decode_error _ -> ())
+    [ ("n", encode (pad n) e); ("e", encode n (pad e)) ];
+  (* What the writer emits still reads back, an empty field (zero)
+     included. *)
+  List.iter
+    (fun e ->
+      let k = { pub with Rsa.e } in
+      Alcotest.(check bool) "roundtrip" true
+        (Rsa.equal_public_key k (Rsa.public_key_of_bytes (Rsa.public_key_to_bytes k))))
+    [ pub.Rsa.e; Nat.of_int 3; Nat.of_int 255; Nat.of_int 256; Nat.zero ]
+
 (* Byte-identity KATs for key generation.  Each seed's stream generates
    once, then yields 32 more bytes into the digest, so a change in how
    many bytes generation consumes fails too, not only a changed key. *)
@@ -218,6 +250,8 @@ let () =
           Alcotest.test_case "raw roundtrip" `Quick test_raw_roundtrip;
           Alcotest.test_case "CRT matches direct" `Quick test_crt_matches_direct;
           Alcotest.test_case "pubkey serialisation" `Quick test_pubkey_serialization;
+          Alcotest.test_case "pubkey leading zero rejected" `Quick
+            test_pubkey_leading_zero_rejected;
           Alcotest.test_case "Prime.generate KAT" `Quick test_prime_generate_kat;
           Alcotest.test_case "Rsa.generate KAT" `Quick test_rsa_generate_kat;
           Alcotest.test_case "primes have both top bits" `Quick test_prime_top_two_bits;

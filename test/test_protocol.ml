@@ -212,9 +212,14 @@ let test_free_riding_copy_rejected () =
   | Some { State.status = State.Failed "invalid attestation"; _ } -> ()
   | Some { State.status = State.Failed m; _ } -> Alcotest.failf "unexpected: %s" m
   | _ -> Alcotest.fail "free-riding copy was accepted!");
-  match Network.receipt sys.Protocol.net (Tx.hash honest_tx) with
+  (match Network.receipt sys.Protocol.net (Tx.hash honest_tx) with
   | Some { State.status = State.Ok _; _ } -> ()
-  | _ -> Alcotest.fail "honest submission rejected"
+  | _ -> Alcotest.fail "honest submission rejected");
+  (* The audit re-checks both mined copies, the reverted one included,
+     and names the thief's, which the adversary mined first. *)
+  let report = Protocol.audit_task_report sys ~task:task.Requester.contract in
+  Alcotest.(check int) "both mined submissions checked" 2 report.Protocol.checked;
+  Alcotest.(check (list int)) "the copy is the offender" [ 0 ] report.Protocol.offenders
 
 let test_unregistered_worker_rejected () =
   let sys = Lazy.force sys in
@@ -421,6 +426,9 @@ let test_plain_mode_end_to_end () =
   | Some { State.status = State.Ok _; _ } -> ()
   | Some { State.status = State.Failed m; _ } -> Alcotest.failf "plain rejected: %s" m
   | None -> Alcotest.fail "not mined");
+  let report = Protocol.audit_task_report sys ~task:task.Requester.contract in
+  Alcotest.(check int) "audit checks both modes" 2 report.Protocol.checked;
+  Alcotest.(check (list int)) "both re-verify" [] report.Protocol.offenders;
   let rewards = Protocol.get_ok (Protocol.reward_r sys task) in
   Alcotest.(check (array int)) "both modes rewarded" [| 30; 30 |] rewards;
   Alcotest.(check int) "plain worker paid" 40
@@ -492,9 +500,11 @@ let test_plain_mode_forged_cert_rejected () =
   in
   Network.submit sys.Protocol.net tx;
   ignore (Network.mine sys.Protocol.net);
-  match Network.receipt sys.Protocol.net (Tx.hash tx) with
+  (match Network.receipt sys.Protocol.net (Tx.hash tx) with
   | Some { State.status = State.Failed "invalid attestation"; _ } -> ()
-  | _ -> Alcotest.fail "forged plain certificate accepted"
+  | _ -> Alcotest.fail "forged plain certificate accepted");
+  let report = Protocol.audit_task_report sys ~task:task.Requester.contract in
+  Alcotest.(check (list int)) "the audit names it" [ 0 ] report.Protocol.offenders
 
 let test_worker_rejects_invalid_answer_client_side () =
   (* The client refuses to encrypt an out-of-space answer before anything
@@ -551,25 +561,8 @@ let test_audit_task_report () =
   let task, _wallets, _rewards = Protocol.run_task sys ~policy ~budget:90 ~answers:[ 1; 2; 1 ] in
   let report = Protocol.audit_task_report sys ~task:task.Requester.contract in
   Alcotest.(check bool) "all attestations re-verify" true report.Protocol.all_valid;
-  Alcotest.(check int) "one per submission" 3 report.Protocol.checked
-
-let test_audit_report_batched () =
-  let sys = Lazy.force sys in
-  let policy = Policy.Majority { choices = 4 } in
-  let task, _wallets, _rewards =
-    Protocol.run_task sys ~policy ~budget:90 ~answers:[ 2; 2; 1 ]
-  in
-  let report = Protocol.audit_task_report sys ~task:task.Requester.contract in
-  Alcotest.(check bool) "clean chain audits valid" true report.Protocol.all_valid;
-  Alcotest.(check int) "every submission checked" 3 report.Protocol.checked;
-  Alcotest.(check (list int)) "no offenders" [] report.Protocol.offenders;
-  Alcotest.(check int) "single RLC batch" 1 report.Protocol.batches;
-  Alcotest.(check int) "no fallbacks" 0 report.Protocol.fallbacks;
-  (* Batch size must not change the verdict. *)
-  let small = Protocol.audit_task_report ~batch_size:1 sys ~task:task.Requester.contract in
-  Alcotest.(check bool) "batch_size-independent" true small.Protocol.all_valid;
-  Alcotest.(check int) "one batch per submission" 3 small.Protocol.batches;
-  Alcotest.(check int) "same attestations checked" 3 small.Protocol.checked
+  Alcotest.(check int) "one per submission" 3 report.Protocol.checked;
+  Alcotest.(check (list int)) "no offenders" [] report.Protocol.offenders
 
 (* A worker mines a submission whose attestation carries t1 = 32 bytes of
    0xff, which is no field element.  The contract reverts it, and the
@@ -687,7 +680,6 @@ let () =
           Alcotest.test_case "plain disabled by default" `Quick test_plain_mode_disabled_by_default;
           Alcotest.test_case "forged plain certificate" `Quick test_plain_mode_forged_cert_rejected;
           Alcotest.test_case "batch audit of mined submissions" `Quick test_audit_task_report;
-          Alcotest.test_case "audit report: RLC batches" `Quick test_audit_report_batched;
           Alcotest.test_case "audit names a malformed attestation" `Quick
             test_audit_malformed_attestation;
         ] );

@@ -177,111 +177,6 @@ let test_wrong_input_count () =
   Alcotest.(check bool) "too many inputs rejected" false
     (Snark.verify vk ~public_inputs:[| Fp.one; Fp.one |] proof)
 
-(* --- batched verification --- *)
-
-let qtest ?(count = 30) name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
-
-(* One shared key, many instances, for batching tests. *)
-let batch_fixture =
-  lazy
-    (let kp = keys_of (cubic_circuit (fresh_fp ())) in
-     let item () =
-       let cs = cubic_circuit (fresh_fp ()) in
-       (Cs.public_inputs cs, Snark.prove_rng ~rng:src kp.Snark.pk cs)
-     in
-     (kp, item))
-
-let batch_rng = Zebra_rng.Source.of_seed "test-snark-batch"
-
-let test_batch_verify_basic () =
-  let kp, item = Lazy.force batch_fixture in
-  let items = Array.init 8 (fun _ -> item ()) in
-  Alcotest.(check bool) "valid batch passes" true
-    (Snark.batch_verify ~rng:batch_rng kp.Snark.vk items);
-  Alcotest.(check bool) "empty batch passes" true
-    (Snark.batch_verify ~rng:batch_rng kp.Snark.vk [||]);
-  let pi, proof = item () in
-  Alcotest.(check bool) "arity mismatch fails" false
-    (Snark.batch_verify ~rng:batch_rng kp.Snark.vk
-       [| (Array.append pi [| Fp.one |], proof) |])
-
-(* Flip the low-order byte of proof element [elem] — a canonical encoding
-   off by one bit, so it decodes but verifies false. *)
-let corrupt_proof proof ~elem =
-  let b = Snark.proof_to_bytes proof in
-  let off = (elem * 36) + 4 + 31 in
-  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 1));
-  Snark.proof_of_bytes b
-
-let test_batch_iff_individual =
-  (* Batch accepts exactly when every member verifies individually, for
-     every corruption pattern. *)
-  qtest ~count:25 "batch accepts iff all members verify"
-    QCheck2.Gen.(pair (int_bound 4) (int_bound 31))
-    (fun (m, mask) ->
-      let kp, item = Lazy.force batch_fixture in
-      let m = m + 1 in
-      let items =
-        Array.init m (fun k ->
-            let pi, proof = item () in
-            if (mask lsr k) land 1 = 1 then (pi, corrupt_proof proof ~elem:(k mod 8))
-            else (pi, proof))
-      in
-      let batch = Snark.batch_verify ~rng:batch_rng kp.Snark.vk items in
-      let all =
-        Array.for_all (fun (pi, p) -> Snark.verify kp.Snark.vk ~public_inputs:pi p) items
-      in
-      batch = all)
-
-let test_batch_fallback_pinpoints () =
-  (* A deterministic fault decision picks the victim and the bit; the
-     per-proof fallback must name exactly that member. *)
-  let kp, item = Lazy.force batch_fixture in
-  let faults = Zebra_faults.Faults.create ~seed:"batch-pinpoint" Zebra_faults.Faults.none in
-  let m = 8 in
-  let victim =
-    int_of_float (Zebra_faults.Faults.unit_float faults ~site:1l ~a:0 ~b:0 *. float_of_int m)
-  in
-  let elem =
-    int_of_float (Zebra_faults.Faults.unit_float faults ~site:2l ~a:0 ~b:0 *. 8.)
-  in
-  let items =
-    Array.init m (fun k ->
-        let pi, proof = item () in
-        if k = victim then (pi, corrupt_proof proof ~elem) else (pi, proof))
-  in
-  Alcotest.(check bool) "batch flags the block" false
-    (Snark.batch_verify ~rng:batch_rng kp.Snark.vk items);
-  let offenders =
-    Array.to_list items
-    |> List.mapi (fun k (pi, p) -> (k, Snark.verify kp.Snark.vk ~public_inputs:pi p))
-    |> List.filter_map (fun (k, ok) -> if ok then None else Some k)
-  in
-  Alcotest.(check (list int)) "fallback names exactly the victim" [ victim ] offenders
-
-let test_batch_seed_binds_contents () =
-  (* The Fiat–Shamir seed must be a function of every proof byte and
-     public input in the batch (plus the tag): a challenge predictable
-     before the proofs are fixed would void the Schwartz–Zippel bound. *)
-  let _, item = Lazy.force batch_fixture in
-  let items = Array.init 4 (fun _ -> item ()) in
-  let s = Snark.batch_seed ~tag:"t" items in
-  Alcotest.(check string) "deterministic over same contents" s
-    (Snark.batch_seed ~tag:"t" items);
-  let corrupted = Array.copy items in
-  let pi, proof = corrupted.(2) in
-  corrupted.(2) <- (pi, corrupt_proof proof ~elem:7);
-  Alcotest.(check bool) "one flipped proof bit changes the seed" false
-    (s = Snark.batch_seed ~tag:"t" corrupted);
-  let shifted = Array.copy items in
-  let pi, proof = shifted.(0) in
-  shifted.(0) <- (Array.map (Fp.add Fp.one) pi, proof);
-  Alcotest.(check bool) "public inputs are bound too" false
-    (s = Snark.batch_seed ~tag:"t" shifted);
-  Alcotest.(check bool) "tag separates domains" false
-    (s = Snark.batch_seed ~tag:"u" items)
-
 (* --- decoded-VK cache --- *)
 
 (* Read through the obs counters, as deltas: fresh circuits give vk bytes
@@ -530,6 +425,9 @@ let test_witness_readers_raise () =
   raises_invalid "find_unsatisfied" (fun () -> Cs.find_unsatisfied w);
   raises_invalid "Snark.setup_rng" (fun () -> Snark.setup_rng ~rng:src w)
 
+let qtest ?(count = 30) name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
+
 (* Depth-6 CPLA: the witness-board proof of [Cpla.auth_rng] is the proof
    a constraint-board synthesis of the same statement gets under the same
    seed, and that board is satisfied.  The constraint-board proof uses the
@@ -583,14 +481,6 @@ let () =
           Alcotest.test_case "wrong input count" `Quick test_wrong_input_count;
           Alcotest.test_case "forged vk count" `Quick test_forged_vk_count;
           Alcotest.test_case "short vk io table" `Quick test_short_io_table;
-        ] );
-      ( "batch",
-        [
-          Alcotest.test_case "basic" `Quick test_batch_verify_basic;
-          test_batch_iff_individual;
-          Alcotest.test_case "fallback pinpoints" `Quick test_batch_fallback_pinpoints;
-          Alcotest.test_case "fiat-shamir seed binds contents" `Quick
-            test_batch_seed_binds_contents;
         ] );
       ( "cache",
         [
