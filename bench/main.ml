@@ -871,11 +871,16 @@ let field () =
   let block = Chacha20.bytes stream 64 in
   let msg = Bytes.of_string "bench field" in
   let signature = Zebra_rsa.Pkcs1.sign key msg in
+  (* SHA-256 allocates its context and result only, so the two message
+     sizes read the same bytes per call at the same iteration count. *)
+  let msg_64 = Chacha20.bytes stream 64 and msg_4k = Chacha20.bytes stream 4096 in
   let substrate =
     List.concat_map
       (fun (name, iters, fn) -> measure name ~iters fn)
       [
         ("chacha20_bytes_64B", 20_000, fun () -> ignore (Chacha20.bytes stream 64));
+        ("sha256_64B", 2_000, fun () -> ignore (Zebra_hashing.Sha256.digest msg_64));
+        ("sha256_4KB", 2_000, fun () -> ignore (Zebra_hashing.Sha256.digest msg_4k));
         ("nat_of_bytes_be_64B", 20_000, fun () -> ignore (Nat.of_bytes_be block));
         ("modular_create_512bit", 2_000, fun () -> ignore (Modular.create key.Rsa.pub.Rsa.n));
         ( "pkcs1_verify_512bit",
@@ -1118,12 +1123,15 @@ let chaos () =
    latencies.  The run must complete every task with the invariants
    intact to count at all.  [load.signature_checks] counts [Tx.validate]
    calls over the run: one at broadcast and one at sealing per
-   transaction, none on a replica or in the replay check. *)
+   transaction, none on a replica or in the replay check.
+   [load.state_root_bytes] counts the shard encodings [State.root] hashes
+   over the run, on every replica and in the replay check. *)
 
 let load_bench () =
   header "load: N x M marketplace throughput (>= 100 tasks)";
   let module Obs = Zebra_obs.Obs in
   let signature_checks = Obs.Counter.make "chain.tx.signature_checks" in
+  let root_bytes = Obs.Counter.make "chain.state.root_bytes" in
   Obs.reset ();
   Obs.set_enabled true;
   let config =
@@ -1149,6 +1157,7 @@ let load_bench () =
     count "load.txs" r.Load.txs;
     count "load.conflict_retries" r.Load.conflict_retries;
     count "load.signature_checks" (Obs.Counter.value signature_checks);
+    Row.det "load.state_root_bytes" ~unit:"B" (float_of_int (Obs.Counter.value root_bytes));
     Row.text "load.state_root" ~unit:"hex" r.Load.state_root;
     Row.timing "load.elapsed_s" ~unit:"s" r.Load.elapsed_s;
     Row.timing "load.settle_p50_s" ~unit:"s" r.Load.settle_p50_s;

@@ -9,7 +9,7 @@ type header = {
   tx_root : bytes;
 }
 
-type t = { header : header; txs : Tx.t list }
+type t = { header : header; txs : Tx.t list; hash : bytes }
 
 let genesis_hash = Sha256.digest_string "zebralancer-genesis"
 
@@ -26,9 +26,10 @@ let hash_header h =
   Codec.u64 w 0;
   Sha256.digest (Codec.to_bytes w)
 
-let hash b = hash_header b.header
+let hash b = b.hash
 
 let make ~height ~prev_hash ~state_root txs =
-  { header = { height; prev_hash; state_root; tx_root = tx_root txs }; txs }
+  let header = { height; prev_hash; state_root; tx_root = tx_root txs } in
+  { header; txs; hash = hash_header header }
 
 let tx_proof b i = Merkle.proof (List.map Tx.to_bytes b.txs) i

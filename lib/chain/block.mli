@@ -10,13 +10,18 @@ type header = {
   tx_root : bytes;
 }
 
-type t = { header : header; txs : Tx.t list }
+(** Private, so that a block's [hash] always agrees with its header. *)
+type t = private {
+  header : header;
+  txs : Tx.t list;
+  hash : bytes;  (** {!hash_header} of [header], computed once by {!make} *)
+}
 
 val genesis_hash : bytes
 
 val make : height:int -> prev_hash:bytes -> state_root:bytes -> Tx.t list -> t
 
-(** Header hash. *)
+(** Header hash, as computed by {!make}. *)
 val hash : t -> bytes
 
 (** Hash from the header alone (light clients hold no bodies). *)

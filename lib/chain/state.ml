@@ -5,6 +5,7 @@ module Obs = Zebra_obs.Obs
 let m_reverts = Obs.Counter.make "chain.state.reverts"
 let m_escapes = Obs.Counter.make "chain.state.escapes"
 let m_shards_hashed = Obs.Counter.make "chain.state.root.shards_hashed"
+let m_root_bytes = Obs.Counter.make "chain.state.root_bytes"
 
 type account = { balance : int; nonce : int }
 
@@ -344,7 +345,9 @@ let shard_digest shard =
       Codec.string w c.behavior;
       Codec.bytes w c.storage)
     (sorted shard.contracts);
-  Sha256.digest (Codec.to_bytes w)
+  let encoding = Codec.to_bytes w in
+  Obs.Counter.add m_root_bytes (Bytes.length encoding);
+  Sha256.digest encoding
 
 let root t =
   let h = Sha256.init () in

@@ -517,18 +517,26 @@ let vk_of_bytes b = Codec.decode read_vk b
    [reward_vk] in task parameters); decoding costs ~|vk| Montgomery
    conversions — comparable to a verification itself.  This bounded,
    mutex-guarded memo (keyed by the exact bytes) makes repeat decodes a
-   hashtable hit.  Only successful decodes are cached. *)
+   hashtable hit.  Only successful decodes are cached.  A hit looks the
+   caller's bytes up as they are; a miss stores a copy, so a caller that
+   later mutates its buffer cannot change a key. *)
+
+module Bytes_tbl = Hashtbl.Make (struct
+  type t = bytes
+
+  let equal = Bytes.equal
+  let hash = Hashtbl.hash
+end)
 
 let vk_cache_capacity = 64
-let vk_cache : (string, verifying_key) Hashtbl.t = Hashtbl.create 16
+let vk_cache : verifying_key Bytes_tbl.t = Bytes_tbl.create 16
 let vk_cache_mutex = Mutex.create ()
 let m_vk_hits = Obs.Counter.make "snark.cache.vk.hits"
 let m_vk_decodes = Obs.Counter.make "snark.cache.vk.decodes"
 
 let vk_of_bytes_cached b =
-  let key = Bytes.to_string b in
   Mutex.lock vk_cache_mutex;
-  let cached = Hashtbl.find_opt vk_cache key in
+  let cached = Bytes_tbl.find_opt vk_cache b in
   Mutex.unlock vk_cache_mutex;
   match cached with
   | Some vk ->
@@ -538,8 +546,8 @@ let vk_of_bytes_cached b =
     let vk = vk_of_bytes b in
     Obs.Counter.incr m_vk_decodes;
     Mutex.lock vk_cache_mutex;
-    if Hashtbl.length vk_cache >= vk_cache_capacity then Hashtbl.reset vk_cache;
-    Hashtbl.replace vk_cache key vk;
+    if Bytes_tbl.length vk_cache >= vk_cache_capacity then Bytes_tbl.reset vk_cache;
+    Bytes_tbl.replace vk_cache (Bytes.copy b) vk;
     Mutex.unlock vk_cache_mutex;
     vk
 

@@ -35,6 +35,14 @@ if grep -rn 'Modular' lib/field; then
   exit 1
 fi
 
+# One word representation for SHA-256: its 32-bit words are native ints
+# masked to 32 bits, as ChaCha20's are, never boxed Int32 values.
+echo "== lib/hashing does not use Int32 =="
+if grep -rn 'Int32' lib/hashing; then
+  echo "check.sh: lib/hashing names Int32" >&2
+  exit 1
+fi
+
 # Plain build: the @check alias also runs the suite, which the two forced
 # runs below do anyway.
 dune build

@@ -820,6 +820,16 @@ let all_replicas_agree net =
       (Network.node_state_root net node)
   done
 
+(* Every block carries the hash of its own header: the chain after a heal
+   or a sibling reorg holds blocks built by [Block.make] only. *)
+let block_hashes_agree net =
+  List.iter
+    (fun (b : Block.t) ->
+      Alcotest.(check bytes)
+        (Printf.sprintf "block %d hash is its header's" b.Block.header.Block.height)
+        (Block.hash_header b.Block.header) (Block.hash b))
+    (Network.blocks net)
+
 let test_partition_heal () =
   let net = fresh_net ~num_nodes:3 () in
   let a1 = Wallet.address (wallet 1) in
@@ -891,7 +901,8 @@ let test_fork_tip_choice () =
       (* fork choice at equal height: the smaller hash wins *)
       Alcotest.(check bool) "adopted sibling hashes below the old tip" true
         (Bytes.compare (Block.hash tip_after) (Block.hash tip_before) < 0);
-    Alcotest.(check int) "height unchanged" 1 (Network.height net));
+    Alcotest.(check int) "height unchanged" 1 (Network.height net);
+    block_hashes_agree net);
   (* the chain keeps working after the (possible) depth-1 reorg *)
   Network.submit net
     (Tx.make ~wallet:(wallet 2) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 0))) ~value:1
@@ -944,6 +955,7 @@ let test_restart_across_sibling_reorg () =
     adopted.Block.header.Block.state_root (Network.node_state_root net 2);
   Network.restart_node net ~node:1;
   all_replicas_agree net;
+  block_hashes_agree net;
   Alcotest.(check bytes) "every replica on the adopted tip's root"
     adopted.Block.header.Block.state_root (Network.state_root net)
 
@@ -990,6 +1002,7 @@ let test_adopted_heal_branch () =
                 b.Block.header.Block.state_root
             end)
           (Network.blocks net);
+        block_hashes_agree net;
         Alcotest.(check bytes) "replay equals the live root" (Network.state_root net)
           (Network.replay net);
         all_replicas_agree net;
@@ -1067,6 +1080,7 @@ let test_sibling_cannot_carry_forgery () =
   match List.find_map attempt [ 1; 2; 3; 4; 5; 6; 7; 8 ] with
   | None -> Alcotest.fail "no value's sibling wins fork choice"
   | Some (net, forged) ->
+    block_hashes_agree net;
     List.iter
       (fun (b : Block.t) ->
         List.iter

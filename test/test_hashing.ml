@@ -40,6 +40,65 @@ let test_sha256_incremental () =
       Alcotest.(check bytes) (Printf.sprintf "chunk %d" sz) one_shot (Sha256.finalize ctx))
     sizes
 
+(* Padding fixtures: the digests of one byte pattern at the lengths around
+   each padding case (length fits in the last block, 0x80 fills it, the
+   length spills into a second block, whole blocks).  The literals come
+   from Python's hashlib, an implementation outside this repository. *)
+let pattern n = String.init n (fun i -> Char.chr (i mod 251))
+
+let padding_vectors =
+  [
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+    (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+    (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+    (57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f");
+    (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+    (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+    (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+    (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+    (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+    (127, "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976");
+    (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+    (129, "5099c6a56203f9687f7d33f4bfdf576d31dc91f6b695ecea38b2770c87631135");
+    (1000, "4e4c294b331f7a2099a379bec34b9f9fc03dc46ab465d998f4d683da53487e6d");
+  ]
+
+let test_sha256_padding () =
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check string) (Printf.sprintf "length %d" n) expected
+        (Sha256.to_hex (Sha256.digest_string (pattern n))))
+    padding_vectors
+
+(* Every length from 0 to 300 at once: the digest of the 301 digests of
+   [pattern 0] .. [pattern 300], concatenated (hashlib, as above). *)
+let test_sha256_lengths_kat () =
+  let h = Sha256.init () in
+  for n = 0 to 300 do
+    Sha256.update h (Sha256.digest_string (pattern n))
+  done;
+  Alcotest.(check string) "digest of digests 0..300"
+    "b90e35153500e9a471591550ee25a954527c6b4448afff95f7949a2ca93300ce"
+    (Sha256.to_hex (Sha256.finalize h))
+
+let prop_sha256_split =
+  qtest "split updates equal one-shot"
+    QCheck2.Gen.(pair (string_size (int_bound 300)) (list_size (int_bound 7) (int_bound 300)))
+    (fun (msg, cuts) ->
+      let n = String.length msg in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Sha256.update_string ctx (String.sub msg pos (cut - pos));
+            cut)
+          0 cuts
+      in
+      Sha256.update_string ctx (String.sub msg last (n - last));
+      Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string msg))
+
 let test_hex_roundtrip () =
   let d = Sha256.digest_string "zebra" in
   Alcotest.(check bytes) "hex roundtrip" d (Sha256.of_hex (Sha256.to_hex d))
@@ -134,6 +193,9 @@ let () =
         [
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
+          Alcotest.test_case "padding lengths" `Quick test_sha256_padding;
+          Alcotest.test_case "lengths 0..300 KAT" `Quick test_sha256_lengths_kat;
+          prop_sha256_split;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
         ] );
       ( "chacha20",

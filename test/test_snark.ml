@@ -193,8 +193,13 @@ let test_vk_decode_cache () =
     ~finally:(fun () -> Obs.set_enabled was_enabled)
     (fun () ->
       let h0 = Obs.Counter.value hits and d0 = Obs.Counter.value decodes in
-      ignore (Snark.vk_of_bytes_cached vk_bytes);
-      ignore (Snark.vk_of_bytes_cached (Bytes.copy vk_bytes));
+      let original = Bytes.copy vk_bytes in
+      let first = Snark.vk_of_bytes_cached vk_bytes in
+      (* the memo keys a miss on its own copy: flipping a byte of the
+         caller's buffer afterwards leaves the original bytes cached *)
+      Bytes.set vk_bytes 0 (Char.chr (Char.code (Bytes.get vk_bytes 0) lxor 1));
+      Alcotest.(check bool) "a fresh copy of the original bytes hits the same key" true
+        (Snark.vk_of_bytes_cached (Bytes.copy original) == first);
       Alcotest.(check (pair int int)) "one decode per distinct bytes" (1, 1)
         (Obs.Counter.value hits - h0, Obs.Counter.value decodes - d0);
       ignore (Snark.vk_of_bytes_cached (Snark.vk_to_bytes vk2));
