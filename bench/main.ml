@@ -1114,11 +1114,10 @@ let chaos () =
       ])
     plans
 
-(* --- load: marketplace throughput under the parallel executor
-   (BENCH_load.json) ---
+(* --- load: marketplace throughput (BENCH_load.json) ---
 
    N requesters x M workers drive >= 100 CPLA tasks end-to-end through
-   the fee-ordered mempool and the sharded parallel executor.  Settle
+   the fee-ordered mempool.  Settle
    latency percentiles are nearest-rank over the run's exact settle
    latencies.  The run must complete every task with the invariants
    intact to count at all.  [load.signature_checks] counts [Tx.validate]
@@ -1155,7 +1154,6 @@ let load_bench () =
     count "load.tasks_failed" r.Load.tasks_failed;
     Row.det "load.blocks" ~unit:"blocks" (float_of_int r.Load.blocks);
     count "load.txs" r.Load.txs;
-    count "load.conflict_retries" r.Load.conflict_retries;
     count "load.signature_checks" (Obs.Counter.value signature_checks);
     Row.det "load.state_root_bytes" ~unit:"B" (float_of_int (Obs.Counter.value root_bytes));
     Row.text "load.state_root" ~unit:"hex" r.Load.state_root;

@@ -485,7 +485,7 @@ let load_cmd =
   in
   let doc =
     "Drive N requesters x M workers running many CPLA tasks end-to-end through the \
-     fee-ordered mempool and the sharded parallel executor; print deterministic facts \
+     fee-ordered mempool; print deterministic facts \
      (identical at any $(b,--domains)) plus $(b,#)-prefixed throughput/latency lines."
   in
   Cmd.v (Cmd.info "load" ~doc)

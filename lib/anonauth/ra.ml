@@ -26,7 +26,6 @@ let create ?(hash = Hash_composition.default) ~depth () =
 
 let hash_composition t = t.hash
 let capacity t = 1 lsl t.depth
-let num_registered t = t.next
 
 let node t level index =
   match Hashtbl.find_opt t.levels.(level) index with
@@ -59,8 +58,6 @@ let path t index =
   Array.init t.depth (fun l ->
       let i = index lsr l in
       node t l (i lxor 1))
-
-let leaf t index = Hashtbl.find_opt t.levels.(0) index
 
 let verify_path ?(hash = Hash_composition.default) ~root:expected ~leaf ~index path =
   let h2 = Hash_composition.hash2 hash in

@@ -30,9 +30,6 @@ val create : ?hash:Zebra_hashcomp.Hash_composition.t -> depth:int -> unit -> t
 (** The node-hash composition this tree was created with. *)
 val hash_composition : t -> Zebra_hashcomp.Hash_composition.t
 
-val capacity : t -> int
-val num_registered : t -> int
-
 (** Current root — the CPLA master public key [mpk]. *)
 val root : t -> Fp.t
 
@@ -46,9 +43,6 @@ val register : t -> Fp.t -> int
     root.  Participants refresh their path from the (public) tree before
     authenticating. *)
 val path : t -> int -> Fp.t array
-
-(** [leaf t index] — [None] if unregistered. *)
-val leaf : t -> int -> Fp.t option
 
 (** [verify_path ~root ~leaf ~index path] — native path check under the
     [?hash] composition (default Poseidon); the circuit's

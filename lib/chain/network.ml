@@ -10,6 +10,10 @@ let m_txs = Obs.Counter.make "chain.txs"
 let m_mempool_depth = Obs.Gauge.make "chain.mempool.depth"
 let m_txs_per_block = Obs.Histogram.make "chain.mine.txs_per_block"
 
+(* Execution is one serial fold, so a non-empty block runs as one wave;
+   layerbench's per-layer report still reads this histogram's mean. *)
+let m_waves = Obs.Histogram.make "chain.exec.waves_per_block"
+
 type node = {
   id : int;
   mutable state : State.t;
@@ -100,8 +104,8 @@ let in_minority t id =
   match t.partition with None -> false | Some p -> List.mem id p.p_minority
 
 (* The first live replica: the node every read-only view answers from.
-   [crash_node] refuses to take the last replica down and partitions keep
-   node 0 on the majority side, so this is total. *)
+   [crash_node] and [start_partition] refuse any change that would leave
+   no live replica outside the minority, so this is total. *)
 let live_node t =
   let rec find i =
     if i >= Array.length t.nodes then
@@ -115,30 +119,36 @@ let node_up t i = t.nodes.(i).up
 
 let node_state_root t i = State.root (t.nodes.(i).state)
 
-let live_count t = Array.fold_left (fun acc n -> if n.up then acc + 1 else acc) 0 t.nodes
+(* Is some replica up outside [excluded]?  [crash_node] and
+   [start_partition] keep one outside the minority: it mines and answers
+   reads. *)
+let live_outside t excluded = Array.exists (fun n -> n.up && not (List.mem n.id excluded)) t.nodes
 
 let crash_node t ~node =
   if node < 0 || node >= Array.length t.nodes then
     invalid_arg "Network.crash_node: no such node";
   let n = t.nodes.(node) in
   if n.up then begin
-    if live_count t <= 1 then
-      invalid_arg "Network.crash_node: cannot crash the last live replica";
+    let minority = match t.partition with None -> [] | Some p -> p.p_minority in
+    if not (live_outside t (node :: minority)) then
+      invalid_arg "Network.crash_node: no live replica would remain outside the minority";
     n.up <- false
   end
 
 let blocks t = List.rev t.chain
 let genesis t = t.genesis
 
-(* Execute [blocks], oldest first, on [st]; every block replay (re-sync,
-   receipt rebuild, fork sibling, audit) goes through here, unchecked:
-   the block's sealer checked each signature. *)
+(* The one execution rule: a block's transactions in block order on
+   [st], one receipt each.  Sealing runs it on every live replica, and
+   every replay (re-sync, receipt rebuild, fork sibling, audit) runs it
+   unchecked: the block's sealer checked each signature. *)
+let execute st ~height txs = List.map (State.apply_tx st ~height) txs
+
+(* Execute [blocks], oldest first, on [st]. *)
 let apply_blocks ?(on_receipt = ignore) st blocks =
   List.iter
     (fun (b : Block.t) ->
-      List.iter
-        (fun tx -> on_receipt (State.apply_tx st ~height:b.Block.header.Block.height tx))
-        b.Block.txs)
+      List.iter on_receipt (execute st ~height:b.Block.header.Block.height b.Block.txs))
     blocks
 
 let replay_fresh ?on_receipt t =
@@ -192,7 +202,8 @@ let start_partition t ~minority =
   List.iter
     (fun id -> if id < 0 || id >= n then invalid_arg "Network.start_partition: no such node")
     minority;
-  if List.length minority >= n then invalid_arg "Network.start_partition: minority too large";
+  if not (live_outside t minority) then
+    invalid_arg "Network.start_partition: no live replica outside the minority";
   t.partition <- Some { p_minority = minority; p_fork_height = height t; p_ticks = 0 }
 
 type heal_report = { adopted_fork : bool; reorged_blocks : int; requeued_txs : int }
@@ -325,7 +336,7 @@ let fork_tip t ~permute =
       let st = State.create ~genesis:t.genesis in
       apply_blocks st (List.rev rest);
       let h = tip.Block.header.Block.height in
-      List.iter (fun tx -> ignore (State.apply_tx st ~height:h tx)) txs';
+      ignore (execute st ~height:h txs');
       let sibling =
         Block.make ~height:h ~prev_hash:tip.Block.header.Block.prev_hash
           ~state_root:(State.root st) txs'
@@ -401,16 +412,16 @@ let mine_ext t =
      executes the canonical-candidate branch; fork choice at heal time
      decides whether it or the minority's empty branch survives. *)
   let live = Array.to_list t.nodes |> List.filter (fun n -> n.up && not (in_minority t n.id)) in
-  (* Every live node executes the block independently; receipts must agree.
+  (* Every live node executes the block independently; roots must agree.
      The exec span gets one sample per node per block, so its histogram is
      the distribution of per-node block execution time. *)
-  let all_results =
+  let all_receipts =
     List.map
       (fun node ->
-        Obs.with_span "chain.mine.exec" (fun () ->
-            Exec.apply_block node.state ~height:new_height valid))
+        Obs.with_span "chain.mine.exec" (fun () -> execute node.state ~height:new_height valid))
       live
   in
+  if valid <> [] then Obs.Histogram.observe m_waves 1.;
   let block =
     Obs.with_span "chain.mine.consensus" @@ fun () ->
     let roots = List.map (fun node -> State.root node.state) live in
@@ -435,19 +446,18 @@ let mine_ext t =
   | Some p when Array.exists (fun n -> n.up && List.mem n.id p.p_minority) t.nodes ->
     p.p_ticks <- p.p_ticks + 1
   | _ -> ());
-  List.iter (fun (r, _) -> record t r) (List.hd all_results);
+  let receipts = List.hd all_receipts in
+  List.iter (record t) receipts;
   (* Classify in block-candidate order: invalid candidates become
-     [Rejected], executed ones [Applied] or [Conflict_retry] (escaped the
-     declared footprint and was re-run in the serial fallback). *)
-  let rec classify tagged results =
-    match (tagged, results) with
+     [Rejected], executed ones [Applied]. *)
+  let rec classify tagged receipts =
+    match (tagged, receipts) with
     | [], [] -> []
-    | (_, false) :: tl, results -> Rejected "invalid signature" :: classify tl results
-    | (_, true) :: tl, (r, retried) :: results ->
-      (if retried then Conflict_retry r else Applied r) :: classify tl results
+    | (_, false) :: tl, receipts -> Rejected "invalid signature" :: classify tl receipts
+    | (_, true) :: tl, r :: receipts -> Applied r :: classify tl receipts
     | _ -> assert false
   in
-  classify tagged (List.hd all_results)
+  classify tagged receipts
 
 let mine t =
   List.filter_map

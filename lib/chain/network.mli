@@ -92,7 +92,9 @@ val set_block_hook : t -> (height:int -> unit) option -> unit
 
 (** [crash_node t ~node] takes a replica down: it stops executing blocks
     and its state goes stale until {!restart_node}.  Idempotent.
-    @raise Invalid_argument if [node] is the last live replica. *)
+    @raise Invalid_argument if [node] is the last live replica outside an
+    active partition's minority: one must stay up to mine and serve
+    reads. *)
 val crash_node : t -> node:int -> unit
 
 (** [restart_node t ~node] brings a crashed replica back through the one
@@ -128,7 +130,9 @@ val node_up : t -> int -> bool
     mempool and the majority branch, starting with the next mined block.
     @raise Invalid_argument if a partition is already active, [minority]
     is empty or covers all nodes, contains node 0 (the canonical read
-    replica stays on the majority side), or names an unknown node. *)
+    replica stays on the majority side), names an unknown node, or leaves
+    no live replica outside it (one must stay up to mine and serve
+    reads). *)
 val start_partition : t -> minority:int list -> unit
 
 val partition_active : t -> bool
@@ -165,21 +169,22 @@ val fork_tip : t -> permute:(Tx.t list -> Tx.t list) -> bool option
 val node_state_root : t -> int -> bytes
 
 (** Per-transaction outcome of sealing a block (candidate order):
-    [Applied] ran in the parallel schedule, [Conflict_retry] escaped its
-    declared footprint and was re-executed in the deterministic serial
-    fallback (same receipt it would always have had — the classification
-    is diagnostic), [Rejected] failed the sealer's {!Tx.validate} and
-    never executed: the fault pipeline and the adversary can put a
-    transaction in front of the sealer that never passed {!submit_r}.
-    Replicas and replays execute the sealed block unchecked. *)
+    [Applied] executed, with its receipt; [Rejected] failed the sealer's
+    {!Tx.validate} and never executed: the fault pipeline and the
+    adversary can put a transaction in front of the sealer that never
+    passed {!submit_r}.  Replicas and replays execute the sealed block
+    unchecked.  [Conflict_retry] is never produced: a declared footprint
+    does not change how a block executes.  It stays for the callers that
+    match on it. *)
 type exec_result =
   | Applied of State.receipt
   | Conflict_retry of State.receipt
   | Rejected of string
 
 (** [mine_ext t] seals the fee-ordered mempool into the next block,
-    executes it on every live node via the sharded parallel executor
-    ({!Exec}), checks replica agreement and returns the typed
+    executes its transactions one after another in block order on every
+    live node (the fold of {!State.apply_tx} every replay also runs),
+    checks that their state roots agree and returns the typed
     per-candidate outcomes (receipts from the first live node).
     @raise Consensus_failure if replicas diverge or the block hook mined. *)
 val mine_ext : t -> exec_result list

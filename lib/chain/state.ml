@@ -3,7 +3,6 @@ module Codec = Zebra_codec.Codec
 module Obs = Zebra_obs.Obs
 
 let m_reverts = Obs.Counter.make "chain.state.reverts"
-let m_escapes = Obs.Counter.make "chain.state.escapes"
 let m_shards_hashed = Obs.Counter.make "chain.state.root.shards_hashed"
 let m_root_bytes = Obs.Counter.make "chain.state.root_bytes"
 
@@ -11,16 +10,12 @@ type account = { balance : int; nonce : int }
 
 type contract_info = { behavior : string; storage : bytes }
 
-(* The ledger is sharded by address so the parallel block executor can hand
-   disjoint shard sets to different domains: a transaction confined to its
-   shards never touches a hashtable another domain is using.  32 shards is
-   plenty for pools of <= 16 domains and keeps the conflict mask in one
-   OCaml int. *)
+(* The ledger is sharded by address so [root] can cache one sub-root per
+   shard and rehash only the shards a block wrote.  The root's bytes
+   depend on this count. *)
 let num_shards = 32
 
-(* [sub_root] caches the shard's digest for [root].  Only the domain that
-   owns a shard in a wave writes that shard, and [root] runs on the
-   caller after the wave barrier, so the cache needs no lock. *)
+(* [sub_root] caches the shard's digest for [root]; every write clears it. *)
 type shard = {
   accounts : (string, account) Hashtbl.t; (* key: address hex *)
   contracts : (string, contract_info) Hashtbl.t;
@@ -100,34 +95,24 @@ let is_contract t addr =
 (* --- journaled transaction context ---
 
    Every mutation records the previous binding, so one transaction's
-   effects can be undone exactly (a revert, a footprint escape, or the
-   executor's whole-block serial fallback).  When [allowed >= 0] it is a
-   bitmask of permitted shards and every access — read or write — outside
-   it raises [Escape] *before* touching the shard, so a guarded
-   transaction can never observe or disturb state another domain owns. *)
+   effects can be undone exactly: a failure rolls back to the nonce
+   advance, and [apply_tx_traced] rolls back the whole transaction.  Every
+   access, read or write, goes through [txn_shard], where the footprint
+   lint's trace records it. *)
 
 type undo =
   | U_account of string * account option
   | U_contract of string * contract_info option
 
-type undo_log = undo list (* newest first *)
-
-exception Escape of string
-
 type txn = {
   st : t;
-  allowed : int;
   trace : (string -> unit) option;
-  mutable undos : undo_log;
+  mutable undos : undo list; (* newest first *)
 }
 
 let txn_shard txn key =
-  let s = shard_of_key key in
-  (* Trace before the mask check so an access that *would* escape is still
-     recorded — the footprint lint wants exactly those. *)
   (match txn.trace with Some f -> f key | None -> ());
-  if txn.allowed >= 0 && (txn.allowed lsr s) land 1 = 0 then raise (Escape key);
-  txn.st.shards.(s)
+  txn.st.shards.(shard_of_key key)
 
 let t_account txn addr =
   let key = Address.to_hex addr in
@@ -177,8 +162,6 @@ let rec rollback t l mark =
       apply_undo t u;
       rollback t rest mark
 
-let undo t log = rollback t log []
-
 let credit txn addr amount =
   let a = t_account txn addr in
   t_set_account txn addr { a with balance = a.balance + amount }
@@ -200,114 +183,97 @@ let apply_actions txn ~self actions =
       | Contract.Log msg -> Some msg)
     actions
 
-let apply_tx_logged_traced t ~height ?(allowed = -1) ?trace tx =
-  let txn = { st = t; allowed; trace; undos = [] } in
+(* Execute [tx] and return its receipt with the journal of its writes. *)
+let apply_tx_journaled t ~height ?trace tx =
+  let txn = { st = t; trace; undos = [] } in
   let tx_hash = Tx.hash tx in
   let gas = ref (Contract.Gas.base + (Contract.Gas.per_byte * Tx.size_bytes tx)) in
-  let finish status logs = Result.Ok ({ tx_hash; status; gas_used = !gas; logs }, txn.undos) in
+  let finish status logs = ({ tx_hash; status; gas_used = !gas; logs }, txn.undos) in
   let fail reason = finish (Failed reason) [] in
-  match t_account txn tx.Tx.sender with
-  | exception Escape key ->
-    Obs.Counter.incr m_escapes;
-    Result.Error key
-  | sender ->
-    if tx.Tx.nonce <> sender.nonce then fail "bad nonce"
-    else if sender.balance < tx.Tx.value then fail "insufficient funds"
-    else begin
-      (* The nonce advances even if execution reverts. *)
-      t_set_account txn tx.Tx.sender { sender with nonce = sender.nonce + 1 };
-      let after_nonce = txn.undos in
-      let charge n = gas := !gas + n in
-      try
-        match tx.Tx.dst with
-        | Tx.Create { behavior; args } ->
-          let beh =
-            try Contract.lookup behavior
-            with Not_found -> raise (Contract.Revert ("unknown behavior " ^ behavior))
-          in
-          let contract_addr = Address.of_creator tx.Tx.sender tx.Tx.nonce in
-          if t_contract txn contract_addr <> None then
-            raise (Contract.Revert "address collision");
+  let sender = t_account txn tx.Tx.sender in
+  if tx.Tx.nonce <> sender.nonce then fail "bad nonce"
+  else if sender.balance < tx.Tx.value then fail "insufficient funds"
+  else begin
+    (* The nonce advances even if execution fails. *)
+    t_set_account txn tx.Tx.sender { sender with nonce = sender.nonce + 1 };
+    let after_nonce = txn.undos in
+    let charge n = gas := !gas + n in
+    let failed reason =
+      rollback t txn.undos after_nonce;
+      txn.undos <- after_nonce;
+      fail reason
+    in
+    try
+      match tx.Tx.dst with
+      | Tx.Create { behavior; args } ->
+        let beh =
+          try Contract.lookup behavior
+          with Not_found -> raise (Contract.Revert ("unknown behavior " ^ behavior))
+        in
+        let contract_addr = Address.of_creator tx.Tx.sender tx.Tx.nonce in
+        if t_contract txn contract_addr <> None then
+          raise (Contract.Revert "address collision");
+        debit txn tx.Tx.sender tx.Tx.value;
+        credit txn contract_addr tx.Tx.value;
+        charge Contract.Gas.storage_word;
+        let ctx =
+          {
+            Contract.self = contract_addr;
+            sender = tx.Tx.sender;
+            value = tx.Tx.value;
+            height;
+            self_balance = (t_account txn contract_addr).balance;
+            charge;
+          }
+        in
+        let storage =
+          Obs.with_span "chain.state.exec" (fun () -> Contract.run_init beh ctx args)
+        in
+        t_set_contract txn contract_addr { behavior; storage };
+        finish (Ok (Some contract_addr)) []
+      | Tx.Call dst -> (
+        match t_contract txn dst with
+        | None ->
+          (* plain value transfer *)
           debit txn tx.Tx.sender tx.Tx.value;
-          credit txn contract_addr tx.Tx.value;
-          charge Contract.Gas.storage_word;
+          credit txn dst tx.Tx.value;
+          finish (Ok None) []
+        | Some info ->
+          let beh = Contract.lookup info.behavior in
+          debit txn tx.Tx.sender tx.Tx.value;
+          credit txn dst tx.Tx.value;
           let ctx =
             {
-              Contract.self = contract_addr;
+              Contract.self = dst;
               sender = tx.Tx.sender;
               value = tx.Tx.value;
               height;
-              self_balance = (t_account txn contract_addr).balance;
+              self_balance = (t_account txn dst).balance;
               charge;
             }
           in
-          let storage =
-            Obs.with_span "chain.state.exec" (fun () -> Contract.run_init beh ctx args)
+          let storage', actions =
+            Obs.with_span "chain.state.exec" (fun () ->
+                Contract.run_receive beh ctx info.storage ~payload:tx.Tx.payload)
           in
-          t_set_contract txn contract_addr { behavior; storage };
-          finish (Ok (Some contract_addr)) []
-        | Tx.Call dst -> (
-          match t_contract txn dst with
-          | None ->
-            (* plain value transfer *)
-            debit txn tx.Tx.sender tx.Tx.value;
-            credit txn dst tx.Tx.value;
-            finish (Ok None) []
-          | Some info ->
-            let beh = Contract.lookup info.behavior in
-            debit txn tx.Tx.sender tx.Tx.value;
-            credit txn dst tx.Tx.value;
-            let ctx =
-              {
-                Contract.self = dst;
-                sender = tx.Tx.sender;
-                value = tx.Tx.value;
-                height;
-                self_balance = (t_account txn dst).balance;
-                charge;
-              }
-            in
-            let storage', actions =
-              Obs.with_span "chain.state.exec" (fun () ->
-                  Contract.run_receive beh ctx info.storage ~payload:tx.Tx.payload)
-            in
-            let logs = apply_actions txn ~self:dst actions in
-            t_set_contract txn dst { info with storage = storage' };
-            finish (Ok None) logs)
-      with
-      | Escape key ->
-        (* The execution reached outside its declared footprint: roll
-           everything back (this transaction will be re-executed in
-           serial block order, where nothing is off-limits). *)
-        rollback t txn.undos [];
-        Obs.Counter.incr m_escapes;
-        Result.Error key
-      | Contract.Revert reason ->
-        rollback t txn.undos after_nonce;
-        txn.undos <- after_nonce;
-        Obs.Counter.incr m_reverts;
-        fail reason
-      | Codec.Decode_error reason ->
-        rollback t txn.undos after_nonce;
-        txn.undos <- after_nonce;
-        fail ("decode: " ^ reason)
-      | e ->
-        (* Defensive: a behaviour bug must not fork the simulated network. *)
-        rollback t txn.undos [];
-        txn.undos <- [];
-        fail ("exception: " ^ Printexc.to_string e)
-    end
+          let logs = apply_actions txn ~self:dst actions in
+          t_set_contract txn dst { info with storage = storage' };
+          finish (Ok None) logs)
+    with
+    | Contract.Revert reason ->
+      Obs.Counter.incr m_reverts;
+      failed reason
+    | Codec.Decode_error reason -> failed ("decode: " ^ reason)
+    | e ->
+      (* Defensive: a behaviour bug must not fork the simulated network. *)
+      failed ("exception: " ^ Printexc.to_string e)
+  end
 
-let apply_tx_logged t ~height ?allowed tx = apply_tx_logged_traced t ~height ?allowed tx
+let apply_tx t ~height tx = fst (apply_tx_journaled t ~height tx)
 
-let apply_tx t ~height tx =
-  match apply_tx_logged t ~height tx with
-  | Result.Ok (receipt, _log) -> receipt
-  | Result.Error _ -> assert false (* unguarded execution cannot escape *)
-
-(* Execute unguarded with every shard access recorded, then roll the
-   transaction back: a pure observation of "which state keys would this
-   transaction touch here?" for the footprint lint (ZL1xx).  Keys are
+(* Execute with every shard access recorded, then roll the transaction
+   back, nonce included: a pure observation of "which state keys would
+   this transaction touch here?" for the footprint lint (ZL1xx).  Keys are
    reported deduplicated, in first-access order. *)
 let apply_tx_traced t ~height tx =
   let seen = Hashtbl.create 8 in
@@ -318,11 +284,9 @@ let apply_tx_traced t ~height tx =
       acc := key :: !acc
     end
   in
-  match apply_tx_logged_traced t ~height ~trace tx with
-  | Result.Ok (receipt, log) ->
-    undo t log;
-    (receipt, List.rev !acc)
-  | Result.Error _ -> assert false (* unguarded execution cannot escape *)
+  let receipt, undos = apply_tx_journaled t ~height ~trace tx in
+  rollback t undos [];
+  (receipt, List.rev !acc)
 
 (* A shard's sub-root: SHA-256 of its accounts, then its contracts, each
    section sorted by key and count-prefixed so the encoding is

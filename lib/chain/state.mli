@@ -5,17 +5,17 @@
     Failed or reverted transactions are included with a failure receipt and
     roll back all state changes except the sender's nonce (Ethereum-like
     semantics, minus gas payments — the simulated chain does not price gas,
-    it only meters it for the benchmarks).
+    it only meters it for the benchmarks).  That holds for every failure a
+    contract can cause: a [Contract.Revert], a payload that fails to
+    decode, and any other exception its behaviour raises.
 
-    {b Sharding.}  The ledger is internally partitioned into
-    {!num_shards} address shards.  The parallel block executor ({!Exec})
-    maps each transaction's declared footprint to a shard bitmask and runs
-    transactions with disjoint masks on different domains; the guarded
-    entry point {!apply_tx_logged} guarantees a transaction never touches a
-    shard outside its mask (it is rolled back and reported instead), so
-    concurrent execution is race-free by construction.  All mutations are
-    journaled, making rollback exact — both per-transaction (reverts,
-    escapes) and whole-block (the executor's serial fallback).
+    A block executes as a fold of {!apply_tx} over its transactions in
+    block order, on the sealer and on every replica and replay alike.
+    Mutations are journaled, so a failed transaction rolls back exactly.
+
+    {b Sharding.}  The ledger is partitioned into {!num_shards} address
+    shards, so {!root} can cache one sub-root per shard and rehash only
+    the shards written since the last root.
 
     [State] checks nonces and balances, never signatures: {!Network}
     checks each transaction when it is broadcast and when its block is
@@ -59,39 +59,14 @@ val shard_of_address : Address.t -> int
     partition {!shard_of_address} uses. *)
 val shard_of_key : string -> int
 
-(** Journal of one applied transaction's mutations, newest first.  Opaque;
-    pass back to {!undo} to revert that transaction exactly.  Logs must be
-    undone in reverse application order. *)
-type undo_log
-
-(** [apply_tx_logged t ~height ?allowed tx] executes one transaction and
-    returns its receipt together with the journal of its state mutations.
-
-    [allowed], when given, is a shard bitmask (bit [s] set = shard [s]
-    accessible).  Any access — read or write — outside the mask aborts the
-    transaction {e before} the foreign shard is touched: all of the
-    transaction's own effects are rolled back (including the nonce) and
-    [Error key] is returned with the offending address key.  The caller is
-    expected to re-execute the transaction serially.  Without [allowed]
-    execution is unguarded and the result is always [Ok].
-
-    Never raises on bad transactions — every non-escape outcome is a
-    receipt. *)
-val apply_tx_logged :
-  t -> height:int -> ?allowed:int -> Tx.t -> (receipt * undo_log, string) result
-
-(** Revert one transaction's effects.  When undoing several transactions,
-    undo them in reverse order of application. *)
-val undo : t -> undo_log -> unit
-
-(** [apply_tx t ~height tx] executes one transaction serially (unguarded).
-    Never raises on bad transactions — every outcome is a receipt. *)
+(** [apply_tx t ~height tx] executes one transaction.  Never raises on
+    bad transactions — every outcome is a receipt. *)
 val apply_tx : t -> height:int -> Tx.t -> receipt
 
-(** [apply_tx_traced t ~height tx] executes [tx] unguarded with every
-    shard access recorded, then rolls the transaction back completely
-    (including the nonce): a side-effect-free observation of which state
-    keys the transaction touches at this state.  Returns the receipt it
+(** [apply_tx_traced t ~height tx] executes [tx] with every shard access
+    recorded, then rolls the transaction back completely (including the
+    nonce): a side-effect-free observation of which state keys the
+    transaction touches at this state.  Returns the receipt it
     {e would} produce and the accessed keys, deduplicated in first-access
     order.  The footprint lint (ZL1xx) checks these against the declared
     footprint's shard mask. *)
@@ -103,7 +78,7 @@ val apply_tx_traced : t -> height:int -> Tx.t -> receipt * string list
     prefixed by its entry count; the root is SHA-256 of the {!num_shards}
     sub-roots in shard order.  It therefore depends on {!num_shards} and
     {!shard_of_key}.  Sub-roots are cached and only the shards written
-    since the previous call (by a transaction, an {!undo} or genesis) are
+    since the previous call (by a transaction, a rollback or genesis) are
     rehashed; each one counts once into [chain.state.root.shards_hashed]. *)
 val root : t -> bytes
 

@@ -15,12 +15,11 @@
     {b Footprint.}  [footprint] declares extra addresses the transaction's
     execution may touch beyond the statically-known ones (sender and
     destination/created address): the payees of contract [Transfer]
-    actions, typically.  The parallel block executor ({!Exec}) schedules
-    transactions with disjoint footprints concurrently; a transaction
-    whose execution escapes its declared footprint is detected, rolled
-    back and deterministically re-executed in serial block order
-    ([Conflict_retry]) — under-declaring costs performance, never
-    correctness. *)
+    actions, typically.  It is signed and hashed with the rest of the
+    transaction, and the ZL1xx lint ([Zebra_lint.Txlint]) checks that each
+    deployed kind declares exactly what it touches, but execution never
+    reads it: every block runs its transactions one after another, so a
+    wrong declaration changes no receipt and no state. *)
 
 type dst =
   | Create of { behavior : string; args : bytes }
@@ -34,7 +33,7 @@ type t = private {
   value : int;
   fee : int;  (** inclusion priority; never charged *)
   payload : bytes;
-  footprint : Address.t list;  (** declared extra touched addresses *)
+  footprint : Address.t list;  (** declared extra touched addresses; never read by execution *)
   signature : bytes;
   hash : bytes;  (** {!hash}, computed once per value *)
   size : int;  (** {!size_bytes}, computed with the hash *)

@@ -44,7 +44,6 @@ type report = {
   failures : (int * string) list;
   blocks : int;
   txs : int;
-  conflict_retries : int;
   elapsed_s : float;
   tasks_per_sec : float;
   txs_per_sec : float;
@@ -106,7 +105,6 @@ let run ?(config = default_config) () =
         { index; requester = requester_ids.(index mod cfg.requesters); stage = Ready; started = 0. })
   in
   let faucet_nonce = ref (Network.nonce net (Wallet.address sys.Protocol.faucet)) in
-  let conflict_retries = ref 0 in
   let active () =
     Array.fold_left
       (fun acc st ->
@@ -182,10 +180,7 @@ let run ?(config = default_config) () =
         (* a match, not [=]: stages hold phases, which hold closures *)
         match st.stage with Ready when active () < cfg.inflight -> start_task st | _ -> ())
       states;
-    let results = Network.mine_ext net in
-    List.iter
-      (function Network.Conflict_retry _ -> incr conflict_retries | _ -> ())
-      results;
+    ignore (Network.mine_ext net);
     Array.iter advance states
   done;
   let elapsed = now () -. t0 in
@@ -211,8 +206,8 @@ let run ?(config = default_config) () =
     done;
     !agree
   in
-  (* Re-execute the whole chain serially from genesis: the sharded
-     parallel executor must have reached the root a serial replay does. *)
+  (* Re-execute the whole chain from genesis: the replay must reach the
+     root the sealing replicas did. *)
   let replay_matches = Bytes.equal (Network.replay net) (Network.state_root net) in
   (* The off-chain indexer rebuilds every contract purely from chain
      events; after a full marketplace run its mirror must be
@@ -238,7 +233,6 @@ let run ?(config = default_config) () =
     failures;
     blocks = Network.height net;
     txs;
-    conflict_retries = !conflict_retries;
     elapsed_s = elapsed;
     tasks_per_sec = (if elapsed > 0. then float_of_int completed /. elapsed else 0.);
     txs_per_sec = (if elapsed > 0. then float_of_int txs /. elapsed else 0.);
@@ -262,7 +256,6 @@ let render_deterministic r =
     r.failures;
   Buffer.add_string b (Printf.sprintf "blocks: %d\n" r.blocks);
   Buffer.add_string b (Printf.sprintf "txs: %d\n" r.txs);
-  Buffer.add_string b (Printf.sprintf "conflict retries: %d\n" r.conflict_retries);
   Buffer.add_string b (Printf.sprintf "state root: %s\n" r.state_root);
   Buffer.add_string b (Printf.sprintf "replicas agree: %b\n" r.replicas_agree);
   Buffer.add_string b (Printf.sprintf "supply conserved: %b\n" r.supply_conserved);

@@ -10,8 +10,7 @@
     tasks and the protocol's one retry rule confirms them all.  Phases carry distinct
     inclusion fees (funding 3, instruct 2, publish 1, submissions 0) to
     exercise the fee-ordered mempool, and instructions declare their payee
-    footprints so the sharded parallel executor can settle unrelated
-    tasks concurrently.
+    footprints ({!Requester.settlement_footprint}).
 
     All randomness comes from the system seed, so everything except the
     wall-clock timings — roots, block/tx counts, failures — is
@@ -43,9 +42,6 @@ type report = {
   failures : (int * string) list;  (** (task index, reason), ascending *)
   blocks : int;
   txs : int;
-  conflict_retries : int;
-      (** transactions that escaped their declared footprint and were
-          re-executed serially (0 when every footprint is declared) *)
   elapsed_s : float;
   tasks_per_sec : float;
   txs_per_sec : float;

@@ -84,13 +84,12 @@ let cts_of_storage task (storage : Task_contract.storage) =
   cts
 
 (* The payees of a settlement: every submission's worker, plus the
-   requester refund destination.  The executor already accounts the
-   transaction's static footprint ([Exec.static_footprint]: sender and
-   destination), so payees covered by it are subtracted rather than
-   re-declared — one payee list serves both Instruct (whose sender is the
-   requester) and Finalize (whose caller is a third party), and the ZL1xx
-   lint asserts the result is exactly sound and minimal, so the two
-   encodings cannot drift. *)
+   requester refund destination.  A transaction's static footprint (sender
+   and destination) is implied, so payees covered by it are subtracted
+   rather than re-declared — one payee list serves both Instruct (whose
+   sender is the requester) and Finalize (whose caller is a third party),
+   and the ZL1xx lint asserts the result is exactly sound and minimal, so
+   the two encodings cannot drift. *)
 let settlement_footprint ~sender (storage : Task_contract.storage) =
   let payees =
     storage.Task_contract.requester

@@ -1,7 +1,6 @@
 module Obs = Zebra_obs.Obs
 module State = Zebra_chain.State
 module Tx = Zebra_chain.Tx
-module Exec = Zebra_chain.Exec
 module Address = Zebra_chain.Address
 
 let m_runs = Obs.Counter.make "lint.tx.runs"
@@ -15,6 +14,20 @@ type case = {
   receipt : State.receipt;
   accessed : string list;
 }
+
+(* The declared mask: the shards of the static footprint (the sender and
+   the destination or created address, touched before any contract logic
+   runs) and of the declared extras. *)
+let shard_mask tx =
+  let dst =
+    match tx.Tx.dst with
+    | Tx.Call dst -> dst
+    | Tx.Create _ -> Address.of_creator tx.Tx.sender tx.Tx.nonce
+  in
+  List.fold_left
+    (fun m a -> m lor (1 lsl State.shard_of_address a))
+    0
+    (tx.Tx.sender :: dst :: tx.Tx.footprint)
 
 let trace_case ~kind ~case st ~height tx =
   let receipt, accessed = State.apply_tx_traced st ~height tx in
@@ -46,7 +59,7 @@ let analyze ~kind cases =
       let zl101 =
         List.concat_map
           (fun c ->
-            let mask = Exec.shard_mask c.tx in
+            let mask = shard_mask c.tx in
             List.iter (fun s -> Hashtbl.replace declared s ()) (shards_of_mask mask);
             let seen = Hashtbl.create 4 in
             List.filter_map
@@ -59,8 +72,7 @@ let analyze ~kind cases =
                   Some
                     (Lint.make_finding "ZL101"
                        (Printf.sprintf
-                          "case %s: access to %s (shard %d) is outside the declared mask %s — \
-                           at runtime this kind escapes and is re-executed serially"
+                          "case %s: access to %s (shard %d) is outside the declared mask %s"
                           c.case key s
                           (Lint.shard_set_to_string (shards_of_mask mask))))
                 end)
@@ -100,7 +112,7 @@ let analyze ~kind cases =
                     (Lint.make_finding "ZL102"
                        (Printf.sprintf
                           "declared footprint address %s (shard %d) is never accessed on any \
-                           analysed path — the declaration serialises waves for nothing"
+                           analysed path"
                           hex s))
                 end)
               c.tx.Tx.footprint)
@@ -125,8 +137,3 @@ let analyze_all (cases : case list) =
   List.map
     (fun kind -> analyze ~kind (List.filter (fun (c : case) -> c.kind = kind) cases))
     kinds
-
-let conflict_signature (r : Lint.report) =
-  match r.Lint.subject with
-  | Lint.Tx_kind t -> r.Lint.name ^ " " ^ Lint.shard_set_to_string t.accessed_shards
-  | Lint.Circuit _ | Lint.Codec _ -> invalid_arg "Txlint.conflict_signature: not a tx-kind report"

@@ -1,12 +1,12 @@
 (** ZL1xx — declared-footprint analysis of the transaction layer.
 
-    The parallel block executor ({!Zebra_chain.Exec}) schedules
-    transactions into waves by the shard mask of their {e declared}
-    footprint.  The runtime enforces soundness with [State.Escape] and a
-    whole-block serial fallback — correct, but an under-declared footprint
-    silently destroys parallelism under load, and an over-declared one
-    serialises waves for no reason.  This pass checks both properties
-    statically, the way {!Lint.analyze} checks R1CS circuits:
+    A transaction may declare the extra addresses its execution touches
+    ([Tx.footprint]).  Its {e declared mask} is the set of shards of its
+    static footprint (sender, and destination or created address: what it
+    touches before any contract logic runs) plus those extras.  No
+    runtime consumes the declaration: every block executes serially.
+    This pass checks that each deployed kind declares exactly what it
+    touches, the way {!Lint.analyze} checks R1CS circuits:
 
     each {b case} is one representative transaction of a tx kind, executed
     with {!Zebra_chain.State.apply_tx_traced} against its real pre-state
@@ -14,17 +14,16 @@
     accesses are recorded).  Over the cases of a kind the pass reports
 
     - {b ZL101 (Error) — soundness}: a recorded access falls outside the
-      declared shard mask ([Exec.shard_mask]); at runtime this transaction
-      kind escapes and forces serial re-execution.
+      declared mask.
     - {b ZL102 (Error) — minimality}: a declared extra footprint address
-      whose shard is never touched on any analysed path; the declaration
-      costs wave conflicts without buying safety.
+      whose shard is never touched on any analysed path.
     - {b ZL103 (Error) — vacuous case}: a representative case that
       reverted or failed, i.e. the contract branch it was meant to cover
       was never actually explored.
-    - {b ZL110 (Info) — conflict signature}: the per-kind accessed/declared
-      shard sets, emitted so [Exec]'s wave scheduler and footprint
-      builders ([Requester.settlement_footprint]) can be cross-checked.
+    - {b ZL110 (Info) — shard sets}: the per-kind accessed and declared
+      shard sets, so footprint builders
+      ([Requester.settlement_footprint], which subtracts the static part
+      rather than re-deriving it) can be cross-checked.
 
     The deployed tx kinds are enumerated by [Zebralancer.Deployed_txs]
     (analogous to [Deployed] for circuits); negative fixtures live in
@@ -53,8 +52,3 @@ val analyze : kind:string -> case list -> Lint.report
 (** Group cases by kind and analyse each; reports in kind order. *)
 val analyze_all : case list -> Lint.report list
 
-(** The per-kind shard conflict signature, e.g.
-    ["zebralancer-task.instruct {3,12,17}"] — the accessed-shard set the
-    wave scheduler must assume for this kind.
-    @raise Invalid_argument on a report that is not a tx kind's. *)
-val conflict_signature : Lint.report -> string

@@ -86,9 +86,6 @@ let create ~seed =
     pos = 64;
   }
 
-let copy t =
-  { state = Array.copy t.state; work = Array.make 16 0; buf = Bytes.copy t.buf; pos = t.pos }
-
 let bytes t n =
   let out = Bytes.create n in
   let filled = ref 0 in

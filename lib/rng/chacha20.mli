@@ -16,9 +16,6 @@ val create : seed:string -> t
 (** [bytes t n] returns the next [n] bytes of the keystream. *)
 val bytes : t -> int -> bytes
 
-(** [copy t] snapshots the stream position (for repeatable sub-experiments). *)
-val copy : t -> t
-
 (** Raw block function, exposed for tests against RFC 8439 vectors:
     [block ~key ~counter ~nonce] with 32-byte key and 12-byte nonce
     returns the 64-byte block. *)

@@ -43,6 +43,17 @@ if grep -rn 'Int32' lib/hashing; then
   exit 1
 fi
 
+# One execution path: every block runs as a serial fold of
+# State.apply_tx, on the sealer and on every replica and replay alike, so
+# nothing under lib/chain may name the domain pool.  Leaving
+# zebra_parallel out of lib/chain/dune is not enough on its own: dune
+# would still let lib/chain reach it through zebra_rsa's dependencies.
+echo "== lib/chain does not use Parallel =="
+if grep -rn 'Parallel' lib/chain; then
+  echo "check.sh: lib/chain names Parallel" >&2
+  exit 1
+fi
+
 # Plain build: the @check alias also runs the suite, which the two forced
 # runs below do anyway.
 dune build

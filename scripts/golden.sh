@@ -145,10 +145,10 @@ echo "zebra index: mirror agrees, identical at 1 and 4 domains and to $golden/in
 # Load-smoke gate: a small N x M marketplace run must complete every task
 # with zero invariant violations (the CLI exits non-zero otherwise), its
 # final state root must survive the full serial replay from genesis that
-# every load run ends with, and its deterministic facts -- root, block/tx
-# counts, conflict retries -- must be byte-identical at ZEBRA_DOMAINS=1
-# and =4: the sharded parallel executor may not change a single state byte.
-echo "== load-smoke gate (parallel executor, root agreement at 1 vs 4 domains) =="
+# every load run ends with, and its deterministic facts -- root and
+# block/tx counts -- must be byte-identical at ZEBRA_DOMAINS=1 and =4:
+# the pool size may not change a single state byte.
+echo "== load-smoke gate (root agreement at 1 vs 4 domains) =="
 ZEBRA_DOMAINS=1 "$ZEBRA" load --tasks 4 --requesters 2 --workers 4 --inflight 4 \
   --seed ci-load -q >"$tmp/load-d1.txt"
 ZEBRA_DOMAINS=4 "$ZEBRA" load --tasks 4 --requesters 2 --workers 4 --inflight 4 \

@@ -85,15 +85,6 @@ let test_ra_wrong_path_rejected () =
   Alcotest.(check bool) "corrupted path" false
     (Ra.verify_path ~root:(Ra.root ra) ~leaf:pk ~index:i path)
 
-let test_ra_capacity_bookkeeping () =
-  let ra = Ra.create ~depth:3 () in
-  Alcotest.(check int) "capacity" 8 (Ra.capacity ra);
-  let _ = Ra.register ra (fresh_fp ()) in
-  Alcotest.(check int) "count" 1 (Ra.num_registered ra);
-  Alcotest.(check (option bool)) "leaf 0 set" (Some true)
-    (Option.map (fun _ -> true) (Ra.leaf ra 0));
-  Alcotest.(check bool) "leaf 1 empty" true (Ra.leaf ra 1 = None)
-
 (* --- CPLA correctness --- *)
 
 let test_auth_verifies () =
@@ -326,7 +317,6 @@ let () =
           Alcotest.test_case "duplicate refused" `Quick test_ra_duplicate_refused;
           Alcotest.test_case "capacity limit" `Quick test_ra_full;
           Alcotest.test_case "wrong path rejected" `Quick test_ra_wrong_path_rejected;
-          Alcotest.test_case "bookkeeping" `Quick test_ra_capacity_bookkeeping;
         ] );
       ( "cpla",
         [

@@ -49,8 +49,26 @@ module Escrow = struct
   let decode _ = ()
 end
 
+(* Armed: a call raises [Failure] (not a revert) until "arm" arrives;
+   then it logs "called". *)
+module Armed = struct
+  type storage = bool
+
+  let name = "test-armed"
+  let init _ _ = false
+
+  let receive _ctx armed payload =
+    match Bytes.to_string payload with
+    | "arm" -> (true, [])
+    | _ -> if armed then (armed, [ Contract.Log "called" ]) else failwith "not armed"
+
+  let encode armed = Bytes.make 1 (if armed then '\001' else '\000')
+  let decode b = Bytes.get b 0 = '\001'
+end
+
 let () = Contract.register (module Counter)
 let () = Contract.register (module Escrow)
+let () = Contract.register (module Armed)
 
 let fresh_net ?(num_nodes = 3) ?(fund = [ 0; 1; 2 ]) () =
   let genesis = List.map (fun i -> (Wallet.address (wallet i), 1_000_000)) fund in
@@ -230,6 +248,42 @@ let test_revert_rolls_back () =
   Alcotest.(check int) "value returned on revert" before
     (Network.balance net (Wallet.address (wallet 0)));
   Alcotest.(check int) "nonce still advanced" 2 (Network.nonce net (Wallet.address (wallet 0)))
+
+(* A behaviour that raises keeps the nonce advance, as a revert does: the
+   failed call consumed nonce 0, so its signed bytes cannot run again once
+   the contract would accept them. *)
+let test_exception_keeps_nonce () =
+  let net = fresh_net () in
+  let caller = Wallet.address (wallet 1) in
+  Network.submit net
+    (Tx.make ~wallet:(wallet 0) ~nonce:0
+       ~dst:(Tx.Create { behavior = "test-armed"; args = Bytes.empty })
+       ~value:0 ~payload:Bytes.empty);
+  let addr = created (List.hd (Network.mine net)) in
+  let call =
+    Tx.make ~wallet:(wallet 1) ~nonce:0 ~dst:(Tx.Call addr) ~value:7
+      ~payload:(Bytes.of_string "call")
+  in
+  let before = Network.balance net caller in
+  Network.submit net call;
+  let first = Network.mine net in
+  (match first with
+  | [ { State.status = State.Failed "exception: Failure(\"not armed\")"; _ } ] -> ()
+  | _ -> Alcotest.fail "expected the exception's failure receipt");
+  Alcotest.(check int) "nonce advanced" 1 (Network.nonce net caller);
+  Alcotest.(check int) "value returned" before (Network.balance net caller);
+  Network.submit net
+    (Tx.make ~wallet:(wallet 0) ~nonce:1 ~dst:(Tx.Call addr) ~value:0
+       ~payload:(Bytes.of_string "arm"));
+  List.iter check_ok (Network.mine net);
+  Network.submit net call;
+  (match Network.mine net with
+  | [ { State.status = State.Failed "bad nonce"; _ } ] -> ()
+  | _ -> Alcotest.fail "the rebroadcast call ran again");
+  Alcotest.(check (list string)) "the contract never logged" [] (Network.all_logs net);
+  Alcotest.(check bool) "the first receipt stays canonical" true
+    (Network.receipt net (Tx.hash call) = Some (List.hd first));
+  Alcotest.(check bytes) "replay agrees" (Network.state_root net) (Network.replay net)
 
 let test_escrow_transfer_action () =
   let net = fresh_net () in
@@ -429,7 +483,8 @@ let last_block net =
   | [] -> Alcotest.fail "no blocks mined"
 
 let applied_ok = function
-  | Network.Applied r | Network.Conflict_retry r -> check_ok r
+  | Network.Applied r -> check_ok r
+  | Network.Conflict_retry _ -> Alcotest.fail "classified Conflict_retry"
   | Network.Rejected e -> Alcotest.failf "tx rejected: %s" e
 
 let test_fee_ordering () =
@@ -633,16 +688,15 @@ let test_mine_ext_rejected_classification () =
   | Some _, [ Network.Rejected _; honest ] -> applied_ok honest
   | Some _, rs -> Alcotest.failf "unexpected outcomes (%d)" (List.length rs)
 
-let test_conflict_retry_classification () =
-  let net = fresh_net () in
-  Network.submit net
-    (Tx.make ~wallet:(wallet 0) ~nonce:0
-       ~dst:(Tx.Create { behavior = "test-escrow"; args = Bytes.empty })
-       ~value:600 ~payload:Bytes.empty);
-  let escrow = created (List.hd (Network.mine net)) in
+(* A declared footprint is signed into the transaction and checked by the
+   ZL1xx lint, but execution never reads it: an escrow release that
+   declares its payee and one that does not both apply, with the same
+   effects, on the same state. *)
+let test_footprints_inert () =
+  let escrow = Address.of_creator (Wallet.address (wallet 0)) 0 in
   let sender = Wallet.address (wallet 1) in
-  (* A payee in the sender's or contract's shard would not escape; pick one
-     from a provably different shard so the test cannot be vacuous. *)
+  (* A payee outside the sender's and the escrow's shards, so only a
+     declaration would name the payee's shard. *)
   let payee =
     let clashes a =
       State.shard_of_address a = State.shard_of_address sender
@@ -656,34 +710,38 @@ let test_conflict_retry_classification () =
     in
     pick 2
   in
-  let before = Network.balance net payee in
-  (* Undeclared payee: the release touches a shard outside the declared
-     footprint, so the block falls back to serial and the tx is classified
-     [Conflict_retry] — with the exact receipt it would always have had. *)
-  Network.submit net
-    (Tx.make_ext ~wallet:(wallet 1) ~fee:0 ~footprint:[] ~nonce:0 ~dst:(Tx.Call escrow)
-       ~value:0 ~payload:(Address.to_bytes payee));
-  (match Network.mine_ext net with
-  | [ Network.Conflict_retry r ] -> check_ok r
-  | [ Network.Applied _ ] -> Alcotest.fail "undeclared payee did not escape"
-  | _ -> Alcotest.fail "unexpected outcomes");
-  Alcotest.(check int) "escrow still drained correctly" (before + 600)
-    (Network.balance net payee);
-  (* Declared payee: same call shape, footprint declared, no escape. *)
-  Network.submit net
-    (Tx.make_ext ~wallet:(wallet 1) ~fee:0 ~footprint:[ payee ] ~nonce:1 ~dst:(Tx.Call escrow)
-       ~value:0 ~payload:(Address.to_bytes payee));
-  match Network.mine_ext net with
-  | [ Network.Applied r ] -> check_ok r
-  | [ Network.Conflict_retry _ ] -> Alcotest.fail "declared footprint still escaped"
-  | _ -> Alcotest.fail "unexpected outcomes"
+  let release footprint =
+    let net = fresh_net () in
+    Network.submit net
+      (Tx.make ~wallet:(wallet 0) ~nonce:0
+         ~dst:(Tx.Create { behavior = "test-escrow"; args = Bytes.empty })
+         ~value:600 ~payload:Bytes.empty);
+    Alcotest.(check bool) "escrow at its derived address" true
+      (Address.equal escrow (created (List.hd (Network.mine net))));
+    let before = Network.balance net payee in
+    Network.submit net
+      (Tx.make_ext ~wallet:(wallet 1) ~fee:0 ~footprint ~nonce:0 ~dst:(Tx.Call escrow)
+         ~value:0 ~payload:(Address.to_bytes payee));
+    match Network.mine_ext net with
+    | [ Network.Applied r ] ->
+      check_ok r;
+      (Network.balance net payee - before, Network.balance net escrow, Network.state_root net)
+    | [ Network.Conflict_retry _ ] ->
+      Alcotest.failf "release declaring %d payee(s) classified Conflict_retry"
+        (List.length footprint)
+    | _ -> Alcotest.fail "unexpected outcomes"
+  in
+  let paid, left, root = release [] in
+  Alcotest.(check (pair int int)) "undeclared: escrow drained to the payee" (600, 0) (paid, left);
+  Alcotest.(check (triple int int bytes)) "declared: same effects, same root" (paid, left, root)
+    (release [ payee ])
 
-(* The determinism property behind the whole executor: for any mix of
-   transfers and contract calls — declared or undeclared footprints, any
-   fee schedule — the sharded parallel root equals the serial replay root,
-   and is byte-identical at 1 and 4 domains.  Every block is checked, not
-   only the last: a missed sub-root invalidation can be hidden by a later
-   write to the same shard. *)
+(* For any mix of transfers and contract calls — declared or undeclared
+   footprints, any fee schedule — every mined block's root equals the
+   root of a replay from genesis, and the final root is byte-identical at
+   1 and 4 domains.  Every block is checked, not only the last: a missed
+   sub-root invalidation can be hidden by a later write to the same
+   shard. *)
 let gen_ops =
   QCheck2.Gen.(
     list_size (int_range 1 8)
@@ -694,7 +752,7 @@ let gen_ops =
          (int_bound 1)
          (triple (int_bound 1000) (int_bound 1000) (int_bound 1000))))
 
-let run_sharded_scenario ops =
+let run_mixed_scenario ops =
   let net = fresh_net () in
   let roots_ok = ref true in
   let mine_checked () =
@@ -741,29 +799,32 @@ let run_sharded_scenario ops =
   ignore (mine_checked ());
   (!roots_ok, Network.state_root net, Network.replay net)
 
-let prop_parallel_equals_serial =
-  qtest "sharded parallel root == serial root at 1 and 4 domains" ~count:5 gen_ops
+let prop_mined_root_is_replay_root =
+  qtest "mined root == replay root per block, 1 and 4 domains" ~count:5 gen_ops
     (fun ops ->
-      let ok1, root1, replay1 = with_domains 1 (fun () -> run_sharded_scenario ops) in
-      let ok4, root4, replay4 = with_domains 4 (fun () -> run_sharded_scenario ops) in
+      let ok1, root1, replay1 = with_domains 1 (fun () -> run_mixed_scenario ops) in
+      let ok4, root4, replay4 = with_domains 4 (fun () -> run_mixed_scenario ops) in
       ok1 && ok4 && Bytes.equal root1 replay1 && Bytes.equal root4 replay4
       && Bytes.equal root1 root4)
 
-(* The sub-root cache follows undos too: a transaction undone after a
-   root was taken leaves the root it had before. *)
+(* Tracing rolls a transaction back through the journal: after a root
+   was taken, a traced transfer leaves the root it had before, while
+   applying the same transfer moves it. *)
 let test_undo_after_root () =
-  let st = State.create ~genesis:[ (Wallet.address (wallet 0), 1_000) ] in
+  let sender = Wallet.address (wallet 0) in
+  let st = State.create ~genesis:[ (sender, 1_000) ] in
   let before = State.root st in
   let tx =
     Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:5
       ~payload:Bytes.empty
   in
-  match State.apply_tx_logged st ~height:1 tx with
-  | Error _ -> Alcotest.fail "unguarded execution escaped"
-  | Ok (_, log) ->
-    Alcotest.(check bool) "transfer moves the root" false (Bytes.equal before (State.root st));
-    State.undo st log;
-    Alcotest.(check bytes) "undo restores the root" before (State.root st)
+  let receipt, accessed = State.apply_tx_traced st ~height:1 tx in
+  check_ok receipt;
+  Alcotest.(check int) "sender and payee traced" 2 (List.length accessed);
+  Alcotest.(check bytes) "rollback restores the root" before (State.root st);
+  Alcotest.(check int) "rollback restores the nonce" 0 (State.nonce st sender);
+  check_ok (State.apply_tx st ~height:1 tx);
+  Alcotest.(check bool) "the transfer moves the root" false (Bytes.equal before (State.root st))
 
 (* Root cost follows the block, not the ledger: once a warm-up block has
    hashed every shard, a block carrying one transfer rehashes exactly the
@@ -872,6 +933,29 @@ let test_partition_rejects_bad_splits () =
   | () -> Alcotest.fail "accepted a second partition"
   | exception Invalid_argument _ -> ());
   ignore (Network.heal_partition net)
+
+(* Some replica outside the minority stays up whatever order crashes and
+   partitions come in: it mines and answers reads. *)
+let test_live_majority_kept () =
+  let net = fresh_net ~num_nodes:3 () in
+  Network.start_partition net ~minority:[ 2 ];
+  Network.crash_node net ~node:0;
+  (match Network.crash_node net ~node:1 with
+  | () -> Alcotest.fail "crashed the last live replica outside the minority"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "node 1 still up" true (Network.node_up net 1);
+  ignore (Network.mine net);
+  ignore (Network.heal_partition net);
+  Network.restart_node net ~node:0;
+  all_replicas_agree net;
+  let net = fresh_net ~num_nodes:3 () in
+  Network.crash_node net ~node:0;
+  (match Network.start_partition net ~minority:[ 1; 2 ] with
+  | () -> Alcotest.fail "partitioned off every live replica"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no partition started" false (Network.partition_active net);
+  ignore (Network.mine net);
+  Alcotest.(check int) "the chain still grows" 1 (Network.height net)
 
 let test_fork_tip_choice () =
   let net = fresh_net ~num_nodes:3 () in
@@ -1119,6 +1203,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_contract_lifecycle;
           Alcotest.test_case "unknown behavior" `Quick test_unknown_behavior;
           Alcotest.test_case "revert rollback" `Quick test_revert_rolls_back;
+          Alcotest.test_case "exception keeps the nonce advance" `Quick
+            test_exception_keeps_nonce;
           Alcotest.test_case "escrow actions" `Quick test_escrow_transfer_action;
         ] );
       ( "network",
@@ -1148,9 +1234,9 @@ let () =
             test_wire_key_leading_zero_rejected;
           Alcotest.test_case "mine_ext rejected classification" `Quick
             test_mine_ext_rejected_classification;
-          Alcotest.test_case "conflict retry classification" `Quick
-            test_conflict_retry_classification;
-          prop_parallel_equals_serial;
+          Alcotest.test_case "footprints do not change execution" `Quick
+            test_footprints_inert;
+          prop_mined_root_is_replay_root;
           Alcotest.test_case "root rehashes only written shards" `Quick
             test_root_rehashes_written_shards;
           Alcotest.test_case "undo after root restores root" `Quick test_undo_after_root;
@@ -1162,6 +1248,8 @@ let () =
           Alcotest.test_case "partition heal fork choice" `Quick test_partition_heal;
           Alcotest.test_case "partition rejects bad splits" `Quick
             test_partition_rejects_bad_splits;
+          Alcotest.test_case "a live replica outside the minority stays" `Quick
+            test_live_majority_kept;
           Alcotest.test_case "byzantine sibling fork choice" `Quick test_fork_tip_choice;
           Alcotest.test_case "restart across a sibling reorg" `Quick
             test_restart_across_sibling_reorg;

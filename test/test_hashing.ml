@@ -121,13 +121,6 @@ let test_chacha20_determinism () =
   let c = Zebra_rng.Chacha20.bytes (Zebra_rng.Chacha20.create ~seed:"abd") 100 in
   Alcotest.(check bool) "different seed differs" false (Bytes.equal a c)
 
-let test_chacha20_copy () =
-  let t = Zebra_rng.Chacha20.create ~seed:"copy" in
-  ignore (Zebra_rng.Chacha20.bytes t 33);
-  let t2 = Zebra_rng.Chacha20.copy t in
-  Alcotest.(check bytes) "copied stream continues identically"
-    (Zebra_rng.Chacha20.bytes t 50) (Zebra_rng.Chacha20.bytes t2 50)
-
 (* Byte-identity KAT: one stream read in chunks that start and end inside
    blocks and cross block boundaries (1+31+64+65+200 = 361 bytes). *)
 let test_chacha20_stream_kat () =
@@ -202,7 +195,6 @@ let () =
         [
           Alcotest.test_case "RFC 8439 block" `Quick test_chacha20_block;
           Alcotest.test_case "determinism" `Quick test_chacha20_determinism;
-          Alcotest.test_case "copy" `Quick test_chacha20_copy;
           Alcotest.test_case "stream KAT (chunked reads)" `Quick test_chacha20_stream_kat;
         ] );
       ( "merkle",

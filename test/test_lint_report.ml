@@ -139,7 +139,7 @@ let circuit_text =
 
 let tx_sarif_results =
   [
-    {|{"ruleId":"ZL102","level":"error","message":{"text":"declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path — the declaration serialises waves for nothing"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
+    {|{"ruleId":"ZL102","level":"error","message":{"text":"declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
     {|{"ruleId":"ZL103","level":"error","message":{"text":"case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
     {|{"ruleId":"ZL110","level":"note","message":{"text":"2 case(s): shards accessed {25,26}, declared {15,25,26}"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
   ]
@@ -150,7 +150,7 @@ let tx_json =
       {|{"kind":"fixture.transfer","cases":2,"accessed_shards":[25,26],"declared_shards":[15,25,26],"counts":{"error":2,"warn":0,"info":1},"findings":[|};
       String.concat ","
         [
-          {|{"rule":"ZL102","name":"over-declared-footprint","severity":"error","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path — the declaration serialises waves for nothing"}|};
+          {|{"rule":"ZL102","name":"over-declared-footprint","severity":"error","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path"}|};
           {|{"rule":"ZL103","name":"vacuous-tx-case","severity":"error","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored"}|};
           {|{"rule":"ZL110","name":"shard-conflict-signature","severity":"info","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"2 case(s): shards accessed {25,26}, declared {15,25,26}"}|};
         ];
@@ -159,7 +159,7 @@ let tx_json =
 
 let tx_text =
   {|fixture.transfer: 2 case(s), shards accessed {25,26} declared {15,25,26} -- 2 error(s), 0 warn(s), 1 info(s)
-  [ZL102 error]: declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path — the declaration serialises waves for nothing
+  [ZL102 error]: declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path
   [ZL103 error]: case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored
   [ZL110 info]: 2 case(s): shards accessed {25,26}, declared {15,25,26}
 |}
