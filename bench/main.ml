@@ -898,22 +898,28 @@ let field () =
         measure (Printf.sprintf "fft_vec_2^%d" lg) ~iters:50 (fun () -> Fft.fft_vec d v))
       [ 10; 12; 14 ]
   in
-  (* Whole-prove allocation on the calling domain. *)
+  (* One whole operation after a warm-up call: its wall time and the bytes
+     it allocates on the calling domain, bracketed as in [bytes_per_op]. *)
+  let whole name fn =
+    fn ();
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    let (), s = wall fn in
+    Gc.minor ();
+    let bytes = Gc.allocated_bytes () -. b0 in
+    Printf.printf "%s: %.3fs, %.0f B allocated on the calling domain\n%!" name s bytes;
+    [
+      Row.timing ("field." ^ name ^ ".s") ~unit:"s" s;
+      Row.det ("field." ^ name ^ ".alloc_bytes") ~unit:"B" bytes;
+    ]
+  in
   let cs = snark_reward_circuit () in
   let kp = Snark.setup_rng ~rng:(Source.of_seed snark_setup_seed) cs in
   let prove () =
     ignore (Snark.prove_rng ~rng:(Source.of_seed snark_prove_seed) kp.Snark.pk cs)
   in
-  prove ();
-  Gc.minor ();
-  let b0 = Gc.allocated_bytes () in
-  let (), prove_s = wall prove in
-  Gc.minor ();
-  let prove_bytes = Gc.allocated_bytes () -. b0 in
-  Printf.printf "prove reward-majority-n5: %.3fs, %.0f B allocated on the calling domain\n%!"
-    prove_s prove_bytes;
-  (* Whole-auth allocation, bracketed the same way: one depth-6
-     attestation, synthesis on the witness board plus the proof. *)
+  (* One depth-6 attestation: synthesis on the witness board plus the
+     proof. *)
   let depth = 6 in
   let params = Cpla.setup_cached (Snark.Keycache.create ()) ~seed:snark_setup_seed ~depth in
   let key = Cpla.keygen_rng ~rng:(Source.of_seed "bench-field/cpla-key") () in
@@ -925,21 +931,13 @@ let field () =
       (Cpla.auth_rng ~rng:(Source.of_seed snark_prove_seed) params ~prefix:(Fp.of_int 7)
          ~message:(Fp.of_int 11) ~key ~index ~path ~root)
   in
-  auth ();
-  Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
-  let (), auth_s = wall auth in
-  Gc.minor ();
-  let auth_bytes = Gc.allocated_bytes () -. a0 in
-  Printf.printf "auth cpla-depth6: %.3fs, %.0f B allocated on the calling domain\n%!" auth_s
-    auth_bytes;
-  kernels @ pairs @ pow @ inv @ substrate @ fft
-  @ [
-      Row.timing "field.prove_reward-majority-n5.s" ~unit:"s" prove_s;
-      Row.det "field.prove_reward-majority-n5.alloc_bytes" ~unit:"B" prove_bytes;
-      Row.timing "field.auth_cpla-depth6.s" ~unit:"s" auth_s;
-      Row.det "field.auth_cpla-depth6.alloc_bytes" ~unit:"B" auth_bytes;
-    ]
+  (* The circuit a CPLA set-up builds: one constraint-board depth-6
+     synthesis. *)
+  let synth () = Cpla.synthesize_dummy ~depth (Cs.create ()) in
+  let prove = whole "prove_reward-majority-n5" prove in
+  let auth = whole "auth_cpla-depth6" auth in
+  let synth = whole "synth_cpla-depth6" synth in
+  kernels @ pairs @ pow @ inv @ substrate @ fft @ prove @ auth @ synth
 
 (* --- X10: static-analyzer cost (BENCH_lint.json) --- *)
 

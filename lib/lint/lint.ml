@@ -154,8 +154,8 @@ type cview = {
   cc : (int * Fp.t) list;
 }
 
-let canon cs lc =
-  Gadgets.simplify cs lc
+let canon lc =
+  Gadgets.simplify lc
   |> List.map (fun (k, v) -> (Cs.int_of_var v, k))
   |> List.sort (fun (v1, _) (v2, _) -> compare v1 v2)
 
@@ -169,7 +169,7 @@ let collect cs =
   let acc = ref [] in
   Cs.iter_constraints cs (fun ~index ~label a b c ->
       acc :=
-        { idx = index; clabel = label; ca = canon cs a; cb = canon cs b; cc = canon cs c }
+        { idx = index; clabel = label; ca = canon a; cb = canon b; cc = canon c }
         :: !acc);
   List.rev !acc
 

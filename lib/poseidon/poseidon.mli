@@ -55,7 +55,20 @@ val hash_list : Fp.t list -> Fp.t
     linear combinations; only S-box multiplications allocate wires.  Both
     gadgets constant-fold — a call whose inputs are all circuit constants
     emits zero constraints (this is what makes the length-absorption step
-    of {!hash_list_gadget} free). *)
+    of {!hash_list_gadget} free).
+
+    Every other permutation is emitted from one template, on either kind
+    of board.  At module initialisation the symbolic permutation runs
+    once on a constraint board over two placeholder input wires, and its
+    243 constraints are kept with relative wire ids.  A call allocates
+    the 243 S-box wires (x^2, x^4, x^5 per S-box, in {!permute}'s order)
+    with values computed natively.  On a constraint board its
+    constraints are the template's with each wire id shifted to the
+    board's next free wire and the caller's input expressions spliced in
+    where round 0's S-boxes read the placeholders, every term in the
+    order the symbolic permutation would give it; a witness board only
+    counts them.  The emitted lists share the template's coefficient
+    values (see {!Zebra_r1cs.Cs.enforce}). *)
 
 (** [hash2_gadget cs a b]: 243 constraints on non-constant inputs
     (81 S-boxes x 3); 0 when both inputs are constants. *)

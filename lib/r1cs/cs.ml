@@ -16,7 +16,6 @@ type t = {
 }
 
 let one_var = 0
-let value_var = -1
 
 let make ~witness =
   {
@@ -70,13 +69,13 @@ let enforce cs ?label a b c =
   if not cs.witness then cs.constrs <- { a; b; c; label } :: cs.constrs;
   cs.n_constrs <- cs.n_constrs + 1
 
-let value cs v = if v <= 0 then Fp.one else cs.values.(v)
+let value cs v = if v = one_var then Fp.one else cs.values.(v)
 
-(* A term on a wire that reads 1 ([one_var], [value_var]) adds its
-   coefficient as is: multiplying by one is exact, and would allocate. *)
+(* A term on the constant wire adds its coefficient as is: multiplying by
+   one is exact, and would allocate. *)
 let lc_value cs lc =
   List.fold_left
-    (fun acc (coeff, v) -> Fp.add acc (if v <= 0 then coeff else Fp.mul coeff cs.values.(v)))
+    (fun acc (coeff, v) -> Fp.add acc (if v = one_var then coeff else Fp.mul coeff cs.values.(v)))
     Fp.zero lc
 
 let set_value cs v x =

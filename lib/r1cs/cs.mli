@@ -37,12 +37,6 @@ val is_witness : t -> bool
 (** The constant-1 wire. *)
 val one_var : var
 
-(** The pseudo-wire of a witness board's folded expressions
-    ([Gadgets.simplify]).  It reads 1, like {!one_var}, but is not the
-    constant wire, so a folded non-constant expression stays non-constant.
-    It is never allocated and never stored in a constraint. *)
-val value_var : var
-
 (** [alloc_input cs v] allocates the next public-input wire with value [v].
     All public inputs must be allocated before any auxiliary wire (this
     convention is what lets the verifier reconstruct the input part).
@@ -61,7 +55,11 @@ val alloc : t -> ?label:string -> Fp.t -> var
 val wire_label : t -> var -> string option
 
 (** [enforce cs ?label a b c] adds the constraint [a * b = c]; a witness
-    board only counts it. *)
+    board only counts it.  The board keeps the lists as given, so their
+    coefficient values may be shared: the constraints
+    [Poseidon.hash2_gadget] relocates share them with its permutation
+    template, and [Snark]'s proving key keeps the same values in its CSR
+    matrices.  Nothing may write a coefficient in place. *)
 val enforce : t -> ?label:string -> lc -> lc -> lc -> unit
 
 val value : t -> var -> Fp.t

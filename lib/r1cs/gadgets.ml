@@ -16,7 +16,7 @@ let eval = Cs.lc_value
 let as_const cs e =
   if List.for_all (fun ((_ : Fp.t), var) -> var = Cs.one_var) e then Some (eval cs e) else None
 
-let merge (e : expr) : expr =
+let simplify (e : expr) : expr =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
@@ -31,16 +31,6 @@ let merge (e : expr) : expr =
     (fun var -> (Hashtbl.find tbl var, var))
     !order
   |> List.filter (fun ((c : Fp.t), _) -> not (Fp.is_zero c))
-
-(* A witness board keeps no constraint, so it folds the expression to its
-   value: a constant stays [c k], anything else becomes one term on
-   [Cs.value_var].  Constness is read off the terms, as [as_const] does;
-   it agrees with the constraint board's merge unless non-constant terms
-   cancel there, which the board-agreement test in test_snark.ml rules out
-   for every deployed circuit. *)
-let simplify cs (e : expr) : expr =
-  if not (Cs.is_witness cs) then merge e
-  else match as_const cs e with Some k -> c k | None -> [ (eval cs e, Cs.value_var) ]
 
 let mul cs ?label a b =
   let out = Cs.alloc cs ?label (Fp.mul (eval cs a) (eval cs b)) in

@@ -22,21 +22,12 @@ val ( -: ) : expr -> expr -> expr
 val scale : Fp.t -> expr -> expr
 val eval : Cs.t -> expr -> Fp.t
 
-(** [simplify cs e] canonicalises [e] for the board it will be used on.
-    Expression building is pure list concatenation, so iterated linear
-    mixing (e.g. Poseidon's MDS layers) must canonicalise between rounds or
-    term counts grow exponentially.
-
-    On a constraint board it merges duplicate-variable terms and drops zero
-    coefficients.  On a witness board ({!Cs.create_witness}), where no
-    constraint is kept, it folds [e] to its value: [c k] when {!as_const}
-    finds [e] constant, otherwise one term on {!Cs.value_var}.  The value
-    is exact, and {!as_const} answers as it does on [e]: the same as on
-    the merged form unless non-constant terms of [e] cancel each other,
-    which only the merge sees.  So a synthesis allocates the same wires
-    and counts the same constraints on both boards; a test runs every
-    deployed circuit on both to hold that. *)
-val simplify : Cs.t -> expr -> expr
+(** [simplify e] merges duplicate-variable terms, in order of first
+    occurrence, and drops zero coefficients.  Expression building is pure
+    list concatenation, so iterated linear mixing (e.g. Poseidon's MDS
+    layers) must canonicalise between rounds or term counts grow
+    exponentially. *)
+val simplify : expr -> expr
 
 (** [as_const cs e] is [Some (eval cs e)] when every term of [e] rides on
     the constant-1 wire — i.e. the expression is a circuit constant — and

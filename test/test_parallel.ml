@@ -209,6 +209,41 @@ let test_prove_determinism () =
       Alcotest.(check bool) "verifies" true
         (Snark.verify kp.Snark.vk ~public_inputs:(Cs.public_inputs cs) p4))
 
+(* Synthesis on every board kind is domain-safe: the Poseidon permutation
+   template every board emits from is built once, before any domain runs,
+   and only read after.  Depth-6 CPLA synthesised on both boards inside a
+   4-domain region gives the sequential constraints and assignments. *)
+let test_synthesis_determinism () =
+  let run () =
+    let synth make =
+      let cs = make () in
+      Zebra_anonauth.Cpla.synthesize_dummy ~depth:6 cs;
+      cs
+    in
+    let cs = synth Cs.create and w = synth Cs.create_witness in
+    (Cs.constraints cs, Cs.assignment cs, Cs.assignment w)
+  in
+  (* The domains run first: a template built on first use would then be
+     built by several of them at once. *)
+  let results = Array.make 8 None in
+  with_pool 4 (fun p ->
+      Parallel.parallel_for ~pool:p ~min_chunk:1 (Array.length results) (fun lo hi ->
+          for i = lo to hi - 1 do
+            results.(i) <- Some (run ())
+          done));
+  let constraints, on_cs, on_w = run () in
+  (* [Fp.t] limbs are canonical, so structural equality is field equality. *)
+  Array.iteri
+    (fun i r ->
+      match r with
+      | None -> Alcotest.failf "synthesis %d did not run" i
+      | Some (c, a_cs, a_w) ->
+        let check what ok = Alcotest.(check bool) (Printf.sprintf "synthesis %d: %s" i what) true ok in
+        check "constraints" (c = constraints);
+        check "constraint board" (a_cs = on_cs);
+        check "witness board" (a_w = on_w))
+    results
+
 (* --- observability --- *)
 
 let test_obs_counters () =
@@ -250,6 +285,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_fft_determinism;
           Alcotest.test_case "prove identical across domains" `Slow test_prove_determinism;
+          Alcotest.test_case "synthesis identical across domains" `Quick
+            test_synthesis_determinism;
         ] );
       ("obs", [ Alcotest.test_case "counters" `Quick test_obs_counters ]);
     ]

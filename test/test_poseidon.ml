@@ -124,6 +124,72 @@ let test_gadget_detects_cheating () =
   Cs.set_value cs last (fresh_fp ());
   Alcotest.(check bool) "cheat detected" false (Cs.is_satisfied cs)
 
+(* One SHA-256 over every constraint of four boards: each constraint's A,
+   B and C terms in order (wire id and coefficient bytes) and its label.
+   The boards are [hash2_gadget] on (wire, wire), (constant, wire) and
+   (two-term expression, empty expression), with each output expression,
+   and the depth-2 CPLA circuit.  Vk digests do not see term order; this
+   does, and it reads the coefficient values the boards share with the
+   permutation template. *)
+let constraints_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let terms tag lc =
+    Printf.bprintf buf "%c%d:" tag (List.length lc);
+    List.iter
+      (fun (k, w) ->
+        Printf.bprintf buf "%d=" (Cs.int_of_var w);
+        Buffer.add_bytes buf (Fp.to_bytes_be k))
+      lc
+  in
+  let dump cs =
+    Cs.iter_constraints cs (fun ~index:_ ~label a b c ->
+        terms 'A' a;
+        terms 'B' b;
+        terms 'C' c;
+        match label with
+        | None -> Buffer.add_string buf "-\n"
+        | Some l -> Printf.bprintf buf "L%d:%s\n" (String.length l) l)
+  in
+  let hash2_board inputs =
+    let cs = Cs.create () in
+    let x = Gadgets.v (Cs.alloc cs (Fp.of_int 3)) and y = Gadgets.v (Cs.alloc cs (Fp.of_int 5)) in
+    let a, b = inputs x y in
+    let out = Poseidon.hash2_gadget cs a b in
+    dump cs;
+    terms 'O' out
+  in
+  hash2_board (fun x y -> (x, y));
+  hash2_board (fun _ y -> (Gadgets.ci 7, y));
+  hash2_board (fun x y -> (Gadgets.(x +: scale (Fp.of_int 9) y), []));
+  let cs = Cs.create () in
+  Zebra_anonauth.Cpla.synthesize_dummy ~depth:2 cs;
+  dump cs;
+  Zebra_hashing.Sha256.(to_hex (digest_string (Buffer.contents buf)))
+
+let constraints_sha256 = "346354f1018901e1bf35f640148e55c2f70211dd0f067f3fa2e5ae1ec43f788b"
+
+(* The digest holds before and after a set-up, a proof and a check in the
+   same process: none of them writes into a coefficient it reads. *)
+let test_constraints_digest () =
+  let module Cpla = Zebra_anonauth.Cpla in
+  let module Ra = Zebra_anonauth.Ra in
+  Alcotest.(check string) "before" constraints_sha256 (constraints_digest ());
+  let depth = 2 in
+  let params =
+    Cpla.setup_cached (Zebra_snark.Snark.Keycache.create ()) ~seed:"test_poseidon/setup" ~depth
+  in
+  let key = Cpla.keygen_rng ~rng:(Zebra_rng.Source.of_seed "test_poseidon/key") () in
+  let ra = Ra.create ~depth () in
+  let index = Ra.register ra key.Cpla.pk in
+  let path = Ra.path ra index and root = Ra.root ra in
+  let prefix = Fp.of_int 7 and message = Fp.of_int 11 in
+  let att =
+    Cpla.auth_rng ~rng:(Zebra_rng.Source.of_seed "test_poseidon/prove") params ~prefix ~message
+      ~key ~index ~path ~root
+  in
+  Alcotest.(check bool) "verifies" true (Cpla.verify params ~prefix ~message ~root att);
+  Alcotest.(check string) "after" constraints_sha256 (constraints_digest ())
+
 let () =
   Alcotest.run "poseidon"
     [
@@ -144,5 +210,6 @@ let () =
           Alcotest.test_case "cheaper than MiMC" `Quick test_gadget_constraint_count;
           Alcotest.test_case "merkle root" `Quick test_merkle_gadget;
           Alcotest.test_case "cheating detected" `Quick test_gadget_detects_cheating;
+          Alcotest.test_case "constraints digest" `Quick test_constraints_digest;
         ] );
     ]
