@@ -984,10 +984,10 @@ let lint () =
         (r, dt))
       (Deployed.circuits ())
   in
-  (* The ZL1xx/ZL2xx chain-layer passes: scenario construction dominates
+  (* The ZL103/ZL2xx chain-layer passes: scenario construction dominates
      (it runs the whole deployed protocol once), analysis itself is
      cheap — both are timed separately. *)
-  Printf.printf "\ntx lint (ZL1xx footprints + ZL2xx secret flow):\n%!";
+  Printf.printf "\ntx lint (ZL103 executed cases + ZL2xx secret flow):\n%!";
   let cases, scenario_dt = wall Deployed_txs.cases in
   let tx_reports, tx_dt = wall (fun () -> Txlint.analyze_all cases) in
   let codec_reports, codec_dt =
@@ -1000,7 +1000,7 @@ let lint () =
       print_counts r)
     (tx_reports @ codec_reports);
   Printf.printf
-    "scenario build %.3fs (%d cases), ZL1xx analyze %.3fs, ZL2xx scan %.3fs (%d codec cases)\n%!"
+    "scenario build %.3fs (%d cases), ZL103 analyze %.3fs, ZL2xx scan %.3fs (%d codec cases)\n%!"
     scenario_dt (List.length cases) tx_dt codec_dt (List.length codec_reports);
   (* Every deployed subject must be Error-free before any row is written
      or compared, so a re-pin cannot pin an error. *)
@@ -1070,7 +1070,7 @@ let chaos () =
       ("0%", "bench-chaos", "none");
       ("5%", "bench-chaos-18", "drop=0.05,delay=0.05:2,dup=0.02");
       ("20%", "bench-chaos", "drop=0.2,delay=0.2:2,dup=0.1");
-      ("byz", "bench-chaos-1", "partition=2|1:5-8,byzmine=1:reorder,drop=0.05");
+      ("byz", "bench-chaos-3", "partition=2|1:5-8,byzmine=1:reorder,drop=0.05");
     ]
   in
   Printf.printf "%-4s %-32s %8s %7s %7s %10s  %s\n%!" "rate" "plan" "seconds" "height"

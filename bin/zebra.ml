@@ -270,8 +270,8 @@ let lint_cmd =
   let tx_arg =
     let doc =
       "Analyze the deployed transaction kinds and secret-flow codec registry \
-       ($(b,Deployed_txs)) instead of the R1CS circuits: footprint soundness and \
-       minimality (ZL1xx) plus secret canary leaks (ZL2xx)."
+       ($(b,Deployed_txs)) instead of the R1CS circuits: every representative case \
+       executed (ZL103) plus secret canary leaks (ZL2xx)."
     in
     Arg.(value & flag & info [ "tx" ] ~doc)
   in
@@ -361,7 +361,7 @@ let lint_cmd =
   let doc =
     "Statically analyze the deployed R1CS circuits (unconstrained wires, degenerate \
      constraints, Jacobian rank, gadget contracts), or with $(b,--tx) the deployed \
-     transaction kinds (footprint soundness/minimality, secret-flow canaries)."
+     transaction kinds (representative cases executed, secret-flow canaries)."
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"with $(b,--strict), on any $(b,Error)-severity finding."

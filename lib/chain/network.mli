@@ -173,9 +173,8 @@ val node_state_root : t -> int -> bytes
     {!Tx.validate} and never executed: the fault pipeline and the
     adversary can put a transaction in front of the sealer that never
     passed {!submit_r}.  Replicas and replays execute the sealed block
-    unchecked.  [Conflict_retry] is never produced: a declared footprint
-    does not change how a block executes.  It stays for the callers that
-    match on it. *)
+    unchecked.  [Conflict_retry] is never produced: every block executes
+    serially.  It stays for the callers that match on it. *)
 type exec_result =
   | Applied of State.receipt
   | Conflict_retry of State.receipt
@@ -212,7 +211,7 @@ val receipt : t -> bytes -> State.receipt option
 val blocks : t -> Block.t list
 
 (** The genesis allocation the network was created with — lets a replayer
-    (e.g. the footprint lint) rebuild the pre-state of any mined
+    (e.g. the transaction lint) rebuild the pre-state of any mined
     transaction with {!State.create}. *)
 val genesis : t -> (Address.t * int) list
 

@@ -94,11 +94,8 @@ let is_contract t addr =
 
 (* --- journaled transaction context ---
 
-   Every mutation records the previous binding, so one transaction's
-   effects can be undone exactly: a failure rolls back to the nonce
-   advance, and [apply_tx_traced] rolls back the whole transaction.  Every
-   access, read or write, goes through [txn_shard], where the footprint
-   lint's trace records it. *)
+   Every mutation records the previous binding, so a failed transaction's
+   effects can be undone exactly, back to the nonce advance. *)
 
 type undo =
   | U_account of string * account option
@@ -106,13 +103,10 @@ type undo =
 
 type txn = {
   st : t;
-  trace : (string -> unit) option;
   mutable undos : undo list; (* newest first *)
 }
 
-let txn_shard txn key =
-  (match txn.trace with Some f -> f key | None -> ());
-  txn.st.shards.(shard_of_key key)
+let txn_shard txn key = txn.st.shards.(shard_of_key key)
 
 let t_account txn addr =
   let key = Address.to_hex addr in
@@ -183,12 +177,11 @@ let apply_actions txn ~self actions =
       | Contract.Log msg -> Some msg)
     actions
 
-(* Execute [tx] and return its receipt with the journal of its writes. *)
-let apply_tx_journaled t ~height ?trace tx =
-  let txn = { st = t; trace; undos = [] } in
+let apply_tx t ~height tx =
+  let txn = { st = t; undos = [] } in
   let tx_hash = Tx.hash tx in
   let gas = ref (Contract.Gas.base + (Contract.Gas.per_byte * Tx.size_bytes tx)) in
-  let finish status logs = ({ tx_hash; status; gas_used = !gas; logs }, txn.undos) in
+  let finish status logs = { tx_hash; status; gas_used = !gas; logs } in
   let fail reason = finish (Failed reason) [] in
   let sender = t_account txn tx.Tx.sender in
   if tx.Tx.nonce <> sender.nonce then fail "bad nonce"
@@ -268,25 +261,6 @@ let apply_tx_journaled t ~height ?trace tx =
       (* Defensive: a behaviour bug must not fork the simulated network. *)
       failed ("exception: " ^ Printexc.to_string e)
   end
-
-let apply_tx t ~height tx = fst (apply_tx_journaled t ~height tx)
-
-(* Execute with every shard access recorded, then roll the transaction
-   back, nonce included: a pure observation of "which state keys would
-   this transaction touch here?" for the footprint lint (ZL1xx).  Keys are
-   reported deduplicated, in first-access order. *)
-let apply_tx_traced t ~height tx =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let trace key =
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      acc := key :: !acc
-    end
-  in
-  let receipt, undos = apply_tx_journaled t ~height ~trace tx in
-  rollback t undos [];
-  (receipt, List.rev !acc)
 
 (* A shard's sub-root: SHA-256 of its accounts, then its contracts, each
    section sorted by key and count-prefixed so the encoding is

@@ -13,9 +13,9 @@
     block order, on the sealer and on every replica and replay alike.
     Mutations are journaled, so a failed transaction rolls back exactly.
 
-    {b Sharding.}  The ledger is partitioned into {!num_shards} address
-    shards, so {!root} can cache one sub-root per shard and rehash only
-    the shards written since the last root.
+    {b Sharding.}  The ledger is partitioned into 32 address shards by
+    the leading byte of the address, so {!root} can cache one sub-root per
+    shard and rehash only the shards written since the last root.
 
     [State] checks nonces and balances, never signatures: {!Network}
     checks each transaction when it is broadcast and when its block is
@@ -44,40 +44,24 @@ val nonce : t -> Address.t -> int
 val contract_storage : t -> Address.t -> bytes option
 
 (** Registered behaviour name of the contract at [addr], if any — used by
-    the footprint lint to classify transactions into kinds. *)
+    the transaction lint to classify transactions into kinds. *)
 val contract_behavior : t -> Address.t -> string option
 
 val is_contract : t -> Address.t -> bool
 
-(** Number of address shards (a power of two; shard masks fit one [int]). *)
-val num_shards : int
-
-(** Shard index of an address: [0 .. num_shards - 1]. *)
+(** Shard index of an address: [0 .. 31]. *)
 val shard_of_address : Address.t -> int
-
-(** Shard index of a raw state key (an address in hex) — the same
-    partition {!shard_of_address} uses. *)
-val shard_of_key : string -> int
 
 (** [apply_tx t ~height tx] executes one transaction.  Never raises on
     bad transactions — every outcome is a receipt. *)
 val apply_tx : t -> height:int -> Tx.t -> receipt
 
-(** [apply_tx_traced t ~height tx] executes [tx] with every shard access
-    recorded, then rolls the transaction back completely (including the
-    nonce): a side-effect-free observation of which state keys the
-    transaction touches at this state.  Returns the receipt it
-    {e would} produce and the accessed keys, deduplicated in first-access
-    order.  The footprint lint (ZL1xx) checks these against the declared
-    footprint's shard mask. *)
-val apply_tx_traced : t -> height:int -> Tx.t -> receipt * string list
-
 (** Canonical state root, compared across nodes after every block.  A
     two-level commitment: each shard's sub-root is SHA-256 of its
     accounts sorted by key, then its contracts sorted by key, each section
-    prefixed by its entry count; the root is SHA-256 of the {!num_shards}
-    sub-roots in shard order.  It therefore depends on {!num_shards} and
-    {!shard_of_key}.  Sub-roots are cached and only the shards written
+    prefixed by its entry count; the root is SHA-256 of the 32 sub-roots
+    in shard order.  It therefore depends on the shard count and on
+    {!shard_of_address}.  Sub-roots are cached and only the shards written
     since the previous call (by a transaction, a rollback or genesis) are
     rehashed; each one counts once into [chain.state.root.shards_hashed]. *)
 val root : t -> bytes

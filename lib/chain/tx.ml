@@ -18,7 +18,6 @@ type t = {
   value : int;
   fee : int;
   payload : bytes;
-  footprint : Address.t list;
   signature : bytes;
   hash : bytes;
   size : int;
@@ -38,7 +37,6 @@ let write_unsigned w (tx : t) =
     Address.write w addr);
   Codec.u64 w tx.value;
   Codec.u64 w tx.fee;
-  Codec.list w Address.write tx.footprint;
   Codec.bytes w tx.payload
 
 let signing_bytes tx = Codec.encode write_unsigned tx
@@ -62,6 +60,7 @@ let sign wallet unsigned =
 let make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload =
   if value < 0 then invalid_arg "Tx.make: negative value";
   if fee < 0 then invalid_arg "Tx.make: negative fee";
+  if footprint <> [] then invalid_arg "Tx.make_ext: a transaction declares no footprint";
   sign wallet
     {
       sender = Wallet.address wallet;
@@ -71,7 +70,6 @@ let make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload =
       value;
       fee;
       payload;
-      footprint;
       signature = Bytes.empty;
       hash = Bytes.empty;
       size = 0;
@@ -103,11 +101,10 @@ let of_bytes b =
       in
       let value = Codec.read_u64 r in
       let fee = Codec.read_u64 r in
-      let footprint = Codec.read_list r Address.read in
       let payload = Codec.read_bytes r in
       let signature = Codec.read_bytes r in
       let hash = Bytes.empty and size = 0 in
-      { sender; sender_pk; nonce; dst; value; fee; payload; footprint; signature; hash; size })
+      { sender; sender_pk; nonce; dst; value; fee; payload; signature; hash; size })
     b
   |> with_hash
 

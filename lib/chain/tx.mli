@@ -12,14 +12,8 @@
     {!Network.submit_r}).  The simulated chain does not price gas, so the
     fee is never charged; it only orders inclusion.
 
-    {b Footprint.}  [footprint] declares extra addresses the transaction's
-    execution may touch beyond the statically-known ones (sender and
-    destination/created address): the payees of contract [Transfer]
-    actions, typically.  It is signed and hashed with the rest of the
-    transaction, and the ZL1xx lint ([Zebra_lint.Txlint]) checks that each
-    deployed kind declares exactly what it touches, but execution never
-    reads it: every block runs its transactions one after another, so a
-    wrong declaration changes no receipt and no state. *)
+    As on Ethereum, a transaction declares no access set: every block
+    runs its transactions one after another. *)
 
 type dst =
   | Create of { behavior : string; args : bytes }
@@ -33,16 +27,17 @@ type t = private {
   value : int;
   fee : int;  (** inclusion priority; never charged *)
   payload : bytes;
-  footprint : Address.t list;  (** declared extra touched addresses; never read by execution *)
   signature : bytes;
   hash : bytes;  (** {!hash}, computed once per value *)
   size : int;  (** {!size_bytes}, computed with the hash *)
 }
 
 (** [make_ext ~wallet ~fee ~footprint ~nonce ~dst ~value ~payload] builds
-    and signs a transaction with an explicit inclusion fee and declared
-    footprint.
-    @raise Invalid_argument on a negative [value] or [fee]. *)
+    and signs a transaction with an explicit inclusion fee.  [footprint]
+    must be [\[\]]: it stays only for callers written when transactions
+    declared the addresses they touch.
+    @raise Invalid_argument on a negative [value] or [fee], or a non-empty
+    [footprint]. *)
 val make_ext :
   wallet:Wallet.t ->
   fee:int ->
@@ -53,8 +48,7 @@ val make_ext :
   payload:bytes ->
   t
 
-(** [make] is {!make_ext} with [fee = 0] and [footprint = \[\]]
-    (statically-known addresses only).
+(** [make] is {!make_ext} with [fee = 0].
     @raise Invalid_argument on a negative [value]. *)
 val make :
   wallet:Wallet.t -> nonce:int -> dst:dst -> value:int -> payload:bytes -> t

@@ -54,8 +54,8 @@ let build_scenario () =
   let { Scenario.sys; requester; w1; w2; task_a; task_b; board; rep = _ } =
     Scenario.build ~seed:Scenario.default_seed ()
   in
-  (* --- harvest: serial replay from genesis, tracing every tx against
-     exactly the state it executed on --- *)
+  (* --- harvest: serial replay from genesis, classifying every tx by
+     exactly the state it executed on and keeping its receipt --- *)
   let blocks = Network.blocks sys.Protocol.net in
   let st = State.create ~genesis:(Network.genesis sys.Protocol.net) in
   let cases = ref [] in
@@ -66,8 +66,8 @@ let build_scenario () =
         (fun i tx ->
           let kind = classify st tx in
           let case = Printf.sprintf "block %d tx %d" height i in
-          cases := Txlint.trace_case ~kind ~case st ~height tx :: !cases;
-          ignore (State.apply_tx st ~height tx))
+          let receipt = State.apply_tx st ~height tx in
+          cases := { Txlint.kind; case; receipt } :: !cases)
         b.Block.txs)
     blocks;
   let s_cases = List.rev !cases in

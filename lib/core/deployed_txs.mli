@@ -1,5 +1,5 @@
 (** The deployed transaction-kind registry — {!Deployed}'s analogue for
-    the chain layer, feeding the ZL1xx/ZL2xx lint passes
+    the chain layer, feeding the ZL103/ZL2xx lint passes
     ({!Zebra_lint.Txlint}, {!Zebra_lint.Seclint}), the [zebra lint --tx]
     CLI mode, [bench lint] and the [scripts/check.sh] gate.
 
@@ -11,15 +11,14 @@
     Finalize after the instruction deadline, and the reputation board
     (deploy, credit, claim, epoch advance).  The mined chain is then
     replayed serially from genesis; each transaction is classified into
-    its kind from the pre-state (behaviour name + decoded payload) and
-    traced with {!Zebra_chain.State.apply_tx_traced} against exactly the
-    state it executed on.
+    its kind from the pre-state (behaviour name + decoded payload), and
+    its case keeps the receipt of that replay's {!Zebra_chain.State.apply_tx}.
 
-    Everything is derived from {!Scenario.default_seed}, so kinds, cases and
-    conflict signatures are deterministic; the scenario is built once per
-    process and memoised. *)
+    Everything is derived from {!Scenario.default_seed}, so kinds and cases
+    are deterministic; the scenario is built once per process and
+    memoised. *)
 
-(** All traced cases, in chain order.  Kind names are
+(** All cases, in chain order.  Kind names are
     ["transfer"], ["deploy.<behavior>"], ["<behavior>.<message>"] — e.g.
     ["zebralancer-task.instruct"], ["zebralancer-reputation.claim"]. *)
 val cases : unit -> Zebra_lint.Txlint.case list

@@ -9,8 +9,7 @@
     task's phase after it, so every block mixes phases from unrelated
     tasks and the protocol's one retry rule confirms them all.  Phases carry distinct
     inclusion fees (funding 3, instruct 2, publish 1, submissions 0) to
-    exercise the fee-ordered mempool, and instructions declare their payee
-    footprints ({!Requester.settlement_footprint}).
+    exercise the fee-ordered mempool.
 
     All randomness comes from the system seed, so everything except the
     wall-clock timings — roots, block/tx counts, failures — is

@@ -359,12 +359,11 @@ let finalize_r sys (task : Requester.task) =
   Obs.with_span "protocol.finalize" @@ fun () ->
   let* () = mine_to_r sys ~height:(task.Requester.params.Task_contract.instruct_deadline + 1) in
   let name = "finalize" in
-  let* storage = storage_r sys ~phase:name task.Requester.contract in
-  let caller = fresh_wallet sys in
+  (* A reorg may have undone the publish: reject before sending a
+     Finalize that would land as a plain transfer. *)
+  let* _ = storage_r sys ~phase:name task.Requester.contract in
   let tx =
-    Tx.make_ext ~wallet:caller ~fee:0
-      ~footprint:(Requester.settlement_footprint ~sender:(Wallet.address caller) storage)
-      ~nonce:0 ~dst:(Tx.Call task.Requester.contract) ~value:0
+    Tx.make ~wallet:(fresh_wallet sys) ~nonce:0 ~dst:(Tx.Call task.Requester.contract) ~value:0
       ~payload:(Task_contract.message_to_bytes Task_contract.Finalize)
   in
   await sys (single sys ~name tx ())

@@ -32,7 +32,7 @@ val init_args : link_vk:bytes -> bytes
 val message_to_bytes : message -> bytes
 
 (** Inverse of {!message_to_bytes} — used by off-chain auditors and the
-    footprint lint classifying mined transactions into kinds. *)
+    transaction lint classifying mined transactions into kinds. *)
 val message_of_bytes : bytes -> message
 val storage_of_bytes : bytes -> storage
 

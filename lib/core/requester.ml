@@ -83,21 +83,6 @@ let cts_of_storage task (storage : Task_contract.storage) =
     storage.Task_contract.submissions;
   cts
 
-(* The payees of a settlement: every submission's worker, plus the
-   requester refund destination.  A transaction's static footprint (sender
-   and destination) is implied, so payees covered by it are subtracted
-   rather than re-declared — one payee list serves both Instruct (whose
-   sender is the requester) and Finalize (whose caller is a third party),
-   and the ZL1xx lint asserts the result is exactly sound and minimal, so
-   the two encodings cannot drift. *)
-let settlement_footprint ~sender (storage : Task_contract.storage) =
-  let payees =
-    storage.Task_contract.requester
-    :: List.map (fun (s : Task_contract.submission) -> s.Task_contract.worker)
-         storage.Task_contract.submissions
-  in
-  List.filter (fun a -> not (Address.equal a sender)) payees
-
 let instruct_with_rewards ?(fee = 0) ~random_bytes task ~storage ~nonce ~rewards =
   let n = task.params.Task_contract.n in
   let budget = task.params.Task_contract.budget in
@@ -116,11 +101,8 @@ let instruct_with_rewards ?(fee = 0) ~random_bytes task ~storage ~nonce ~rewards
       }
   in
   let tx =
-    Tx.make_ext ~wallet:task.wallet ~fee
-      ~footprint:(settlement_footprint ~sender:(Wallet.address task.wallet) storage)
-      ~nonce
-      ~dst:(Tx.Call task.contract) ~value:0
-      ~payload:(Task_contract.message_to_bytes msg)
+    Tx.make_ext ~wallet:task.wallet ~fee ~footprint:[] ~nonce ~dst:(Tx.Call task.contract)
+      ~value:0 ~payload:(Task_contract.message_to_bytes msg)
   in
   (rewards, tx)
 

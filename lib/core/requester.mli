@@ -53,22 +53,10 @@ val create_task :
   unit ->
   task * Zebra_chain.Tx.t
 
-(** The payees a settlement transaction must declare as its footprint:
-    every submission's worker plus the requester refund destination,
-    minus [sender] — a transaction's static footprint (sender and
-    destination) is implied, so re-declaring it would be exactly the
-    over-declaration the ZL102 lint rejects.  One payee list serves both
-    Instruct (sender = requester) and Finalize (sender = any caller); the
-    ZL1xx lint asserts the declaration is sound and minimal.  Execution
-    never reads it ({!Zebra_chain.Tx.t}'s [footprint]). *)
-val settlement_footprint :
-  sender:Zebra_chain.Address.t -> Task_contract.storage -> Zebra_chain.Address.t list
-
 (** [instruct ~random_bytes task ~storage ~nonce] computes the policy
     rewards, proves the instruction correct, and returns the rewards with
-    the signed transaction.  The transaction declares the settlement
-    payees as its footprint ({!settlement_footprint}); [?fee] (default 0)
-    sets its inclusion priority. *)
+    the signed transaction; [?fee] (default 0) sets its inclusion
+    priority. *)
 val instruct :
   ?fee:int ->
   random_bytes:(int -> bytes) ->

@@ -26,7 +26,7 @@ type subject =
       jacobian_rank : int;
       free_aux_wires : int;
     }
-  | Tx_kind of { cases : int; accessed_shards : int list; declared_shards : int list }
+  | Tx_kind of { cases : int }
   | Codec of { secrets : int; outputs : int }
 
 type report = { name : string; subject : subject; findings : finding list }
@@ -43,11 +43,8 @@ let rules =
     ("ZL021", "underdetermined-wire", Warn);
     ("ZL030", "missing-booleanity", Error);
     ("ZL031", "broken-bit-recomposition", Error);
-    (* chain/protocol layer (Txlint): declared-footprint analysis *)
-    ("ZL101", "under-declared-footprint", Error);
-    ("ZL102", "over-declared-footprint", Error);
+    (* chain/protocol layer (Txlint): representative-case coverage *)
     ("ZL103", "vacuous-tx-case", Error);
-    ("ZL110", "shard-conflict-signature", Info);
     (* secret-flow (Seclint): canary-byte taint checking *)
     ("ZL201", "secret-leaked-to-sink", Error);
     ("ZL202", "secret-canary-too-short", Warn);
@@ -508,7 +505,6 @@ let errors = count Error
 let warnings = count Warn
 let infos = count Info
 let by_rule r id = List.filter (fun f -> f.rule = id) r.findings
-let shard_set_to_string shards = "{" ^ String.concat "," (List.map string_of_int shards) ^ "}"
 
 let finding_to_json f =
   let opt_int = function Some i -> Json.Num (float_of_int i) | None -> Json.Null in
@@ -527,7 +523,6 @@ let finding_to_json f =
 
 let to_json r =
   let int i = Json.Num (float_of_int i) in
-  let ints l = Json.List (List.map int l) in
   let subject =
     match r.subject with
     | Circuit c ->
@@ -539,13 +534,7 @@ let to_json r =
         ("jacobian_rank", int c.jacobian_rank);
         ("free_aux_wires", int c.free_aux_wires);
       ]
-    | Tx_kind t ->
-      [
-        ("kind", Json.Str r.name);
-        ("cases", int t.cases);
-        ("accessed_shards", ints t.accessed_shards);
-        ("declared_shards", ints t.declared_shards);
-      ]
+    | Tx_kind t -> [ ("kind", Json.Str r.name); ("cases", int t.cases) ]
     | Codec c -> [ ("codec", Json.Str r.name); ("secrets", int c.secrets); ("outputs", int c.outputs) ]
   in
   Json.Obj
@@ -576,14 +565,13 @@ let render ?(max_per_rule = 5) r =
   | Circuit c ->
     Printf.bprintf b "%s: %d vars (%d inputs), %d constraints, rank %d, %d free" r.name
       c.num_vars c.num_inputs c.num_constraints c.jacobian_rank c.free_aux_wires
-  | Tx_kind t ->
-    Printf.bprintf b "%s: %d case(s), shards accessed %s declared %s" r.name t.cases
-      (shard_set_to_string t.accessed_shards)
-      (shard_set_to_string t.declared_shards)
+  | Tx_kind t -> Printf.bprintf b "%s: %d case(s)" r.name t.cases
   | Codec c -> Printf.bprintf b "%s: %d secret(s) against %d output(s)" r.name c.secrets c.outputs);
   Printf.bprintf b " -- %d error(s), %d warn(s)" (errors r) (warnings r);
-  (* No codec rule is Info-level, so codec headers omit the count. *)
-  (match r.subject with Codec _ -> () | _ -> Printf.bprintf b ", %d info(s)" (infos r));
+  (* Only circuit rules are Info-level, so other headers omit the count. *)
+  (match r.subject with
+  | Circuit _ -> Printf.bprintf b ", %d info(s)" (infos r)
+  | Tx_kind _ | Codec _ -> ());
   Buffer.add_char b '\n';
   let line f = Buffer.add_string b (Format.asprintf "  %a\n" pp_finding f) in
   List.iter (fun f -> if f.severity = Error then line f) r.findings;

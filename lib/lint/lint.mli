@@ -69,11 +69,7 @@ type subject =
       jacobian_rank : int;  (** over auxiliary columns, at the board's assignment *)
       free_aux_wires : int;  (** aux wires outside the pivot set *)
     }
-  | Tx_kind of {
-      cases : int;
-      accessed_shards : int list;  (** union over cases, ascending *)
-      declared_shards : int list;  (** union of declared masks, ascending *)
-    }
+  | Tx_kind of { cases : int }
   | Codec of { secrets : int; outputs : int }
 
 type report = {
@@ -84,7 +80,7 @@ type report = {
 
 (** [(id, name, severity)] of every rule, in id order — the linter's public
     contract surface, used by docs and tests.  ZL0xx rules are the R1CS
-    families below; ZL1xx (declared-footprint soundness/minimality) and
+    families below; ZL103 (each representative tx case executed) and
     ZL2xx (secret canary flow) are produced by the chain-layer passes
     {!Txlint} and {!Seclint}, which share this finding type, report and
     obs counters. *)
@@ -113,21 +109,18 @@ val infos : report -> int
 (** Findings carrying the given rule id. *)
 val by_rule : report -> string -> finding list
 
-(** A shard set as reports print it, e.g. ["{3,12,17}"]. *)
-val shard_set_to_string : int list -> string
-
 (** JSON shape: the subject's fields, then
     [..,"counts":{"error":..,"warn":..,"info":..},"findings":[...]}]:
     - circuit: [{"circuit":..,"num_vars":..,"num_inputs":..,
       "num_constraints":..,"jacobian_rank":..,"free_aux_wires":..,..}];
-    - tx kind: [{"kind":..,"cases":..,"accessed_shards":[..],
-      "declared_shards":[..],..}];
+    - tx kind: [{"kind":..,"cases":..,..}];
     - codec: [{"codec":..,"secrets":..,"outputs":..,..}]. *)
 val to_json : report -> Zebra_obs.Json.t
 
 (** Human rendering: one header line, then one line per finding; [Warn]-
     and [Info]-level findings are grouped per rule and truncated to
-    [max_per_rule] (default 5) with an elision count. *)
+    [max_per_rule] (default 5) with an elision count.  Only a circuit's
+    header counts infos: no other rule is [Info]-level. *)
 val render : ?max_per_rule:int -> report -> string
 
 (** SARIF 2.1.0 export, so CI can annotate findings on PRs: one run, one

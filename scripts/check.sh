@@ -54,6 +54,15 @@ if grep -rn 'Parallel' lib/chain; then
   exit 1
 fi
 
+# Transactions declare no access set, as on Ethereum: nothing under lib/
+# may read a footprint again (Tx.make_ext keeps a ~footprint argument
+# that accepts only the empty list).
+echo "== lib/ reads no transaction footprint =="
+if grep -rnE '\.footprint|settlement_footprint|apply_tx_traced' lib; then
+  echo "check.sh: lib/ reads a transaction footprint" >&2
+  exit 1
+fi
+
 # Plain build: the @check alias also runs the suite, which the two forced
 # runs below do anyway.
 dune build
@@ -68,9 +77,9 @@ ZEBRA_DOMAINS=4 dune runtest --force
 # heights, the 100-task load run's state root and block/tx counts -- with
 # the committed BENCH_*.json exactly (bench/row.ml).
 # This is also the lint gate, one analysis per deployed subject: bench
-# lint fails on any Error finding in a circuit (ZL0xx), tx kind's
-# footprint (ZL1xx) or secret-flow codec case (ZL2xx) before it compares
-# a row, and every lint.*.errors row is pinned at 0.
+# lint fails on any Error finding in a circuit (ZL0xx), tx kind (ZL103:
+# a representative case that failed) or secret-flow codec case (ZL2xx)
+# before it compares a row, and every lint.*.errors row is pinned at 0.
 # Allocation is counted per domain, so the rows are pinned at
 # ZEBRA_DOMAINS=1; the snark rows are checked again at 4 domains, since
 # pool size may not change a single proof byte (see DESIGN.md).

@@ -74,11 +74,11 @@ done
 # any of replica agreement, supply conservation, store recovery or
 # indexer agreement fails) and print the identical trace at
 # ZEBRA_DOMAINS=1 and =4.  Fork choice breaks ties on the tip hash, so
-# which branch a seed takes moves whenever root or key bytes do; today
-# part-1 and part-2 adopt the minority branch (a 4-block reorg the
-# indexer must survive), part-13 and part-4 keep the canonical chain, and
-# byz-28 and byz-35 adopt a byzantine sibling of the answers block.
-# byz-28's sibling lands after the reward instruction was proved, so the
+# which branch a seed takes moves whenever root, key or tx bytes do;
+# today part-1 and part-13 adopt the minority branch (a 4-block reorg the
+# indexer must survive), part-2 and part-4 keep the canonical chain, and
+# byz-34 and byz-35 adopt a byzantine sibling of the answers block.
+# byz-34's sibling lands after the reward instruction was proved, so the
 # requester proves it again over the adopted order; byz-35's withheld
 # worker defers the instruction past the fork.  The check after the loop
 # fails if the corpus stops covering all three outcomes or the chaos
@@ -94,7 +94,7 @@ for spec in \
   "part-13@partition=2|1:5-8,drop=0.1" \
   "byz-3@byzmine=1:reorder,drop=0.05" \
   "byz-1@byzmine=2:censor" \
-  "byz-28@byzmine=0:fork" \
+  "byz-34@byzmine=0:fork" \
   "byz-35@byzmine=0:fork,withhold" \
   "ec-1@eclipse=1:6-9" \
   "ec-2@eclipse=2:6-8" \

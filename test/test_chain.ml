@@ -109,7 +109,7 @@ let test_tx_roundtrip () =
    be the length of the encoding, for every constructor. *)
 let test_tx_size_is_wire_length () =
   let tx =
-    Tx.make_ext ~wallet:(wallet 0) ~fee:3 ~footprint:[ Wallet.address (wallet 2) ] ~nonce:7
+    Tx.make_ext ~wallet:(wallet 0) ~fee:3 ~footprint:[] ~nonce:7
       ~dst:(Tx.Create { behavior = "escrow"; args = Bytes.make 40 'a' }) ~value:5
       ~payload:(Bytes.make 1500 'p')
   in
@@ -121,6 +121,16 @@ let test_tx_size_is_wire_length () =
       ("of_bytes", Tx.of_bytes (Tx.to_bytes tx));
       ("resend_as", Tx.resend_as ~wallet:(wallet 1) ~nonce:0 tx);
     ]
+
+(* A transaction declares no access set: [make_ext] keeps its
+   [~footprint] argument for old callers, and only the empty list. *)
+let test_make_ext_rejects_footprint () =
+  Alcotest.check_raises "non-empty footprint"
+    (Invalid_argument "Tx.make_ext: a transaction declares no footprint") (fun () ->
+      ignore
+        (Tx.make_ext ~wallet:(wallet 0) ~fee:0
+           ~footprint:[ Wallet.address (wallet 2) ]
+           ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:1 ~payload:Bytes.empty))
 
 let test_tx_tamper () =
   let tx =
@@ -576,15 +586,12 @@ let test_short_sender_key_rejected () =
   | Error Network.Invalid_signature -> ()
   | Ok () -> Alcotest.fail "short-key tx admitted"
 
-(* A 19-byte address anywhere on the tx wire — the sender, a Call
-   destination or a footprint entry — is a [Decode_error], never an
-   escaping [Invalid_argument]. *)
+(* A 19-byte address anywhere on the tx wire — the sender or a Call
+   destination — is a [Decode_error], never an escaping
+   [Invalid_argument]. *)
 let test_short_wire_address_rejected () =
-  let dst = Wallet.address (wallet 1) and declared = Wallet.address (wallet 2) in
-  let tx =
-    Tx.make_ext ~wallet:(wallet 0) ~fee:0 ~footprint:[ declared ] ~nonce:0 ~dst:(Tx.Call dst)
-      ~value:1 ~payload:Bytes.empty
-  in
+  let dst = Wallet.address (wallet 1) in
+  let tx = Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call dst) ~value:1 ~payload:Bytes.empty in
   let wire = Bytes.to_string (Tx.to_bytes tx) in
   (* [wire] with the length-prefixed [addr] re-encoded at 19 bytes *)
   let shorten addr =
@@ -605,7 +612,7 @@ let test_short_wire_address_rejected () =
       match Tx.of_bytes (Bytes.of_string (shorten addr)) with
       | _ -> Alcotest.failf "%s: a 19-byte address decoded" what
       | exception Codec.Decode_error _ -> ())
-    [ ("sender", tx.Tx.sender); ("call destination", dst); ("footprint entry", declared) ]
+    [ ("sender", tx.Tx.sender); ("call destination", dst) ]
 
 (* The nonce field with its top bit set reads 2^63 above the signed
    nonce, out of the u64 reader's range: a [Decode_error], never the
@@ -688,56 +695,8 @@ let test_mine_ext_rejected_classification () =
   | Some _, [ Network.Rejected _; honest ] -> applied_ok honest
   | Some _, rs -> Alcotest.failf "unexpected outcomes (%d)" (List.length rs)
 
-(* A declared footprint is signed into the transaction and checked by the
-   ZL1xx lint, but execution never reads it: an escrow release that
-   declares its payee and one that does not both apply, with the same
-   effects, on the same state. *)
-let test_footprints_inert () =
-  let escrow = Address.of_creator (Wallet.address (wallet 0)) 0 in
-  let sender = Wallet.address (wallet 1) in
-  (* A payee outside the sender's and the escrow's shards, so only a
-     declaration would name the payee's shard. *)
-  let payee =
-    let clashes a =
-      State.shard_of_address a = State.shard_of_address sender
-      || State.shard_of_address a = State.shard_of_address escrow
-    in
-    let rec pick i =
-      if i > 5 then Alcotest.fail "wallet pool has no distinct-shard payee"
-      else
-        let a = Wallet.address (wallet i) in
-        if clashes a then pick (i + 1) else a
-    in
-    pick 2
-  in
-  let release footprint =
-    let net = fresh_net () in
-    Network.submit net
-      (Tx.make ~wallet:(wallet 0) ~nonce:0
-         ~dst:(Tx.Create { behavior = "test-escrow"; args = Bytes.empty })
-         ~value:600 ~payload:Bytes.empty);
-    Alcotest.(check bool) "escrow at its derived address" true
-      (Address.equal escrow (created (List.hd (Network.mine net))));
-    let before = Network.balance net payee in
-    Network.submit net
-      (Tx.make_ext ~wallet:(wallet 1) ~fee:0 ~footprint ~nonce:0 ~dst:(Tx.Call escrow)
-         ~value:0 ~payload:(Address.to_bytes payee));
-    match Network.mine_ext net with
-    | [ Network.Applied r ] ->
-      check_ok r;
-      (Network.balance net payee - before, Network.balance net escrow, Network.state_root net)
-    | [ Network.Conflict_retry _ ] ->
-      Alcotest.failf "release declaring %d payee(s) classified Conflict_retry"
-        (List.length footprint)
-    | _ -> Alcotest.fail "unexpected outcomes"
-  in
-  let paid, left, root = release [] in
-  Alcotest.(check (pair int int)) "undeclared: escrow drained to the payee" (600, 0) (paid, left);
-  Alcotest.(check (triple int int bytes)) "declared: same effects, same root" (paid, left, root)
-    (release [ payee ])
-
-(* For any mix of transfers and contract calls — declared or undeclared
-   footprints, any fee schedule — every mined block's root equals the
+(* For any mix of transfers and contract calls, under any fee schedule,
+   every mined block's root equals the
    root of a replay from genesis, and the final root is byte-identical at
    1 and 4 domains.  Every block is checked, not only the last: a missed
    sub-root invalidation can be hidden by a later write to the same
@@ -748,7 +707,7 @@ let gen_ops =
       (map2
          (fun kind (a, b, c) ->
            if kind = 0 then `Transfer (a mod 3, b mod 4, 1 + (c mod 50), c mod 10)
-           else `Release (a mod 3, b mod 6, c mod 10, b mod 2 = 0))
+           else `Release (a mod 3, b mod 6, c mod 10))
          (int_bound 1)
          (triple (int_bound 1000) (int_bound 1000) (int_bound 1000))))
 
@@ -779,7 +738,7 @@ let run_mixed_scenario ops =
   List.iteri
     (fun i op ->
       let sender =
-        match op with `Transfer (s, _, _, _) | `Release (s, _, _, _) -> s
+        match op with `Transfer (s, _, _, _) | `Release (s, _, _) -> s
       in
       (match op with
       | `Transfer (s, d, value, fee) ->
@@ -787,11 +746,10 @@ let run_mixed_scenario ops =
           (Tx.make_ext ~wallet:(wallet s) ~fee ~footprint:[] ~nonce:nonces.(s)
              ~dst:(Tx.Call (Wallet.address (wallet d)))
              ~value ~payload:Bytes.empty)
-      | `Release (s, p, fee, declared) ->
+      | `Release (s, p, fee) ->
         let payee = Wallet.address (wallet p) in
-        let footprint = if declared then [ payee ] else [] in
         Network.submit net
-          (Tx.make_ext ~wallet:(wallet s) ~fee ~footprint ~nonce:nonces.(s)
+          (Tx.make_ext ~wallet:(wallet s) ~fee ~footprint:[] ~nonce:nonces.(s)
              ~dst:(Tx.Call escrow) ~value:1 ~payload:(Address.to_bytes payee)));
       nonces.(sender) <- nonces.(sender) + 1;
       if i mod 3 = 2 then ignore (mine_checked ()))
@@ -807,24 +765,39 @@ let prop_mined_root_is_replay_root =
       ok1 && ok4 && Bytes.equal root1 replay1 && Bytes.equal root4 replay4
       && Bytes.equal root1 root4)
 
-(* Tracing rolls a transaction back through the journal: after a root
-   was taken, a traced transfer leaves the root it had before, while
-   applying the same transfer moves it. *)
+(* A reverted call rolls its writes back through the journal: after a
+   root was taken, an escrow call that moves its value and then reverts
+   leaves the root of a state where only the caller's nonce advanced. *)
 let test_undo_after_root () =
-  let sender = Wallet.address (wallet 0) in
-  let st = State.create ~genesis:[ (sender, 1_000) ] in
-  let before = State.root st in
-  let tx =
-    Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call (Wallet.address (wallet 1))) ~value:5
-      ~payload:Bytes.empty
+  let deployer = Wallet.address (wallet 0) and caller = Wallet.address (wallet 1) in
+  let escrow = Address.of_creator deployer 0 in
+  let deployed () =
+    let st = State.create ~genesis:[ (deployer, 1_000); (caller, 1_000) ] in
+    check_ok
+      (State.apply_tx st ~height:1
+         (Tx.make ~wallet:(wallet 0) ~nonce:0
+            ~dst:(Tx.Create { behavior = "test-escrow"; args = Bytes.empty })
+            ~value:600 ~payload:Bytes.empty));
+    ignore (State.root st);
+    st
   in
-  let receipt, accessed = State.apply_tx_traced st ~height:1 tx in
-  check_ok receipt;
-  Alcotest.(check int) "sender and payee traced" 2 (List.length accessed);
-  Alcotest.(check bytes) "rollback restores the root" before (State.root st);
-  Alcotest.(check int) "rollback restores the nonce" 0 (State.nonce st sender);
-  check_ok (State.apply_tx st ~height:1 tx);
-  Alcotest.(check bool) "the transfer moves the root" false (Bytes.equal before (State.root st))
+  let reverted = deployed () in
+  (match
+     (State.apply_tx reverted ~height:2
+        (Tx.make ~wallet:(wallet 1) ~nonce:0 ~dst:(Tx.Call escrow) ~value:5
+           ~payload:(Bytes.of_string "short")))
+       .State.status
+   with
+  | State.Failed "bad payee" -> ()
+  | _ -> Alcotest.fail "expected the escrow to revert with bad payee");
+  let nonce_only = deployed () in
+  check_ok
+    (State.apply_tx nonce_only ~height:2
+       (Tx.make ~wallet:(wallet 1) ~nonce:0 ~dst:(Tx.Call caller) ~value:0 ~payload:Bytes.empty));
+  Alcotest.(check int) "the caller's nonce advanced" 1 (State.nonce reverted caller);
+  Alcotest.(check int) "the escrow kept its balance" 600 (State.balance reverted escrow);
+  Alcotest.(check bytes) "only the nonce advance stays" (State.root nonce_only)
+    (State.root reverted)
 
 (* Root cost follows the block, not the ledger: once a warm-up block has
    hashed every shard, a block carrying one transfer rehashes exactly the
@@ -1189,6 +1162,7 @@ let () =
           Alcotest.test_case "address derivation" `Quick test_address_derivation;
           Alcotest.test_case "tx roundtrip" `Quick test_tx_roundtrip;
           Alcotest.test_case "tx size is the wire length" `Quick test_tx_size_is_wire_length;
+          Alcotest.test_case "make_ext rejects a footprint" `Quick test_make_ext_rejects_footprint;
           Alcotest.test_case "tx tamper" `Quick test_tx_tamper;
         ] );
       ( "ledger",
@@ -1234,8 +1208,6 @@ let () =
             test_wire_key_leading_zero_rejected;
           Alcotest.test_case "mine_ext rejected classification" `Quick
             test_mine_ext_rejected_classification;
-          Alcotest.test_case "footprints do not change execution" `Quick
-            test_footprints_inert;
           prop_mined_root_is_replay_root;
           Alcotest.test_case "root rehashes only written shards" `Quick
             test_root_rehashes_written_shards;

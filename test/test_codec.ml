@@ -144,6 +144,95 @@ let specimen_ct =
   Zebra_elgamal.Elgamal.ciphertext_to_bytes
     (Zebra_elgamal.Elgamal.encrypt ~random_bytes pk (Zebra_elgamal.Elgamal.encode_answer 1))
 
+(* --- canonical decoding: one encoding per transaction ---
+
+   Every transaction the canonical scenario mined (transfers, deploys,
+   proof-carrying submissions, the instruction, a Finalize and the
+   reputation calls), mutated by a ChaCha20 stream.  A mutated buffer
+   must either raise [Decode_error] or be the one encoding of what it
+   decodes to: re-encoding gives back the same bytes, and the hash is
+   SHA-256 of them.  A second encoding of one transaction would carry
+   the same hash and a valid signature. *)
+
+module Tx = Zebra_chain.Tx
+
+(* Offsets of the u32 length prefixes in [tx]'s encoding: the sender,
+   its key, the Create behaviour and args or the Call address, the
+   payload and the signature. *)
+let length_prefixes (tx : Tx.t) =
+  let nonce = 28 + Bytes.length (Zebra_rsa.Rsa.public_key_to_bytes tx.Tx.sender_pk) in
+  let tag = nonce + 8 in
+  let dst, after_dst =
+    match tx.Tx.dst with
+    | Tx.Create { behavior; args } ->
+      let args_at = tag + 5 + String.length behavior in
+      ([ tag + 1; args_at ], args_at + 4 + Bytes.length args)
+    | Tx.Call _ -> ([ tag + 1 ], tag + 25)
+  in
+  let payload = after_dst + 16 in
+  (0 :: 24 :: dst) @ [ payload; payload + 4 + Bytes.length tx.Tx.payload ]
+
+let get_u32 b i = Codec.decode Codec.read_u32 (Bytes.sub b i 4)
+
+let u32_bytes v = Codec.encode Codec.u32 (v land 0xffffffff)
+
+let test_tx_canonical_decoding () =
+  let scen = Zebralancer.Scenario.build () in
+  let txs =
+    Array.of_list
+      (List.concat_map
+         (fun (b : Zebra_chain.Block.t) -> b.Zebra_chain.Block.txs)
+         (Zebra_chain.Network.blocks scen.Zebralancer.Scenario.sys.Zebralancer.Protocol.net))
+  in
+  let wire = Array.map Tx.to_bytes txs in
+  Array.iteri
+    (fun i tx ->
+      let sig_at = List.hd (List.rev (length_prefixes tx)) in
+      Alcotest.(check int)
+        (Printf.sprintf "tx %d: the signature prefix ends the encoding" i)
+        (Bytes.length wire.(i))
+        (sig_at + 4 + Bytes.length tx.Tx.signature))
+    txs;
+  let r = Zebra_rng.Chacha20.create ~seed:"test_codec/canonical-tx" in
+  let int n = get_u32 (Zebra_rng.Chacha20.bytes r 4) 0 mod n in
+  let mutate i =
+    let b = wire.(i) in
+    let len = Bytes.length b in
+    let prefixes = Array.of_list (length_prefixes txs.(i)) in
+    let at = prefixes.(int (Array.length prefixes)) in
+    (* [b] with the prefix at [at] rewritten to [v] and [inserted] put
+       in front of the field it counts *)
+    let with_prefix v inserted =
+      Bytes.concat Bytes.empty
+        [ Bytes.sub b 0 at; u32_bytes v; inserted; Bytes.sub b (at + 4) (len - at - 4) ]
+    in
+    match int 5 with
+    | 0 ->
+      let b = Bytes.copy b and j = int len in
+      Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor (1 lsl int 8)));
+      ("bit flip", b)
+    | 1 -> ("truncation", Bytes.sub b 0 (int len))
+    | 2 ->
+      let other = wire.(int (Array.length wire)) in
+      let cut = int (len + 1) and from = int (Bytes.length other + 1) in
+      ("splice", Bytes.cat (Bytes.sub b 0 cut) (Bytes.sub other from (Bytes.length other - from)))
+    | 3 ->
+      let v = if int 4 = 0 then 0xffffffff else get_u32 b at + 1 + int 255 in
+      ("inflated length", with_prefix v Bytes.empty)
+    | _ ->
+      ("zero byte in a length-prefixed field", with_prefix (get_u32 b at + 1) (Bytes.make 1 '\000'))
+  in
+  for k = 1 to 3_000 do
+    let i = int (Array.length txs) in
+    let what, b = mutate i in
+    match Tx.of_bytes b with
+    | exception Codec.Decode_error _ -> ()
+    | exception e -> Alcotest.failf "iteration %d (%s of tx %d): %s" k what i (Printexc.to_string e)
+    | tx ->
+      if not (Bytes.equal (Tx.to_bytes tx) b && Bytes.equal (Tx.hash tx) (Zebra_hashing.Sha256.digest b))
+      then Alcotest.failf "iteration %d (%s of tx %d): a second encoding decoded" k what i
+  done
+
 let () =
   Alcotest.run "codec"
     [
@@ -171,4 +260,6 @@ let () =
           fuzz_mutated "task params" specimen_params Zebralancer.Task_contract.params_of_bytes;
           fuzz_mutated "ciphertext" specimen_ct Zebra_elgamal.Elgamal.ciphertext_of_bytes;
         ] );
+      ( "canonical",
+        [ Alcotest.test_case "mutated scenario txs decode canonically" `Quick test_tx_canonical_decoding ] );
     ]

@@ -498,11 +498,10 @@ let test_chaos_trace_replays () =
     (Chaos.settlement_to_string o2.Chaos.settlement);
   Alcotest.(check int) "identical height" o1.Chaos.final_height o2.Chaos.final_height
 
-(* Chaos under the sharded parallel executor: the same (seed, plan) pair
-   must produce the identical outcome — trace, settlement, root — at 1 and
-   4 domains, with the fee-ordered mempool and footprint-declared
-   settlement transactions in the loop.  This is the in-suite twin of the
-   scripts/check.sh chaos gate. *)
+(* The same (seed, plan) pair must produce the identical outcome — trace,
+   settlement, root — at 1 and 4 domains, with the fee-ordered mempool in
+   the loop.  This is the in-suite twin of the scripts/check.sh chaos
+   gate. *)
 let test_chaos_identical_across_domains () =
   let with_domains n f =
     let prev = Zebra_parallel.Parallel.default_domains () in
@@ -601,7 +600,7 @@ let test_chaos_byzantine_censor () =
    proof and the requester proves again over the adopted order. *)
 let test_chaos_byzantine_fork_adopted () =
   let o =
-    first_landing "byz-fork" ~seeds:(numbered "byz" 20 28) ~plan:"byzmine=0:fork"
+    first_landing "byz-fork" ~seeds:(numbered "byz" 20 34) ~plan:"byzmine=0:fork"
       (fun o -> trace_has o "sibling adopted")
   in
   (match o.Chaos.settlement with
@@ -633,10 +632,12 @@ let test_byzantine_orders_keep_nonce_lanes () =
     (Network.fork_tip net ~permute:List.rev)
 
 (* A partition heal that adopts the minority branch requeues phases that
-   had already settled.  At part-11 the requeued faucet transfer leaves
-   the requester's funding at a stale nonce; at bench-chaos a byzantine
-   reorder leaves the task contract undeployed when the requester comes
-   to instruct.  Neither round can settle, and each must end in a typed
+   had already settled.  At part-16 a drop loses the faucet's requeued
+   enrollment, so its requeued funding transfer meets a nonce gap, the
+   publish fails unfunded and the reward instruction meets a stale
+   nonce; at bench-chaos-1 a byzantine reorder leaves the task contract
+   undeployed when the requester comes to instruct.  Neither round can
+   settle, and each must end in a typed
    rejection, not an exception, with the ledger invariants intact. *)
 let test_chaos_requeued_phase_aborts_typed () =
   List.iter
@@ -651,8 +652,8 @@ let test_chaos_requeued_phase_aborts_typed () =
             (Chaos.settlement_to_string s));
         check_invariants (seed ^ " " ^ plan) o)
     [
-      ("part-11", "partition=2|1:5-8,drop=0.1");
-      ("bench-chaos", "partition=2|1:4-7,byzmine=1:reorder,drop=0.05");
+      ("part-16", "partition=2|1:5-8,drop=0.1");
+      ("bench-chaos-1", "partition=2|1:4-7,byzmine=1:reorder,drop=0.05");
     ]
 
 (* Eclipse of one worker: its submission is held for the window and lands

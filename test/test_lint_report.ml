@@ -33,32 +33,25 @@ let circuit_report () =
   Cs.enforce cs ~label:"vacuous" [] [] [];
   Lint.analyze ~name:"fixture-circuit" cs
 
-(* Two transfers of one kind: one declares an extra address that nothing
-   touches (ZL102), the other overdraws and fails (ZL103). *)
+(* Two transfers of one kind: one pays, the other overdraws and fails
+   (ZL103). *)
 let tx_report () =
   let rng = Zebra_rng.Chacha20.create ~seed:"test_lint_report" in
   let wallet = Wallet.generate ~random_bytes:(Zebra_rng.Chacha20.bytes rng) () in
   let sender = Wallet.address wallet in
   let st = State.create ~genesis:[ (sender, 100) ] in
-  let rec fresh used k =
-    let a = Address.of_creator sender k in
-    if List.mem (State.shard_of_address a) used then fresh used (k + 1) else a
-  in
-  let payee = fresh [ State.shard_of_address sender ] 0 in
-  let unused =
-    fresh [ State.shard_of_address sender; State.shard_of_address payee ] 0
-  in
-  let transfer ~footprint ~value =
-    Tx.make_ext ~wallet ~fee:0 ~footprint ~nonce:0 ~dst:(Tx.Call payee) ~value
-      ~payload:Bytes.empty
+  let transfer ~nonce ~value =
+    State.apply_tx st ~height:1
+      (Tx.make ~wallet ~nonce ~dst:(Tx.Call (Address.of_creator sender 0)) ~value
+         ~payload:Bytes.empty)
   in
   let kind = "fixture.transfer" in
+  let paid = transfer ~nonce:0 ~value:5 in
+  let overdraw = transfer ~nonce:1 ~value:1_000 in
   Txlint.analyze ~kind
     [
-      Txlint.trace_case ~kind ~case:"declared extra" st ~height:1
-        (transfer ~footprint:[ unused ] ~value:5);
-      Txlint.trace_case ~kind ~case:"overdraw" st ~height:1
-        (transfer ~footprint:[] ~value:1_000);
+      { Txlint.kind; case = "paid"; receipt = paid };
+      { Txlint.kind; case = "overdraw"; receipt = overdraw };
     ]
 
 (* A 32-byte canary leaked into a serialisation (ZL201) and a 4-byte one
@@ -90,10 +83,7 @@ let sarif_rules =
     {|{"id":"ZL021","name":"underdetermined-wire","defaultConfiguration":{"level":"warning"}}|};
     {|{"id":"ZL030","name":"missing-booleanity","defaultConfiguration":{"level":"error"}}|};
     {|{"id":"ZL031","name":"broken-bit-recomposition","defaultConfiguration":{"level":"error"}}|};
-    {|{"id":"ZL101","name":"under-declared-footprint","defaultConfiguration":{"level":"error"}}|};
-    {|{"id":"ZL102","name":"over-declared-footprint","defaultConfiguration":{"level":"error"}}|};
     {|{"id":"ZL103","name":"vacuous-tx-case","defaultConfiguration":{"level":"error"}}|};
-    {|{"id":"ZL110","name":"shard-conflict-signature","defaultConfiguration":{"level":"note"}}|};
     {|{"id":"ZL201","name":"secret-leaked-to-sink","defaultConfiguration":{"level":"error"}}|};
     {|{"id":"ZL202","name":"secret-canary-too-short","defaultConfiguration":{"level":"warning"}}|};
   ]
@@ -139,29 +129,20 @@ let circuit_text =
 
 let tx_sarif_results =
   [
-    {|{"ruleId":"ZL102","level":"error","message":{"text":"declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
     {|{"ruleId":"ZL103","level":"error","message":{"text":"case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
-    {|{"ruleId":"ZL110","level":"note","message":{"text":"2 case(s): shards accessed {25,26}, declared {15,25,26}"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
   ]
 
 let tx_json =
   String.concat ""
     [
-      {|{"kind":"fixture.transfer","cases":2,"accessed_shards":[25,26],"declared_shards":[15,25,26],"counts":{"error":2,"warn":0,"info":1},"findings":[|};
-      String.concat ","
-        [
-          {|{"rule":"ZL102","name":"over-declared-footprint","severity":"error","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path"}|};
-          {|{"rule":"ZL103","name":"vacuous-tx-case","severity":"error","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored"}|};
-          {|{"rule":"ZL110","name":"shard-conflict-signature","severity":"info","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"2 case(s): shards accessed {25,26}, declared {15,25,26}"}|};
-        ];
+      {|{"kind":"fixture.transfer","cases":2,"counts":{"error":1,"warn":0,"info":0},"findings":[|};
+      {|{"rule":"ZL103","name":"vacuous-tx-case","severity":"error","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored"}|};
       {|]}|};
     ]
 
 let tx_text =
-  {|fixture.transfer: 2 case(s), shards accessed {25,26} declared {15,25,26} -- 2 error(s), 0 warn(s), 1 info(s)
-  [ZL102 error]: declared footprint address 6fe8e043bb8a6f469f1a49e416c85d42d272dabd (shard 15) is never accessed on any analysed path
+  {|fixture.transfer: 2 case(s) -- 1 error(s), 0 warn(s)
   [ZL103 error]: case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored
-  [ZL110 info]: 2 case(s): shards accessed {25,26}, declared {15,25,26}
 |}
 
 let codec_sarif_results =

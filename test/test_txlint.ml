@@ -1,10 +1,7 @@
-(* Chain-layer lint tests: one deliberately broken transaction kind per
-   ZL1xx rule asserting the exact id fires, a correctly-declared kind
-   asserting silence, synthetic leaky codecs for the ZL2xx ids, the
-   deployed tx-kind registry locked at zero Error findings with exact
-   accessed/declared shard agreement (the settlement-footprint
-   cross-check), and a property that random marketplace runs never escape
-   a declared footprint. *)
+(* Chain-layer lint tests: a transaction kind whose representative case
+   reverted asserting ZL103 fires, synthetic leaky codecs for the ZL2xx
+   ids, the deployed tx-kind registry locked at zero Error findings, and
+   a property that small marketplace runs settle. *)
 
 module Tx = Zebra_chain.Tx
 module State = Zebra_chain.State
@@ -18,18 +15,11 @@ open Zebralancer
 
 let rng = Zebra_rng.Chacha20.create ~seed:"test_txlint"
 let random_bytes n = Zebra_rng.Chacha20.bytes rng n
-let shard_of_address a = State.shard_of_key (Address.to_hex a)
 
 let qtest name ?(count = 3) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
 
 let rule_ids (r : Lint.report) = List.map (fun f -> f.Lint.rule) r.Lint.findings
-
-(* (accessed, declared) shards of a tx-kind report. *)
-let shards (r : Lint.report) =
-  match r.Lint.subject with
-  | Lint.Tx_kind t -> (t.accessed_shards, t.declared_shards)
-  | Lint.Circuit _ | Lint.Codec _ -> Alcotest.fail (r.Lint.name ^ " is not a tx-kind report")
 
 let check_fires rule ids =
   Alcotest.(check bool)
@@ -43,11 +33,8 @@ let check_silent rule ids =
 
 (* --- the lint-scatter fixture behaviour ---
 
-   Transfers the call value to an address decoded from the payload — a
-   state access the caller can choose to declare (or not) in the
-   transaction footprint, which is exactly the degree of freedom ZL101 and
-   ZL102 police.  An empty payload reverts, giving ZL103 its vacuous
-   case. *)
+   Transfers the call value to an address decoded from the payload.  An
+   empty payload reverts, giving ZL103 its vacuous case. *)
 module Scatter = struct
   type storage = unit
 
@@ -64,48 +51,25 @@ end
 
 let () = Contract.register (module Scatter)
 
-type fixture = {
-  st : State.t;
-  wallet : Wallet.t;
-  scatter : Address.t;
-  payee : Address.t;  (** shard disjoint from sender and contract *)
-  unused : Address.t;  (** shard disjoint from sender, contract and payee *)
-}
-
-let fixture =
-  lazy
-    (let wallet = Wallet.generate ~random_bytes () in
-     let sender = Wallet.address wallet in
-     let st = State.create ~genesis:[ (sender, 1_000) ] in
-     let deploy =
-       Tx.make ~wallet ~nonce:0
-         ~dst:(Tx.Create { behavior = Scatter.name; args = Bytes.empty })
-         ~value:0 ~payload:Bytes.empty
-     in
-     (match State.apply_tx st ~height:0 deploy with
-     | { State.status = State.Ok _; _ } -> ()
-     | { State.status = State.Failed m; _ } -> failwith ("fixture deploy failed: " ^ m));
-     let scatter = Address.of_creator sender 0 in
-     (* Mint fixture addresses in pairwise-disjoint shards, so an
-        undeclared access and a vacuous declaration are unambiguous. *)
-     let rec fresh used k =
-       let a = Address.of_creator scatter k in
-       if List.mem (shard_of_address a) used then fresh used (k + 1) else a
-     in
-     let used = [ shard_of_address sender; shard_of_address scatter ] in
-     let payee = fresh used 0 in
-     let unused = fresh (shard_of_address payee :: used) 0 in
-     { st; wallet; scatter; payee; unused })
-
-(* Trace one scatter call (nonce 1: the only mutation of [st] is the
-   deploy — tracing rolls every case back). *)
-let scatter_report ~kind ~footprint ~payload =
-  let fx = Lazy.force fixture in
-  let tx =
-    Tx.make_ext ~wallet:fx.wallet ~fee:0 ~footprint ~nonce:1 ~dst:(Tx.Call fx.scatter) ~value:5
-      ~payload
+(* Deploy a scatter contract and call it once with [payload]: one case
+   of [kind], with that call's receipt. *)
+let scatter_report ~kind ~payload =
+  let wallet = Wallet.generate ~random_bytes () in
+  let sender = Wallet.address wallet in
+  let st = State.create ~genesis:[ (sender, 1_000) ] in
+  let deploy =
+    Tx.make ~wallet ~nonce:0
+      ~dst:(Tx.Create { behavior = Scatter.name; args = Bytes.empty })
+      ~value:0 ~payload:Bytes.empty
   in
-  Txlint.analyze ~kind [ Txlint.trace_case ~kind ~case:"fixture" fx.st ~height:1 tx ]
+  (match State.apply_tx st ~height:0 deploy with
+  | { State.status = State.Ok _; _ } -> ()
+  | { State.status = State.Failed m; _ } -> failwith ("fixture deploy failed: " ^ m));
+  let call =
+    Tx.make ~wallet ~nonce:1 ~dst:(Tx.Call (Address.of_creator sender 0)) ~value:5 ~payload
+  in
+  let receipt = State.apply_tx st ~height:1 call in
+  Txlint.analyze ~kind [ { Txlint.kind; case = "fixture"; receipt } ]
 
 (* --- rule table --- *)
 
@@ -118,69 +82,19 @@ let test_rule_table () =
   in
   List.iter
     (fun id -> Alcotest.(check bool) (id ^ " is Error") true (severity id = Lint.Error))
-    [ "ZL101"; "ZL102"; "ZL103"; "ZL201" ];
-  Alcotest.(check bool) "ZL110 is Info" true (severity "ZL110" = Lint.Info);
+    [ "ZL103"; "ZL201" ];
   Alcotest.(check bool) "ZL202 is Warn" true (severity "ZL202" = Lint.Warn)
 
-(* --- ZL1xx negative fixtures --- *)
-
-let test_under_declared () =
-  let fx = Lazy.force fixture in
-  let r =
-    scatter_report ~kind:"scatter.under" ~footprint:[] ~payload:(Address.to_bytes fx.payee)
-  in
-  check_fires "ZL101" (rule_ids r);
-  check_silent "ZL102" (rule_ids r);
-  check_silent "ZL103" (rule_ids r);
-  let accessed, declared = shards r in
-  Alcotest.(check bool) "payee shard was accessed" true
-    (List.mem (shard_of_address fx.payee) accessed);
-  Alcotest.(check bool) "payee shard was not declared" false
-    (List.mem (shard_of_address fx.payee) declared)
-
-let test_over_declared () =
-  let fx = Lazy.force fixture in
-  let r =
-    scatter_report ~kind:"scatter.over"
-      ~footprint:[ fx.payee; fx.unused ]
-      ~payload:(Address.to_bytes fx.payee)
-  in
-  check_fires "ZL102" (rule_ids r);
-  check_silent "ZL101" (rule_ids r);
-  (* The finding names the vacuous address, not the useful one. *)
-  let msgs =
-    List.filter_map
-      (fun f -> if f.Lint.rule = "ZL102" then Some f.Lint.message else None)
-      r.Lint.findings
-  in
-  Alcotest.(check int) "one vacuous declaration" 1 (List.length msgs);
-  Alcotest.(check bool) "finding names the unused address" true
-    (List.exists
-       (fun m ->
-         let hex = Address.to_hex fx.unused in
-         let needle_len = String.length hex in
-         let rec occurs i =
-           i + needle_len <= String.length m && (String.sub m i needle_len = hex || occurs (i + 1))
-         in
-         occurs 0)
-       msgs)
+(* --- ZL103 fixtures --- *)
 
 let test_vacuous_case () =
-  let r = scatter_report ~kind:"scatter.revert" ~footprint:[] ~payload:Bytes.empty in
-  check_fires "ZL103" (rule_ids r);
-  check_silent "ZL101" (rule_ids r)
+  let r = scatter_report ~kind:"scatter.revert" ~payload:Bytes.empty in
+  check_fires "ZL103" (rule_ids r)
 
-let test_exact_declaration_silent () =
-  let fx = Lazy.force fixture in
-  let r =
-    scatter_report ~kind:"scatter.ok" ~footprint:[ fx.payee ]
-      ~payload:(Address.to_bytes fx.payee)
-  in
-  Alcotest.(check int) "no errors" 0 (Lint.errors r);
-  Alcotest.(check int) "no warnings" 0 (Lint.warnings r);
-  check_fires "ZL110" (rule_ids r);
-  let accessed, declared = shards r in
-  Alcotest.(check (list int)) "accessed = declared" accessed declared
+let test_executed_case_silent () =
+  let payee = Address.of_bytes (random_bytes 20) in
+  let r = scatter_report ~kind:"scatter.ok" ~payload:(Address.to_bytes payee) in
+  check_silent "ZL103" (rule_ids r)
 
 (* --- ZL2xx negative fixtures --- *)
 
@@ -243,9 +157,7 @@ let test_registry_zero_errors () =
   Alcotest.(check bool) "at least 10 kinds" true (List.length reports >= 10);
   List.iter
     (fun (r : Lint.report) ->
-      Alcotest.(check int) (r.Lint.name ^ ": zero errors") 0 (Lint.errors r);
-      let accessed, declared = shards r in
-      Alcotest.(check (list int)) (r.Lint.name ^ ": accessed = declared") accessed declared)
+      Alcotest.(check int) (r.Lint.name ^ ": zero errors") 0 (Lint.errors r))
     reports
 
 let test_registry_kinds () =
@@ -265,23 +177,6 @@ let test_registry_kinds () =
     ]
   in
   Alcotest.(check (list string)) "registry covers every deployed kind" expected (Deployed_txs.kinds ())
-
-(* The settlement-footprint cross-check: [Requester.settlement_footprint]
-   is the single source of the payee declarations for both Instruct and
-   Finalize, so those kinds must declare exactly what execution touches —
-   no escape, no vacuous shard. *)
-let test_settlement_footprint_exact () =
-  let reports = Txlint.analyze_all (Deployed_txs.cases ()) in
-  List.iter
-    (fun kind ->
-      match List.find_opt (fun (r : Lint.report) -> r.Lint.name = kind) reports with
-      | None -> Alcotest.fail ("kind missing from registry: " ^ kind)
-      | Some r ->
-        Alcotest.(check int) (kind ^ ": zero errors") 0 (Lint.errors r);
-        let accessed, declared = shards r in
-        Alcotest.(check (list int)) (kind ^ ": declared exactly the accessed shards") accessed
-          declared)
-    [ "zebralancer-task.instruct"; "zebralancer-task.finalize" ]
 
 let test_registry_codecs_clean () =
   List.iter
@@ -319,10 +214,8 @@ let () =
       ("rules", [ Alcotest.test_case "table" `Quick test_rule_table ]);
       ( "zl1xx-fixtures",
         [
-          Alcotest.test_case "under-declared -> ZL101" `Quick test_under_declared;
-          Alcotest.test_case "over-declared -> ZL102" `Quick test_over_declared;
           Alcotest.test_case "vacuous case -> ZL103" `Quick test_vacuous_case;
-          Alcotest.test_case "exact declaration is silent" `Quick test_exact_declaration_silent;
+          Alcotest.test_case "executed case is silent" `Quick test_executed_case_silent;
         ] );
       ( "zl2xx-fixtures",
         [
@@ -335,7 +228,6 @@ let () =
         [
           Alcotest.test_case "tx kinds are zero-error" `Slow test_registry_zero_errors;
           Alcotest.test_case "kind list is locked" `Slow test_registry_kinds;
-          Alcotest.test_case "settlement footprints are exact" `Slow test_settlement_footprint_exact;
           Alcotest.test_case "codec registry is clean" `Slow test_registry_codecs_clean;
         ] );
       ("property", [ prop_small_marketplaces_ok ]);
