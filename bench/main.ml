@@ -941,8 +941,7 @@ let field () =
 
 (* --- X10: static-analyzer cost (BENCH_lint.json) --- *)
 
-(* One report's deterministic rows: lint.<circuit>.*, lint.tx.<kind>.* or
-   lint.codec.<case>.*. *)
+(* One report's deterministic rows: lint.<circuit>.* or lint.codec.<case>.*. *)
 let lint_rows (r : Zebra_lint.Lint.report) =
   let module Lint = Zebra_lint.Lint in
   let prefix, fields =
@@ -955,7 +954,6 @@ let lint_rows (r : Zebra_lint.Lint.report) =
           ("rank", c.jacobian_rank);
           ("free_aux_wires", c.free_aux_wires);
         ] )
-    | Lint.Tx_kind t -> ("lint.tx.", [ ("cases", t.cases) ])
     | Lint.Codec c -> ("lint.codec.", [ ("secrets", c.secrets); ("outputs", c.outputs) ])
   in
   List.map
@@ -966,7 +964,6 @@ let lint_rows (r : Zebra_lint.Lint.report) =
 let lint () =
   header "X10: zebra_lint analyzer wall-time across the deployed subjects";
   let module Lint = Zebra_lint.Lint in
-  let module Txlint = Zebra_lint.Txlint in
   let module Seclint = Zebra_lint.Seclint in
   let print_counts r =
     Printf.printf " %6d %6d %6d\n%!" (Lint.errors r) (Lint.warnings r) (Lint.infos r)
@@ -984,28 +981,24 @@ let lint () =
         (r, dt))
       (Deployed.circuits ())
   in
-  (* The ZL103/ZL2xx chain-layer passes: scenario construction dominates
-     (it runs the whole deployed protocol once), analysis itself is
-     cheap — both are timed separately. *)
-  Printf.printf "\ntx lint (ZL103 executed cases + ZL2xx secret flow):\n%!";
-  let cases, scenario_dt = wall Deployed_txs.cases in
-  let tx_reports, tx_dt = wall (fun () -> Txlint.analyze_all cases) in
-  let codec_reports, codec_dt =
-    wall (fun () -> List.map Seclint.analyze (Deployed_txs.codecs ()))
-  in
-  Printf.printf "%-38s %6s %6s %6s\n%!" "kind / codec case" "err" "warn" "info";
+  (* The ZL2xx secret-flow pass: scenario construction dominates (it runs
+     the whole deployed protocol once), the scan itself is cheap — both
+     are timed separately. *)
+  Printf.printf "\nsecret-flow lint (ZL2xx):\n%!";
+  let codecs, scenario_dt = wall Deployed_txs.codecs in
+  let codec_reports, scan_dt = wall (fun () -> List.map Seclint.analyze codecs) in
+  Printf.printf "%-38s %6s %6s %6s\n%!" "codec case" "err" "warn" "info";
   List.iter
     (fun (r : Lint.report) ->
       Printf.printf "%-38s" r.Lint.name;
       print_counts r)
-    (tx_reports @ codec_reports);
-  Printf.printf
-    "scenario build %.3fs (%d cases), ZL103 analyze %.3fs, ZL2xx scan %.3fs (%d codec cases)\n%!"
-    scenario_dt (List.length cases) tx_dt codec_dt (List.length codec_reports);
+    codec_reports;
+  Printf.printf "scenario build %.3fs, ZL2xx scan %.3fs (%d codec cases)\n%!" scenario_dt
+    scan_dt (List.length codec_reports);
   (* Every deployed subject must be Error-free before any row is written
      or compared, so a re-pin cannot pin an error. *)
   (match
-     List.filter (fun r -> Lint.errors r > 0) (List.map fst circuits @ tx_reports @ codec_reports)
+     List.filter (fun r -> Lint.errors r > 0) (List.map fst circuits @ codec_reports)
    with
   | [] -> ()
   | bad ->
@@ -1016,12 +1009,10 @@ let lint () =
     (fun (r, dt) -> lint_rows r @ [ Row.timing ("lint." ^ r.Lint.name ^ ".seconds") ~unit:"s" dt ])
     circuits
   @ [
-      count "lint.tx.cases" (List.length cases);
-      Row.timing "lint.tx.scenario_s" ~unit:"s" scenario_dt;
-      Row.timing "lint.tx.analyze_s" ~unit:"s" tx_dt;
-      Row.timing "lint.tx.secret_scan_s" ~unit:"s" codec_dt;
+      Row.timing "lint.codec.scenario_s" ~unit:"s" scenario_dt;
+      Row.timing "lint.codec.scan_s" ~unit:"s" scan_dt;
     ]
-  @ List.concat_map lint_rows (tx_reports @ codec_reports)
+  @ List.concat_map lint_rows codec_reports
 
 (* --- chaos: cost of riding out fault plans (BENCH_chaos.json) ---
 

@@ -246,7 +246,6 @@ let stats_cmd =
 
 let lint_cmd =
   let module Lint = Zebra_lint.Lint in
-  let module Txlint = Zebra_lint.Txlint in
   let module Seclint = Zebra_lint.Seclint in
   let module Json = Zebra_obs.Json in
   let strict_arg =
@@ -269,9 +268,8 @@ let lint_cmd =
   in
   let tx_arg =
     let doc =
-      "Analyze the deployed transaction kinds and secret-flow codec registry \
-       ($(b,Deployed_txs)) instead of the R1CS circuits: every representative case \
-       executed (ZL103) plus secret canary leaks (ZL2xx)."
+      "Analyze the deployed secret-flow codec registry ($(b,Deployed_txs)) instead of \
+       the R1CS circuits: secret canary leaks into persisted bytes (ZL2xx)."
     in
     Arg.(value & flag & info [ "tx" ] ~doc)
   in
@@ -281,38 +279,17 @@ let lint_cmd =
     in
     Arg.(value & opt_all string [] & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
-  let kind_arg =
-    let doc =
-      "With $(b,--tx): only analyze the named transaction kind (see $(b,zebra lint --tx \
-       --list)); repeatable."
-    in
-    Arg.(value & opt_all string [] & info [ "kind" ] ~docv:"NAME" ~doc)
-  in
   let list_arg =
-    let doc = "List the deployed circuit (or, with $(b,--tx), tx kind) names and exit." in
+    let doc = "List the deployed circuit (or, with $(b,--tx), codec case) names and exit." in
     Arg.(value & flag & info [ "list" ] ~doc)
   in
   let max_arg =
     let doc = "Warn/info findings printed per rule before eliding." in
     Arg.(value & opt int 5 & info [ "max-per-rule" ] ~docv:"K" ~doc)
   in
-  (* The circuits, or with --tx the kinds then (unless --kind narrows the
-     run) the codec cases. *)
-  let analyze tx only only_kinds =
-    if tx then begin
-      let cases = Deployed_txs.cases () in
-      match only_kinds with
-      | [] -> Txlint.analyze_all cases @ List.map Seclint.analyze (Deployed_txs.codecs ())
-      | kinds ->
-        let known = Deployed_txs.kinds () in
-        List.map
-          (fun k ->
-            if not (List.mem k known) then
-              failwith (Printf.sprintf "unknown tx kind %S (try --tx --list)" k);
-            Txlint.analyze ~kind:k
-              (List.filter (fun (c : Txlint.case) -> c.Txlint.kind = k) cases))
-          kinds
-    end
+  (* The circuits, or with --tx the codec cases. *)
+  let analyze tx only =
+    if tx then List.map Seclint.analyze (Deployed_txs.codecs ())
     else
       let selected =
         match only with
@@ -332,15 +309,17 @@ let lint_cmd =
           Lint.analyze ~name cs)
         selected
   in
-  let run strict json format tx only only_kinds list max_per_rule =
+  let run strict json format tx only list max_per_rule =
     let format = if json then `Json else format in
     if list then begin
-      List.iter print_endline (if tx then Deployed_txs.kinds () else Deployed.names ());
+      List.iter print_endline
+        (if tx then List.map (fun (c : Seclint.codec_case) -> c.codec) (Deployed_txs.codecs ())
+         else Deployed.names ());
       `Ok ()
     end
     else
       try
-        let reports = analyze tx only only_kinds in
+        let reports = analyze tx only in
         let total sel = List.fold_left (fun acc r -> acc + sel r) 0 reports in
         (match format with
         | `Json -> print_endline (Json.to_string (Json.List (List.map Lint.to_json reports)))
@@ -361,7 +340,7 @@ let lint_cmd =
   let doc =
     "Statically analyze the deployed R1CS circuits (unconstrained wires, degenerate \
      constraints, Jacobian rank, gadget contracts), or with $(b,--tx) the deployed \
-     transaction kinds (representative cases executed, secret-flow canaries)."
+     secret-flow codec cases (canaries in persisted bytes)."
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"with $(b,--strict), on any $(b,Error)-severity finding."
@@ -370,8 +349,8 @@ let lint_cmd =
   Cmd.v (Cmd.info "lint" ~doc ~exits)
     Term.(
       ret
-        (const run $ strict_arg $ json_arg $ format_arg $ tx_arg $ circuit_arg $ kind_arg
-       $ list_arg $ max_arg))
+        (const run $ strict_arg $ json_arg $ format_arg $ tx_arg $ circuit_arg $ list_arg
+       $ max_arg))
 
 (* --- chaos --- *)
 

@@ -211,8 +211,8 @@ val receipt : t -> bytes -> State.receipt option
 val blocks : t -> Block.t list
 
 (** The genesis allocation the network was created with — lets a replayer
-    (e.g. the transaction lint) rebuild the pre-state of any mined
-    transaction with {!State.create}. *)
+    (e.g. a follower network booted on it) rebuild the pre-state of any
+    mined transaction with {!State.create}. *)
 val genesis : t -> (Address.t * int) list
 
 (** Sum of balances across all accounts (conservation invariant). *)

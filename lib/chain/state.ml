@@ -82,12 +82,6 @@ let contract_storage t addr =
     (fun c -> c.storage)
     (Hashtbl.find_opt t.shards.(shard_of_key key).contracts key)
 
-let contract_behavior t addr =
-  let key = Address.to_hex addr in
-  Option.map
-    (fun c -> c.behavior)
-    (Hashtbl.find_opt t.shards.(shard_of_key key).contracts key)
-
 let is_contract t addr =
   let key = Address.to_hex addr in
   Hashtbl.mem t.shards.(shard_of_key key).contracts key

@@ -43,10 +43,6 @@ val nonce : t -> Address.t -> int
 (** [contract_storage t addr] is [None] when [addr] has no code. *)
 val contract_storage : t -> Address.t -> bytes option
 
-(** Registered behaviour name of the contract at [addr], if any — used by
-    the transaction lint to classify transactions into kinds. *)
-val contract_behavior : t -> Address.t -> string option
-
 val is_contract : t -> Address.t -> bool
 
 (** Shard index of an address: [0 .. 31]. *)

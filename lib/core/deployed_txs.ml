@@ -1,8 +1,6 @@
 module Network = Zebra_chain.Network
 module Wallet = Zebra_chain.Wallet
-module Address = Zebra_chain.Address
 module Tx = Zebra_chain.Tx
-module State = Zebra_chain.State
 module Block = Zebra_chain.Block
 module Cpla = Zebra_anonauth.Cpla
 module Snark = Zebra_snark.Snark
@@ -10,40 +8,9 @@ module Store = Zebra_store.Store
 module Obs = Zebra_obs.Obs
 module Cs = Zebra_r1cs.Cs
 module Gadgets = Zebra_r1cs.Gadgets
-module Txlint = Zebra_lint.Txlint
 module Seclint = Zebra_lint.Seclint
 
-(* Kind of a mined transaction, from its pre-state: contract deploys by
-   behaviour, contract calls by behaviour + decoded message, everything
-   else a plain transfer. *)
-let classify st (tx : Tx.t) =
-  match tx.Tx.dst with
-  | Tx.Create { behavior; _ } -> "deploy." ^ behavior
-  | Tx.Call dst -> (
-    match State.contract_behavior st dst with
-    | None -> "transfer"
-    | Some b when b = Task_contract.behavior_name -> (
-      match Task_contract.message_of_bytes tx.Tx.payload with
-      | Task_contract.Submit _ -> b ^ ".submit"
-      | Task_contract.Submit_plain _ -> b ^ ".submit-plain"
-      | Task_contract.Instruct _ -> b ^ ".instruct"
-      | Task_contract.Finalize -> b ^ ".finalize"
-      | exception _ -> b ^ ".call")
-    | Some b when b = Ra_contract.behavior_name -> b ^ ".set-root"
-    | Some b when b = Reputation_contract.behavior_name -> (
-      match Reputation_contract.message_of_bytes tx.Tx.payload with
-      | Reputation_contract.Credit _ -> b ^ ".credit"
-      | Reputation_contract.Claim _ -> b ^ ".claim"
-      | Reputation_contract.Advance_epoch -> b ^ ".advance-epoch"
-      | exception _ -> b ^ ".call")
-    | Some b -> b ^ ".call")
-
-type scenario = {
-  s_cases : Txlint.case list;
-  s_codecs : Seclint.codec_case list;
-}
-
-let build_scenario () =
+let build_codecs () =
   (* Enabled obs makes the export a non-vacuous ZL2xx sink; restore the
      caller's setting afterwards. *)
   let obs_was = Obs.enabled () in
@@ -54,24 +21,7 @@ let build_scenario () =
   let { Scenario.sys; requester; w1; w2; task_a; task_b; board; rep = _ } =
     Scenario.build ~seed:Scenario.default_seed ()
   in
-  (* --- harvest: serial replay from genesis, classifying every tx by
-     exactly the state it executed on and keeping its receipt --- *)
   let blocks = Network.blocks sys.Protocol.net in
-  let st = State.create ~genesis:(Network.genesis sys.Protocol.net) in
-  let cases = ref [] in
-  List.iter
-    (fun (b : Block.t) ->
-      let height = b.Block.header.Block.height in
-      List.iteri
-        (fun i tx ->
-          let kind = classify st tx in
-          let case = Printf.sprintf "block %d tx %d" height i in
-          let receipt = State.apply_tx st ~height tx in
-          cases := { Txlint.kind; case; receipt } :: !cases)
-        b.Block.txs)
-    blocks;
-  let s_cases = List.rev !cases in
-  (* --- ZL2xx codec registry --- *)
   let secrets_of_chain =
     [
       ("wallet.sk(faucet)", Wallet.secret_canary sys.Protocol.faucet);
@@ -132,7 +82,7 @@ let build_scenario () =
      as raw field elements, so pk bytes determine s by construction — a
      modelling artifact, not a leak.  The historic bug (t_s written as an
      explicit field of the keypair encoding) is locked by a synthetic
-     leaky-encoder fixture in [test_txlint.ml]. *)
+     leaky-encoder fixture in [test_seclint.ml]. *)
   let snark_case =
     let cs = Cs.create () in
     let x = Cs.alloc_input cs ~label:"x" (Fp.of_int 3) in
@@ -171,12 +121,7 @@ let build_scenario () =
         ];
     }
   in
-  { s_cases; s_codecs = [ chain_case; snark_case; params_case ] }
+  [ chain_case; snark_case; params_case ]
 
-let scenario = lazy (build_scenario ())
-
-let cases () = (Lazy.force scenario).s_cases
-let codecs () = (Lazy.force scenario).s_codecs
-
-let kinds () =
-  List.sort_uniq compare (List.map (fun (c : Txlint.case) -> c.Txlint.kind) (cases ()))
+let registry = lazy (build_codecs ())
+let codecs () = Lazy.force registry

@@ -31,8 +31,8 @@ val register : unit -> unit
 val init_args : link_vk:bytes -> bytes
 val message_to_bytes : message -> bytes
 
-(** Inverse of {!message_to_bytes} — used by off-chain auditors and the
-    transaction lint classifying mined transactions into kinds. *)
+(** Inverse of {!message_to_bytes}.
+    @raise Zebra_codec.Codec.Decode_error on malformed input. *)
 val message_of_bytes : bytes -> message
 val storage_of_bytes : bytes -> storage
 

@@ -21,8 +21,8 @@ type t = {
    both branches (Instruct and the Finalize fallback), plus a full
    reputation-board lifecycle (deploy, credit, link-proof claim, epoch
    advance).  Every transaction kind the protocol can deploy appears at
-   least once, which is exactly what the tx lint, the indexer tests and
-   the byzantine corpus all need — they share this builder rather than
+   least once, which is exactly what the secret-flow lint, the indexer
+   tests and the byzantine corpus all need — they share this builder rather than
    cloning it. *)
 let build ?(seed = default_seed) () =
   let sys = Protocol.create_system ~seed () in

@@ -6,9 +6,9 @@
     (deploy, credit, zero-knowledge link claim, epoch advance).  Every
     transaction kind the protocol can put on chain appears at least once.
 
-    [Deployed_txs] harvests it for the tx-lint corpus, the indexer tests
-    replay it as ground truth, and [zebra index] demos against it — one
-    builder, no clones.  The build is deterministic in [seed]: same seed,
+    [Deployed_txs] scans it for secrets, the indexer tests replay it as
+    ground truth, and [zebra index] demos against it — one builder, no
+    clones.  The build is deterministic in [seed]: same seed,
     byte-identical chain. *)
 
 type t = {
@@ -23,7 +23,7 @@ type t = {
 }
 
 (** Build the scenario on a fresh system (default seed:
-    ["deployed-txs/lint-scenario-v1"] — the tx-lint corpus seed). *)
+    ["deployed-txs/lint-scenario-v1"] — the lint corpus seed). *)
 val build : ?seed:string -> unit -> t
 
 val default_seed : string

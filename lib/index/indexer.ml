@@ -35,6 +35,7 @@ type entry = {
 
 type t = {
   contracts : (string, entry) Hashtbl.t;  (* address hex -> mirror entry *)
+  credits : (string, int) Hashtbl.t;  (* address hex -> value sent there while untracked *)
   seen : (string, unit) Hashtbl.t;  (* applied tx hashes (dedup vs fault duplicates) *)
   mutable cursor_height : int;
   mutable cursor_tip : string;  (* hex hash of the block at the cursor *)
@@ -48,6 +49,7 @@ type t = {
 let create () =
   {
     contracts = Hashtbl.create 32;
+    credits = Hashtbl.create 256;
     seen = Hashtbl.create 256;
     cursor_height = 0;
     cursor_tip = Sha256.to_hex Block.genesis_hash;
@@ -72,6 +74,7 @@ let emit t ev =
 
 let reset t =
   Hashtbl.reset t.contracts;
+  Hashtbl.reset t.credits;
   Hashtbl.reset t.seen;
   t.cursor_height <- 0;
   t.cursor_tip <- Sha256.to_hex Block.genesis_hash
@@ -94,6 +97,12 @@ let behavior t addr =
 let contract_addresses t =
   Hashtbl.fold (fun _ e acc -> e.addr :: acc) t.contracts []
   |> List.sort (fun a b -> compare (Address.to_hex a) (Address.to_hex b))
+
+(* Value sent to an address the indexer does not track.  A contract's
+   address is predictable ([Address.of_creator]), so this may be a
+   deployment's balance before it exists. *)
+let credited t hex = Option.value (Hashtbl.find_opt t.credits hex) ~default:0
+let credit t hex amount = Hashtbl.replace t.credits hex (credited t hex + amount)
 
 (* Mirror-execute one chain transaction against the indexer's shadow
    contract state.  Only transactions whose canonical receipt succeeded are
@@ -123,21 +132,25 @@ let apply_tx t ~height ~tx_hex (tx : Tx.t) (r : State.receipt) =
       | exception Not_found ->
         t.diverged <- Some (Printf.sprintf "unknown behavior %s (tx %s)" behavior tx_hex)
       | packed -> (
-        match Contract.run_init packed (ctx addr tx.Tx.value) args with
+        let hex = Address.to_hex addr in
+        let balance = tx.Tx.value + credited t hex in
+        match Contract.run_init packed (ctx addr balance) args with
         | exception Contract.Revert why ->
           t.diverged <-
             Some (Printf.sprintf "mirror init reverted (%s) but receipt is ok (tx %s)" why tx_hex)
         | storage ->
-          Hashtbl.replace t.contracts (Address.to_hex addr)
-            { addr; behavior; storage; balance = tx.Tx.value };
+          Hashtbl.remove t.credits hex;
+          Hashtbl.replace t.contracts hex { addr; behavior; storage; balance };
           emit t (Deployed { height; addr; behavior; tx = tx_hex }))))
   | Tx.Call dest, State.Ok _ -> (
-    match Hashtbl.find_opt t.contracts (Address.to_hex dest) with
+    let dest_hex = Address.to_hex dest in
+    match Hashtbl.find_opt t.contracts dest_hex with
     | None ->
-      (* A plain value transfer between externally-owned accounts; the
-         indexer tracks contract state only. *)
-      if tx.Tx.value > 0 then
+      (* A plain value transfer; the indexer tracks contract state only. *)
+      if tx.Tx.value > 0 then begin
+        credit t dest_hex tx.Tx.value;
         emit t (Transferred { height; source = tx.Tx.sender; dest; amount = tx.Tx.value })
+      end
     | Some e -> (
       let packed =
         try Some (Contract.lookup e.behavior) with Not_found -> None
@@ -161,9 +174,10 @@ let apply_tx t ~height ~tx_hex (tx : Tx.t) (r : State.receipt) =
             (function
               | Contract.Transfer (dest, amount) ->
                 e.balance <- e.balance - amount;
-                (match Hashtbl.find_opt t.contracts (Address.to_hex dest) with
+                let hex = Address.to_hex dest in
+                (match Hashtbl.find_opt t.contracts hex with
                 | Some payee -> payee.balance <- payee.balance + amount
-                | None -> ());
+                | None -> credit t hex amount);
                 emit t (Transferred { height; source = e.addr; dest; amount })
               | Contract.Log line -> emit t (Logged { height; addr = e.addr; line }))
             actions)))

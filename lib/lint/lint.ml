@@ -26,7 +26,6 @@ type subject =
       jacobian_rank : int;
       free_aux_wires : int;
     }
-  | Tx_kind of { cases : int }
   | Codec of { secrets : int; outputs : int }
 
 type report = { name : string; subject : subject; findings : finding list }
@@ -43,8 +42,6 @@ let rules =
     ("ZL021", "underdetermined-wire", Warn);
     ("ZL030", "missing-booleanity", Error);
     ("ZL031", "broken-bit-recomposition", Error);
-    (* chain/protocol layer (Txlint): representative-case coverage *)
-    ("ZL103", "vacuous-tx-case", Error);
     (* secret-flow (Seclint): canary-byte taint checking *)
     ("ZL201", "secret-leaked-to-sink", Error);
     ("ZL202", "secret-canary-too-short", Warn);
@@ -78,7 +75,7 @@ let rule_counters =
     rules;
   tbl
 
-(* Shared by [analyze] and the chain-layer passes (Txlint, Seclint). *)
+(* Shared by [analyze] and the secret-flow pass (Seclint). *)
 let make_report ~name subject findings =
   let findings = List.stable_sort (fun f1 f2 -> compare f1.rule f2.rule) findings in
   List.iter
@@ -534,7 +531,6 @@ let to_json r =
         ("jacobian_rank", int c.jacobian_rank);
         ("free_aux_wires", int c.free_aux_wires);
       ]
-    | Tx_kind t -> [ ("kind", Json.Str r.name); ("cases", int t.cases) ]
     | Codec c -> [ ("codec", Json.Str r.name); ("secrets", int c.secrets); ("outputs", int c.outputs) ]
   in
   Json.Obj
@@ -565,13 +561,12 @@ let render ?(max_per_rule = 5) r =
   | Circuit c ->
     Printf.bprintf b "%s: %d vars (%d inputs), %d constraints, rank %d, %d free" r.name
       c.num_vars c.num_inputs c.num_constraints c.jacobian_rank c.free_aux_wires
-  | Tx_kind t -> Printf.bprintf b "%s: %d case(s)" r.name t.cases
   | Codec c -> Printf.bprintf b "%s: %d secret(s) against %d output(s)" r.name c.secrets c.outputs);
   Printf.bprintf b " -- %d error(s), %d warn(s)" (errors r) (warnings r);
-  (* Only circuit rules are Info-level, so other headers omit the count. *)
+  (* Only circuit rules are Info-level, so a codec header omits the count. *)
   (match r.subject with
   | Circuit _ -> Printf.bprintf b ", %d info(s)" (infos r)
-  | Tx_kind _ | Codec _ -> ());
+  | Codec _ -> ());
   Buffer.add_char b '\n';
   let line f = Buffer.add_string b (Format.asprintf "  %a\n" pp_finding f) in
   List.iter (fun f -> if f.severity = Error then line f) r.findings;
@@ -603,7 +598,7 @@ let rule_to_sarif (id, name, severity) =
 
 let result_to_sarif r f =
   let location =
-    (match r.subject with Circuit _ -> "circuit:" | Tx_kind _ -> "tx:" | Codec _ -> "codec:")
+    (match r.subject with Circuit _ -> "circuit:" | Codec _ -> "codec:")
     ^ r.name
   in
   (* Wire/constraint locators, when present, go into the message: the

@@ -59,8 +59,8 @@ type finding = {
   message : string;
 }
 
-(** What a report analysed: a circuit ({!analyze}), a tx kind
-    ({!Txlint.analyze}) or a secret-flow codec case ({!Seclint.analyze}). *)
+(** What a report analysed: a circuit ({!analyze}) or a secret-flow codec
+    case ({!Seclint.analyze}). *)
 type subject =
   | Circuit of {
       num_vars : int;
@@ -69,27 +69,24 @@ type subject =
       jacobian_rank : int;  (** over auxiliary columns, at the board's assignment *)
       free_aux_wires : int;  (** aux wires outside the pivot set *)
     }
-  | Tx_kind of { cases : int }
   | Codec of { secrets : int; outputs : int }
 
 type report = {
-  name : string;  (** circuit name, tx kind or codec case *)
+  name : string;  (** circuit name or codec case *)
   subject : subject;
   findings : finding list;  (** in rule-id order, stable within a rule *)
 }
 
 (** [(id, name, severity)] of every rule, in id order — the linter's public
     contract surface, used by docs and tests.  ZL0xx rules are the R1CS
-    families below; ZL103 (each representative tx case executed) and
-    ZL2xx (secret canary flow) are produced by the chain-layer passes
-    {!Txlint} and {!Seclint}, which share this finding type, report and
-    obs counters. *)
+    families below; ZL2xx (secret canary flow) are produced by
+    {!Seclint}, which shares this finding type, report and obs
+    counters. *)
 val rules : (string * string * severity) list
 
 (** [make_finding id message] — a finding under a registered rule id (name
     and severity are looked up; raises [Invalid_argument] on an unknown
-    id), with no wire or constraint locator.  Used by the chain-layer
-    passes. *)
+    id), with no wire or constraint locator.  Used by {!Seclint}. *)
 val make_finding : string -> string -> finding
 
 (** [make_report ~name subject findings] sorts [findings] into rule-id
@@ -113,21 +110,19 @@ val by_rule : report -> string -> finding list
     [..,"counts":{"error":..,"warn":..,"info":..},"findings":[...]}]:
     - circuit: [{"circuit":..,"num_vars":..,"num_inputs":..,
       "num_constraints":..,"jacobian_rank":..,"free_aux_wires":..,..}];
-    - tx kind: [{"kind":..,"cases":..,..}];
     - codec: [{"codec":..,"secrets":..,"outputs":..,..}]. *)
 val to_json : report -> Zebra_obs.Json.t
 
 (** Human rendering: one header line, then one line per finding; [Warn]-
     and [Info]-level findings are grouped per rule and truncated to
     [max_per_rule] (default 5) with an elision count.  Only a circuit's
-    header counts infos: no other rule is [Info]-level. *)
+    header counts infos: no codec rule is [Info]-level. *)
 val render : ?max_per_rule:int -> report -> string
 
 (** SARIF 2.1.0 export, so CI can annotate findings on PRs: one run, one
     [tool.driver] (["zebra-lint"]) carrying every rule of {!rules} with its
     default severity; each finding becomes a [result] anchored to a
-    {e logical} location ([circuit:<name>], [tx:<kind>] or
-    [codec:<case>]), since the subjects are synthesised artifacts, not
-    files.  Severity maps [Error]→["error"], [Warn]→["warning"],
-    [Info]→["note"]. *)
+    {e logical} location ([circuit:<name>] or [codec:<case>]), since the
+    subjects are synthesised artifacts, not files.  Severity maps
+    [Error]→["error"], [Warn]→["warning"], [Info]→["note"]. *)
 val to_sarif : report list -> Zebra_obs.Json.t

@@ -63,6 +63,20 @@ if grep -rnE '\.footprint|settlement_footprint|apply_tx_traced' lib; then
   exit 1
 fi
 
+# The lint's one chain-layer pass is the secret flow (ZL2xx): no secret
+# reaches a persisted byte.  A per-kind receipt check could not fire, as
+# the deployed scenario settles every transaction or stops, so it stays
+# gone, and the lint library does not depend on the chain.
+echo "== no tx-kind lint; lib/lint does not use the chain =="
+if grep -rnE 'Txlint|Tx_kind|ZL103' lib bin bench; then
+  echo "check.sh: lib/, bin/ or bench/ names the tx-kind lint" >&2
+  exit 1
+fi
+if grep -rn 'Zebra_chain' lib/lint; then
+  echo "check.sh: lib/lint names Zebra_chain" >&2
+  exit 1
+fi
+
 # Plain build: the @check alias also runs the suite, which the two forced
 # runs below do anyway.
 dune build
@@ -77,9 +91,9 @@ ZEBRA_DOMAINS=4 dune runtest --force
 # heights, the 100-task load run's state root and block/tx counts -- with
 # the committed BENCH_*.json exactly (bench/row.ml).
 # This is also the lint gate, one analysis per deployed subject: bench
-# lint fails on any Error finding in a circuit (ZL0xx), tx kind (ZL103:
-# a representative case that failed) or secret-flow codec case (ZL2xx)
-# before it compares a row, and every lint.*.errors row is pinned at 0.
+# lint fails on any Error finding in a circuit (ZL0xx) or secret-flow
+# codec case (ZL2xx) before it compares a row, and every lint.*.errors
+# row is pinned at 0.
 # Allocation is counted per domain, so the rows are pinned at
 # ZEBRA_DOMAINS=1; the snark rows are checked again at 4 domains, since
 # pool size may not change a single proof byte (see DESIGN.md).

@@ -144,17 +144,28 @@ let specimen_ct =
   Zebra_elgamal.Elgamal.ciphertext_to_bytes
     (Zebra_elgamal.Elgamal.encrypt ~random_bytes pk (Zebra_elgamal.Elgamal.encode_answer 1))
 
-(* --- canonical decoding: one encoding per transaction ---
+(* --- canonical decoding: one encoding per mined byte ---
 
    Every transaction the canonical scenario mined (transfers, deploys,
    proof-carrying submissions, the instruction, a Finalize and the
-   reputation calls), mutated by a ChaCha20 stream.  A mutated buffer
+   reputation calls), and every field of those transactions that a
+   contract decodes, mutated by a ChaCha20 stream.  A mutated buffer
    must either raise [Decode_error] or be the one encoding of what it
-   decodes to: re-encoding gives back the same bytes, and the hash is
-   SHA-256 of them.  A second encoding of one transaction would carry
-   the same hash and a valid signature. *)
+   decodes to: re-encoding gives back the same bytes, and a transaction's
+   hash is SHA-256 of them.  A second encoding of one transaction would
+   carry the same hash and a valid signature. *)
 
 module Tx = Zebra_chain.Tx
+module Task_contract = Zebralancer.Task_contract
+module Reputation_contract = Zebralancer.Reputation_contract
+
+let scenario = lazy (Zebralancer.Scenario.build ())
+
+let scenario_txs () =
+  let net = (Lazy.force scenario).Zebralancer.Scenario.sys.Zebralancer.Protocol.net in
+  List.concat_map
+    (fun (b : Zebra_chain.Block.t) -> b.Zebra_chain.Block.txs)
+    (Zebra_chain.Network.blocks net)
 
 (* Offsets of the u32 length prefixes in [tx]'s encoding: the sender,
    its key, the Create behaviour and args or the Call address, the
@@ -176,14 +187,42 @@ let get_u32 b i = Codec.decode Codec.read_u32 (Bytes.sub b i 4)
 
 let u32_bytes v = Codec.encode Codec.u32 (v land 0xffffffff)
 
+(* [b] with the u32 prefix at [at] rewritten to [v] and [inserted] put in
+   front of the field it counts. *)
+let with_prefix b at v inserted =
+  Bytes.concat Bytes.empty
+    [ Bytes.sub b 0 at; u32_bytes v; inserted; Bytes.sub b (at + 4) (Bytes.length b - at - 4) ]
+
+(* One mutation of [b], drawn by [int n] (uniform below [n]): a bit flip,
+   a truncation, a splice onto the tail of one of [others], or, at one of
+   the length prefixes [prefixes], an inflated length or a zero byte put
+   in front of the field. *)
+let mutate int ~prefixes ~others b =
+  let len = Bytes.length b and n = Array.length prefixes in
+  let at = if n = 0 then 0 else prefixes.(int n) in
+  match int (if n = 0 then 3 else 5) with
+  | 0 ->
+    let b = Bytes.copy b and j = int len in
+    Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor (1 lsl int 8)));
+    ("bit flip", b)
+  | 1 -> ("truncation", Bytes.sub b 0 (int len))
+  | 2 ->
+    let other = others.(int (Array.length others)) in
+    let cut = int (len + 1) and from = int (Bytes.length other + 1) in
+    ("splice", Bytes.cat (Bytes.sub b 0 cut) (Bytes.sub other from (Bytes.length other - from)))
+  | 3 ->
+    let v = if int 4 = 0 then 0xffffffff else get_u32 b at + 1 + int 255 in
+    ("inflated length", with_prefix b at v Bytes.empty)
+  | _ ->
+    ( "zero byte in a length-prefixed field",
+      with_prefix b at (get_u32 b at + 1) (Bytes.make 1 '\000') )
+
+let chacha_int seed =
+  let r = Zebra_rng.Chacha20.create ~seed in
+  fun n -> get_u32 (Zebra_rng.Chacha20.bytes r 4) 0 mod n
+
 let test_tx_canonical_decoding () =
-  let scen = Zebralancer.Scenario.build () in
-  let txs =
-    Array.of_list
-      (List.concat_map
-         (fun (b : Zebra_chain.Block.t) -> b.Zebra_chain.Block.txs)
-         (Zebra_chain.Network.blocks scen.Zebralancer.Scenario.sys.Zebralancer.Protocol.net))
-  in
+  let txs = Array.of_list (scenario_txs ()) in
   let wire = Array.map Tx.to_bytes txs in
   Array.iteri
     (fun i tx ->
@@ -193,44 +232,126 @@ let test_tx_canonical_decoding () =
         (Bytes.length wire.(i))
         (sig_at + 4 + Bytes.length tx.Tx.signature))
     txs;
-  let r = Zebra_rng.Chacha20.create ~seed:"test_codec/canonical-tx" in
-  let int n = get_u32 (Zebra_rng.Chacha20.bytes r 4) 0 mod n in
-  let mutate i =
-    let b = wire.(i) in
-    let len = Bytes.length b in
-    let prefixes = Array.of_list (length_prefixes txs.(i)) in
-    let at = prefixes.(int (Array.length prefixes)) in
-    (* [b] with the prefix at [at] rewritten to [v] and [inserted] put
-       in front of the field it counts *)
-    let with_prefix v inserted =
-      Bytes.concat Bytes.empty
-        [ Bytes.sub b 0 at; u32_bytes v; inserted; Bytes.sub b (at + 4) (len - at - 4) ]
-    in
-    match int 5 with
-    | 0 ->
-      let b = Bytes.copy b and j = int len in
-      Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor (1 lsl int 8)));
-      ("bit flip", b)
-    | 1 -> ("truncation", Bytes.sub b 0 (int len))
-    | 2 ->
-      let other = wire.(int (Array.length wire)) in
-      let cut = int (len + 1) and from = int (Bytes.length other + 1) in
-      ("splice", Bytes.cat (Bytes.sub b 0 cut) (Bytes.sub other from (Bytes.length other - from)))
-    | 3 ->
-      let v = if int 4 = 0 then 0xffffffff else get_u32 b at + 1 + int 255 in
-      ("inflated length", with_prefix v Bytes.empty)
-    | _ ->
-      ("zero byte in a length-prefixed field", with_prefix (get_u32 b at + 1) (Bytes.make 1 '\000'))
-  in
+  let int = chacha_int "test_codec/canonical-tx" in
   for k = 1 to 3_000 do
     let i = int (Array.length txs) in
-    let what, b = mutate i in
+    let prefixes = Array.of_list (length_prefixes txs.(i)) in
+    let what, b = mutate int ~prefixes ~others:wire wire.(i) in
     match Tx.of_bytes b with
     | exception Codec.Decode_error _ -> ()
     | exception e -> Alcotest.failf "iteration %d (%s of tx %d): %s" k what i (Printexc.to_string e)
     | tx ->
       if not (Bytes.equal (Tx.to_bytes tx) b && Bytes.equal (Tx.hash tx) (Zebra_hashing.Sha256.digest b))
       then Alcotest.failf "iteration %d (%s of tx %d): a second encoding decoded" k what i
+  done
+
+(* The decoders a mined transaction's bytes reach, each as [bytes ->
+   bytes]: decode, then re-encode. *)
+let recoders =
+  let recode of_bytes to_bytes b = to_bytes (of_bytes b) in
+  [
+    ("task params", recode Task_contract.params_of_bytes Task_contract.params_to_bytes);
+    ("task message", recode Task_contract.message_of_bytes Task_contract.message_to_bytes);
+    ( "reputation message",
+      recode Reputation_contract.message_of_bytes Reputation_contract.message_to_bytes );
+    ("snark vk", recode Zebra_snark.Snark.vk_of_bytes Zebra_snark.Snark.vk_to_bytes);
+    ("snark proof", recode Zebra_snark.Snark.proof_of_bytes Zebra_snark.Snark.proof_to_bytes);
+    ( "cpla attestation",
+      recode Zebra_anonauth.Cpla.attestation_of_bytes Zebra_anonauth.Cpla.attestation_to_bytes );
+    ( "elgamal ciphertext",
+      recode Zebra_elgamal.Elgamal.ciphertext_of_bytes Zebra_elgamal.Elgamal.ciphertext_to_bytes );
+  ]
+
+(* [(decoder, bytes)] for every field of the scenario's transactions that
+   one of [recoders] decodes: task and reputation deployments' arguments
+   and the keys and attestation inside them, and the task and reputation
+   calls' payloads and the ciphertexts, attestations and proofs inside
+   them. *)
+let decoder_specimens () =
+  let scen = Lazy.force scenario in
+  let tasks =
+    List.map (fun t -> t.Zebralancer.Requester.contract) [ scen.task_a; scen.task_b ]
+  in
+  List.concat_map
+    (fun (tx : Tx.t) ->
+      let payload = tx.Tx.payload in
+      match tx.Tx.dst with
+      | Tx.Create { behavior; args } when behavior = Task_contract.behavior_name ->
+        let p = Task_contract.params_of_bytes args in
+        [
+          ("task params", args);
+          ("snark vk", p.auth_vk);
+          ("snark vk", p.reward_vk);
+          ("cpla attestation", p.requester_attestation);
+        ]
+      | Tx.Create { behavior; args } when behavior = Reputation_contract.behavior_name ->
+        [ ("snark vk", Codec.decode Codec.read_bytes args) ]
+      | Tx.Call dst when List.mem dst tasks -> (
+        ("task message", payload)
+        ::
+        (match Task_contract.message_of_bytes payload with
+        | Submit { ciphertext; attestation } ->
+          [ ("elgamal ciphertext", ciphertext); ("cpla attestation", attestation) ]
+        | Instruct { proof; _ } -> [ ("snark proof", proof) ]
+        | Submit_plain _ | Finalize -> []))
+      | Tx.Call dst when dst = scen.board -> (
+        ("reputation message", payload)
+        ::
+        (match Reputation_contract.message_of_bytes payload with
+        | Claim { proof; _ } -> [ ("snark proof", proof) ]
+        | Credit _ | Advance_epoch -> []))
+      | _ -> [])
+    (scenario_txs ())
+
+(* Offsets in [b] that read as a u32 length prefix whose field fits. *)
+let plausible_prefixes b =
+  let len = Bytes.length b in
+  List.filter (fun at -> at + 4 + get_u32 b at <= len) (List.init (max 0 (len - 3)) Fun.id)
+
+let test_decoders_canonical () =
+  let specimens = Array.of_list (decoder_specimens ()) in
+  Alcotest.(check (list string)) "every decoder has a specimen"
+    (List.sort compare (List.map fst recoders))
+    (List.sort_uniq compare (Array.to_list (Array.map fst specimens)));
+  let canonical what (decoder, b) =
+    match (List.assoc decoder recoders) b with
+    | exception Codec.Decode_error _ -> ()
+    | exception e -> Alcotest.failf "%s (%s): %s" what decoder (Printexc.to_string e)
+    | b' ->
+      if not (Bytes.equal b' b) then
+        Alcotest.failf "%s (%s): a second encoding decoded" what decoder
+  in
+  Array.iteri
+    (fun i (decoder, b) ->
+      canonical (Printf.sprintf "specimen %d" i) (decoder, b);
+      (* a zero byte at either end of each field, its prefix counting it *)
+      List.iter
+        (fun at ->
+          let v = get_u32 b at in
+          List.iter
+            (fun j ->
+              let padded =
+                Bytes.concat Bytes.empty
+                  [ Bytes.sub b 0 j; Bytes.make 1 '\000'; Bytes.sub b j (Bytes.length b - j) ]
+              in
+              canonical (Printf.sprintf "zero byte at %d of specimen %d" j i)
+                (decoder, with_prefix padded at (v + 1) Bytes.empty))
+            [ at + 4; at + 4 + v ])
+        (plausible_prefixes b))
+    specimens;
+  let int = chacha_int "test_codec/canonical-decoders" in
+  for k = 1 to 3_000 do
+    let i = int (Array.length specimens) in
+    let decoder, b = specimens.(i) in
+    let others =
+      Array.of_list
+        (List.filter_map
+           (fun (d, o) -> if d = decoder then Some o else None)
+           (Array.to_list specimens))
+    in
+    let prefixes = Array.of_list (plausible_prefixes b) in
+    let what, b = mutate int ~prefixes ~others b in
+    canonical (Printf.sprintf "iteration %d (%s of specimen %d)" k what i) (decoder, b)
   done
 
 let () =
@@ -261,5 +382,10 @@ let () =
           fuzz_mutated "ciphertext" specimen_ct Zebra_elgamal.Elgamal.ciphertext_of_bytes;
         ] );
       ( "canonical",
-        [ Alcotest.test_case "mutated scenario txs decode canonically" `Quick test_tx_canonical_decoding ] );
+        [
+          Alcotest.test_case "mutated scenario txs decode canonically" `Quick
+            test_tx_canonical_decoding;
+          Alcotest.test_case "mutated contract fields decode canonically" `Quick
+            test_decoders_canonical;
+        ] );
     ]

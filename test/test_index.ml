@@ -44,7 +44,39 @@ let test_scenario_mirror () =
   | Error why -> Alcotest.fail why);
   let h, _tip = Indexer.cursor idx in
   Alcotest.(check int) "cursor at the tip" (Network.height net) h;
-  Alcotest.(check int) "no reorg on a quiet chain" 0 (Indexer.reorg_count idx)
+  Alcotest.(check int) "no reorg on a quiet chain" 0 (Indexer.reorg_count idx);
+  (* Every message kind the scenario puts on chain, read off the events:
+     the contracts' log lines, the behaviours deployed and the faucet's
+     funding transfers. *)
+  let events = Indexer.events idx in
+  let logged =
+    List.filter_map (function Indexer.Logged { line; _ } -> Some line | _ -> None) events
+  in
+  Alcotest.(check (list string)) "every log line kind"
+    [
+      "claimed 3";
+      "credited";
+      "epoch advanced";
+      "fallback: budget split evenly";
+      "ra root updated";
+      "rewards distributed";
+      "submission 1/2";
+      "submission 1/3";
+      "submission 2/2";
+      "submission 2/3";
+    ]
+    (List.sort_uniq compare logged);
+  let deployed =
+    List.filter_map (function Indexer.Deployed { behavior; _ } -> Some behavior | _ -> None) events
+  in
+  Alcotest.(check (list string)) "every behaviour deployed"
+    [ "zebralancer-ra"; "zebralancer-reputation"; "zebralancer-task"; "zebralancer-task" ]
+    (List.sort compare deployed);
+  let faucet = Wallet.address scen.Scenario.sys.Protocol.faucet in
+  Alcotest.(check bool) "a faucet transfer" true
+    (List.exists
+       (function Indexer.Transferred { source; _ } -> Address.equal source faucet | _ -> false)
+       events)
 
 let test_cursor_resumes () =
   let scen = Scenario.build () in
@@ -84,6 +116,58 @@ let test_decoded_views () =
   | _ -> Alcotest.fail "expected exactly one board");
   Alcotest.(check bool) "render is non-empty and line-structured" true
     (String.length (Indexing.render v) > 0 && String.contains (Indexing.render v) '\n')
+
+(* --- value sent to a contract address before its deployment --- *)
+
+(* Stores the balance it saw at [init]; a call pays its whole balance to
+   the address in the payload. *)
+module Piggy = struct
+  type storage = int
+
+  let name = "index-piggy"
+  let init (ctx : Contract.context) _args = ctx.self_balance
+
+  let receive (ctx : Contract.context) seen payload =
+    (seen, [ Contract.Transfer (Address.of_bytes payload, ctx.self_balance) ])
+
+  let encode seen = Zebra_codec.Codec.encode Zebra_codec.Codec.u64 seen
+  let decode b = Zebra_codec.Codec.decode Zebra_codec.Codec.read_u64 b
+end
+
+let () = Contract.register (module Piggy)
+
+(* Contract addresses are predictable ([Address.of_creator]), so a plain
+   transfer or a contract payout can fund one before it is deployed.  The
+   chain credits the deployment on top of that balance and [init] sees
+   the sum; the mirror must do the same. *)
+let test_prefunded_deploy () =
+  let net = fresh_net () in
+  let first_contract i = Address.of_creator (Wallet.address (wallet i)) 0 in
+  let send tx =
+    Network.submit net tx;
+    ignore (Network.mine net)
+  in
+  let deploy i value =
+    Tx.make ~wallet:(wallet i) ~nonce:0
+      ~dst:(Tx.Create { behavior = Piggy.name; args = Bytes.empty })
+      ~value ~payload:Bytes.empty
+  in
+  send
+    (Tx.make ~wallet:(wallet 0) ~nonce:0 ~dst:(Tx.Call (first_contract 1)) ~value:7
+       ~payload:Bytes.empty);
+  send (deploy 1 5);
+  (* the 12 it holds now go to wallet 2's first contract, deployed with 1 *)
+  send
+    (Tx.make ~wallet:(wallet 0) ~nonce:1 ~dst:(Tx.Call (first_contract 1)) ~value:0
+       ~payload:(Address.to_bytes (first_contract 2)));
+  send (deploy 2 1);
+  let idx = Indexer.create () in
+  ignore (Indexer.sync idx net);
+  (match Indexer.check idx net with
+  | Ok () -> ()
+  | Error why -> Alcotest.fail why);
+  Alcotest.(check (list (option int))) "mirror balances" [ Some 0; Some 13 ]
+    [ Indexer.balance idx (first_contract 1); Indexer.balance idx (first_contract 2) ]
 
 (* --- reorg detection --- *)
 
@@ -152,6 +236,7 @@ let () =
           Alcotest.test_case "scenario mirror agrees" `Quick test_scenario_mirror;
           Alcotest.test_case "cursor resumes" `Quick test_cursor_resumes;
           Alcotest.test_case "decoded views" `Quick test_decoded_views;
+          Alcotest.test_case "deployment onto a funded address" `Quick test_prefunded_deploy;
         ] );
       ("reorg", [ Alcotest.test_case "reorg re-indexes from genesis" `Quick test_reorg_reindexes ]);
       ("load", [ prop_load_indexer_agrees ]);

@@ -22,7 +22,7 @@ let rule_ids report = List.map (fun f -> f.Lint.rule) report.Lint.findings
 let rank_and_free report =
   match report.Lint.subject with
   | Lint.Circuit c -> (c.jacobian_rank, c.free_aux_wires)
-  | Lint.Tx_kind _ | Lint.Codec _ -> Alcotest.fail "not a circuit report"
+  | Lint.Codec _ -> Alcotest.fail "not a circuit report"
 
 let check_fires rule report =
   Alcotest.(check bool)

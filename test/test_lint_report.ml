@@ -1,20 +1,14 @@
 (* The report formats, pinned: one circuit report (an Error, Warn and Info
-   finding, with elision), one tx-kind report and one codec report, each
-   rendered as text, JSON and SARIF and compared byte for byte with the
-   expected strings below.  Every fixture is deterministic: the circuit
-   has fixed values, the tx kind runs on a wallet from a fixed ChaCha20
-   seed, and the codec case scans fixed bytes. *)
+   finding, with elision) and one codec report, each rendered as text,
+   JSON and SARIF and compared byte for byte with the expected strings
+   below.  Every fixture is deterministic: the circuit has fixed values
+   and the codec case scans fixed bytes. *)
 
 open Zebra_field
 open Zebra_r1cs
 module Lint = Zebra_lint.Lint
-module Txlint = Zebra_lint.Txlint
 module Seclint = Zebra_lint.Seclint
 module Json = Zebra_obs.Json
-module Tx = Zebra_chain.Tx
-module State = Zebra_chain.State
-module Wallet = Zebra_chain.Wallet
-module Address = Zebra_chain.Address
 
 (* Two unused public inputs (ZL002, one elided at [max_per_rule:1]), an
    orphan witness (ZL001), a constant identity (ZL010), a row that is
@@ -32,27 +26,6 @@ let circuit_report () =
     (ci 10);
   Cs.enforce cs ~label:"vacuous" [] [] [];
   Lint.analyze ~name:"fixture-circuit" cs
-
-(* Two transfers of one kind: one pays, the other overdraws and fails
-   (ZL103). *)
-let tx_report () =
-  let rng = Zebra_rng.Chacha20.create ~seed:"test_lint_report" in
-  let wallet = Wallet.generate ~random_bytes:(Zebra_rng.Chacha20.bytes rng) () in
-  let sender = Wallet.address wallet in
-  let st = State.create ~genesis:[ (sender, 100) ] in
-  let transfer ~nonce ~value =
-    State.apply_tx st ~height:1
-      (Tx.make ~wallet ~nonce ~dst:(Tx.Call (Address.of_creator sender 0)) ~value
-         ~payload:Bytes.empty)
-  in
-  let kind = "fixture.transfer" in
-  let paid = transfer ~nonce:0 ~value:5 in
-  let overdraw = transfer ~nonce:1 ~value:1_000 in
-  Txlint.analyze ~kind
-    [
-      { Txlint.kind; case = "paid"; receipt = paid };
-      { Txlint.kind; case = "overdraw"; receipt = overdraw };
-    ]
 
 (* A 32-byte canary leaked into a serialisation (ZL201) and a 4-byte one
    too short to scan for (ZL202). *)
@@ -83,7 +56,6 @@ let sarif_rules =
     {|{"id":"ZL021","name":"underdetermined-wire","defaultConfiguration":{"level":"warning"}}|};
     {|{"id":"ZL030","name":"missing-booleanity","defaultConfiguration":{"level":"error"}}|};
     {|{"id":"ZL031","name":"broken-bit-recomposition","defaultConfiguration":{"level":"error"}}|};
-    {|{"id":"ZL103","name":"vacuous-tx-case","defaultConfiguration":{"level":"error"}}|};
     {|{"id":"ZL201","name":"secret-leaked-to-sink","defaultConfiguration":{"level":"error"}}|};
     {|{"id":"ZL202","name":"secret-canary-too-short","defaultConfiguration":{"level":"warning"}}|};
   ]
@@ -125,24 +97,6 @@ let circuit_text =
   [ZL012 info] constraint #1 (twice the sum): linearisation at the sampled assignment is a linear combination of earlier constraints: it adds no first-order binding power
   [ZL020 warn]: Jacobian rank 1 leaves 1 of 3 auxiliary wires underdetermined at the sampled assignment
   [ZL021 warn] wire 3 (a): wire 3 (a) is not uniquely determined by the public inputs at the sampled assignment (to first order): the prover has a degree of freedom here
-|}
-
-let tx_sarif_results =
-  [
-    {|{"ruleId":"ZL103","level":"error","message":{"text":"case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored"},"locations":[{"logicalLocations":[{"name":"tx:fixture.transfer"}]}]}|};
-  ]
-
-let tx_json =
-  String.concat ""
-    [
-      {|{"kind":"fixture.transfer","cases":2,"counts":{"error":1,"warn":0,"info":0},"findings":[|};
-      {|{"rule":"ZL103","name":"vacuous-tx-case","severity":"error","wire":null,"wire_label":null,"constraint":null,"constraint_label":null,"message":"case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored"}|};
-      {|]}|};
-    ]
-
-let tx_text =
-  {|fixture.transfer: 2 case(s) -- 1 error(s), 0 warn(s)
-  [ZL103 error]: case overdraw failed (insufficient funds): the contract branch this case was meant to cover was never explored
 |}
 
 let codec_sarif_results =
@@ -189,11 +143,6 @@ let test_circuit () =
   check_formats ~text:circuit_text ~json:circuit_json ~sarif_results:circuit_sarif_results
     (Lint.render ~max_per_rule:1 r, Lint.to_json r, Lint.to_sarif [ r ])
 
-let test_tx_kind () =
-  let r = tx_report () in
-  check_formats ~text:tx_text ~json:tx_json ~sarif_results:tx_sarif_results
-    (Lint.render r, Lint.to_json r, Lint.to_sarif [ r ])
-
 let test_codec () =
   let r = codec_report () in
   check_formats ~text:codec_text ~json:codec_json ~sarif_results:codec_sarif_results
@@ -205,7 +154,6 @@ let () =
       ( "format",
         [
           Alcotest.test_case "circuit report" `Quick test_circuit;
-          Alcotest.test_case "tx-kind report" `Quick test_tx_kind;
           Alcotest.test_case "codec report" `Quick test_codec;
         ] );
     ]

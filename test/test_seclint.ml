@@ -1,15 +1,8 @@
-(* Chain-layer lint tests: a transaction kind whose representative case
-   reverted asserting ZL103 fires, synthetic leaky codecs for the ZL2xx
-   ids, the deployed tx-kind registry locked at zero Error findings, and
-   a property that small marketplace runs settle. *)
+(* Secret-flow lint tests: synthetic leaky codecs for the ZL2xx ids, the
+   deployed codec registry locked at zero findings, and a property that
+   small marketplace runs settle. *)
 
-module Tx = Zebra_chain.Tx
-module State = Zebra_chain.State
-module Wallet = Zebra_chain.Wallet
-module Address = Zebra_chain.Address
-module Contract = Zebra_chain.Contract
 module Lint = Zebra_lint.Lint
-module Txlint = Zebra_lint.Txlint
 module Seclint = Zebra_lint.Seclint
 open Zebralancer
 
@@ -26,51 +19,6 @@ let check_fires rule ids =
     (Printf.sprintf "%s fires (got: %s)" rule (String.concat ", " ids))
     true (List.mem rule ids)
 
-let check_silent rule ids =
-  Alcotest.(check bool)
-    (Printf.sprintf "%s silent (got: %s)" rule (String.concat ", " ids))
-    false (List.mem rule ids)
-
-(* --- the lint-scatter fixture behaviour ---
-
-   Transfers the call value to an address decoded from the payload.  An
-   empty payload reverts, giving ZL103 its vacuous case. *)
-module Scatter = struct
-  type storage = unit
-
-  let name = "lint-scatter"
-  let init _ctx _args = ()
-
-  let receive ctx () payload =
-    if Bytes.length payload = 0 then raise (Contract.Revert "lint-scatter: empty payload");
-    ((), [ Contract.Transfer (Address.of_bytes payload, ctx.Contract.value) ])
-
-  let encode () = Bytes.empty
-  let decode _ = ()
-end
-
-let () = Contract.register (module Scatter)
-
-(* Deploy a scatter contract and call it once with [payload]: one case
-   of [kind], with that call's receipt. *)
-let scatter_report ~kind ~payload =
-  let wallet = Wallet.generate ~random_bytes () in
-  let sender = Wallet.address wallet in
-  let st = State.create ~genesis:[ (sender, 1_000) ] in
-  let deploy =
-    Tx.make ~wallet ~nonce:0
-      ~dst:(Tx.Create { behavior = Scatter.name; args = Bytes.empty })
-      ~value:0 ~payload:Bytes.empty
-  in
-  (match State.apply_tx st ~height:0 deploy with
-  | { State.status = State.Ok _; _ } -> ()
-  | { State.status = State.Failed m; _ } -> failwith ("fixture deploy failed: " ^ m));
-  let call =
-    Tx.make ~wallet ~nonce:1 ~dst:(Tx.Call (Address.of_creator sender 0)) ~value:5 ~payload
-  in
-  let receipt = State.apply_tx st ~height:1 call in
-  Txlint.analyze ~kind [ { Txlint.kind; case = "fixture"; receipt } ]
-
 (* --- rule table --- *)
 
 let test_rule_table () =
@@ -80,21 +28,8 @@ let test_rule_table () =
     let _, _, s = List.find (fun (i, _, _) -> i = id) Lint.rules in
     s
   in
-  List.iter
-    (fun id -> Alcotest.(check bool) (id ^ " is Error") true (severity id = Lint.Error))
-    [ "ZL103"; "ZL201" ];
+  Alcotest.(check bool) "ZL201 is Error" true (severity "ZL201" = Lint.Error);
   Alcotest.(check bool) "ZL202 is Warn" true (severity "ZL202" = Lint.Warn)
-
-(* --- ZL103 fixtures --- *)
-
-let test_vacuous_case () =
-  let r = scatter_report ~kind:"scatter.revert" ~payload:Bytes.empty in
-  check_fires "ZL103" (rule_ids r)
-
-let test_executed_case_silent () =
-  let payee = Address.of_bytes (random_bytes 20) in
-  let r = scatter_report ~kind:"scatter.ok" ~payload:(Address.to_bytes payee) in
-  check_silent "ZL103" (rule_ids r)
 
 (* --- ZL2xx negative fixtures --- *)
 
@@ -152,32 +87,6 @@ let test_short_canary () =
 
 (* --- deployed registry locks --- *)
 
-let test_registry_zero_errors () =
-  let reports = Txlint.analyze_all (Deployed_txs.cases ()) in
-  Alcotest.(check bool) "at least 10 kinds" true (List.length reports >= 10);
-  List.iter
-    (fun (r : Lint.report) ->
-      Alcotest.(check int) (r.Lint.name ^ ": zero errors") 0 (Lint.errors r))
-    reports
-
-let test_registry_kinds () =
-  let expected =
-    [
-      "deploy.zebralancer-ra";
-      "deploy.zebralancer-reputation";
-      "deploy.zebralancer-task";
-      "transfer";
-      "zebralancer-ra.set-root";
-      "zebralancer-reputation.advance-epoch";
-      "zebralancer-reputation.claim";
-      "zebralancer-reputation.credit";
-      "zebralancer-task.finalize";
-      "zebralancer-task.instruct";
-      "zebralancer-task.submit";
-    ]
-  in
-  Alcotest.(check (list string)) "registry covers every deployed kind" expected (Deployed_txs.kinds ())
-
 let test_registry_codecs_clean () =
   List.iter
     (fun (c : Seclint.codec_case) ->
@@ -209,14 +118,9 @@ let prop_small_marketplaces_ok =
       Load.ok r)
 
 let () =
-  Alcotest.run "txlint"
+  Alcotest.run "seclint"
     [
       ("rules", [ Alcotest.test_case "table" `Quick test_rule_table ]);
-      ( "zl1xx-fixtures",
-        [
-          Alcotest.test_case "vacuous case -> ZL103" `Quick test_vacuous_case;
-          Alcotest.test_case "executed case is silent" `Quick test_executed_case_silent;
-        ] );
       ( "zl2xx-fixtures",
         [
           Alcotest.test_case "leaky codec -> ZL201" `Quick test_leaky_codec;
@@ -224,11 +128,6 @@ let () =
           Alcotest.test_case "clean codec is silent" `Quick test_clean_codec_silent;
           Alcotest.test_case "short canary -> ZL202" `Quick test_short_canary;
         ] );
-      ( "registry",
-        [
-          Alcotest.test_case "tx kinds are zero-error" `Slow test_registry_zero_errors;
-          Alcotest.test_case "kind list is locked" `Slow test_registry_kinds;
-          Alcotest.test_case "codec registry is clean" `Slow test_registry_codecs_clean;
-        ] );
+      ("registry", [ Alcotest.test_case "codec registry is clean" `Slow test_registry_codecs_clean ]);
       ("property", [ prop_small_marketplaces_ok ]);
     ]
